@@ -7,9 +7,12 @@ isomorphism claims against other families.  verify_entry runs the pipeline
     construct -> strong regularity -> rank/subdegrees -> aut order -> iso
 
 and emits a machine-readable Report; verify_all filters by tier and
-aggregates.  Tiers bound the cost: FULL rows (degree <= 256) run everything,
-SLOW rows run everything but may time out (downgrading, never failing, the
-verdict), PARAMS_ONLY rows stop after the subdegree check.
+aggregates.  The rank/subdegree stage takes, at every degree, the orbits of
+the family's zero-stabilizer G0 on the nonzero vertices: rank = 1 + their
+number, subdegrees = their sizes, and N(0) must be one of them.  Tiers bound
+the cost: FULL rows (degree <= 256) run everything, SLOW rows run everything
+but may time out (downgrading, never failing, the verdict), PARAMS_ONLY rows
+stop after the subdegree check.
 
 Conventions baked into the table:
 
@@ -29,19 +32,18 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .autsolve import NotIsomorphic, Timeout, are_isomorphic, automorphism_group
 from .families import (
     FamilyId,
-    affine_orbital_graph,
     family_graph,
-    family_group,
-    family_matrix_spec,
     format_descriptor,
     parse_descriptor,
-    sl25_with_scalars_spec,
+    zero_stabilizer,
 )
 from .graphs import Degenerate, DenseGraph, NotStronglyRegular, srg_params
-from .permgrp import linear_perms, orbit_partition, rank_and_subdegrees
+from .permgrp import orbit, stabilizer_rank
 
 __all__ = [
     "TIERS",
@@ -65,10 +67,6 @@ __all__ = [
 TIERS = ("FULL", "SLOW", "PARAMS_ONLY")
 STAGES = ("construct", "srg", "subdegrees", "aut", "iso")
 VERDICTS = ("PASS", "PASS_DOWNGRADED", "FAIL")
-
-# The pair-orbit closure is quadratic in the vertex count; past this degree
-# the subdegree stage falls back to the zero-stabilizer orbit sizes.
-_PAIR_CLOSURE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -518,18 +516,12 @@ def reports_from_json(text: str) -> tuple[list[Report], dict]:
 # -- the pipeline --------------------------------------------------------------------
 
 
-def _construct(entry: CatalogEntry, seed: int | None) -> DenseGraph:
-    fid = entry.family
-    if (
-        seed is not None
-        and fid.tag == "AffineOrbital"
-        and fid.params[0] == "sl25"
-    ):
-        return affine_orbital_graph(sl25_with_scalars_spec(fid.params[1], seed))
-    return family_graph(fid)
-
-
-def _check_subdegrees(entry: CatalogEntry, g: DenseGraph) -> StageOutcome:
+def _check_subdegrees(
+    entry: CatalogEntry, g: DenseGraph, seed: int | None = None
+) -> StageOutcome:
+    """Rank and subdegrees from the orbits of the family's zero-stabilizer,
+    and the edge set as one of its orbitals: N(0) must be one of those
+    orbits, not merely have the size of one."""
     valency = int(g.adj[0].sum())
     if valency != entry.subdegrees[0]:
         return StageOutcome(
@@ -537,44 +529,28 @@ def _check_subdegrees(entry: CatalogEntry, g: DenseGraph) -> StageOutcome:
             f"graph valency {valency} != claimed edge-orbital size "
             f"{entry.subdegrees[0]}",
         )
-    claimed = sorted(entry.subdegrees)
-    if entry.n <= _PAIR_CLOSURE_LIMIT:
-        gs = family_group(entry.family)
-        if gs is None:
-            return StageOutcome(
-                "ok",
-                f"valency {valency} matches; no independent group ships for "
-                f"this family, pair-orbit check skipped",
-            )
-        rank, sizes = rank_and_subdegrees(gs)
-        if rank != 3:
-            return StageOutcome("mismatch", f"group rank {rank} != 3")
-        if sorted(sizes) != claimed:
-            return StageOutcome(
-                "mismatch", f"group subdegrees {sorted(sizes)} != {claimed}"
-            )
-        return StageOutcome(
-            "ok", f"rank 3, subdegrees {claimed}, valency {valency}"
-        )
-    spec = family_matrix_spec(entry.family)
-    if spec is None:
+    stab = zero_stabilizer(entry.family, seed)
+    if stab is None:
         return StageOutcome(
             "ok",
-            f"valency {valency} matches; degree exceeds the pair-closure "
-            f"limit and no matrix group ships",
+            f"valency {valency} matches; no zero-stabilizer ships for this "
+            f"family, orbit check skipped",
         )
-    orbits = [
-        o
-        for o in orbit_partition(linear_perms(spec))
-        if len(o) > 1 or int(o[0]) != 0
-    ]
-    sizes = sorted(len(o) for o in orbits)
-    if len(sizes) != 2 or sizes != claimed:
+    claimed = sorted(entry.subdegrees)
+    rank, sizes = stabilizer_rank(stab)
+    if rank != 3:
+        return StageOutcome("mismatch", f"group rank {rank} != 3")
+    if sizes != claimed:
         return StageOutcome(
             "mismatch", f"zero-stabilizer orbit sizes {sizes} != {claimed}"
         )
+    nbrs = np.flatnonzero(g.adj[0])
+    if nbrs.size == 0 or orbit(stab, int(nbrs[0])) != set(nbrs.tolist()):
+        return StageOutcome(
+            "mismatch", "N(0) is not an orbit of the zero-stabilizer"
+        )
     return StageOutcome(
-        "ok", f"zero-stabilizer orbits {claimed}, valency {valency}"
+        "ok", f"rank 3, subdegrees {claimed}, valency {valency}, N(0) an orbit"
     )
 
 
@@ -645,7 +621,7 @@ def verify_entry(
         stages[name] = outcome
         return outcome
 
-    g = _construct(entry, seed)
+    g = family_graph(entry.family, seed)
 
     def construct_outcome() -> StageOutcome:
         if g.n != entry.n:
@@ -667,7 +643,7 @@ def verify_entry(
         )
 
     run("srg", srg_outcome)
-    run("subdegrees", lambda: _check_subdegrees(entry, g))
+    run("subdegrees", lambda: _check_subdegrees(entry, g, seed))
 
     if entry.tier == "PARAMS_ONLY":
         stages["aut"] = StageOutcome("skipped", "params-only tier")

@@ -22,7 +22,7 @@ from . import catalog as _catalog
 from .autsolve import NotIsomorphic, Timeout, are_isomorphic, automorphism_group
 from .families import family_graph, parse_descriptor
 from .graphs import Degenerate, NotStronglyRegular, srg_params, to_graph6
-from .permgrp import affine_perms, rank_and_subdegrees, read_matrix_spec
+from .permgrp import linear_perms, read_matrix_spec, stabilizer_rank
 
 __all__ = ["main"]
 
@@ -86,7 +86,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     spec = read_matrix_spec(args.spec_file)
-    rank, sizes = rank_and_subdegrees(affine_perms(spec))
+    rank, sizes = stabilizer_rank(linear_perms(spec))
     print(f"rank {rank}, subdegrees {', '.join(str(s) for s in sizes)}")
     return 0
 

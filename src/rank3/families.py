@@ -14,20 +14,24 @@ families differ only in how that connection set is cut out:
 * ``affine_orbital_graph`` -- an orbit of an explicit matrix group with
   exactly two orbits on nonzero vectors.
 
-Each family also has a companion "known automorphisms" generator set (a
-transitive permutation group acting on the graph) used by the catalog to
-cross-check rank and subdegrees independently of the Aut solver.
+Each family is declared once, in the table at the end of this module: its
+descriptor syntax, its graph constructor and its zero-stabilizer, the
+stabilizer of vertex 0 in a known group of automorphisms.  The known group
+itself is the translations plus the zero-stabilizer, and the zero-stabilizer's
+orbits on the other vertices are the graph's suborbits, which the catalog
+checks independently of the Aut solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 import sympy
 
-from .gf import FieldElement, FiniteField, make_field, power_residue_classes
+from .gf import FiniteField, make_field, power_residue_classes
 from .graphs import DenseGraph
 import importlib.resources
 
@@ -41,11 +45,12 @@ from .permgrp import (
     find_sl25_in_gl2,
     linear_perms,
     normalizer_in_gl2,
-    orbit_partition,
     parse_matrix_spec,
     read_matrix_spec,
     schreier_sims,
-    semilinear_perms,
+    semilinear_stabilizer_perms,
+    stabilizer_orbits,
+    with_translations,
 )
 
 __all__ = [
@@ -71,7 +76,7 @@ __all__ = [
     "affine_polar_group",
     "bilinear_forms_group",
     "alternating_forms_group",
-    "hamming2_group",
+    "hamming2_stabilizer",
     "quaternion_normalizer_spec",
     "sl25_with_scalars_spec",
     "sl23_with_scalars_spec",
@@ -81,6 +86,7 @@ __all__ = [
     "family_graph",
     "family_group",
     "family_matrix_spec",
+    "zero_stabilizer",
     "FAMILY_TAGS",
 ]
 
@@ -355,18 +361,20 @@ def hamming2(m: int) -> DenseGraph:
     return DenseGraph(adj)
 
 
-def hamming2_group(m: int) -> GeneratorSet:
-    """The natural automorphisms of hamming2(m): (S_m x S_m) : 2, acting on
-    pairs (i, j) |-> (g(i), h(j)) plus the coordinate swap.  Transitive of
-    rank 3 with subdegrees 2(m-1) and (m-1)**2."""
+def hamming2_stabilizer(m: int) -> GeneratorSet:
+    """The stabilizer of the vertex 0 = (0, 0) in the natural automorphism
+    group (S_m x S_m):2 of hamming2(m): (S_(m-1) x S_(m-1)):2, permuting the
+    nonzero values of each coordinate, plus the coordinate swap.  Its orbits
+    on the other vertices have sizes 2(m-1) and (m-1)**2."""
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
     n = m * m
     i = np.arange(n) // m
     j = np.arange(n) % m
-    cyc = (np.arange(m) + 1) % m
+    cyc = np.concatenate([[0], np.roll(np.arange(1, m), -1)])
     swp = np.arange(m)
-    swp[[0, 1]] = [1, 0]
+    if m > 2:
+        swp[[1, 2]] = [2, 1]
     gens = [
         cyc[i] * m + j,
         swp[i] * m + j,
@@ -640,12 +648,16 @@ def bilinear_forms_group(q: int, m: int) -> MatrixGroupSpec:
 _ALT_PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 
 
+def _check_alternating_shipped(n: int, q: int) -> None:
+    if (n, q) != (5, 2):
+        raise Unsupported(f"only (n, q) = (5, 2) is shipped, got ({n}, {q})")
+
+
 def alternating_forms(n: int = 5, q: int = 2) -> DenseGraph:
     """Alternating forms graph A(5, 2): vertices = 5 x 5 alternating matrices
     over GF(2) (10 upper-triangle bits, row-major), A ~ B iff
     rank(A - B) = 2.  Only (n, q) = (5, 2) ships."""
-    if (n, q) != (5, 2):
-        raise Unsupported(f"only (n, q) = (5, 2) is shipped, got ({n}, {q})")
+    _check_alternating_shipped(n, q)
     count = 1 << 10
     bits = _digits(count, 2, 10)
     col = {pr: bits[:, t] for t, pr in enumerate(_ALT_PAIRS)}
@@ -667,10 +679,12 @@ def alternating_forms(n: int = 5, q: int = 2) -> DenseGraph:
     return cayley_graph(ConnectionSet(VectorSpace(2, 10), members))
 
 
-def alternating_forms_group() -> MatrixGroupSpec:
+def alternating_forms_group(n: int = 5, q: int = 2) -> MatrixGroupSpec:
     """The congruence action A |-> P A P^T of GL_5(2) on the 10 upper-triangle
     coordinates of alternating 5 x 5 matrices, as 10 x 10 GF(2) matrices.
-    Exactly 2 orbits on nonzero forms: rank 2 and rank 4."""
+    Exactly 2 orbits on nonzero forms: rank 2 and rank 4.  Only
+    (n, q) = (5, 2) ships."""
+    _check_alternating_shipped(n, q)
     mats = []
     for pg in _gl_gens_idx(5, 2):
         big = np.zeros((10, 10), dtype=np.int64)
@@ -693,12 +707,9 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     (AsymmetricOrbit otherwise).  Orbit 0 is the smaller one.  The affine
     group is verified to act as automorphisms of the result.
     """
-    gs = linear_perms(spec)
-    parts = orbit_partition(gs)
-    nonzero = [o for o in parts if len(o) > 1 or o[0] != 0]
+    nonzero = stabilizer_orbits(linear_perms(spec))
     if len(nonzero) != 2:
         raise WrongOrbitCount(len(nonzero))
-    nonzero.sort(key=len)
     if orbit_choice not in (0, 1):
         raise ValueError(f"orbit_choice must be 0 or 1, got {orbit_choice}")
     chosen = nonzero[orbit_choice]
@@ -717,21 +728,29 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     return g
 
 
-def quaternion_normalizer_spec(p: int) -> MatrixGroupSpec:
-    """The normalizer in GL_2(p) of the standard quaternion group of order 8,
-    Q8 = <[[0,-1],[1,0]], [[a,b],[b,-a]]> with a**2 + b**2 = -1 (smallest such
-    pair).  Requires p odd (and p <= 50, from the normalizer scan)."""
+def _quaternion_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The standard quaternion pair over GF(p): X = [[0,-1],[1,0]] and
+    Y = [[a,b],[b,-a]] with a**2 + b**2 = -1 (smallest such pair), so that
+    X^2 = Y^2 = -I and XY = -YX."""
     if p == 2 or not sympy.isprime(p):
         raise ValueError(f"p = {p} must be an odd prime")
-    ab = next(
+    a, b = next(
         (a, b)
         for a in range(p)
         for b in range(p)
         if (a * a + b * b) % p == p - 1
     )
-    a, b = ab
     x = np.array([[0, p - 1], [1, 0]], dtype=np.int64)
     y = np.array([[a, b], [b, (p - a) % p]], dtype=np.int64)
+    return x, y
+
+
+@lru_cache(maxsize=None)
+def quaternion_normalizer_spec(p: int) -> MatrixGroupSpec:
+    """The normalizer in GL_2(p) of the standard quaternion group of order 8,
+    Q8 = <X, Y> for the pair of _quaternion_pair.  Requires p odd (and
+    p <= 50, from the normalizer scan, whose result is cached by p)."""
+    x, y = _quaternion_pair(p)
     eye = np.eye(2, dtype=np.int64)
     group = []
     for s in (1, p - 1):
@@ -753,16 +772,7 @@ def sl23_with_scalars_spec(p: int) -> MatrixGroupSpec:
     the scalar group.  This is an index-2 subgroup of the full quaternion
     normalizer together with its scalars; for p = 7 and p = 23 its affine
     group has exactly two equal orbits on nonzero vectors."""
-    if p == 2 or not sympy.isprime(p):
-        raise ValueError(f"p = {p} must be an odd prime")
-    a, b = next(
-        (a, b)
-        for a in range(p)
-        for b in range(p)
-        if (a * a + b * b) % p == p - 1
-    )
-    x = np.array([[0, p - 1], [1, 0]], dtype=np.int64)
-    y = np.array([[a, b], [b, (p - a) % p]], dtype=np.int64)
+    x, y = _quaternion_pair(p)
     eye = np.eye(2, dtype=np.int64)
     s = ((eye + x + y + (x @ y)) * pow(2, -1, p)) % p
     odd_part = (p - 1) // ((p - 1) & -(p - 1))
@@ -782,19 +792,135 @@ def extraspecial_normalizer_spec(n: int) -> MatrixGroupSpec:
     return parse_matrix_spec(res.read_text(encoding="utf-8"))
 
 
-# -- descriptors and dispatch ------------------------------------------------------
+# -- the family table ---------------------------------------------------------------
 
 
-FAMILY_TAGS = (
-    "Paley",
-    "Peisert",
-    "VLS",
-    "Hamming2",
-    "AffinePolar",
-    "BilinearForms",
-    "AlternatingForms",
-    "AffineOrbital",
-)
+def _ints(arity: int) -> Callable[[list[str]], tuple]:
+    """A parser of `arity` integer descriptor fields."""
+
+    def parse(fields: list[str]) -> tuple:
+        if len(fields) != arity:
+            raise ValueError(f"want {arity} fields after the family name")
+        return tuple(int(f) for f in fields)
+
+    return parse
+
+
+def _parse_polar(fields: list[str]) -> tuple:
+    """sign:dim:q -> (m, q, epsilon) with dim = 2m."""
+    if len(fields) != 3:
+        raise ValueError("want sign:dim:q")
+    epsilon = {"+": 1, "-": -1}.get(fields[0])
+    if epsilon is None:
+        raise ValueError(f"bad sign {fields[0]!r}, want + or -")
+    dim, q = int(fields[1]), int(fields[2])
+    if dim % 2 != 0:
+        raise ValueError(f"dimension {dim} must be even")
+    return dim // 2, q, epsilon
+
+
+# The orbital family's named zero-stabilizers, by kind; only sl25 is a seeded
+# search.  Any other descriptor orbital:<path> names a spec file, kind "file".
+_ORBITAL_KINDS = {
+    "q8": lambda p, seed: quaternion_normalizer_spec(p),
+    "sl25": lambda p, seed: sl25_with_scalars_spec(
+        p, DEFAULT_SL25_SEED if seed is None else seed
+    ),
+    "sl23": lambda p, seed: sl23_with_scalars_spec(p),
+    "extraspecial": lambda n, seed: extraspecial_normalizer_spec(n),
+}
+
+
+def _parse_orbital(fields: list[str]) -> tuple:
+    if len(fields) == 2 and fields[0] in _ORBITAL_KINDS:
+        return fields[0], int(fields[1])
+    if not fields:
+        raise ValueError("want orbital:<kind>:<p> or orbital:<spec-file>")
+    return "file", ":".join(fields)
+
+
+def _format_orbital(kind: str, arg) -> str:
+    return f"orbital:{arg}" if kind == "file" else f"orbital:{kind}:{arg}"
+
+
+def _field_stabilizer(q: int, e: int, twist: int = 0) -> GeneratorSet:
+    return semilinear_stabilizer_perms(
+        make_field(*_split_prime_power(q)), e, True, twist
+    )
+
+
+def _polar_spec(m: int, q: int, epsilon: int, seed: int | None) -> MatrixGroupSpec | None:
+    try:
+        return affine_polar_group(m, q, epsilon)
+    except Unsupported:
+        return None
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family: its descriptor syntax, its graph and its zero-stabilizer.
+
+    The zero-stabilizer is the stabilizer of vertex 0 in the family's known
+    group: ``stabilizer(*params)`` as permutations, or else the linear action
+    of the matrix group ``spec(*params, seed)``.  ``seed`` reaches only the
+    sl25 search.  ``moduli(*params)`` names the translation group
+    Z_m1 x ... x Z_mk on the vertices; by default GF(p)^k on p^k vertices.
+    ``graph`` is None for the orbital family, whose graph is built from its
+    spec.  A spec or stabilizer of None means no group ships for the params.
+    """
+
+    head: str
+    parse: Callable[[list[str]], tuple]
+    format: Callable[..., str]
+    graph: Callable[..., DenseGraph] | None
+    stabilizer: Callable[..., GeneratorSet] | None = None
+    spec: Callable[..., MatrixGroupSpec | None] | None = None
+    moduli: Callable[..., tuple[int, ...]] | None = None
+
+
+_FAMILIES = {
+    "Paley": _Family(
+        "paley", _ints(1), "paley:{}".format, paley,
+        stabilizer=lambda q: _field_stabilizer(q, 2),
+    ),
+    "Peisert": _Family(
+        "peisert", _ints(1), "peisert:{}".format, peisert,
+        stabilizer=lambda q: _field_stabilizer(q, 4, twist=1),
+    ),
+    "VLS": _Family(
+        "vls", _ints(2), "vls:{}:{}".format, van_lint_schrijver,
+        stabilizer=_field_stabilizer,
+    ),
+    "Hamming2": _Family(
+        "hamming2", _ints(1), "hamming2:{}".format, hamming2,
+        stabilizer=hamming2_stabilizer,
+        moduli=lambda m: (m, m),
+    ),
+    "AffinePolar": _Family(
+        "vo", _parse_polar,
+        lambda m, q, eps: f"vo:{'+' if eps == 1 else '-'}:{2 * m}:{q}",
+        affine_polar,
+        spec=_polar_spec,
+    ),
+    "BilinearForms": _Family(
+        "hq", _ints(2), "hq:{}:{}".format, bilinear_forms,
+        spec=lambda q, m, seed: bilinear_forms_group(q, m),
+    ),
+    "AlternatingForms": _Family(
+        "a52", lambda fields: _ints(0)(fields) + (5, 2), lambda n, q: "a52",
+        alternating_forms,
+        spec=lambda n, q, seed: alternating_forms_group(n, q),
+    ),
+    "AffineOrbital": _Family(
+        "orbital", _parse_orbital, _format_orbital, None,
+        spec=lambda kind, arg, seed: (
+            read_matrix_spec(arg) if kind == "file" else _ORBITAL_KINDS[kind](arg, seed)
+        ),
+    ),
+}
+
+FAMILY_TAGS = tuple(_FAMILIES)
+_TAG_BY_HEAD = {fam.head: tag for tag, fam in _FAMILIES.items()}
 
 
 @dataclass(frozen=True)
@@ -814,150 +940,61 @@ def parse_descriptor(text: str) -> FamilyId:
     """Parse a CLI family descriptor: paley:49, peisert:81, vls:16:3,
     hamming2:9, vo:-:4:2 (sign:dim:q), hq:2:3 (q:m), a52,
     orbital:q8:13, orbital:sl25:41, or orbital:<spec-file>."""
-    parts = text.strip().split(":")
-    head = parts[0].lower()
+    head, *fields = text.strip().split(":")
+    tag = _TAG_BY_HEAD.get(head.lower())
+    if tag is None:
+        raise ValueError(f"unknown family descriptor {text!r}")
     try:
-        if head == "paley" and len(parts) == 2:
-            return FamilyId("Paley", (int(parts[1]),))
-        if head == "peisert" and len(parts) == 2:
-            return FamilyId("Peisert", (int(parts[1]),))
-        if head == "vls" and len(parts) == 3:
-            return FamilyId("VLS", (int(parts[1]), int(parts[2])))
-        if head == "hamming2" and len(parts) == 2:
-            return FamilyId("Hamming2", (int(parts[1]),))
-        if head == "vo" and len(parts) == 4:
-            sign = {"+": 1, "-": -1}.get(parts[1])
-            dim = int(parts[2])
-            if sign is None:
-                raise ValueError(f"bad sign {parts[1]!r}, want + or -")
-            if dim % 2 != 0:
-                raise ValueError(f"dimension {dim} must be even")
-            return FamilyId("AffinePolar", (dim // 2, int(parts[3]), sign))
-        if head == "hq" and len(parts) == 3:
-            return FamilyId("BilinearForms", (int(parts[1]), int(parts[2])))
-        if head == "a52" and len(parts) == 1:
-            return FamilyId("AlternatingForms", (5, 2))
-        if head == "orbital" and len(parts) >= 2:
-            if len(parts) == 3 and parts[1] in ("q8", "sl25", "sl23", "extraspecial"):
-                return FamilyId("AffineOrbital", (parts[1], int(parts[2])))
-            return FamilyId("AffineOrbital", ("file", text.split(":", 1)[1]))
+        return FamilyId(tag, _FAMILIES[tag].parse(fields))
     except ValueError as exc:
         raise ValueError(f"bad family descriptor {text!r}: {exc}") from None
-    raise ValueError(f"unknown family descriptor {text!r}")
 
 
 def format_descriptor(fid: FamilyId) -> str:
-    tag, pr = fid.tag, fid.params
-    if tag == "Paley":
-        return f"paley:{pr[0]}"
-    if tag == "Peisert":
-        return f"peisert:{pr[0]}"
-    if tag == "VLS":
-        return f"vls:{pr[0]}:{pr[1]}"
-    if tag == "Hamming2":
-        return f"hamming2:{pr[0]}"
-    if tag == "AffinePolar":
-        m, q, eps = pr
-        return f"vo:{'+' if eps == 1 else '-'}:{2 * m}:{q}"
-    if tag == "BilinearForms":
-        return f"hq:{pr[0]}:{pr[1]}"
-    if tag == "AlternatingForms":
-        return "a52"
-    if tag == "AffineOrbital":
-        kind = pr[0]
-        if kind in ("q8", "sl25", "sl23", "extraspecial"):
-            return f"orbital:{kind}:{pr[1]}"
-        return f"orbital:{pr[1]}"
-    raise ValueError(f"unknown family tag {tag!r}")  # pragma: no cover
+    return _FAMILIES[fid.tag].format(*fid.params)
 
 
-def _orbital_spec(params: tuple) -> MatrixGroupSpec:
-    kind = params[0]
-    if kind == "q8":
-        return quaternion_normalizer_spec(params[1])
-    if kind == "sl25":
-        return sl25_with_scalars_spec(params[1])
-    if kind == "sl23":
-        return sl23_with_scalars_spec(params[1])
-    if kind == "extraspecial":
-        return extraspecial_normalizer_spec(params[1])
-    if kind == "file":
-        return read_matrix_spec(params[1])
-    raise ValueError(f"unknown orbital group kind {kind!r}")
+def family_matrix_spec(fid: FamilyId, seed: int | None = None) -> MatrixGroupSpec | None:
+    """The zero-stabilizer of an affine family as a matrix group over GF(p):
+    G0 in V:G0.  None for the one-dimensional semilinear and the
+    product-action families, and for affine_polar parameters whose group
+    construction does not ship.  ``seed`` picks the sl25 search's draw."""
+    fam = _FAMILIES[fid.tag]
+    return None if fam.spec is None else fam.spec(*fid.params, seed)
 
 
-def family_graph(fid: FamilyId) -> DenseGraph:
-    """Construct the graph a FamilyId names."""
-    tag, pr = fid.tag, fid.params
-    if tag == "Paley":
-        return paley(pr[0])
-    if tag == "Peisert":
-        return peisert(pr[0])
-    if tag == "VLS":
-        return van_lint_schrijver(pr[0], pr[1])
-    if tag == "Hamming2":
-        return hamming2(pr[0])
-    if tag == "AffinePolar":
-        return affine_polar(pr[0], pr[1], pr[2])
-    if tag == "BilinearForms":
-        return bilinear_forms(pr[0], pr[1])
-    if tag == "AlternatingForms":
-        return alternating_forms(pr[0], pr[1])
-    if tag == "AffineOrbital":
-        return affine_orbital_graph(_orbital_spec(pr))
-    raise ValueError(f"unknown family tag {tag!r}")  # pragma: no cover
+def family_graph(fid: FamilyId, seed: int | None = None) -> DenseGraph:
+    """Construct the graph a FamilyId names; builds a group only for the
+    orbital family, whose graph is an orbital of its spec."""
+    fam = _FAMILIES[fid.tag]
+    if fam.graph is None:
+        return affine_orbital_graph(family_matrix_spec(fid, seed))
+    return fam.graph(*fid.params)
 
 
-def family_matrix_spec(fid: FamilyId) -> MatrixGroupSpec | None:
-    """The zero-stabilizer matrix group of the affine families (None for the
-    one-dimensional semilinear and product-action families, and for
-    affine_polar parameters whose group construction does not ship).  Useful
-    when the full pair-orbit closure is too big: the stabilizer orbit sizes on
-    nonzero vectors are the subdegrees of the affine group."""
-    tag, pr = fid.tag, fid.params
-    if tag == "AffinePolar":
-        try:
-            return affine_polar_group(pr[0], pr[1], pr[2])
-        except Unsupported:
-            return None
-    if tag == "BilinearForms":
-        return bilinear_forms_group(pr[0], pr[1])
-    if tag == "AlternatingForms":
-        alternating_forms(pr[0], pr[1])  # parameter validation
-        return alternating_forms_group()
-    if tag == "AffineOrbital":
-        return _orbital_spec(pr)
-    return None
+def zero_stabilizer(fid: FamilyId, seed: int | None = None) -> GeneratorSet | None:
+    """The stabilizer of vertex 0 in the family's known group, as permutations
+    of the vertices; None when no group construction ships for the params.
+    Its orbits on the other vertices give the rank and subdegrees."""
+    fam = _FAMILIES[fid.tag]
+    if fam.stabilizer is not None:
+        return fam.stabilizer(*fid.params)
+    spec = family_matrix_spec(fid, seed)
+    return None if spec is None else linear_perms(spec)
 
 
 def family_group(fid: FamilyId) -> GeneratorSet | None:
-    """A transitive group of known automorphisms of family_graph(fid), for
-    independent rank/subdegree checks.  None when no group construction ships
-    for the parameters (affine_polar over a non-prime field, or the
+    """A transitive group of known automorphisms of family_graph(fid): the
+    translations plus zero_stabilizer(fid).  None when no group construction
+    ships for the parameters (affine_polar over a non-prime field, or the
     (2, 2, +1) transvection exception)."""
-    tag, pr = fid.tag, fid.params
-    if tag == "Paley":
-        p, d = _split_prime_power(pr[0])
-        return semilinear_perms(make_field(p, d), 2, True)
-    if tag == "Peisert":
-        p, d = _split_prime_power(pr[0])
-        return semilinear_perms(make_field(p, d), 4, True, twist=1)
-    if tag == "VLS":
-        p, d = _split_prime_power(pr[0])
-        return semilinear_perms(make_field(p, d), pr[1], True)
-    if tag == "Hamming2":
-        return hamming2_group(pr[0])
-    if tag == "AffinePolar":
-        m, q, eps = pr
-        try:
-            return affine_perms(affine_polar_group(m, q, eps))
-        except Unsupported:
-            return None
-    if tag == "BilinearForms":
-        return affine_perms(bilinear_forms_group(pr[0], pr[1]))
-    if tag == "AlternatingForms":
-        alternating_forms(pr[0], pr[1])  # parameter validation
-        return affine_perms(alternating_forms_group())
-    if tag == "AffineOrbital":
-        return affine_perms(_orbital_spec(pr))
-    raise ValueError(f"unknown family tag {tag!r}")  # pragma: no cover
+    stab = zero_stabilizer(fid)
+    if stab is None:
+        return None
+    fam = _FAMILIES[fid.tag]
+    if fam.moduli is not None:
+        moduli = fam.moduli(*fid.params)
+    else:
+        p, k = _split_prime_power(stab.degree)
+        moduli = (p,) * k
+    return with_translations(stab, moduli)

@@ -4,9 +4,11 @@ and matrix-group plumbing for the affine graph constructions.
 Design notes.  Permutations wrap int32 numpy image arrays, so composition is a
 single fancy-index.  Stabilizer-chain transversals are stored as Schreier
 vectors (parent point + generator pointer) and recomposed on demand, keeping
-memory O(n) per level even at degree ~10^4.  Rank and subdegrees come from a
-flat pair-orbit breadth-first closure over n^2 labels (n <= 4096),
-cross-checked against point-stabilizer orbit sizes from the stabilizer chain.
+memory O(n) per level even at degree ~10^4.  Rank and subdegrees of a
+transitive group come from the orbits of its point stabilizer (for an affine
+group V:G0, the orbits of G0 on V \\ {0}): the rank is one more than their
+number and the subdegrees are their sizes.  The flat pair-orbit closure over
+all n^2 pairs (n <= 4096) stays as an independent test oracle.
 
 The Schreier-Sims variant here is the deterministic textbook one; see
 Kreher & Stinson, "Combinatorial Algorithms", and Seress, "Permutation Group
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import sympy
@@ -384,12 +387,33 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
 # -- rank and subdegrees -------------------------------------------------------
 
 
+def stabilizer_orbits(stab: GeneratorSet) -> list[np.ndarray]:
+    """The orbits of a group fixing 0 on the points other than 0, smallest
+    first (ties by smallest point).
+
+    When stab is the stabilizer of 0 in a transitive group -- G0 in V:G0 --
+    these are the suborbits: the rank is 1 + their number and the subdegrees
+    are their sizes.
+    """
+    if any(g.img[0] != 0 for g in stab.gens):
+        raise ValueError("the group does not fix the point 0")
+    return sorted((o for o in orbit_partition(stab) if o[0] != 0), key=len)
+
+
+def stabilizer_rank(stab: GeneratorSet) -> tuple[int, list[int]]:
+    """(rank, subdegrees sorted ascending) of the transitive group whose
+    stabilizer of 0 is stab, from stabilizer_orbits."""
+    orbits = stabilizer_orbits(stab)
+    return 1 + len(orbits), [len(o) for o in orbits]
+
+
 def rank_and_subdegrees(gs: GeneratorSet) -> tuple[int, list[int]]:
     """Number of orbits on ordered pairs, and the sizes of the non-diagonal
     orbitals through (0, .), sorted ascending.
 
-    Uses a flat breadth-first closure over all n^2 pairs, so n is capped at
-    4096; the result is cross-checked against the orbit sizes of the point
+    A test oracle for stabilizer_rank, independent of any declared point
+    stabilizer: a flat breadth-first closure over all n^2 pairs, so n is
+    capped at 4096, cross-checked against the orbit sizes of the point
     stabilizer extracted from a stabilizer chain based at 0.
     """
     n = gs.degree
@@ -497,19 +521,28 @@ def linear_perms(spec: MatrixGroupSpec) -> GeneratorSet:
     return GeneratorSet(q, tuple(gens))
 
 
+def with_translations(stab: GeneratorSet, moduli: tuple[int, ...]) -> GeneratorSet:
+    """The unit translations of Z_m1 x ... x Z_mk, followed by the generators
+    of stab, a group fixing 0.  Point i is the vector of its mixed-radix digits
+    c_j (i = sum c_j * m_1 ... m_(j-1)); the result generates T:stab."""
+    n = math.prod(moduli)
+    if n != stab.degree:
+        raise ValueError(f"translations of order {n} on {stab.degree} points")
+    idx = np.arange(n, dtype=np.int64)
+    gens = []
+    place = 1
+    for m in moduli:
+        digit = idx // place % m
+        img = idx + place * ((digit + 1) % m - digit)
+        gens.append(Permutation(img.astype(np.int32), _validate=False))
+        place *= m
+    return GeneratorSet(n, tuple(gens) + stab.gens)
+
+
 def affine_perms(spec: MatrixGroupSpec) -> GeneratorSet:
     """Translations by the d basis vectors plus the linear generators: the
     affine group V:<matrix gens> of order p^d * |<matrix gens>| on p^d points."""
-    p, d = spec.p, spec.d
-    q = p**d
-    digits = _digit_matrix(q, p, d)
-    pv = p ** np.arange(d, dtype=np.int64)
-    gens = []
-    for j in range(d):
-        shifted = digits.copy()
-        shifted[:, j] = (shifted[:, j] + 1) % p
-        gens.append(Permutation((shifted @ pv).astype(np.int32), _validate=False))
-    return GeneratorSet(q, tuple(gens) + linear_perms(spec).gens)
+    return with_translations(linear_perms(spec), (spec.p,) * spec.d)
 
 
 def semilinear_stabilizer_perms(
@@ -540,16 +573,8 @@ def semilinear_perms(
 ) -> GeneratorSet:
     """Translations plus semilinear_stabilizer_perms: the one-dimensional
     affine semilinear group F:<omega-hat^e[, phi-hat omega-hat^twist]>."""
-    q, p, d = field.q, field.p, field.d
     stab = semilinear_stabilizer_perms(field, e, include_frobenius, twist)
-    digits = _digit_matrix(q, p, d)
-    pv = p ** np.arange(d, dtype=np.int64)
-    gens = []
-    for j in range(d):
-        shifted = digits.copy()
-        shifted[:, j] = (shifted[:, j] + 1) % p
-        gens.append(Permutation((shifted @ pv).astype(np.int32), _validate=False))
-    return GeneratorSet(q, tuple(gens) + stab.gens)
+    return with_translations(stab, (field.p,) * field.d)
 
 
 # -- GL_2(p) searches ----------------------------------------------------------
@@ -661,13 +686,15 @@ def _matrix_order(m, p: int, cap: int) -> int:
 DEFAULT_SL25_SEED = 1729
 
 
+@lru_cache(maxsize=None)
 def find_sl25_in_gl2(p: int, seed: int = DEFAULT_SL25_SEED, budget: int = 20000) -> MatrixGroupSpec:
     """Search SL_2(p) for a subgroup of order 120 with a unique involution
     (the double cover of Alt(5)): sample elements of order 10 and order 4,
     test the pair's multiplication closure, repeat within a draw budget.
 
-    Deterministic for a fixed seed.  Raises NotFound when the budget runs out,
-    which is the expected outcome for p not congruent to +-1 mod 5.
+    Deterministic for a fixed seed, and cached by its arguments.  Raises
+    NotFound when the budget runs out, which is the expected outcome for p not
+    congruent to +-1 mod 5.
     """
     if p == 2:
         raise NotFound("SL_2(5) needs an odd prime modulus")

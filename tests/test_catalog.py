@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from rank3.catalog import (
@@ -18,8 +19,10 @@ from rank3.catalog import (
     reports_to_json,
     verify_all,
     verify_entry,
+    _check_subdegrees,
 )
 from rank3.families import family_graph, family_group, parse_descriptor
+from rank3.graphs import DenseGraph
 from rank3.permgrp import schreier_sims
 
 CATALOG = builtin_catalog()
@@ -149,6 +152,28 @@ class TestVerifyEntry:
         report = verify_entry(bad, budget=60.0)
         assert report.verdict == "FAIL"
         assert report.stages["subdegrees"].status == "mismatch"
+
+    def test_neighbourhood_must_be_an_orbit(self):
+        # relabel paley:13 by a permutation fixing 0 that swaps the square 1
+        # with the non-square 2: the valency stays 6, but N(0) is no longer
+        # the orbit of squares
+        g = family_graph(parse_descriptor("paley:13"))
+        perm = np.arange(13)
+        perm[[1, 2]] = [2, 1]
+        moved = DenseGraph(g.adj[np.ix_(perm, perm)])
+        outcome = _check_subdegrees(BY_ID["paley:13"], moved)
+        assert outcome.status == "mismatch"
+        assert "not an orbit" in outcome.detail
+
+    def test_seeded_sl25_row_passes(self):
+        entry = BY_ID["orbital:sl25:31"]
+        report = verify_entry(entry, seed=1)
+        assert report.verdict == "PASS"
+        assert report.stages["subdegrees"].status == "ok"
+        # the default-seed zero-stabilizer does not act on the seed-1 graph
+        g = family_graph(entry.family, seed=1)
+        assert _check_subdegrees(entry, g).status == "mismatch"
+        assert _check_subdegrees(entry, g, seed=1).status == "ok"
 
     def test_zero_budget_downgrades_not_fails(self):
         report = verify_entry(BY_ID["paley:13"], budget=0.0)

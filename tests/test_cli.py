@@ -1,5 +1,6 @@
 """CLI subcommands: output contracts and exit codes."""
 
+import importlib.resources
 import json
 
 import pytest
@@ -84,6 +85,13 @@ class TestRank:
         code, out, _ = run(capsys, "rank", str(path))
         assert code == 0
         assert out.strip() == "rank 3, subdegrees 24, 24"
+
+    def test_no_degree_cap(self, capsys):
+        # 6561 points: past the 4096-point cap of the pair-closure oracle
+        path = importlib.resources.files("rank3") / "data/extraspecial_6561.txt"
+        code, out, _ = run(capsys, "rank", str(path))
+        assert code == 0
+        assert out.strip() == "rank 3, subdegrees 1440, 5120"
 
     def test_missing_file_usage_error(self, capsys):
         code, _, err = run(capsys, "rank", "/nonexistent/spec.txt")

@@ -26,13 +26,13 @@ from rank3.families import (
     family_group,
     format_descriptor,
     hamming2,
-    hamming2_group,
     paley,
     parse_descriptor,
     peisert,
     quaternion_normalizer_spec,
     sl25_with_scalars_spec,
     van_lint_schrijver,
+    zero_stabilizer,
 )
 from rank3.gf import make_field
 from rank3.graphs import DenseGraph, complement, srg_params
@@ -47,6 +47,7 @@ from rank3.permgrp import (
     linear_perms,
     rank_and_subdegrees,
     schreier_sims,
+    stabilizer_rank,
     write_matrix_spec,
 )
 
@@ -200,8 +201,9 @@ class TestHamming2:
             hamming2(1)
 
     def test_group_rank(self):
-        assert rank_and_subdegrees(hamming2_group(5)) == (3, [8, 16])
-        assert rank_and_subdegrees(hamming2_group(9)) == (3, [16, 64])
+        for m, sizes in ((5, [8, 16]), (9, [16, 64])):
+            gs = family_group(parse_descriptor(f"hamming2:{m}"))
+            assert rank_and_subdegrees(gs) == (3, sizes)
 
 
 class TestAffinePolar:
@@ -447,8 +449,10 @@ class TestFamilyGroups:
         ],
     )
     def test_rank_and_subdegrees(self, desc, expected):
-        gs = family_group(parse_descriptor(desc))
-        assert rank_and_subdegrees(gs) == expected
+        fid = parse_descriptor(desc)
+        assert rank_and_subdegrees(family_group(fid)) == expected
+        # the zero-stabilizer path agrees with the pair-closure oracle
+        assert stabilizer_rank(zero_stabilizer(fid)) == expected
 
     def test_vls_256_subdegrees(self):
         gs = family_group(parse_descriptor("vls:256:5"))
