@@ -1,9 +1,12 @@
 """Graph automorphism and isomorphism solver.
 
 The engine is individualization-refinement: colorings are driven to
-equitability by counting neighbours in splitter classes (worklist refinement
-over the graph's packed adjacency rows), and a backtracking search
-individualizes vertices of a deterministically chosen target cell.  Leaves of
+equitability by cell-targeted splitter passes, and a backtracking search
+individualizes vertices of a deterministically chosen target cell.  A pass
+counts every vertex's neighbours in one splitter cell (from the splitter's own
+adjacency rows when it is small, by AND + popcount over the packed rows
+otherwise) and re-sorts only the cells whose counts are not uniform (McKay &
+Piperno, "Practical graph isomorphism, II", JSC 60, 2014).  Leaves of
 the search are discrete colorings; comparing a leaf against the first
 (leftmost) leaf yields a candidate automorphism, which is verified against the
 full adjacency matrix before it is accepted.
@@ -33,6 +36,7 @@ exhaustive.  Disconnected inputs are matched component by component first.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import time
 from collections import deque
@@ -120,76 +124,99 @@ def _mix(h: int, x: int) -> int:
 
 
 class _Refiner:
-    """Worklist equitable refinement over a graph's packed adjacency rows."""
+    """Cell-targeted equitable refinement of vertex colorings of one graph.
 
-    def __init__(self, g: DenseGraph):
-        self.g = g
+    A splitter pass counts every vertex's neighbours in the splitter cell,
+    finds the cells whose counts are not uniform (each of them meets the
+    splitter) by holding every count against one count of its own cell, and
+    sorts and splits only those cells: no step of a pass loops over every
+    cell in Python, and only members of split cells are sorted.  `deadline`,
+    a time.monotonic() value, is checked once per pass: Timeout(budget) when
+    it has passed.
+    """
+
+    def __init__(self, g: DenseGraph, deadline: float = math.inf, budget: float = 0.0):
         self.n = g.n
+        self.rows = g.adj.view(np.uint8)
         self.packed = g._packed
         self.words = self.packed.shape[1] if g.n else 0
+        self._anded = np.empty_like(self.packed)
+        self._bits = np.empty(self.packed.shape, dtype=np.uint8)
+        self.deadline = deadline
+        self.budget = budget
         self.refinements = 0
 
-    def _mask(self, members: np.ndarray) -> np.ndarray:
-        b = np.zeros(self.n, dtype=bool)
+    def _counts(self, members: np.ndarray) -> np.ndarray:
+        """Neighbours of every vertex among `members`."""
+        # summing k byte rows touches k * n bytes; AND + popcount over the
+        # n * words packed words measures about as slow as n / 8 rows
+        if 8 * len(members) < self.n:
+            return self.rows[members].sum(axis=0, dtype=np.int32)
+        b = np.zeros(self.words * 64, dtype=bool)
         b[members] = True
-        packed8 = np.packbits(b)
-        pad = self.words * 8 - len(packed8)
-        if pad:
-            packed8 = np.concatenate([packed8, np.zeros(pad, dtype=np.uint8)])
-        return packed8.view(np.uint64)
+        mask = np.packbits(b).view(np.uint64)
+        np.bitwise_and(self.packed, mask, out=self._anded)
+        np.bitwise_count(self._anded, out=self._bits)
+        return self._bits.sum(axis=1, dtype=np.int32)
 
     def refine(
         self, colors: np.ndarray, num_classes: int, queue, trace: int
     ) -> tuple[int, int]:
         """Refine colors in place to the coarsest equitable refinement,
         processing the given splitter queue (Hopcroft all-but-largest).
-        Returns (num_classes, trace)."""
+        Returns (num_classes, trace).
+
+        Split cells are handled in ascending id; each keeps its id on the
+        lowest-count part, and its other parts get fresh ids in ascending
+        count order.
+        """
         n = self.n
         pending = deque(queue)
         queued = set(pending)
-        while pending:
-            if num_classes >= n:
-                break
+        while pending and num_classes < n:
+            if time.monotonic() > self.deadline:
+                raise Timeout(self.budget)
             s = pending.popleft()
             queued.discard(s)
-            members = np.flatnonzero(colors == s)
             self.refinements += 1
-            cnt = np.bitwise_count(self.packed & self._mask(members)).sum(
-                axis=1, dtype=np.int64
-            )
-            order = np.lexsort((cnt, colors))
-            oc = colors[order]
-            ocnt = cnt[order]
-            cls_change = np.flatnonzero(oc[1:] != oc[:-1]) + 1
-            starts = np.concatenate(([0], cls_change))
-            ends = np.concatenate((cls_change, [n]))
-            for cs, ce in zip(starts, ends):
-                if ce - cs == 1 or ocnt[cs] == ocnt[ce - 1]:
-                    continue  # singleton or uniform counts: no split
-                c = int(oc[cs])
-                seg = ocnt[cs:ce]
-                sub = np.flatnonzero(seg[1:] != seg[:-1]) + 1
-                pstarts = np.concatenate(([0], sub))
-                pends = np.concatenate((sub, [ce - cs]))
-                psizes = pends - pstarts
-                ids = [c] + list(range(num_classes, num_classes + len(pstarts) - 1))
-                num_classes += len(pstarts) - 1
-                trace = _mix(trace, 0x51D << 16)
-                trace = _mix(trace, s)
-                trace = _mix(trace, c)
-                for t in range(len(ids)):
-                    if t:
-                        colors[order[cs + pstarts[t] : cs + pends[t]]] = ids[t]
-                    trace = _mix(trace, int(seg[pstarts[t]]))
-                    trace = _mix(trace, int(psizes[t]))
+            cnt = self._counts((colors == s).nonzero()[0])
+            some = np.empty(num_classes, dtype=cnt.dtype)
+            some[colors] = cnt  # one count out of each cell
+            odd = colors[cnt != some[colors]]  # cells holding another count
+            if not len(odd):
+                continue
+            split = np.zeros(num_classes, dtype=bool)
+            split[odd] = True
+            # sort the members of the split cells by (cell, count): each run
+            # of one key is a part, each cell's first part keeps its id
+            verts = split[colors].nonzero()[0]
+            key = colors[verts].astype(np.int64) * (n + 1) + cnt[verts]
+            order = np.argsort(key)
+            verts, key = verts[order], key[order]
+            bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
+            starts = bounds[:-1]
+            psize = bounds[1:] - starts
+            pcell, pcnt = np.divmod(key[starts], n + 1)
+            first = np.concatenate(([True], pcell[1:] != pcell[:-1]))
+            fresh = np.cumsum(~first)
+            ids = np.where(first, pcell, num_classes + fresh - 1)
+            colors[verts] = np.repeat(ids, psize)
+            num_classes += int(fresh[-1])
+            cell_starts = np.flatnonzero(first).tolist()
+            ids, psize, pcnt = ids.tolist(), psize.tolist(), pcnt.tolist()
+            for a, b in zip(cell_starts, cell_starts[1:] + [len(ids)]):
+                c = ids[a]
+                trace = _mix(_mix(_mix(trace, 0x51D << 16), s), c)
+                for t in range(a, b):
+                    trace = _mix(_mix(trace, pcnt[t]), psize[t])
                 if c in queued:
-                    grow = ids[1:]
+                    grow = ids[a + 1 : b]
                 else:
-                    largest = int(np.argmax(psizes))
-                    grow = [idd for t, idd in enumerate(ids) if t != largest]
-                for idd in grow:
-                    pending.append(idd)
-                    queued.add(idd)
+                    part_sizes = psize[a:b]
+                    largest = a + part_sizes.index(max(part_sizes))
+                    grow = ids[a:largest] + ids[largest + 1 : b]
+                pending.extend(grow)
+                queued.update(grow)
         return num_classes, trace
 
 
@@ -253,12 +280,14 @@ class _OrbitSet:
 class _Solver:
     """One automorphism/isomorphism search over a fixed graph."""
 
-    def __init__(self, g: DenseGraph, budget: float, iso_half: int | None = None):
+    def __init__(
+        self, g: DenseGraph, budget: float, deadline: float, iso_half: int | None = None
+    ):
         self.g = g
         self.n = g.n
-        self.refiner = _Refiner(g)
+        self.refiner = _Refiner(g, deadline, budget)
         self.budget = budget
-        self.deadline = time.monotonic() + budget
+        self.deadline = deadline
         self.iso_half = iso_half  # union search: vertices >= iso_half are side 2
         self.nodes = 0
         self.gens: list[Permutation] = []
@@ -449,7 +478,7 @@ def automorphism_group(g: DenseGraph, budget: float = 60.0) -> AutResult:
     n = g.n
     if n == 0:
         return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0.0)
-    solver = _Solver(g, budget)
+    solver = _Solver(g, budget, start + budget)
     solver.run(trivial_coloring(n))
     gs = GeneratorSet(n, tuple(solver.gens))
     order = _order_from_first_path(n, solver.first_vertices, solver.gens)
@@ -462,9 +491,11 @@ def _degree_multiset(g: DenseGraph) -> list[int]:
     return sorted(int(d) for d in g.degrees())
 
 
-def _refinement_signature(g: DenseGraph) -> tuple[int, tuple[int, ...]]:
+def _refinement_signature(
+    g: DenseGraph, deadline: float, budget: float
+) -> tuple[int, tuple[int, ...]]:
     colors = np.zeros(g.n, dtype=np.int32)
-    refiner = _Refiner(g)
+    refiner = _Refiner(g, deadline, budget)
     num_classes, trace = refiner.refine(colors, 1 if g.n else 0, range(1), 0)
     return trace, tuple(sorted(np.bincount(colors, minlength=num_classes)))
 
@@ -505,13 +536,14 @@ def _iso_connected(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
     """
     n = g.n
     budget = deadline - time.monotonic()
-    if _refinement_signature(g) != _refinement_signature(h):
+    if _refinement_signature(g, deadline, budget) != _refinement_signature(
+        h, deadline, budget
+    ):
         raise NotIsomorphic("equitable refinement signatures differ")
     if g == h:
         return np.arange(n, dtype=np.int32)
     union = _union_graph(g, h)
-    solver = _Solver(union, budget, iso_half=n)
-    solver.deadline = deadline
+    solver = _Solver(union, budget, deadline, iso_half=n)
     if n >= 64:
         # collapse root branches by h's own automorphisms
         try:
@@ -524,7 +556,6 @@ def _iso_connected(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
                 solver.root_orbits.add_gen(img)
         except Timeout:
             pass
-        solver.deadline = deadline  # the hint shares the overall budget
     try:
         solver.run(trivial_coloring(2 * n))
     except _CrossFound as cross:

@@ -609,28 +609,29 @@ def verify_entry(
     Construction errors propagate (a catalog row that cannot build is a
     malformed row, not a verification outcome); Timeout in the solver stages
     downgrades the verdict instead.  PARAMS_ONLY rows skip the aut and iso
-    stages.
+    stages.  The construct timing covers building the graph.
     """
+    return _run_pipeline(entry, budget, seed, absorb_errors=False)
+
+
+def _run_pipeline(
+    entry: CatalogEntry, budget: float, seed: int | None, absorb_errors: bool
+) -> Report:
+    """verify_entry's stages in order.  With absorb_errors, an exception in a
+    stage becomes that stage's "error" outcome and ends the run; the stages
+    before it keep their outcomes and timings."""
     stages: dict[str, StageOutcome] = {}
     timings: dict[str, float] = {}
-
-    def run(name: str, fn) -> StageOutcome:
-        t0 = time.monotonic()
-        outcome = fn()
-        timings[name] = round((time.monotonic() - t0) * 1000.0, 3)
-        stages[name] = outcome
-        return outcome
-
-    g = family_graph(entry.family, seed)
+    g: DenseGraph | None = None
 
     def construct_outcome() -> StageOutcome:
+        nonlocal g
+        g = family_graph(entry.family, seed)
         if g.n != entry.n:
             return StageOutcome(
                 "mismatch", f"built {g.n} vertices, entry says {entry.n}"
             )
         return StageOutcome("ok", f"{g.n} vertices")
-
-    run("construct", construct_outcome)
 
     def srg_outcome() -> StageOutcome:
         try:
@@ -642,15 +643,31 @@ def verify_entry(
             f"srg({params.n}, {params.k}, {params.lam}, {params.mu})",
         )
 
-    run("srg", srg_outcome)
-    run("subdegrees", lambda: _check_subdegrees(entry, g, seed))
-
-    if entry.tier == "PARAMS_ONLY":
-        stages["aut"] = StageOutcome("skipped", "params-only tier")
-        stages["iso"] = StageOutcome("skipped", "params-only tier")
+    pipeline = [
+        ("construct", construct_outcome),
+        ("srg", srg_outcome),
+        ("subdegrees", lambda: _check_subdegrees(entry, g, seed)),
+    ]
+    if entry.tier != "PARAMS_ONLY":
+        pipeline += [
+            ("aut", lambda: _check_aut(entry, g, budget)),
+            ("iso", lambda: _check_iso(entry, g, budget)),
+        ]
+    for name, fn in pipeline:
+        t0 = time.monotonic()
+        try:
+            stages[name] = fn()
+        except Exception as exc:  # noqa: BLE001 -- recorded on its stage
+            if not absorb_errors:
+                raise
+            stages[name] = StageOutcome("error", f"{type(exc).__name__}: {exc}")
+            break
+        finally:
+            timings[name] = round((time.monotonic() - t0) * 1000.0, 3)
     else:
-        run("aut", lambda: _check_aut(entry, g, budget))
-        run("iso", lambda: _check_iso(entry, g, budget))
+        if entry.tier == "PARAMS_ONLY":
+            stages["aut"] = StageOutcome("skipped", "params-only tier")
+            stages["iso"] = StageOutcome("skipped", "params-only tier")
 
     return Report(
         id=entry.id,
@@ -678,8 +695,9 @@ def verify_all(
 ) -> tuple[list[Report], dict]:
     """Verify every selected entry in catalog order; returns (reports, summary).
 
-    Unlike verify_entry, a construction failure here becomes a FAIL report
-    (the run must always produce a complete summary).
+    Unlike verify_entry, an exception in any stage, construction included,
+    becomes an "error" outcome on that stage and a FAIL report (the run must
+    always produce a complete summary).
     """
     if tier not in ("full", "slow", "all"):
         raise ValueError(f"unknown tier filter {tier!r}, want full|slow|all")
@@ -688,19 +706,5 @@ def verify_all(
     selected = [e for e in entries if _tier_selected(e.tier, tier)]
     reports: list[Report] = []
     for entry in selected:
-        try:
-            reports.append(verify_entry(entry, budget=budget, seed=seed))
-        except Exception as exc:  # noqa: BLE001 -- any stage blowup is a FAIL
-            reports.append(
-                Report(
-                    id=entry.id,
-                    stages={
-                        "construct": StageOutcome(
-                            "error", f"{type(exc).__name__}: {exc}"
-                        )
-                    },
-                    timings_ms={},
-                    verdict="FAIL",
-                )
-            )
+        reports.append(_run_pipeline(entry, budget, seed, absorb_errors=True))
     return reports, summarize(reports)

@@ -46,8 +46,8 @@ from .permgrp import (
     linear_perms,
     normalizer_in_gl2,
     parse_matrix_spec,
+    reaches_order,
     read_matrix_spec,
-    schreier_sims,
     semilinear_stabilizer_perms,
     stabilizer_orbits,
     with_translations,
@@ -461,7 +461,9 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     Isometry generators are orthogonal transvections x |-> x + B(x, v) v
     (q = 2) or reflections x |-> x - (B(x, v)/Q(v)) v (q odd) for a seeded
     random sample of nonsingular v, grown until the group order matches the
-    closed-form target.
+    closed-form target.  Every generator is checked to be a similitude, so
+    the target bounds the order from above, and the sample is accepted as
+    soon as a Schreier-Sims lower bound reaches it.
     """
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
@@ -480,12 +482,8 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     for i, j, c in terms:
         upper[i, j] = c
     gram = (upper + upper.T) % p
-
-    def form(vecs: np.ndarray) -> np.ndarray:
-        return np.einsum("ki,ij,kj->k", vecs, upper, vecs) % p
-
     coords = _digits(n, p, dim)
-    vals = form(coords)
+    vals = _form_values(upper, coords, p)
     eye = np.eye(dim, dtype=np.int64)
 
     # projective representatives of nonsingular vectors (first nonzero
@@ -531,17 +529,14 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
             if blk is None:  # pragma: no cover
                 raise AssertionError("no similitude block found")
             sim[dim - 2 :, dim - 2 :] = blk
-        if not np.array_equal(
-            form((coords @ sim.T) % p), (lam * vals) % p
-        ):  # pragma: no cover
-            raise AssertionError("similitude check failed")
         extra.append(sim)
 
     count = 3 * dim
     while True:
         gens = [isometry(vi) for vi in reps[:count]] + extra
+        _check_similitudes(gens, upper, p)
         spec = MatrixGroupSpec(p, dim, _as_gen_tuples(gens))
-        if schreier_sims(linear_perms(spec)).order == target:
+        if reaches_order(linear_perms(spec), target):
             return spec
         if count >= len(reps):
             raise AssertionError(
@@ -549,6 +544,28 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
                 f"for (m, q, epsilon) = ({m}, {q}, {epsilon})"
             )  # pragma: no cover
         count = min(2 * count, len(reps))
+
+
+def _form_values(upper: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
+    """Q(x) = x^T upper x mod p for each row x of vecs."""
+    return np.einsum("ki,ij,kj->k", vecs, upper, vecs) % p
+
+
+def _check_similitudes(gens, upper: np.ndarray, p: int) -> None:
+    """Raise ValueError unless every matrix g is a similitude of the
+    quadratic form Q(x) = x^T upper x over GF(p): Q(g x) = lam * Q(x) for
+    every vector x, with one lam != 0 per matrix.  For p = 2 that makes g an
+    isometry.  The similitudes of a nondegenerate polar form make a group of
+    the closed-form order that affine_polar_group targets."""
+    dim = upper.shape[0]
+    coords = _digits(p**dim, p, dim)
+    vals = _form_values(upper, coords, p)
+    anchor = int(np.flatnonzero(vals)[0])
+    for g in gens:
+        images = _form_values(upper, (coords @ np.asarray(g).T) % p, p)
+        lam = int(images[anchor]) * pow(int(vals[anchor]), -1, p) % p
+        if lam == 0 or not np.array_equal(images, (lam * vals) % p):
+            raise ValueError(f"generator {np.asarray(g).tolist()} is not a similitude")
 
 
 def _as_gen_tuples(gens: list[np.ndarray]) -> tuple:

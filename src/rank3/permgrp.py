@@ -332,6 +332,26 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
     stabilizers); remaining base points are chosen as the first point moved
     by the element that opens the level.
     """
+    return BSGS(gs.degree, _schreier_sims_levels(gs, base_prefix, None))
+
+
+def reaches_order(gs: GeneratorSet, target: int) -> bool:
+    """Whether |<gs>| >= target, by a Schreier-Sims run that stops early.
+
+    Each level's orbit is, at every point of the run, an orbit of a subgroup
+    of the stabilizer of the earlier base points, so the product of the
+    orbit lengths is a lower bound on |<gs>|; the run stops as soon as that
+    product reaches target.
+    """
+    levels = _schreier_sims_levels(gs, (), target)
+    return math.prod(len(lvl.orbit_order) for lvl in levels) >= target
+
+
+def _schreier_sims_levels(
+    gs: GeneratorSet, base_prefix: tuple[int, ...], stop_at: int | None
+) -> list[_Level]:
+    """The levels of schreier_sims; partial once their orbit product reaches
+    stop_at (when given)."""
     n = gs.degree
     idarr = np.arange(n, dtype=np.int32)
     levels: list[_Level] = []
@@ -361,6 +381,10 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
                 continue
             lvl.gens.append(Permutation(gimg, _validate=False))
             _extend_orbit(lvl, n)
+            if stop_at is not None and (
+                math.prod(len(v.orbit_order) for v in levels) >= stop_at
+            ):
+                return levels
             # process Schreier generators for all (orbit point, generator)
             # pairs not covered by the already-done rectangle
             X, G = len(lvl.orbit_order), len(lvl.gens)
@@ -381,7 +405,7 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
                     if resid is not None:
                         pending.append((k + 1, resid))
             lvl.x_done, lvl.g_done = X, G
-    return BSGS(n, levels)
+    return levels
 
 
 # -- rank and subdegrees -------------------------------------------------------

@@ -4,6 +4,8 @@ Small cases are cross-checked against the exhaustive permutation scan; larger
 orders against classical group sizes for the graph families.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from rank3.autsolve import (
     NotIsomorphic,
     Timeout,
     TooLarge,
+    _Solver,
     are_isomorphic,
     automorphism_group,
     brute_force_aut,
@@ -51,6 +54,34 @@ def random_graph(rng, n, p):
     adj = rng.random((n, n)) < p
     adj = np.triu(adj, 1)
     return DenseGraph(adj | adj.T)
+
+
+def relabelled(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return DenseGraph(g.adj[np.ix_(perm, perm)])
+
+
+def naive_equitable(g, colors):
+    """Coarsest equitable refinement by whole-partition rounds: recolor every
+    vertex by (its color, its neighbour count in each color) until the
+    number of colors stops growing."""
+    colors = np.asarray(colors)
+    while True:
+        ncls = len(set(colors.tolist()))
+        onehot = np.eye(ncls, dtype=np.int64)[np.unique(colors, return_inverse=True)[1]]
+        counts = g.adj.astype(np.int64) @ onehot
+        keys = [(int(c), tuple(row)) for c, row in zip(colors, counts.tolist())]
+        index = {k: i for i, k in enumerate(sorted(set(keys)))}
+        new = np.array([index[k] for k in keys])
+        if len(index) == ncls:
+            return new
+        colors = new
+
+
+def same_partition(a, b):
+    """Whether two colorings have the same classes, whatever their ids."""
+    pairs = set(zip(np.asarray(a).tolist(), np.asarray(b).tolist()))
+    return len(pairs) == len(set(np.asarray(a).tolist())) == len(set(np.asarray(b).tolist()))
 
 
 class TestColoring:
@@ -124,6 +155,37 @@ class TestRefine:
                 for b in range(c.num_classes):
                     counts = g.adj[np.ix_(members, c.class_members(b))].sum(axis=1)
                     assert len(set(counts.tolist())) == 1
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_matches_naive_refinement(self, case):
+        # relabelled SRGs with 1-3 individualized vertices, and non-regular
+        # random graphs: splitters of every size, so both ways of counting
+        # (summed rows, packed popcount) run
+        rng = np.random.default_rng(case)
+        if case % 2:
+            desc = "vls:64:3" if case % 4 == 1 else "paley:49"
+            g = relabelled(family_graph(parse_descriptor(desc)), case)
+            colors = np.zeros(g.n, dtype=np.int32)
+            picks = rng.choice(g.n, 1 + case % 3, replace=False)
+            colors[picks] = np.arange(1, len(picks) + 1)
+        else:
+            g = random_graph(rng, int(rng.integers(40, 140)), rng.uniform(0.03, 0.5))
+            colors = rng.integers(0, 3, g.n).astype(np.int32)
+            colors = np.unique(colors, return_inverse=True)[1].astype(np.int32)
+        initial = Coloring(colors, int(colors.max()) + 1)
+        got = refine(g, initial)
+        assert same_partition(got.colors, naive_equitable(g, initial.colors))
+        assert got.num_classes == len(set(got.colors.tolist()))
+
+    def test_expired_deadline_stops_root_refinement(self):
+        # a path needs about n/2 splitter passes to refine from one class
+        g = path_graph(3000)
+        solver = _Solver(g, budget=1.0, deadline=time.monotonic() - 1.0)
+        with pytest.raises(Timeout):
+            solver.run(trivial_coloring(g.n))
+        assert solver.refiner.refinements <= 1
+        assert solver.nodes == 0
+        assert refine(g, trivial_coloring(g.n)).num_classes == 1500
 
 
 class TestBruteForce:
@@ -235,6 +297,29 @@ class TestAutomorphismGroup:
     def test_empty_graph(self):
         r = automorphism_group(DenseGraph(np.zeros((0, 0), dtype=bool)))
         assert r.order == 1
+
+    # (descriptor, relabelling seed, |Aut|, nodes, refinements, generators),
+    # recorded with the refiner that ran one popcount and one n-wide sort
+    # per splitter pass: a faster pass must leave the search unchanged
+    PINNED_SEARCHES = [
+        ("vls:64:3", 1, 64512, 44, 346, 12),
+        ("vo:+:8:2", 2, 89181388800, 136, 3732, 23),
+        ("orbital:q8:13", 3, 48672, 17, 392, 6),
+    ]
+
+    @pytest.mark.parametrize("desc,seed,order,nodes,refinements,gens", PINNED_SEARCHES)
+    def test_pinned_search_on_relabelled_catalog_graph(
+        self, desc, seed, order, nodes, refinements, gens
+    ):
+        g = family_graph(parse_descriptor(desc))
+        h = relabelled(g, seed)
+        r = automorphism_group(h)
+        assert (r.order, r.nodes, r.refinements, len(r.generators.gens)) == (
+            order, nodes, refinements, gens
+        )
+        m = are_isomorphic(g, h)
+        assert sorted(m.tolist()) == list(range(g.n))
+        assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
 
 
 class TestMidSizeOrders:

@@ -1,6 +1,7 @@
 """Catalog table integrity, the verification pipeline, and report plumbing."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ class TestVerifyEntry:
         assert _check_subdegrees(entry, g).status == "mismatch"
         assert _check_subdegrees(entry, g, seed=1).status == "ok"
 
+    def test_construct_timing_covers_build(self, monkeypatch):
+        import rank3.catalog as catalog
+
+        def slow_build(fid, seed=None):
+            time.sleep(0.2)
+            return family_graph(fid, seed)
+
+        monkeypatch.setattr(catalog, "family_graph", slow_build)
+        report = verify_entry(BY_ID["paley:13"], budget=60.0)
+        assert report.stages["construct"].status == "ok"
+        assert report.timings_ms["construct"] >= 200.0
+
     def test_zero_budget_downgrades_not_fails(self):
         report = verify_entry(BY_ID["paley:13"], budget=0.0)
         assert report.verdict == "PASS_DOWNGRADED"
@@ -249,6 +262,25 @@ class TestVerifyAll:
         reports, summary = verify_all(tier="full", budget=1.0, entries=[bad])
         assert summary["fail"] == 1
         assert reports[0].stages["construct"].status == "error"
+
+    def test_stage_error_lands_on_its_stage(self, monkeypatch):
+        import rank3.catalog as catalog
+
+        def broken_srg(g):
+            raise RuntimeError("srg blew up")
+
+        monkeypatch.setattr(catalog, "srg_params", broken_srg)
+        reports, summary = verify_all(
+            tier="full", budget=60.0, entries=[BY_ID["paley:13"]]
+        )
+        assert summary["fail"] == 1
+        stages = reports[0].stages
+        assert list(stages) == ["construct", "srg"]
+        assert stages["construct"].status == "ok"
+        assert stages["srg"] == StageOutcome("error", "RuntimeError: srg blew up")
+        assert set(reports[0].timings_ms) == {"construct", "srg"}
+        with pytest.raises(RuntimeError):
+            verify_entry(BY_ID["paley:13"], budget=60.0)
 
     def test_verify_entry_propagates_construction_error(self):
         bad = CatalogEntry(

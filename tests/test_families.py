@@ -33,6 +33,7 @@ from rank3.families import (
     sl25_with_scalars_spec,
     van_lint_schrijver,
     zero_stabilizer,
+    _check_similitudes,
 )
 from rank3.gf import make_field
 from rank3.graphs import DenseGraph, complement, srg_params
@@ -241,6 +242,22 @@ class TestAffinePolar:
         spec = affine_polar_group(3, 2, -1)
         assert schreier_sims(linear_perms(spec)).order == 51840
         assert rank_and_subdegrees(affine_perms(spec)) == (3, [27, 36])
+
+    def test_group_plus_8_2_full_order(self):
+        # stopped at a lower bound; the full Schreier-Sims is the oracle.
+        # |GO+(8, 2)| = 2 * 2^12 * (2^4 - 1) * (2^2 - 1)(2^4 - 1)(2^6 - 1)
+        spec = affine_polar_group(4, 2, 1)
+        assert schreier_sims(linear_perms(spec)).order == 348364800
+
+    def test_non_similitude_rejected(self):
+        # Q = x0 x1 + x2 x3 over GF(3); swapping x0 and x2 is no similitude
+        upper = np.zeros((4, 4), dtype=np.int64)
+        upper[0, 1] = upper[2, 3] = 1
+        scale = np.diag([2, 1, 2, 1])  # Q -> 2Q: a similitude
+        swap = np.eye(4, dtype=np.int64)[[2, 1, 0, 3]]
+        _check_similitudes([scale, np.eye(4, dtype=np.int64)], upper, 3)
+        with pytest.raises(ValueError, match="not a similitude"):
+            _check_similitudes([scale, swap], upper, 3)
 
     def test_group_exceptions(self):
         with pytest.raises(Unsupported):

@@ -48,6 +48,7 @@ from rank3.permgrp import (
     parse_matrix_spec,
     parse_permutation,
     rank_and_subdegrees,
+    reaches_order,
     read_matrix_spec,
     schreier_sims,
     semilinear_perms,
@@ -193,6 +194,13 @@ def test_orders_of_standard_groups():
     assert schreier_sims(hexagon).order == 12
     # trivial group
     assert schreier_sims(GeneratorSet(5, (Permutation.identity(5),))).order == 1
+
+
+def test_reaches_order_is_a_certified_lower_bound():
+    assert reaches_order(sym_gens(7), 5040)
+    assert reaches_order(sym_gens(7), 7)
+    assert not reaches_order(sym_gens(7), 5041)
+    assert not reaches_order(GeneratorSet(5, (Permutation.identity(5),)), 2)
 
 
 def test_orders_match_brute_force_closure():
