@@ -3,8 +3,8 @@
 Subpackages:
     gf        finite field GF(p^d) arithmetic with canonical element numbering
     graphs    dense graph container, strongly-regular parameter checks, graph6 I/O
-    families  Cayley / forms / orbital graph constructions
-    permgrp   permutations, Schreier-Sims machinery, classical matrix groups
+    families  Cayley / forms / orbital graph constructions and their zero-stabilizers
+    permgrp   permutations, Schreier-Sims machinery, matrix groups acting on vectors
     autsolve  automorphism group and isomorphism solver (refinement + IR search)
     catalog   curated verification targets and the end-to-end check pipeline
 """

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DenseGraph
+from .graphs import DenseGraph, is_isomorphism
 from .permgrp import GeneratorSet, Permutation
 
 __all__ = [
@@ -313,10 +313,6 @@ class _Solver:
         first_member = [int(np.argmax(colors == c)) for c in smallest]
         return int(smallest[int(np.argmin(first_member))])
 
-    def _is_automorphism(self, sigma: np.ndarray) -> bool:
-        adj = self.g.adj
-        return np.array_equal(adj[np.ix_(sigma, sigma)], adj)
-
     # - leaves -
 
     def _leaf(self, colors: np.ndarray) -> None:
@@ -329,7 +325,7 @@ class _Solver:
             return
         sigma = np.empty(self.n, dtype=np.int32)
         sigma[self.first_leaf] = inv
-        if not self._is_automorphism(sigma):
+        if not is_isomorphism(self.g, self.g, sigma):
             return
         if self.iso_half is not None and sigma[0] >= self.iso_half:
             half = self.iso_half
@@ -544,18 +540,17 @@ def _iso_connected(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
         return np.arange(n, dtype=np.int32)
     union = _union_graph(g, h)
     solver = _Solver(union, budget, deadline, iso_half=n)
-    if n >= 64:
-        # collapse root branches by h's own automorphisms
-        try:
-            hint = automorphism_group(h, budget=budget * 0.4)
-            solver.root_orbits = _OrbitSet(2 * n)
-            for perm in hint.generators.gens:
-                img = np.concatenate(
-                    (np.arange(n, dtype=np.int32), perm.img.astype(np.int32) + n)
-                )
-                solver.root_orbits.add_gen(img)
-        except Timeout:
-            pass
+    # collapse root branches by h's own automorphisms
+    try:
+        hint = automorphism_group(h, budget=budget * 0.4)
+        solver.root_orbits = _OrbitSet(2 * n)
+        for perm in hint.generators.gens:
+            img = np.concatenate(
+                (np.arange(n, dtype=np.int32), perm.img.astype(np.int32) + n)
+            )
+            solver.root_orbits.add_gen(img)
+    except Timeout:
+        pass
     try:
         solver.run(trivial_coloring(2 * n))
     except _CrossFound as cross:
@@ -571,10 +566,9 @@ def are_isomorphic(
     distinguishing invariant otherwise, or Timeout(budget).
 
     The search runs on the disjoint union of g and h, branching the root over
-    h-side vertices; when h is large, its own automorphisms are computed first
-    (within a slice of the budget) and used to collapse equivalent root
-    branches.  Disconnected graphs are decomposed and matched component by
-    component.
+    h-side vertices; h's own automorphisms are computed first (within a slice
+    of the budget) and used to collapse equivalent root branches.
+    Disconnected graphs are decomposed and matched component by component.
     """
     deadline = time.monotonic() + budget
     if g.n != h.n:
@@ -618,7 +612,7 @@ def are_isomorphic(
 
     if sorted(mapping.tolist()) != list(range(n)):
         raise AssertionError("candidate isomorphism is not a bijection")
-    if not np.array_equal(h.adj[np.ix_(mapping, mapping)], g.adj):
+    if not is_isomorphism(g, h, mapping):
         raise AssertionError("candidate isomorphism failed verification")
     return mapping
 

@@ -554,7 +554,12 @@ def _check_subdegrees(
     )
 
 
-def _check_aut(entry: CatalogEntry, g: DenseGraph, budget: float) -> StageOutcome:
+def _time_left(deadline: float) -> float:
+    return max(0.0, deadline - time.monotonic())
+
+
+def _check_aut(entry: CatalogEntry, g: DenseGraph, deadline: float) -> StageOutcome:
+    budget = _time_left(deadline)
     try:
         result = automorphism_group(g, budget=budget)
     except Timeout:
@@ -573,7 +578,7 @@ def _check_aut(entry: CatalogEntry, g: DenseGraph, budget: float) -> StageOutcom
     return StageOutcome("ok", f"order {result.order}")
 
 
-def _check_iso(entry: CatalogEntry, g: DenseGraph, budget: float) -> StageOutcome:
+def _check_iso(entry: CatalogEntry, g: DenseGraph, deadline: float) -> StageOutcome:
     if not entry.iso_claims:
         return StageOutcome("ok", "no isomorphism claims")
     parts: list[str] = []
@@ -581,6 +586,7 @@ def _check_iso(entry: CatalogEntry, g: DenseGraph, budget: float) -> StageOutcom
     for claim in entry.iso_claims:
         other = family_graph(parse_descriptor(claim.other))
         want = "iso" if claim.isomorphic else "non-iso"
+        budget = _time_left(deadline)
         try:
             are_isomorphic(g, other, budget=budget)
             got_iso = True
@@ -609,7 +615,9 @@ def verify_entry(
     Construction errors propagate (a catalog row that cannot build is a
     malformed row, not a verification outcome); Timeout in the solver stages
     downgrades the verdict instead.  PARAMS_ONLY rows skip the aut and iso
-    stages.  The construct timing covers building the graph.
+    stages.  The construct timing covers building the graph.  `budget`
+    (seconds) is one deadline for the whole row, started at the aut stage:
+    aut and then every iso claim gets the time left, floored at 0.
     """
     return _run_pipeline(entry, budget, seed, absorb_errors=False)
 
@@ -623,6 +631,7 @@ def _run_pipeline(
     stages: dict[str, StageOutcome] = {}
     timings: dict[str, float] = {}
     g: DenseGraph | None = None
+    deadline = math.inf  # the row's solver deadline, started by the aut stage
 
     def construct_outcome() -> StageOutcome:
         nonlocal g
@@ -643,6 +652,11 @@ def _run_pipeline(
             f"srg({params.n}, {params.k}, {params.lam}, {params.mu})",
         )
 
+    def aut_outcome() -> StageOutcome:
+        nonlocal deadline
+        deadline = time.monotonic() + budget
+        return _check_aut(entry, g, deadline)
+
     pipeline = [
         ("construct", construct_outcome),
         ("srg", srg_outcome),
@@ -650,8 +664,8 @@ def _run_pipeline(
     ]
     if entry.tier != "PARAMS_ONLY":
         pipeline += [
-            ("aut", lambda: _check_aut(entry, g, budget)),
-            ("iso", lambda: _check_iso(entry, g, budget)),
+            ("aut", aut_outcome),
+            ("iso", lambda: _check_iso(entry, g, deadline)),
         ]
     for name, fn in pipeline:
         t0 = time.monotonic()

@@ -32,19 +32,16 @@ import numpy as np
 import sympy
 
 from .gf import FiniteField, make_field, power_residue_classes
-from .graphs import DenseGraph
+from .graphs import DenseGraph, is_isomorphism
 import importlib.resources
 
 from .permgrp import (
-    DEFAULT_SL25_SEED,
     GeneratorSet,
     MatrixGroupSpec,
     Permutation,
     affine_perms,
     central_product_with_scalars,
-    find_sl25_in_gl2,
     linear_perms,
-    normalizer_in_gl2,
     parse_matrix_spec,
     reaches_order,
     read_matrix_spec,
@@ -78,6 +75,7 @@ __all__ = [
     "alternating_forms_group",
     "hamming2_stabilizer",
     "quaternion_normalizer_spec",
+    "binary_icosahedral_spec",
     "sl25_with_scalars_spec",
     "sl23_with_scalars_spec",
     "extraspecial_normalizer_spec",
@@ -739,16 +737,20 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
         ConnectionSet(VectorSpace(spec.p, spec.d), frozenset(int(x) for x in chosen))
     )
     for perm in affine_perms(spec).gens:
-        img = perm.img
-        if not np.array_equal(g.adj[np.ix_(img, img)], g.adj):  # pragma: no cover
+        if not is_isomorphism(g, g, perm.img):  # pragma: no cover
             raise AssertionError("affine group generator is not an automorphism")
     return g
 
 
-def _quaternion_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The standard quaternion pair over GF(p): X = [[0,-1],[1,0]] and
-    Y = [[a,b],[b,-a]] with a**2 + b**2 = -1 (smallest such pair), so that
-    X^2 = Y^2 = -I and XY = -YX."""
+def _quaternion_units(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X = [[0,-1],[1,0]], Y = [[a,b],[b,-a]] with a**2 + b**2 = -1 (smallest
+    such pair) and s = (I + X + Y + XY)/2 over GF(p), p an odd prime.
+
+    X^2 = Y^2 = -I and XY = -YX, so I, X, Y, XY play the quaternion units
+    1, i, j, k, and det(aI + bX + cY + dXY) is the norm a^2 + b^2 + c^2 + d^2:
+    unit quaternions are words in X and Y of determinant 1 (Conway & Smith,
+    "On Quaternions and Octonions", 2003).  s is (1 + i + j + k)/2, of order
+    6; conjugation by s cycles X -> Y -> XY."""
     if p == 2 or not sympy.isprime(p):
         raise ValueError(f"p = {p} must be an odd prime")
     a, b = next(
@@ -759,39 +761,87 @@ def _quaternion_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
     )
     x = np.array([[0, p - 1], [1, 0]], dtype=np.int64)
     y = np.array([[a, b], [b, (p - a) % p]], dtype=np.int64)
-    return x, y
+    s = (np.eye(2, dtype=np.int64) + x + y + x @ y) * pow(2, -1, p) % p
+    return x, y, s
 
 
-@lru_cache(maxsize=None)
+def _check_normalizes_q8(gens, x: np.ndarray, y: np.ndarray, p: int) -> None:
+    """Raise ValueError unless conjugation by every matrix g of gens maps
+    Q8 = {+-I, +-X, +-Y, +-XY} onto itself, i.e. g Q8 = Q8 g."""
+    units = (np.eye(2, dtype=np.int64), x, y, x @ y % p)
+    q8 = [sign * u % p for sign in (1, p - 1) for u in units]
+    for g in gens:
+        if {(g @ m % p).tobytes() for m in q8} != {(m @ g % p).tobytes() for m in q8}:
+            raise ValueError(f"{np.asarray(g).tolist()} does not normalize Q8 mod {p}")
+
+
 def quaternion_normalizer_spec(p: int) -> MatrixGroupSpec:
-    """The normalizer in GL_2(p) of the standard quaternion group of order 8,
-    Q8 = <X, Y> for the pair of _quaternion_pair.  Requires p odd (and
-    p <= 50, from the normalizer scan, whose result is cached by p)."""
-    x, y = _quaternion_pair(p)
+    """The normalizer in GL_2(p), p an odd prime, of Q8 = <X, Y> from
+    _quaternion_units: <s, I + X> plus the primitive scalar, of order
+    24(p - 1).  Conjugation by s cycles X -> Y -> XY and conjugation by I + X
+    fixes X and maps Y to XY, so modulo the scalars (the centralizer) the two
+    give Aut(Q8) = S_4.  Every generator is checked to normalize Q8."""
+    x, y, s = _quaternion_units(p)
     eye = np.eye(2, dtype=np.int64)
-    group = []
-    for s in (1, p - 1):
-        for mat in (eye, x, y, (x @ y) % p):
-            group.append((s * mat) % p)
-    return normalizer_in_gl2(p, group)
+    spec = central_product_with_scalars(
+        p, MatrixGroupSpec(p, 2, (s, (eye + x) % p)), p - 1
+    )
+    _check_normalizes_q8(spec.gens, x, y, p)
+    return spec
 
 
-def sl25_with_scalars_spec(p: int, seed: int = DEFAULT_SL25_SEED) -> MatrixGroupSpec:
-    """SL_2(5) inside GL_2(p) extended by the full scalar group of order p - 1
-    (the central product; for p = 3 mod 4 this equals the direct product with
-    the odd part of the scalars)."""
-    return central_product_with_scalars(p, find_sl25_in_gl2(p, seed), p - 1)
+def _check_binary_icosahedral(s: np.ndarray, t: np.ndarray, p: int) -> None:
+    """Raise ValueError unless s^3 = t^5 = (st)^2 = -I mod p.  These relations
+    present the binary icosahedral group SL_2(5), in which their common value
+    is the central involution; since -I != I mod an odd p, <s, t> is a copy
+    of SL_2(5), of order exactly 120."""
+    minus = (p - 1) * np.eye(2, dtype=np.int64)
+    for m, k in ((s, 3), (t, 5), (s @ t % p, 2)):
+        power = m
+        for _ in range(k - 1):
+            power = power @ m % p
+        if not np.array_equal(power, minus):
+            raise ValueError(f"{m.tolist()}^{k} != -I mod {p}: not SL_2(5)")
+
+
+def binary_icosahedral_spec(p: int, seed: int | None = None) -> MatrixGroupSpec:
+    """SL_2(5) inside SL_2(p) as <s, t>, checked by _check_binary_icosahedral:
+    s from _quaternion_units and t = (phi I + phi^-1 X + Y)/2, phi =
+    (1 + sqrt 5)/2, the quaternion (phi + phi^-1 i + j)/2 of order 10.
+    BadCongruence unless 5 is a nonzero square mod p (p = +-1 mod 5).  A seed
+    conjugates s and t by an invertible matrix drawn from
+    np.random.default_rng(seed), which relabels the orbits; None does not."""
+    if p == 2 or p % 5 not in (1, 4):
+        raise BadCongruence(f"5 is not a nonzero square mod {p}: need p = +-1 mod 5")
+    x, y, s = _quaternion_units(p)
+    h = pow(2, -1, p)
+    phi = (1 + int(sympy.sqrt_mod(5, p))) * h % p
+    t = (phi * np.eye(2, dtype=np.int64) + (phi - 1) * x + y) * h % p
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        det = 0
+        while det == 0:
+            c = rng.integers(0, p, size=(2, 2))
+            det = int(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) % p
+        c_inv = np.array([[c[1, 1], -c[0, 1]], [-c[1, 0], c[0, 0]]]) * pow(det, -1, p) % p
+        s, t = (c @ m @ c_inv % p for m in (s, t))
+    _check_binary_icosahedral(s, t, p)
+    return MatrixGroupSpec(p, 2, (s, t))
+
+
+def sl25_with_scalars_spec(p: int, seed: int | None = None) -> MatrixGroupSpec:
+    """binary_icosahedral_spec(p, seed) extended by the full scalar group of
+    order p - 1 (the central product; for p = 3 mod 4 this equals the direct
+    product with the odd part of the scalars)."""
+    return central_product_with_scalars(p, binary_icosahedral_spec(p, seed), p - 1)
 
 
 def sl23_with_scalars_spec(p: int) -> MatrixGroupSpec:
-    """SL_2(3) = <X, Y, (I + X + Y + XY)/2> over GF(p) -- X, Y the standard
-    quaternion pair with X^2 = Y^2 = -I -- adjoined with the odd-order part of
-    the scalar group.  This is an index-2 subgroup of the full quaternion
-    normalizer together with its scalars; for p = 7 and p = 23 its affine
-    group has exactly two equal orbits on nonzero vectors."""
-    x, y = _quaternion_pair(p)
-    eye = np.eye(2, dtype=np.int64)
-    s = ((eye + x + y + (x @ y)) * pow(2, -1, p)) % p
+    """SL_2(3) = <X, Y, s> over GF(p), from _quaternion_units, adjoined with
+    the odd-order part of the scalar group: an index-2 subgroup of
+    quaternion_normalizer_spec(p).  For p = 7 and p = 23 its affine group has
+    exactly two equal orbits on nonzero vectors."""
+    x, y, s = _quaternion_units(p)
     odd_part = (p - 1) // ((p - 1) & -(p - 1))
     return central_product_with_scalars(
         p, MatrixGroupSpec(p, 2, (x, y, s)), odd_part
@@ -836,13 +886,11 @@ def _parse_polar(fields: list[str]) -> tuple:
     return dim // 2, q, epsilon
 
 
-# The orbital family's named zero-stabilizers, by kind; only sl25 is a seeded
-# search.  Any other descriptor orbital:<path> names a spec file, kind "file".
+# The orbital family's named zero-stabilizers, by kind; only sl25 takes a
+# seed.  Any other descriptor orbital:<path> names a spec file, kind "file".
 _ORBITAL_KINDS = {
     "q8": lambda p, seed: quaternion_normalizer_spec(p),
-    "sl25": lambda p, seed: sl25_with_scalars_spec(
-        p, DEFAULT_SL25_SEED if seed is None else seed
-    ),
+    "sl25": sl25_with_scalars_spec,
     "sl23": lambda p, seed: sl23_with_scalars_spec(p),
     "extraspecial": lambda n, seed: extraspecial_normalizer_spec(n),
 }
@@ -880,8 +928,9 @@ class _Family:
     The zero-stabilizer is the stabilizer of vertex 0 in the family's known
     group: ``stabilizer(*params)`` as permutations, or else the linear action
     of the matrix group ``spec(*params, seed)``.  ``seed`` reaches only the
-    sl25 search.  ``moduli(*params)`` names the translation group
-    Z_m1 x ... x Z_mk on the vertices; by default GF(p)^k on p^k vertices.
+    sl25 spec, whose generators it conjugates.  ``moduli(*params)`` names the
+    translation group Z_m1 x ... x Z_mk on the vertices; by default GF(p)^k
+    on p^k vertices.
     ``graph`` is None for the orbital family, whose graph is built from its
     spec.  A spec or stabilizer of None means no group ships for the params.
     """
@@ -975,7 +1024,8 @@ def family_matrix_spec(fid: FamilyId, seed: int | None = None) -> MatrixGroupSpe
     """The zero-stabilizer of an affine family as a matrix group over GF(p):
     G0 in V:G0.  None for the one-dimensional semilinear and the
     product-action families, and for affine_polar parameters whose group
-    construction does not ship.  ``seed`` picks the sl25 search's draw."""
+    construction does not ship.  ``seed`` conjugates the sl25 spec by a
+    seeded random matrix (see binary_icosahedral_spec); None does not."""
     fam = _FAMILIES[fid.tag]
     return None if fam.spec is None else fam.spec(*fid.params, seed)
 

@@ -115,6 +115,19 @@ def common_neighbours(g: DenseGraph, u: int, v: int) -> int:
     return int(np.bitwise_count(g._packed[u] & g._packed[v]).sum())
 
 
+def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
+    """Whether the bijection i -> mapping[i] carries g onto h, i.e.
+    h.adj[mapping[i], mapping[j]] == g.adj[i, j] for all i, j.  Compares row
+    blocks of about 1 MiB and stops at the first block that differs."""
+    n = g.n
+    rows = max(1, (1 << 20) // max(n, 1))
+    for lo in range(0, n, rows):
+        block = h.adj[mapping[lo : lo + rows]][:, mapping]
+        if not np.array_equal(block, g.adj[lo : lo + rows]):
+            return False
+    return True
+
+
 def complement(g: DenseGraph) -> DenseGraph:
     adj = ~g.adj
     np.fill_diagonal(adj, False)

@@ -1,5 +1,7 @@
 """Permutation groups: orbits, deterministic Schreier-Sims, orbital analysis,
-and matrix-group plumbing for the affine graph constructions.
+and matrix-group plumbing for the affine graph constructions: a matrix group
+over GF(p) is given by its generators, which act on the p^d vectors as
+permutations; no group is enumerated element by element.
 
 Design notes.  Permutations wrap int32 numpy image arrays, so composition is a
 single fancy-index.  Stabilizer-chain transversals are stored as Schreier
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import sympy
@@ -33,14 +34,6 @@ class SingularGenerator(ValueError):
 
 class NotTransitive(ValueError):
     """Operation requires a transitive group."""
-
-
-class NotASubgroup(ValueError):
-    """The supplied matrix list is not a subgroup (not closed, or singular)."""
-
-
-class NotFound(RuntimeError):
-    """Randomized subgroup search exhausted its budget."""
 
 
 class BadOrder(ValueError):
@@ -599,171 +592,6 @@ def semilinear_perms(
     affine semilinear group F:<omega-hat^e[, phi-hat omega-hat^twist]>."""
     stab = semilinear_stabilizer_perms(field, e, include_frobenius, twist)
     return with_translations(stab, (field.p,) * field.d)
-
-
-# -- GL_2(p) searches ----------------------------------------------------------
-
-
-def _encode2(mats: np.ndarray, p: int) -> np.ndarray:
-    m = mats.reshape(-1, 4) % p
-    return ((m[:, 0] * p + m[:, 1]) * p + m[:, 2]) * p + m[:, 3]
-
-
-def _decode2(codes: np.ndarray, p: int) -> np.ndarray:
-    codes = np.asarray(codes, dtype=np.int64)
-    out = np.empty((codes.size, 2, 2), dtype=np.int64)
-    out[:, 1, 1] = codes % p
-    out[:, 1, 0] = codes // p % p
-    out[:, 0, 1] = codes // p**2 % p
-    out[:, 0, 0] = codes // p**3 % p
-    return out
-
-
-def matrix_group_closure(p: int, gens, cap: int | None = None) -> np.ndarray:
-    """Sorted element codes of the 2x2 matrix group <gens> mod p, by
-    breadth-first multiplication closure.  Stops early (returning a partial,
-    oversized set) once more than `cap` elements are seen."""
-    genmats = np.array([np.asarray(g) % p for g in gens], dtype=np.int64)
-    known = _encode2(np.eye(2, dtype=np.int64)[None], p)
-    frontier = known
-    while frontier.size:
-        f = _decode2(frontier, p)
-        prods = np.einsum("fij,gjk->fgik", f, genmats) % p
-        codes = np.unique(_encode2(prods, p))
-        new = codes[~np.isin(codes, known)]
-        known = np.sort(np.concatenate([known, new]))
-        frontier = new
-        if cap is not None and known.size > cap:
-            return known
-    return known
-
-
-def normalizer_in_gl2(p: int, subgroup) -> MatrixGroupSpec:
-    """Generators of the normalizer of a subgroup R <= GL_2(p), by exhaustive
-    scan of GL_2(p) (p <= 50) followed by greedy generating-set reduction.
-
-    `subgroup` must list all elements of R; NotASubgroup otherwise.
-    """
-    if p > 50:
-        raise ValueError(f"exhaustive GL_2(p) scan is limited to p <= 50, got {p}")
-    R = np.array([np.asarray(m, dtype=np.int64) % p for m in subgroup])
-    if R.ndim != 3 or R.shape[1:] != (2, 2):
-        raise ValueError("subgroup must be a list of 2x2 matrices")
-    dets = (R[:, 0, 0] * R[:, 1, 1] - R[:, 0, 1] * R[:, 1, 0]) % p
-    if (dets == 0).any():
-        raise NotASubgroup("subgroup list contains a singular matrix")
-    r_codes = np.unique(_encode2(R, p))
-    if r_codes.size != R.shape[0]:
-        raise NotASubgroup("subgroup list contains duplicates")
-    prods = np.einsum("aij,bjk->abik", R, R) % p
-    if not np.isin(_encode2(prods, p), r_codes).all():
-        raise NotASubgroup("subgroup list is not closed under multiplication")
-
-    inv_t = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
-    found = []
-    chunk = 1 << 18
-    for lo in range(0, p**4, chunk):
-        codes = np.arange(lo, min(lo + chunk, p**4), dtype=np.int64)
-        g = _decode2(codes, p)
-        det = (g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]) % p
-        keep = det != 0
-        g, codes, det = g[keep], codes[keep], det[keep]
-        ginv = np.empty_like(g)
-        ginv[:, 0, 0], ginv[:, 1, 1] = g[:, 1, 1], g[:, 0, 0]
-        ginv[:, 0, 1], ginv[:, 1, 0] = -g[:, 0, 1] % p, -g[:, 1, 0] % p
-        ginv = ginv * inv_t[det][:, None, None] % p
-        ok = np.ones(codes.size, dtype=bool)
-        for r in R:
-            gr = np.einsum("nij,jk->nik", g[ok], r) % p
-            conj = np.einsum("nij,njk->nik", gr, ginv[ok]) % p
-            ok[np.flatnonzero(ok)[~np.isin(_encode2(conj, p), r_codes)]] = False
-            if not ok.any():
-                break
-        found.append(codes[ok])
-    norm_codes = np.concatenate(found)  # already sorted: chunks are ascending
-
-    gens: list[np.ndarray] = []
-    closure = _encode2(np.eye(2, dtype=np.int64)[None], p)
-    for code in norm_codes:
-        if closure.size == norm_codes.size:
-            break
-        if np.isin(code, closure)[()]:
-            continue
-        gens.append(_decode2(np.array([code]), p)[0])
-        closure = matrix_group_closure(p, gens)
-    assert closure.size == norm_codes.size, "greedy reduction failed to regenerate"
-    return MatrixGroupSpec(p, 2, tuple(gens))
-
-
-def _matrix_order(m, p: int, cap: int) -> int:
-    """Multiplicative order of a 2x2 matrix mod p, or cap + 1 if larger."""
-    ident = np.eye(2, dtype=np.int64)
-    x = np.asarray(m, dtype=np.int64) % p
-    cur = x
-    for k in range(1, cap + 1):
-        if np.array_equal(cur, ident):
-            return k
-        cur = cur @ x % p
-    return cap + 1
-
-
-DEFAULT_SL25_SEED = 1729
-
-
-@lru_cache(maxsize=None)
-def find_sl25_in_gl2(p: int, seed: int = DEFAULT_SL25_SEED, budget: int = 20000) -> MatrixGroupSpec:
-    """Search SL_2(p) for a subgroup of order 120 with a unique involution
-    (the double cover of Alt(5)): sample elements of order 10 and order 4,
-    test the pair's multiplication closure, repeat within a draw budget.
-
-    Deterministic for a fixed seed, and cached by its arguments.  Raises
-    NotFound when the budget runs out, which is the expected outcome for p not
-    congruent to +-1 mod 5.
-    """
-    if p == 2:
-        raise NotFound("SL_2(5) needs an odd prime modulus")
-    rng = np.random.default_rng(seed)
-    draws = 0
-
-    def draw_sl2():
-        nonlocal draws
-        draws += 1
-        a, b, c = (int(v) for v in rng.integers(0, p, size=3))
-        if a:
-            return ((a, b), (c, (1 + b * c) * pow(a, -1, p) % p))
-        if b:
-            return ((0, b), ((p - pow(b, -1, p)) % p, int(rng.integers(0, p))))
-        return None
-
-    def draw_of_order(target: int):
-        while draws < budget:
-            m = draw_sl2()
-            if m is not None and _matrix_order(m, p, 2 * p + 2) == target:
-                return m
-        return None
-
-    while draws < budget:
-        x = draw_of_order(10)
-        y = draw_of_order(4)
-        if x is None or y is None:
-            break
-        closure = matrix_group_closure(p, [x, y], cap=121)
-        if closure.size != 120:
-            continue
-        mats = _decode2(closure, p)
-        squares = np.einsum("nij,njk->nik", mats, mats) % p
-        is_ident = (squares == np.eye(2, dtype=np.int64)).all(axis=(1, 2))
-        not_ident = ~(mats == np.eye(2, dtype=np.int64)).all(axis=(1, 2))
-        if int((is_ident & not_ident).sum()) != 1:
-            continue
-        spec = MatrixGroupSpec(p, 2, (x, y))
-        check = schreier_sims(linear_perms(spec))
-        assert check.order == 120, f"closure said 120 but the permutation action has order {check.order}"
-        return spec
-    raise NotFound(
-        f"no order-120 unique-involution subgroup of SL_2({p}) within {budget} draws "
-        f"(expected for p != +-1 mod 5)"
-    )
 
 
 def central_product_with_scalars(p: int, s: MatrixGroupSpec, scalar_order: int) -> MatrixGroupSpec:

@@ -18,6 +18,7 @@ from rank3.catalog import verify_all
 from rank3.families import (
     affine_polar,
     bilinear_forms,
+    binary_icosahedral_spec,
     family_graph,
     family_group,
     hamming2,
@@ -30,7 +31,6 @@ from rank3.families import (
 from rank3.graphs import DenseGraph, complement, srg_params
 from rank3.permgrp import (
     central_product_with_scalars,
-    find_sl25_in_gl2,
     linear_perms,
     orbit_partition,
     rank_and_subdegrees,
@@ -180,7 +180,7 @@ def test_criterion_09_icosahedral_stabilizer_orbits():
         )
 
     assert nonzero_orbit_sizes(sl25_with_scalars_spec(41)) == [480, 1200]
-    spec31 = central_product_with_scalars(31, find_sl25_in_gl2(31), 15)
+    spec31 = central_product_with_scalars(31, binary_icosahedral_spec(31), 15)
     assert nonzero_orbit_sizes(spec31) == [360, 600]
     clock.check()
 

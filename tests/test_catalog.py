@@ -193,6 +193,34 @@ class TestVerifyEntry:
         assert report.verdict == "PASS_DOWNGRADED"
         assert report.stages["aut"].status == "timeout"
 
+    def test_row_shares_one_budget(self, monkeypatch):
+        # aut takes at least 0.3 s and each iso claim at least 0.1 s, so the
+        # claims may only get what the row's one budget has left
+        import rank3.catalog as catalog
+        from rank3.autsolve import are_isomorphic, automorphism_group
+
+        budgets = []
+
+        def slow_aut(g, budget):
+            budgets.append(budget)
+            time.sleep(0.3)
+            return automorphism_group(g, budget=budget)
+
+        def slow_iso(g, h, budget):
+            budgets.append(budget)
+            time.sleep(0.1)
+            return are_isomorphic(g, h, budget=budget)
+
+        monkeypatch.setattr(catalog, "automorphism_group", slow_aut)
+        monkeypatch.setattr(catalog, "are_isomorphic", slow_iso)
+        entry = _replace(BY_ID["paley:9"], iso_claims=(IsoClaim("peisert:9", True),) * 2)
+        report = verify_entry(entry, budget=60.0)
+        assert report.verdict == "PASS"
+        aut_budget, first, second = budgets
+        assert aut_budget <= 60.0
+        assert first <= 60.0 - 0.3
+        assert second <= 60.0 - 0.4
+
     def test_unknown_expected_order_records_solver_value(self):
         entry = _replace(
             BY_ID["paley:13"],

@@ -30,10 +30,14 @@ from rank3.families import (
     parse_descriptor,
     peisert,
     quaternion_normalizer_spec,
+    binary_icosahedral_spec,
     sl25_with_scalars_spec,
     van_lint_schrijver,
     zero_stabilizer,
+    _check_binary_icosahedral,
+    _check_normalizes_q8,
     _check_similitudes,
+    _quaternion_units,
 )
 from rank3.gf import make_field
 from rank3.graphs import DenseGraph, complement, srg_params
@@ -371,6 +375,28 @@ class TestAffineOrbitalGraph:
     def test_quaternion_spec_validation(self):
         with pytest.raises(ValueError):
             quaternion_normalizer_spec(2)
+
+    def test_q8_certificate_rejects_a_non_normalizer(self):
+        x, y, s = _quaternion_units(13)
+        _check_normalizes_q8([s, (np.eye(2, dtype=np.int64) + x) % 13], x, y, 13)
+        with pytest.raises(ValueError, match="does not normalize"):
+            _check_normalizes_q8([np.array([[1, 1], [0, 1]])], x, y, 13)
+
+    def test_sl25_certificate_rejects_a_corrupted_t(self):
+        s, t = binary_icosahedral_spec(31).gens
+        _check_binary_icosahedral(s, t, 31)
+        bad = t.copy()
+        bad[0, 0] = (bad[0, 0] + 1) % 31  # a new trace: t^5 != -I
+        with pytest.raises(ValueError, match=r"\^5 != -I"):
+            _check_binary_icosahedral(s, bad, 31)
+
+    def test_sl25_seed_relabels(self):
+        # seeds conjugate the generators differently; the orbit sizes stay
+        specs = [sl25_with_scalars_spec(31, seed) for seed in (None, 1, 2)]
+        gens = [np.stack(spec.gens).tobytes() for spec in specs]
+        assert len(set(gens)) == 3
+        for spec in specs:
+            assert stabilizer_rank(linear_perms(spec)) == (3, [360, 600])
 
     def test_index_two_subgroup_at_7(self):
         # <X, Y, (1 + X + Y + XY)/2, 2I>: order 72, orbits 24 + 24

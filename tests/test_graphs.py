@@ -15,6 +15,7 @@ from rank3.graphs import (
     complement,
     from_adjacency_text,
     from_graph6,
+    is_isomorphism,
     srg_params,
     to_adjacency_text,
     to_graph6,
@@ -165,3 +166,43 @@ def test_common_neighbours_matches_naive_counting():
                 continue
             naive = int(np.sum(g.adj[u] & g.adj[v]))
             assert common_neighbours(g, u, v) == naive
+
+
+def random_graph(n: int, rng) -> DenseGraph:
+    adj = np.triu(rng.random((n, n)) < 0.5, 1)
+    return DenseGraph(adj | adj.T)
+
+
+def relabelled(g: DenseGraph, sigma: np.ndarray) -> DenseGraph:
+    """The graph h with h.adj[sigma[i], sigma[j]] = g.adj[i, j]."""
+    inv = np.argsort(sigma)
+    return DenseGraph(g.adj[np.ix_(inv, inv)])
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_is_isomorphism_matches_full_gather(n, seed, related):
+    rng = np.random.default_rng(seed)
+    g = random_graph(n, rng)
+    sigma = rng.permutation(n)
+    h = relabelled(g, sigma) if related else random_graph(n, rng)
+    for m in (sigma, rng.permutation(n)):
+        assert is_isomorphism(g, h, m) == np.array_equal(h.adj[np.ix_(m, m)], g.adj)
+    if related:
+        assert is_isomorphism(g, h, sigma)
+
+
+def test_is_isomorphism_checks_the_last_partial_block():
+    # 1500 rows are blocks of 699, 699 and 102: a difference in the last two
+    # rows only shows in the short last block
+    n = 1500
+    rng = np.random.default_rng(3)
+    g = random_graph(n, rng)
+    sigma = rng.permutation(n)
+    h = relabelled(g, sigma)
+    assert is_isomorphism(g, h, sigma)
+    adj = h.adj.copy()
+    a, b = sigma[n - 1], sigma[n - 2]
+    adj[a, b] = adj[b, a] = not adj[a, b]
+    assert np.array_equal(adj[np.ix_(sigma, sigma)][: n - 2], g.adj[: n - 2])
+    assert not is_isomorphism(g, DenseGraph(adj), sigma)

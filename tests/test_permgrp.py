@@ -24,25 +24,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rank3.families import (
+    BadCongruence,
+    binary_icosahedral_spec,
+    quaternion_normalizer_spec,
+)
 from rank3.gf import DoesNotDivide, make_field
 from rank3.permgrp import (
     BadOrder,
     GeneratorSet,
     MatrixGroupSpec,
-    NotASubgroup,
-    NotFound,
     NotTransitive,
     Permutation,
     SingularGenerator,
     affine_perms,
     central_product_with_scalars,
-    find_sl25_in_gl2,
     format_matrix_spec,
     format_permutation,
     from_cycles,
     linear_perms,
-    matrix_group_closure,
-    normalizer_in_gl2,
     orbit,
     orbit_partition,
     parse_matrix_spec,
@@ -334,15 +334,6 @@ def test_gl2_of_gf2_affine_action():
     assert rank_and_subdegrees(gs) == (2, [3])
 
 
-def test_matrix_group_closure_gl2_3():
-    t1 = np.array([[1, 1], [0, 1]])
-    t2 = np.array([[1, 0], [1, 1]])
-    assert matrix_group_closure(3, [t1, t2]).size == 24
-    assert matrix_group_closure(3, [t1, t2, np.diag([2, 1])]).size == 48
-    partial = matrix_group_closure(3, [t1, t2, np.diag([2, 1])], cap=10)
-    assert partial.size > 10
-
-
 def test_affine_gl2_3_order():
     spec = MatrixGroupSpec(
         3, 2, (np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]), np.diag([2, 1]))
@@ -350,30 +341,15 @@ def test_affine_gl2_3_order():
     assert schreier_sims(affine_perms(spec)).order == 9 * 48
 
 
-def test_normalizer_of_center_is_whole_group():
-    ident = np.eye(2, dtype=np.int64)
-    spec = normalizer_in_gl2(3, [ident, 2 * ident])
-    assert matrix_group_closure(3, spec.gens).size == 48
-
-
-def test_normalizer_rejects_non_subgroups():
-    ident = np.eye(2, dtype=np.int64)
-    x = np.array([[0, 6], [1, 0]])
-    with pytest.raises(NotASubgroup):
-        normalizer_in_gl2(7, [ident, x])  # not closed: x^2 = -I missing
-    with pytest.raises(NotASubgroup):
-        normalizer_in_gl2(7, [ident, ident])  # duplicates
-    with pytest.raises(NotASubgroup):
-        normalizer_in_gl2(7, [ident, np.zeros((2, 2), dtype=np.int64)])  # singular
-    with pytest.raises(ValueError):
-        normalizer_in_gl2(53, [ident])  # scan cap
+def order(spec):
+    return schreier_sims(linear_perms(spec)).order
 
 
 def test_quaternion_normalizer_mod_7_is_transitive():
     # frozen brute-force fact: the normalizer has order 144 and a single
     # orbit on the 48 nonzero vectors, so its affine closure is 2-transitive
-    spec = normalizer_in_gl2(7, q8_mats(7, 2, 3))
-    assert matrix_group_closure(7, spec.gens).size == 144
+    spec = quaternion_normalizer_spec(7)
+    assert order(spec) == 144
     assert rank_and_subdegrees(affine_perms(spec)) == (2, [48])
 
 
@@ -383,55 +359,70 @@ def test_quaternion_with_cycler_and_scalar_mod_7_splits_evenly():
     x = np.array([[0, 6], [1, 0]])
     y = np.array([[2, 3], [3, 5]])
     s = cube_cycler(7, 2, 3)
-    assert matrix_group_closure(7, [x, y, s]).size == 24
+    assert order(MatrixGroupSpec(7, 2, (x, y, s))) == 24
     gens = (x, y, s, 2 * np.eye(2, dtype=np.int64))
-    assert matrix_group_closure(7, gens).size == 72
     spec = MatrixGroupSpec(7, 2, gens)
+    assert order(spec) == 72
     assert rank_and_subdegrees(affine_perms(spec)) == (3, [24, 24])
 
 
 def test_quaternion_normalizer_mod_13_has_rank_3():
-    spec = normalizer_in_gl2(13, q8_mats(13, 3, 4))
-    assert matrix_group_closure(13, spec.gens).size == 288
+    spec = quaternion_normalizer_spec(13)
+    assert order(spec) == 288
     assert rank_and_subdegrees(affine_perms(spec)) == (3, [72, 96])
 
 
 def test_quaternion_normalizer_mod_23_is_transitive():
     # frozen brute-force fact: order 528, transitive; the even split comes
     # from the index-2 subgroup with a scalar of order 11
-    spec = normalizer_in_gl2(23, q8_mats(23, 2, 8))
-    assert matrix_group_closure(23, spec.gens).size == 528
+    spec = quaternion_normalizer_spec(23)
+    assert order(spec) == 528
+    assert rank_and_subdegrees(affine_perms(spec)) == (2, [528])
     x = np.array([[0, 22], [1, 0]])
     y = np.array([[2, 8], [8, 21]])
     s = cube_cycler(23, 2, 8)
     gens = (x, y, s, 2 * np.eye(2, dtype=np.int64))  # 2 has order 11 mod 23
-    assert matrix_group_closure(23, gens).size == 264
     spec264 = MatrixGroupSpec(23, 2, gens)
+    assert order(spec264) == 264
     assert rank_and_subdegrees(affine_perms(spec264)) == (3, [264, 264])
 
 
+def test_quaternion_normalizer_beyond_a_gl2_scan():
+    # every generator is checked to normalize Q8 when the spec is built, so
+    # the group lies in the normalizer, whose order is 24(p - 1); reaching
+    # that order makes it the whole normalizer, also at p = 53 > 50, where
+    # enumerating GL_2(p) was refused
+    assert order(quaternion_normalizer_spec(53)) == 24 * 52
+
+
+@pytest.mark.parametrize(
+    "p", [31, 41, pytest.param(71, marks=pytest.mark.slow), pytest.param(89, marks=pytest.mark.slow)]
+)
+def test_sl25_orders(p):
+    spec = binary_icosahedral_spec(p)
+    assert order(spec) == 120
+    assert order(central_product_with_scalars(p, spec, p - 1)) == 60 * (p - 1)
+
+
 def test_sl25_search_mod_41():
-    spec = find_sl25_in_gl2(41)
-    assert matrix_group_closure(41, spec.gens).size == 120
-    big = central_product_with_scalars(41, spec, 40)
-    assert matrix_group_closure(41, big.gens).size == 2400
+    big = central_product_with_scalars(41, binary_icosahedral_spec(41), 40)
     gs = affine_perms(big)
     assert rank_and_subdegrees(gs) == (3, [480, 1200])
     assert schreier_sims(gs).order == 41**2 * 2400
 
 
 def test_sl25_search_mod_31():
-    spec = find_sl25_in_gl2(31)
-    big = central_product_with_scalars(31, spec, 15)
-    assert matrix_group_closure(31, big.gens).size == 1800
+    big = central_product_with_scalars(31, binary_icosahedral_spec(31), 15)
+    assert order(big) == 1800
     assert rank_and_subdegrees(affine_perms(big)) == (3, [360, 600])
 
 
 def test_sl25_search_fails_cleanly():
-    with pytest.raises(NotFound):
-        find_sl25_in_gl2(7, budget=3000)
-    with pytest.raises(NotFound):
-        find_sl25_in_gl2(2)
+    # sqrt(5) exists mod p only for p = +-1 mod 5
+    with pytest.raises(BadCongruence):
+        binary_icosahedral_spec(7)
+    with pytest.raises(BadCongruence):
+        binary_icosahedral_spec(2)
 
 
 def test_scalar_adjunction_validation():
