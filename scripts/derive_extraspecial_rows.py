@@ -34,11 +34,11 @@ import time
 from pathlib import Path
 
 import numpy as np
-import sympy
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rank3.families import affine_orbital_graph  # noqa: E402
+from rank3.gf import primitive_root  # noqa: E402
 from rank3.graphs import srg_params  # noqa: E402
 from rank3.permgrp import (  # noqa: E402
     GeneratorSet,
@@ -356,7 +356,7 @@ def row_2401() -> MatrixGroupSpec:
     ]
     return build_row(
         "extraspecial_2401", p, rep,
-        extra_scalar=int(sympy.primitive_root(p)),
+        extra_scalar=primitive_root(p),
         outer_target=120,
         expected_order=11520,
         expected_orbits=(480, 1920),

@@ -1,9 +1,10 @@
 """Constructors for the strongly regular graph families shipped here.
 
 Every family is a Cayley graph on the additive group of a vector space over
-GF(p) (or, for ``hamming2``, a direct product construction): vertices are the
-p**dim vectors under the little-endian digit indexing of module ``gf``, and
-x ~ y exactly when x - y lies in a fixed symmetric connection set.  The
+GF(p) (or, for ``hamming2``, on Z_m x Z_m): vertices are the p**dim vectors
+under the little-endian digit indexing of module ``gf``, and x ~ y exactly
+when x - y lies in a fixed symmetric connection set.  Each graph carries its
+translation moduli, which DenseGraph checks and srg_params uses.  The
 families differ only in how that connection set is cut out:
 
 * ``paley`` / ``peisert`` / ``van_lint_schrijver`` -- power-residue cosets in
@@ -29,9 +30,17 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import sympy
 
-from .gf import FiniteField, make_field, power_residue_classes
+from .gf import (
+    FiniteField,
+    factorint,
+    isprime,
+    make_field,
+    n_order,
+    power_residue_classes,
+    primitive_root,
+    sqrt_mod,
+)
 from .graphs import DenseGraph, is_isomorphism
 import importlib.resources
 
@@ -39,7 +48,6 @@ from .permgrp import (
     GeneratorSet,
     MatrixGroupSpec,
     Permutation,
-    affine_perms,
     central_product_with_scalars,
     linear_perms,
     parse_matrix_spec,
@@ -144,7 +152,7 @@ class VectorSpace:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.p < 2 or not sympy.isprime(self.p):
+        if self.p < 2 or not isprime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.dim < 1:
             raise ValueError(f"dim = {self.dim} must be >= 1")
@@ -200,11 +208,30 @@ def _negate_indices(members: np.ndarray, p: int, dim: int) -> np.ndarray:
     return ((p - digs) % p) @ pv
 
 
+def _block_circulant(indicator: np.ndarray, p: int, dim: int) -> np.ndarray:
+    """The p**dim x p**dim matrix M[i, j] = indicator[i - j], the difference
+    taken digit by digit mod p.
+
+    Built digit by digit from the 1 x 1 slices of indicator: with the slices
+    of b = p**k consecutive indices in hand (one b x b matrix per value of the
+    higher digits), the matrix of a slice of p * b indices has block (s, t)
+    equal to the matrix of its sub-slice (s - t) mod p, placed for every slice
+    at once by one fancy index and a transpose.
+    """
+    a = np.arange(p)
+    diff = (a[:, None] - a[None, :]) % p
+    m = indicator.reshape(-1, 1, 1)
+    for _ in range(dim):
+        c, b = m.shape[0] // p, m.shape[1]
+        m = m.reshape(c, p, b, b)[:, diff].transpose(0, 1, 3, 2, 4).reshape(c, p * b, p * b)
+    return m[0]
+
+
 def cayley_graph(cs: ConnectionSet) -> DenseGraph:
     """The Cayley graph of GF(p)**dim with connection set cs.members.
 
-    x ~ y iff x - y is in the set; the output is |S|-regular and
-    vertex-transitive under translations.
+    x ~ y iff x - y is in the set; the output is |S|-regular and carries the
+    translation moduli (p,) * dim, which DenseGraph checks.
     """
     p, dim = _space_shape(cs.field)
     n = p**dim
@@ -221,15 +248,7 @@ def cayley_graph(cs: ConnectionSet) -> DenseGraph:
 
     indicator = np.zeros(n, dtype=bool)
     indicator[members] = True
-    digs = _digits(n, p, dim)
-    pv = p ** np.arange(dim, dtype=np.int64)
-    adj = np.zeros((n, n), dtype=bool)
-    chunk = max(1, (1 << 22) // max(n * dim, 1))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        diff = (digs[lo:hi, None, :] - digs[None, :, :]) % p
-        adj[lo:hi] = indicator[diff @ pv]
-    return DenseGraph(adj)
+    return DenseGraph(_block_circulant(indicator, p, dim), (p,) * dim)
 
 
 # -- helpers shared by the field-coordinate families -----------------------------
@@ -239,7 +258,7 @@ def _split_prime_power(q: int) -> tuple[int, int]:
     """q = p**d with p prime, else ValueError."""
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
-    fac = sympy.factorint(q)
+    fac = factorint(q)
     if len(fac) != 1:
         raise ValueError(f"q = {q} is not a prime power")
     [(p, d)] = fac.items()
@@ -323,10 +342,10 @@ def van_lint_schrijver(q: int, e: int) -> DenseGraph:
     """
     if e == 2:
         raise Unsupported("e = 2 is the Paley construction; call paley(q)")
-    if e < 2 or not sympy.isprime(e):
+    if e < 2 or not isprime(e):
         raise ValueError(f"e = {e} must be prime")
     p, d = _split_prime_power(q)
-    if p % e == 0 or sympy.n_order(p, e) != e - 1:
+    if p % e == 0 or n_order(p, e) != e - 1:
         raise OrderCondition(
             f"p = {p} must have multiplicative order {e - 1} modulo e = {e}"
         )
@@ -349,14 +368,15 @@ def van_lint_schrijver(q: int, e: int) -> DenseGraph:
 def hamming2(m: int) -> DenseGraph:
     """Hamming graph H(2, m) = m x m rook's graph: vertices are ordered pairs
     (i, j) in [m]**2 (index i*m + j), adjacent iff they agree in exactly one
-    coordinate.  SRG(m**2, 2(m-1), m-2, 2)."""
+    coordinate.  SRG(m**2, 2(m-1), m-2, 2).  It is the Cayley graph of
+    Z_m x Z_m with the nonzero vectors on the axes, hence moduli (m, m)."""
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
     n = m * m
     i = np.arange(n) // m
     j = np.arange(n) % m
     adj = (i[:, None] == i[None, :]) ^ (j[:, None] == j[None, :])
-    return DenseGraph(adj)
+    return DenseGraph(adj, (m, m))
 
 
 def hamming2_stabilizer(m: int) -> GeneratorSet:
@@ -502,7 +522,7 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     extra: list[np.ndarray] = []
     target = _general_orthogonal_order(m, q, epsilon)
     if p > 2:
-        lam = int(sympy.primitive_root(p))
+        lam = primitive_root(p)
         target *= p - 1
         sim = np.eye(dim, dtype=np.int64)
         pairs = m if epsilon == 1 else m - 1
@@ -720,9 +740,11 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     Preconditions: G0 has exactly 2 orbits on nonzero vectors
     (WrongOrbitCount otherwise) and the chosen orbit is symmetric
     (AsymmetricOrbit otherwise).  Orbit 0 is the smaller one.  The affine
-    group is verified to act as automorphisms of the result.
+    group is verified to act as automorphisms of the result: the
+    translations by cayley_graph's DenseGraph, the linear generators here.
     """
-    nonzero = stabilizer_orbits(linear_perms(spec))
+    linear = linear_perms(spec)
+    nonzero = stabilizer_orbits(linear)
     if len(nonzero) != 2:
         raise WrongOrbitCount(len(nonzero))
     if orbit_choice not in (0, 1):
@@ -736,9 +758,9 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     g = cayley_graph(
         ConnectionSet(VectorSpace(spec.p, spec.d), frozenset(int(x) for x in chosen))
     )
-    for perm in affine_perms(spec).gens:
+    for perm in linear.gens:
         if not is_isomorphism(g, g, perm.img):  # pragma: no cover
-            raise AssertionError("affine group generator is not an automorphism")
+            raise AssertionError("linear generator is not an automorphism")
     return g
 
 
@@ -751,7 +773,7 @@ def _quaternion_units(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     unit quaternions are words in X and Y of determinant 1 (Conway & Smith,
     "On Quaternions and Octonions", 2003).  s is (1 + i + j + k)/2, of order
     6; conjugation by s cycles X -> Y -> XY."""
-    if p == 2 or not sympy.isprime(p):
+    if p == 2 or not isprime(p):
         raise ValueError(f"p = {p} must be an odd prime")
     a, b = next(
         (a, b)
@@ -815,7 +837,7 @@ def binary_icosahedral_spec(p: int, seed: int | None = None) -> MatrixGroupSpec:
         raise BadCongruence(f"5 is not a nonzero square mod {p}: need p = +-1 mod 5")
     x, y, s = _quaternion_units(p)
     h = pow(2, -1, p)
-    phi = (1 + int(sympy.sqrt_mod(5, p))) * h % p
+    phi = (1 + sqrt_mod(5, p)) * h % p
     t = (phi * np.eye(2, dtype=np.int64) + (phi - 1) * x + y) * h % p
     if seed is not None:
         rng = np.random.default_rng(seed)

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from typing import Iterator
-
-import sympy
 
 
 class NotPrime(ValueError):
@@ -44,6 +43,103 @@ class DoesNotDivide(ValueError):
 
 _MAX_Q = 2**31
 _TABLE_LIMIT = 2**16
+
+
+# -- elementary number theory ---------------------------------------------------
+#
+# The few integer helpers the package needs, each returning the same value as
+# its sympy namesake (the smallest primitive root, the smallest square root),
+# so element numbering and vertex labels do not depend on which one ran.
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def isprime(n: int) -> bool:
+    """Whether n is prime: Miller-Rabin to the first 13 prime bases, which is
+    exact for n < 3.3 * 10**24 (far beyond the 2**31 field cap)."""
+    if n < 2:
+        return False
+    for b in _SMALL_PRIMES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _SMALL_PRIMES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factorint(n: int) -> dict[int, int]:
+    """The prime factorization {prime: exponent} of n >= 1, by trial division,
+    primes ascending."""
+    if n < 1:
+        raise ValueError(f"n = {n} must be >= 1")
+    out: dict[int, int] = {}
+    r = 2
+    while r * r <= n:
+        while n % r == 0:
+            out[r] = out.get(r, 0) + 1
+            n //= r
+        r += 1 if r == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def n_order(a: int, n: int) -> int:
+    """The multiplicative order of a modulo n >= 2; ValueError unless
+    gcd(a, n) = 1."""
+    if n < 2 or gcd(a, n) != 1:
+        raise ValueError(f"{a} is not a unit modulo {n}")
+    phi = 1
+    for r, e in factorint(n).items():
+        phi *= (r - 1) * r ** (e - 1)
+    order = phi
+    for r in factorint(phi):
+        while order % r == 0 and pow(a, order // r, n) == 1:
+            order //= r
+    return order
+
+
+def primitive_root(p: int) -> int:
+    """The smallest primitive root modulo the prime p (1 for p = 2)."""
+    if not isprime(p):
+        raise NotPrime(f"p = {p} is not prime")
+    if p == 2:
+        return 1
+    cofactors = [(p - 1) // r for r in factorint(p - 1)]
+    return next(g for g in range(2, p) if all(pow(g, c, p) != 1 for c in cofactors))
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """The smallest x in [0, p) with x**2 = a mod the prime p, or None if a is
+    not a square mod p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return min(x, p - x)
 
 
 @dataclass(frozen=True)
@@ -352,16 +448,16 @@ def make_field(p: int, d: int) -> FiniteField:
     """
     if d < 1:
         raise ValueError(f"extension degree must be >= 1, got {d}")
-    if not sympy.isprime(p):
+    if not isprime(p):
         raise NotPrime(f"p = {p} is not prime")
     if p**d > _MAX_Q:
         raise TooLarge(f"p**d = {p}**{d} exceeds {_MAX_Q}")
     q = p**d
     if d == 1:
-        g = 1 if p == 2 else int(sympy.primitive_root(p))
+        g = primitive_root(p)
         modulus = ((-g) % p, 1)  # x - g
         return FiniteField(p, d, modulus, (g % p,))
-    prime_factors = sorted(sympy.factorint(q - 1))
+    prime_factors = list(factorint(q - 1))
     for high_first in product(range(p), repeat=d):
         if high_first[-1] == 0:
             continue  # constant term 0: x divides f, never primitive

@@ -1,9 +1,18 @@
 """Dense undirected graphs with strongly-regular-graph analytics.
 
 DenseGraph keeps the full n x n boolean adjacency matrix plus a row-packed
-uint64 view, so common-neighbour counts are word-wise AND + popcount.  That
-keeps full SRG verification of a 4096-vertex graph in the seconds range
-without any sparse machinery.
+uint64 view, so common-neighbour counts are word-wise AND + popcount.
+
+A graph may also carry ``moduli`` (m_1, ..., m_k): vertex i is the vector of
+its mixed-radix digits in Z_m1 x ... x Z_mk, and every translation of that
+group is an automorphism.  The constructor checks this on the k unit
+translations, which generate the group, and rejects the matrix otherwise.
+The translations act regularly, so the pair (u, v) maps to (0, v - u) and
+|N(u) & N(v)| = |N(0) & N(v - u)|: vertex 0's row of common-neighbour counts
+holds every count of the graph (Brouwer & Van Maldeghem, "Strongly Regular
+Graphs", 2022, ch. 11).  srg_params therefore checks that one row when the
+moduli are known and every row otherwise, on the same loop; a Cayley graph
+on 5041 vertices takes one popcount sweep instead of 5041.
 
 Serialization: the de-facto standard graph6 format (header-less variant) and
 a trivial "n\\nu v\\n..." edge-list text format for debugging.
@@ -11,6 +20,7 @@ a trivial "n\\nu v\\n..." edge-list text format for debugging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,16 +63,44 @@ class SrgParams:
         return SrgParams(n, n - k - 1, n - 2 * k + self.mu - 2, n - 2 * k + self.lam)
 
 
-class DenseGraph:
-    """Immutable undirected graph as a dense boolean adjacency matrix."""
+def unit_translations(moduli: tuple[int, ...]) -> list[np.ndarray]:
+    """Image arrays of the unit translations of Z_m1 x ... x Z_mk, where
+    point i is the vector of its mixed-radix digits c_j
+    (i = sum c_j * m_1 ... m_(j-1)); translation j adds 1 to digit j."""
+    idx = np.arange(math.prod(moduli), dtype=np.int64)
+    out = []
+    place = 1
+    for m in moduli:
+        digit = idx // place % m
+        out.append(idx + place * ((digit + 1) % m - digit))
+        place *= m
+    return out
 
-    def __init__(self, adjacency: np.ndarray):
+
+def _is_symmetric(adj: np.ndarray) -> bool:
+    """adj == adj.T, compared one band of 64 rows at a time against the
+    matching column band: a whole strided transpose is about 2.5x slower."""
+    n = adj.shape[0]
+    for lo in range(0, n, 64):
+        if not np.array_equal(adj[lo : lo + 64, lo:], adj[lo:, lo : lo + 64].T):
+            return False
+    return True
+
+
+class DenseGraph:
+    """Immutable undirected graph as a dense boolean adjacency matrix.
+
+    ``moduli``, if given, names a translation group Z_m1 x ... x Z_mk acting
+    regularly on the vertices (see the module docstring); every unit
+    translation is checked to be an automorphism."""
+
+    def __init__(self, adjacency: np.ndarray, moduli: tuple[int, ...] | None = None):
         adj = np.asarray(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
         if adj.diagonal().any():
             raise ValueError("adjacency has a loop (nonzero diagonal)")
-        if not np.array_equal(adj, adj.T):
+        if not _is_symmetric(adj):
             raise ValueError("adjacency is not symmetric")
         adj = adj.copy()
         adj.setflags(write=False)
@@ -76,6 +114,15 @@ class DenseGraph:
             packed8 = np.hstack([packed8, np.zeros((self.n, pad), dtype=np.uint8)])
         self._packed = packed8.view(np.uint64)
         self._packed.setflags(write=False)
+        self.moduli = None if moduli is None else tuple(int(m) for m in moduli)
+        if self.moduli is not None:
+            if min(self.moduli, default=0) < 1 or math.prod(self.moduli) != self.n:
+                raise ValueError(f"moduli {self.moduli} do not multiply to n = {self.n}")
+            for j, img in enumerate(unit_translations(self.moduli)):
+                if not is_isomorphism(self, self, img):
+                    raise ValueError(
+                        f"unit translation {j} of moduli {self.moduli} is not an automorphism"
+                    )
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "DenseGraph":
@@ -118,20 +165,23 @@ def common_neighbours(g: DenseGraph, u: int, v: int) -> int:
 def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
     """Whether the bijection i -> mapping[i] carries g onto h, i.e.
     h.adj[mapping[i], mapping[j]] == g.adj[i, j] for all i, j.  Compares row
-    blocks of about 1 MiB and stops at the first block that differs."""
+    blocks of about 1 MiB and stops at the first block that differs.  The
+    columns are gathered by np.take, which returns a C-ordered block: the
+    F-ordered block of ``[:, mapping]`` compares about 9x slower."""
     n = g.n
     rows = max(1, (1 << 20) // max(n, 1))
     for lo in range(0, n, rows):
-        block = h.adj[mapping[lo : lo + rows]][:, mapping]
+        block = np.take(h.adj[mapping[lo : lo + rows]], mapping, axis=1)
         if not np.array_equal(block, g.adj[lo : lo + rows]):
             return False
     return True
 
 
 def complement(g: DenseGraph) -> DenseGraph:
+    """The complement graph; it keeps g's translation moduli."""
     adj = ~g.adj
     np.fill_diagonal(adj, False)
-    return DenseGraph(adj)
+    return DenseGraph(adj, g.moduli)
 
 
 def srg_params(g: DenseGraph) -> SrgParams:
@@ -139,7 +189,8 @@ def srg_params(g: DenseGraph) -> SrgParams:
 
     Raises Degenerate for complete/empty graphs (parameters undefined there)
     and NotStronglyRegular with a witness pair otherwise.  Cost is one packed
-    popcount sweep per vertex row.
+    popcount sweep per checked row: vertex 0's alone when g.moduli certifies
+    a regular translation group, every vertex's otherwise.
     """
     n = g.n
     degs = g.degrees()
@@ -157,7 +208,7 @@ def srg_params(g: DenseGraph) -> SrgParams:
         )
     lam = mu = None
     packed = g._packed
-    for u in range(n):
+    for u in (0,) if g.moduli is not None else range(n):
         counts = np.bitwise_count(packed & packed[u]).sum(axis=1)
         row = g.adj[u]
         adj_counts = counts[row]

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
-from .gf import DoesNotDivide, FiniteField
+from .gf import DoesNotDivide, FiniteField, primitive_root
+from .graphs import unit_translations
 
 
 class SingularGenerator(ValueError):
@@ -539,21 +539,17 @@ def linear_perms(spec: MatrixGroupSpec) -> GeneratorSet:
 
 
 def with_translations(stab: GeneratorSet, moduli: tuple[int, ...]) -> GeneratorSet:
-    """The unit translations of Z_m1 x ... x Z_mk, followed by the generators
-    of stab, a group fixing 0.  Point i is the vector of its mixed-radix digits
-    c_j (i = sum c_j * m_1 ... m_(j-1)); the result generates T:stab."""
+    """The unit translations of Z_m1 x ... x Z_mk (graphs.unit_translations),
+    followed by the generators of stab, a group fixing 0; the result
+    generates T:stab."""
     n = math.prod(moduli)
     if n != stab.degree:
         raise ValueError(f"translations of order {n} on {stab.degree} points")
-    idx = np.arange(n, dtype=np.int64)
-    gens = []
-    place = 1
-    for m in moduli:
-        digit = idx // place % m
-        img = idx + place * ((digit + 1) % m - digit)
-        gens.append(Permutation(img.astype(np.int32), _validate=False))
-        place *= m
-    return GeneratorSet(n, tuple(gens) + stab.gens)
+    gens = tuple(
+        Permutation(img.astype(np.int32), _validate=False)
+        for img in unit_translations(moduli)
+    )
+    return GeneratorSet(n, gens + stab.gens)
 
 
 def affine_perms(spec: MatrixGroupSpec) -> GeneratorSet:
@@ -600,8 +596,7 @@ def central_product_with_scalars(p: int, s: MatrixGroupSpec, scalar_order: int) 
         raise BadOrder(f"scalar order {scalar_order} does not divide p - 1 = {p - 1}")
     if scalar_order == 1:
         return s
-    g = 1 if p == 2 else int(sympy.primitive_root(p))
-    lam = pow(g, (p - 1) // scalar_order, p)
+    lam = pow(primitive_root(p), (p - 1) // scalar_order, p)
     scalar = np.eye(s.d, dtype=np.int64) * lam
     return MatrixGroupSpec(p, s.d, s.gens + (scalar,))
 

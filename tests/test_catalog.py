@@ -23,7 +23,7 @@ from rank3.catalog import (
     _check_subdegrees,
 )
 from rank3.families import family_graph, family_group, parse_descriptor
-from rank3.graphs import DenseGraph
+from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import schreier_sims
 
 CATALOG = builtin_catalog()
@@ -370,3 +370,14 @@ class TestBuiltinSweeps:
     def test_slow_tier_no_fail(self):
         _, summary = verify_all(tier="slow", budget=120.0)
         assert summary["fail"] == 0
+
+
+@pytest.mark.parametrize(
+    "entry_id", [e.id for e in CATALOG if e.n <= 1024], ids=str
+)
+def test_one_row_srg_matches_dense_oracle(entry_id):
+    # every family graph carries translation moduli, so srg_params checks
+    # vertex 0's row only; the every-row loop on the bare matrix is the oracle
+    g = family_graph(BY_ID[entry_id].family)
+    assert g.moduli is not None and len(g.moduli) >= 1
+    assert srg_params(g) == srg_params(DenseGraph(g.adj))

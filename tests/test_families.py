@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rank3.families import (
     AsymmetricConnectionSet,
@@ -118,6 +119,29 @@ class TestCayleyGraph:
     def test_translation_invariance(self):
         assert_translation_invariant(paley(13), 13, 1)
         assert_translation_invariant(affine_polar(2, 2, -1), 2, 4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(
+            [(2, d) for d in range(1, 7)] + [(3, d) for d in range(1, 5)]
+            + [(5, d) for d in range(1, 4)] + [(7, 2)]
+        ),
+        st.data(),
+    )
+    def test_block_circulant_matches_difference_formula(self, shape, data):
+        # the digit-recursive build against the n x n x dim difference formula
+        p, dim = shape
+        n = p**dim
+        digs = digit_rows(n, p, dim)
+        pv = p ** np.arange(dim)
+        neg = ((p - digs) % p) @ pv
+        picks = data.draw(st.sets(st.integers(1, n - 1), min_size=1))
+        members = frozenset(picks) | {int(neg[v]) for v in picks}
+        g = cayley_graph(ConnectionSet(VectorSpace(p, dim), members))
+        indicator = np.zeros(n, dtype=bool)
+        indicator[sorted(members)] = True
+        assert np.array_equal(g.adj, indicator[((digs[:, None] - digs[None]) % p) @ pv])
+        assert g.moduli == (p,) * dim
 
 
 # -- one-dimensional families -----------------------------------------------------

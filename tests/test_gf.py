@@ -8,6 +8,7 @@ omega = x, giving omega.index = 3 and frobenius(omega) = x^3 = 2x+2 (index 8).
 """
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from rank3 import gf
@@ -193,3 +194,43 @@ def test_power_residue_classes_partition(pd):
         for a in sample:
             for b in sample:
                 assert a * b in c0
+
+
+# -- integer helpers against sympy ---------------------------------------------
+
+
+def test_number_theory_helpers_match_sympy_below_2000():
+    # the helpers replace sympy on the import path; labels depend on their
+    # exact values (smallest primitive root, smallest square root)
+    for n in range(2000):
+        assert gf.isprime(n) == sympy.isprime(n), n
+        if n >= 1:
+            assert gf.factorint(n) == sympy.factorint(n), n
+            assert list(gf.factorint(n)) == sorted(gf.factorint(n)), n
+    for p in sympy.primerange(2, 2000):
+        assert gf.primitive_root(p) == sympy.primitive_root(p), p
+        for a in range(p):
+            assert gf.sqrt_mod(a, p) == sympy.sqrt_mod(a, p), (a, p)
+        for a in range(1, min(p, 40)):
+            assert gf.n_order(a, p) == sympy.n_order(a, p), (a, p)
+        for e in (3, 5, 7, 11, 13):
+            if p % e:
+                assert gf.n_order(p, e) == sympy.n_order(p, e), (p, e)
+
+
+def test_isprime_beyond_trial_bases():
+    # strong pseudoprimes to the first 12 prime bases, and Mersenne primes
+    assert not gf.isprime(3215031751)
+    assert not gf.isprime(318665857834031151167461)
+    assert gf.isprime(2**31 - 1)
+    assert gf.isprime(2**61 - 1)
+
+
+def test_helpers_reject_bad_arguments():
+    with pytest.raises(NotPrime):
+        gf.primitive_root(15)
+    with pytest.raises(ValueError):
+        gf.n_order(6, 9)
+    with pytest.raises(ValueError):
+        gf.factorint(0)
+    assert gf.sqrt_mod(3, 7) is None

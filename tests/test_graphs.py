@@ -19,7 +19,9 @@ from rank3.graphs import (
     srg_params,
     to_adjacency_text,
     to_graph6,
+    unit_translations,
 )
+from rank3.families import ConnectionSet, VectorSpace, cayley_graph
 
 
 def cycle(n: int) -> DenseGraph:
@@ -101,6 +103,10 @@ def test_adjacency_validation():
     bad = np.zeros((3, 3), dtype=bool)
     bad[0, 1] = True  # not symmetric
     with pytest.raises(ValueError):
+        DenseGraph(bad)
+    bad = np.zeros((130, 130), dtype=bool)
+    bad[129, 70] = True  # only in the third band of rows
+    with pytest.raises(ValueError, match="symmetric"):
         DenseGraph(bad)
 
 
@@ -206,3 +212,47 @@ def test_is_isomorphism_checks_the_last_partial_block():
     adj[a, b] = adj[b, a] = not adj[a, b]
     assert np.array_equal(adj[np.ix_(sigma, sigma)][: n - 2], g.adj[: n - 2])
     assert not is_isomorphism(g, DenseGraph(adj), sigma)
+
+
+# -- translation moduli and the one-row SRG check ---------------------------------
+
+
+def test_unit_translations_are_mixed_radix_increments():
+    t0, t1 = unit_translations((3, 2))
+    # point i = c0 + 3 * c1
+    assert t0.tolist() == [1, 2, 0, 4, 5, 3]
+    assert t1.tolist() == [3, 4, 5, 0, 1, 2]
+
+
+def test_false_moduli_rejected():
+    # C_7 relabelled by swapping 1 and 2 is still a 7-cycle, but i -> i + 1
+    # is no longer an automorphism of the matrix
+    sigma = np.arange(7)
+    sigma[[1, 2]] = [2, 1]
+    c7 = relabelled(cycle(7), sigma)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        DenseGraph(c7.adj, (7,))
+    # the Petersen graph is vertex-transitive but not a Cayley graph
+    with pytest.raises(ValueError, match="not an automorphism"):
+        DenseGraph(petersen().adj, (10,))
+    with pytest.raises(ValueError, match="multiply"):
+        DenseGraph(cycle(6).adj, (2, 2))
+    assert DenseGraph(cycle(7).adj, (7,)).moduli == (7,)
+
+
+def test_seven_cycle_witness_at_vertex_zero():
+    # Cay(GF(7), {+-1}) = C_7: lambda = 0 from (0, 1), and the nonadjacent
+    # pairs (0, 2) and (0, 3) have 1 and 0 common neighbours
+    g = cayley_graph(ConnectionSet(VectorSpace(7, 1), frozenset({1, 6})))
+    assert g.moduli == (7,)
+    with pytest.raises(NotStronglyRegular) as e:
+        srg_params(g)
+    assert e.value.witness == (0, 3, "nonadjacent", 0, 1)
+
+
+def test_complement_keeps_moduli():
+    g = cayley_graph(ConnectionSet(VectorSpace(3, 2), frozenset({1, 2, 3, 6})))
+    co = complement(g)
+    assert co.moduli == (3, 3)
+    assert srg_params(co) == srg_params(DenseGraph(co.adj))
+    assert srg_params(co) == srg_params(g).complement_params()
