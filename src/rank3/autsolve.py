@@ -17,9 +17,17 @@ Pruning, in the standard shape:
   the same depth cannot carry an automorphism and is cut (hash equality never
   *accepts* anything by itself: leaves are always verified);
 * orbit pruning — on first-path nodes, siblings lying in the orbit of
-  already-explored choices under the automorphisms found so far are skipped;
+  already-explored choices under the known automorphisms fixing the node's
+  individualized prefix and the automorphisms found so far are skipped;
 * backjumping — a verified automorphism unwinds the search to the deepest
   first-path node whose individualized prefix it fixes.
+
+Known automorphisms are the unit translations of a graph's ``moduli``, which
+DenseGraph has certified, plus the caller's generators, each checked against
+the adjacency matrix.  The regular translations collapse the root to one
+branch, and a known zero-stabilizer transitive on N(0) and on the
+non-neighbours collapses depth 1.  They only prune: the search stays
+exhaustive, so no order rests on them generating the whole group.
 
 Strongly regular graphs are equitably homogeneous, so plain refinement never
 splits them; all the work happens in the search, and orbit pruning is what
@@ -27,10 +35,13 @@ keeps vertex-transitive inputs tractable.
 
 Isomorphism testing runs the same search on the disjoint union of the two
 graphs, branching the root over second-graph vertices only; an automorphism
-swapping the sides is exactly an isomorphism.  The union search is only run on
-connected pairs — an automorphism of the union that moves vertex 0 across then
-necessarily swaps the sides completely, which is what keeps the pruning rules
-exhaustive.  Disconnected inputs are matched component by component first.
+swapping the sides is exactly an isomorphism.  The branching side is one with
+translation moduli if either has them, and its translations are the known
+automorphisms; only without moduli is its group searched first instead.  The
+union search is only run on connected pairs — an automorphism of the union
+that moves vertex 0 across then necessarily swaps the sides completely, which
+is what keeps the pruning rules exhaustive.  Disconnected inputs are matched
+component by component first.
 """
 
 from __future__ import annotations
@@ -40,11 +51,12 @@ import math
 import sys
 import time
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DenseGraph, is_isomorphism
+from .graphs import DenseGraph, is_isomorphism, unit_translations
 from .permgrp import GeneratorSet, Permutation
 
 __all__ = [
@@ -278,10 +290,18 @@ class _OrbitSet:
 
 
 class _Solver:
-    """One automorphism/isomorphism search over a fixed graph."""
+    """One automorphism/isomorphism search over a fixed graph.
+
+    ``known`` holds image arrays of verified automorphisms of g; they seed the
+    orbit pruning of every first-path node whose prefix they fix."""
 
     def __init__(
-        self, g: DenseGraph, budget: float, deadline: float, iso_half: int | None = None
+        self,
+        g: DenseGraph,
+        budget: float,
+        deadline: float,
+        known: Sequence[np.ndarray] = (),
+        iso_half: int | None = None,
     ):
         self.g = g
         self.n = g.n
@@ -295,7 +315,7 @@ class _Solver:
         self.first_traces: list[int] = []
         self.first_cells: list[int] = []
         self.first_vertices: list[int] = []
-        self.root_orbits: _OrbitSet | None = None  # externally seeded root pruning
+        self.known = known
 
     # - plumbing -
 
@@ -312,6 +332,18 @@ class _Solver:
             return int(smallest[0])
         first_member = [int(np.argmax(colors == c)) for c in smallest]
         return int(smallest[int(np.argmin(first_member))])
+
+    def _known_orbits(self, depth: int) -> _OrbitSet | None:
+        """An orbit set under the known automorphisms fixing the first path's
+        prefix of this depth; None when none fixes it."""
+        prefix = self.first_vertices[:depth]
+        fixing = [img for img in self.known if all(img[u] == u for u in prefix)]
+        if not fixing:
+            return None
+        orbits = _OrbitSet(self.n)
+        for img in fixing:
+            orbits.add_gen(img)
+        return orbits
 
     # - leaves -
 
@@ -363,7 +395,7 @@ class _Solver:
             members = np.concatenate(([0], members[members >= self.iso_half]))
             if len(members) == 1:
                 return  # vertex 0's class has no second-side counterpart
-        orbits: _OrbitSet | None = self.root_orbits if depth == 0 else None
+        orbits = self._known_orbits(depth) if on_first_path else None
         for v in members:
             v = int(v)
             if on_first_path and orbits is not None and v in orbits:
@@ -426,11 +458,13 @@ class _Solver:
 class AutResult:
     """Solver output: generators of Aut(g), its order, and search statistics.
 
-    The order falls out of the search tree itself: the generators found at
-    first-path depth >= d generate the stabilizer of the first d
-    individualized vertices, so the group order is the product over the first
-    path of the orbit length of each individualized vertex under the
-    generators fixing the vertices before it.
+    The generators are the ``known`` automorphisms the search started from
+    (the unit translations of g.moduli, then the caller's), followed by those
+    it found; ``known`` counts the former.  The order falls out of the search
+    tree itself: the generators fixing the first d individualized vertices
+    generate their pointwise stabilizer, so the group order is the product
+    over the first path of the orbit length of each individualized vertex
+    under the generators fixing the vertices before it.
     """
 
     generators: GeneratorSet
@@ -438,6 +472,15 @@ class AutResult:
     nodes: int
     refinements: int
     seconds: float
+    known: int
+
+    def counters(self) -> str:
+        """The search counters as one line of text."""
+        found = len(self.generators.gens) - self.known
+        return (
+            f"nodes {self.nodes}, refinements {self.refinements}, "
+            f"generators {self.known} known + {found} found"
+        )
 
 
 def _order_from_first_path(
@@ -462,24 +505,44 @@ def _order_from_first_path(
     return order
 
 
-def automorphism_group(g: DenseGraph, budget: float = 60.0) -> AutResult:
+def automorphism_group(
+    g: DenseGraph, budget: float = 60.0, known: GeneratorSet | None = None
+) -> AutResult:
     """Generators and order of the full automorphism group of g.
 
-    Every emitted generator is verified against the whole adjacency matrix.
-    Completeness comes from exhausting the individualization tree modulo
-    trace/orbit pruning.  Raises Timeout(budget) when the budget (seconds)
+    The search starts from the unit translations of g.moduli and the
+    generators of ``known``, each of which is checked against the whole
+    adjacency matrix (ValueError if one is not an automorphism), as is every
+    generator the search finds.  Completeness comes from exhausting the
+    individualization tree modulo trace/orbit pruning, so ``known`` may
+    generate any subgroup.  Raises Timeout(budget) when the budget (seconds)
     runs out.
     """
     start = time.monotonic()
     n = g.n
+    if known is not None and known.degree != n:
+        raise ValueError(f"known generators have degree {known.degree}, graph has {n}")
+    seeds = [  # certified by DenseGraph
+        Permutation(img.astype(np.int32), _validate=False)
+        for img in unit_translations(g.moduli or ())
+    ]
+    for j, perm in enumerate(() if known is None else known.gens):
+        if not is_isomorphism(g, g, perm.img):
+            raise ValueError(f"known generator {j} is not an automorphism of the graph")
+        seeds.append(perm)
     if n == 0:
-        return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0.0)
-    solver = _Solver(g, budget, start + budget)
+        return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0.0, 0)
+    solver = _Solver(g, budget, start + budget, [p.img for p in seeds])
     solver.run(trivial_coloring(n))
-    gs = GeneratorSet(n, tuple(solver.gens))
-    order = _order_from_first_path(n, solver.first_vertices, solver.gens)
+    gens = seeds + solver.gens
+    order = _order_from_first_path(n, solver.first_vertices, gens)
     return AutResult(
-        gs, order, solver.nodes, solver.refiner.refinements, time.monotonic() - start
+        GeneratorSet(n, tuple(gens)),
+        order,
+        solver.nodes,
+        solver.refiner.refinements,
+        time.monotonic() - start,
+        len(seeds),
     )
 
 
@@ -522,14 +585,25 @@ def _components(g: DenseGraph) -> list[np.ndarray]:
     return out
 
 
+def _lift(perm_imgs: Iterable[np.ndarray], n: int) -> list[np.ndarray]:
+    """Automorphisms of the second side, as automorphisms of the union that
+    fix the first side pointwise."""
+    ident = np.arange(n, dtype=np.int32)
+    return [np.concatenate((ident, img.astype(np.int32) + n)) for img in perm_imgs]
+
+
 def _iso_connected(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
     """Union-graph search for connected g and h of equal size.
 
     Connectedness matters: any automorphism of the union moving vertex 0 to
     the h side must then carry the whole g side across, so every verified
     cross leaf is a complete side swap and the automorphism-based pruning
-    stays exhaustive.
+    stays exhaustive.  The root branches over h, collapsed by h's
+    translations or else by Aut(h) found within a slice of the budget; when
+    only g carries moduli the sides are swapped and the mapping inverted.
     """
+    if g.moduli is not None and h.moduli is None:
+        return np.argsort(_iso_connected(h, g, deadline)).astype(np.int32)
     n = g.n
     budget = deadline - time.monotonic()
     if _refinement_signature(g, deadline, budget) != _refinement_signature(
@@ -538,19 +612,15 @@ def _iso_connected(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
         raise NotIsomorphic("equitable refinement signatures differ")
     if g == h:
         return np.arange(n, dtype=np.int32)
-    union = _union_graph(g, h)
-    solver = _Solver(union, budget, deadline, iso_half=n)
-    # collapse root branches by h's own automorphisms
-    try:
-        hint = automorphism_group(h, budget=budget * 0.4)
-        solver.root_orbits = _OrbitSet(2 * n)
-        for perm in hint.generators.gens:
-            img = np.concatenate(
-                (np.arange(n, dtype=np.int32), perm.img.astype(np.int32) + n)
-            )
-            solver.root_orbits.add_gen(img)
-    except Timeout:
-        pass
+    if h.moduli is not None:
+        known = _lift(unit_translations(h.moduli), n)
+    else:
+        try:
+            hint = automorphism_group(h, budget=budget * 0.4)
+            known = _lift((p.img for p in hint.generators.gens), n)
+        except Timeout:
+            known = []
+    solver = _Solver(_union_graph(g, h), budget, deadline, known, iso_half=n)
     try:
         solver.run(trivial_coloring(2 * n))
     except _CrossFound as cross:
@@ -566,9 +636,11 @@ def are_isomorphic(
     distinguishing invariant otherwise, or Timeout(budget).
 
     The search runs on the disjoint union of g and h, branching the root over
-    h-side vertices; h's own automorphisms are computed first (within a slice
-    of the budget) and used to collapse equivalent root branches.
-    Disconnected graphs are decomposed and matched component by component.
+    the vertices of a side with translation moduli when either has them; that
+    side's translations collapse equivalent root branches.  When neither side
+    has moduli, h's own automorphisms are computed first (within a slice of
+    the budget) to do the same.  Disconnected graphs are decomposed and
+    matched component by component.
     """
     deadline = time.monotonic() + budget
     if g.n != h.n:

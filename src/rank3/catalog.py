@@ -9,7 +9,9 @@ isomorphism claims against other families.  verify_entry runs the pipeline
 and emits a machine-readable Report; verify_all filters by tier and
 aggregates.  The rank/subdegree stage takes, at every degree, the orbits of
 the family's zero-stabilizer G0 on the nonzero vertices: rank = 1 + their
-number, subdegrees = their sizes, and N(0) must be one of them.  Tiers bound
+number, subdegrees = their sizes, and N(0) must be one of them.  The aut
+stage hands the same G0 to the solver as known automorphisms, which prune its
+search but never stand in for it.  Tiers bound
 the cost: FULL rows (degree <= 256) run everything, SLOW rows run everything
 but may time out (downgrading, never failing, the verdict), PARAMS_ONLY rows
 stop after the subdegree check.
@@ -43,7 +45,7 @@ from .families import (
     zero_stabilizer,
 )
 from .graphs import Degenerate, DenseGraph, NotStronglyRegular, srg_params
-from .permgrp import orbit, stabilizer_rank
+from .permgrp import GeneratorSet, orbit, stabilizer_rank
 
 __all__ = [
     "TIERS",
@@ -517,11 +519,11 @@ def reports_from_json(text: str) -> tuple[list[Report], dict]:
 
 
 def _check_subdegrees(
-    entry: CatalogEntry, g: DenseGraph, seed: int | None = None
+    entry: CatalogEntry, g: DenseGraph, stab: GeneratorSet | None
 ) -> StageOutcome:
-    """Rank and subdegrees from the orbits of the family's zero-stabilizer,
-    and the edge set as one of its orbitals: N(0) must be one of those
-    orbits, not merely have the size of one."""
+    """Rank and subdegrees from the orbits of the family's zero-stabilizer
+    ``stab``, and the edge set as one of its orbitals: N(0) must be one of
+    those orbits, not merely have the size of one."""
     valency = int(g.adj[0].sum())
     if valency != entry.subdegrees[0]:
         return StageOutcome(
@@ -529,7 +531,6 @@ def _check_subdegrees(
             f"graph valency {valency} != claimed edge-orbital size "
             f"{entry.subdegrees[0]}",
         )
-    stab = zero_stabilizer(entry.family, seed)
     if stab is None:
         return StageOutcome(
             "ok",
@@ -558,24 +559,31 @@ def _time_left(deadline: float) -> float:
     return max(0.0, deadline - time.monotonic())
 
 
-def _check_aut(entry: CatalogEntry, g: DenseGraph, deadline: float) -> StageOutcome:
+def _check_aut(
+    entry: CatalogEntry, g: DenseGraph, deadline: float, known: GeneratorSet | None
+) -> StageOutcome:
+    """The solver's order against the expected one.  The search starts from
+    g's translations and ``known`` (the zero-stabilizer), and the detail ends
+    with its counters."""
     budget = _time_left(deadline)
     try:
-        result = automorphism_group(g, budget=budget)
+        result = automorphism_group(g, budget=budget, known=known)
     except Timeout:
         return StageOutcome("timeout", f"no order within {budget:g}s")
+    counters = result.counters()
     if entry.expected_aut_order is None:
         return StageOutcome(
-            "ok", f"computed order {result.order} (no expected value on file)"
+            "ok",
+            f"computed order {result.order} (no expected value on file) ({counters})",
         )
     if result.order != entry.expected_aut_order:
         return StageOutcome(
             "mismatch",
             f"solver order {result.order} != expected "
             f"{entry.expected_aut_order} (solver value reported for "
-            f"adjudication)",
+            f"adjudication) ({counters})",
         )
-    return StageOutcome("ok", f"order {result.order}")
+    return StageOutcome("ok", f"order {result.order} ({counters})")
 
 
 def _check_iso(entry: CatalogEntry, g: DenseGraph, deadline: float) -> StageOutcome:
@@ -631,6 +639,7 @@ def _run_pipeline(
     stages: dict[str, StageOutcome] = {}
     timings: dict[str, float] = {}
     g: DenseGraph | None = None
+    stab: GeneratorSet | None = None  # the zero-stabilizer, reused by aut
     deadline = math.inf  # the row's solver deadline, started by the aut stage
 
     def construct_outcome() -> StageOutcome:
@@ -652,15 +661,20 @@ def _run_pipeline(
             f"srg({params.n}, {params.k}, {params.lam}, {params.mu})",
         )
 
+    def subdegrees_outcome() -> StageOutcome:
+        nonlocal stab
+        stab = zero_stabilizer(entry.family, seed)
+        return _check_subdegrees(entry, g, stab)
+
     def aut_outcome() -> StageOutcome:
         nonlocal deadline
         deadline = time.monotonic() + budget
-        return _check_aut(entry, g, deadline)
+        return _check_aut(entry, g, deadline, stab)
 
     pipeline = [
         ("construct", construct_outcome),
         ("srg", srg_outcome),
-        ("subdegrees", lambda: _check_subdegrees(entry, g, seed)),
+        ("subdegrees", subdegrees_outcome),
     ]
     if entry.tier != "PARAMS_ONLY":
         pipeline += [

@@ -3,7 +3,8 @@
 Subcommands:
     construct <descriptor> [--graph6 OUT]   build a family graph
     params <descriptor>                     strong-regularity parameters
-    aut <descriptor> [--budget S]           full automorphism group order
+    aut <descriptor> [--budget S]           full automorphism group order, search
+                                            seeded with the family's zero-stabilizer
     iso <d1> <d2> [--budget S]              isomorphism test with mapping
     rank <spec-file>                        rank/subdegrees of an affine group
     verify [--tier T] [--seed N] [--json OUT] [--budget S] [--catalog FILE]
@@ -20,7 +21,7 @@ import sys
 
 from . import catalog as _catalog
 from .autsolve import NotIsomorphic, Timeout, are_isomorphic, automorphism_group
-from .families import family_graph, parse_descriptor
+from .families import family_graph, parse_descriptor, zero_stabilizer
 from .graphs import Degenerate, NotStronglyRegular, srg_params, to_graph6
 from .permgrp import linear_perms, read_matrix_spec, stabilizer_rank
 
@@ -55,16 +56,14 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_aut(args: argparse.Namespace) -> int:
-    g = _graph_for(args.descriptor)
+    fid = parse_descriptor(args.descriptor)
+    g = family_graph(fid)
     try:
-        r = automorphism_group(g, budget=args.budget)
+        r = automorphism_group(g, budget=args.budget, known=zero_stabilizer(fid))
     except Timeout:
         print(f"timeout: no order within {args.budget:g}s", file=sys.stderr)
         return 1
-    print(
-        f"order {r.order} ({len(r.generators.gens)} generators, "
-        f"{r.nodes} search nodes, {r.seconds:.2f}s)"
-    )
+    print(f"order {r.order} ({r.counters()}, {r.seconds:.2f}s)")
     return 0
 
 

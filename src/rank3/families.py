@@ -41,7 +41,7 @@ from .gf import (
     primitive_root,
     sqrt_mod,
 )
-from .graphs import DenseGraph, is_isomorphism
+from .graphs import DenseGraph, is_linear_automorphism
 import importlib.resources
 
 from .permgrp import (
@@ -741,7 +741,8 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     (WrongOrbitCount otherwise) and the chosen orbit is symmetric
     (AsymmetricOrbit otherwise).  Orbit 0 is the smaller one.  The affine
     group is verified to act as automorphisms of the result: the
-    translations by cayley_graph's DenseGraph, the linear generators here.
+    translations by cayley_graph's DenseGraph, the linear generators here,
+    by the row-0 test that the certified translations allow.
     """
     linear = linear_perms(spec)
     nonzero = stabilizer_orbits(linear)
@@ -759,7 +760,7 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
         ConnectionSet(VectorSpace(spec.p, spec.d), frozenset(int(x) for x in chosen))
     )
     for perm in linear.gens:
-        if not is_isomorphism(g, g, perm.img):  # pragma: no cover
+        if not is_linear_automorphism(g, perm.img):  # pragma: no cover
             raise AssertionError("linear generator is not an automorphism")
     return g
 

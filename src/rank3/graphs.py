@@ -177,6 +177,21 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
     return True
 
 
+def is_linear_automorphism(g: DenseGraph, mapping: np.ndarray) -> bool:
+    """Whether an additive bijection is an automorphism of g, in O(n).
+
+    Preconditions: g.moduli is set (ValueError otherwise), so the
+    translations are certified, and ``mapping`` is additive on
+    Z_m1 x ... x Z_mk, e.g. a linear map of GF(p)^d; on any other mapping
+    the answer means nothing.  Then adj[x, y] = adj[0, y - x] and
+    adj[mapping[x], mapping[y]] = adj[0, mapping[y - x]], so vertex 0's row
+    decides: adj[0, mapping[z]] == adj[0, z] for every z."""
+    if g.moduli is None:
+        raise ValueError("the row-0 test needs certified translation moduli")
+    row = g.adj[0]
+    return bool(np.array_equal(row[mapping], row))
+
+
 def complement(g: DenseGraph) -> DenseGraph:
     """The complement graph; it keeps g's translation moduli."""
     adj = ~g.adj

@@ -22,6 +22,7 @@ from rank3.autsolve import (
     refine,
     trivial_coloring,
 )
+from rank3.catalog import builtin_catalog
 from rank3.families import (
     family_graph,
     family_group,
@@ -29,9 +30,10 @@ from rank3.families import (
     paley,
     parse_descriptor,
     peisert,
+    zero_stabilizer,
 )
 from rank3.graphs import DenseGraph, complement
-from rank3.permgrp import schreier_sims
+from rank3.permgrp import GeneratorSet, Permutation, schreier_sims
 
 
 def path_graph(n):
@@ -320,6 +322,67 @@ class TestAutomorphismGroup:
         m = are_isomorphic(g, h)
         assert sorted(m.tolist()) == list(range(g.n))
         assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
+
+
+class TestSeededSearch:
+    """The search started from known automorphisms: the translations of the
+    graph's moduli and the caller's zero-stabilizer."""
+
+    ROWS = [e for e in builtin_catalog() if e.tier in ("FULL", "SLOW")]
+
+    @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
+    def test_seeded_order_matches_plain_search(self, entry):
+        g = family_graph(entry.family)
+        stab = zero_stabilizer(entry.family)
+        seeded = automorphism_group(g, known=stab)
+        plain = automorphism_group(DenseGraph(g.adj))
+        assert seeded.order == plain.order == entry.expected_aut_order
+        assert seeded.refinements < plain.refinements
+        assert plain.known == 0
+        assert seeded.known == len(g.moduli) + len(stab.gens)
+        for perm in seeded.generators.gens:
+            assert np.array_equal(g.adj[np.ix_(perm.img, perm.img)], g.adj)
+
+    def test_non_automorphism_rejected(self):
+        g = paley(13)
+        swap = np.arange(13)
+        swap[[1, 2]] = [2, 1]  # a square and a non-square
+        with pytest.raises(ValueError, match="not an automorphism"):
+            automorphism_group(g, known=GeneratorSet(13, (Permutation(swap),)))
+        with pytest.raises(ValueError, match="degree"):
+            automorphism_group(g, known=GeneratorSet(9, (Permutation.identity(9),)))
+
+    def test_proper_subgroup_still_gives_full_order(self):
+        # x -> 16x generates the order-3 subgroup of G0 = <x -> 4x> (order 6)
+        g = paley(13)
+        four = zero_stabilizer(parse_descriptor("paley:13")).gens[0].img
+        cube = GeneratorSet(13, (Permutation(four[four]),))
+        for h in (g, DenseGraph(g.adj)):
+            r = automorphism_group(h, known=cube)
+            assert r.order == 78
+            assert schreier_sims(r.generators).order == 78
+
+    @pytest.mark.parametrize("desc", ["vls:64:3", "orbital:q8:13"])
+    def test_iso_either_side_may_carry_moduli(self, desc, monkeypatch):
+        import rank3.autsolve as autsolve
+
+        def no_hint(*args, **kwargs):
+            raise AssertionError("Aut(h) hint searched beside translation moduli")
+
+        monkeypatch.setattr(autsolve, "automorphism_group", no_hint)
+        g = family_graph(parse_descriptor(desc))
+        h = relabelled(g, 5)
+        for a, b in ((g, h), (h, g)):
+            m = are_isomorphic(a, b)
+            assert sorted(m.tolist()) == list(range(g.n))
+            assert np.array_equal(b.adj[np.ix_(m, m)], a.adj)
+
+    def test_paley49_not_relabelled_peisert49_either_way(self):
+        g = paley(49)
+        h = relabelled(peisert(49), 2)
+        for a, b in ((g, h), (h, g)):
+            with pytest.raises(NotIsomorphic):
+                are_isomorphic(a, b, budget=300)
 
 
 class TestMidSizeOrders:

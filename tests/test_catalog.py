@@ -22,7 +22,7 @@ from rank3.catalog import (
     verify_entry,
     _check_subdegrees,
 )
-from rank3.families import family_graph, family_group, parse_descriptor
+from rank3.families import family_graph, family_group, parse_descriptor, zero_stabilizer
 from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import schreier_sims
 
@@ -162,7 +162,9 @@ class TestVerifyEntry:
         perm = np.arange(13)
         perm[[1, 2]] = [2, 1]
         moved = DenseGraph(g.adj[np.ix_(perm, perm)])
-        outcome = _check_subdegrees(BY_ID["paley:13"], moved)
+        outcome = _check_subdegrees(
+            BY_ID["paley:13"], moved, zero_stabilizer(parse_descriptor("paley:13"))
+        )
         assert outcome.status == "mismatch"
         assert "not an orbit" in outcome.detail
 
@@ -173,8 +175,9 @@ class TestVerifyEntry:
         assert report.stages["subdegrees"].status == "ok"
         # the default-seed zero-stabilizer does not act on the seed-1 graph
         g = family_graph(entry.family, seed=1)
-        assert _check_subdegrees(entry, g).status == "mismatch"
-        assert _check_subdegrees(entry, g, seed=1).status == "ok"
+        stab, stab1 = zero_stabilizer(entry.family), zero_stabilizer(entry.family, seed=1)
+        assert _check_subdegrees(entry, g, stab).status == "mismatch"
+        assert _check_subdegrees(entry, g, stab1).status == "ok"
 
     def test_construct_timing_covers_build(self, monkeypatch):
         import rank3.catalog as catalog
@@ -201,10 +204,10 @@ class TestVerifyEntry:
 
         budgets = []
 
-        def slow_aut(g, budget):
+        def slow_aut(g, budget, known=None):
             budgets.append(budget)
             time.sleep(0.3)
-            return automorphism_group(g, budget=budget)
+            return automorphism_group(g, budget=budget, known=known)
 
         def slow_iso(g, h, budget):
             budgets.append(budget)

@@ -40,6 +40,7 @@ from rank3.families import (
     _check_similitudes,
     _quaternion_units,
 )
+from rank3.autsolve import automorphism_group
 from rank3.gf import make_field
 from rank3.graphs import DenseGraph, complement, srg_params
 
@@ -48,6 +49,7 @@ def srg(g):
     p = srg_params(g)
     return (p.n, p.k, p.lam, p.mu)
 from rank3.permgrp import (
+    GeneratorSet,
     MatrixGroupSpec,
     affine_perms,
     linear_perms,
@@ -326,10 +328,15 @@ class TestBilinearForms:
 
     @pytest.mark.slow
     def test_gf4_valency_and_group(self):
+        # the solver's generators fixing 0 generate the full Aut_0, whose
+        # suborbits any rank-3 subgroup shares
         g = bilinear_forms(4, 3)
         assert g.n == 4096
         assert (g.degrees() == 315).all()
-        assert rank_and_subdegrees(affine_perms(bilinear_forms_group(4, 3))) == (
+        r = automorphism_group(g)
+        aut0 = GeneratorSet(g.n, tuple(p for p in r.generators.gens if p.img[0] == 0))
+        assert stabilizer_rank(aut0) == (3, [315, 3780])
+        assert stabilizer_rank(linear_perms(bilinear_forms_group(4, 3))) == (
             3,
             [315, 3780],
         )

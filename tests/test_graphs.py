@@ -4,7 +4,7 @@ graph6 round-trips cross-checked against networkx."""
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rank3.graphs import (
     Degenerate,
@@ -16,12 +16,20 @@ from rank3.graphs import (
     from_adjacency_text,
     from_graph6,
     is_isomorphism,
+    is_linear_automorphism,
     srg_params,
     to_adjacency_text,
     to_graph6,
     unit_translations,
 )
 from rank3.families import ConnectionSet, VectorSpace, cayley_graph
+from rank3.permgrp import (
+    GeneratorSet,
+    MatrixGroupSpec,
+    SingularGenerator,
+    linear_perms,
+    orbit,
+)
 
 
 def cycle(n: int) -> DenseGraph:
@@ -256,3 +264,41 @@ def test_complement_keeps_moduli():
     assert co.moduli == (3, 3)
     assert srg_params(co) == srg_params(DenseGraph(co.adj))
     assert srg_params(co) == srg_params(g).complement_params()
+
+
+# -- the row-0 test for linear automorphisms ---------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 1)]),
+    st.data(),
+)
+def test_linear_automorphism_agrees_with_full_check(shape, data):
+    # Cay(GF(p)^d, S) against a random invertible matrix M: S is either a
+    # union of <M, -I>-orbits (M an automorphism) or any symmetric set (M
+    # usually moves it); the row-0 test must agree with the n^2 check
+    p, d = shape
+    n = p**d
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))
+    try:
+        spec = MatrixGroupSpec(p, d, (np.array(entries).reshape(d, d), -np.eye(d, dtype=int)))
+    except SingularGenerator:
+        assume(False)
+    mat, neg = linear_perms(spec).gens
+    seeds = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        members = set().union(*(orbit(GeneratorSet(n, (mat, neg)), s) for s in seeds))
+    else:
+        members = set(seeds) | {int(neg.img[s]) for s in seeds}
+    g = cayley_graph(ConnectionSet(VectorSpace(p, d), frozenset(members)))
+    fast = is_linear_automorphism(g, mat.img)
+    assert fast == is_isomorphism(g, g, mat.img)
+    assert fast == (members == {int(mat.img[s]) for s in members})
+
+
+def test_linear_automorphism_needs_moduli():
+    g = cayley_graph(ConnectionSet(VectorSpace(3, 2), frozenset({1, 2})))
+    assert is_linear_automorphism(g, np.arange(9))
+    with pytest.raises(ValueError, match="moduli"):
+        is_linear_automorphism(DenseGraph(g.adj), np.arange(9))
