@@ -389,6 +389,15 @@ def row_6561() -> MatrixGroupSpec:
     )
 
 
+def file_text(name: str, spec: MatrixGroupSpec) -> str:
+    """The contents of the shipped data file `name`.txt for spec."""
+    header = (
+        f"# {name}: two-orbit normalizer of an extraspecial-type 2-group\n"
+        f"# regenerated by scripts/derive_extraspecial_rows.py\n"
+    )
+    return header + format_matrix_spec(spec)
+
+
 def main() -> None:
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     for name, builder in [
@@ -396,13 +405,8 @@ def main() -> None:
         ("extraspecial_2401", row_2401),
         ("extraspecial_6561", row_6561),
     ]:
-        spec = builder()
         path = DATA_DIR / f"{name}.txt"
-        header = (
-            f"# {name}: two-orbit normalizer of an extraspecial-type 2-group\n"
-            f"# regenerated by scripts/derive_extraspecial_rows.py\n"
-        )
-        path.write_text(header + format_matrix_spec(spec), encoding="utf-8")
+        path.write_text(file_text(name, builder()), encoding="utf-8")
         print(f"wrote {path}")
 
 

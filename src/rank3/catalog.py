@@ -408,24 +408,42 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
     }
 
 
+_REQUIRED = object()  # entry_from_dict: the field has no default
+
+
 def entry_from_dict(data: dict) -> CatalogEntry:
+    """The inverse of entry_to_dict.  A missing or malformed field raises
+    ValueError naming the entry and the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"catalog entry {data!r} is not a JSON object")
+    where = f"catalog entry {data.get('id', '<no id>')!r}"
+
+    def field(key: str, convert=lambda v: v, default=_REQUIRED):
+        if key not in data:
+            if default is _REQUIRED:
+                raise ValueError(f"{where}: missing field {key!r}")
+            return default
+        try:
+            return convert(data[key])
+        except (TypeError, ValueError, KeyError, IndexError) as exc:
+            raise ValueError(f"{where}: bad field {key!r}: {exc}") from None
+
     return CatalogEntry(
-        id=data["id"],
-        family=parse_descriptor(data["family"]),
-        n=int(data["n"]),
-        subdegrees=(int(data["subdegrees"][0]), int(data["subdegrees"][1])),
-        expected_aut_order=(
-            None
-            if data.get("expected_aut_order") is None
-            else int(data["expected_aut_order"])
+        id=field("id"),
+        family=field("family", parse_descriptor),
+        n=field("n", int),
+        subdegrees=field("subdegrees", lambda v: tuple(int(x) for x in v)),
+        expected_aut_order=field(
+            "expected_aut_order", lambda v: None if v is None else int(v), default=None
         ),
-        group_name=data.get("group_name", ""),
-        iso_claims=tuple(
-            IsoClaim(c["other"], bool(c["isomorphic"]))
-            for c in data.get("iso_claims", ())
+        group_name=field("group_name", default=""),
+        iso_claims=field(
+            "iso_claims",
+            lambda cs: tuple(IsoClaim(c["other"], bool(c["isomorphic"])) for c in cs),
+            default=(),
         ),
-        tier=data["tier"],
-        source=data.get("source", ""),
+        tier=field("tier"),
+        source=field("source", default=""),
     )
 
 

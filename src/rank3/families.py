@@ -33,6 +33,7 @@ import numpy as np
 
 from .gf import (
     FiniteField,
+    digits,
     factorint,
     isprime,
     make_field,
@@ -189,25 +190,6 @@ class ConnectionSet:
         return p**dim
 
 
-def _digits(n: int, p: int, dim: int) -> np.ndarray:
-    """(n, dim) array: row i = little-endian base-p digits of i."""
-    out = np.empty((n, dim), dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    for j in range(dim):
-        idx, out[:, j] = np.divmod(idx, p)
-    return out
-
-
-def _negate_indices(members: np.ndarray, p: int, dim: int) -> np.ndarray:
-    """Indices of -v for each vector index v."""
-    pv = p ** np.arange(dim, dtype=np.int64)
-    digs = np.empty((len(members), dim), dtype=np.int64)
-    idx = members.astype(np.int64).copy()
-    for j in range(dim):
-        idx, digs[:, j] = np.divmod(idx, p)
-    return ((p - digs) % p) @ pv
-
-
 def _block_circulant(indicator: np.ndarray, p: int, dim: int) -> np.ndarray:
     """The p**dim x p**dim matrix M[i, j] = indicator[i - j], the difference
     taken digit by digit mod p.
@@ -242,12 +224,11 @@ def cayley_graph(cs: ConnectionSet) -> DenseGraph:
         raise ZeroInSet("connection set contains the zero vector")
     if members[0] < 0 or members[-1] >= n:
         raise ValueError(f"member index out of range [0, {n})")
-    neg = _negate_indices(members, p, dim)
-    if set(neg.tolist()) != set(members.tolist()):
-        raise AsymmetricConnectionSet("connection set is not closed under negation")
-
     indicator = np.zeros(n, dtype=bool)
     indicator[members] = True
+    negation = (-digits(n, p, dim) % p) @ (p ** np.arange(dim))
+    if not np.array_equal(indicator[negation], indicator):
+        raise AsymmetricConnectionSet("connection set is not closed under negation")
     return DenseGraph(_block_circulant(indicator, p, dim), (p,) * dim)
 
 
@@ -265,21 +246,8 @@ def _split_prime_power(q: int) -> tuple[int, int]:
     return int(p), int(d)
 
 
-@lru_cache(maxsize=None)
-def _field_tables(q: int) -> tuple[FiniteField, np.ndarray, np.ndarray, np.ndarray]:
-    """(field, add, sub, mul) index tables for GF(q), each q x q int64."""
-    p, d = _split_prime_power(q)
-    field = make_field(p, d)
-    els = [field.from_index(i) for i in range(q)]
-    add = np.empty((q, q), dtype=np.int64)
-    sub = np.empty((q, q), dtype=np.int64)
-    mul = np.empty((q, q), dtype=np.int64)
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            add[i, j] = (a + b).index
-            sub[i, j] = (a - b).index
-            mul[i, j] = (a * b).index
-    return field, add, sub, mul
+def _field(q: int) -> FiniteField:
+    return make_field(*_split_prime_power(q))
 
 
 def _anisotropic_pair(q: int) -> tuple[int, int]:
@@ -288,11 +256,14 @@ def _anisotropic_pair(q: int) -> tuple[int, int]:
     u**2 + a*u*v + b*v**2 is then an anisotropic binary quadratic form (the
     norm form of GF(q**2) over GF(q) up to equivalence).
     """
-    field, add, _, mul = _field_tables(q)
+    field = _field(q)
+    x = np.arange(q)
     for a in range(q):
-        for b in range(1, q):
-            if all(add[add[mul[x, x], mul[a, x]], b] != 0 for x in range(q)):
-                return a, b
+        # b gives a root x exactly when b = -(x**2 + a*x)
+        with_root = set(field.neg(field.add(field.mul(x, x), field.mul(a, x))).tolist())
+        b = next((b for b in range(1, q) if b not in with_root), None)
+        if b is not None:
+            return a, b
     raise AssertionError("no irreducible monic quadratic found")  # pragma: no cover
 
 
@@ -300,8 +271,7 @@ def _anisotropic_pair(q: int) -> tuple[int, int]:
 
 
 def _residue_class_indices(field: FiniteField, e: int, which: int) -> frozenset[int]:
-    cls = power_residue_classes(field, e)[which]
-    return frozenset(x.index for x in cls)
+    return frozenset(power_residue_classes(field, e)[which].tolist())
 
 
 def paley(q: int) -> DenseGraph:
@@ -430,13 +400,10 @@ def _polar_form_rows(m: int, q: int, epsilon: int) -> tuple[list[tuple[int, int,
 
 def _evaluate_form(coords: np.ndarray, terms, q: int) -> np.ndarray:
     """Form values (as GF(q) indices) for each row of coordinate indices."""
-    _, add, _, mul = _field_tables(q)
+    field = _field(q)
     vals = np.zeros(len(coords), dtype=np.int64)
     for i, j, c in terms:
-        term = mul[coords[:, i], coords[:, j]]
-        if c != 1:
-            term = mul[c, term]
-        vals = add[vals, term]
+        vals = field.add(vals, field.mul(c, field.mul(coords[:, i], coords[:, j])))
     return vals
 
 
@@ -454,7 +421,7 @@ def affine_polar(m: int, q: int, epsilon: int) -> DenseGraph:
     if n > 4096:
         raise ValueError(f"q**(2m) = {n} exceeds the 4096-vertex construction cap")
     terms, _ = _polar_form_rows(m, q, epsilon)
-    coords = _digits(n, q, dim)
+    coords = digits(n, q, dim)
     vals = _evaluate_form(coords, terms, q)
     members = frozenset(np.flatnonzero((vals == 0) & (np.arange(n) != 0)).tolist())
     return cayley_graph(ConnectionSet(VectorSpace(p, d * dim), members))
@@ -500,7 +467,7 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     for i, j, c in terms:
         upper[i, j] = c
     gram = (upper + upper.T) % p
-    coords = _digits(n, p, dim)
+    coords = digits(n, p, dim)
     vals = _form_values(upper, coords, p)
     eye = np.eye(dim, dtype=np.int64)
 
@@ -576,7 +543,7 @@ def _check_similitudes(gens, upper: np.ndarray, p: int) -> None:
     isometry.  The similitudes of a nondegenerate polar form make a group of
     the closed-form order that affine_polar_group targets."""
     dim = upper.shape[0]
-    coords = _digits(p**dim, p, dim)
+    coords = digits(p**dim, p, dim)
     vals = _form_values(upper, coords, p)
     anchor = int(np.flatnonzero(vals)[0])
     for g in gens:
@@ -603,13 +570,15 @@ def bilinear_forms(q: int, m: int) -> DenseGraph:
     n = q**dim
     if n > 4096:
         raise ValueError(f"q**(2m) = {n} exceeds the 4096-vertex construction cap")
-    _, _, sub, mul = _field_tables(q)
-    coords = _digits(n, q, dim)
+    field = _field(q)
+    coords = digits(n, q, dim)
     row0, row1 = coords[:, :m], coords[:, m:]
     rank_le_1 = np.ones(n, dtype=bool)
     for j in range(m):
         for k in range(j + 1, m):
-            minor = sub[mul[row0[:, j], row1[:, k]], mul[row0[:, k], row1[:, j]]]
+            minor = field.sub(
+                field.mul(row0[:, j], row1[:, k]), field.mul(row0[:, k], row1[:, j])
+            )
             rank_le_1 &= minor == 0
     members = frozenset(np.flatnonzero(rank_le_1 & (np.arange(n) != 0)).tolist())
     return cayley_graph(ConnectionSet(VectorSpace(p, d * dim), members))
@@ -619,15 +588,9 @@ def bilinear_forms(q: int, m: int) -> DenseGraph:
 def _regular_representation(q: int) -> np.ndarray:
     """(q, d, d) array: the matrix of multiplication-by-x over GF(p), in the
     power basis, for each element index x of GF(q) = GF(p**d)."""
-    p, d = _split_prime_power(q)
-    field = make_field(p, d)
-    out = np.zeros((q, d, d), dtype=np.int64)
-    for xi in range(q):
-        x = field.from_index(xi)
-        for j in range(d):
-            basis = field.element(tuple(1 if t == j else 0 for t in range(d)))
-            out[xi, :, j] = (x * basis).coeffs
-    return out
+    field = _field(q)
+    basis = field.p ** np.arange(field.d)  # the indices of 1, x, ..., x**(d-1)
+    return field.coeffs[field.mul(np.arange(q)[:, None], basis)].transpose(0, 2, 1)
 
 
 def _blow_up(mat_idx: np.ndarray, q: int) -> np.ndarray:
@@ -653,9 +616,8 @@ def _gl_gens_idx(k: int, q: int) -> list[np.ndarray]:
     tv[0, 1] = 1
     gens = [cyc, tv]
     if q > 2:
-        field = make_field(*_split_prime_power(q))
         dg = np.eye(k, dtype=np.int64)
-        dg[0, 0] = field.omega.index
+        dg[0, 0] = _field(q).omega
         gens.append(dg)
     return gens
 
@@ -694,7 +656,7 @@ def alternating_forms(n: int = 5, q: int = 2) -> DenseGraph:
     rank(A - B) = 2.  Only (n, q) = (5, 2) ships."""
     _check_alternating_shipped(n, q)
     count = 1 << 10
-    bits = _digits(count, 2, 10)
+    bits = digits(count, 2, 10)
     col = {pr: bits[:, t] for t, pr in enumerate(_ALT_PAIRS)}
 
     def b(i: int, j: int) -> np.ndarray:
@@ -751,14 +713,12 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     if orbit_choice not in (0, 1):
         raise ValueError(f"orbit_choice must be 0 or 1, got {orbit_choice}")
     chosen = nonzero[orbit_choice]
-    neg = _negate_indices(chosen, spec.p, spec.d)
-    if set(neg.tolist()) != set(chosen.tolist()):
+    try:
+        g = cayley_graph(ConnectionSet(VectorSpace(spec.p, spec.d), frozenset(chosen.tolist())))
+    except AsymmetricConnectionSet:
         raise AsymmetricOrbit(
             f"the orbit of size {len(chosen)} is not closed under negation"
-        )
-    g = cayley_graph(
-        ConnectionSet(VectorSpace(spec.p, spec.d), frozenset(int(x) for x in chosen))
-    )
+        ) from None
     for perm in linear.gens:
         if not is_linear_automorphism(g, perm.img):  # pragma: no cover
             raise AssertionError("linear generator is not an automorphism")
@@ -932,9 +892,7 @@ def _format_orbital(kind: str, arg) -> str:
 
 
 def _field_stabilizer(q: int, e: int, twist: int = 0) -> GeneratorSet:
-    return semilinear_stabilizer_perms(
-        make_field(*_split_prime_power(q)), e, True, twist
-    )
+    return semilinear_stabilizer_perms(_field(q), e, True, twist)
 
 
 def _polar_spec(m: int, q: int, epsilon: int, seed: int | None) -> MatrixGroupSpec | None:

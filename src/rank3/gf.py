@@ -1,24 +1,27 @@
-"""Finite field GF(p^d) arithmetic in a polynomial basis.
+"""Finite field GF(p^d) arithmetic on element indices.
 
 Every field carries a distinguished primitive element omega (a generator of
 the multiplicative group).  The modulus is the lexicographically smallest
 monic primitive polynomial of degree d over GF(p), coefficients compared
 high-degree-first, so element numbering is reproducible across runs and
-platforms.  Elements are indexed by sum(coeffs[i] * p**i) in [0, q); index 0
-is the zero element.  This indexing fixes the vertex order for every graph
-construction downstream.
+platforms.  An element is its index sum(coeffs[i] * p**i) in [0, q): index 0
+is zero and index 1 is one.  This indexing fixes the vertex order for every
+graph construction downstream.
 
-Discrete-log/exp tables are precomputed for q <= 2**16, making multiplication,
-inversion and power-residue membership O(1).
+A field keeps three read-only numpy tables: ``coeffs`` (row i holds the d
+coefficients of element i), ``exp`` (exp[k] = omega**k) and ``log`` (its
+inverse, -1 at zero).  The field operations read them and take scalars or
+arrays of indices, broadcasting like numpy.  Fields stop at q = 2**16, far
+past the order of any dense graph built here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from typing import Iterator
+
+import numpy as np
 
 
 class NotPrime(ValueError):
@@ -26,23 +29,18 @@ class NotPrime(ValueError):
 
 
 class TooLarge(ValueError):
-    """p**d exceeds the supported field size (2**31)."""
+    """p**d exceeds the supported field size (2**16)."""
 
 
 class DivisionByZero(ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
-class FieldMismatch(ValueError):
-    """Operands belong to different fields."""
-
-
 class DoesNotDivide(ValueError):
     """e does not divide q - 1."""
 
 
-_MAX_Q = 2**31
-_TABLE_LIMIT = 2**16
+_MAX_Q = 2**16
 
 
 # -- elementary number theory ---------------------------------------------------
@@ -56,7 +54,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 def isprime(n: int) -> bool:
     """Whether n is prime: Miller-Rabin to the first 13 prime bases, which is
-    exact for n < 3.3 * 10**24 (far beyond the 2**31 field cap)."""
+    exact for n < 3.3 * 10**24."""
     if n < 2:
         return False
     for b in _SMALL_PRIMES:
@@ -142,60 +140,25 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return min(x, p - x)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a FiniteField, as d coefficients over GF(p) (little-endian)."""
+def digits(n: int, p: int, dim: int) -> np.ndarray:
+    """(n, dim) int64 array whose row i holds the little-endian base-p digits
+    of i: the coefficients of field element i, or the coordinates of vector i
+    of GF(p)**dim (of GF(q)**dim, as field indices, for base p = q)."""
+    idx = np.arange(n, dtype=np.int64)
+    return np.stack([idx // p**j % p for j in range(dim)], axis=1)
 
-    field: "FiniteField"
-    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.field.d:
-            raise ValueError(f"expected {self.field.d} coefficients, got {len(self.coeffs)}")
-        if any(c < 0 or c >= self.field.p for c in self.coeffs):
-            raise ValueError(f"coefficients out of range [0, {self.field.p}): {self.coeffs}")
-
-    @property
-    def index(self) -> int:
-        """Integer index sum(coeffs[i] * p**i) in [0, q)."""
-        p = self.field.p
-        i = 0
-        for c in reversed(self.coeffs):
-            i = i * p + c
-        return i
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return add(self, other)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return sub(self, other)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return mul(self, other)
-
-    def __neg__(self) -> "FieldElement":
-        return neg(self)
-
-    def __pow__(self, k: int) -> "FieldElement":
-        return power(self, k)
-
-    def __repr__(self) -> str:
-        return f"GF({self.field.q}).element{self.coeffs}"
+def _out(x):
+    """A 0-d result as a Python int; arrays pass through."""
+    return int(x) if np.ndim(x) == 0 else x
 
 
 class FiniteField:
     """GF(p^d) with a fixed primitive modulus and primitive element omega.
 
-    Immutable after construction; all operations are pure functions, so a
-    field instance is safely shareable across threads.  Use make_field() —
-    it canonicalizes and caches instances, so elements of the "same" field
-    always share one FiniteField object.
+    Elements are their indices in [0, q); omega is an index too.  Immutable
+    after construction, so a field is safely shareable across threads.  Use
+    make_field(): it canonicalizes and caches instances.
     """
 
     def __init__(self, p: int, d: int, modulus: tuple[int, ...], omega_coeffs: tuple[int, ...]):
@@ -203,136 +166,59 @@ class FiniteField:
         self.d = d
         self.q = p**d
         self.modulus = modulus  # little-endian, length d+1, monic
-        self.zero = FieldElement(self, (0,) * d)
-        one = [0] * d
-        one[0] = 1
-        self.one = FieldElement(self, tuple(one))
-        self.omega = FieldElement(self, omega_coeffs)
-        self._exp: list[int] | None = None  # exp[k] = index of omega**k
-        self._log: list[int] | None = None  # log[index] = k, -1 for zero
-        if self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._place = p ** np.arange(d, dtype=np.int64)
+        self.coeffs = digits(self.q, p, d)
+        powers = [(1,) + (0,) * (d - 1)]
+        for _ in range(self.q - 2):
+            powers.append(_polymulmod(powers[-1], omega_coeffs, modulus, p))
+        self.exp = np.array(powers, dtype=np.int64) @ self._place
+        self.log = np.full(self.q, -1, dtype=np.int64)
+        self.log[self.exp] = np.arange(self.q - 1)
+        for table in (self._place, self.coeffs, self.exp, self.log):
+            table.setflags(write=False)
+        self.omega = self.index(omega_coeffs)
 
-    # -- element plumbing ---------------------------------------------------
+    def index(self, coeffs):
+        """The element with these coefficients (last axis, little-endian,
+        reduced mod p): the inverse of the ``coeffs`` table."""
+        return _out((np.asarray(coeffs, dtype=np.int64) % self.p) @ self._place)
 
-    def element(self, coeffs) -> FieldElement:
-        """Element from a coefficient sequence (reduced mod p)."""
-        cs = tuple(int(c) % self.p for c in coeffs)
-        if len(cs) < self.d:
-            cs = cs + (0,) * (self.d - len(cs))
-        elif len(cs) > self.d:
-            raise ValueError(f"too many coefficients for degree-{self.d} extension")
-        return FieldElement(self, cs)
+    def add(self, a, b):
+        return self.index(self.coeffs[a] + self.coeffs[b])
 
-    def from_int(self, n: int) -> FieldElement:
-        """Element of the prime subfield from an integer."""
-        cs = [0] * self.d
-        cs[0] = n % self.p
-        return FieldElement(self, tuple(cs))
+    def sub(self, a, b):
+        return self.index(self.coeffs[a] - self.coeffs[b])
 
-    def from_index(self, i: int) -> FieldElement:
-        """Inverse of FieldElement.index."""
-        if not 0 <= i < self.q:
-            raise ValueError(f"index {i} out of range [0, {self.q})")
-        cs = []
-        for _ in range(self.d):
-            cs.append(i % self.p)
-            i //= self.p
-        return FieldElement(self, tuple(cs))
+    def neg(self, a):
+        return self.index(-self.coeffs[a])
 
-    def index(self, x: FieldElement) -> int:
-        return x.index
+    def mul(self, a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        prod = self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return _out(np.where((a == 0) | (b == 0), 0, prod))
 
-    def elements(self) -> Iterator[FieldElement]:
-        """All q elements in index order."""
-        for i in range(self.q):
-            yield self.from_index(i)
-
-    # -- coefficient-level arithmetic ---------------------------------------
-
-    def _add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _neg(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        if self._log is not None:
-            ia, ib = _coeffs_to_index(a, self.p), _coeffs_to_index(b, self.p)
-            if ia == 0 or ib == 0:
-                return (0,) * self.d
-            k = (self._log[ia] + self._log[ib]) % (self.q - 1)
-            return _index_to_coeffs(self._exp[k], self.p, self.d)
-        return _polymulmod(a, b, self.modulus, self.p)
-
-    def _inv(self, a: tuple[int, ...]) -> tuple[int, ...]:
-        if not any(a):
+    def power(self, a, k):
+        """a**k for integer k; 0**0 = 1, and DivisionByZero for 0**k, k < 0."""
+        a, k = np.asarray(a), np.asarray(k)
+        zero = a == 0
+        if np.any(zero & (k < 0)):
             raise DivisionByZero("zero has no multiplicative inverse")
-        if self._log is not None:
-            ia = _coeffs_to_index(a, self.p)
-            k = (-self._log[ia]) % (self.q - 1)
-            return _index_to_coeffs(self._exp[k], self.p, self.d)
-        return _polyinvmod(a, self.modulus, self.p)
+        nonzero = self.exp[self.log[a] * k % (self.q - 1)]
+        return _out(np.where(zero, (k == 0).astype(np.int64), nonzero))
 
-    def _build_tables(self) -> None:
-        exp = [0] * (self.q - 1)
-        cur = self.one.coeffs
-        wc = self.omega.coeffs
-        for k in range(self.q - 1):
-            exp[k] = _coeffs_to_index(cur, self.p)
-            cur = _polymulmod(cur, wc, self.modulus, self.p)
-        log = [-1] * self.q
-        for k, i in enumerate(exp):
-            log[i] = k
-        self._exp = exp
-        self._log = log
+    def inv(self, a):
+        return self.power(a, -1)
 
-    def log(self, x: FieldElement) -> int:
-        """Discrete log of x base omega (x nonzero)."""
-        if x.is_zero():
-            raise DivisionByZero("discrete log of zero")
-        if self._log is not None:
-            return self._log[x.index]
-        # fall back to a linear scan (only reachable for q > 2**16)
-        cur = self.one
-        for k in range(self.q - 1):
-            if cur == x:
-                return k
-            cur = mul(cur, self.omega)
-        raise AssertionError("omega failed to generate the multiplicative group")
-
-    def omega_pow(self, k: int) -> FieldElement:
-        """omega**k using the exp table when available."""
-        if self._exp is not None:
-            return self.from_index(self._exp[k % (self.q - 1)])
-        return power(self.omega, k)
+    def frobenius(self, a):
+        """The Frobenius automorphism a -> a**p; d-fold application is the
+        identity."""
+        return self.power(a, self.p)
 
     def __repr__(self) -> str:
         return f"FiniteField(p={self.p}, d={self.d}, modulus={self.modulus})"
 
 
 # -- polynomial helpers (little-endian coefficient tuples over GF(p)) --------
-
-
-def _coeffs_to_index(a: tuple[int, ...], p: int) -> int:
-    i = 0
-    for c in reversed(a):
-        i = i * p + c
-    return i
-
-
-def _index_to_coeffs(i: int, p: int, d: int) -> tuple[int, ...]:
-    cs = []
-    for _ in range(d):
-        cs.append(i % p)
-        i //= p
-    return tuple(cs)
 
 
 def _polymulmod(a, b, modulus, p: int) -> tuple[int, ...]:
@@ -351,65 +237,6 @@ def _polymulmod(a, b, modulus, p: int) -> tuple[int, ...]:
             for j in range(d):
                 prod[i - d + j] = (prod[i - d + j] - c * modulus[j]) % p
     return tuple(prod[:d])
-
-
-def _polydivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of polynomial division over GF(p)."""
-    a = list(a)
-    db = len(b) - 1
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    inv_lead = pow(b[-1], -1, p)
-    quot = [0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = (a[i] * inv_lead) % p
-        if c:
-            quot[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return quot, a
-
-
-def _polyinvmod(a, modulus, p: int) -> tuple[int, ...]:
-    """Inverse of a mod modulus via the extended Euclidean algorithm."""
-    d = len(modulus) - 1
-    r0, r1 = list(modulus), [c for c in a]
-    while len(r1) > 1 and r1[-1] == 0:
-        r1.pop()
-    s0, s1 = [0], [1]
-    while r1 != [0]:
-        q, r = _polydivmod(r0, r1, p)
-        s = _polysub(s0, _polymul(q, s1, p), p)
-        r0, s0, r1, s1 = r1, s1, r, s
-    # r0 is now a nonzero constant gcd
-    c = pow(r0[0], -1, p)
-    inv = [(x * c) % p for x in s0]
-    inv += [0] * (d - len(inv))
-    return tuple(inv[:d])
-
-
-def _polymul(a: list[int], b: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    while len(prod) > 1 and prod[-1] == 0:
-        prod.pop()
-    return prod
-
-
-def _polysub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    out = [(x - y) % p for x, y in zip(a, b)]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _x_has_full_order(modulus: tuple[int, ...], p: int, q: int, prime_factors: list[int]) -> bool:
@@ -468,61 +295,9 @@ def make_field(p: int, d: int) -> FiniteField:
     raise AssertionError(f"no primitive polynomial of degree {d} over GF({p})")
 
 
-# -- field operations ---------------------------------------------------------
-
-
-def _same_field(x: FieldElement, y: FieldElement) -> FiniteField:
-    if x.field is not y.field:
-        raise FieldMismatch(f"operands from different fields: {x.field} vs {y.field}")
-    return x.field
-
-
-def add(x: FieldElement, y: FieldElement) -> FieldElement:
-    f = _same_field(x, y)
-    return FieldElement(f, f._add(x.coeffs, y.coeffs))
-
-
-def sub(x: FieldElement, y: FieldElement) -> FieldElement:
-    f = _same_field(x, y)
-    return FieldElement(f, f._sub(x.coeffs, y.coeffs))
-
-
-def mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    f = _same_field(x, y)
-    return FieldElement(f, f._mul(x.coeffs, y.coeffs))
-
-
-def neg(x: FieldElement) -> FieldElement:
-    return FieldElement(x.field, x.field._neg(x.coeffs))
-
-
-def inv(x: FieldElement) -> FieldElement:
-    return FieldElement(x.field, x.field._inv(x.coeffs))
-
-
-def power(x: FieldElement, k: int) -> FieldElement:
-    """x**k by square-and-multiply; negative k inverts first."""
-    f = x.field
-    if k < 0:
-        x = inv(x)
-        k = -k
-    result = f.one
-    base = x
-    while k:
-        if k & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        k >>= 1
-    return result
-
-
-def frobenius(x: FieldElement) -> FieldElement:
-    """The Frobenius automorphism x -> x**p; d-fold application is the identity."""
-    return power(x, x.field.p)
-
-
-def power_residue_classes(field: FiniteField, e: int) -> list[set[FieldElement]]:
-    """The e cosets C, C*omega, ..., C*omega**(e-1) of C = <omega**e> in F*.
+def power_residue_classes(field: FiniteField, e: int) -> list[np.ndarray]:
+    """The e cosets C, C*omega, ..., C*omega**(e-1) of C = <omega**e> in F*,
+    each as a sorted index array.
 
     Each class has (q-1)/e elements; together they partition the nonzero
     elements.  Class 0 is the subgroup C itself (contains 1).
@@ -530,7 +305,4 @@ def power_residue_classes(field: FiniteField, e: int) -> list[set[FieldElement]]
     q = field.q
     if e < 1 or (q - 1) % e != 0:
         raise DoesNotDivide(f"e = {e} does not divide q - 1 = {q - 1}")
-    classes: list[set[FieldElement]] = [set() for _ in range(e)]
-    for k in range(q - 1):
-        classes[k % e].add(field.omega_pow(k))
-    return classes
+    return [np.sort(field.exp[j::e]) for j in range(e)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import DoesNotDivide, FiniteField, primitive_root
+from .gf import DoesNotDivide, FiniteField, NotPrime, digits, isprime, primitive_root
 from .graphs import unit_translations
 
 
@@ -499,13 +499,15 @@ def _det_mod(mat, p: int) -> int:
 
 @dataclass(frozen=True)
 class MatrixGroupSpec:
-    """A subgroup of GL_d(p) given by invertible generator matrices."""
+    """A subgroup of GL_d(p), p prime, given by invertible generator matrices."""
 
     p: int
     d: int
     gens: tuple
 
     def __post_init__(self):
+        if not isprime(self.p):
+            raise NotPrime(f"p = {self.p} is not prime")
         mats = []
         for g in self.gens:
             m = np.asarray(g, dtype=np.int64) % self.p
@@ -518,22 +520,15 @@ class MatrixGroupSpec:
         object.__setattr__(self, "gens", tuple(mats))
 
 
-def _digit_matrix(q: int, p: int, d: int) -> np.ndarray:
-    """(q, d) array: row i holds the base-p digits of i (little-endian).
-    Matches the field element indexing of module gf."""
-    idx = np.arange(q, dtype=np.int64)
-    return np.stack([(idx // p**j) % p for j in range(d)], axis=1)
-
-
 def linear_perms(spec: MatrixGroupSpec) -> GeneratorSet:
     """The matrix generators acting on all p^d vectors (0 is fixed)."""
     p, d = spec.p, spec.d
     q = p**d
-    digits = _digit_matrix(q, p, d)
+    vecs = digits(q, p, d)
     pv = p ** np.arange(d, dtype=np.int64)
     gens = []
     for m in spec.gens:
-        img = (digits @ m.T % p) @ pv
+        img = (vecs @ m.T % p) @ pv
         gens.append(Permutation(img.astype(np.int32), _validate=False))
     return GeneratorSet(q, tuple(gens))
 
@@ -563,22 +558,16 @@ def semilinear_stabilizer_perms(
 ) -> GeneratorSet:
     """Zero-stabilizer generators on GF(q): x -> omega^e * x, and optionally
     the twisted field automorphism x -> omega^twist * x^p."""
-    q, p = field.q, field.p
+    q = field.q
     if e < 1 or (q - 1) % e:
         raise DoesNotDivide(f"e = {e} does not divide q - 1 = {q - 1}")
-    if field._exp is None:
-        raise ValueError("semilinear permutations need the field's exp table (q <= 2**16)")
-    exp = np.array(field._exp, dtype=np.int64)
-    ks = np.arange(q - 1, dtype=np.int64)
-    gens = []
-    mult = np.zeros(q, dtype=np.int64)
-    mult[exp] = exp[(ks + e) % (q - 1)]
-    gens.append(Permutation(mult.astype(np.int32), _validate=False))
+    x = np.arange(q)
+    images = [field.mul(field.power(field.omega, e), x)]
     if include_frobenius:
-        frob = np.zeros(q, dtype=np.int64)
-        frob[exp] = exp[(p * ks + twist) % (q - 1)]
-        gens.append(Permutation(frob.astype(np.int32), _validate=False))
-    return GeneratorSet(q, tuple(gens))
+        images.append(field.mul(field.power(field.omega, twist), field.frobenius(x)))
+    return GeneratorSet(
+        q, tuple(Permutation(img.astype(np.int32), _validate=False) for img in images)
+    )
 
 
 def semilinear_perms(

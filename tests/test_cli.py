@@ -98,6 +98,15 @@ class TestRank:
         assert code == 2
         assert "error" in err
 
+    def test_composite_modulus_usage_error(self, capsys, tmp_path):
+        # Z_4^2 is not a vector space: no rank is reported for it
+        path = tmp_path / "spec.txt"
+        path.write_text("4 2\n1 1 0 1\n3 0 0 1\n")
+        code, out, err = run(capsys, "rank", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error" in err and "not prime" in err
+
 
 class TestVerify:
     def test_override_catalog_pass(self, capsys, tmp_path):
@@ -135,6 +144,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--catalog", str(path))
         assert code == 2
         assert "error" in err
+        good = entry_to_dict(next(e for e in builtin_catalog() if e.id == "paley:13"))
+        missing = {k: v for k, v in good.items() if k != "subdegrees"}
+        for entry in (missing, dict(good, subdegrees=4)):
+            path.write_text(json.dumps([entry]))
+            code, _, err = run(capsys, "verify", "--catalog", str(path))
+            assert code == 2
+            assert "error" in err and "'paley:13'" in err and "'subdegrees'" in err
 
 
 class TestCatalogList:

@@ -4,9 +4,11 @@ The GF(9) oracle below was worked by hand: candidate quadratics over GF(3) in
 high-degree-first lexicographic order are x^2+1 (x has order 4 — not primitive),
 x^2+2 = (x+1)(x+2) (reducible), x^2+x+1 = (x-1)^2 (reducible), then x^2+x+2,
 whose residue x has order 8.  So the canonical modulus is x^2+x+2 and
-omega = x, giving omega.index = 3 and frobenius(omega) = x^3 = 2x+2 (index 8).
+omega = x, giving omega = 3 (as an index) and frobenius(omega) = x^3 = 2x+2
+(index 8).
 """
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -15,12 +17,9 @@ from rank3 import gf
 from rank3.gf import (
     DivisionByZero,
     DoesNotDivide,
-    FieldMismatch,
     NotPrime,
     TooLarge,
-    frobenius,
     make_field,
-    power,
     power_residue_classes,
 )
 
@@ -29,61 +28,60 @@ def test_gf9_canonical_modulus_and_omega():
     F = make_field(3, 2)
     assert F.q == 9
     assert F.modulus == (2, 1, 1)  # x^2 + x + 2, little-endian
-    assert F.omega.index == 3  # the residue x
-    assert frobenius(F.omega).index == 8  # x^3 = 2x + 2
-    assert power(F.omega, 8) == F.one
-    assert power(F.omega, 4) == F.from_int(-1)  # omega^4 = -1 in GF(9)
+    assert F.omega == 3  # the residue x
+    assert F.frobenius(F.omega) == 8  # x^3 = 2x + 2
+    assert F.power(F.omega, 8) == 1
+    assert F.power(F.omega, 4) == F.neg(1)  # omega^4 = -1 in GF(9)
 
 
 def test_prime_field_omega_is_smallest_primitive_root():
-    assert make_field(3, 1).omega.index == 2
-    assert make_field(5, 1).omega.index == 2
-    assert make_field(7, 1).omega.index == 3
-    assert make_field(13, 1).omega.index == 2
-    assert make_field(41, 1).omega.index == 6
+    assert make_field(3, 1).omega == 2
+    assert make_field(5, 1).omega == 2
+    assert make_field(7, 1).omega == 3
+    assert make_field(13, 1).omega == 2
+    assert make_field(41, 1).omega == 6
 
 
 def test_gf2_and_gf4():
     F2 = make_field(2, 1)
-    assert F2.omega == F2.one
+    assert F2.omega == 1
     F4 = make_field(2, 2)
     assert F4.modulus == (1, 1, 1)  # x^2 + x + 1
-    assert power(F4.omega, 3) == F4.one
-    assert power(F4.omega, 2) != F4.one
+    assert F4.power(F4.omega, 3) == 1
+    assert F4.power(F4.omega, 2) != 1
 
 
 def test_element_indexing_round_trip():
     F = make_field(5, 3)
     for i in (0, 1, 7, 124):
-        assert F.from_index(i).index == i
+        assert F.index(F.coeffs[i]) == i
+    assert np.array_equal(F.index(F.coeffs), np.arange(F.q))
     # index = sum coeffs[i] * p^i
-    x = F.element((4, 0, 2))
-    assert x.index == 4 + 2 * 25
+    assert F.index((4, 0, 2)) == 4 + 2 * 25
+    assert F.coeffs[4 + 2 * 25].tolist() == [4, 0, 2]
+    assert np.array_equal(gf.digits(F.q, 5, 3), F.coeffs)
 
 
 def test_arithmetic_small_prime_field():
     F = make_field(7, 1)
-    three, five = F.from_int(3), F.from_int(5)
-    assert (three * five).index == 1  # 15 = 1 mod 7
-    assert gf.inv(three) == five  # 3 * 5 = 1
-    assert (three + five).index == 1
-    assert (three - five).index == 5
-    assert (-three).index == 4
+    assert F.mul(3, 5) == 1  # 15 = 1 mod 7
+    assert F.inv(3) == 5  # 3 * 5 = 1
+    assert F.add(3, 5) == 1
+    assert F.sub(3, 5) == 5
+    assert F.neg(3) == 4
+    assert np.array_equal(F.mul(np.arange(7), 3), [0, 3, 6, 2, 5, 1, 4])
 
 
 def test_division_by_zero():
     F = make_field(11, 1)
     with pytest.raises(DivisionByZero):
-        gf.inv(F.zero)
+        F.inv(0)
     with pytest.raises(DivisionByZero):
-        power(F.zero, -1)
-
-
-def test_field_mismatch_rejected():
-    a = make_field(3, 1).one
-    b = make_field(5, 1).one
-    with pytest.raises(FieldMismatch):
-        gf.add(a, b)
+        F.power(0, -1)
+    with pytest.raises(DivisionByZero):
+        F.inv(np.arange(3))
+    assert F.power(0, 0) == 1
+    assert F.power(0, 3) == 0
 
 
 def test_make_field_rejects_bad_input():
@@ -91,6 +89,10 @@ def test_make_field_rejects_bad_input():
         make_field(6, 1)
     with pytest.raises(TooLarge):
         make_field(2, 40)
+    with pytest.raises(TooLarge):
+        make_field(2, 17)  # 2**17 > 2**16
+    with pytest.raises(TooLarge):
+        make_field(257, 2)
 
 
 def test_make_field_is_cached():
@@ -100,10 +102,8 @@ def test_make_field_is_cached():
 def test_power_residue_classes_gf13_squares():
     F = make_field(13, 1)
     classes = power_residue_classes(F, 2)
-    squares = {x.index for x in classes[0]}
-    assert squares == {1, 3, 4, 9, 10, 12}
-    non_squares = {x.index for x in classes[1]}
-    assert squares | non_squares == set(range(1, 13))
+    assert classes[0].tolist() == [1, 3, 4, 9, 10, 12]
+    assert sorted(classes[0].tolist() + classes[1].tolist()) == list(range(1, 13))
 
 
 def test_power_residue_classes_gf16_cubes():
@@ -111,7 +111,7 @@ def test_power_residue_classes_gf16_cubes():
     classes = power_residue_classes(F, 3)
     assert len(classes) == 3
     assert all(len(c) == 5 for c in classes)
-    assert F.one in classes[0]
+    assert 1 in classes[0]
 
 
 def test_power_residue_classes_bad_e():
@@ -120,59 +120,71 @@ def test_power_residue_classes_bad_e():
         power_residue_classes(F, 5)
 
 
-def test_inverse_without_tables():
-    # polynomial-arithmetic fallback: exercised directly on the coefficient level
-    F = make_field(3, 2)
-    for x in F.elements():
-        if x.is_zero():
-            continue
-        inv_coeffs = gf._polyinvmod(x.coeffs, F.modulus, F.p)
-        assert gf._polymulmod(x.coeffs, inv_coeffs, F.modulus, F.p) == F.one.coeffs
-
-
 FIELDS = [(2, 1), (3, 1), (13, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 4), (2, 8)]
 
 
 @pytest.mark.parametrize("p,d", FIELDS)
 def test_omega_has_full_multiplicative_order(p, d):
     F = make_field(p, d)
-    seen = set()
-    x = F.one
+    seen = []
+    x = 1
     for _ in range(F.q - 1):
-        seen.add(x.index)
-        x = x * F.omega
-    assert x == F.one
-    assert len(seen) == F.q - 1
+        seen.append(x)
+        x = F.mul(x, F.omega)
+    assert x == 1
+    assert len(set(seen)) == F.q - 1
+    assert F.exp.tolist() == seen
+    assert F.log[seen].tolist() == list(range(F.q - 1))
+
+
+def _indices(F, data, size=None):
+    """One drawn index, or an array of `size` drawn indices."""
+    idx = st.integers(min_value=0, max_value=F.q - 1)
+    if size is None:
+        return data.draw(idx)
+    return np.array(data.draw(st.lists(idx, min_size=size, max_size=size)), dtype=np.int64)
 
 
 @given(st.sampled_from(FIELDS), st.data())
 def test_field_axioms_sampled(pd, data):
     F = make_field(*pd)
-    idx = st.integers(min_value=0, max_value=F.q - 1)
-    x = F.from_index(data.draw(idx))
-    y = F.from_index(data.draw(idx))
-    z = F.from_index(data.draw(idx))
-    assert (x + y) - y == x
-    assert x * (y + z) == x * y + x * z
-    assert (x * y) * z == x * (y * z)
-    if not x.is_zero():
-        assert x * gf.inv(x) == F.one
-        assert power(x, F.q - 1) == F.one
+    size = data.draw(st.sampled_from([None, 5]))
+    x, y, z = (_indices(F, data, size) for _ in range(3))
+
+    def eq(a, b):
+        return np.array_equal(a, b)
+
+    assert eq(F.sub(F.add(x, y), y), x)
+    assert eq(F.add(x, F.neg(x)), np.zeros_like(x))
+    assert eq(F.mul(x, F.add(y, z)), F.add(F.mul(x, y), F.mul(x, z)))
+    assert eq(F.mul(F.mul(x, y), z), F.mul(x, F.mul(y, z)))
+    assert eq(F.mul(x, y), F.mul(y, x))
+    # the log/exp product against polynomial multiplication mod the modulus
+    for a, b in np.broadcast(x, y):
+        prod = gf._polymulmod(F.coeffs[a], F.coeffs[b], F.modulus, F.p)
+        assert F.mul(int(a), int(b)) == F.index(prod)
+    nonzero = np.where(np.asarray(x) == 0, 1, x)
+    assert eq(F.mul(nonzero, F.inv(nonzero)), np.ones_like(nonzero))
+    assert eq(F.power(nonzero, F.q - 1), np.ones_like(nonzero))
+    if size is not None:
+        # array operations agree with the scalar ones elementwise
+        assert F.add(x, y).tolist() == [F.add(int(a), int(b)) for a, b in zip(x, y)]
+        assert F.mul(x, y).tolist() == [F.mul(int(a), int(b)) for a, b in zip(x, y)]
 
 
 @given(st.sampled_from(FIELDS), st.data())
 def test_frobenius_is_a_field_automorphism(pd, data):
     F = make_field(*pd)
-    idx = st.integers(min_value=0, max_value=F.q - 1)
-    x = F.from_index(data.draw(idx))
-    y = F.from_index(data.draw(idx))
-    assert frobenius(x + y) == frobenius(x) + frobenius(y)
-    assert frobenius(x * y) == frobenius(x) * frobenius(y)
+    size = data.draw(st.sampled_from([None, 5]))
+    x, y = (_indices(F, data, size) for _ in range(2))
+    frob = F.frobenius
+    assert np.array_equal(frob(F.add(x, y)), F.add(frob(x), frob(y)))
+    assert np.array_equal(frob(F.mul(x, y)), F.mul(frob(x), frob(y)))
     # d-fold application is the identity
     z = x
     for _ in range(F.d):
-        z = frobenius(z)
-    assert z == x
+        z = frob(z)
+    assert np.array_equal(z, x)
 
 
 @settings(max_examples=30)
@@ -184,16 +196,15 @@ def test_power_residue_classes_partition(pd):
             continue
         classes = power_residue_classes(F, e)
         assert len(classes) == e
-        union = set().union(*classes)
-        assert len(union) == F.q - 1
+        assert all(np.array_equal(c, np.sort(c)) for c in classes)
+        union = set().union(*(c.tolist() for c in classes))
+        assert union == set(range(1, F.q))
         assert sum(len(c) for c in classes) == F.q - 1
         # class 0 is multiplicatively closed
         c0 = classes[0]
-        assert F.one in c0
-        sample = sorted(c0, key=lambda t: t.index)[:4]
-        for a in sample:
-            for b in sample:
-                assert a * b in c0
+        assert 1 in c0
+        sample = c0[:4]
+        assert np.isin(F.mul(sample[:, None], sample), c0).all()
 
 
 # -- integer helpers against sympy ---------------------------------------------

@@ -1,0 +1,198 @@
+"""Vertex labels are pinned: the packed adjacency matrix and the
+zero-stabilizer generator images of every catalog row and every iso target
+hash to the values recorded here.  A change to the field indexing, a
+modulus, omega or a family's coordinate order moves these hashes even when
+every graph invariant still holds.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from rank3.catalog import builtin_catalog
+from rank3.families import family_graph, parse_descriptor, zero_stabilizer
+
+# descriptor -> (SHA-1 of np.packbits(adjacency), SHA-1 of the concatenated
+# int32 image arrays of the zero-stabilizer generators)
+PINS = {
+    "paley:9": (
+        "e2b9b248f046ee79cfc55f01b484d89b1f465f14",
+        "3054cde7206a4274931a36279669cde88c356643",
+    ),
+    "peisert:9": (
+        "a2496a34b05089fb237dfb06d4a47cc54dc7ffeb",
+        "41b2b4c5ef881ee05fd03b8c678ec720b92e6043",
+    ),
+    "paley:13": (
+        "c61e7890380cfafba1c6c3e9fc433e74c9981141",
+        "11ae5ee24b998c8eec1305f26e1a6a5ca92fa994",
+    ),
+    "paley:17": (
+        "5667a08684db791d862fd77e2b9e73f8b1c1024e",
+        "8ce2f759dc948b451362a137ea6fb5533662628f",
+    ),
+    "paley:49": (
+        "66a8b556790aca883e677f69675e814e66eedd97",
+        "98454d3ac6e54b8d3d644c6d2780f3f75e34069d",
+    ),
+    "paley:81": (
+        "7dce1ff645973e4c558d9e280f7f133277030704",
+        "9c1a7621324f4eb90bd70df9d9fe2fe3ec38c4b0",
+    ),
+    "peisert:49": (
+        "6e25dba44a972c7327641481ee516b86b03aa0c7",
+        "8e56a93795f82570c701fb420552970befbde74c",
+    ),
+    "vls:16:3": (
+        "2e41fe6b32484ef69d649efe1058ff0703644ea0",
+        "7b36d7557ffc4024bafd13fa5883d38e62d26013",
+    ),
+    "vo:-:4:2": (
+        "c858d04f26dcb7ecbde6f8112b9fd29084c51c12",
+        "a828eb77bb649076997573a9a72bbfc8e5c2d457",
+    ),
+    "vls:25:3": (
+        "a966aa649f4130fb68a5a091e5f282f3399fdc97",
+        "654015298ffa0f8517e5bde62b6ad6cc26dfe8f6",
+    ),
+    "hamming2:5": (
+        "cab5b7a8c6356315c60007675fefa35a2f10fd5d",
+        "b636e98c9537cf5a5331d20ef3a7419266b48a6b",
+    ),
+    "vls:64:3": (
+        "2f5bf63f2683b9157af1ff7f39efbd4a8a21cd36",
+        "7012589edab624f8b2c3d877d3e9aae6aabd56e5",
+    ),
+    "hq:2:3": (
+        "0acb9c09addbfa79da7d2ffe28da0e2a538bf74f",
+        "33e9078d54e05153f918850f1dae5b47d44ed4d2",
+    ),
+    "vo:-:6:2": (
+        "5064520a812e4f1dccc7bf1193adb298d875cf32",
+        "492e0e82f56937047c9f016592628e984a7e0f7b",
+    ),
+    "vo:+:8:2": (
+        "fc03b330d7fe7f80356db4b7b8995a78425e21ee",
+        "c3b8777fcba53502fd7447ec50ee379ceb450ae7",
+    ),
+    "orbital:sl23:7": (
+        "285a2aecf009cfc89b41d0640fbfde48bc8bf93c",
+        "c1745cb8383ea47e0839aba0accac968bead821e",
+    ),
+    "orbital:q8:13": (
+        "304e8170951d4cec34235ff58eacd6fe0d64286c",
+        "3637c288397fb054452a25226c3362c8ea95f0c2",
+    ),
+    "hamming2:9": (
+        "09c1d82c0cfddbf6ca83942bdd3ec5ac88c70551",
+        "4d2baddb3747afe59bcba4dfb6184002388fc4a0",
+    ),
+    "vls:81:5": (
+        "32361c22a57bab119c849c2f6d1173c57d8c8c65",
+        "3a72e092e6328412e8ff00511827cde29377a707",
+    ),
+    "peisert:81": (
+        "0c95121e11cd8d5a88c86d20a4595ff34cb23b6a",
+        "8920ffc6406513085cafd8f333acf7a8d56ee17d",
+    ),
+    "vo:+:4:3": (
+        "b5a6a0d0d83a70e575f19b7849b84ca5e96c5ece",
+        "4a4b97fceec45f927b01c9f9581664295952227b",
+    ),
+    "vls:256:5": (
+        "0277cb4e92848db57471c42d75e7f5d8530f3f54",
+        "408a229c5a50278284d13d2318b0359d7820555c",
+    ),
+    "orbital:q8:17": (
+        "803902e02c15c47a8329e179b1a4b7c746f76936",
+        "ff836f75e102dc43007e65eaa372e0ce9ac21229",
+    ),
+    "hq:3:3": (
+        "ac4731567f4101866f18fa2a834e24d74e1553d5",
+        "40535e4c7a293bd258b3c5a0450517ca1f3abe4f",
+    ),
+    "orbital:sl25:41": (
+        "6d00a5c1a460287b1d93e29c1fd0ebe3f4a32a56",
+        "9d395608bcbf2ff9313b56899c356dea43f979d3",
+    ),
+    "hq:2:5": (
+        "196e2d97230e85079c62c2c1f9ff6f6646c9286b",
+        "58cfebadefa90aeeb09e3098730b4a905a4b2a0e",
+    ),
+    "a52": (
+        "0fba82ab9c63c288cff32969efd71951c00608b4",
+        "acf871ba853014b03d230cfef6e1a18def671c53",
+    ),
+    "hq:4:3": (
+        "c5ffabdc72867656843a6dc0983742c689c2afc6",
+        "f302de7988d472472f13210498b309a07572b44d",
+    ),
+    "orbital:q8:19": (
+        "7dbf9c4a65e4380e4c79297bf81461d5e6c7a9dd",
+        "a55c834d878dc95a80e5e1ef8844c6b33a4a3fba",
+    ),
+    "orbital:sl23:23": (
+        "2ecb6a7e662bc4bbbe6dbd0c04e2712cc7546a3f",
+        "57c95db50a42531479f9a4c0f12dbfb07e0179c8",
+    ),
+    "orbital:extraspecial:625": (
+        "8651b244b7cce3017661f5ba7cffb5590394e6f6",
+        "08a583dd7ef70ca445157e711ecaba7d0780b0e8",
+    ),
+    "orbital:q8:29": (
+        "2412620a5affb82906be83b1d390e22317d03625",
+        "ef101bac2a6a0ef4d4d0822628c3e3077cab1180",
+    ),
+    "orbital:q8:31": (
+        "62904714f5bd2d671e14c91f4b191cf29356d58b",
+        "ba4864eff68b4b1ef531803ef8e550760dccc80a",
+    ),
+    "orbital:sl25:31": (
+        "6028280cd057a0671026290deb8296166e0e792f",
+        "5a545b209e2d3a0d96887d37a9ee9a70c4f5493f",
+    ),
+    "orbital:q8:47": (
+        "8e8b1f5094612d359ad4a461dc561584f0025d84",
+        "1fd9cefef2c7ec9262c356ea7e4a9a3b5ed01eb0",
+    ),
+    "orbital:extraspecial:2401": (
+        "fccbecead2c600c46417b7a3a93bffdf45dab739",
+        "6ee9d5216ef162710b09d94403f3a7bb8cc4b6db",
+    ),
+    "orbital:sl25:71": (
+        "9ed6ae2074bb8e415f27f2b63a0838957d778e65",
+        "f253132383057db50576a98e267b006c492ed90d",
+    ),
+    "orbital:sl25:79": (
+        "e2f9767533c1b3ce7400309bf33152169f2cb159",
+        "f64feac4bad80ebde4227d56d6673d77fb464218",
+    ),
+    "orbital:extraspecial:6561": (
+        "8dd279e32b4c6781ab58796b8ab5e921478f1cca",
+        "c7b93d5d7aa19ad113947a596272ad1d4750714e",
+    ),
+    "orbital:sl25:89": (
+        "79a855c08da51e9c070ec627630d94d053df99bf",
+        "7bffa099786b26800f933911f46dd5e500c10902",
+    ),
+}
+
+
+def test_pins_cover_the_catalog():
+    wanted = set()
+    for entry in builtin_catalog():
+        wanted.add(entry.id)
+        wanted.update(claim.other for claim in entry.iso_claims)
+    assert wanted == set(PINS)
+
+
+@pytest.mark.parametrize("descriptor", list(PINS))
+def test_labels_are_pinned(descriptor):
+    fid = parse_descriptor(descriptor)
+    adj_sha, stab_sha = PINS[descriptor]
+    g = family_graph(fid)
+    assert hashlib.sha1(np.packbits(g.adj).tobytes()).hexdigest() == adj_sha
+    gens = zero_stabilizer(fid).gens
+    images = b"".join(np.asarray(p.img, dtype=np.int32).tobytes() for p in gens)
+    assert hashlib.sha1(images).hexdigest() == stab_sha
