@@ -67,6 +67,7 @@ __all__ = [
     "automorphism_group",
     "are_isomorphic",
     "brute_force_aut",
+    "check_budget",
     "Timeout",
     "NotIsomorphic",
     "TooLarge",
@@ -505,6 +506,13 @@ def _order_from_first_path(
     return order
 
 
+def check_budget(budget: float) -> None:
+    """ValueError unless budget (seconds) >= 0.  NaN fails too: a deadline
+    of start + nan is never exceeded."""
+    if not budget >= 0:
+        raise ValueError(f"budget must be a number of seconds >= 0, got {budget!r}")
+
+
 def automorphism_group(
     g: DenseGraph, budget: float = 60.0, known: GeneratorSet | None = None
 ) -> AutResult:
@@ -516,8 +524,9 @@ def automorphism_group(
     generator the search finds.  Completeness comes from exhausting the
     individualization tree modulo trace/orbit pruning, so ``known`` may
     generate any subgroup.  Raises Timeout(budget) when the budget (seconds)
-    runs out.
+    runs out, and ValueError unless budget >= 0 (NaN included).
     """
+    check_budget(budget)
     start = time.monotonic()
     n = g.n
     if known is not None and known.degree != n:
@@ -640,8 +649,9 @@ def are_isomorphic(
     side's translations collapse equivalent root branches.  When neither side
     has moduli, h's own automorphisms are computed first (within a slice of
     the budget) to do the same.  Disconnected graphs are decomposed and
-    matched component by component.
+    matched component by component.  ValueError unless budget >= 0.
     """
+    check_budget(budget)
     deadline = time.monotonic() + budget
     if g.n != h.n:
         raise NotIsomorphic(f"vertex counts differ: {g.n} vs {h.n}")

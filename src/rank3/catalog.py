@@ -11,7 +11,8 @@ aggregates.  The rank/subdegree stage takes, at every degree, the orbits of
 the family's zero-stabilizer G0 on the nonzero vertices: rank = 1 + their
 number, subdegrees = their sizes, and N(0) must be one of them.  The aut
 stage hands the same G0 to the solver as known automorphisms, which prune its
-search but never stand in for it.  Tiers bound
+search but never stand in for it, and certifies the solver's order: its
+generators must reach it by a Schreier-Sims lower bound.  Tiers bound
 the cost: FULL rows (degree <= 256) run everything, SLOW rows run everything
 but may time out (downgrading, never failing, the verdict), PARAMS_ONLY rows
 stop after the subdegree check.
@@ -36,7 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autsolve import NotIsomorphic, Timeout, are_isomorphic, automorphism_group
+from .autsolve import (
+    NotIsomorphic,
+    Timeout,
+    are_isomorphic,
+    automorphism_group,
+    check_budget,
+)
 from .families import (
     FamilyId,
     family_graph,
@@ -45,7 +52,7 @@ from .families import (
     zero_stabilizer,
 )
 from .graphs import Degenerate, DenseGraph, NotStronglyRegular, srg_params
-from .permgrp import GeneratorSet, orbit, stabilizer_rank
+from .permgrp import GeneratorSet, orbit, reaches_order, stabilizer_rank
 
 __all__ = [
     "TIERS",
@@ -580,19 +587,28 @@ def _time_left(deadline: float) -> float:
 def _check_aut(
     entry: CatalogEntry, g: DenseGraph, deadline: float, known: GeneratorSet | None
 ) -> StageOutcome:
-    """The solver's order against the expected one.  The search starts from
-    g's translations and ``known`` (the zero-stabilizer), and the detail ends
-    with its counters."""
+    """The solver's order, certified and then held against the expected one.
+
+    The search starts from g's translations and ``known`` (the
+    zero-stabilizer), and the detail ends with its counters.  The certificate
+    is reaches_order on the solver's generators: a Schreier-Sims lower bound
+    that meets the order, which the exhaustive search bounds from above."""
     budget = _time_left(deadline)
     try:
         result = automorphism_group(g, budget=budget, known=known)
     except Timeout:
         return StageOutcome("timeout", f"no order within {budget:g}s")
     counters = result.counters()
+    if not reaches_order(result.generators, result.order):
+        return StageOutcome(
+            "mismatch",
+            f"solver generators do not reach order {result.order} ({counters})",
+        )
     if entry.expected_aut_order is None:
         return StageOutcome(
             "ok",
-            f"computed order {result.order} (no expected value on file) ({counters})",
+            f"computed order {result.order}, certified (no expected value on "
+            f"file) ({counters})",
         )
     if result.order != entry.expected_aut_order:
         return StageOutcome(
@@ -601,7 +617,7 @@ def _check_aut(
             f"{entry.expected_aut_order} (solver value reported for "
             f"adjudication) ({counters})",
         )
-    return StageOutcome("ok", f"order {result.order} ({counters})")
+    return StageOutcome("ok", f"order {result.order}, certified ({counters})")
 
 
 def _check_iso(entry: CatalogEntry, g: DenseGraph, deadline: float) -> StageOutcome:
@@ -644,6 +660,7 @@ def verify_entry(
     stages.  The construct timing covers building the graph.  `budget`
     (seconds) is one deadline for the whole row, started at the aut stage:
     aut and then every iso claim gets the time left, floored at 0.
+    ValueError unless budget >= 0.
     """
     return _run_pipeline(entry, budget, seed, absorb_errors=False)
 
@@ -654,6 +671,7 @@ def _run_pipeline(
     """verify_entry's stages in order.  With absorb_errors, an exception in a
     stage becomes that stage's "error" outcome and ends the run; the stages
     before it keep their outcomes and timings."""
+    check_budget(budget)  # the floor at 0 would hide a bad one
     stages: dict[str, StageOutcome] = {}
     timings: dict[str, float] = {}
     g: DenseGraph | None = None
@@ -743,7 +761,8 @@ def verify_all(
 
     Unlike verify_entry, an exception in any stage, construction included,
     becomes an "error" outcome on that stage and a FAIL report (the run must
-    always produce a complete summary).
+    always produce a complete summary).  A budget that is not
+    >= 0 raises ValueError.
     """
     if tier not in ("full", "slow", "all"):
         raise ValueError(f"unknown tier filter {tier!r}, want full|slow|all")

@@ -17,6 +17,7 @@ regular, timeout, FAIL verdicts), 2 usage errors (bad descriptors, bad files).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import catalog as _catalog
@@ -126,6 +127,14 @@ def _cmd_catalog_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _budget(text: str) -> float:
+    """A --budget value: a finite number of seconds >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"want a finite number of seconds >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rank3",
@@ -144,13 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aut", help="automorphism group order")
     p.add_argument("descriptor")
-    p.add_argument("--budget", type=float, default=60.0, metavar="S")
+    p.add_argument("--budget", type=_budget, default=60.0, metavar="S")
     p.set_defaults(func=_cmd_aut)
 
     p = sub.add_parser("iso", help="isomorphism test between two families")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--budget", type=float, default=60.0, metavar="S")
+    p.add_argument("--budget", type=_budget, default=60.0, metavar="S")
     p.set_defaults(func=_cmd_iso)
 
     p = sub.add_parser("rank", help="rank/subdegrees of an affine matrix group")
@@ -161,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tier", choices=("full", "slow", "all"), default="full")
     p.add_argument("--seed", type=int, default=None, metavar="N")
     p.add_argument("--json", metavar="OUT", help="also write a JSON report")
-    p.add_argument("--budget", type=float, default=60.0, metavar="S")
+    p.add_argument("--budget", type=_budget, default=60.0, metavar="S")
     p.add_argument("--catalog", metavar="FILE", help="override catalog (JSON)")
     p.set_defaults(func=_cmd_verify)
 

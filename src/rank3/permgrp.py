@@ -12,13 +12,16 @@ group V:G0, the orbits of G0 on V \\ {0}): the rank is one more than their
 number and the subdegrees are their sizes.  The flat pair-orbit closure over
 all n^2 pairs (n <= 4096) stays as an independent test oracle.
 
-The Schreier-Sims variant here is the deterministic textbook one; see
-Kreher & Stinson, "Combinatorial Algorithms", and Seress, "Permutation Group
-Algorithms" for the underlying theory.
+schreier_sims is the deterministic textbook algorithm (Kreher & Stinson,
+"Combinatorial Algorithms").  reaches_order, the order certificate, first
+runs a seeded random Schreier-Sims (Seress, "Permutation Group Algorithms",
+ch. 4), whose orbit product is a proven lower bound, and falls back to the
+deterministic run only when the random phase stalls below its target.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -325,26 +328,6 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
     stabilizers); remaining base points are chosen as the first point moved
     by the element that opens the level.
     """
-    return BSGS(gs.degree, _schreier_sims_levels(gs, base_prefix, None))
-
-
-def reaches_order(gs: GeneratorSet, target: int) -> bool:
-    """Whether |<gs>| >= target, by a Schreier-Sims run that stops early.
-
-    Each level's orbit is, at every point of the run, an orbit of a subgroup
-    of the stabilizer of the earlier base points, so the product of the
-    orbit lengths is a lower bound on |<gs>|; the run stops as soon as that
-    product reaches target.
-    """
-    levels = _schreier_sims_levels(gs, (), target)
-    return math.prod(len(lvl.orbit_order) for lvl in levels) >= target
-
-
-def _schreier_sims_levels(
-    gs: GeneratorSet, base_prefix: tuple[int, ...], stop_at: int | None
-) -> list[_Level]:
-    """The levels of schreier_sims; partial once their orbit product reaches
-    stop_at (when given)."""
     n = gs.degree
     idarr = np.arange(n, dtype=np.int32)
     levels: list[_Level] = []
@@ -374,10 +357,6 @@ def _schreier_sims_levels(
                 continue
             lvl.gens.append(Permutation(gimg, _validate=False))
             _extend_orbit(lvl, n)
-            if stop_at is not None and (
-                math.prod(len(v.orbit_order) for v in levels) >= stop_at
-            ):
-                return levels
             # process Schreier generators for all (orbit point, generator)
             # pairs not covered by the already-done rectangle
             X, G = len(lvl.orbit_order), len(lvl.gens)
@@ -398,7 +377,72 @@ def _schreier_sims_levels(
                     if resid is not None:
                         pending.append((k + 1, resid))
             lvl.x_done, lvl.g_done = X, G
-    return levels
+    return BSGS(n, levels)
+
+
+# consecutive random elements that must sift to the identity before
+# reaches_order gives up on its random phase
+_RANDOM_SIFT_STOP = 40
+# product-replacement state size and warm-up steps (Celler et al. 1995)
+_PR_SLOTS = 10
+_PR_WARMUP = 50
+
+
+def _product_replacement(gens: list[np.ndarray]):
+    """An endless stream of near-uniform random elements of <gens>, as image
+    arrays, by the product-replacement algorithm with an accumulator (Celler
+    et al., 1995), from a local generator with a fixed seed."""
+    rng = np.random.default_rng(0)
+    slots = [gens[i % len(gens)] for i in range(max(_PR_SLOTS, len(gens)))]
+    acc = np.arange(gens[0].shape[0], dtype=np.int32)
+    for step in itertools.count():
+        i, j = rng.choice(len(slots), size=2, replace=False)
+        other = slots[j] if rng.integers(2) else _invert_img(slots[j])
+        slots[i] = slots[i][other]
+        acc = acc[slots[i]]
+        if step >= _PR_WARMUP:
+            yield acc
+
+
+def reaches_order(gs: GeneratorSet, target: int) -> bool:
+    """Whether |<gs>| >= target.
+
+    A seeded random Schreier-Sims runs first (Seress, "Permutation Group
+    Algorithms", ch. 4.3).  The input generators, then product-replacement
+    elements of <gs>, are sifted through a growing stabilizer chain; a
+    residue that stops at level j is a product of the generators fixing the
+    base points of levels < j, and becomes a generator of level j (a residue
+    that fixes every base point opens a new level).  Each level's orbit is
+    therefore contained in the orbit of the true pointwise stabilizer of the
+    earlier base points, so the product of the orbit lengths is a proven
+    lower bound on |<gs>|: the answer is True as soon as it reaches target.
+    After _RANDOM_SIFT_STOP consecutive elements sift to the identity the
+    answer is schreier_sims(gs).order >= target, so False always comes from
+    the exact deterministic run.  The random stream is a local generator
+    with a fixed seed; the global numpy state is neither read nor moved.
+    """
+    if target <= 1:
+        return True
+    n = gs.degree
+    idarr = np.arange(n, dtype=np.int32)
+    gens = [g.img for g in gs.gens if not np.array_equal(g.img, idarr)]
+    if gens:
+        levels: list[_Level] = []
+        stream = itertools.chain(gens, _product_replacement(gens))
+        trivial = 0
+        while trivial < _RANDOM_SIFT_STOP:
+            resid, j = _sift_img(levels, next(stream), 0, idarr)
+            if resid is None:
+                trivial += 1
+                continue
+            trivial = 0
+            if j == len(levels):
+                levels.append(_Level(int(np.flatnonzero(resid != idarr)[0]), n))
+            levels[j].gens.append(Permutation(resid, _validate=False))
+            _extend_orbit(levels[j], n)
+            if math.prod(len(lvl.orbit_order) for lvl in levels) >= target:
+                return True
+    return schreier_sims(gs).order >= target
 
 
 # -- rank and subdegrees -------------------------------------------------------

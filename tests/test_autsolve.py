@@ -296,6 +296,11 @@ class TestAutomorphismGroup:
             automorphism_group(paley(49), budget=0.0)
         assert exc.value.budget == 0.0
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_bad_budget_raises(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            automorphism_group(paley(13), budget=budget)
+
     def test_empty_graph(self):
         r = automorphism_group(DenseGraph(np.zeros((0, 0), dtype=bool)))
         assert r.order == 1
@@ -514,6 +519,11 @@ class TestIsomorphism:
     def test_timeout(self):
         with pytest.raises(Timeout):
             are_isomorphic(paley(49), peisert(49), budget=0.0)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_bad_budget_raises(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            are_isomorphic(paley(9), peisert(9), budget=budget)
 
     def test_empty_graphs(self):
         g = DenseGraph(np.zeros((0, 0), dtype=bool))

@@ -24,7 +24,7 @@ from rank3.catalog import (
 )
 from rank3.families import family_graph, family_group, parse_descriptor, zero_stabilizer
 from rank3.graphs import DenseGraph, srg_params
-from rank3.permgrp import schreier_sims
+from rank3.permgrp import GeneratorSet, schreier_sims
 
 CATALOG = builtin_catalog()
 BY_ID = {e.id: e for e in CATALOG}
@@ -196,6 +196,14 @@ class TestVerifyEntry:
         assert report.verdict == "PASS_DOWNGRADED"
         assert report.stages["aut"].status == "timeout"
 
+    @pytest.mark.parametrize("budget", [float("nan"), -5.0])
+    def test_bad_budget_raises(self, budget):
+        # the floor at 0 would otherwise turn it into a timeout on every row
+        with pytest.raises(ValueError, match="budget"):
+            verify_entry(BY_ID["paley:13"], budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            verify_all(tier="full", budget=budget, entries=[BY_ID["paley:13"]])
+
     def test_row_shares_one_budget(self, monkeypatch):
         # aut takes at least 0.3 s and each iso claim at least 0.1 s, so the
         # claims may only get what the row's one budget has left
@@ -223,6 +231,27 @@ class TestVerifyEntry:
         assert aut_budget <= 60.0
         assert first <= 60.0 - 0.3
         assert second <= 60.0 - 0.4
+
+    def test_aut_order_must_be_certified(self, monkeypatch):
+        import dataclasses
+
+        import rank3.catalog as catalog
+        from rank3.autsolve import automorphism_group
+
+        report = verify_entry(BY_ID["paley:13"], budget=60.0)
+        assert "order 78, certified" in report.stages["aut"].detail
+
+        # a solver that keeps its order but drops all but one generator: the
+        # translation left generates only Z_13, which cannot reach order 78
+        def lossy_aut(g, budget, known=None):
+            r = automorphism_group(g, budget=budget, known=known)
+            return dataclasses.replace(r, generators=GeneratorSet(g.n, r.generators.gens[:1]))
+
+        monkeypatch.setattr(catalog, "automorphism_group", lossy_aut)
+        report = verify_entry(BY_ID["paley:13"], budget=60.0)
+        assert report.verdict == "FAIL"
+        assert report.stages["aut"].status == "mismatch"
+        assert "solver generators do not reach order 78" in report.stages["aut"].detail
 
     def test_unknown_expected_order_records_solver_value(self):
         entry = _replace(

@@ -153,6 +153,25 @@ class TestVerify:
             assert "error" in err and "'paley:13'" in err and "'subdegrees'" in err
 
 
+class TestBudget:
+    # a budget must be a finite number of seconds >= 0: NaN would turn the
+    # deadline off, a negative one would report every search as a timeout
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("aut", "paley:13", "--budget", "nan"),
+            ("aut", "paley:13", "--budget", "-1"),
+            ("verify", "--budget", "-5"),
+        ],
+        ids=["aut-nan", "aut-negative", "verify-negative"],
+    )
+    def test_bad_budget_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+
 class TestCatalogList:
     def test_lists_entries(self, capsys):
         code, out, _ = run(capsys, "catalog", "list")

@@ -279,6 +279,18 @@ class TestAffinePolar:
         spec = affine_polar_group(4, 2, 1)
         assert schreier_sims(linear_perms(spec)).order == 348364800
 
+    @pytest.mark.parametrize(
+        "desc", ["vo:+:4:5", "vo:-:4:5", "vo:-:4:7", "vo:+:4:7", "vo:+:6:3", "vo:-:6:3"]
+    )
+    def test_polar_groups_beyond_the_catalog(self, desc):
+        # N(0) is the s = (q^m - eps)(q^(m-1) + eps) nonzero singular vectors;
+        # the zero-stabilizer has it and the nonsingular vectors as its orbits
+        fid = parse_descriptor(desc)
+        m, q, eps = fid.params
+        s = (q**m - eps) * (q ** (m - 1) + eps)
+        assert stabilizer_rank(zero_stabilizer(fid)) == (3, sorted([s, q ** (2 * m) - 1 - s]))
+        assert int(family_graph(fid).adj[0].sum()) == s
+
     def test_non_similitude_rejected(self):
         # Q = x0 x1 + x2 x3 over GF(3); swapping x0 and x2 is no similitude
         upper = np.zeros((4, 4), dtype=np.int64)

@@ -203,6 +203,72 @@ def test_reaches_order_is_a_certified_lower_bound():
     assert not reaches_order(GeneratorSet(5, (Permutation.identity(5),)), 2)
 
 
+def _gens_on(n, images):
+    return GeneratorSet(n, tuple(Permutation(img) for img in images))
+
+
+def _block_images(n, data):
+    """A random permutation of [0, n) preserving the blocks {0, 1}, {2, 3},
+    ...: it permutes the blocks and may swap within each.  Such groups are
+    imprimitive, with longer chains than the symmetric and alternating
+    groups that random permutations mostly generate."""
+    pairs = n // 2
+    blocks = data.draw(st.permutations(range(pairs)))
+    flips = data.draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    img = list(range(n))
+    for b, (t, f) in enumerate(zip(blocks, flips)):
+        img[2 * b], img[2 * b + 1] = (2 * t + 1, 2 * t) if f else (2 * t, 2 * t + 1)
+    return img
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.booleans(), st.data())
+def test_reaches_order_is_exact_on_random_groups(n, imprimitive, data):
+    # the random phase returns True only from a certified orbit product, and
+    # False comes from the exact run: the order o is reached, o + 1 is not
+    k = data.draw(st.integers(1, 3))
+    if imprimitive and n >= 2:
+        images = [_block_images(n, data) for _ in range(k)]
+    else:
+        images = [data.draw(st.permutations(range(n))) for _ in range(k)]
+    gs = _gens_on(n, images)
+    o = schreier_sims(gs).order
+    assert reaches_order(gs, o)
+    assert not reaches_order(gs, o + 1)
+    sub = _gens_on(n, images[:1])
+    if schreier_sims(sub).order < o:
+        assert not reaches_order(sub, o)
+
+
+def test_proper_subgroup_never_reaches_the_group_order():
+    for n in range(4, 10):
+        # the 3-cycles (0 1 i) generate A_n
+        alt = GeneratorSet(n, tuple(from_cycles(n, [(0, 1, i)]) for i in range(2, n)))
+        assert schreier_sims(alt).order == math.factorial(n) // 2
+        assert reaches_order(alt, math.factorial(n) // 2)
+        assert not reaches_order(alt, math.factorial(n))
+    # C2 wr S4 (order 2^4 * 24) against its subgroup C2 x S4 (diagonal flips)
+    swap = from_cycles(8, [(0, 1)])
+    blocks = [from_cycles(8, [(0, 2), (1, 3)]), from_cycles(8, [(0, 2, 4, 6), (1, 3, 5, 7)])]
+    wreath = GeneratorSet(8, (swap, *blocks))
+    assert schreier_sims(wreath).order == 384
+    diagonal = GeneratorSet(8, (from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), *blocks))
+    assert schreier_sims(diagonal).order == 48
+    assert reaches_order(diagonal, 48)
+    assert not reaches_order(diagonal, 384)
+
+
+def test_reaches_order_leaves_the_global_rng_alone():
+    gs = semilinear_perms(make_field(3, 2), 2, include_frobenius=True)
+    answers = []
+    for seed in (1, 2):
+        np.random.seed(seed)
+        before = np.random.get_state()[1].copy()
+        answers.append((reaches_order(gs, 72), reaches_order(gs, 73)))
+        assert np.array_equal(np.random.get_state()[1], before)
+    assert answers == [(True, False), (True, False)]
+
+
 def test_orders_match_brute_force_closure():
     f9 = make_field(3, 2)
     corpus = {
