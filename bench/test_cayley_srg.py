@@ -14,14 +14,10 @@ On the orbital:sl25 graphs for p = 41 (1681 vertices) and p = 71 (5041):
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from rank3.families import (
-    ConnectionSet,
-    VectorSpace,
-    cayley_graph,
-    sl25_with_scalars_spec,
-)
+from rank3.families import cayley_graph, sl25_with_scalars_spec
 from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import linear_perms, stabilizer_orbits
 
@@ -30,20 +26,21 @@ ROUNDS = 3
 
 
 @pytest.fixture(scope="module", params=PRIMES, ids=lambda p: f"sl25:{p}")
-def connection_set(request) -> ConnectionSet:
-    """The smaller zero-stabilizer orbit, as affine_orbital_graph picks it."""
+def cayley_args(request) -> tuple[int, int, np.ndarray]:
+    """(p, 2, the smaller zero-stabilizer orbit), as affine_orbital_graph
+    passes them."""
     p = request.param
     orbit = stabilizer_orbits(linear_perms(sl25_with_scalars_spec(p)))[0]
-    return ConnectionSet(VectorSpace(p, 2), frozenset(int(x) for x in orbit))
+    return p, 2, orbit
 
 
 @pytest.fixture(scope="module")
-def graph(connection_set) -> DenseGraph:
-    return cayley_graph(connection_set)
+def graph(cayley_args) -> DenseGraph:
+    return cayley_graph(*cayley_args)
 
 
-def test_cayley_graph(benchmark, connection_set):
-    g = benchmark.pedantic(cayley_graph, (connection_set,), rounds=ROUNDS)
+def test_cayley_graph(benchmark, cayley_args):
+    g = benchmark.pedantic(cayley_graph, cayley_args, rounds=ROUNDS)
     assert g.moduli is not None
 
 

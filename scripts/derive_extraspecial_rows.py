@@ -16,10 +16,10 @@ Strategy: write down R as a tensor product of 2x2 blocks, read off the
 quadratic form Q and symplectic form B on R modulo scalars (squares and
 commutators), generate the outer group by its transvections, and lift each
 outer generator back to a matrix by solving the intertwiner equations
-M rho(g) = c rho(g') M over GF(p).  Everything is verified by running
-Schreier-Sims on the induced permutations of the vector space: the group
-order, the two orbit sizes, and the strong regularity of the orbital graph
-must all match the expected values before a file is written.
+M rho(g) = c rho(g') M over GF(p).  Everything is verified on the induced
+permutations of the vector space: the group order (Schreier-Sims), the two
+orbit sizes (stabilizer_rank), and the strong regularity of the orbital
+graph must all match the expected values before a file is written.
 
 Output: src/rank3/data/extraspecial_{625,2401,6561}.txt
 
@@ -37,17 +37,17 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rank3.families import affine_orbital_graph  # noqa: E402
+from rank3.families import _quaternion_units, affine_orbital_graph  # noqa: E402
 from rank3.gf import primitive_root  # noqa: E402
 from rank3.graphs import srg_params  # noqa: E402
 from rank3.permgrp import (  # noqa: E402
     GeneratorSet,
     MatrixGroupSpec,
-    Permutation,
+    _det_mod,
     format_matrix_spec,
     linear_perms,
-    orbit_partition,
     schreier_sims,
+    stabilizer_rank,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "rank3" / "data"
@@ -92,26 +92,6 @@ def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
             v[c] = (-red[r, f]) % p
         basis.append(v)
     return np.array(basis, dtype=np.int64).reshape(len(basis), cols)
-
-
-def det_mod(a: np.ndarray, p: int) -> int:
-    a = a.copy() % p
-    n = a.shape[0]
-    det = 1
-    for c in range(n):
-        hot = np.nonzero(a[c:, c])[0]
-        if hot.size == 0:
-            return 0
-        if hot[0] != 0:
-            a[[c, c + hot[0]]] = a[[c + hot[0], c]]
-            det = -det
-        det = det * int(a[c, c]) % p
-        inv = pow(int(a[c, c]), -1, p)
-        a[c] = (a[c] * inv) % p
-        low = a[c + 1 :]
-        low -= np.outer(low[:, c], a[c])
-        low %= p
-    return det % p
 
 
 # -- the 2-group and its forms ------------------------------------------------------
@@ -183,33 +163,23 @@ def transvection(rep: TwoGroupRep, v: np.ndarray) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
-def f2_perm(mat: np.ndarray) -> Permutation:
-    """The permutation of F2^k (little-endian integer labels) induced by a
-    k x k matrix over F2 acting on column vectors."""
-    k = mat.shape[0]
-    pv = 1 << np.arange(k)
-    vecs = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.int64)
-    imgs = (vecs @ mat.T % 2) @ pv
-    return Permutation(imgs.astype(np.int32))
-
-
 def outer_generators(
     rep: TwoGroupRep, candidates: list[np.ndarray], target_order: int
 ) -> list[np.ndarray]:
     """Greedily pick candidate F2-maps until they generate a group of exactly
-    target_order as permutations of F2^k."""
+    target_order as permutations of F2^k (linear_perms of a GF(2) spec)."""
     chosen: list[np.ndarray] = []
-    perms: list[Permutation] = []
+    perms = []
+    order = 1  # of the group the chosen maps generate
     for cand in candidates:
-        perm = f2_perm(cand)
-        if perms and any(np.array_equal(perm.img, q.img) for q in perms):
+        [perm] = linear_perms(MatrixGroupSpec(2, rep.k, (cand,))).gens
+        if any(np.array_equal(perm.img, q.img) for q in perms):
             continue
-        order = schreier_sims(
-            GeneratorSet(1 << rep.k, tuple(perms + [perm]))
-        ).order
-        if order > schreier_sims(GeneratorSet(1 << rep.k, tuple(perms))).order:
+        grown = schreier_sims(GeneratorSet(1 << rep.k, tuple(perms + [perm]))).order
+        if grown > order:
             chosen.append(cand)
             perms.append(perm)
+            order = grown
         if order == target_order:
             return chosen
         if order > target_order:
@@ -228,7 +198,7 @@ def lift_outer(rep: TwoGroupRep, alpha: np.ndarray, scalars: list[int]) -> np.nd
     words = [rep.word(alpha[:, i] % 2) for i in range(k)]
     cand_lists = []
     for g, w in zip(rep.gens, words):
-        need = det_mod(g, p) * pow(det_mod(w, p), -1, p) % p
+        need = _det_mod(g, p) * pow(_det_mod(w, p), -1, p) % p
         cands = [c for c in scalars if pow(c, d, p) == need]
         if not cands:
             raise AssertionError("no scalar candidate survives the determinant test")
@@ -242,7 +212,7 @@ def lift_outer(rep: TwoGroupRep, alpha: np.ndarray, scalars: list[int]) -> np.nd
         basis = nullspace_mod(np.concatenate(rows, axis=0), p)
         for vec in basis:
             m = vec.reshape(d, d)
-            if det_mod(m, p) != 0:
+            if _det_mod(m, p) != 0:
                 for g, w, c in zip(rep.gens, words, pattern):
                     lhs = (m @ g) % p
                     rhs = (c * (w @ m)) % p
@@ -272,39 +242,34 @@ def build_row(
     if extra_scalar is not None:
         gens.append(extra_scalar * np.eye(rep.d, dtype=np.int64) % p)
     spec = MatrixGroupSpec(p, rep.d, tuple(tuple(map(tuple, m)) for m in gens))
-    order = schreier_sims(linear_perms(spec)).order
+    linear = linear_perms(spec)
+    order = schreier_sims(linear).order
     assert order == expected_order, f"{label}: order {order} != {expected_order}"
-    orbs = orbit_partition(linear_perms(spec))
-    nonzero = sorted(len(o) for o in orbs if len(o) > 1 or o[0] != 0)
-    assert len(orbs) == 3 and tuple(nonzero) == expected_orbits, (
-        f"{label}: orbits {[len(o) for o in orbs]} != {expected_orbits}"
+    rank, sizes = stabilizer_rank(linear)
+    assert rank == 3 and tuple(sizes) == expected_orbits, (
+        f"{label}: rank {rank}, orbits {sizes} != {expected_orbits}"
     )
     g = affine_orbital_graph(spec)
     params = srg_params(g)
     print(
-        f"{label}: order={order} orbits={nonzero} srg={params} "
+        f"{label}: order={order} orbits={sizes} srg={params} "
         f"gens={len(spec.gens)} [{time.monotonic() - t0:.1f}s]"
     )
     return spec
 
 
 def pauli_blocks(p: int) -> dict[str, np.ndarray]:
-    """2x2 blocks over GF(p): the dihedral pair (squares +I) and, for
-    p = 3 mod 4, the quaternion pair (squares -I)."""
-    blocks = {
+    """2x2 blocks over GF(p), p an odd prime: the dihedral pair A, B (squares
+    +I) and the quaternion pair X, Y (squares -I) of
+    families._quaternion_units."""
+    x, y, _ = _quaternion_units(p)
+    return {
         "I": np.eye(2, dtype=np.int64),
-        "A": np.array([[0, 1], [1, 0]], dtype=np.int64),  # A^2 = I
-        "B": np.array([[1, 0], [0, p - 1]], dtype=np.int64),  # B^2 = I
-        "X": np.array([[0, p - 1], [1, 0]], dtype=np.int64),  # X^2 = -I
+        "A": np.array([[0, 1], [1, 0]], dtype=np.int64),
+        "B": np.array([[1, 0], [0, p - 1]], dtype=np.int64),
+        "X": x,
+        "Y": y,
     }
-    ab = next(
-        ((a, b) for a in range(p) for b in range(p) if (a * a + b * b) % p == p - 1),
-        None,
-    )
-    if ab is not None:
-        a, b = ab
-        blocks["Y"] = np.array([[a, b], [b, (p - a) % p]], dtype=np.int64)  # Y^2 = -I
-    return blocks
 
 
 def tensor(p: int, *mats: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ Pruning, in the standard shape:
   *accepts* anything by itself: leaves are always verified);
 * orbit pruning — on first-path nodes, siblings lying in the orbit of
   already-explored choices under the known automorphisms fixing the node's
-  individualized prefix and the automorphisms found so far are skipped;
+  individualized prefix and the automorphisms found so far are skipped
+  (the orbits are closed by permgrp.orbit_mask, which also counts the
+  order off the first path);
 * backjumping — a verified automorphism unwinds the search to the deepest
   first-path node whose individualized prefix it fixes.
 
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DenseGraph, is_isomorphism, unit_translations
-from .permgrp import GeneratorSet, Permutation
+from .permgrp import GeneratorSet, Permutation, _point_mask, orbit_mask
 
 __all__ = [
     "Coloring",
@@ -261,30 +263,27 @@ class _CrossFound(Exception):
         self.sigma = sigma
 
 
+def _fixing(imgs: Iterable[np.ndarray], prefix: Sequence[int]) -> list[np.ndarray]:
+    """The image arrays among imgs that fix every point of prefix."""
+    pts = np.asarray(prefix, dtype=np.int64)
+    return [img for img in imgs if np.array_equal(img[pts], pts)]
+
+
 class _OrbitSet:
-    """Incrementally maintained closure of a seed set under permutations."""
+    """The closure of a growing seed set under a growing list of permutations
+    (image arrays), kept closed by permgrp.orbit_mask."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, gens: Iterable[np.ndarray] = ()):
         self.mark = np.zeros(n, dtype=bool)
-        self.gens: list[np.ndarray] = []
-
-    def _close(self, frontier: list[int]) -> None:
-        while frontier:
-            x = frontier.pop()
-            for img in self.gens:
-                y = int(img[x])
-                if not self.mark[y]:
-                    self.mark[y] = True
-                    frontier.append(y)
+        self.gens = list(gens)
 
     def add_seed(self, v: int) -> None:
         if not self.mark[v]:
-            self.mark[v] = True
-            self._close([v])
+            self.mark |= orbit_mask(self.gens, _point_mask(len(self.mark), v))
 
     def add_gen(self, img: np.ndarray) -> None:
         self.gens.append(img)
-        self._close(list(np.flatnonzero(self.mark)))
+        self.mark = orbit_mask(self.gens, self.mark)
 
     def __contains__(self, v: int) -> bool:
         return bool(self.mark[v])
@@ -337,14 +336,8 @@ class _Solver:
     def _known_orbits(self, depth: int) -> _OrbitSet | None:
         """An orbit set under the known automorphisms fixing the first path's
         prefix of this depth; None when none fixes it."""
-        prefix = self.first_vertices[:depth]
-        fixing = [img for img in self.known if all(img[u] == u for u in prefix)]
-        if not fixing:
-            return None
-        orbits = _OrbitSet(self.n)
-        for img in fixing:
-            orbits.add_gen(img)
-        return orbits
+        fixing = _fixing(self.known, self.first_vertices[:depth])
+        return _OrbitSet(self.n, fixing) if fixing else None
 
     # - leaves -
 
@@ -423,13 +416,10 @@ class _Solver:
                 )
             except _AutoFound as found:
                 img = found.perm.img
-                if on_first_path and all(
-                    img[u] == u for u in self.first_vertices[:depth]
-                ):
+                if on_first_path and _fixing([img], self.first_vertices[:depth]):
                     if orbits is None:
                         orbits = _OrbitSet(self.n)
-                        for u in self.first_vertices[depth : depth + 1]:
-                            orbits.add_seed(u)
+                        orbits.add_seed(self.first_vertices[depth])
                     orbits.add_gen(img)
                     orbits.add_seed(v)
                     continue
@@ -490,19 +480,8 @@ def _order_from_first_path(
     order = 1
     imgs = [p.img for p in gens]
     for depth, v in enumerate(first_vertices):
-        prefix = first_vertices[:depth]
-        fixing = [img for img in imgs if all(img[u] == u for u in prefix)]
-        seen = np.zeros(n, dtype=bool)
-        seen[v] = True
-        frontier = [v]
-        while frontier:
-            x = frontier.pop()
-            for img in fixing:
-                y = int(img[x])
-                if not seen[y]:
-                    seen[y] = True
-                    frontier.append(y)
-        order *= int(seen.sum())
+        fixing = _fixing(imgs, first_vertices[:depth])
+        order *= int(orbit_mask(fixing, _point_mask(n, v)).sum())
     return order
 
 

@@ -52,7 +52,7 @@ from .families import (
     zero_stabilizer,
 )
 from .graphs import Degenerate, DenseGraph, NotStronglyRegular, srg_params
-from .permgrp import GeneratorSet, orbit, reaches_order, stabilizer_rank
+from .permgrp import GeneratorSet, reaches_order, stabilizer_orbits
 
 __all__ = [
     "TIERS",
@@ -563,15 +563,16 @@ def _check_subdegrees(
             f"family, orbit check skipped",
         )
     claimed = sorted(entry.subdegrees)
-    rank, sizes = stabilizer_rank(stab)
-    if rank != 3:
-        return StageOutcome("mismatch", f"group rank {rank} != 3")
+    orbits = stabilizer_orbits(stab)
+    if len(orbits) != 2:
+        return StageOutcome("mismatch", f"group rank {1 + len(orbits)} != 3")
+    sizes = [len(o) for o in orbits]
     if sizes != claimed:
         return StageOutcome(
             "mismatch", f"zero-stabilizer orbit sizes {sizes} != {claimed}"
         )
     nbrs = np.flatnonzero(g.adj[0])
-    if nbrs.size == 0 or orbit(stab, int(nbrs[0])) != set(nbrs.tolist()):
+    if not any(np.array_equal(o, nbrs) for o in orbits):
         return StageOutcome(
             "mismatch", "N(0) is not an orbit of the zero-stabilizer"
         )
@@ -741,14 +742,8 @@ def _run_pipeline(
     )
 
 
-def _tier_selected(entry_tier: str, tier_filter: str) -> bool:
-    if tier_filter == "full":
-        return entry_tier == "FULL"
-    if tier_filter == "slow":
-        return entry_tier in ("FULL", "SLOW")
-    if tier_filter == "all":
-        return True
-    raise ValueError(f"unknown tier filter {tier_filter!r}, want full|slow|all")
+# the catalog tiers that each verify_all tier filter selects
+_TIER_FILTERS = {"full": ("FULL",), "slow": ("FULL", "SLOW"), "all": TIERS}
 
 
 def verify_all(
@@ -764,11 +759,11 @@ def verify_all(
     always produce a complete summary).  A budget that is not
     >= 0 raises ValueError.
     """
-    if tier not in ("full", "slow", "all"):
+    if tier not in _TIER_FILTERS:
         raise ValueError(f"unknown tier filter {tier!r}, want full|slow|all")
     if entries is None:
         entries = builtin_catalog()
-    selected = [e for e in entries if _tier_selected(e.tier, tier)]
+    selected = [e for e in entries if e.tier in _TIER_FILTERS[tier]]
     reports: list[Report] = []
     for entry in selected:
         reports.append(_run_pipeline(entry, budget, seed, absorb_errors=True))

@@ -1,11 +1,16 @@
 """Constructors for the strongly regular graph families shipped here.
 
 Every family is a Cayley graph on the additive group of a vector space over
-GF(p) (or, for ``hamming2``, on Z_m x Z_m): vertices are the p**dim vectors
-under the little-endian digit indexing of module ``gf``, and x ~ y exactly
-when x - y lies in a fixed symmetric connection set.  Each graph carries its
-translation moduli, which DenseGraph checks and srg_params uses.  The
-families differ only in how that connection set is cut out:
+GF(p) (or, for ``hamming2``, on Z_m x Z_m), and x ~ y exactly when x - y
+lies in a fixed symmetric connection set.  Vertices are the p**dim vectors,
+indexed little-endian base p: (c_0, ..., c_{dim-1}) has index
+sum(c_i * p**i).  For a field GF(p**d) this is the element indexing of
+module ``gf``, and for a coordinate space over GF(q), q = p**d,
+concatenating the coordinates' coefficient vectors agrees with indexing by
+sum(coord_index_j * q**j).  A connection set is passed to cayley_graph as
+the vector indices of its members.  Each graph carries its translation
+moduli, which DenseGraph checks and srg_params uses.  The families differ
+only in how that connection set is cut out:
 
 * ``paley`` / ``peisert`` / ``van_lint_schrijver`` -- power-residue cosets in
   a finite field (one-dimensional).
@@ -25,6 +30,7 @@ checks independently of the Aut solver.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -67,8 +73,6 @@ __all__ = [
     "Unsupported",
     "WrongOrbitCount",
     "AsymmetricOrbit",
-    "VectorSpace",
-    "ConnectionSet",
     "FamilyId",
     "cayley_graph",
     "paley",
@@ -135,59 +139,7 @@ class AsymmetricOrbit(ValueError):
     """The selected orbit is not closed under v -> -v."""
 
 
-# -- connection sets and the generic Cayley construction ------------------------
-
-
-@dataclass(frozen=True)
-class VectorSpace:
-    """The vector space GF(p)**dim with vectors indexed little-endian base p.
-
-    A vector (c_0, ..., c_{dim-1}) has index sum(c_i * p**i).  For a field
-    GF(p**d) this agrees with the element indexing of module ``gf``, and for a
-    coordinate space over GF(q), q = p**d, concatenating the coefficient
-    vectors coordinate by coordinate agrees with indexing by
-    sum(coord_index_j * q**j).
-    """
-
-    p: int
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.p < 2 or not isprime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.dim < 1:
-            raise ValueError(f"dim = {self.dim} must be >= 1")
-
-    @property
-    def size(self) -> int:
-        return self.p**self.dim
-
-
-def _space_shape(space) -> tuple[int, int]:
-    """(p, dim) of a VectorSpace or a FiniteField."""
-    if isinstance(space, FiniteField):
-        return space.p, space.d
-    if isinstance(space, VectorSpace):
-        return space.p, space.dim
-    raise TypeError(f"expected FiniteField or VectorSpace, got {type(space)!r}")
-
-
-@dataclass(frozen=True)
-class ConnectionSet:
-    """A symmetric set S of nonzero vectors, given by their integer indices.
-
-    ``field`` is either a FiniteField (one-dimensional families) or a
-    VectorSpace.  Invariants -- S = -S and 0 not in S -- are enforced by
-    cayley_graph, which reports AsymmetricConnectionSet / ZeroInSet.
-    """
-
-    field: FiniteField | VectorSpace
-    members: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        p, dim = _space_shape(self.field)
-        return p**dim
+# -- the generic Cayley construction ---------------------------------------------
 
 
 def _block_circulant(indicator: np.ndarray, p: int, dim: int) -> np.ndarray:
@@ -209,23 +161,31 @@ def _block_circulant(indicator: np.ndarray, p: int, dim: int) -> np.ndarray:
     return m[0]
 
 
-def cayley_graph(cs: ConnectionSet) -> DenseGraph:
-    """The Cayley graph of GF(p)**dim with connection set cs.members.
+def cayley_graph(p: int, dim: int, members: Iterable[int]) -> DenseGraph:
+    """The Cayley graph of GF(p)**dim whose connection set S is given by the
+    vector indices ``members`` (any iterable or array; repeats are harmless).
 
-    x ~ y iff x - y is in the set; the output is |S|-regular and carries the
-    translation moduli (p,) * dim, which DenseGraph checks.
+    The vector (c_0, ..., c_{dim-1}) has index sum(c_i * p**i), which for a
+    field GF(p**dim) is the element index of module ``gf``.  x ~ y iff
+    x - y is in S; the output is |S|-regular and carries the translation
+    moduli (p,) * dim, which DenseGraph checks.  ValueError unless p is
+    prime, dim >= 1 and S is non-empty with every index in [0, p**dim);
+    ZeroInSet if S holds 0 and AsymmetricConnectionSet unless S = -S.
     """
-    p, dim = _space_shape(cs.field)
+    if not isprime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if dim < 1:
+        raise ValueError(f"dim = {dim} must be >= 1")
     n = p**dim
-    members = np.array(sorted(cs.members), dtype=np.int64)
+    members = np.fromiter(members, dtype=np.int64)
     if len(members) == 0:
         raise ValueError("connection set is empty")
-    if members[0] == 0:
-        raise ZeroInSet("connection set contains the zero vector")
-    if members[0] < 0 or members[-1] >= n:
+    if members.min() < 0 or members.max() >= n:
         raise ValueError(f"member index out of range [0, {n})")
     indicator = np.zeros(n, dtype=bool)
     indicator[members] = True
+    if indicator[0]:
+        raise ZeroInSet("connection set contains the zero vector")
     negation = (-digits(n, p, dim) % p) @ (p ** np.arange(dim))
     if not np.array_equal(indicator[negation], indicator):
         raise AsymmetricConnectionSet("connection set is not closed under negation")
@@ -270,10 +230,6 @@ def _anisotropic_pair(q: int) -> tuple[int, int]:
 # -- one-dimensional families ----------------------------------------------------
 
 
-def _residue_class_indices(field: FiniteField, e: int, which: int) -> frozenset[int]:
-    return frozenset(power_residue_classes(field, e)[which].tolist())
-
-
 def paley(q: int) -> DenseGraph:
     """Paley graph: vertices GF(q), x ~ y iff x - y is a nonzero square.
 
@@ -282,9 +238,7 @@ def paley(q: int) -> DenseGraph:
     p, d = _split_prime_power(q)
     if q % 4 != 1:
         raise BadCongruence(f"q = {q} is not 1 mod 4; the squares are not symmetric")
-    field = make_field(p, d)
-    members = _residue_class_indices(field, 2, 0)
-    return cayley_graph(ConnectionSet(field, members))
+    return cayley_graph(p, d, power_residue_classes(make_field(p, d), 2)[0])
 
 
 def peisert(q: int) -> DenseGraph:
@@ -298,9 +252,8 @@ def peisert(q: int) -> DenseGraph:
         raise BadCongruence(
             f"q = {q} = {p}**{d} needs p = 3 mod 4 and even exponent"
         )
-    field = make_field(p, d)
-    members = _residue_class_indices(field, 4, 0) | _residue_class_indices(field, 4, 1)
-    return cayley_graph(ConnectionSet(field, members))
+    classes = power_residue_classes(make_field(p, d), 4)
+    return cayley_graph(p, d, np.concatenate(classes[:2]))
 
 
 def van_lint_schrijver(q: int, e: int) -> DenseGraph:
@@ -327,9 +280,7 @@ def van_lint_schrijver(q: int, e: int) -> DenseGraph:
         raise AsymmetricConnectionSet(
             f"(q-1)/e = {(q - 1) // e} is odd and p is odd: C is not symmetric"
         )
-    field = make_field(p, d)
-    members = _residue_class_indices(field, e, 0)
-    return cayley_graph(ConnectionSet(field, members))
+    return cayley_graph(p, d, power_residue_classes(make_field(p, d), e)[0])
 
 
 # -- Hamming H(2, m) -------------------------------------------------------------
@@ -423,8 +374,7 @@ def affine_polar(m: int, q: int, epsilon: int) -> DenseGraph:
     terms, _ = _polar_form_rows(m, q, epsilon)
     coords = digits(n, q, dim)
     vals = _evaluate_form(coords, terms, q)
-    members = frozenset(np.flatnonzero((vals == 0) & (np.arange(n) != 0)).tolist())
-    return cayley_graph(ConnectionSet(VectorSpace(p, d * dim), members))
+    return cayley_graph(p, d * dim, np.flatnonzero((vals == 0) & (np.arange(n) != 0)))
 
 
 def _general_orthogonal_order(m: int, q: int, epsilon: int) -> int:
@@ -580,8 +530,7 @@ def bilinear_forms(q: int, m: int) -> DenseGraph:
                 field.mul(row0[:, j], row1[:, k]), field.mul(row0[:, k], row1[:, j])
             )
             rank_le_1 &= minor == 0
-    members = frozenset(np.flatnonzero(rank_le_1 & (np.arange(n) != 0)).tolist())
-    return cayley_graph(ConnectionSet(VectorSpace(p, d * dim), members))
+    return cayley_graph(p, d * dim, np.flatnonzero(rank_le_1 & (np.arange(n) != 0)))
 
 
 @lru_cache(maxsize=None)
@@ -672,8 +621,7 @@ def alternating_forms(n: int = 5, q: int = 2) -> DenseGraph:
             ^ b(r[0], r[3]) * b(r[1], r[2])
         )
         rank_le_2 &= pf == 0
-    members = frozenset(np.flatnonzero(rank_le_2 & (np.arange(count) != 0)).tolist())
-    return cayley_graph(ConnectionSet(VectorSpace(2, 10), members))
+    return cayley_graph(2, 10, np.flatnonzero(rank_le_2 & (np.arange(count) != 0)))
 
 
 def alternating_forms_group(n: int = 5, q: int = 2) -> MatrixGroupSpec:
@@ -714,7 +662,7 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
         raise ValueError(f"orbit_choice must be 0 or 1, got {orbit_choice}")
     chosen = nonzero[orbit_choice]
     try:
-        g = cayley_graph(ConnectionSet(VectorSpace(spec.p, spec.d), frozenset(chosen.tolist())))
+        g = cayley_graph(spec.p, spec.d, chosen)
     except AsymmetricConnectionSet:
         raise AsymmetricOrbit(
             f"the orbit of size {len(chosen)} is not closed under negation"

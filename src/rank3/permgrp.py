@@ -4,13 +4,16 @@ over GF(p) is given by its generators, which act on the p^d vectors as
 permutations; no group is enumerated element by element.
 
 Design notes.  Permutations wrap int32 numpy image arrays, so composition is a
-single fancy-index.  Stabilizer-chain transversals are stored as Schreier
-vectors (parent point + generator pointer) and recomposed on demand, keeping
-memory O(n) per level even at degree ~10^4.  Rank and subdegrees of a
-transitive group come from the orbits of its point stabilizer (for an affine
-group V:G0, the orbits of G0 on V \\ {0}): the rank is one more than their
-number and the subdegrees are their sizes.  The flat pair-orbit closure over
-all n^2 pairs (n <= 4096) stays as an independent test oracle.
+single fancy-index.  Every orbit closure -- orbit, orbit_partition and the
+Aut solver's orbit pruning and order count -- is one breadth-first frontier
+loop, orbit_mask, from a boolean mask of seed points.  Stabilizer-chain
+transversals are stored as Schreier vectors (parent point + generator
+pointer) and recomposed on demand, keeping memory O(n) per level even at
+degree ~10^4.  Rank and subdegrees of a transitive group come from the
+orbits of its point stabilizer (for an affine group V:G0, the orbits of G0
+on V \\ {0}): the rank is one more than their number and the subdegrees are
+their sizes.  The flat pair-orbit closure over all n^2 pairs (n <= 4096)
+stays as an independent test oracle.
 
 schreier_sims is the deterministic textbook algorithm (Kreher & Stinson,
 "Combinatorial Algorithms").  reaches_order, the order certificate, first
@@ -155,39 +158,52 @@ class GeneratorSet:
                 raise ValueError(f"generator degree {g.degree} != {self.degree}")
 
 
-def orbit(gs: GeneratorSet, point: int) -> set[int]:
-    """The orbit of point under <gens>, by breadth-first closure."""
-    n = gs.degree
-    if not 0 <= point < n:
-        raise ValueError(f"point {point} out of range [0, {n})")
-    seen = np.zeros(n, dtype=bool)
-    seen[point] = True
-    frontier = np.array([point], dtype=np.int64)
-    imgs = [g.img for g in gs.gens]
+def orbit_mask(imgs, seeds: np.ndarray) -> np.ndarray:
+    """The closure of a boolean mask of seed points under the permutations
+    given by their image arrays imgs, as a new mask: breadth-first, one
+    fancy-index per permutation and frontier.  Each generated orbit that
+    meets the seeds lies wholly inside the result."""
+    seen = np.array(seeds, dtype=bool)
+    frontier = np.flatnonzero(seen)
     while frontier.size:
         parts = []
         for img in imgs:
+            # a permutation maps the distinct frontier points to distinct images
             y = img[frontier]
             y = y[~seen[y]]
             if y.size:
-                y = np.unique(y)
                 seen[y] = True
                 parts.append(y)
         frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return set(np.flatnonzero(seen).tolist())
+    return seen
+
+
+def _point_mask(n: int, point: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[point] = True
+    return mask
+
+
+def orbit(gs: GeneratorSet, point: int) -> set[int]:
+    """The orbit of point under <gens>, from orbit_mask."""
+    n = gs.degree
+    if not 0 <= point < n:
+        raise ValueError(f"point {point} out of range [0, {n})")
+    mask = orbit_mask([g.img for g in gs.gens], _point_mask(n, point))
+    return set(np.flatnonzero(mask).tolist())
 
 
 def orbit_partition(gs: GeneratorSet) -> list[np.ndarray]:
     """All orbits on [0, n), each as a sorted array, ordered by smallest point."""
     n = gs.degree
+    imgs = [g.img for g in gs.gens]
     assigned = np.zeros(n, dtype=bool)
     out = []
     for s in range(n):
-        if assigned[s]:
-            continue
-        orb = np.array(sorted(orbit(gs, s)), dtype=np.int64)
-        assigned[orb] = True
-        out.append(orb)
+        if not assigned[s]:
+            mask = orbit_mask(imgs, _point_mask(n, s))
+            assigned |= mask
+            out.append(np.flatnonzero(mask))
     return out
 
 
@@ -480,8 +496,9 @@ def rank_and_subdegrees(gs: GeneratorSet) -> tuple[int, list[int]]:
     n = gs.degree
     if n > 4096:
         raise ValueError(f"pair-orbit closure needs n <= 4096, got {n}")
-    if len(orbit(gs, 0)) != n:
-        raise NotTransitive(f"orbit of 0 has size {len(orbit(gs, 0))} < {n}")
+    size = len(orbit(gs, 0))
+    if size != n:
+        raise NotTransitive(f"orbit of 0 has size {size} < {n}")
     labels = np.full(n * n, -1, dtype=np.int16)
     imgs = [g.img.astype(np.int64) for g in gs.gens]
     label = 0

@@ -335,6 +335,32 @@ class TestSeededSearch:
 
     ROWS = [e for e in builtin_catalog() if e.tier in ("FULL", "SLOW")]
 
+    # (nodes, refinements, generators) of the seeded search, per row
+    SEEDED_COUNTERS = {
+        "paley:9": (4, 7, 4),
+        "paley:13": (3, 10, 3),
+        "paley:17": (3, 10, 3),
+        "paley:49": (4, 31, 4),
+        "paley:81": (6, 59, 7),
+        "peisert:49": (5, 51, 5),
+        "vls:16:3": (11, 24, 9),
+        "vls:25:3": (30, 88, 11),
+        "vls:64:3": (14, 121, 13),
+        "hamming2:5": (27, 77, 13),
+        "vo:-:4:2": (6, 13, 14),
+        "vo:-:6:2": (8, 49, 24),
+        "vo:+:8:2": (36, 1040, 39),
+        "orbital:sl23:7": (5, 49, 7),
+        "orbital:q8:13": (5, 76, 6),
+        "hamming2:9": (345, 2061, 49),
+        "peisert:81": (9, 56, 9),
+        "vo:+:4:3": (7, 60, 19),
+        "vls:256:5": (24, 1020, 17),
+        "orbital:q8:17": (5, 117, 6),
+        "hq:3:3": (18, 1133, 19),
+        "orbital:sl25:41": (5, 397, 6),
+    }
+
     @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
     def test_seeded_order_matches_plain_search(self, entry):
         g = family_graph(entry.family)
@@ -345,6 +371,8 @@ class TestSeededSearch:
         assert seeded.refinements < plain.refinements
         assert plain.known == 0
         assert seeded.known == len(g.moduli) + len(stab.gens)
+        counters = (seeded.nodes, seeded.refinements, len(seeded.generators.gens))
+        assert counters == self.SEEDED_COUNTERS[entry.id]
         for perm in seeded.generators.gens:
             assert np.array_equal(g.adj[np.ix_(perm.img, perm.img)], g.adj)
 

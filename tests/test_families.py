@@ -8,11 +8,9 @@ from rank3.families import (
     AsymmetricConnectionSet,
     AsymmetricOrbit,
     BadCongruence,
-    ConnectionSet,
     FamilyId,
     OrderCondition,
     Unsupported,
-    VectorSpace,
     WrongOrbitCount,
     ZeroInSet,
     affine_orbital_graph,
@@ -41,7 +39,6 @@ from rank3.families import (
     _quaternion_units,
 )
 from rank3.autsolve import automorphism_group
-from rank3.gf import make_field
 from rank3.graphs import DenseGraph, complement, srg_params
 
 
@@ -84,7 +81,7 @@ def assert_translation_invariant(g, p, dim, seed=7):
 
 class TestCayleyGraph:
     def test_pentagon(self):
-        g = cayley_graph(ConnectionSet(make_field(5, 1), frozenset({1, 4})))
+        g = cayley_graph(5, 1, [1, 4])
         edges = {(u, v) for u in range(5) for v in range(u + 1, 5) if g.has_edge(u, v)}
         assert edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
         assert g == paley(5)
@@ -92,31 +89,41 @@ class TestCayleyGraph:
     def test_asymmetric_rejected(self):
         # squares mod 7 = {1,2,4}; -1 is a nonresidue so the set is not symmetric
         with pytest.raises(AsymmetricConnectionSet):
-            cayley_graph(ConnectionSet(make_field(7, 1), frozenset({1, 2, 4})))
+            cayley_graph(7, 1, [1, 2, 4])
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroInSet):
-            cayley_graph(ConnectionSet(make_field(5, 1), frozenset({0, 1, 4})))
+            cayley_graph(5, 1, [0, 1, 4])
 
     def test_full_set_gives_complete_graph(self):
-        g = cayley_graph(ConnectionSet(make_field(2, 3), frozenset(range(1, 8))))
+        g = cayley_graph(2, 3, range(1, 8))
         assert g.n == 8
         assert (g.degrees() == 7).all()
 
     def test_empty_and_out_of_range(self):
-        f = make_field(5, 1)
-        with pytest.raises(ValueError):
-            cayley_graph(ConnectionSet(f, frozenset()))
-        with pytest.raises(ValueError):
-            cayley_graph(ConnectionSet(f, frozenset({1, 5})))
+        with pytest.raises(ValueError, match="empty"):
+            cayley_graph(5, 1, [])
+        with pytest.raises(ValueError, match="out of range"):
+            cayley_graph(5, 1, [1, 5])
+        with pytest.raises(ValueError, match="out of range"):
+            cayley_graph(5, 1, [-1, 1, 4])
 
     def test_vector_space_container(self):
-        g = cayley_graph(ConnectionSet(VectorSpace(2, 2), frozenset({1, 2, 3})))
+        g = cayley_graph(2, 2, [1, 2, 3])
         assert (g.degrees() == 3).all()  # K4
-        with pytest.raises(ValueError):
-            VectorSpace(4, 2)  # p must be prime
-        with pytest.raises(ValueError):
-            VectorSpace(2, 0)
+        assert g.moduli == (2, 2)
+        with pytest.raises(ValueError, match="not prime"):
+            cayley_graph(4, 2, [1, 2, 3])
+        with pytest.raises(ValueError, match="dim"):
+            cayley_graph(2, 0, [1])
+
+    def test_set_and_repeated_array_inputs(self):
+        # a set, and an array that names members more than once, give the
+        # same graph as the plain list
+        g = cayley_graph(3, 2, [1, 2, 3, 6])
+        assert cayley_graph(3, 2, {6, 3, 2, 1}) == g
+        assert cayley_graph(3, 2, np.array([3, 1, 6, 1, 2, 3, 6])) == g
+        assert (g.degrees() == 4).all()
 
     def test_translation_invariance(self):
         assert_translation_invariant(paley(13), 13, 1)
@@ -139,7 +146,7 @@ class TestCayleyGraph:
         neg = ((p - digs) % p) @ pv
         picks = data.draw(st.sets(st.integers(1, n - 1), min_size=1))
         members = frozenset(picks) | {int(neg[v]) for v in picks}
-        g = cayley_graph(ConnectionSet(VectorSpace(p, dim), members))
+        g = cayley_graph(p, dim, members)
         indicator = np.zeros(n, dtype=bool)
         indicator[sorted(members)] = True
         assert np.array_equal(g.adj, indicator[((digs[:, None] - digs[None]) % p) @ pv])

@@ -22,7 +22,7 @@ from rank3.graphs import (
     to_graph6,
     unit_translations,
 )
-from rank3.families import ConnectionSet, VectorSpace, cayley_graph
+from rank3.families import cayley_graph
 from rank3.permgrp import (
     GeneratorSet,
     MatrixGroupSpec,
@@ -251,7 +251,7 @@ def test_false_moduli_rejected():
 def test_seven_cycle_witness_at_vertex_zero():
     # Cay(GF(7), {+-1}) = C_7: lambda = 0 from (0, 1), and the nonadjacent
     # pairs (0, 2) and (0, 3) have 1 and 0 common neighbours
-    g = cayley_graph(ConnectionSet(VectorSpace(7, 1), frozenset({1, 6})))
+    g = cayley_graph(7, 1, [1, 6])
     assert g.moduli == (7,)
     with pytest.raises(NotStronglyRegular) as e:
         srg_params(g)
@@ -259,7 +259,7 @@ def test_seven_cycle_witness_at_vertex_zero():
 
 
 def test_complement_keeps_moduli():
-    g = cayley_graph(ConnectionSet(VectorSpace(3, 2), frozenset({1, 2, 3, 6})))
+    g = cayley_graph(3, 2, [1, 2, 3, 6])
     co = complement(g)
     assert co.moduli == (3, 3)
     assert srg_params(co) == srg_params(DenseGraph(co.adj))
@@ -291,14 +291,14 @@ def test_linear_automorphism_agrees_with_full_check(shape, data):
         members = set().union(*(orbit(GeneratorSet(n, (mat, neg)), s) for s in seeds))
     else:
         members = set(seeds) | {int(neg.img[s]) for s in seeds}
-    g = cayley_graph(ConnectionSet(VectorSpace(p, d), frozenset(members)))
+    g = cayley_graph(p, d, members)
     fast = is_linear_automorphism(g, mat.img)
     assert fast == is_isomorphism(g, g, mat.img)
     assert fast == (members == {int(mat.img[s]) for s in members})
 
 
 def test_linear_automorphism_needs_moduli():
-    g = cayley_graph(ConnectionSet(VectorSpace(3, 2), frozenset({1, 2})))
+    g = cayley_graph(3, 2, [1, 2])
     assert is_linear_automorphism(g, np.arange(9))
     with pytest.raises(ValueError, match="moduli"):
         is_linear_automorphism(DenseGraph(g.adj), np.arange(9))

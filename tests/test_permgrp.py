@@ -44,6 +44,7 @@ from rank3.permgrp import (
     from_cycles,
     linear_perms,
     orbit,
+    orbit_mask,
     orbit_partition,
     parse_matrix_spec,
     parse_permutation,
@@ -178,6 +179,48 @@ def test_orbit_partition_field_square_classes():
     parts = orbit_partition(gs)
     assert sorted(p.size for p in parts) == [1, 4, 4]
     assert list(parts[0]) == [0]
+
+
+def _scalar_closure(imgs, seeds) -> set[int]:
+    """The closure of the seed points under imgs, one point at a time."""
+    seen, stack = set(seeds), list(seeds)
+    while stack:
+        x = stack.pop()
+        for img in imgs:
+            y = int(img[x])
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_orbit_mask_matches_scalar_closure(n, data):
+    # generators are either uniform permutations or products of a few
+    # transpositions, which leave many orbits
+    imgs = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        if data.draw(st.booleans()):
+            img = np.array(data.draw(st.permutations(range(n))))
+        else:
+            img = np.arange(n)
+            swaps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            for a, b in data.draw(st.lists(swaps, max_size=4)):
+                img[[a, b]] = img[[b, a]]
+        imgs.append(img.astype(np.int32))
+    seeds = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    before = seeds.copy()
+    mask = orbit_mask(imgs, seeds)
+    assert np.array_equal(seeds, before)
+    assert set(np.flatnonzero(mask).tolist()) == _scalar_closure(
+        imgs, np.flatnonzero(seeds).tolist()
+    )
+    parts = orbit_partition(GeneratorSet(n, tuple(Permutation(i) for i in imgs)))
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
+    assert [int(p[0]) for p in parts] == sorted(int(p[0]) for p in parts)
+    for part in parts:
+        assert part.tolist() == sorted(_scalar_closure(imgs, [int(part[0])]))
 
 
 # -- stabilizer chain -----------------------------------------------------------
