@@ -2,14 +2,16 @@
 
     pytest bench --benchmark-only      # with rank3 installed, or PYTHONPATH=src
 
-On the orbital:sl25 graphs for p = 41 (1681 vertices) and p = 71 (5041):
-
-* ``cayley_graph``: the block-circulant build plus DenseGraph's checks,
-  translations included.
-* ``DenseGraph``: the same matrix with and without moduli, i.e. the cost of
-  certifying the unit translations.
+* ``cayley_graph``: on the orbital:sl25 graphs for p = 41 (1681 vertices) and
+  p = 71 (5041), the banded circulant build from row 0
+  (``DenseGraph.from_row0``), which needs no certificate.
+* ``DenseGraph``: the same matrix with and without moduli.  With moduli it is
+  the circulant certificate, one band of about sqrt(n) rows at a time; bare,
+  the tiled symmetry check.  Besides the two sl25 graphs (moduli (p, p)) it
+  runs on hq:2:5 (1024 vertices, ten unit translations, moduli (2,) * 10) and
+  orbital:extraspecial:2401 (moduli (7,) * 4).
 * ``srg_params``: one row when the graph carries moduli, every row on the bare
-  matrix ``DenseGraph(g.adj)``.
+  matrix ``DenseGraph(g.adj)``, on the sl25 graphs.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rank3.families import cayley_graph, sl25_with_scalars_spec
+from rank3.families import cayley_graph, family_graph, parse_descriptor, sl25_with_scalars_spec
 from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import linear_perms, stabilizer_orbits
 
 PRIMES = [41, 71]
+CERTIFIED = ["orbital:sl25:41", "orbital:sl25:71", "hq:2:5", "orbital:extraspecial:2401"]
 ROUNDS = 3
 
 
@@ -39,16 +42,21 @@ def graph(cayley_args) -> DenseGraph:
     return cayley_graph(*cayley_args)
 
 
+@pytest.fixture(scope="module", params=CERTIFIED)
+def family(request) -> DenseGraph:
+    return family_graph(parse_descriptor(request.param))
+
+
 def test_cayley_graph(benchmark, cayley_args):
     g = benchmark.pedantic(cayley_graph, cayley_args, rounds=ROUNDS)
     assert g.moduli is not None
 
 
 @pytest.mark.parametrize("with_moduli", [True, False], ids=["moduli", "bare"])
-def test_dense_graph(benchmark, graph, with_moduli):
-    moduli = graph.moduli if with_moduli else None
-    h = benchmark.pedantic(DenseGraph, (graph.adj, moduli), rounds=ROUNDS)
-    assert h == graph
+def test_dense_graph(benchmark, family, with_moduli):
+    moduli = family.moduli if with_moduli else None
+    h = benchmark.pedantic(DenseGraph, (family.adj, moduli), rounds=ROUNDS)
+    assert h == family and h.moduli == moduli
 
 
 @pytest.mark.parametrize("with_moduli", [True, False], ids=["moduli", "bare"])

@@ -8,9 +8,11 @@ sum(c_i * p**i).  For a field GF(p**d) this is the element indexing of
 module ``gf``, and for a coordinate space over GF(q), q = p**d,
 concatenating the coordinates' coefficient vectors agrees with indexing by
 sum(coord_index_j * q**j).  A connection set is passed to cayley_graph as
-the vector indices of its members.  Each graph carries its translation
-moduli, which DenseGraph checks and srg_params uses.  The families differ
-only in how that connection set is cut out:
+the vector indices of its members, and its indicator is row 0 of the
+adjacency matrix: DenseGraph.from_row0 builds the rest band by band from
+adj[x, y] = row0[y - x].  Each graph carries its translation moduli, which
+srg_params, the seeded Aut search and the row-0 automorphism test use.  The
+families differ only in how that connection set is cut out:
 
 * ``paley`` / ``peisert`` / ``van_lint_schrijver`` -- power-residue cosets in
   a finite field (one-dimensional).
@@ -142,25 +144,6 @@ class AsymmetricOrbit(ValueError):
 # -- the generic Cayley construction ---------------------------------------------
 
 
-def _block_circulant(indicator: np.ndarray, p: int, dim: int) -> np.ndarray:
-    """The p**dim x p**dim matrix M[i, j] = indicator[i - j], the difference
-    taken digit by digit mod p.
-
-    Built digit by digit from the 1 x 1 slices of indicator: with the slices
-    of b = p**k consecutive indices in hand (one b x b matrix per value of the
-    higher digits), the matrix of a slice of p * b indices has block (s, t)
-    equal to the matrix of its sub-slice (s - t) mod p, placed for every slice
-    at once by one fancy index and a transpose.
-    """
-    a = np.arange(p)
-    diff = (a[:, None] - a[None, :]) % p
-    m = indicator.reshape(-1, 1, 1)
-    for _ in range(dim):
-        c, b = m.shape[0] // p, m.shape[1]
-        m = m.reshape(c, p, b, b)[:, diff].transpose(0, 1, 3, 2, 4).reshape(c, p * b, p * b)
-    return m[0]
-
-
 def cayley_graph(p: int, dim: int, members: Iterable[int]) -> DenseGraph:
     """The Cayley graph of GF(p)**dim whose connection set S is given by the
     vector indices ``members`` (any iterable or array; repeats are harmless).
@@ -168,7 +151,9 @@ def cayley_graph(p: int, dim: int, members: Iterable[int]) -> DenseGraph:
     The vector (c_0, ..., c_{dim-1}) has index sum(c_i * p**i), which for a
     field GF(p**dim) is the element index of module ``gf``.  x ~ y iff
     x - y is in S; the output is |S|-regular and carries the translation
-    moduli (p,) * dim, which DenseGraph checks.  ValueError unless p is
+    moduli (p,) * dim.  Its matrix is built from row 0, the indicator of S,
+    by DenseGraph.from_row0, so it is circulant over GF(p)**dim by
+    construction.  ValueError unless p is
     prime, dim >= 1 and S is non-empty with every index in [0, p**dim);
     ZeroInSet if S holds 0 and AsymmetricConnectionSet unless S = -S.
     """
@@ -189,7 +174,7 @@ def cayley_graph(p: int, dim: int, members: Iterable[int]) -> DenseGraph:
     negation = (-digits(n, p, dim) % p) @ (p ** np.arange(dim))
     if not np.array_equal(indicator[negation], indicator):
         raise AsymmetricConnectionSet("connection set is not closed under negation")
-    return DenseGraph(_block_circulant(indicator, p, dim), (p,) * dim)
+    return DenseGraph.from_row0(indicator, (p,) * dim)
 
 
 # -- helpers shared by the field-coordinate families -----------------------------
@@ -293,11 +278,9 @@ def hamming2(m: int) -> DenseGraph:
     Z_m x Z_m with the nonzero vectors on the axes, hence moduli (m, m)."""
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
-    n = m * m
-    i = np.arange(n) // m
-    j = np.arange(n) % m
-    adj = (i[:, None] == i[None, :]) ^ (j[:, None] == j[None, :])
-    return DenseGraph(adj, (m, m))
+    row0 = np.zeros(m * m, dtype=bool)
+    row0[1:m] = row0[m::m] = True  # (0, j) and (i, 0) for i, j != 0
+    return DenseGraph.from_row0(row0, (m, m))
 
 
 def hamming2_stabilizer(m: int) -> GeneratorSet:

@@ -5,8 +5,12 @@ uint64 view, so common-neighbour counts are word-wise AND + popcount.
 
 A graph may also carry ``moduli`` (m_1, ..., m_k): vertex i is the vector of
 its mixed-radix digits in Z_m1 x ... x Z_mk, and every translation of that
-group is an automorphism.  The constructor checks this on the k unit
-translations, which generate the group, and rejects the matrix otherwise.
+group is an automorphism.  That holds iff the matrix is circulant over the
+group, adj[x, y] == adj[0, y - x] with the difference taken digit by digit,
+and the constructor checks this identity one band of about sqrt(n) rows at a
+time (``_circulant_blocks``), then the loop and symmetry conditions on row 0
+alone.  The same bands build the matrix of ``DenseGraph.from_row0``, which is
+how every graph with moduli in this package is made.
 The translations act regularly, so the pair (u, v) maps to (0, v - u) and
 |N(u) & N(v)| = |N(0) & N(v - u)|: vertex 0's row of common-neighbour counts
 holds every count of the graph (Brouwer & Van Maldeghem, "Strongly Regular
@@ -63,27 +67,92 @@ class SrgParams:
         return SrgParams(n, n - k - 1, n - 2 * k + self.mu - 2, n - 2 * k + self.lam)
 
 
+def _radix(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits (k x n) of the points 0..n-1 of Z_m1 x ... x Z_mk, with the
+    moduli and place values as k x 1 columns.  The index of y - x, digit by
+    digit, is ((digits_y - digits_x) % m * place).sum(axis=0)."""
+    m = np.array(moduli, dtype=np.int64).reshape(-1, 1)
+    place = np.cumprod((1, *moduli), dtype=np.int64)[:-1].reshape(-1, 1)
+    return np.arange(math.prod(moduli)) // place % m, m, place
+
+
 def unit_translations(moduli: tuple[int, ...]) -> list[np.ndarray]:
     """Image arrays of the unit translations of Z_m1 x ... x Z_mk, where
     point i is the vector of its mixed-radix digits c_j
     (i = sum c_j * m_1 ... m_(j-1)); translation j adds 1 to digit j."""
-    idx = np.arange(math.prod(moduli), dtype=np.int64)
-    out = []
-    place = 1
-    for m in moduli:
-        digit = idx // place % m
-        out.append(idx + place * ((digit + 1) % m - digit))
-        place *= m
-    return out
+    d, m, place = _radix(moduli)
+    return list(np.arange(d.shape[1]) + ((d + 1) % m - d) * place)
+
+
+def _checked_moduli(moduli, n: int) -> tuple[int, ...]:
+    moduli = tuple(int(m) for m in moduli)
+    if min(moduli, default=0) < 1 or math.prod(moduli) != n:
+        raise ValueError(f"moduli {moduli} do not multiply to n = {n}")
+    return moduli
+
+
+def _circulant_blocks(row0: np.ndarray, moduli: tuple[int, ...]):
+    """Yield (lo, block) for the matrix M[x, y] = row0[y - x] over
+    Z_m1 x ... x Z_mk: block is rows lo, lo + 1, ... of M, the blocks come in
+    order, and none has more than about sqrt(n) rows.
+
+    The digits split into t low ones (product b) and high ones (product h), so
+    x = xh * b + xl.  The band xh = 0 is E0[xl, yh, yl] = row0[yh, yl - xl],
+    b x n, built once: from a b x b low-difference table, or as a
+    sliding-window view of row 0 when the low part is one cyclic digit, which
+    needs no table at all (a Paley graph of prime order is one band).  Band
+    xh is E0 with its column blocks moved to yh - xh, one np.take; no
+    n x n index array is ever formed.  t keeps both the table and the number
+    of bands near sqrt(n)."""
+    n = row0.size
+    size = np.cumprod((1, *moduli))  # size[t] = b for t low digits
+
+    def cost(t: int) -> tuple[int, int]:
+        table = int(size[t]) if t > 1 else 1
+        return max(table, n // int(size[t])), table
+
+    t = min(range(len(moduli) + 1), key=cost)
+    b = int(size[t])
+    h = n // b
+    r0 = row0.reshape(h, b)
+    if t > 1:
+        d, m, place = _radix(moduli[:t])
+        low = ((d[:, None, :] - d[:, :, None]) % m[:, :, None] * place[:, :, None]).sum(axis=0)
+        e0 = np.take(r0, low, axis=1).transpose(1, 0, 2)
+    else:  # E0[xl, yh] is r0[yh] rotated right by xl
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([r0, r0], axis=1), b, axis=1
+        )
+        e0 = windows[:, b:0:-1].transpose(1, 0, 2)
+    if h > 1:  # else e0 is a view of the whole matrix, read in steps
+        e0 = np.ascontiguousarray(e0)
+    step = max(1, math.isqrt(n))
+    d, m, place = _radix(moduli[t:])
+    for xh in range(h):
+        cols = ((d - d[:, xh : xh + 1]) % m * place).sum(axis=0)
+        for xl in range(0, b, step):
+            yield xh * b + xl, np.take(e0[xl : xl + step], cols, axis=1).reshape(-1, n)
+
+
+def _check_row0(row0: np.ndarray, moduli: tuple[int, ...]) -> None:
+    """The loop and symmetry checks of a circulant matrix, on its row 0:
+    adj[x, x] = row0[0] and adj[y, x] = row0[-(y - x)]."""
+    if row0[0]:
+        raise ValueError("adjacency has a loop (nonzero diagonal)")
+    d, m, place = _radix(moduli)
+    if not np.array_equal(row0[(-d % m * place).sum(axis=0)], row0):
+        raise ValueError("adjacency is not symmetric")
 
 
 def _is_symmetric(adj: np.ndarray) -> bool:
-    """adj == adj.T, compared one band of 64 rows at a time against the
-    matching column band: a whole strided transpose is about 2.5x slower."""
+    """adj == adj.T, compared one 256 x 256 tile of the upper triangle at a
+    time against the transpose of its mirror tile: both stay in cache, where
+    row bands against strided column bands do not."""
     n = adj.shape[0]
-    for lo in range(0, n, 64):
-        if not np.array_equal(adj[lo : lo + 64, lo:], adj[lo:, lo : lo + 64].T):
-            return False
+    for lo in range(0, n, 256):
+        for c in range(lo, n, 256):
+            if not np.array_equal(adj[lo : lo + 256, c : c + 256], adj[c : c + 256, lo : lo + 256].T):
+                return False
     return True
 
 
@@ -91,18 +160,56 @@ class DenseGraph:
     """Immutable undirected graph as a dense boolean adjacency matrix.
 
     ``moduli``, if given, names a translation group Z_m1 x ... x Z_mk acting
-    regularly on the vertices (see the module docstring); every unit
-    translation is checked to be an automorphism."""
+    regularly on the vertices (see the module docstring); the matrix is
+    checked to be circulant over it, so that every translation is an
+    automorphism.  ValueError if the matrix is not square, has a loop, is not
+    symmetric, if the moduli do not multiply to n, or if some translation is
+    not an automorphism."""
 
     def __init__(self, adjacency: np.ndarray, moduli: tuple[int, ...] | None = None):
         adj = np.asarray(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        if adj.diagonal().any():
-            raise ValueError("adjacency has a loop (nonzero diagonal)")
-        if not _is_symmetric(adj):
-            raise ValueError("adjacency is not symmetric")
-        adj = adj.copy()
+        if moduli is None:
+            if adj.diagonal().any():
+                raise ValueError("adjacency has a loop (nonzero diagonal)")
+            if not _is_symmetric(adj):
+                raise ValueError("adjacency is not symmetric")
+        else:
+            moduli = _checked_moduli(moduli, adj.shape[0])
+            for lo, block in _circulant_blocks(adj[0], moduli):
+                band = adj[lo : lo + len(block)]
+                if not np.array_equal(band, block):
+                    # the translation by x maps the pair (0, y - x) to (x, y)
+                    x = lo + int(np.flatnonzero((band != block).any(axis=1))[0])
+                    raise ValueError(
+                        f"the translation by vertex {x} of moduli {moduli} is not an automorphism"
+                    )
+            _check_row0(adj[0], moduli)
+        self._adopt(adj.copy(), moduli)
+
+    @classmethod
+    def from_row0(cls, row0: np.ndarray, moduli: tuple[int, ...]) -> "DenseGraph":
+        """The graph with adj[x, y] = row0[y - x] over Z_m1 x ... x Z_mk,
+        i.e. the Cayley graph whose connection set is the support of row0,
+        carrying ``moduli``.  The matrix is circulant by construction, so
+        only row 0 is checked: ValueError if row0[0] is set (a loop), if
+        row0[-z] != row0[z] for some z (not symmetric), or if the moduli do
+        not multiply to len(row0)."""
+        row0 = np.asarray(row0, dtype=bool)
+        if row0.ndim != 1:
+            raise ValueError(f"row 0 must be one-dimensional, got shape {row0.shape}")
+        moduli = _checked_moduli(moduli, row0.size)
+        _check_row0(row0, moduli)
+        adj = np.empty((row0.size, row0.size), dtype=bool)
+        for lo, block in _circulant_blocks(row0, moduli):
+            adj[lo : lo + len(block)] = block
+        g = cls.__new__(cls)
+        g._adopt(adj, moduli)
+        return g
+
+    def _adopt(self, adj: np.ndarray, moduli: tuple[int, ...] | None) -> None:
+        """Take ownership of a checked matrix and derive the packed rows."""
         adj.setflags(write=False)
         self.adj = adj
         self.n = adj.shape[0]
@@ -114,15 +221,7 @@ class DenseGraph:
             packed8 = np.hstack([packed8, np.zeros((self.n, pad), dtype=np.uint8)])
         self._packed = packed8.view(np.uint64)
         self._packed.setflags(write=False)
-        self.moduli = None if moduli is None else tuple(int(m) for m in moduli)
-        if self.moduli is not None:
-            if min(self.moduli, default=0) < 1 or math.prod(self.moduli) != self.n:
-                raise ValueError(f"moduli {self.moduli} do not multiply to n = {self.n}")
-            for j, img in enumerate(unit_translations(self.moduli)):
-                if not is_isomorphism(self, self, img):
-                    raise ValueError(
-                        f"unit translation {j} of moduli {self.moduli} is not an automorphism"
-                    )
+        self.moduli = moduli
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "DenseGraph":
@@ -193,10 +292,15 @@ def is_linear_automorphism(g: DenseGraph, mapping: np.ndarray) -> bool:
 
 
 def complement(g: DenseGraph) -> DenseGraph:
-    """The complement graph; it keeps g's translation moduli."""
+    """The complement graph; it keeps g's translation moduli, and with them
+    it is built from its row 0, ~row0 with the loop entry cleared."""
+    if g.moduli is not None:
+        row0 = ~g.adj[0]
+        row0[0] = False
+        return DenseGraph.from_row0(row0, g.moduli)
     adj = ~g.adj
     np.fill_diagonal(adj, False)
-    return DenseGraph(adj, g.moduli)
+    return DenseGraph(adj)
 
 
 def srg_params(g: DenseGraph) -> SrgParams:

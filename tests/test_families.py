@@ -138,7 +138,7 @@ class TestCayleyGraph:
         st.data(),
     )
     def test_block_circulant_matches_difference_formula(self, shape, data):
-        # the digit-recursive build against the n x n x dim difference formula
+        # the banded build from row 0 against the n x n x dim difference formula
         p, dim = shape
         n = p**dim
         digs = digit_rows(n, p, dim)

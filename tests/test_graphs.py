@@ -116,6 +116,10 @@ def test_adjacency_validation():
     bad[129, 70] = True  # only in the third band of rows
     with pytest.raises(ValueError, match="symmetric"):
         DenseGraph(bad)
+    bad = np.zeros((300, 300), dtype=bool)
+    bad[299, 290] = True  # only in the last, partial 44 x 44 tile
+    with pytest.raises(ValueError, match="symmetric"):
+        DenseGraph(bad)
 
 
 def test_graph6_against_networkx_petersen():
@@ -246,6 +250,92 @@ def test_false_moduli_rejected():
     with pytest.raises(ValueError, match="multiply"):
         DenseGraph(cycle(6).adj, (2, 2))
     assert DenseGraph(cycle(7).adj, (7,)).moduli == (7,)
+
+
+def circulant(row0: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """adj[x, y] = row0[y - x], the difference taken digit by digit, built
+    pair by pair from the mixed-radix digits."""
+    n = row0.size
+    digits = [np.unravel_index(i, moduli[::-1])[::-1] for i in range(n)]
+    index = {d: i for i, d in enumerate(digits)}
+    diff = [
+        [index[tuple((b - a) % m for a, b, m in zip(dx, dy, moduli))] for dy in digits]
+        for dx in digits
+    ]
+    return row0[np.array(diff)]
+
+
+def negation(moduli: tuple[int, ...]) -> np.ndarray:
+    n = int(np.prod(moduli))
+    return circulant(np.arange(n), moduli)[:, 0]
+
+
+CERTIFIED_MODULI = [(2, 3), (3, 2, 2), (4,), (2,) * 5, (5, 5), (6,)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(CERTIFIED_MODULI), st.data())
+def test_certificate_agrees_with_unit_translations(moduli, data):
+    # the circulant certificate against the per-translation check it
+    # replaces: DenseGraph(adj, moduli) is accepted exactly when adj is
+    # symmetric, loop-free and every unit translation is an automorphism
+    n = int(np.prod(moduli))
+    row0 = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if data.draw(st.booleans()):  # a valid row 0: symmetric, no loop
+        row0 |= row0[negation(moduli)]
+        row0[0] = False
+    adj = circulant(row0, moduli)
+    valid_row0 = not row0[0] and np.array_equal(row0[negation(moduli)], row0)
+    if valid_row0:
+        assert np.array_equal(DenseGraph.from_row0(row0, moduli).adj, adj)
+    else:
+        with pytest.raises(ValueError):
+            DenseGraph.from_row0(row0, moduli)
+    if data.draw(st.booleans()):  # break invariance at one symmetric pair
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        adj[a, b] = adj[b, a] = not adj[a, b]
+    expected = np.array_equal(adj, adj.T) and not adj.diagonal().any()
+    if expected:
+        bare = DenseGraph(adj)
+        expected = all(is_isomorphism(bare, bare, t) for t in unit_translations(moduli))
+    try:
+        g = DenseGraph(adj, moduli)
+    except ValueError:
+        assert not expected
+    else:
+        assert expected and g.moduli == moduli
+
+
+@pytest.mark.parametrize("moduli", [(5, 5), (2,) * 6, (13,), (7, 2), (3, 4, 5)])
+def test_certificate_reaches_the_last_row(moduli):
+    # one entry off in the last row of the last band: the translation by
+    # vertex n - 1 maps (0, y - (n - 1)) to (n - 1, y) and is the witness
+    n = int(np.prod(moduli))
+    rng = np.random.default_rng(n)
+    row0 = rng.random(n) < 0.5
+    row0 |= row0[negation(moduli)]
+    row0[0] = False
+    adj = circulant(row0, moduli)
+    assert DenseGraph(adj, moduli).moduli == moduli
+    adj[n - 1, n - 2] = not adj[n - 1, n - 2]
+    with pytest.raises(ValueError, match=f"vertex {n - 1} of moduli .* not an automorphism"):
+        DenseGraph(adj, moduli)
+
+
+def test_invariant_matrix_must_be_symmetric_and_loop_free():
+    # the directed 7-cycle is translation-invariant but not symmetric
+    row0 = np.zeros(7, dtype=bool)
+    row0[1] = True
+    with pytest.raises(ValueError, match="not symmetric"):
+        DenseGraph(circulant(row0, (7,)), (7,))
+    with pytest.raises(ValueError, match="not symmetric"):
+        DenseGraph.from_row0(row0, (7,))
+    # every vertex with a loop, and otherwise the undirected 7-cycle
+    row0[[0, 6]] = True
+    with pytest.raises(ValueError, match="loop"):
+        DenseGraph(circulant(row0, (7,)), (7,))
+    with pytest.raises(ValueError, match="loop"):
+        DenseGraph.from_row0(row0, (7,))
 
 
 def test_seven_cycle_witness_at_vertex_zero():
