@@ -9,7 +9,9 @@
   the circulant certificate, one band of about sqrt(n) rows at a time; bare,
   the tiled symmetry check.  Besides the two sl25 graphs (moduli (p, p)) it
   runs on hq:2:5 (1024 vertices, ten unit translations, moduli (2,) * 10) and
-  orbital:extraspecial:2401 (moduli (7,) * 4).
+  orbital:extraspecial:2401 (moduli (7,) * 4).  The package's family graphs
+  skip the certificate (they come from ``from_row0``); it runs for
+  ``complement`` and for matrices handed in with moduli.
 * ``srg_params``: one row when the graph carries moduli, every row on the bare
   matrix ``DenseGraph(g.adj)``, on the sl25 graphs.
 """

@@ -10,7 +10,7 @@ group, adj[x, y] == adj[0, y - x] with the difference taken digit by digit,
 and the constructor checks this identity one band of about sqrt(n) rows at a
 time (``_circulant_blocks``), then the loop and symmetry conditions on row 0
 alone.  The same bands build the matrix of ``DenseGraph.from_row0``, which is
-how every graph with moduli in this package is made.
+how every family graph in this package is made.
 The translations act regularly, so the pair (u, v) maps to (0, v - u) and
 |N(u) & N(v)| = |N(0) & N(v - u)|: vertex 0's row of common-neighbour counts
 holds every count of the graph (Brouwer & Van Maldeghem, "Strongly Regular
@@ -102,16 +102,14 @@ def _circulant_blocks(row0: np.ndarray, moduli: tuple[int, ...]):
     sliding-window view of row 0 when the low part is one cyclic digit, which
     needs no table at all (a Paley graph of prime order is one band).  Band
     xh is E0 with its column blocks moved to yh - xh, one np.take; no
-    n x n index array is ever formed.  t keeps both the table and the number
-    of bands near sqrt(n)."""
+    n x n index array is ever formed.  t is the most low digits with
+    b <= sqrt(n), so E0 and its table are at most one band; only one cyclic
+    digit that is the whole group (h = 1) may exceed that, as E0 is then a
+    view of row 0 and never copied."""
     n = row0.size
     size = np.cumprod((1, *moduli))  # size[t] = b for t low digits
-
-    def cost(t: int) -> tuple[int, int]:
-        table = int(size[t]) if t > 1 else 1
-        return max(table, n // int(size[t])), table
-
-    t = min(range(len(moduli) + 1), key=cost)
+    step = max(1, math.isqrt(n))
+    t = max(t for t in range(len(moduli) + 1) if size[t] <= step or (t == 1 and size[t] == n))
     b = int(size[t])
     h = n // b
     r0 = row0.reshape(h, b)
@@ -126,7 +124,6 @@ def _circulant_blocks(row0: np.ndarray, moduli: tuple[int, ...]):
         e0 = windows[:, b:0:-1].transpose(1, 0, 2)
     if h > 1:  # else e0 is a view of the whole matrix, read in steps
         e0 = np.ascontiguousarray(e0)
-    step = max(1, math.isqrt(n))
     d, m, place = _radix(moduli[t:])
     for xh in range(h):
         cols = ((d - d[:, xh : xh + 1]) % m * place).sum(axis=0)
@@ -292,15 +289,10 @@ def is_linear_automorphism(g: DenseGraph, mapping: np.ndarray) -> bool:
 
 
 def complement(g: DenseGraph) -> DenseGraph:
-    """The complement graph; it keeps g's translation moduli, and with them
-    it is built from its row 0, ~row0 with the loop entry cleared."""
-    if g.moduli is not None:
-        row0 = ~g.adj[0]
-        row0[0] = False
-        return DenseGraph.from_row0(row0, g.moduli)
+    """The complement graph; it keeps g's translation moduli."""
     adj = ~g.adj
     np.fill_diagonal(adj, False)
-    return DenseGraph(adj)
+    return DenseGraph(adj, g.moduli)
 
 
 def srg_params(g: DenseGraph) -> SrgParams:

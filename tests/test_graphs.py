@@ -1,6 +1,9 @@
 """Tests for rank3.graphs: SRG analytics against hand-checked graphs and
 graph6 round-trips cross-checked against networkx."""
 
+import math
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from rank3.graphs import (
     DenseGraph,
     NotStronglyRegular,
     SameVertex,
+    _circulant_blocks,
     common_neighbours,
     complement,
     from_adjacency_text,
@@ -306,7 +310,7 @@ def test_certificate_agrees_with_unit_translations(moduli, data):
         assert expected and g.moduli == moduli
 
 
-@pytest.mark.parametrize("moduli", [(5, 5), (2,) * 6, (13,), (7, 2), (3, 4, 5)])
+@pytest.mark.parametrize("moduli", [(5, 5), (2,) * 6, (13,), (7, 2), (3, 4, 5), (50, 2), (2, 50)])
 def test_certificate_reaches_the_last_row(moduli):
     # one entry off in the last row of the last band: the translation by
     # vertex n - 1 maps (0, y - (n - 1)) to (n - 1, y) and is the witness
@@ -320,6 +324,23 @@ def test_certificate_reaches_the_last_row(moduli):
     adj[n - 1, n - 2] = not adj[n - 1, n - 2]
     with pytest.raises(ValueError, match=f"vertex {n - 1} of moduli .* not an automorphism"):
         DenseGraph(adj, moduli)
+
+
+@pytest.mark.parametrize("moduli", [(1000, 2), (2, 1000), (2000,), (10, 200), (2,) * 11])
+def test_bands_need_no_more_than_one_band_of_memory(moduli):
+    # a large leading digit must not make the first band (n/2) x n: every
+    # block and every temporary stays near sqrt(n) rows of n
+    n = int(np.prod(moduli))
+    row0 = np.random.default_rng(n).random(n) < 0.5
+    step = math.isqrt(n)
+    tracemalloc.start()
+    try:
+        rows = [len(block) for _, block in _circulant_blocks(row0, moduli)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(rows) == n and max(rows) <= step
+    assert peak < 4 * step * n
 
 
 def test_invariant_matrix_must_be_symmetric_and_loop_free():
