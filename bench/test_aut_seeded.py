@@ -9,18 +9,32 @@ On orbital:sl25:41 (1681 vertices) and hq:3:3 (729 vertices):
   search on the bare matrix ``DenseGraph(g.adj)``.
 * ``_Refiner.refine``: one refinement to equitability after individualizing
   vertex 0, the step every search node takes.
+
+On hq:2:5 and a52 (1024 vertices each), relabelled by a seeded random
+permutation as the solver benchmark relabels them, the two kinds of
+splitter pass (``_Refiner._pass``) after vertex 0 is individualized and
+refined to its three cells {0}, N(0) and the non-neighbours:
+
+* ``nosplit``: the singleton {0} as splitter again; every cell is already
+  equitable against it, so the pass splits nothing, as most passes of the
+  search do.
+* ``split``: a neighbour v of 0 individualized, then {v} as splitter; it
+  splits N(0) and the non-neighbours by adjacency to v.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
-from rank3.autsolve import _Refiner, automorphism_group
+from rank3.autsolve import _Cells, _Refiner, automorphism_group, trivial_coloring
 from rank3.families import family_graph, parse_descriptor, zero_stabilizer
 from rank3.graphs import DenseGraph
 
 ROWS = ["orbital:sl25:41", "hq:3:3"]
+PASS_ROWS = ["hq:2:5", "a52"]
 ROUNDS = 3
 
 
@@ -41,14 +55,49 @@ def test_automorphism_group(benchmark, row, seeded):
     assert r.order % g.n == 0
 
 
+def individualized(g: DenseGraph, v: int) -> _Cells:
+    """The trivial coloring with v individualized (v's cell gets id 1)."""
+    cells = _Cells.of(trivial_coloring(g.n))
+    cells.individualize(v)
+    return cells
+
+
 def test_refine_after_individualizing_zero(benchmark, row):
     g, _ = row
     refiner = _Refiner(g)
 
     def fresh():
-        colors = np.zeros(g.n, dtype=np.int32)
-        colors[0] = 1
-        return (colors, 2, [1], 0), {}
+        return (individualized(g, 0), [1], 0), {}
 
-    num_classes, _ = benchmark.pedantic(refiner.refine, setup=fresh, rounds=ROUNDS * 10)
-    assert num_classes == 3  # {0}, N(0) and the non-neighbours of a rank-3 graph
+    benchmark.pedantic(refiner.refine, setup=fresh, rounds=ROUNDS * 10)
+    cells = individualized(g, 0)
+    refiner.refine(cells, [1], 0)
+    assert cells.num_classes == 3  # {0}, N(0) and the non-neighbours of a rank-3 graph
+
+
+@pytest.fixture(scope="module", params=PASS_ROWS)
+def relabelled_rank3(request):
+    g = family_graph(parse_descriptor(request.param))
+    perm = np.random.default_rng(0).permutation(g.n)
+    h = DenseGraph(g.adj[np.ix_(perm, perm)])
+    cells = individualized(h, 0)
+    _Refiner(h).refine(cells, [1], 0)
+    assert cells.num_classes == 3
+    return h, cells
+
+
+@pytest.mark.parametrize("kind", ["nosplit", "split"])
+def test_splitter_pass(benchmark, relabelled_rank3, kind):
+    g, refined = relabelled_rank3
+    refiner = _Refiner(g)
+    v = int(np.flatnonzero(g.adj[0])[0])
+
+    def fresh():
+        cells = refined.copy()
+        if kind == "split":
+            cells.individualize(v)
+        splitter = cells.num_classes - 1 if kind == "split" else int(cells.colors[0])
+        return (cells, splitter, 0, deque(), set()), {}
+
+    benchmark.pedantic(refiner._pass, setup=fresh, rounds=ROUNDS * 100)
+    assert refiner.splits == (refiner.refinements if kind == "split" else 0)

@@ -2,14 +2,23 @@
 
 The engine is individualization-refinement: colorings are driven to
 equitability by cell-targeted splitter passes, and a backtracking search
-individualizes vertices of a deterministically chosen target cell.  A pass
-counts every vertex's neighbours in one splitter cell (from the splitter's own
-adjacency rows when it is small, by AND + popcount over the packed rows
-otherwise) and re-sorts only the cells whose counts are not uniform (McKay &
-Piperno, "Practical graph isomorphism, II", JSC 60, 2014).  Leaves of
-the search are discrete colorings; comparing a leaf against the first
-(leftmost) leaf yields a candidate automorphism, which is verified against the
-full adjacency matrix before it is accepted.
+individualizes vertices of a deterministically chosen target cell.  A
+coloring is kept in the cell layout of McKay & Piperno ("Practical graph
+isomorphism, II", JSC 60, 2014, §3): ``lab`` lists the vertices cell by cell,
+each cell a contiguous, ascending segment located by per-cell ``start`` and
+``size``, and a mask marks the positions whose successor lies in the same
+cell.  The layout travels with the coloring down the search: a child copies
+it, and individualizing v splits v off the end of its cell's segment.  So a
+splitter's members are a slice of ``lab``; a pass counts every vertex's
+neighbours among them (one adjacency row for a singleton, two for a pair,
+the splitter's rows when it is small, AND + popcount over the packed rows
+otherwise), and the count read in ``lab`` order differs between two
+positions of one cell exactly where that cell splits.  A pass that splits
+nothing therefore costs a gather, a shifted compare and a mask, and a pass
+that splits re-sorts only the split cells' segments.  Leaves of the search
+are discrete colorings; comparing a leaf against the first (leftmost) leaf
+yields a candidate automorphism, which is verified against the full
+adjacency matrix before it is accepted.
 
 Pruning, in the standard shape:
 * trace pruning — every branch carries a 64-bit running hash of its
@@ -76,6 +85,7 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
+_FNV = 0x100000001B3
 
 
 class Timeout(RuntimeError):
@@ -135,19 +145,89 @@ def trivial_coloring(n: int) -> Coloring:
 
 def _mix(h: int, x: int) -> int:
     """One step of a 64-bit running hash (FNV-1a flavoured)."""
-    return ((h ^ (x & _M64)) * 0x100000001B3) & _M64
+    return ((h ^ (x & _M64)) * _FNV) & _M64
+
+
+class _Cells:
+    """A coloring in the cell layout of McKay & Piperno (2014, §3).
+
+    ``lab`` lists the vertices cell by cell, each cell's segment in ascending
+    vertex order; cell c is the segment of ``size[c]`` positions from
+    ``start[c]``; ``same[i]`` says whether positions i and i + 1 lie in one
+    cell; ``colors[v]`` is v's cell id, and ids run 0..num_classes-1.  The
+    refiner and the search keep all five in step, so a splitter's members are
+    a slice and a cell's first member is its least vertex.
+    """
+
+    __slots__ = ("colors", "lab", "start", "size", "same", "num_classes")
+
+    def __init__(self, colors, lab, start, size, same, num_classes: int):
+        self.colors, self.lab, self.start, self.size, self.same = (
+            colors, lab, start, size, same
+        )
+        self.num_classes = num_classes
+
+    @classmethod
+    def of(cls, initial: Coloring) -> "_Cells":
+        """The layout of a copy of `initial`; a stable sort by color keeps
+        each segment ascending."""
+        colors = initial.colors.copy()
+        n = len(colors)
+        lab = np.argsort(colors, kind="stable")  # intp: gathers by it are cheapest
+        size = np.zeros(n, dtype=np.int64)
+        size[: initial.num_classes] = np.bincount(colors, minlength=initial.num_classes)
+        start = np.zeros(n, dtype=np.int64)
+        start[1 : initial.num_classes] = np.cumsum(size[: initial.num_classes - 1])
+        laid = colors[lab]
+        return cls(colors, lab, start, size, laid[1:] == laid[:-1], initial.num_classes)
+
+    def copy(self) -> "_Cells":
+        return _Cells(
+            self.colors.copy(), self.lab.copy(), self.start.copy(),
+            self.size.copy(), self.same.copy(), self.num_classes,
+        )
+
+    def members(self, c: int) -> np.ndarray:
+        """Cell c's vertices, ascending."""
+        a = int(self.start[c])
+        return self.lab[a : a + int(self.size[c])]
+
+    def individualize(self, v: int) -> int:
+        """Split v off the end of its cell's segment as the new cell
+        num_classes; the rest of the segment stays ascending.  Returns v's
+        old cell id.  The cell must have another member."""
+        c = int(self.colors[v])
+        a, z = int(self.start[c]), int(self.size[c])
+        end = a + z - 1
+        at = a + int(self.lab[a : a + z].searchsorted(v))
+        self.lab[at:end] = self.lab[at + 1 : end + 1]
+        self.lab[end] = v
+        new = self.num_classes
+        self.colors[v] = new
+        self.start[new], self.size[new] = end, 1
+        self.size[c] = z - 1
+        self.same[end - 1] = False
+        self.num_classes = new + 1
+        return c
 
 
 class _Refiner:
-    """Cell-targeted equitable refinement of vertex colorings of one graph.
+    """Cell-targeted equitable refinement of the colorings of one graph.
 
-    A splitter pass counts every vertex's neighbours in the splitter cell,
-    finds the cells whose counts are not uniform (each of them meets the
-    splitter) by holding every count against one count of its own cell, and
-    sorts and splits only those cells: no step of a pass loops over every
-    cell in Python, and only members of split cells are sorted.  `deadline`,
-    a time.monotonic() value, is checked once per pass: Timeout(budget) when
-    it has passed.
+    A splitter pass reads the splitter's members as a slice of ``lab`` and
+    counts every vertex's neighbours among them: a singleton's counts are its
+    adjacency row (a view), a pair's the sum of two rows, a small splitter's
+    the sum of its rows, a large one's AND + popcount over the packed rows.
+    Read in ``lab`` order, a cell splits exactly where two neighbouring
+    positions of one cell hold different counts: one gather, one shifted
+    compare and one AND with ``same``.  A pass with no such position ends
+    there; otherwise the split cells are marked by id, their segments
+    re-sorted in place by (count, vertex), so each part stays ascending, and
+    ``start``, ``size``, ``same`` and ``colors`` set for the new parts.  No
+    step of a pass loops over every cell in Python.  `deadline`, a
+    time.monotonic() value, is checked once per pass: Timeout(budget) when it
+    has passed.  ``refinements`` counts passes and ``splits`` the passes that
+    split a cell.
     """
 
     def __init__(self, g: DenseGraph, deadline: float = math.inf, budget: float = 0.0):
@@ -160,12 +240,22 @@ class _Refiner:
         self.deadline = deadline
         self.budget = budget
         self.refinements = 0
+        self.splits = 0
+        # a pass sorts (cell, count, vertex) packed into one int64 key, which
+        # holds them for n < 2**20
+        self.cbits = g.n.bit_length()  # a count is at most n
+        self.vbits = max(g.n - 1, 1).bit_length()
 
     def _counts(self, members: np.ndarray) -> np.ndarray:
         """Neighbours of every vertex among `members`."""
+        k = len(members)
+        if k == 1:
+            return self.rows[members[0]]
+        if k == 2:
+            return self.rows[members[0]] + self.rows[members[1]]
         # summing k byte rows touches k * n bytes; AND + popcount over the
         # n * words packed words measures about as slow as n / 8 rows
-        if 8 * len(members) < self.n:
+        if 8 * k < self.n:
             return self.rows[members].sum(axis=0, dtype=np.int32)
         b = np.zeros(self.words * 64, dtype=bool)
         b[members] = True
@@ -174,65 +264,96 @@ class _Refiner:
         np.bitwise_count(self._anded, out=self._bits)
         return self._bits.sum(axis=1, dtype=np.int32)
 
-    def refine(
-        self, colors: np.ndarray, num_classes: int, queue, trace: int
-    ) -> tuple[int, int]:
-        """Refine colors in place to the coarsest equitable refinement,
+    def refine(self, cells: _Cells, queue, trace: int) -> int:
+        """Refine cells in place to the coarsest equitable refinement,
         processing the given splitter queue (Hopcroft all-but-largest).
-        Returns (num_classes, trace).
+        Returns the trace."""
+        pending = deque(queue)
+        queued = set(pending)
+        while pending and cells.num_classes < self.n:
+            if time.monotonic() > self.deadline:
+                raise Timeout(self.budget)
+            s = pending.popleft()
+            queued.discard(s)
+            trace = self._pass(cells, s, trace, pending, queued)
+        return trace
+
+    def _pass(self, cells: _Cells, s: int, trace: int, pending: deque, queued: set) -> int:
+        """One splitter pass: split every cell by its members' neighbour
+        counts in cell s, mix the splits into trace, and queue the new parts
+        on pending and queued.  Returns the trace.
 
         Split cells are handled in ascending id; each keeps its id on the
         lowest-count part, and its other parts get fresh ids in ascending
         count order.
         """
         n = self.n
-        pending = deque(queue)
-        queued = set(pending)
-        while pending and num_classes < n:
-            if time.monotonic() > self.deadline:
-                raise Timeout(self.budget)
-            s = pending.popleft()
-            queued.discard(s)
-            self.refinements += 1
-            cnt = self._counts((colors == s).nonzero()[0])
-            some = np.empty(num_classes, dtype=cnt.dtype)
-            some[colors] = cnt  # one count out of each cell
-            odd = colors[cnt != some[colors]]  # cells holding another count
-            if not len(odd):
-                continue
-            split = np.zeros(num_classes, dtype=bool)
-            split[odd] = True
-            # sort the members of the split cells by (cell, count): each run
-            # of one key is a part, each cell's first part keeps its id
-            verts = split[colors].nonzero()[0]
-            key = colors[verts].astype(np.int64) * (n + 1) + cnt[verts]
-            order = np.argsort(key)
-            verts, key = verts[order], key[order]
-            bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
-            starts = bounds[:-1]
-            psize = bounds[1:] - starts
-            pcell, pcnt = np.divmod(key[starts], n + 1)
-            first = np.concatenate(([True], pcell[1:] != pcell[:-1]))
-            fresh = np.cumsum(~first)
-            ids = np.where(first, pcell, num_classes + fresh - 1)
-            colors[verts] = np.repeat(ids, psize)
-            num_classes += int(fresh[-1])
-            cell_starts = np.flatnonzero(first).tolist()
-            ids, psize, pcnt = ids.tolist(), psize.tolist(), pcnt.tolist()
-            for a, b in zip(cell_starts, cell_starts[1:] + [len(ids)]):
-                c = ids[a]
-                trace = _mix(_mix(_mix(trace, 0x51D << 16), s), c)
-                for t in range(a, b):
-                    trace = _mix(_mix(trace, pcnt[t]), psize[t])
-                if c in queued:
-                    grow = ids[a + 1 : b]
-                else:
-                    part_sizes = psize[a:b]
-                    largest = a + part_sizes.index(max(part_sizes))
-                    grow = ids[a:largest] + ids[largest + 1 : b]
-                pending.extend(grow)
-                queued.update(grow)
-        return num_classes, trace
+        colors, lab, start, size, same = (
+            cells.colors, cells.lab, cells.start, cells.size, cells.same
+        )
+        self.refinements += 1
+        lo = int(start[s])
+        cnt = self._counts(lab[lo : lo + int(size[s])])[lab]
+        edge = cnt[1:] != cnt[:-1]
+        edge &= same
+        if not np.count_nonzero(edge):
+            return trace
+        self.splits += 1
+        num_classes = cells.num_classes
+        mark = np.zeros(num_classes, dtype=bool)
+        mark[colors[lab[edge.nonzero()[0]]]] = True
+        split = mark.nonzero()[0]  # ascending id
+        # the positions of the split cells' segments, one after another;
+        # sorted by (cell, count, vertex), each run of one (cell, count) is
+        # a part, ascending, and each cell's first part keeps its id
+        sizes = size[split]
+        heads = sizes.cumsum() - sizes
+        total = int(heads[-1] + sizes[-1])
+        pos = (start[split] - heads).repeat(sizes) + np.arange(total)
+        cbits, vbits = self.cbits, self.vbits
+        key = (((split << cbits).repeat(sizes) | cnt[pos]) << vbits) | lab[pos]
+        key.sort()
+        lab[pos] = key & ((1 << vbits) - 1)
+        key >>= vbits
+        bounds = np.empty(total + 1, dtype=bool)
+        bounds[0] = bounds[total] = True
+        np.not_equal(key[1:], key[:-1], out=bounds[1:total])
+        bounds = bounds.nonzero()[0]
+        starts = bounds[:-1]
+        psize = bounds[1:] - starts
+        pkey = key[starts]
+        ids = pkey >> cbits  # each part's cell, until fresh ids replace it
+        pcnt = pkey & ((1 << cbits) - 1)
+        fresh = np.zeros(len(starts), dtype=bool)  # not its cell's first part
+        np.equal(ids[1:], ids[:-1], out=fresh[1:])
+        grown = int(np.count_nonzero(fresh))
+        ids[fresh] = np.arange(num_classes, num_classes + grown)
+        colors[lab[pos]] = ids.repeat(psize)
+        start[ids] = pos[starts]
+        size[ids] = psize
+        same[pos[starts[fresh]] - 1] = False
+        cells.num_classes = num_classes + grown
+        cell_starts = (~fresh).nonzero()[0].tolist()
+        ids, psize, pcnt = ids.tolist(), psize.tolist(), pcnt.tolist()
+        for a, b in zip(cell_starts, cell_starts[1:] + [len(ids)]):
+            c = ids[a]
+            # _mix, inlined: trace = _mix(_mix(_mix(trace, 0x51D << 16), s), c)
+            # then _mix(_mix(trace, count), size) per part
+            trace = ((trace ^ 0x51D0000) * _FNV) & _M64
+            trace = ((trace ^ s) * _FNV) & _M64
+            trace = ((trace ^ c) * _FNV) & _M64
+            for t in range(a, b):
+                trace = ((trace ^ pcnt[t]) * _FNV) & _M64
+                trace = ((trace ^ psize[t]) * _FNV) & _M64
+            if c in queued:
+                grow = ids[a + 1 : b]
+            else:
+                part_sizes = psize[a:b]
+                largest = a + part_sizes.index(max(part_sizes))
+                grow = ids[a:largest] + ids[largest + 1 : b]
+            pending.extend(grow)
+            queued.update(grow)
+        return trace
 
 
 def refine(g: DenseGraph, initial: Coloring) -> Coloring:
@@ -243,11 +364,9 @@ def refine(g: DenseGraph, initial: Coloring) -> Coloring:
     order), so equal inputs give identical outputs."""
     if len(initial.colors) != g.n:
         raise ValueError(f"coloring has {len(initial.colors)} entries, graph has {g.n}")
-    colors = initial.colors.copy()
-    num_classes, _ = _Refiner(g).refine(
-        colors, initial.num_classes, range(initial.num_classes), 0
-    )
-    return Coloring(colors, num_classes)
+    cells = _Cells.of(initial)
+    _Refiner(g).refine(cells, range(initial.num_classes), 0)
+    return Coloring(cells.colors, cells.num_classes)
 
 
 # -- the IR search ----------------------------------------------------------------
@@ -324,14 +443,14 @@ class _Solver:
         if time.monotonic() > self.deadline:
             raise Timeout(self.budget)
 
-    def _pick_cell(self, colors: np.ndarray, num_classes: int) -> int:
-        sizes = np.bincount(colors, minlength=num_classes)
+    def _pick_cell(self, cells: _Cells) -> int:
+        """The smallest non-singleton cell, ties to the least first member."""
+        sizes = cells.size[: cells.num_classes]
         cands = np.flatnonzero(sizes > 1)
         smallest = cands[sizes[cands] == sizes[cands].min()]
         if len(smallest) == 1:
             return int(smallest[0])
-        first_member = [int(np.argmax(colors == c)) for c in smallest]
-        return int(smallest[int(np.argmin(first_member))])
+        return int(smallest[np.argmin(cells.lab[cells.start[smallest]])])
 
     def _known_orbits(self, depth: int) -> _OrbitSet | None:
         """An orbit set under the known automorphisms fixing the first path's
@@ -342,8 +461,6 @@ class _Solver:
     # - leaves -
 
     def _leaf(self, colors: np.ndarray) -> None:
-        if np.bincount(colors, minlength=self.n).max() != 1:
-            return  # ids not discrete after all (trace hash collision): dead branch
         inv = np.empty(self.n, dtype=np.int32)
         inv[colors] = np.arange(self.n, dtype=np.int32)
         if self.first_leaf is None:
@@ -365,41 +482,42 @@ class _Solver:
 
     def _dfs(
         self,
-        colors: np.ndarray,
-        num_classes: int,
+        cells: _Cells,
         trace: int,
         depth: int,
         on_first_path: bool,
         in_first_root_branch: bool,
     ) -> None:
         self._tick()
-        if num_classes == self.n:
-            self._leaf(colors)
+        if cells.num_classes == self.n:
+            self._leaf(cells.colors)
             return
         if on_first_path and len(self.first_cells) == depth:
             if self.iso_half is not None and depth == 0:
-                self.first_cells.append(int(colors[0]))
+                self.first_cells.append(int(cells.colors[0]))
             else:
-                self.first_cells.append(self._pick_cell(colors, num_classes))
+                self.first_cells.append(self._pick_cell(cells))
         if depth >= len(self.first_cells):
             return  # deeper than the first path (trace hash collision): dead branch
         cell_color = self.first_cells[depth]
-        members = np.flatnonzero(colors == cell_color)
+        if cell_color >= cells.num_classes or cells.size[cell_color] < 2:
+            # no such cell to branch on (trace hash collision): dead branch.
+            # Individualizing only in cells of two or more keeps every cell
+            # nonempty, so n cells are a discrete coloring at the leaves.
+            return
+        members = cells.members(cell_color)  # ascending: the layout keeps it so
         if self.iso_half is not None and depth == 0:
             members = np.concatenate(([0], members[members >= self.iso_half]))
             if len(members) == 1:
                 return  # vertex 0's class has no second-side counterpart
         orbits = self._known_orbits(depth) if on_first_path else None
-        for v in members:
-            v = int(v)
+        for v in members.tolist():
             if on_first_path and orbits is not None and v in orbits:
                 continue
-            child = colors.copy()
-            old = child[v]
-            child[v] = num_classes
-            ctrace = _mix(_mix(trace, 0x1D1), int(old))
-            cclasses, ctrace = self.refiner.refine(
-                child, num_classes + 1, [num_classes], ctrace
+            child = cells.copy()
+            old = child.individualize(v)
+            ctrace = self.refiner.refine(
+                child, [child.num_classes - 1], _mix(_mix(trace, 0x1D1), old)
             )
             if on_first_path and len(self.first_traces) == depth:
                 self.first_traces.append(ctrace)
@@ -411,9 +529,7 @@ class _Solver:
                 depth == 0 and v == self.first_vertices[0]
             )
             try:
-                self._dfs(
-                    child, cclasses, ctrace, depth + 1, child_first, child_in_first
-                )
+                self._dfs(child, ctrace, depth + 1, child_first, child_in_first)
             except _AutoFound as found:
                 img = found.perm.img
                 if on_first_path and _fixing([img], self.first_vertices[:depth]):
@@ -434,15 +550,12 @@ class _Solver:
                 break  # iso mode: the first root branch only feeds the first path
 
     def run(self, initial: Coloring) -> None:
-        colors = initial.colors.copy()
-        trace = 0
-        num_classes, trace = self.refiner.refine(
-            colors, initial.num_classes, range(initial.num_classes), trace
-        )
+        cells = _Cells.of(initial)
+        trace = self.refiner.refine(cells, range(initial.num_classes), 0)
         limit = self.n + 1000
         if sys.getrecursionlimit() < limit:
             sys.setrecursionlimit(limit)
-        self._dfs(colors, num_classes, trace, 0, True, False)
+        self._dfs(cells, trace, 0, True, False)
 
 
 @dataclass
@@ -462,6 +575,7 @@ class AutResult:
     order: int
     nodes: int
     refinements: int
+    splits: int
     seconds: float
     known: int
 
@@ -469,7 +583,8 @@ class AutResult:
         """The search counters as one line of text."""
         found = len(self.generators.gens) - self.known
         return (
-            f"nodes {self.nodes}, refinements {self.refinements}, "
+            f"nodes {self.nodes}, refinements {self.refinements} "
+            f"({self.splits} splitting), "
             f"generators {self.known} known + {found} found"
         )
 
@@ -519,7 +634,7 @@ def automorphism_group(
             raise ValueError(f"known generator {j} is not an automorphism of the graph")
         seeds.append(perm)
     if n == 0:
-        return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0.0, 0)
+        return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0, 0.0, 0)
     solver = _Solver(g, budget, start + budget, [p.img for p in seeds])
     solver.run(trivial_coloring(n))
     gens = seeds + solver.gens
@@ -529,6 +644,7 @@ def automorphism_group(
         order,
         solver.nodes,
         solver.refiner.refinements,
+        solver.refiner.splits,
         time.monotonic() - start,
         len(seeds),
     )
@@ -541,10 +657,9 @@ def _degree_multiset(g: DenseGraph) -> list[int]:
 def _refinement_signature(
     g: DenseGraph, deadline: float, budget: float
 ) -> tuple[int, tuple[int, ...]]:
-    colors = np.zeros(g.n, dtype=np.int32)
-    refiner = _Refiner(g, deadline, budget)
-    num_classes, trace = refiner.refine(colors, 1 if g.n else 0, range(1), 0)
-    return trace, tuple(sorted(np.bincount(colors, minlength=num_classes)))
+    cells = _Cells.of(trivial_coloring(g.n))
+    trace = _Refiner(g, deadline, budget).refine(cells, range(1), 0)
+    return trace, tuple(sorted(cells.size[: cells.num_classes].tolist()))
 
 
 def _union_graph(g: DenseGraph, h: DenseGraph) -> DenseGraph:

@@ -14,9 +14,10 @@ how every family graph in this package is made.
 The translations act regularly, so the pair (u, v) maps to (0, v - u) and
 |N(u) & N(v)| = |N(0) & N(v - u)|: vertex 0's row of common-neighbour counts
 holds every count of the graph (Brouwer & Van Maldeghem, "Strongly Regular
-Graphs", 2022, ch. 11).  srg_params therefore checks that one row when the
-moduli are known and every row otherwise, on the same loop; a Cayley graph
-on 5041 vertices takes one popcount sweep instead of 5041.
+Graphs", 2022, ch. 11).  srg_params therefore checks that one row, its
+degree and its counts, when the moduli are known and every row otherwise, on
+the same loop; a Cayley graph on 5041 vertices takes one popcount sweep
+instead of 5041, and no n^2 degree sum.
 
 Serialization: the de-facto standard graph6 format (header-less variant) and
 a trivial "n\\nu v\\n..." edge-list text format for debugging.
@@ -301,10 +302,12 @@ def srg_params(g: DenseGraph) -> SrgParams:
     Raises Degenerate for complete/empty graphs (parameters undefined there)
     and NotStronglyRegular with a witness pair otherwise.  Cost is one packed
     popcount sweep per checked row: vertex 0's alone when g.moduli certifies
-    a regular translation group, every vertex's otherwise.
+    a regular translation group, every vertex's otherwise.  The degree check
+    reads the same rows: every row of a graph with moduli is a translate of
+    row 0, so only row 0's degree is counted.
     """
     n = g.n
-    degs = g.degrees()
+    degs = g.degrees() if g.moduli is None else g.adj[0].sum(keepdims=True)
     if n < 3 or not degs.any():
         raise Degenerate(f"empty graph on {n} vertices")
     if degs.min() == n - 1:

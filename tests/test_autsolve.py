@@ -4,10 +4,14 @@ Small cases are cross-checked against the exhaustive permutation scan; larger
 orders against classical group sizes for the graph families.
 """
 
+import math
 import time
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rank3.autsolve import (
     AutResult,
@@ -15,7 +19,10 @@ from rank3.autsolve import (
     NotIsomorphic,
     Timeout,
     TooLarge,
+    _Cells,
+    _Refiner,
     _Solver,
+    _union_graph,
     are_isomorphic,
     automorphism_group,
     brute_force_aut,
@@ -84,6 +91,155 @@ def same_partition(a, b):
     """Whether two colorings have the same classes, whatever their ids."""
     pairs = set(zip(np.asarray(a).tolist(), np.asarray(b).tolist()))
     return len(pairs) == len(set(np.asarray(a).tolist())) == len(set(np.asarray(b).tolist()))
+
+
+# -- the reference refiner ---------------------------------------------------------
+#
+# The splitter pass as it was before the cell layout: it scans the colors for
+# the splitter's members, and finds and sorts split cells by scatter and
+# gather over every vertex.  Copied unchanged (class name aside), it is the
+# oracle for the layout-based refiner: same class ids, queue, trace and
+# number of passes.
+
+_M64 = (1 << 64) - 1
+
+
+def _mix(h: int, x: int) -> int:
+    """One step of a 64-bit running hash (FNV-1a flavoured)."""
+    return ((h ^ (x & _M64)) * 0x100000001B3) & _M64
+
+
+class ReferenceRefiner:
+    """Cell-targeted equitable refinement of vertex colorings of one graph.
+
+    A splitter pass counts every vertex's neighbours in the splitter cell,
+    finds the cells whose counts are not uniform (each of them meets the
+    splitter) by holding every count against one count of its own cell, and
+    sorts and splits only those cells: no step of a pass loops over every
+    cell in Python, and only members of split cells are sorted.  `deadline`,
+    a time.monotonic() value, is checked once per pass: Timeout(budget) when
+    it has passed.
+    """
+
+    def __init__(self, g: DenseGraph, deadline: float = math.inf, budget: float = 0.0):
+        self.n = g.n
+        self.rows = g.adj.view(np.uint8)
+        self.packed = g._packed
+        self.words = self.packed.shape[1] if g.n else 0
+        self._anded = np.empty_like(self.packed)
+        self._bits = np.empty(self.packed.shape, dtype=np.uint8)
+        self.deadline = deadline
+        self.budget = budget
+        self.refinements = 0
+
+    def _counts(self, members: np.ndarray) -> np.ndarray:
+        """Neighbours of every vertex among `members`."""
+        # summing k byte rows touches k * n bytes; AND + popcount over the
+        # n * words packed words measures about as slow as n / 8 rows
+        if 8 * len(members) < self.n:
+            return self.rows[members].sum(axis=0, dtype=np.int32)
+        b = np.zeros(self.words * 64, dtype=bool)
+        b[members] = True
+        mask = np.packbits(b).view(np.uint64)
+        np.bitwise_and(self.packed, mask, out=self._anded)
+        np.bitwise_count(self._anded, out=self._bits)
+        return self._bits.sum(axis=1, dtype=np.int32)
+
+    def refine(
+        self, colors: np.ndarray, num_classes: int, queue, trace: int
+    ) -> tuple[int, int]:
+        """Refine colors in place to the coarsest equitable refinement,
+        processing the given splitter queue (Hopcroft all-but-largest).
+        Returns (num_classes, trace).
+
+        Split cells are handled in ascending id; each keeps its id on the
+        lowest-count part, and its other parts get fresh ids in ascending
+        count order.
+        """
+        n = self.n
+        pending = deque(queue)
+        queued = set(pending)
+        while pending and num_classes < n:
+            if time.monotonic() > self.deadline:
+                raise Timeout(self.budget)
+            s = pending.popleft()
+            queued.discard(s)
+            self.refinements += 1
+            cnt = self._counts((colors == s).nonzero()[0])
+            some = np.empty(num_classes, dtype=cnt.dtype)
+            some[colors] = cnt  # one count out of each cell
+            odd = colors[cnt != some[colors]]  # cells holding another count
+            if not len(odd):
+                continue
+            split = np.zeros(num_classes, dtype=bool)
+            split[odd] = True
+            # sort the members of the split cells by (cell, count): each run
+            # of one key is a part, each cell's first part keeps its id
+            verts = split[colors].nonzero()[0]
+            key = colors[verts].astype(np.int64) * (n + 1) + cnt[verts]
+            order = np.argsort(key)
+            verts, key = verts[order], key[order]
+            bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
+            starts = bounds[:-1]
+            psize = bounds[1:] - starts
+            pcell, pcnt = np.divmod(key[starts], n + 1)
+            first = np.concatenate(([True], pcell[1:] != pcell[:-1]))
+            fresh = np.cumsum(~first)
+            ids = np.where(first, pcell, num_classes + fresh - 1)
+            colors[verts] = np.repeat(ids, psize)
+            num_classes += int(fresh[-1])
+            cell_starts = np.flatnonzero(first).tolist()
+            ids, psize, pcnt = ids.tolist(), psize.tolist(), pcnt.tolist()
+            for a, b in zip(cell_starts, cell_starts[1:] + [len(ids)]):
+                c = ids[a]
+                trace = _mix(_mix(_mix(trace, 0x51D << 16), s), c)
+                for t in range(a, b):
+                    trace = _mix(_mix(trace, pcnt[t]), psize[t])
+                if c in queued:
+                    grow = ids[a + 1 : b]
+                else:
+                    part_sizes = psize[a:b]
+                    largest = a + part_sizes.index(max(part_sizes))
+                    grow = ids[a:largest] + ids[largest + 1 : b]
+                pending.extend(grow)
+                queued.update(grow)
+        return num_classes, trace
+
+
+class CountingReference(ReferenceRefiner):
+    """The reference refiner, also recording each splitter's size and
+    counting the passes that split a cell (those after which there are more
+    classes than before)."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.sizes, self.splits = [], 0
+
+    def refine(self, colors, num_classes, queue, trace):
+        self._colors, self._classes = colors, []
+        num_classes, trace = super().refine(colors, num_classes, queue, trace)
+        seen = self._classes + [num_classes]
+        self.splits += sum(b > a for a, b in zip(seen, seen[1:]))
+        return num_classes, trace
+
+    def _counts(self, members):
+        self.sizes.append(len(members))
+        self._classes.append(int(self._colors.max()) + 1)
+        return super()._counts(members)
+
+
+def check_layout(cells):
+    """Every cell is its segment of lab, ascending, and same marks exactly
+    the neighbouring positions of one cell."""
+    n, c = len(cells.colors), cells.num_classes
+    assert sorted(cells.lab.tolist()) == list(range(n))
+    laid = cells.colors[cells.lab]
+    assert np.array_equal(cells.same, laid[1:] == laid[:-1])
+    assert np.array_equal(cells.size[:c], np.bincount(cells.colors, minlength=c))
+    assert (cells.size[:c] > 0).all()
+    for k in range(c):
+        seg = cells.members(k)
+        assert (cells.colors[seg] == k).all() and (np.diff(seg) > 0).all()
 
 
 class TestColoring:
@@ -190,6 +346,74 @@ class TestRefine:
         assert refine(g, trivial_coloring(g.n)).num_classes == 1500
 
 
+# the first splitter's size: one row, two rows, and the packed popcount
+SPLITTER_SIZES = {
+    "single": lambda n: 1,
+    "pair": lambda n: 2,
+    "packed": lambda n: max(3, -(-n // 8)),
+}
+
+
+@st.composite
+def refine_cases(draw, splitter):
+    """A random graph on 16-48 vertices, or the 2n-vertex union of one with
+    a relabelled copy or another random graph; a random initial coloring
+    whose class 0 has the splitter's size; a queue that starts with class 0
+    and goes on with a random selection of the other classes in random
+    order; and a random initial trace."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    union = draw(st.sampled_from([None, "relabelled", "random"]))
+    m = draw(st.integers(8, 24) if union else st.integers(16, 48))
+    p = draw(st.floats(0.05, 0.95))
+    g = random_graph(rng, m, p)
+    if union == "relabelled":
+        g = _union_graph(g, relabelled(g, int(rng.integers(1 << 30))))
+    elif union == "random":
+        g = _union_graph(g, random_graph(rng, m, p))
+    n = g.n
+    colors = rng.integers(1, 1 + draw(st.integers(1, 4)), n)
+    colors[rng.permutation(n)[: SPLITTER_SIZES[splitter](n)]] = 0
+    colors = np.unique(colors, return_inverse=True)[1].astype(np.int32)
+    num_classes = int(colors.max()) + 1
+    rest = rng.permutation(np.arange(1, num_classes))
+    queue = [0] + rest[: draw(st.integers(0, len(rest)))].tolist()
+    return g, Coloring(colors, num_classes), queue, draw(st.integers(0, (1 << 64) - 1))
+
+
+def assert_refines_like_reference(g, initial, queue, trace):
+    """Refine with both refiners, then individualize one vertex of a
+    non-singleton cell and refine again; everything must agree."""
+    ref, new = CountingReference(g), _Refiner(g)
+    colors, num_classes = initial.colors.copy(), initial.num_classes
+    cells = _Cells.of(initial)
+    for _ in range(2):
+        num_classes, want = ref.refine(colors, num_classes, queue, trace)
+        got = new.refine(cells, queue, trace)
+        assert np.array_equal(cells.colors, colors)
+        assert (cells.num_classes, got) == (num_classes, want)
+        assert (new.refinements, new.splits) == (ref.refinements, ref.splits)
+        check_layout(cells)
+        if num_classes == g.n:
+            break
+        v = int(cells.members(int(np.argmax(cells.size[:num_classes])))[0])
+        assert cells.individualize(v) == colors[v]
+        colors[v] = num_classes
+        queue, trace, num_classes = [num_classes], got, num_classes + 1
+    return ref.sizes
+
+
+class TestReferenceRefiner:
+    """The layout-based refiner against the reference copy above."""
+
+    @pytest.mark.parametrize("splitter", sorted(SPLITTER_SIZES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, splitter, data):
+        g, initial, queue, trace = data.draw(refine_cases(splitter))
+        sizes = assert_refines_like_reference(g, initial, queue, trace)
+        assert sizes[0] == SPLITTER_SIZES[splitter](g.n)
+
+
 class TestBruteForce:
     def test_triangle(self):
         g = DenseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -248,6 +472,8 @@ class TestAutomorphismGroup:
         assert isinstance(r, AutResult)
         assert r.order == 12
         assert r.nodes > 0 and r.refinements > 0 and r.seconds >= 0
+        assert 0 < r.splits <= r.refinements
+        assert f"refinements {r.refinements} ({r.splits} splitting)" in r.counters()
         assert schreier_sims(r.generators).order == 12
 
     def test_generators_verified(self):

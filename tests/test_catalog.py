@@ -413,3 +413,21 @@ def test_one_row_srg_matches_dense_oracle(entry_id):
     g = family_graph(BY_ID[entry_id].family)
     assert g.moduli is not None and len(g.moduli) >= 1
     assert srg_params(g) == srg_params(DenseGraph(g.adj))
+
+
+def test_srg_degree_from_row_zero_on_every_row(monkeypatch):
+    # with translation moduli every row is a translate of row 0, so
+    # srg_params reads the degree there and never sums every row; the
+    # degree it reports is the catalog's first subdegree and every vertex's
+    def no_degrees(self):
+        raise AssertionError("srg_params summed every degree of a graph with moduli")
+
+    for entry in CATALOG:
+        g = family_graph(entry.family)
+        assert g.moduli is not None
+        with monkeypatch.context() as m:
+            m.setattr(DenseGraph, "degrees", no_degrees)
+            p = srg_params(g)
+        assert (p.n, p.k) == (entry.n, entry.subdegrees[0])
+        assert (g.adj.sum(axis=1) == p.k).all()
+        assert p.feasible()

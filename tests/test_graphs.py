@@ -73,6 +73,19 @@ def test_irregular_graph_rejected():
     assert e.value.witness[2] == "degree"
 
 
+def test_irregular_graph_without_moduli_keeps_degree_witness(monkeypatch):
+    # C5 plus the chord 1-3: vertex 0 looks regular, vertex 1 does not; only
+    # the every-row degree check of a graph without moduli can see it
+    g = DenseGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
+    calls = []
+    degrees = DenseGraph.degrees
+    monkeypatch.setattr(DenseGraph, "degrees", lambda self: calls.append(1) or degrees(self))
+    with pytest.raises(NotStronglyRegular) as e:
+        srg_params(g)
+    assert e.value.witness == (0, 1, "degree", 3, 2)
+    assert calls
+
+
 def test_complete_and_empty_are_degenerate():
     with pytest.raises(Degenerate):
         srg_params(DenseGraph(np.zeros((5, 5), dtype=bool)))
