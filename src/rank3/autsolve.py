@@ -400,9 +400,10 @@ class _OrbitSet:
         if not self.mark[v]:
             self.mark |= orbit_mask(self.gens, _point_mask(len(self.mark), v))
 
-    def add_gen(self, img: np.ndarray) -> None:
-        self.gens.append(img)
-        self.mark = orbit_mask(self.gens, self.mark)
+    def add_gens(self, imgs: Sequence[np.ndarray]) -> None:
+        if imgs:
+            self.gens.extend(imgs)
+            self.mark = orbit_mask(self.gens, self.mark)
 
     def __contains__(self, v: int) -> bool:
         return bool(self.mark[v])
@@ -435,6 +436,7 @@ class _Solver:
         self.first_cells: list[int] = []
         self.first_vertices: list[int] = []
         self.known = known
+        self.order = 1  # the product of the first path's orbit lengths
 
     # - plumbing -
 
@@ -451,12 +453,6 @@ class _Solver:
         if len(smallest) == 1:
             return int(smallest[0])
         return int(smallest[np.argmin(cells.lab[cells.start[smallest]])])
-
-    def _known_orbits(self, depth: int) -> _OrbitSet | None:
-        """An orbit set under the known automorphisms fixing the first path's
-        prefix of this depth; None when none fixes it."""
-        fixing = _fixing(self.known, self.first_vertices[:depth])
-        return _OrbitSet(self.n, fixing) if fixing else None
 
     # - leaves -
 
@@ -510,9 +506,10 @@ class _Solver:
             members = np.concatenate(([0], members[members >= self.iso_half]))
             if len(members) == 1:
                 return  # vertex 0's class has no second-side counterpart
-        orbits = self._known_orbits(depth) if on_first_path else None
+        prefix = self.first_vertices[:depth]
+        orbits = _OrbitSet(self.n, _fixing(self.known, prefix)) if on_first_path else None
         for v in members.tolist():
-            if on_first_path and orbits is not None and v in orbits:
+            if orbits is not None and v in orbits:
                 continue
             child = cells.copy()
             old = child.individualize(v)
@@ -528,19 +525,16 @@ class _Solver:
             child_in_first = in_first_root_branch or (
                 depth == 0 and v == self.first_vertices[0]
             )
+            before = len(self.gens)
             try:
                 self._dfs(child, ctrace, depth + 1, child_first, child_in_first)
             except _AutoFound as found:
-                img = found.perm.img
-                if on_first_path and _fixing([img], self.first_vertices[:depth]):
-                    if orbits is None:
-                        orbits = _OrbitSet(self.n)
-                        orbits.add_seed(self.first_vertices[depth])
-                    orbits.add_gen(img)
-                    orbits.add_seed(v)
-                    continue
-                raise
-            if on_first_path and orbits is not None:
+                if orbits is None or not _fixing([found.perm.img], prefix):
+                    raise
+            if orbits is not None:
+                # every automorphism found beneath this node: the first-path
+                # child's absorbed deeper down fix a longer prefix
+                orbits.add_gens(_fixing((p.img for p in self.gens[before:]), prefix))
                 orbits.add_seed(v)
             if (
                 self.iso_half is not None
@@ -548,6 +542,11 @@ class _Solver:
                 and self.first_leaf is not None
             ):
                 break  # iso mode: the first root branch only feeds the first path
+        if orbits is not None:
+            # every automorphism fixing the prefix is known once the loop
+            # ends: one found later moves a vertex of the prefix
+            first = _point_mask(self.n, self.first_vertices[depth])
+            self.order *= int(orbit_mask(orbits.gens, first).sum())
 
     def run(self, initial: Coloring) -> None:
         cells = _Cells.of(initial)
@@ -568,7 +567,8 @@ class AutResult:
     tree itself: the generators fixing the first d individualized vertices
     generate their pointwise stabilizer, so the group order is the product
     over the first path of the orbit length of each individualized vertex
-    under the generators fixing the vertices before it.
+    under the generators fixing the vertices before it: the orbits that the
+    vertex's first-path node prunes with, once its loop ends.
     """
 
     generators: GeneratorSet
@@ -587,17 +587,6 @@ class AutResult:
             f"({self.splits} splitting), "
             f"generators {self.known} known + {found} found"
         )
-
-
-def _order_from_first_path(
-    n: int, first_vertices: list[int], gens: list[Permutation]
-) -> int:
-    order = 1
-    imgs = [p.img for p in gens]
-    for depth, v in enumerate(first_vertices):
-        fixing = _fixing(imgs, first_vertices[:depth])
-        order *= int(orbit_mask(fixing, _point_mask(n, v)).sum())
-    return order
 
 
 def check_budget(budget: float) -> None:
@@ -637,11 +626,9 @@ def automorphism_group(
         return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0, 0.0, 0)
     solver = _Solver(g, budget, start + budget, [p.img for p in seeds])
     solver.run(trivial_coloring(n))
-    gens = seeds + solver.gens
-    order = _order_from_first_path(n, solver.first_vertices, gens)
     return AutResult(
-        GeneratorSet(n, tuple(gens)),
-        order,
+        GeneratorSet(n, tuple(seeds + solver.gens)),
+        solver.order,
         solver.nodes,
         solver.refiner.refinements,
         solver.refiner.splits,

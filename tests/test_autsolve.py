@@ -39,8 +39,8 @@ from rank3.families import (
     peisert,
     zero_stabilizer,
 )
-from rank3.graphs import DenseGraph, complement
-from rank3.permgrp import GeneratorSet, Permutation, schreier_sims
+from rank3.graphs import DenseGraph, complement, unit_translations
+from rank3.permgrp import GeneratorSet, Permutation, orbit_mask, schreier_sims
 
 
 def path_graph(n):
@@ -240,6 +240,35 @@ def check_layout(cells):
     for k in range(c):
         seg = cells.members(k)
         assert (cells.colors[seg] == k).all() and (np.diff(seg) > 0).all()
+
+
+# -- the order oracle -------------------------------------------------------------
+#
+# The solver reads |Aut| off the orbits its first-path nodes prune with.  The
+# count below is the one it made before, from scratch after the search: the
+# product over the first path of the orbit length of each individualized
+# vertex under the generators fixing the vertices before it.
+
+
+def order_from_first_path(n, first_vertices, imgs):
+    order = 1
+    for depth, v in enumerate(first_vertices):
+        pts = np.asarray(first_vertices[:depth], dtype=np.int64)
+        fixing = [img for img in imgs if np.array_equal(img[pts], pts)]
+        seed = np.zeros(n, dtype=bool)
+        seed[v] = True
+        order *= int(orbit_mask(fixing, seed).sum())
+    return order
+
+
+def assert_order_matches_oracle(g, known=()):
+    """Run the search from the known image arrays; its order must equal the
+    oracle's count over the same first path and generators."""
+    solver = _Solver(g, 60.0, time.monotonic() + 60.0, list(known))
+    solver.run(trivial_coloring(g.n))
+    imgs = list(known) + [p.img for p in solver.gens]
+    assert solver.order == order_from_first_path(g.n, solver.first_vertices, imgs)
+    return solver.order
 
 
 class TestColoring:
@@ -491,6 +520,7 @@ class TestAutomorphismGroup:
             assert automorphism_group(g).order == len(brute_force_aut(g)), (
                 f"trial {trial}: {g.adj.astype(int)}"
             )
+            assert_order_matches_oracle(g)
 
     def test_complement_has_same_group(self):
         for g in [paley(13), PETERSEN, path_graph(5)]:
@@ -532,12 +562,12 @@ class TestAutomorphismGroup:
         assert r.order == 1
 
     # (descriptor, relabelling seed, |Aut|, nodes, refinements, generators),
-    # recorded with the refiner that ran one popcount and one n-wide sort
-    # per splitter pass: a faster pass must leave the search unchanged
+    # recorded with every first-path node pruning by all the automorphisms
+    # found beneath it: a faster splitter pass must leave the search unchanged
     PINNED_SEARCHES = [
-        ("vls:64:3", 1, 64512, 44, 346, 12),
-        ("vo:+:8:2", 2, 89181388800, 136, 3732, 23),
-        ("orbital:q8:13", 3, 48672, 17, 392, 6),
+        ("vls:64:3", 1, 64512, 22, 166, 6),
+        ("vo:+:8:2", 2, 89181388800, 55, 1440, 9),
+        ("orbital:q8:13", 3, 48672, 14, 328, 5),
     ]
 
     @pytest.mark.parametrize("desc,seed,order,nodes,refinements,gens", PINNED_SEARCHES)
@@ -569,21 +599,21 @@ class TestSeededSearch:
         "paley:49": (4, 31, 4),
         "paley:81": (6, 59, 7),
         "peisert:49": (5, 51, 5),
-        "vls:16:3": (11, 24, 9),
-        "vls:25:3": (30, 88, 11),
-        "vls:64:3": (14, 121, 13),
-        "hamming2:5": (27, 77, 13),
+        "vls:16:3": (9, 19, 8),
+        "vls:25:3": (20, 56, 8),
+        "vls:64:3": (10, 73, 11),
+        "hamming2:5": (20, 56, 11),
         "vo:-:4:2": (6, 13, 14),
         "vo:-:6:2": (8, 49, 24),
-        "vo:+:8:2": (36, 1040, 39),
+        "vo:+:8:2": (14, 307, 34),
         "orbital:sl23:7": (5, 49, 7),
         "orbital:q8:13": (5, 76, 6),
-        "hamming2:9": (345, 2061, 49),
+        "hamming2:9": (100, 586, 19),
         "peisert:81": (9, 56, 9),
         "vo:+:4:3": (7, 60, 19),
-        "vls:256:5": (24, 1020, 17),
+        "vls:256:5": (16, 598, 14),
         "orbital:q8:17": (5, 117, 6),
-        "hq:3:3": (18, 1133, 19),
+        "hq:3:3": (16, 960, 18),
         "orbital:sl25:41": (5, 397, 6),
     }
 
@@ -601,6 +631,14 @@ class TestSeededSearch:
         assert counters == self.SEEDED_COUNTERS[entry.id]
         for perm in seeded.generators.gens:
             assert np.array_equal(g.adj[np.ix_(perm.img, perm.img)], g.adj)
+
+    @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
+    def test_order_matches_first_path_oracle(self, entry):
+        g = family_graph(entry.family)
+        known = unit_translations(g.moduli) + [
+            p.img for p in zero_stabilizer(entry.family).gens
+        ]
+        assert assert_order_matches_oracle(g, known) == entry.expected_aut_order
 
     def test_non_automorphism_rejected(self):
         g = paley(13)
