@@ -25,11 +25,13 @@ Pruning, in the standard shape:
   refinement history; a branch whose trace differs from the first path's at
   the same depth cannot carry an automorphism and is cut (hash equality never
   *accepts* anything by itself: leaves are always verified);
-* orbit pruning — on first-path nodes, siblings lying in the orbit of
-  already-explored choices under the known automorphisms fixing the node's
-  individualized prefix and the automorphisms found so far are skipped
-  (the orbits are closed by permgrp.orbit_mask, which also counts the
-  order off the first path);
+* orbit pruning — a node skips the children lying in the orbit of its
+  explored ones under the known automorphisms fixing its individualized
+  prefix; a first-path node also closes its orbits under every automorphism
+  found beneath it, the deeper first-path nodes' included, as each child
+  returns.  Those orbits are final when its loop ends, so the group order is
+  the product of their lengths at the first path's vertices (McKay &
+  Piperno 2014, §2-3; the orbits are closed by permgrp.orbit_mask);
 * backjumping — a verified automorphism unwinds the search to the deepest
   first-path node whose individualized prefix it fixes.
 
@@ -44,15 +46,15 @@ Strongly regular graphs are equitably homogeneous, so plain refinement never
 splits them; all the work happens in the search, and orbit pruning is what
 keeps vertex-transitive inputs tractable.
 
-Isomorphism testing runs the same search on the disjoint union of the two
-graphs, branching the root over second-graph vertices only; an automorphism
-swapping the sides is exactly an isomorphism.  The branching side is one with
-translation moduli if either has them, and its translations are the known
-automorphisms; only without moduli is its group searched first instead.  The
-union search is only run on connected pairs — an automorphism of the union
-that moves vertex 0 across then necessarily swaps the sides completely, which
-is what keeps the pruning rules exhaustive.  Disconnected inputs are matched
-component by component first.
+Isomorphism testing is a directed search.  The search of g stops at its
+first leaf; h's tree is then searched along g's first path: the same target
+cell ids, every child cut whose trace differs from g's at its depth, and at a
+leaf the map carrying g's first leaf onto it is a candidate, accepted only if
+it carries g onto h.  An isomorphism carries g's first path to such a path of
+h, so the search is complete, whether or not the graphs are connected.  The
+searched side is one with translation moduli if either has them, and its
+translations are the known automorphisms; only without moduli is its group
+searched first instead.
 """
 
 from __future__ import annotations
@@ -372,14 +374,12 @@ def refine(g: DenseGraph, initial: Coloring) -> Coloring:
 # -- the IR search ----------------------------------------------------------------
 
 
-class _AutoFound(Exception):
-    def __init__(self, perm: Permutation):
-        self.perm = perm
+class _Found(Exception):
+    """A verified leaf: an automorphism, or in a directed search an
+    isomorphism, as an image array."""
 
-
-class _CrossFound(Exception):
-    def __init__(self, sigma: np.ndarray):
-        self.sigma = sigma
+    def __init__(self, img: np.ndarray):
+        self.img = img
 
 
 def _fixing(imgs: Iterable[np.ndarray], prefix: Sequence[int]) -> list[np.ndarray]:
@@ -410,10 +410,15 @@ class _OrbitSet:
 
 
 class _Solver:
-    """One automorphism/isomorphism search over a fixed graph.
+    """One search over the individualization tree of a fixed graph g.
 
-    ``known`` holds image arrays of verified automorphisms of g; they seed the
-    orbit pruning of every first-path node whose prefix they fix."""
+    ``known`` holds image arrays of verified automorphisms of g; a node skips
+    the children in the orbits of its explored ones under those that fix its
+    individualized prefix.  An automorphism search builds its own first path
+    and compares every later leaf with the first.  A directed search
+    (``follow``) takes the first path of another graph's solver instead, so
+    its leaves are candidate isomorphisms from that graph to g.
+    """
 
     def __init__(
         self,
@@ -421,21 +426,22 @@ class _Solver:
         budget: float,
         deadline: float,
         known: Sequence[np.ndarray] = (),
-        iso_half: int | None = None,
+        first_only: bool = False,
     ):
         self.g = g
+        self.source = g  # a leaf's candidate maps source's first leaf to it
         self.n = g.n
         self.refiner = _Refiner(g, deadline, budget)
         self.budget = budget
         self.deadline = deadline
-        self.iso_half = iso_half  # union search: vertices >= iso_half are side 2
+        self.known = known
+        self.first_only = first_only  # stop at the first leaf
         self.nodes = 0
         self.gens: list[Permutation] = []
         self.first_leaf: np.ndarray | None = None
         self.first_traces: list[int] = []
         self.first_cells: list[int] = []
         self.first_vertices: list[int] = []
-        self.known = known
         self.order = 1  # the product of the first path's orbit lengths
 
     # - plumbing -
@@ -464,35 +470,20 @@ class _Solver:
             return
         sigma = np.empty(self.n, dtype=np.int32)
         sigma[self.first_leaf] = inv
-        if not is_isomorphism(self.g, self.g, sigma):
-            return
-        if self.iso_half is not None and sigma[0] >= self.iso_half:
-            half = self.iso_half
-            if (sigma[:half] >= half).all():
-                raise _CrossFound(sigma)
-        perm = Permutation(sigma, _validate=False)
-        self.gens.append(perm)
-        raise _AutoFound(perm)
+        if is_isomorphism(self.source, self.g, sigma):
+            raise _Found(sigma)
 
     # - the search -
 
     def _dfs(
-        self,
-        cells: _Cells,
-        trace: int,
-        depth: int,
-        on_first_path: bool,
-        in_first_root_branch: bool,
+        self, cells: _Cells, trace: int, depth: int, on_first_path: bool, prefix: list[int]
     ) -> None:
         self._tick()
         if cells.num_classes == self.n:
             self._leaf(cells.colors)
             return
         if on_first_path and len(self.first_cells) == depth:
-            if self.iso_half is not None and depth == 0:
-                self.first_cells.append(int(cells.colors[0]))
-            else:
-                self.first_cells.append(self._pick_cell(cells))
+            self.first_cells.append(self._pick_cell(cells))
         if depth >= len(self.first_cells):
             return  # deeper than the first path (trace hash collision): dead branch
         cell_color = self.first_cells[depth]
@@ -501,14 +492,9 @@ class _Solver:
             # Individualizing only in cells of two or more keeps every cell
             # nonempty, so n cells are a discrete coloring at the leaves.
             return
-        members = cells.members(cell_color)  # ascending: the layout keeps it so
-        if self.iso_half is not None and depth == 0:
-            members = np.concatenate(([0], members[members >= self.iso_half]))
-            if len(members) == 1:
-                return  # vertex 0's class has no second-side counterpart
-        prefix = self.first_vertices[:depth]
-        orbits = _OrbitSet(self.n, _fixing(self.known, prefix)) if on_first_path else None
-        for v in members.tolist():
+        fixing = _fixing(self.known, prefix)
+        orbits = _OrbitSet(self.n, fixing) if on_first_path or fixing else None
+        for v in cells.members(cell_color).tolist():  # ascending: the layout keeps it so
             if orbits is not None and v in orbits:
                 continue
             child = cells.copy()
@@ -522,39 +508,49 @@ class _Solver:
             elif ctrace != self.first_traces[depth]:
                 continue
             child_first = on_first_path and v == self.first_vertices[depth]
-            child_in_first = in_first_root_branch or (
-                depth == 0 and v == self.first_vertices[0]
-            )
             before = len(self.gens)
             try:
-                self._dfs(child, ctrace, depth + 1, child_first, child_in_first)
-            except _AutoFound as found:
-                if orbits is None or not _fixing([found.perm.img], prefix):
+                self._dfs(child, ctrace, depth + 1, child_first, prefix + [v])
+            except _Found as found:
+                # a first-path node keeps the automorphisms that fix its
+                # prefix; the others unwind to a shallower one (backjumping)
+                if not on_first_path or not _fixing([found.img], prefix):
                     raise
+                self.gens.append(Permutation(found.img, _validate=False))
+            if self.first_only:
+                return
             if orbits is not None:
                 # every automorphism found beneath this node: the first-path
-                # child's absorbed deeper down fix a longer prefix
+                # child's were kept deeper down and fix a longer prefix
                 orbits.add_gens(_fixing((p.img for p in self.gens[before:]), prefix))
                 orbits.add_seed(v)
-            if (
-                self.iso_half is not None
-                and in_first_root_branch
-                and self.first_leaf is not None
-            ):
-                break  # iso mode: the first root branch only feeds the first path
-        if orbits is not None:
+        if on_first_path:
             # every automorphism fixing the prefix is known once the loop
             # ends: one found later moves a vertex of the prefix
             first = _point_mask(self.n, self.first_vertices[depth])
             self.order *= int(orbit_mask(orbits.gens, first).sum())
 
-    def run(self, initial: Coloring) -> None:
+    def root(self, initial: Coloring) -> tuple[_Cells, int]:
+        """The refined root coloring and its trace."""
         cells = _Cells.of(initial)
-        trace = self.refiner.refine(cells, range(initial.num_classes), 0)
+        return cells, self.refiner.refine(cells, range(initial.num_classes), 0)
+
+    def follow(self, path: "_Solver") -> None:
+        """Search for isomorphisms path.g -> g along path's first path."""
+        self.source = path.g
+        self.first_leaf = path.first_leaf
+        self.first_traces, self.first_cells = path.first_traces, path.first_cells
+
+    def search(self, cells: _Cells, trace: int) -> None:
+        """Search the tree below a root from ``root``; a directed search raises
+        _Found with the first isomorphism it meets."""
         limit = self.n + 1000
         if sys.getrecursionlimit() < limit:
             sys.setrecursionlimit(limit)
-        self._dfs(cells, trace, 0, True, False)
+        self._dfs(cells, trace, 0, self.first_leaf is None, [])
+
+    def run(self, initial: Coloring) -> None:
+        self.search(*self.root(initial))
 
 
 @dataclass
@@ -641,24 +637,8 @@ def _degree_multiset(g: DenseGraph) -> list[int]:
     return sorted(int(d) for d in g.degrees())
 
 
-def _refinement_signature(
-    g: DenseGraph, deadline: float, budget: float
-) -> tuple[int, tuple[int, ...]]:
-    cells = _Cells.of(trivial_coloring(g.n))
-    trace = _Refiner(g, deadline, budget).refine(cells, range(1), 0)
-    return trace, tuple(sorted(cells.size[: cells.num_classes].tolist()))
-
-
-def _union_graph(g: DenseGraph, h: DenseGraph) -> DenseGraph:
-    n = g.n
-    adj = np.zeros((2 * n, 2 * n), dtype=bool)
-    adj[:n, :n] = g.adj
-    adj[n:, n:] = h.adj
-    return DenseGraph(adj)
-
-
-def _components(g: DenseGraph) -> list[np.ndarray]:
-    """Vertex sets of the connected components, each sorted ascending."""
+def _component_sizes(g: DenseGraph) -> list[int]:
+    """The sizes of the connected components, ascending."""
     seen = np.zeros(g.n, dtype=bool)
     out = []
     for s in range(g.n):
@@ -671,50 +651,56 @@ def _components(g: DenseGraph) -> list[np.ndarray]:
             frontier = g.adj[frontier].any(axis=0) & ~comp
             comp |= frontier
         seen |= comp
-        out.append(np.flatnonzero(comp))
-    return out
+        out.append(int(np.count_nonzero(comp)))
+    return sorted(out)
 
 
-def _lift(perm_imgs: Iterable[np.ndarray], n: int) -> list[np.ndarray]:
-    """Automorphisms of the second side, as automorphisms of the union that
-    fix the first side pointwise."""
-    ident = np.arange(n, dtype=np.int32)
-    return [np.concatenate((ident, img.astype(np.int32) + n)) for img in perm_imgs]
+def _iso_search(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
+    """An isomorphism g -> h of graphs of equal size, by a directed search.
 
-
-def _iso_connected(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
-    """Union-graph search for connected g and h of equal size.
-
-    Connectedness matters: any automorphism of the union moving vertex 0 to
-    the h side must then carry the whole g side across, so every verified
-    cross leaf is a complete side swap and the automorphism-based pruning
-    stays exhaustive.  The root branches over h, collapsed by h's
-    translations or else by Aut(h) found within a slice of the budget; when
-    only g carries moduli the sides are swapped and the mapping inverted.
+    g's first path (the target cell, the trace after each individualization,
+    and the leaf) is taken by the search itself, stopping at its first leaf.
+    h's tree is then searched along the same cell ids, cutting every child
+    whose trace differs from g's at its depth; at a leaf, the map carrying
+    g's first leaf onto it is a candidate, accepted only if it carries g onto
+    h.  Complete: an isomorphism carries g's first path to a path of h with
+    the same cells and traces, whose leaf yields it.  h's known automorphisms
+    prune every node whose prefix they fix: its translations, when it has
+    moduli, collapse the root; without moduli on either side, Aut(h) is
+    searched first within 0.4 of the budget.  The side with moduli is the
+    one searched: when only g has them, the roles swap and the map is
+    inverted.  The two root refinements double as the cheapest test: their
+    traces and cell sizes must agree.
     """
     if g.moduli is not None and h.moduli is None:
-        return np.argsort(_iso_connected(h, g, deadline)).astype(np.int32)
+        return np.argsort(_iso_search(h, g, deadline)).astype(np.int32)
     n = g.n
     budget = deadline - time.monotonic()
-    if _refinement_signature(g, deadline, budget) != _refinement_signature(
-        h, deadline, budget
+    path = _Solver(g, budget, deadline, first_only=True)
+    solver = _Solver(h, budget, deadline)
+    (g_cells, g_trace), (h_cells, h_trace) = (
+        path.root(trivial_coloring(n)), solver.root(trivial_coloring(n))
+    )
+    if g_trace != h_trace or not np.array_equal(
+        g_cells.size[: g_cells.num_classes], h_cells.size[: h_cells.num_classes]
     ):
         raise NotIsomorphic("equitable refinement signatures differ")
     if g == h:
         return np.arange(n, dtype=np.int32)
     if h.moduli is not None:
-        known = _lift(unit_translations(h.moduli), n)
+        solver.known = unit_translations(h.moduli)
     else:
         try:
             hint = automorphism_group(h, budget=budget * 0.4)
-            known = _lift((p.img for p in hint.generators.gens), n)
+            solver.known = [p.img for p in hint.generators.gens]
         except Timeout:
-            known = []
-    solver = _Solver(_union_graph(g, h), budget, deadline, known, iso_half=n)
+            pass
+    path.search(g_cells, g_trace)
+    solver.follow(path)
     try:
-        solver.run(trivial_coloring(2 * n))
-    except _CrossFound as cross:
-        return (cross.sigma[:n] - n).astype(np.int32)
+        solver.search(h_cells, h_trace)
+    except _Found as found:
+        return found.img
     raise NotIsomorphic("individualization search exhausted")
 
 
@@ -725,12 +711,13 @@ def are_isomorphic(
     h), verified edge-by-edge before returning.  Raises NotIsomorphic with the
     distinguishing invariant otherwise, or Timeout(budget).
 
-    The search runs on the disjoint union of g and h, branching the root over
-    the vertices of a side with translation moduli when either has them; that
-    side's translations collapse equivalent root branches.  When neither side
-    has moduli, h's own automorphisms are computed first (within a slice of
-    the budget) to do the same.  Disconnected graphs are decomposed and
-    matched component by component.  ValueError unless budget >= 0.
+    Cheap invariants come first: vertex counts, degree multisets and the
+    multisets of component sizes.  Then one directed search follows g's
+    first path through h's individualization tree, connected or not (see
+    _iso_search): a side with translation moduli is the one searched, and its
+    translations collapse the root; when neither side has moduli, h's own
+    automorphisms are computed first (within 0.4 of the budget) to prune it.
+    ValueError unless budget >= 0.
     """
     check_budget(budget)
     deadline = time.monotonic() + budget
@@ -741,38 +728,9 @@ def are_isomorphic(
         return np.empty(0, dtype=np.int32)
     if _degree_multiset(g) != _degree_multiset(h):
         raise NotIsomorphic("degree multisets differ")
-
-    comps_g = _components(g)
-    comps_h = _components(h)
-    if len(comps_g) == 1 and len(comps_h) == 1:
-        mapping = _iso_connected(g, h, deadline)
-    elif sorted(len(c) for c in comps_g) != sorted(len(c) for c in comps_h):
+    if _component_sizes(g) != _component_sizes(h):
         raise NotIsomorphic("component size multisets differ")
-    else:
-        # greedy matching is exhaustive here: isomorphism classes partition
-        # the components, and any member of a class is as good as any other
-        mapping = np.full(n, -1, dtype=np.int32)
-        unused = list(range(len(comps_h)))
-        for cg in comps_g:
-            sub_g = DenseGraph(g.adj[np.ix_(cg, cg)])
-            key_g = _degree_multiset(sub_g)
-            for k in list(unused):
-                ch = comps_h[k]
-                if len(ch) != len(cg):
-                    continue
-                sub_h = DenseGraph(h.adj[np.ix_(ch, ch)])
-                if _degree_multiset(sub_h) != key_g:
-                    continue
-                try:
-                    sub_map = _iso_connected(sub_g, sub_h, deadline)
-                except NotIsomorphic:
-                    continue
-                mapping[cg] = ch[sub_map]
-                unused.remove(k)
-                break
-            else:
-                raise NotIsomorphic("a component has no isomorphic counterpart")
-
+    mapping = _iso_search(g, h, deadline)
     if sorted(mapping.tolist()) != list(range(n)):
         raise AssertionError("candidate isomorphism is not a bijection")
     if not is_isomorphism(g, h, mapping):

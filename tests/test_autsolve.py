@@ -4,10 +4,12 @@ Small cases are cross-checked against the exhaustive permutation scan; larger
 orders against classical group sizes for the graph families.
 """
 
+import itertools
 import math
 import time
 from collections import deque
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from rank3.autsolve import (
     _Cells,
     _Refiner,
     _Solver,
-    _union_graph,
     are_isomorphic,
     automorphism_group,
     brute_force_aut,
@@ -40,7 +41,13 @@ from rank3.families import (
     zero_stabilizer,
 )
 from rank3.graphs import DenseGraph, complement, unit_translations
-from rank3.permgrp import GeneratorSet, Permutation, orbit_mask, schreier_sims
+from rank3.permgrp import (
+    GeneratorSet,
+    Permutation,
+    orbit_mask,
+    reaches_order,
+    schreier_sims,
+)
 
 
 def path_graph(n):
@@ -68,6 +75,15 @@ def random_graph(rng, n, p):
 def relabelled(g, seed):
     perm = np.random.default_rng(seed).permutation(g.n)
     return DenseGraph(g.adj[np.ix_(perm, perm)])
+
+
+def union_graph(g, h):
+    """The disjoint union of g and h: h's vertex i is vertex g.n + i."""
+    n = g.n
+    adj = np.zeros((2 * n, 2 * n), dtype=bool)
+    adj[:n, :n] = g.adj
+    adj[n:, n:] = h.adj
+    return DenseGraph(adj)
 
 
 def naive_equitable(g, colors):
@@ -396,9 +412,9 @@ def refine_cases(draw, splitter):
     p = draw(st.floats(0.05, 0.95))
     g = random_graph(rng, m, p)
     if union == "relabelled":
-        g = _union_graph(g, relabelled(g, int(rng.integers(1 << 30))))
+        g = union_graph(g, relabelled(g, int(rng.integers(1 << 30))))
     elif union == "random":
-        g = _union_graph(g, random_graph(rng, m, p))
+        g = union_graph(g, random_graph(rng, m, p))
     n = g.n
     colors = rng.integers(1, 1 + draw(st.integers(1, 4)), n)
     colors[rng.permutation(n)[: SPLITTER_SIZES[splitter](n)]] = 0
@@ -584,6 +600,23 @@ class TestAutomorphismGroup:
         assert sorted(m.tolist()) == list(range(g.n))
         assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
 
+    SMALL_ROWS = [e for e in builtin_catalog() if e.n <= 256]
+
+    @pytest.mark.parametrize("entry", SMALL_ROWS, ids=[e.id for e in SMALL_ROWS])
+    def test_generators_generate_aut_on_relabelled_row(self, entry):
+        # the generators are automorphisms, so they generate a subgroup of
+        # Aut; reaching the order proves it is all of Aut.  The exact
+        # Schreier-Sims run takes seconds to minutes beyond 10**6 elements,
+        # where the seeded lower bound of reaches_order stands in for it.
+        h = relabelled(family_graph(entry.family), 7)
+        r = automorphism_group(h)
+        assert r.order == entry.expected_aut_order
+        for perm in r.generators.gens:
+            assert np.array_equal(h.adj[np.ix_(perm.img, perm.img)], h.adj)
+        assert reaches_order(r.generators, r.order)
+        if r.order <= 10**6:
+            assert schreier_sims(r.generators).order == r.order
+
 
 class TestSeededSearch:
     """The search started from known automorphisms: the translations of the
@@ -721,6 +754,72 @@ class TestMidSizeOrders:
         assert automorphism_group(g, budget=300).order == 48672
 
 
+def degree_preserving_swaps(g, rng, tries):
+    """g with up to `tries` random double-edge swaps ab, cd -> ad, cb: the
+    same degrees, usually another graph."""
+    adj = g.adj.copy()
+    for _ in range(tries):
+        edges = np.argwhere(np.triu(adj, 1))
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = edges[rng.choice(len(edges), 2, replace=False)]
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and not adj[a, d] and not adj[c, b]:
+            adj[[a, b, c, d], [b, a, d, c]] = False
+            adj[[a, d, c, b], [d, a, b, c]] = True
+    return DenseGraph(adj)
+
+
+def random_regular(n, d, seed, extra):
+    """A random d-regular graph on n vertices beside `extra` more vertices:
+    none, one isolated vertex, or one edge."""
+    adj = np.zeros((n + extra, n + extra), dtype=bool)
+    adj[:n, :n] = nx.to_numpy_array(nx.random_regular_graph(d, n, seed=seed), dtype=bool)
+    adj[n + 1 :: 2, n : -1 : 2] = adj[n : -1 : 2, n + 1 :: 2] = True
+    return DenseGraph(adj)
+
+
+@st.composite
+def iso_pairs(draw):
+    """Two graphs on 1-10 vertices, h relabelled.
+
+    * copy, swapped: g is a disjoint union of 1-3 random blocks under a
+      random labelling, so it is often disconnected or has isolated
+      vertices; h is a copy of g, or g after random degree-preserving swaps.
+    * random: g as above, h a random graph.
+    * regular: g is a random d-regular graph on 6-10 vertices, sometimes
+      beside an isolated vertex or edge, and h is a copy of g or another
+      such graph: degrees, component sizes and the root refinement all
+      agree, so only the search decides, and most cells are not orbits.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["copy", "copy", "swapped", "random", "regular"]))
+    if kind == "regular":
+        extra = draw(st.integers(0, 2))
+        n = draw(st.integers(6, 10 - extra))
+        d = draw(st.sampled_from([d for d in range(2, n - 2) if n * d % 2 == 0]))
+        g = random_regular(n, d, int(rng.integers(1 << 30)), extra)
+        h = g if draw(st.booleans()) else random_regular(n, d, int(rng.integers(1 << 30)), extra)
+        return g, relabelled(h, int(rng.integers(1 << 30)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    n = min(sum(sizes), 10)
+    adj = np.zeros((n, n), dtype=bool)
+    lo = 0
+    for size in sizes:
+        hi = min(lo + size, n)
+        adj[lo:hi, lo:hi] = random_graph(rng, hi - lo, draw(st.floats(0.0, 1.0))).adj
+        lo = hi
+    g = relabelled(DenseGraph(adj), int(rng.integers(1 << 30)))
+    if kind == "copy":
+        h = g
+    elif kind == "swapped":
+        h = degree_preserving_swaps(g, rng, 20)
+    else:
+        h = random_graph(rng, n, draw(st.floats(0.0, 1.0)))
+    return g, relabelled(h, int(rng.integers(1 << 30)))
+
+
 class TestIsomorphism:
     def test_identity(self):
         g = paley(13)
@@ -830,6 +929,52 @@ class TestIsomorphism:
             h = DenseGraph(g.adj[np.ix_(sigma, sigma)])
             m = are_isomorphic(g, h)
             assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
+
+    # T(8), the line graph of K8, and the three Chang graphs (Chang, 1959), all
+    # srg(28, 12, 6, 4): Seidel switching of T(8) by the edges of 4K2, C3+C5
+    # or C8 in K8
+    CHANG = {
+        "T8": [],
+        "4K2": [(0, 1), (2, 3), (4, 5), (6, 7)],
+        "C3+C5": [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 7), (3, 7)],
+        "C8": [(i, (i + 1) % 8) for i in range(8)],
+    }
+
+    @staticmethod
+    def chang_graph(switch):
+        pairs = list(itertools.combinations(range(8), 2))
+        adj = np.array([[len(set(a) & set(b)) == 1 for b in pairs] for a in pairs])
+        s = np.array([p in switch or p[::-1] in switch for p in pairs])
+        adj ^= s[:, None] != s[None, :]
+        return DenseGraph(adj)
+
+    def test_chang_graphs(self):
+        # regular, with cells that are not orbits and automorphism groups of
+        # order 40320, 384, 360 and 96: the first child whose trace matches
+        # often leads nowhere, so pruning has to be right
+        graphs = {k: self.chang_graph(v) for k, v in self.CHANG.items()}
+        for g in graphs.values():
+            for seed in range(5):
+                h = relabelled(g, seed)
+                m = are_isomorphic(g, h)
+                assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
+        for a, b in itertools.combinations(graphs.values(), 2):
+            with pytest.raises(NotIsomorphic):
+                are_isomorphic(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=iso_pairs())
+    def test_matches_networkx(self, pair):
+        g, h = pair
+        want = nx.is_isomorphic(nx.from_numpy_array(g.adj), nx.from_numpy_array(h.adj))
+        try:
+            m = are_isomorphic(g, h)
+        except NotIsomorphic:
+            assert not want
+            return
+        assert want
+        assert sorted(m.tolist()) == list(range(g.n))
+        assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
 
     @pytest.mark.slow
     def test_paley81_not_peisert81(self):
