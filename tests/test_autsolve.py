@@ -261,9 +261,10 @@ def check_layout(cells):
 # -- the order oracle -------------------------------------------------------------
 #
 # The solver reads |Aut| off the orbits its first-path nodes prune with.  The
-# count below is the one it made before, from scratch after the search: the
-# product over the first path of the orbit length of each individualized
-# vertex under the generators fixing the vertices before it.
+# count below redoes it from scratch after the search, from the first path and
+# the generators alone: the product over the first path of the orbit length of
+# each individualized vertex under the generators fixing the vertices before
+# it.
 
 
 def order_from_first_path(n, first_vertices, imgs):
@@ -949,9 +950,9 @@ class TestIsomorphism:
         return DenseGraph(adj)
 
     def test_chang_graphs(self):
-        # regular, with cells that are not orbits and automorphism groups of
-        # order 40320, 384, 360 and 96: the first child whose trace matches
-        # often leads nowhere, so pruning has to be right
+        # the Chang graphs are regular but not vertex-transitive (28 divides
+        # none of their group orders 384, 360 and 96), so the first child
+        # whose trace matches often leads nowhere and pruning has to be right
         graphs = {k: self.chang_graph(v) for k, v in self.CHANG.items()}
         for g in graphs.values():
             for seed in range(5):
