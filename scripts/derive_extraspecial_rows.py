@@ -173,9 +173,9 @@ def outer_generators(
     order = 1  # of the group the chosen maps generate
     for cand in candidates:
         [perm] = linear_perms(MatrixGroupSpec(2, rep.k, (cand,))).gens
-        if any(np.array_equal(perm.img, q.img) for q in perms):
+        if any(np.array_equal(perm, q) for q in perms):
             continue
-        grown = schreier_sims(GeneratorSet(1 << rep.k, tuple(perms + [perm]))).order
+        grown = schreier_sims(GeneratorSet(1 << rep.k, perms + [perm])).order
         if grown > order:
             chosen.append(cand)
             perms.append(perm)

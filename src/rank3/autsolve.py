@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DenseGraph, is_isomorphism, unit_translations
-from .permgrp import GeneratorSet, Permutation, _point_mask, orbit_mask
+from .permgrp import GeneratorSet, _point_mask, orbit_mask
 
 __all__ = [
     "Coloring",
@@ -437,7 +437,7 @@ class _Solver:
         self.known = known
         self.first_only = first_only  # stop at the first leaf
         self.nodes = 0
-        self.gens: list[Permutation] = []
+        self.gens: list[np.ndarray] = []
         self.first_leaf: np.ndarray | None = None
         self.first_traces: list[int] = []
         self.first_cells: list[int] = []
@@ -516,13 +516,13 @@ class _Solver:
                 # prefix; the others unwind to a shallower one (backjumping)
                 if not on_first_path or not _fixing([found.img], prefix):
                     raise
-                self.gens.append(Permutation(found.img, _validate=False))
+                self.gens.append(found.img)
             if self.first_only:
                 return
             if orbits is not None:
                 # every automorphism found beneath this node: the first-path
                 # child's were kept deeper down and fix a longer prefix
-                orbits.add_gens(_fixing((p.img for p in self.gens[before:]), prefix))
+                orbits.add_gens(_fixing(self.gens[before:], prefix))
                 orbits.add_seed(v)
         if on_first_path:
             # every automorphism fixing the prefix is known once the loop
@@ -610,20 +610,18 @@ def automorphism_group(
     n = g.n
     if known is not None and known.degree != n:
         raise ValueError(f"known generators have degree {known.degree}, graph has {n}")
-    seeds = [  # certified by DenseGraph
-        Permutation(img.astype(np.int32), _validate=False)
-        for img in unit_translations(g.moduli or ())
-    ]
-    for j, perm in enumerate(() if known is None else known.gens):
-        if not is_isomorphism(g, g, perm.img):
+    # the translations are certified by DenseGraph
+    seeds = [img.astype(np.int32) for img in unit_translations(g.moduli or ())]
+    for j, img in enumerate(() if known is None else known.gens):
+        if not is_isomorphism(g, g, img):
             raise ValueError(f"known generator {j} is not an automorphism of the graph")
-        seeds.append(perm)
+        seeds.append(img)
     if n == 0:
         return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0, 0.0, 0)
-    solver = _Solver(g, budget, start + budget, [p.img for p in seeds])
+    solver = _Solver(g, budget, start + budget, seeds)
     solver.run(trivial_coloring(n))
     return AutResult(
-        GeneratorSet(n, tuple(seeds + solver.gens)),
+        GeneratorSet(n, seeds + solver.gens),
         solver.order,
         solver.nodes,
         solver.refiner.refinements,
@@ -692,7 +690,7 @@ def _iso_search(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
     else:
         try:
             hint = automorphism_group(h, budget=budget * 0.4)
-            solver.known = [p.img for p in hint.generators.gens]
+            solver.known = hint.generators.gens
         except Timeout:
             pass
     path.search(g_cells, g_trace)
@@ -738,8 +736,9 @@ def are_isomorphic(
     return mapping
 
 
-def brute_force_aut(g: DenseGraph) -> list[Permutation]:
-    """All automorphisms of g by scanning every permutation (n <= 8)."""
+def brute_force_aut(g: DenseGraph) -> list[np.ndarray]:
+    """The image arrays of all automorphisms of g, by scanning every
+    permutation (n <= 8)."""
     if g.n > 8:
         raise TooLarge(f"brute force is capped at 8 vertices, got {g.n}")
     adj = g.adj
@@ -747,5 +746,5 @@ def brute_force_aut(g: DenseGraph) -> list[Permutation]:
     for p in itertools.permutations(range(g.n)):
         arr = np.array(p, dtype=np.int32)
         if np.array_equal(adj[np.ix_(arr, arr)], adj):
-            out.append(Permutation(arr))
+            out.append(arr)
     return out

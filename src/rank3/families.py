@@ -56,7 +56,6 @@ import importlib.resources
 from .permgrp import (
     GeneratorSet,
     MatrixGroupSpec,
-    Permutation,
     central_product_with_scalars,
     linear_perms,
     parse_matrix_spec,
@@ -304,7 +303,7 @@ def hamming2_stabilizer(m: int) -> GeneratorSet:
         i * m + swp[j],
         j * m + i,
     ]
-    return GeneratorSet(n, tuple(Permutation(g.astype(np.int32)) for g in gens))
+    return GeneratorSet(n, gens)
 
 
 # -- affine polar graphs VO(2m, eps, q) -------------------------------------------
@@ -650,8 +649,8 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
         raise AsymmetricOrbit(
             f"the orbit of size {len(chosen)} is not closed under negation"
         ) from None
-    for perm in linear.gens:
-        if not is_linear_automorphism(g, perm.img):  # pragma: no cover
+    for img in linear.gens:
+        if not is_linear_automorphism(g, img):  # pragma: no cover
             raise AssertionError("linear generator is not an automorphism")
     return g
 

@@ -19,8 +19,7 @@ degree and its counts, when the moduli are known and every row otherwise, on
 the same loop; a Cayley graph on 5041 vertices takes one popcount sweep
 instead of 5041, and no n^2 degree sum.
 
-Serialization: the de-facto standard graph6 format (header-less variant) and
-a trivial "n\\nu v\\n..." edge-list text format for debugging.
+Serialization: the de-facto standard graph6 format (header-less variant).
 """
 
 from __future__ import annotations
@@ -403,22 +402,3 @@ def from_graph6(s: str) -> DenseGraph:
     adj[rows, cols] = bits
     adj |= adj.T
     return DenseGraph(adj)
-
-
-def to_adjacency_text(g: DenseGraph) -> str:
-    """Debug format: first line n, then one "u v" line per edge (u < v)."""
-    rows, cols = np.tril_indices(g.n, -1)
-    mask = g.adj[rows, cols]
-    lines = [str(g.n)]
-    lines += [f"{u} {v}" for v, u in zip(rows[mask], cols[mask])]
-    return "\n".join(lines) + "\n"
-
-
-def from_adjacency_text(s: str) -> DenseGraph:
-    lines = [ln for ln in s.splitlines() if ln.strip()]
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = map(int, ln.split())
-        edges.append((u, v))
-    return DenseGraph.from_edges(n, edges)

@@ -1,9 +1,10 @@
-"""Permutation groups: orbits, deterministic Schreier-Sims, orbital analysis,
-and matrix-group plumbing for the affine graph constructions: a matrix group
-over GF(p) is given by its generators, which act on the p^d vectors as
-permutations; no group is enumerated element by element.
+"""Groups of permutations: orbits, deterministic Schreier-Sims, orbital
+analysis, and matrix-group plumbing for the affine graph constructions: a
+matrix group over GF(p) is given by its generators, which act on the p^d
+vectors as permutations; no group is enumerated element by element.
 
-Design notes.  Permutations wrap int32 numpy image arrays, so composition is a
+Design notes.  A permutation is its int32 image array, x -> img[x], and a
+generator set is one read-only (k, n) array of them, so composition is a
 single fancy-index.  Every orbit closure -- orbit, orbit_partition and the
 Aut solver's orbit pruning and order count -- is one breadth-first frontier
 loop, orbit_mask, from a boolean mask of seed points.  Stabilizer-chain
@@ -17,9 +18,9 @@ stays as an independent test oracle.
 
 schreier_sims is the deterministic textbook algorithm (Kreher & Stinson,
 "Combinatorial Algorithms").  reaches_order, the order certificate, first
-runs a seeded random Schreier-Sims (Seress, "Permutation Group Algorithms",
-ch. 4), whose orbit product is a proven lower bound, and falls back to the
-deterministic run only when the random phase stalls below its target.
+runs a seeded random Schreier-Sims (Seress 2003, ch. 4), whose orbit
+product is a proven lower bound, and falls back to the deterministic run
+only when the random phase stalls below its target.
 """
 
 from __future__ import annotations
@@ -46,116 +47,34 @@ class BadOrder(ValueError):
     """Requested scalar order does not divide p - 1."""
 
 
-# -- permutations -------------------------------------------------------------
+# -- generator sets -------------------------------------------------------------
 
 
-class Permutation:
-    """A permutation of [0, n) stored as its image array: x -> img[x]."""
-
-    __slots__ = ("img", "_inv")
-
-    def __init__(self, images, _validate: bool = True):
-        img = np.array(images, dtype=np.int32)
-        if _validate:
-            if img.ndim != 1:
-                raise ValueError("images must be one-dimensional")
-            n = img.shape[0]
-            if n == 0 or img.min() < 0 or img.max() >= n:
-                raise ValueError("image values out of range")
-            if np.bincount(img, minlength=n).max() > 1:
-                raise ValueError("images is not a bijection")
-        img.setflags(write=False)
-        self.img = img
-        self._inv = None
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n, dtype=np.int32), _validate=False)
-
-    @property
-    def degree(self) -> int:
-        return self.img.shape[0]
-
-    @property
-    def inv(self) -> "Permutation":
-        if self._inv is None:
-            inv = np.empty_like(self.img)
-            inv[self.img] = np.arange(self.degree, dtype=np.int32)
-            q = Permutation(inv, _validate=False)
-            q._inv = self
-            self._inv = q
-        return self._inv
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (self * other)(x) = self(other(x))
-        return Permutation(self.img[other.img], _validate=False)
-
-    def __call__(self, x: int) -> int:
-        return int(self.img[x])
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.img, np.arange(self.degree)))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each rotated to start at its smallest point."""
-        seen = np.zeros(self.degree, dtype=bool)
-        out = []
-        for s in range(self.degree):
-            if seen[s] or self.img[s] == s:
-                continue
-            cyc = [s]
-            seen[s] = True
-            x = int(self.img[s])
-            while x != s:
-                cyc.append(x)
-                seen[x] = True
-                x = int(self.img[x])
-            out.append(tuple(cyc))
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and np.array_equal(self.img, other.img)
-
-    def __hash__(self):
-        return hash(self.img.tobytes())
-
-    def __repr__(self) -> str:
-        if self.degree <= 24:
-            cyc = self.cycles()
-            return "Permutation" + ("".join(str(c) for c in cyc) if cyc else "(id)")
-        return f"Permutation(degree={self.degree}, moved={int((self.img != np.arange(self.degree)).sum())})"
-
-
-def from_cycles(n: int, cycles) -> Permutation:
-    """Permutation of [0, n) from a list of cycles."""
-    img = np.arange(n, dtype=np.int32)
-    for cyc in cycles:
-        for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
-            img[a] = b
-    return Permutation(img)
-
-
-def format_permutation(perm: Permutation) -> str:
-    """One-line image array, space-separated."""
-    return " ".join(str(int(x)) for x in perm.img)
-
-
-def parse_permutation(line: str) -> Permutation:
-    return Permutation([int(t) for t in line.split()])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """A finite permutation group given by generators of common degree."""
+    """A finite permutation group of [0, degree) given by generators.
+
+    gens is a read-only (k, degree) int32 array whose row i is generator i's
+    image array, x -> gens[i, x], so composition is a fancy-index:
+    (a * b)(x) = a[b[x]].  It is built from any sequence of image arrays, and
+    every row is checked once to be a permutation of range(degree).
+    """
 
     degree: int
-    gens: tuple[Permutation, ...]
+    gens: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
-        for g in self.gens:
-            if g.degree != self.degree:
-                raise ValueError(f"generator degree {g.degree} != {self.degree}")
+        n = self.degree
+        gens = np.array(self.gens, dtype=np.int32)
+        if gens.shape == (0,):
+            gens = gens.reshape(0, n)
+        if gens.ndim != 2 or gens.shape[1] != n:
+            raise ValueError(f"generators of shape {gens.shape}, want (k, {n})")
+        # a row is a permutation of range(n) iff it sorts to range(n)
+        if not (np.sort(gens, axis=1) == np.arange(n, dtype=np.int32)).all():
+            raise ValueError("a generator is not a permutation of range(degree)")
+        gens.setflags(write=False)
+        object.__setattr__(self, "gens", gens)
 
 
 def orbit_mask(imgs, seeds: np.ndarray) -> np.ndarray:
@@ -189,19 +108,18 @@ def orbit(gs: GeneratorSet, point: int) -> set[int]:
     n = gs.degree
     if not 0 <= point < n:
         raise ValueError(f"point {point} out of range [0, {n})")
-    mask = orbit_mask([g.img for g in gs.gens], _point_mask(n, point))
+    mask = orbit_mask(gs.gens, _point_mask(n, point))
     return set(np.flatnonzero(mask).tolist())
 
 
 def orbit_partition(gs: GeneratorSet) -> list[np.ndarray]:
     """All orbits on [0, n), each as a sorted array, ordered by smallest point."""
     n = gs.degree
-    imgs = [g.img for g in gs.gens]
     assigned = np.zeros(n, dtype=bool)
     out = []
     for s in range(n):
         if not assigned[s]:
-            mask = orbit_mask(imgs, _point_mask(n, s))
+            mask = orbit_mask(gs.gens, _point_mask(n, s))
             assigned |= mask
             out.append(np.flatnonzero(mask))
     return out
@@ -212,13 +130,15 @@ def orbit_partition(gs: GeneratorSet) -> list[np.ndarray]:
 
 class _Level:
     """One stabilizer-chain level: base point, generators fixing all earlier
-    base points, and a Schreier vector for the fundamental orbit."""
+    base points with their inverses, and a Schreier vector for the
+    fundamental orbit."""
 
-    __slots__ = ("base", "gens", "enc", "parent", "orbit_order", "x_done", "g_done")
+    __slots__ = ("base", "gens", "invs", "enc", "parent", "orbit_order", "x_done", "g_done")
 
     def __init__(self, base: int, n: int):
         self.base = base
-        self.gens: list[Permutation] = []
+        self.gens: list[np.ndarray] = []
+        self.invs: list[np.ndarray] = []  # invs[i] is the inverse of gens[i]
         # enc[x]: -1 unset, -2 root, else 2*gen_index + (1 if discovered via inverse)
         self.enc = np.full(n, -1, dtype=np.int32)
         self.parent = np.full(n, -1, dtype=np.int32)
@@ -228,14 +148,15 @@ class _Level:
         self.x_done = 0
         self.g_done = 0
 
+    def append(self, img: np.ndarray) -> None:
+        self.gens.append(img)
+        self.invs.append(_invert_img(img))
+
 
 def _extend_orbit(lvl: _Level, n: int) -> None:
     """Grow the fundamental orbit; existing Schreier-vector entries are never
     rewritten, so previously computed transversal words stay valid."""
-    imgs = []
-    for g in lvl.gens:
-        imgs.append(g.img)
-        imgs.append(g.inv.img)
+    imgs = [f for pair in zip(lvl.gens, lvl.invs) for f in pair]
     frontier = np.array(lvl.orbit_order, dtype=np.int64)
     while frontier.size:
         parts = []
@@ -267,8 +188,7 @@ def _transversal_img(lvl: _Level, x: int) -> np.ndarray | None:
         return None
     u = None
     for code in reversed(word):
-        g = lvl.gens[code >> 1]
-        f = g.inv.img if code & 1 else g.img
+        f = (lvl.invs if code & 1 else lvl.gens)[code >> 1]
         u = f if u is None else f[u]
     return u
 
@@ -308,23 +228,21 @@ class BSGS:
         self.order: int = math.prod(self.orbit_sizes) if levels else 1
         self._idarr = np.arange(degree, dtype=np.int32)
 
-    def contains(self, perm: Permutation) -> bool:
-        if perm.degree != self.degree:
+    def contains(self, img) -> bool:
+        """Whether the permutation with image array img lies in the group."""
+        img = np.asarray(img)
+        if img.shape != (self.degree,):
             return False
-        resid, _ = _sift_img(self._levels, perm.img, 0, self._idarr)
+        resid, _ = _sift_img(self._levels, img, 0, self._idarr)
         return resid is None
 
-    def strong_generators(self, level: int = 0) -> list[Permutation]:
-        """The strong generators fixing the first `level` base points.  Level
-        lists are cumulative (each level holds every strong generator fixing
-        its base prefix), so this is a single level's list."""
-        if level >= len(self._levels):
-            return []
-        return list(self._levels[level].gens)
-
     def stabilizer_generators(self, level: int) -> GeneratorSet:
-        """Generators of the pointwise stabilizer of base[:level]."""
-        return GeneratorSet(self.degree, tuple(self.strong_generators(level)))
+        """Generators of the pointwise stabilizer of base[:level]: the strong
+        generators fixing those base points.  Level lists are cumulative (each
+        level holds every strong generator fixing its base prefix), so this is
+        one level's list."""
+        gens = self._levels[level].gens if level < len(self._levels) else []
+        return GeneratorSet(self.degree, gens)
 
     def __repr__(self) -> str:
         return f"BSGS(base={self.base}, order={self.order})"
@@ -350,7 +268,7 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
     # (lo, img): an element certifiably generated by the cumulative lists of
     # every level < lo, and fixing all base points of levels < lo
     pending: list[tuple[int, np.ndarray]] = [
-        (0, g.img) for g in reversed(gs.gens) if not np.array_equal(g.img, idarr)
+        (0, img) for img in gs.gens[::-1] if not np.array_equal(img, idarr)
     ]
     while pending:
         lo, gimg = pending.pop()
@@ -369,9 +287,9 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
             j += 1
         for k in range(lo, j + 1):
             lvl = levels[k]
-            if any(np.array_equal(gimg, h.img) for h in lvl.gens):
+            if any(np.array_equal(gimg, h) for h in lvl.gens):
                 continue
-            lvl.gens.append(Permutation(gimg, _validate=False))
+            lvl.append(gimg)
             _extend_orbit(lvl, n)
             # process Schreier generators for all (orbit point, generator)
             # pairs not covered by the already-done rectangle
@@ -382,7 +300,7 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
                 for gi in range(G):
                     if pos < lvl.x_done and gi < lvl.g_done:
                         continue
-                    s = lvl.gens[gi].img
+                    s = lvl.gens[gi]
                     sux = s if ux is None else s[ux]
                     y = int(sux[lvl.base])
                     uy = _transversal_img(lvl, y)
@@ -423,8 +341,7 @@ def _product_replacement(gens: list[np.ndarray]):
 def reaches_order(gs: GeneratorSet, target: int) -> bool:
     """Whether |<gs>| >= target.
 
-    A seeded random Schreier-Sims runs first (Seress, "Permutation Group
-    Algorithms", ch. 4.3).  The input generators, then product-replacement
+    A seeded random Schreier-Sims runs first (Seress 2003, ch. 4.3).  The input generators, then product-replacement
     elements of <gs>, are sifted through a growing stabilizer chain; a
     residue that stops at level j is a product of the generators fixing the
     base points of levels < j, and becomes a generator of level j (a residue
@@ -441,7 +358,7 @@ def reaches_order(gs: GeneratorSet, target: int) -> bool:
         return True
     n = gs.degree
     idarr = np.arange(n, dtype=np.int32)
-    gens = [g.img for g in gs.gens if not np.array_equal(g.img, idarr)]
+    gens = [img for img in gs.gens if not np.array_equal(img, idarr)]
     if gens:
         levels: list[_Level] = []
         stream = itertools.chain(gens, _product_replacement(gens))
@@ -454,7 +371,7 @@ def reaches_order(gs: GeneratorSet, target: int) -> bool:
             trivial = 0
             if j == len(levels):
                 levels.append(_Level(int(np.flatnonzero(resid != idarr)[0]), n))
-            levels[j].gens.append(Permutation(resid, _validate=False))
+            levels[j].append(resid)
             _extend_orbit(levels[j], n)
             if math.prod(len(lvl.orbit_order) for lvl in levels) >= target:
                 return True
@@ -472,7 +389,7 @@ def stabilizer_orbits(stab: GeneratorSet) -> list[np.ndarray]:
     these are the suborbits: the rank is 1 + their number and the subdegrees
     are their sizes.
     """
-    if any(g.img[0] != 0 for g in stab.gens):
+    if (stab.gens[:, 0] != 0).any():
         raise ValueError("the group does not fix the point 0")
     return sorted((o for o in orbit_partition(stab) if o[0] != 0), key=len)
 
@@ -500,7 +417,7 @@ def rank_and_subdegrees(gs: GeneratorSet) -> tuple[int, list[int]]:
     if size != n:
         raise NotTransitive(f"orbit of 0 has size {size} < {n}")
     labels = np.full(n * n, -1, dtype=np.int16)
-    imgs = [g.img.astype(np.int64) for g in gs.gens]
+    imgs = gs.gens.astype(np.int64)
     label = 0
     while True:
         seed = int(np.argmax(labels == -1))
@@ -587,11 +504,7 @@ def linear_perms(spec: MatrixGroupSpec) -> GeneratorSet:
     q = p**d
     vecs = digits(q, p, d)
     pv = p ** np.arange(d, dtype=np.int64)
-    gens = []
-    for m in spec.gens:
-        img = (vecs @ m.T % p) @ pv
-        gens.append(Permutation(img.astype(np.int32), _validate=False))
-    return GeneratorSet(q, tuple(gens))
+    return GeneratorSet(q, [(vecs @ m.T % p) @ pv for m in spec.gens])
 
 
 def with_translations(stab: GeneratorSet, moduli: tuple[int, ...]) -> GeneratorSet:
@@ -601,11 +514,7 @@ def with_translations(stab: GeneratorSet, moduli: tuple[int, ...]) -> GeneratorS
     n = math.prod(moduli)
     if n != stab.degree:
         raise ValueError(f"translations of order {n} on {stab.degree} points")
-    gens = tuple(
-        Permutation(img.astype(np.int32), _validate=False)
-        for img in unit_translations(moduli)
-    )
-    return GeneratorSet(n, gens + stab.gens)
+    return GeneratorSet(n, [*unit_translations(moduli), *stab.gens])
 
 
 def affine_perms(spec: MatrixGroupSpec) -> GeneratorSet:
@@ -626,9 +535,7 @@ def semilinear_stabilizer_perms(
     images = [field.mul(field.power(field.omega, e), x)]
     if include_frobenius:
         images.append(field.mul(field.power(field.omega, twist), field.frobenius(x)))
-    return GeneratorSet(
-        q, tuple(Permutation(img.astype(np.int32), _validate=False) for img in images)
-    )
+    return GeneratorSet(q, images)
 
 
 def semilinear_perms(

@@ -2,6 +2,8 @@
 
 import importlib.resources
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,34 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SECONDS = re.compile(r", [0-9.]+s\)$")
+
+
+def readme_comment(command):
+    """The comment beside command in the README's command-line block, its
+    continuation lines joined and whitespace collapsed."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith(command + " "))
+    parts = [lines[start].split("#", 1)[1]]
+    for ln in lines[start + 1 :]:
+        head, sep, tail = ln.partition("#")
+        if head.strip() or not sep:
+            break
+        parts.append(tail)
+    return " ".join(" ".join(parts).split())
+
+
+class TestReadme:
+    @pytest.mark.parametrize("command", ["rank3 aut vls:64:3", "rank3 params peisert:81"])
+    def test_example_output_matches(self, capsys, command):
+        # the order, the search counters and srg(...) as printed; the seconds vary
+        code, out, _ = run(capsys, *command.split()[1:])
+        assert code == 0
+        printed = SECONDS.sub(")", " ".join(out.split()))
+        assert printed == SECONDS.sub(")", readme_comment(command))
 
 
 class TestConstruct:

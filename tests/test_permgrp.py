@@ -35,19 +35,15 @@ from rank3.permgrp import (
     GeneratorSet,
     MatrixGroupSpec,
     NotTransitive,
-    Permutation,
     SingularGenerator,
     affine_perms,
     central_product_with_scalars,
     format_matrix_spec,
-    format_permutation,
-    from_cycles,
     linear_perms,
     orbit,
     orbit_mask,
     orbit_partition,
     parse_matrix_spec,
-    parse_permutation,
     rank_and_subdegrees,
     reaches_order,
     read_matrix_spec,
@@ -56,11 +52,20 @@ from rank3.permgrp import (
     semilinear_stabilizer_perms,
     write_matrix_spec,
 )
+from rank3.permgrp import _invert_img, _Level, _extend_orbit, _transversal_img
+
+
+def perm(n, *cycles):
+    """The image array of the permutation of [0, n) with the given cycles."""
+    img = np.arange(n, dtype=np.int32)
+    for cyc in cycles:
+        img[list(cyc)] = cyc[1:] + cyc[:1]
+    return img
 
 
 def brute_closure(gens):
     """All elements of <gens> as image tuples, by plain breadth-first products."""
-    n = gens[0].degree
+    n = len(gens[0])
     ident = tuple(range(n))
     seen = {ident}
     frontier = [ident]
@@ -69,7 +74,7 @@ def brute_closure(gens):
         for t in frontier:
             arr = np.array(t, dtype=np.int64)
             for g in gens:
-                prod = tuple(int(x) for x in g.img[arr])
+                prod = tuple(int(x) for x in g[arr])
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
@@ -78,7 +83,7 @@ def brute_closure(gens):
 
 
 def sym_gens(n):
-    return GeneratorSet(n, (from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(range(n))])))
+    return GeneratorSet(n, (perm(n, (0, 1)), perm(n, tuple(range(n)))))
 
 
 def q8_mats(p, a, b):
@@ -103,59 +108,60 @@ def cube_cycler(p, a, b):
     return s
 
 
-# -- permutations ---------------------------------------------------------------
+# -- generator sets and stabilizer-chain levels ------------------------------------
 
 
-def test_composition_applies_right_factor_first():
-    g = from_cycles(3, [(0, 1)])
-    h = from_cycles(3, [(1, 2)])
-    # (g*h)(x) = g(h(x)): 1 -> h -> 2 -> g -> 2
-    assert (g * h)(1) == 2
-    assert (g * h)(2) == 0
-    assert (h * g)(1) == 0
-
-
-def test_inverse_and_identity():
-    g = from_cycles(5, [(0, 1, 2, 3, 4)])
-    assert (g * g.inv).is_identity()
-    assert (g.inv * g).is_identity()
-    assert g.inv(1) == 0
-    assert Permutation.identity(4).is_identity()
-    assert g.degree == 5
+def test_generator_set_is_a_read_only_int32_array():
+    gs = GeneratorSet(5, [perm(5, (0, 1)), np.arange(5, dtype=np.int64), [4, 3, 2, 1, 0]])
+    assert gs.gens.shape == (3, 5) and gs.gens.dtype == np.int32
+    assert gs.gens.flags.c_contiguous and not gs.gens.flags.writeable
+    assert gs.gens[2].tolist() == [4, 3, 2, 1, 0]
+    assert GeneratorSet(4, ()).gens.shape == (0, 4)
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        Permutation([0, 0, 1])
+        GeneratorSet(3, ([0, 0, 1],))
     with pytest.raises(ValueError):
-        Permutation([0, 2])
+        GeneratorSet(2, ([0, 2],))
     with pytest.raises(ValueError):
-        Permutation([[0, 1], [1, 0]])
-
-
-def test_cycles_roundtrip():
-    g = from_cycles(6, [(0, 3), (1, 4, 2)])
-    assert g.cycles() == [(0, 3), (1, 4, 2)]
-    assert from_cycles(6, g.cycles()) == g
-    assert Permutation.identity(3).cycles() == []
-
-
-def test_format_parse_roundtrip():
-    g = from_cycles(7, [(0, 5, 2), (3, 6)])
-    assert parse_permutation(format_permutation(g)) == g
-    assert format_permutation(Permutation.identity(3)) == "0 1 2"
+        GeneratorSet(2, ([[0, 1], [1, 0]],))
+    with pytest.raises(ValueError):
+        GeneratorSet(4, (np.arange(4), [0, 2, 1]))
 
 
 def test_generator_set_rejects_degree_mismatch():
     with pytest.raises(ValueError):
-        GeneratorSet(4, (Permutation.identity(3),))
+        GeneratorSet(4, (np.arange(3),))
+
+
+def test_inverse_and_identity():
+    # a level keeps each generator's inverse beside it
+    lvl = _Level(0, 5)
+    g = perm(5, (0, 1, 2, 3, 4))
+    lvl.append(g)
+    assert np.array_equal(lvl.invs[0][g], np.arange(5))
+    assert np.array_equal(g[lvl.invs[0]], np.arange(5))
+    assert lvl.invs[0][1] == 0
+    assert np.array_equal(_invert_img(np.arange(4, dtype=np.int32)), np.arange(4))
+
+
+def test_composition_applies_right_factor_first():
+    # (a * b)(x) = a[b[x]]: a transversal element, composed from its word
+    # that way, carries the level's base point to x
+    lvl = _Level(0, 4)
+    for g in sym_gens(4).gens:
+        lvl.append(g)
+    _extend_orbit(lvl, 4)
+    for x in range(1, 4):
+        assert _transversal_img(lvl, x)[0] == x
 
 
 # -- orbits ---------------------------------------------------------------------
 
 
 def test_orbit_basic():
-    gs = GeneratorSet(6, (from_cycles(6, [(0, 1, 2)]), from_cycles(6, [(3, 4)])))
+    gs = GeneratorSet(6, (perm(6, (0, 1, 2)), perm(6, (3, 4))))
     assert orbit(gs, 0) == {0, 1, 2}
     assert orbit(gs, 4) == {3, 4}
     assert orbit(gs, 5) == {5}
@@ -164,7 +170,7 @@ def test_orbit_basic():
 
 
 def test_orbit_partition_ordering_and_empty_gens():
-    gs = GeneratorSet(6, (from_cycles(6, [(1, 5), (2, 3)]),))
+    gs = GeneratorSet(6, (perm(6, (1, 5), (2, 3)),))
     parts = orbit_partition(gs)
     assert [list(p) for p in parts] == [[0], [1, 5], [2, 3], [4]]
     singletons = orbit_partition(GeneratorSet(4, ()))
@@ -216,7 +222,7 @@ def test_orbit_mask_matches_scalar_closure(n, data):
     assert set(np.flatnonzero(mask).tolist()) == _scalar_closure(
         imgs, np.flatnonzero(seeds).tolist()
     )
-    parts = orbit_partition(GeneratorSet(n, tuple(Permutation(i) for i in imgs)))
+    parts = orbit_partition(GeneratorSet(n, imgs))
     assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
     assert [int(p[0]) for p in parts] == sorted(int(p[0]) for p in parts)
     for part in parts:
@@ -229,25 +235,25 @@ def test_orbit_mask_matches_scalar_closure(n, data):
 def test_orders_of_standard_groups():
     assert schreier_sims(sym_gens(4)).order == 24
     assert schreier_sims(sym_gens(7)).order == 5040
-    c5 = GeneratorSet(5, (from_cycles(5, [(0, 1, 2, 3, 4)]),))
+    c5 = GeneratorSet(5, (perm(5, (0, 1, 2, 3, 4)),))
     assert schreier_sims(c5).order == 5
     hexagon = GeneratorSet(
-        6, (from_cycles(6, [(0, 1, 2, 3, 4, 5)]), from_cycles(6, [(1, 5), (2, 4)]))
+        6, (perm(6, (0, 1, 2, 3, 4, 5)), perm(6, (1, 5), (2, 4)))
     )
     assert schreier_sims(hexagon).order == 12
     # trivial group
-    assert schreier_sims(GeneratorSet(5, (Permutation.identity(5),))).order == 1
+    assert schreier_sims(GeneratorSet(5, (np.arange(5),))).order == 1
 
 
 def test_reaches_order_is_a_certified_lower_bound():
     assert reaches_order(sym_gens(7), 5040)
     assert reaches_order(sym_gens(7), 7)
     assert not reaches_order(sym_gens(7), 5041)
-    assert not reaches_order(GeneratorSet(5, (Permutation.identity(5),)), 2)
+    assert not reaches_order(GeneratorSet(5, (np.arange(5),)), 2)
 
 
 def _gens_on(n, images):
-    return GeneratorSet(n, tuple(Permutation(img) for img in images))
+    return GeneratorSet(n, images)
 
 
 def _block_images(n, data):
@@ -286,16 +292,16 @@ def test_reaches_order_is_exact_on_random_groups(n, imprimitive, data):
 def test_proper_subgroup_never_reaches_the_group_order():
     for n in range(4, 10):
         # the 3-cycles (0 1 i) generate A_n
-        alt = GeneratorSet(n, tuple(from_cycles(n, [(0, 1, i)]) for i in range(2, n)))
+        alt = GeneratorSet(n, tuple(perm(n, (0, 1, i)) for i in range(2, n)))
         assert schreier_sims(alt).order == math.factorial(n) // 2
         assert reaches_order(alt, math.factorial(n) // 2)
         assert not reaches_order(alt, math.factorial(n))
     # C2 wr S4 (order 2^4 * 24) against its subgroup C2 x S4 (diagonal flips)
-    swap = from_cycles(8, [(0, 1)])
-    blocks = [from_cycles(8, [(0, 2), (1, 3)]), from_cycles(8, [(0, 2, 4, 6), (1, 3, 5, 7)])]
+    swap = perm(8, (0, 1))
+    blocks = [perm(8, (0, 2), (1, 3)), perm(8, (0, 2, 4, 6), (1, 3, 5, 7))]
     wreath = GeneratorSet(8, (swap, *blocks))
     assert schreier_sims(wreath).order == 384
-    diagonal = GeneratorSet(8, (from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)]), *blocks))
+    diagonal = GeneratorSet(8, (perm(8, (0, 1), (2, 3), (4, 5), (6, 7)), *blocks))
     assert schreier_sims(diagonal).order == 48
     assert reaches_order(diagonal, 48)
     assert not reaches_order(diagonal, 384)
@@ -315,11 +321,11 @@ def test_reaches_order_leaves_the_global_rng_alone():
 def test_orders_match_brute_force_closure():
     f9 = make_field(3, 2)
     corpus = {
-        "cyclic6": GeneratorSet(6, (from_cycles(6, [(0, 1, 2, 3, 4, 5)]),)),
+        "cyclic6": GeneratorSet(6, (perm(6, (0, 1, 2, 3, 4, 5)),)),
         "square": GeneratorSet(
-            4, (from_cycles(4, [(0, 1, 2, 3)]), from_cycles(4, [(1, 3)]))
+            4, (perm(4, (0, 1, 2, 3)), perm(4, (1, 3)))
         ),
-        "alt4": GeneratorSet(4, (from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(1, 2, 3)]))),
+        "alt4": GeneratorSet(4, (perm(4, (0, 1, 2)), perm(4, (1, 2, 3)))),
         "sym5": sym_gens(5),
         "affine9": semilinear_perms(f9, 2, include_frobenius=True),
     }
@@ -329,18 +335,18 @@ def test_orders_match_brute_force_closure():
         assert bsgs.order == len(elements), name
         sample = sorted(elements)[:: max(1, len(elements) // 20)]
         for t in sample:
-            assert bsgs.contains(Permutation(list(t))), name
+            assert bsgs.contains(t), name
     assert schreier_sims(corpus["affine9"]).order == 72
 
 
 def test_contains_rejects_non_members():
-    alt4 = GeneratorSet(4, (from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(1, 2, 3)])))
+    alt4 = GeneratorSet(4, (perm(4, (0, 1, 2)), perm(4, (1, 2, 3))))
     bsgs = schreier_sims(alt4)
     assert bsgs.order == 12
-    assert not bsgs.contains(from_cycles(4, [(0, 1)]))
-    assert bsgs.contains(from_cycles(4, [(0, 1), (2, 3)]))
-    assert not bsgs.contains(Permutation.identity(5))  # degree mismatch
-    assert bsgs.contains(Permutation.identity(4))
+    assert not bsgs.contains(perm(4, (0, 1)))
+    assert bsgs.contains(perm(4, (0, 1), (2, 3)))
+    assert not bsgs.contains(np.arange(5))  # degree mismatch
+    assert bsgs.contains(np.arange(4))
 
 
 def test_base_prefix_is_respected():
@@ -349,7 +355,7 @@ def test_base_prefix_is_respected():
     assert bsgs.order == 5040
     stab = bsgs.stabilizer_generators(1)
     for g in stab.gens:
-        assert g(3) == 3
+        assert g[3] == 3
     assert schreier_sims(stab).order == 720
 
 
@@ -403,7 +409,7 @@ def test_rank_requires_transitive():
 
 def test_rank_degree_cap():
     with pytest.raises(ValueError):
-        rank_and_subdegrees(GeneratorSet(5000, (Permutation.identity(5000),)))
+        rank_and_subdegrees(GeneratorSet(5000, (np.arange(5000),)))
 
 
 def test_semilinear_divisor_check():
@@ -432,7 +438,7 @@ def test_multiplication_by_generator_matches_companion_matrix():
     spec = MatrixGroupSpec(3, 2, (np.array([[0, 1], [1, 2]]),))
     lin = linear_perms(spec).gens[0]
     mult = semilinear_stabilizer_perms(f9, 1, include_frobenius=False).gens[0]
-    assert lin == mult
+    assert np.array_equal(lin, mult)
 
 
 def test_gl2_of_gf2_affine_action():
@@ -580,7 +586,7 @@ def test_matrix_spec_parse_errors():
 def small_generator_sets(draw):
     n = draw(st.integers(min_value=2, max_value=6))
     k = draw(st.integers(min_value=1, max_value=2))
-    gens = tuple(Permutation(draw(st.permutations(range(n)))) for _ in range(k))
+    gens = [draw(st.permutations(range(n))) for _ in range(k)]
     return GeneratorSet(n, gens)
 
 
@@ -592,7 +598,7 @@ def test_order_matches_brute_force(gs):
     assert bsgs.order == len(elements)
     assert math.factorial(gs.degree) % bsgs.order == 0
     for t in list(elements)[:10]:
-        assert bsgs.contains(Permutation(list(t)))
+        assert bsgs.contains(t)
 
 
 @settings(max_examples=25, deadline=None)
@@ -600,5 +606,5 @@ def test_order_matches_brute_force(gs):
 def test_membership_agrees_with_closure(gs, data):
     elements = brute_closure(list(gs.gens))
     bsgs = schreier_sims(gs)
-    probe = Permutation(data.draw(st.permutations(range(gs.degree))))
-    assert bsgs.contains(probe) == (tuple(int(x) for x in probe.img) in elements)
+    probe = data.draw(st.permutations(range(gs.degree)))
+    assert bsgs.contains(probe) == (tuple(probe) in elements)
