@@ -20,6 +20,11 @@ refined to its three cells {0}, N(0) and the non-neighbours:
   search do.
 * ``split``: a neighbour v of 0 individualized, then {v} as splitter; it
   splits N(0) and the non-neighbours by adjacency to v.
+* ``deep``: twice more, the least member of the largest cell
+  individualized and the coloring refined; then once more individualized,
+  with its new cell as splitter.  It splits 26 cells of hq:2:5 and 68 of
+  a52, so it times the per-cell end of a pass (the trace and the Hopcroft
+  queue), which ``split``, with two split cells, barely reaches.
 """
 
 from __future__ import annotations
@@ -75,29 +80,46 @@ def test_refine_after_individualizing_zero(benchmark, row):
     assert cells.num_classes == 3  # {0}, N(0) and the non-neighbours of a rank-3 graph
 
 
+def least_of_largest(cells: _Cells) -> int:
+    """The least member of the largest cell (the first such cell)."""
+    return int(cells.members(int(np.argmax(cells.size[: cells.num_classes])))[0])
+
+
 @pytest.fixture(scope="module", params=PASS_ROWS)
 def relabelled_rank3(request):
+    """The relabelled graph, its coloring refined after individualizing 0,
+    and that coloring individualized and refined twice more."""
     g = family_graph(parse_descriptor(request.param))
     perm = np.random.default_rng(0).permutation(g.n)
     h = DenseGraph(g.adj[np.ix_(perm, perm)])
+    refiner = _Refiner(h)
     cells = individualized(h, 0)
-    _Refiner(h).refine(cells, [1], 0)
+    refiner.refine(cells, [1], 0)
     assert cells.num_classes == 3
-    return h, cells
+    deep = cells.copy()
+    for _ in range(2):
+        deep.individualize(least_of_largest(deep))
+        refiner.refine(deep, [deep.num_classes - 1], 0)
+    return h, cells, deep
 
 
-@pytest.mark.parametrize("kind", ["nosplit", "split"])
+@pytest.mark.parametrize("kind", ["nosplit", "split", "deep"])
 def test_splitter_pass(benchmark, relabelled_rank3, kind):
-    g, refined = relabelled_rank3
+    g, refined, deep = relabelled_rank3
     refiner = _Refiner(g)
     v = int(np.flatnonzero(g.adj[0])[0])
 
     def fresh():
-        cells = refined.copy()
-        if kind == "split":
-            cells.individualize(v)
-        splitter = cells.num_classes - 1 if kind == "split" else int(cells.colors[0])
-        return (cells, splitter, 0, deque(), set()), {}
+        if kind == "nosplit":
+            return (refined.copy(), int(refined.colors[0]), 0, deque(), set()), {}
+        cells = deep.copy() if kind == "deep" else refined.copy()
+        cells.individualize(least_of_largest(cells) if kind == "deep" else v)
+        return (cells, cells.num_classes - 1, 0, deque(), set()), {}
 
     benchmark.pedantic(refiner._pass, setup=fresh, rounds=ROUNDS * 100)
-    assert refiner.splits == (refiner.refinements if kind == "split" else 0)
+    assert refiner.splits == (0 if kind == "nosplit" else refiner.refinements)
+    if kind == "deep":
+        (cells, s, *rest), _ = fresh()
+        before = cells.colors.copy()
+        refiner._pass(cells, s, *rest)
+        assert len(np.unique(before[cells.colors != before])) >= 10  # split cells

@@ -21,10 +21,14 @@ yields a candidate automorphism, which is verified against the full
 adjacency matrix before it is accepted.
 
 Pruning, in the standard shape:
-* trace pruning — every branch carries a 64-bit running hash of its
-  refinement history; a branch whose trace differs from the first path's at
-  the same depth cannot carry an automorphism and is cut (hash equality never
-  *accepts* anything by itself: leaves are always verified);
+* trace pruning — every branch carries a 64-bit trace of its refinement
+  history: each individualization and each splitting pass mixes its words
+  (cell ids, neighbour counts and part sizes, never a vertex) into it with
+  one hash() of a tuple of ints, which PYTHONHASHSEED leaves alone, so a
+  relabelled graph and another process get the same traces.  A branch whose
+  trace differs from the first path's at the same depth cannot carry an
+  automorphism and is cut (hash equality never *accepts* anything by itself:
+  leaves are always verified, so a collision costs work, not correctness);
 * orbit pruning — a node skips the children lying in the orbit of its
   explored ones under the known automorphisms fixing its individualized
   prefix; a first-path node also closes its orbits under every automorphism
@@ -87,7 +91,6 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
-_FNV = 0x100000001B3
 
 
 class Timeout(RuntimeError):
@@ -143,11 +146,6 @@ class Coloring:
 
 def trivial_coloring(n: int) -> Coloring:
     return Coloring(np.zeros(n, dtype=np.int32), 1 if n else 0)
-
-
-def _mix(h: int, x: int) -> int:
-    """One step of a 64-bit running hash (FNV-1a flavoured)."""
-    return ((h ^ (x & _M64)) * _FNV) & _M64
 
 
 class _Cells:
@@ -225,8 +223,10 @@ class _Refiner:
     compare and one AND with ``same``.  A pass with no such position ends
     there; otherwise the split cells are marked by id, their segments
     re-sorted in place by (count, vertex), so each part stays ascending, and
-    ``start``, ``size``, ``same`` and ``colors`` set for the new parts.  No
-    step of a pass loops over every cell in Python.  `deadline`, a
+    ``start``, ``size``, ``same`` and ``colors`` set for the new parts.  The
+    pass then mixes its parts' ids, counts and sizes into the trace with one
+    hash() call and queues its new parts with one extend; only choosing
+    those parts loops in Python, once per split cell.  `deadline`, a
     time.monotonic() value, is checked once per pass: Timeout(budget) when it
     has passed.  ``refinements`` counts passes and ``splits`` the passes that
     split a cell.
@@ -282,8 +282,8 @@ class _Refiner:
 
     def _pass(self, cells: _Cells, s: int, trace: int, pending: deque, queued: set) -> int:
         """One splitter pass: split every cell by its members' neighbour
-        counts in cell s, mix the splits into trace, and queue the new parts
-        on pending and queued.  Returns the trace.
+        counts in cell s, mix s and the parts into trace, and queue the new
+        parts on pending and queued.  Returns the trace.
 
         Split cells are handled in ascending id; each keeps its id on the
         lowest-count part, and its other parts get fresh ids in ascending
@@ -335,26 +335,25 @@ class _Refiner:
         size[ids] = psize
         same[pos[starts[fresh]] - 1] = False
         cells.num_classes = num_classes + grown
+        ids, pcnt, psize = ids.tolist(), pcnt.tolist(), psize.tolist()
+        # the pass's trace words, mixed by one hash() of ints (which
+        # PYTHONHASHSEED leaves alone): s, then every part's id, count and
+        # size in order; a part whose id is below num_classes opens its cell
+        trace = hash((trace, s, tuple(ids), tuple(pcnt), tuple(psize))) & _M64
+        # Hopcroft: a queued cell's new parts join it, otherwise all parts
+        # but the (first) largest; one extend keeps the order of the cells
+        grow = []
         cell_starts = (~fresh).nonzero()[0].tolist()
-        ids, psize, pcnt = ids.tolist(), psize.tolist(), pcnt.tolist()
         for a, b in zip(cell_starts, cell_starts[1:] + [len(ids)]):
-            c = ids[a]
-            # _mix, inlined: trace = _mix(_mix(_mix(trace, 0x51D << 16), s), c)
-            # then _mix(_mix(trace, count), size) per part
-            trace = ((trace ^ 0x51D0000) * _FNV) & _M64
-            trace = ((trace ^ s) * _FNV) & _M64
-            trace = ((trace ^ c) * _FNV) & _M64
-            for t in range(a, b):
-                trace = ((trace ^ pcnt[t]) * _FNV) & _M64
-                trace = ((trace ^ psize[t]) * _FNV) & _M64
-            if c in queued:
-                grow = ids[a + 1 : b]
+            if ids[a] in queued:
+                grow += ids[a + 1 : b]
             else:
                 part_sizes = psize[a:b]
                 largest = a + part_sizes.index(max(part_sizes))
-                grow = ids[a:largest] + ids[largest + 1 : b]
-            pending.extend(grow)
-            queued.update(grow)
+                grow += ids[a:largest]
+                grow += ids[largest + 1 : b]
+        pending.extend(grow)
+        queued.update(grow)
         return trace
 
 
@@ -500,7 +499,7 @@ class _Solver:
             child = cells.copy()
             old = child.individualize(v)
             ctrace = self.refiner.refine(
-                child, [child.num_classes - 1], _mix(_mix(trace, 0x1D1), old)
+                child, [child.num_classes - 1], hash((trace, 0x1D1, old)) & _M64
             )
             if on_first_path and len(self.first_traces) == depth:
                 self.first_traces.append(ctrace)

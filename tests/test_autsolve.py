@@ -5,9 +5,14 @@ orders against classical group sizes for the graph families.
 """
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import deque
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -15,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rank3
 from rank3.autsolve import (
     AutResult,
     Coloring,
@@ -112,16 +118,13 @@ def same_partition(a, b):
 #
 # The splitter pass as it was before the cell layout: it scans the colors for
 # the splitter's members, and finds and sorts split cells by scatter and
-# gather over every vertex.  Copied unchanged (class name aside), it is the
-# oracle for the layout-based refiner: same class ids, queue, trace and
+# gather over every vertex.  Copied unchanged (class name aside) but for the
+# trace's mixing function: the same words, s and then each part's id, count
+# and size, go into one hash() per splitting pass, as in the refiner.  It is
+# the oracle for the layout-based refiner: same class ids, queue, trace and
 # number of passes.
 
 _M64 = (1 << 64) - 1
-
-
-def _mix(h: int, x: int) -> int:
-    """One step of a 64-bit running hash (FNV-1a flavoured)."""
-    return ((h ^ (x & _M64)) * 0x100000001B3) & _M64
 
 
 class ReferenceRefiner:
@@ -205,11 +208,9 @@ class ReferenceRefiner:
             num_classes += int(fresh[-1])
             cell_starts = np.flatnonzero(first).tolist()
             ids, psize, pcnt = ids.tolist(), psize.tolist(), pcnt.tolist()
+            trace = hash((trace, s, tuple(ids), tuple(pcnt), tuple(psize))) & _M64
             for a, b in zip(cell_starts, cell_starts[1:] + [len(ids)]):
                 c = ids[a]
-                trace = _mix(_mix(_mix(trace, 0x51D << 16), s), c)
-                for t in range(a, b):
-                    trace = _mix(_mix(trace, pcnt[t]), psize[t])
                 if c in queued:
                     grow = ids[a + 1 : b]
                 else:
@@ -457,6 +458,55 @@ class TestReferenceRefiner:
         g, initial, queue, trace = data.draw(refine_cases(splitter))
         sizes = assert_refines_like_reference(g, initial, queue, trace)
         assert sizes[0] == SPLITTER_SIZES[splitter](g.n)
+
+
+# the first path's traces of a relabelled vls:64:3 search, as JSON on stdout
+FIRST_TRACES = """
+import json, math
+import numpy as np
+from rank3.autsolve import _Solver, trivial_coloring
+from rank3.families import family_graph, parse_descriptor
+from rank3.graphs import DenseGraph
+g = family_graph(parse_descriptor("vls:64:3"))
+perm = np.random.default_rng(3).permutation(g.n)
+solver = _Solver(DenseGraph(g.adj[np.ix_(perm, perm)]), 60.0, math.inf)
+solver.run(trivial_coloring(g.n))
+print(json.dumps(solver.first_traces))
+"""
+
+
+class TestTraceInvariance:
+    """A trace mixes only ints that an isomorphism keeps (splitter and cell
+    ids, counts, sizes) and mixes them with hash() of ints, which
+    PYTHONHASHSEED does not touch: no vertex id, no bytes, no string."""
+
+    def test_root_trace_ignores_labels(self):
+        rng = np.random.default_rng(23)
+        split = 0
+        for trial in range(20):
+            n = int(rng.integers(12, 60))
+            g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
+            (gc, gt), (hc, ht) = (
+                _Solver(x, 60.0, math.inf).root(trivial_coloring(n))
+                for x in (g, relabelled(g, trial))
+            )
+            assert gt == ht, f"trial {trial}"
+            assert np.array_equal(gc.size[: gc.num_classes], hc.size[: hc.num_classes])
+            split += gc.num_classes > 1
+        assert split >= 15  # most roots do split, so their traces hold words
+
+    def test_first_traces_ignore_the_hash_seed(self):
+        src = str(Path(rank3.__file__).resolve().parents[1])
+        runs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", FIRST_TRACES],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            runs.append(json.loads(done.stdout))
+        assert len(runs[0]) >= 2
+        assert runs[0] == runs[1]
 
 
 class TestBruteForce:
