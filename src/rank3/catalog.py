@@ -52,7 +52,7 @@ from .families import (
     zero_stabilizer,
 )
 from .graphs import Degenerate, DenseGraph, NotStronglyRegular, srg_params
-from .permgrp import GeneratorSet, reaches_order, stabilizer_orbits
+from .permgrp import DeadlineExceeded, GeneratorSet, reaches_order, stabilizer_orbits
 
 __all__ = [
     "TIERS",
@@ -593,14 +593,22 @@ def _check_aut(
     The search starts from g's translations and ``known`` (the
     zero-stabilizer), and the detail ends with its counters.  The certificate
     is reaches_order on the solver's generators: a Schreier-Sims lower bound
-    that meets the order, which the exhaustive search bounds from above."""
+    that meets the order, which the exhaustive search bounds from above.  The
+    search and the certificate share the row's deadline."""
     budget = _time_left(deadline)
     try:
         result = automorphism_group(g, budget=budget, known=known)
     except Timeout:
         return StageOutcome("timeout", f"no order within {budget:g}s")
     counters = result.counters()
-    if not reaches_order(result.generators, result.order):
+    try:
+        certified = reaches_order(result.generators, result.order, deadline)
+    except DeadlineExceeded:
+        return StageOutcome(
+            "timeout",
+            f"order {result.order} not certified within {budget:g}s ({counters})",
+        )
+    if not certified:
         return StageOutcome(
             "mismatch",
             f"solver generators do not reach order {result.order} ({counters})",

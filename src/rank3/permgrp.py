@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class NotTransitive(ValueError):
 
 class BadOrder(ValueError):
     """Requested scalar order does not divide p - 1."""
+
+
+class DeadlineExceeded(RuntimeError):
+    """A stabilizer-chain run passed its deadline, a time.monotonic() value."""
 
 
 # -- generator sets -------------------------------------------------------------
@@ -248,7 +253,9 @@ class BSGS:
         return f"BSGS(base={self.base}, order={self.order})"
 
 
-def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
+def schreier_sims(
+    gs: GeneratorSet, base_prefix: tuple[int, ...] = (), deadline: float = math.inf
+) -> BSGS:
     """Deterministic Schreier-Sims: exact order and a membership oracle.
 
     Level generator lists are cumulative: an element fixing the first j base
@@ -260,7 +267,9 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
 
     base_prefix forces the first base points (useful for extracting point
     stabilizers); remaining base points are chosen as the first point moved
-    by the element that opens the level.
+    by the element that opens the level.  `deadline`, a time.monotonic()
+    value, is checked once per orbit point of the Schreier-generator loop:
+    DeadlineExceeded when it has passed.
     """
     n = gs.degree
     idarr = np.arange(n, dtype=np.int32)
@@ -295,6 +304,8 @@ def schreier_sims(gs: GeneratorSet, base_prefix: tuple[int, ...] = ()) -> BSGS:
             # pairs not covered by the already-done rectangle
             X, G = len(lvl.orbit_order), len(lvl.gens)
             for pos in range(X):
+                if time.monotonic() > deadline:
+                    raise DeadlineExceeded(f"Schreier-Sims passed its deadline at level {k}")
                 x = lvl.orbit_order[pos]
                 ux = _transversal_img(lvl, x)
                 for gi in range(G):
@@ -338,7 +349,7 @@ def _product_replacement(gens: list[np.ndarray]):
             yield acc
 
 
-def reaches_order(gs: GeneratorSet, target: int) -> bool:
+def reaches_order(gs: GeneratorSet, target: int, deadline: float = math.inf) -> bool:
     """Whether |<gs>| >= target.
 
     A seeded random Schreier-Sims runs first (Seress 2003, ch. 4.3).  The input generators, then product-replacement
@@ -353,6 +364,8 @@ def reaches_order(gs: GeneratorSet, target: int) -> bool:
     answer is schreier_sims(gs).order >= target, so False always comes from
     the exact deterministic run.  The random stream is a local generator
     with a fixed seed; the global numpy state is neither read nor moved.
+    `deadline`, a time.monotonic() value, is checked once per sifted element
+    and by the exact run: DeadlineExceeded when it has passed.
     """
     if target <= 1:
         return True
@@ -364,6 +377,8 @@ def reaches_order(gs: GeneratorSet, target: int) -> bool:
         stream = itertools.chain(gens, _product_replacement(gens))
         trivial = 0
         while trivial < _RANDOM_SIFT_STOP:
+            if time.monotonic() > deadline:
+                raise DeadlineExceeded("random Schreier-Sims passed its deadline")
             resid, j = _sift_img(levels, next(stream), 0, idarr)
             if resid is None:
                 trivial += 1
@@ -375,7 +390,7 @@ def reaches_order(gs: GeneratorSet, target: int) -> bool:
             _extend_orbit(levels[j], n)
             if math.prod(len(lvl.orbit_order) for lvl in levels) >= target:
                 return True
-    return schreier_sims(gs).order >= target
+    return schreier_sims(gs, deadline=deadline).order >= target
 
 
 # -- rank and subdegrees -------------------------------------------------------

@@ -253,6 +253,26 @@ class TestVerifyEntry:
         assert report.stages["aut"].status == "mismatch"
         assert "solver generators do not reach order 78" in report.stages["aut"].detail
 
+    def test_order_certificate_keeps_the_row_deadline(self, monkeypatch):
+        # the lossy solver of the test above, returning after the row's
+        # deadline: the certificate must stop there and report a timeout
+        # instead of running the exact Schreier-Sims to its end
+        import dataclasses
+
+        import rank3.catalog as catalog
+        from rank3.autsolve import automorphism_group
+
+        def late_lossy_aut(g, budget, known=None):
+            r = automorphism_group(g, budget=budget, known=known)
+            time.sleep(budget + 0.05)
+            return dataclasses.replace(r, generators=GeneratorSet(g.n, r.generators.gens[:1]))
+
+        monkeypatch.setattr(catalog, "automorphism_group", late_lossy_aut)
+        report = verify_entry(BY_ID["paley:13"], budget=0.5)
+        assert report.verdict == "PASS_DOWNGRADED"
+        assert report.stages["aut"].status == "timeout"
+        assert "order 78 not certified within" in report.stages["aut"].detail
+
     def test_unknown_expected_order_records_solver_value(self):
         entry = _replace(
             BY_ID["paley:13"],

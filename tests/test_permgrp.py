@@ -18,6 +18,7 @@ Ground truth used here
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from rank3.families import (
 from rank3.gf import DoesNotDivide, make_field
 from rank3.permgrp import (
     BadOrder,
+    DeadlineExceeded,
     GeneratorSet,
     MatrixGroupSpec,
     NotTransitive,
@@ -250,6 +252,17 @@ def test_reaches_order_is_a_certified_lower_bound():
     assert reaches_order(sym_gens(7), 7)
     assert not reaches_order(sym_gens(7), 5041)
     assert not reaches_order(GeneratorSet(5, (np.arange(5),)), 2)
+
+
+def test_order_certificate_stops_at_its_deadline():
+    # a target above the true order leaves only the exact run to answer, and
+    # a deadline already passed stops it (and the random phase) at once
+    gs, past = sym_gens(7), time.monotonic() - 1.0
+    with pytest.raises(DeadlineExceeded):
+        reaches_order(gs, 5041, deadline=past)
+    with pytest.raises(DeadlineExceeded):
+        schreier_sims(gs, deadline=past)
+    assert not reaches_order(gs, 5041, deadline=time.monotonic() + 60.0)
 
 
 def _gens_on(n, images):
