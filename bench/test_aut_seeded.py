@@ -34,7 +34,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from rank3.autsolve import _Cells, _Refiner, automorphism_group, trivial_coloring
+from rank3.autsolve import _Cells, _Refiner, automorphism_group
 from rank3.families import family_graph, parse_descriptor, zero_stabilizer
 from rank3.graphs import DenseGraph
 
@@ -61,8 +61,8 @@ def test_automorphism_group(benchmark, row, seeded):
 
 
 def individualized(g: DenseGraph, v: int) -> _Cells:
-    """The trivial coloring with v individualized (v's cell gets id 1)."""
-    cells = _Cells.of(trivial_coloring(g.n))
+    """The unit partition with v individualized (v's cell gets id 1)."""
+    cells = _Cells.of(np.zeros(g.n, dtype=np.int32))
     cells.individualize(v)
     return cells
 

@@ -5,13 +5,10 @@
 * ``cayley_graph``: on the orbital:sl25 graphs for p = 41 (1681 vertices) and
   p = 71 (5041), the banded circulant build from row 0
   (``DenseGraph.from_row0``), which needs no certificate.
-* ``DenseGraph``: the same matrix with and without moduli.  With moduli it is
-  the circulant certificate, one band of about sqrt(n) rows at a time; bare,
-  the tiled symmetry check.  Besides the two sl25 graphs (moduli (p, p)) it
-  runs on hq:2:5 (1024 vertices, ten unit translations, moduli (2,) * 10) and
-  orbital:extraspecial:2401 (moduli (7,) * 4).  The package's family graphs
-  skip the certificate (they come from ``from_row0``); it runs for
-  ``complement`` and for matrices handed in with moduli.
+* ``DenseGraph``: a family graph's matrix handed to the constructor, which
+  runs the tiled symmetry check (a graph with moduli comes only from
+  ``from_row0`` and needs no check of its matrix).  It runs on the two sl25
+  graphs, hq:2:5 (1024 vertices) and orbital:extraspecial:2401.
 * ``srg_params``: one row when the graph carries moduli, every row on the bare
   matrix ``DenseGraph(g.adj)``, on the sl25 graphs.
 """
@@ -26,7 +23,7 @@ from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import linear_perms, stabilizer_orbits
 
 PRIMES = [41, 71]
-CERTIFIED = ["orbital:sl25:41", "orbital:sl25:71", "hq:2:5", "orbital:extraspecial:2401"]
+FAMILIES = ["orbital:sl25:41", "orbital:sl25:71", "hq:2:5", "orbital:extraspecial:2401"]
 ROUNDS = 3
 
 
@@ -44,7 +41,7 @@ def graph(cayley_args) -> DenseGraph:
     return cayley_graph(*cayley_args)
 
 
-@pytest.fixture(scope="module", params=CERTIFIED)
+@pytest.fixture(scope="module", params=FAMILIES)
 def family(request) -> DenseGraph:
     return family_graph(parse_descriptor(request.param))
 
@@ -54,15 +51,13 @@ def test_cayley_graph(benchmark, cayley_args):
     assert g.moduli is not None
 
 
-@pytest.mark.parametrize("with_moduli", [True, False], ids=["moduli", "bare"])
-def test_dense_graph(benchmark, family, with_moduli):
-    moduli = family.moduli if with_moduli else None
-    h = benchmark.pedantic(DenseGraph, (family.adj, moduli), rounds=ROUNDS)
-    assert h == family and h.moduli == moduli
+def test_dense_graph(benchmark, family):
+    h = benchmark.pedantic(DenseGraph, (family.adj,), rounds=ROUNDS)
+    assert h == family and h.moduli is None
 
 
 @pytest.mark.parametrize("with_moduli", [True, False], ids=["moduli", "bare"])
 def test_srg_params(benchmark, graph, with_moduli):
     g = graph if with_moduli else DenseGraph(graph.adj)
     params = benchmark.pedantic(srg_params, (g,), rounds=ROUNDS)
-    assert params.k == len(graph.neighbours(0))
+    assert params.k == int(graph.adj[0].sum())

@@ -15,10 +15,12 @@ the splitter's rows when it is small, AND + popcount over the packed rows
 otherwise), and the count read in ``lab`` order differs between two
 positions of one cell exactly where that cell splits.  A pass that splits
 nothing therefore costs a gather, a shifted compare and a mask, and a pass
-that splits re-sorts only the split cells' segments.  Leaves of the search
-are discrete colorings; comparing a leaf against the first (leftmost) leaf
-yields a candidate automorphism, which is verified against the full
-adjacency matrix before it is accepted.
+that splits re-sorts only the split cells' segments.  Outside the layout a
+coloring is an int array of class ids 0..c-1 (``refine``), and a search
+starts from the unit partition.  Leaves of the search are discrete
+colorings; comparing a leaf against the first (leftmost) leaf yields a
+candidate automorphism, which is verified against the full adjacency matrix
+before it is accepted.
 
 Pruning, in the standard shape:
 * trace pruning — every branch carries a 64-bit trace of its refinement
@@ -40,8 +42,9 @@ Pruning, in the standard shape:
   first-path node whose individualized prefix it fixes.
 
 Known automorphisms are the unit translations of a graph's ``moduli``, which
-DenseGraph has certified, plus the caller's generators, each checked against
-the adjacency matrix.  The regular translations collapse the root to one
+are automorphisms by construction (DenseGraph.from_row0 builds a circulant
+matrix), plus the caller's generators, each checked against the adjacency
+matrix.  The regular translations collapse the root to one
 branch, and a known zero-stabilizer transitive on N(0) and on the
 non-neighbours collapses depth 1.  They only prune: the search stays
 exhaustive, so no order rests on them generating the whole group.
@@ -77,8 +80,6 @@ from .graphs import DenseGraph, is_isomorphism, unit_translations
 from .permgrp import GeneratorSet, _point_mask, orbit_mask
 
 __all__ = [
-    "Coloring",
-    "trivial_coloring",
     "refine",
     "AutResult",
     "automorphism_group",
@@ -113,41 +114,6 @@ class TooLarge(ValueError):
     """brute_force_aut is restricted to n <= 8."""
 
 
-@dataclass(eq=False)
-class Coloring:
-    """A vertex coloring with contiguous color ids 0..num_classes-1."""
-
-    colors: np.ndarray
-    num_classes: int
-
-    def __post_init__(self) -> None:
-        colors = np.ascontiguousarray(self.colors, dtype=np.int32)
-        if colors.ndim != 1:
-            raise ValueError("colors must be a 1-d array")
-        if len(colors):
-            if colors.min() < 0 or colors.max() >= self.num_classes:
-                raise ValueError("color ids out of range")
-            sizes = np.bincount(colors, minlength=self.num_classes)
-            if (sizes == 0).any():
-                raise ValueError("color ids must be contiguous 0..c-1")
-        elif self.num_classes != 0:
-            raise ValueError("empty graph needs num_classes = 0")
-        self.colors = colors
-
-    def class_members(self, c: int) -> np.ndarray:
-        return np.flatnonzero(self.colors == c)
-
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.colors, minlength=self.num_classes)
-
-    def is_discrete(self) -> bool:
-        return self.num_classes == len(self.colors)
-
-
-def trivial_coloring(n: int) -> Coloring:
-    return Coloring(np.zeros(n, dtype=np.int32), 1 if n else 0)
-
-
 class _Cells:
     """A coloring in the cell layout of McKay & Piperno (2014, §3).
 
@@ -168,18 +134,19 @@ class _Cells:
         self.num_classes = num_classes
 
     @classmethod
-    def of(cls, initial: Coloring) -> "_Cells":
-        """The layout of a copy of `initial`; a stable sort by color keeps
-        each segment ascending."""
-        colors = initial.colors.copy()
+    def of(cls, colors: np.ndarray) -> "_Cells":
+        """The layout of a copy of `colors`, an int array of contiguous class
+        ids 0..c-1; a stable sort by color keeps each segment ascending."""
+        colors = np.array(colors, dtype=np.int32)
         n = len(colors)
+        c = int(colors.max()) + 1 if n else 0
         lab = np.argsort(colors, kind="stable")  # intp: gathers by it are cheapest
         size = np.zeros(n, dtype=np.int64)
-        size[: initial.num_classes] = np.bincount(colors, minlength=initial.num_classes)
+        size[:c] = np.bincount(colors, minlength=c)
         start = np.zeros(n, dtype=np.int64)
-        start[1 : initial.num_classes] = np.cumsum(size[: initial.num_classes - 1])
+        start[1:c] = np.cumsum(size[: c - 1])
         laid = colors[lab]
-        return cls(colors, lab, start, size, laid[1:] == laid[:-1], initial.num_classes)
+        return cls(colors, lab, start, size, laid[1:] == laid[:-1], c)
 
     def copy(self) -> "_Cells":
         return _Cells(
@@ -357,17 +324,27 @@ class _Refiner:
         return trace
 
 
-def refine(g: DenseGraph, initial: Coloring) -> Coloring:
-    """The coarsest equitable coloring refining `initial`: within each class,
-    all vertices have the same number of neighbours in every class.
-    Idempotent; class ids are assigned deterministically (splits keep the old
-    id on the lowest-count part, new parts get fresh ids in ascending count
-    order), so equal inputs give identical outputs."""
-    if len(initial.colors) != g.n:
-        raise ValueError(f"coloring has {len(initial.colors)} entries, graph has {g.n}")
-    cells = _Cells.of(initial)
-    _Refiner(g).refine(cells, range(initial.num_classes), 0)
-    return Coloring(cells.colors, cells.num_classes)
+def refine(g: DenseGraph, colors: np.ndarray) -> np.ndarray:
+    """The coarsest equitable coloring refining `colors`: within each class,
+    all vertices have the same number of neighbours in every class.  A
+    coloring is an int array of g.n class ids that uses each of 0..c-1;
+    ValueError otherwise.  Idempotent; class ids are assigned
+    deterministically (splits keep the old id on the lowest-count part, new
+    parts get fresh ids in ascending count order), so equal inputs give
+    identical outputs."""
+    colors = np.asarray(colors)
+    if colors.shape != (g.n,):
+        raise ValueError(f"coloring has shape {colors.shape}, graph has {g.n} vertices")
+    if g.n and (
+        colors.dtype.kind not in "iu"
+        or colors.min() < 0
+        or colors.max() >= g.n
+        or not np.bincount(colors).all()
+    ):
+        raise ValueError("color ids must be integers using each of 0..c-1")
+    cells = _Cells.of(colors)
+    _Refiner(g).refine(cells, range(cells.num_classes), 0)
+    return cells.colors
 
 
 # -- the IR search ----------------------------------------------------------------
@@ -529,10 +506,10 @@ class _Solver:
             first = _point_mask(self.n, self.first_vertices[depth])
             self.order *= int(orbit_mask(orbits.gens, first).sum())
 
-    def root(self, initial: Coloring) -> tuple[_Cells, int]:
-        """The refined root coloring and its trace."""
-        cells = _Cells.of(initial)
-        return cells, self.refiner.refine(cells, range(initial.num_classes), 0)
+    def root(self) -> tuple[_Cells, int]:
+        """The refined unit partition and its trace."""
+        cells = _Cells.of(np.zeros(self.n, dtype=np.int32))
+        return cells, self.refiner.refine(cells, range(cells.num_classes), 0)
 
     def follow(self, path: "_Solver") -> None:
         """Search for isomorphisms path.g -> g along path's first path."""
@@ -548,8 +525,8 @@ class _Solver:
             sys.setrecursionlimit(limit)
         self._dfs(cells, trace, 0, self.first_leaf is None, [])
 
-    def run(self, initial: Coloring) -> None:
-        self.search(*self.root(initial))
+    def run(self) -> None:
+        self.search(*self.root())
 
 
 @dataclass
@@ -609,7 +586,7 @@ def automorphism_group(
     n = g.n
     if known is not None and known.degree != n:
         raise ValueError(f"known generators have degree {known.degree}, graph has {n}")
-    # the translations are certified by DenseGraph
+    # the translations are automorphisms by construction (from_row0)
     seeds = [img.astype(np.int32) for img in unit_translations(g.moduli or ())]
     for j, img in enumerate(() if known is None else known.gens):
         if not is_isomorphism(g, g, img):
@@ -618,7 +595,7 @@ def automorphism_group(
     if n == 0:
         return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0, 0.0, 0)
     solver = _Solver(g, budget, start + budget, seeds)
-    solver.run(trivial_coloring(n))
+    solver.run()
     return AutResult(
         GeneratorSet(n, seeds + solver.gens),
         solver.order,
@@ -675,9 +652,7 @@ def _iso_search(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
     budget = deadline - time.monotonic()
     path = _Solver(g, budget, deadline, first_only=True)
     solver = _Solver(h, budget, deadline)
-    (g_cells, g_trace), (h_cells, h_trace) = (
-        path.root(trivial_coloring(n)), solver.root(trivial_coloring(n))
-    )
+    (g_cells, g_trace), (h_cells, h_trace) = path.root(), solver.root()
     if g_trace != h_trace or not np.array_equal(
         g_cells.size[: g_cells.num_classes], h_cells.size[: h_cells.num_classes]
     ):

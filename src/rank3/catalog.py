@@ -63,14 +63,12 @@ __all__ = [
     "StageOutcome",
     "Report",
     "builtin_catalog",
-    "catalog_lookup",
     "entry_to_dict",
     "entry_from_dict",
     "load_catalog",
     "verify_entry",
     "verify_all",
     "reports_to_json",
-    "reports_from_json",
 ]
 
 TIERS = ("FULL", "SLOW", "PARAMS_ONLY")
@@ -388,14 +386,6 @@ def builtin_catalog() -> list[CatalogEntry]:
     ]
 
 
-def catalog_lookup(entry_id: str, entries: list[CatalogEntry] | None = None) -> CatalogEntry:
-    """The entry whose id matches, from the builtin catalog by default."""
-    for entry in builtin_catalog() if entries is None else entries:
-        if entry.id == entry_id:
-            return entry
-    raise KeyError(f"no catalog entry with id {entry_id!r}")
-
-
 # -- entry (de)serialization --------------------------------------------------------
 
 
@@ -418,9 +408,25 @@ def entry_to_dict(entry: CatalogEntry) -> dict:
 _REQUIRED = object()  # entry_from_dict: the field has no default
 
 
+def _of_type(kind: type):
+    """A converter that passes a value of exactly this JSON type (so a bool
+    is no int, and neither is 9.7) and raises ValueError on anything else."""
+
+    def check(value):
+        if type(value) is not kind:
+            raise ValueError(f"{value!r} is not of type {kind.__name__}")
+        return value
+
+    return check
+
+
+_int, _str, _bool = _of_type(int), _of_type(str), _of_type(bool)
+
+
 def entry_from_dict(data: dict) -> CatalogEntry:
     """The inverse of entry_to_dict.  A missing or malformed field raises
-    ValueError naming the entry and the field."""
+    ValueError naming the entry and the field: every number must be a JSON
+    integer, every flag true or false, and the id the family's descriptor."""
     if not isinstance(data, dict):
         raise ValueError(f"catalog entry {data!r} is not a JSON object")
     where = f"catalog entry {data.get('id', '<no id>')!r}"
@@ -435,22 +441,30 @@ def entry_from_dict(data: dict) -> CatalogEntry:
         except (TypeError, ValueError, KeyError, IndexError) as exc:
             raise ValueError(f"{where}: bad field {key!r}: {exc}") from None
 
+    family = field("family", parse_descriptor)
+
+    def descriptor(value):
+        want = format_descriptor(family)
+        if value != want:
+            raise ValueError(f"{value!r} is not the family's descriptor {want!r}")
+        return value
+
     return CatalogEntry(
-        id=field("id"),
-        family=field("family", parse_descriptor),
-        n=field("n", int),
-        subdegrees=field("subdegrees", lambda v: tuple(int(x) for x in v)),
+        id=field("id", descriptor),
+        family=family,
+        n=field("n", _int),
+        subdegrees=field("subdegrees", lambda v: tuple(_int(x) for x in v)),
         expected_aut_order=field(
-            "expected_aut_order", lambda v: None if v is None else int(v), default=None
+            "expected_aut_order", lambda v: None if v is None else _int(v), default=None
         ),
-        group_name=field("group_name", default=""),
+        group_name=field("group_name", _str, default=""),
         iso_claims=field(
             "iso_claims",
-            lambda cs: tuple(IsoClaim(c["other"], bool(c["isomorphic"])) for c in cs),
+            lambda cs: tuple(IsoClaim(_str(c["other"]), _bool(c["isomorphic"])) for c in cs),
             default=(),
         ),
-        tier=field("tier"),
-        source=field("source", default=""),
+        tier=field("tier", _str),
+        source=field("source", _str, default=""),
     )
 
 
@@ -506,18 +520,6 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> Report:
-    return Report(
-        id=data["id"],
-        stages={
-            name: StageOutcome(o["status"], o["detail"])
-            for name, o in data["stages"].items()
-        },
-        timings_ms={k: float(v) for k, v in data["timings_ms"].items()},
-        verdict=data["verdict"],
-    )
-
-
 def summarize(reports: list[Report]) -> dict:
     return {
         "pass": sum(r.verdict == "PASS" for r in reports),
@@ -531,13 +533,6 @@ def reports_to_json(reports: list[Report]) -> str:
     items = [report_to_dict(r) for r in reports]
     items.append({"summary": summarize(reports)})
     return json.dumps(items, indent=2)
-
-
-def reports_from_json(text: str) -> tuple[list[Report], dict]:
-    items = json.loads(text)
-    if not items or "summary" not in items[-1]:
-        raise ValueError("report JSON must end with a summary object")
-    return [report_from_dict(d) for d in items[:-1]], items[-1]["summary"]
 
 
 # -- the pipeline --------------------------------------------------------------------

@@ -632,9 +632,9 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     Preconditions: G0 has exactly 2 orbits on nonzero vectors
     (WrongOrbitCount otherwise) and the chosen orbit is symmetric
     (AsymmetricOrbit otherwise).  Orbit 0 is the smaller one.  The affine
-    group is verified to act as automorphisms of the result: the
-    translations by cayley_graph's DenseGraph, the linear generators here,
-    by the row-0 test that the certified translations allow.
+    group acts as automorphisms of the result: the translations by
+    construction (DenseGraph.from_row0), the linear generators as checked
+    here, by the row-0 test that the circulant matrix allows.
     """
     linear = linear_perms(spec)
     nonzero = stabilizer_orbits(linear)

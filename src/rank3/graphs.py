@@ -5,12 +5,12 @@ uint64 view, so common-neighbour counts are word-wise AND + popcount.
 
 A graph may also carry ``moduli`` (m_1, ..., m_k): vertex i is the vector of
 its mixed-radix digits in Z_m1 x ... x Z_mk, and every translation of that
-group is an automorphism.  That holds iff the matrix is circulant over the
-group, adj[x, y] == adj[0, y - x] with the difference taken digit by digit,
-and the constructor checks this identity one band of about sqrt(n) rows at a
-time (``_circulant_blocks``), then the loop and symmetry conditions on row 0
-alone.  The same bands build the matrix of ``DenseGraph.from_row0``, which is
-how every family graph in this package is made.
+group is an automorphism.  The one way to get such a graph is
+``DenseGraph.from_row0``, which builds the matrix adj[x, y] = adj[0, y - x],
+the difference taken digit by digit, one band of about sqrt(n) rows at a
+time (``_circulant_blocks``): the matrix is circulant by construction, so
+the translations need no check, and only row 0's loop and symmetry
+conditions are checked.  Every family graph in this package is made so.
 The translations act regularly, so the pair (u, v) maps to (0, v - u) and
 |N(u) & N(v)| = |N(0) & N(v - u)|: vertex 0's row of common-neighbour counts
 holds every count of the graph (Brouwer & Van Maldeghem, "Strongly Regular
@@ -19,7 +19,7 @@ degree and its counts, when the moduli are known and every row otherwise, on
 the same loop; a Cayley graph on 5041 vertices takes one popcount sweep
 instead of 5041, and no n^2 degree sum.
 
-Serialization: the de-facto standard graph6 format (header-less variant).
+Output: the de-facto standard graph6 format (header-less variant).
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class Degenerate(ValueError):
     """Complete or empty graph: lambda resp. mu is undefined."""
 
 
-class SameVertex(ValueError):
-    """Operation requires two distinct vertices."""
-
-
 @dataclass(frozen=True)
 class SrgParams:
     """Strongly regular graph parameters (n, k, lambda, mu)."""
@@ -61,10 +57,6 @@ class SrgParams:
     def feasible(self) -> bool:
         """The counting identity k(k - lam - 1) = (n - k - 1) mu."""
         return self.k * (self.k - self.lam - 1) == (self.n - self.k - 1) * self.mu
-
-    def complement_params(self) -> "SrgParams":
-        n, k = self.n, self.k
-        return SrgParams(n, n - k - 1, n - 2 * k + self.mu - 2, n - 2 * k + self.lam)
 
 
 def _radix(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -82,13 +74,6 @@ def unit_translations(moduli: tuple[int, ...]) -> list[np.ndarray]:
     (i = sum c_j * m_1 ... m_(j-1)); translation j adds 1 to digit j."""
     d, m, place = _radix(moduli)
     return list(np.arange(d.shape[1]) + ((d + 1) % m - d) * place)
-
-
-def _checked_moduli(moduli, n: int) -> tuple[int, ...]:
-    moduli = tuple(int(m) for m in moduli)
-    if min(moduli, default=0) < 1 or math.prod(moduli) != n:
-        raise ValueError(f"moduli {moduli} do not multiply to n = {n}")
-    return moduli
 
 
 def _circulant_blocks(row0: np.ndarray, moduli: tuple[int, ...]):
@@ -131,16 +116,6 @@ def _circulant_blocks(row0: np.ndarray, moduli: tuple[int, ...]):
             yield xh * b + xl, np.take(e0[xl : xl + step], cols, axis=1).reshape(-1, n)
 
 
-def _check_row0(row0: np.ndarray, moduli: tuple[int, ...]) -> None:
-    """The loop and symmetry checks of a circulant matrix, on its row 0:
-    adj[x, x] = row0[0] and adj[y, x] = row0[-(y - x)]."""
-    if row0[0]:
-        raise ValueError("adjacency has a loop (nonzero diagonal)")
-    d, m, place = _radix(moduli)
-    if not np.array_equal(row0[(-d % m * place).sum(axis=0)], row0):
-        raise ValueError("adjacency is not symmetric")
-
-
 def _is_symmetric(adj: np.ndarray) -> bool:
     """adj == adj.T, compared one 256 x 256 tile of the upper triangle at a
     time against the transpose of its mirror tile: both stay in cache, where
@@ -156,48 +131,41 @@ def _is_symmetric(adj: np.ndarray) -> bool:
 class DenseGraph:
     """Immutable undirected graph as a dense boolean adjacency matrix.
 
-    ``moduli``, if given, names a translation group Z_m1 x ... x Z_mk acting
-    regularly on the vertices (see the module docstring); the matrix is
-    checked to be circulant over it, so that every translation is an
-    automorphism.  ValueError if the matrix is not square, has a loop, is not
-    symmetric, if the moduli do not multiply to n, or if some translation is
-    not an automorphism."""
+    ``DenseGraph(adjacency)`` checks the matrix and carries no translations
+    (``moduli`` is None): ValueError if it is not square, has a loop or is
+    not symmetric.  ``from_row0`` builds a graph that carries its
+    translation moduli (see the module docstring)."""
 
-    def __init__(self, adjacency: np.ndarray, moduli: tuple[int, ...] | None = None):
+    def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-        if moduli is None:
-            if adj.diagonal().any():
-                raise ValueError("adjacency has a loop (nonzero diagonal)")
-            if not _is_symmetric(adj):
-                raise ValueError("adjacency is not symmetric")
-        else:
-            moduli = _checked_moduli(moduli, adj.shape[0])
-            for lo, block in _circulant_blocks(adj[0], moduli):
-                band = adj[lo : lo + len(block)]
-                if not np.array_equal(band, block):
-                    # the translation by x maps the pair (0, y - x) to (x, y)
-                    x = lo + int(np.flatnonzero((band != block).any(axis=1))[0])
-                    raise ValueError(
-                        f"the translation by vertex {x} of moduli {moduli} is not an automorphism"
-                    )
-            _check_row0(adj[0], moduli)
-        self._adopt(adj.copy(), moduli)
+        if adj.diagonal().any():
+            raise ValueError("adjacency has a loop (nonzero diagonal)")
+        if not _is_symmetric(adj):
+            raise ValueError("adjacency is not symmetric")
+        self._adopt(adj.copy(), None)
 
     @classmethod
     def from_row0(cls, row0: np.ndarray, moduli: tuple[int, ...]) -> "DenseGraph":
         """The graph with adj[x, y] = row0[y - x] over Z_m1 x ... x Z_mk,
         i.e. the Cayley graph whose connection set is the support of row0,
         carrying ``moduli``.  The matrix is circulant by construction, so
-        only row 0 is checked: ValueError if row0[0] is set (a loop), if
+        only row 0 is checked, for adj[x, x] = row0[0] and
+        adj[y, x] = row0[-(y - x)]: ValueError if row0[0] is set (a loop), if
         row0[-z] != row0[z] for some z (not symmetric), or if the moduli do
         not multiply to len(row0)."""
         row0 = np.asarray(row0, dtype=bool)
         if row0.ndim != 1:
             raise ValueError(f"row 0 must be one-dimensional, got shape {row0.shape}")
-        moduli = _checked_moduli(moduli, row0.size)
-        _check_row0(row0, moduli)
+        moduli = tuple(int(m) for m in moduli)
+        if min(moduli, default=0) < 1 or math.prod(moduli) != row0.size:
+            raise ValueError(f"moduli {moduli} do not multiply to n = {row0.size}")
+        if row0[0]:
+            raise ValueError("adjacency has a loop (nonzero diagonal)")
+        d, m, place = _radix(moduli)
+        if not np.array_equal(row0[(-d % m * place).sum(axis=0)], row0):
+            raise ValueError("adjacency is not symmetric")
         adj = np.empty((row0.size, row0.size), dtype=bool)
         for lo, block in _circulant_blocks(row0, moduli):
             adj[lo : lo + len(block)] = block
@@ -220,21 +188,6 @@ class DenseGraph:
         self._packed.setflags(write=False)
         self.moduli = moduli
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "DenseGraph":
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge ({u}, {v})")
-            adj[u, v] = adj[v, u] = True
-        return cls(adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
-    def neighbours(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[v])
-
     def degrees(self) -> np.ndarray:
         return self.adj.sum(axis=1)
 
@@ -249,13 +202,6 @@ class DenseGraph:
 
     def __repr__(self) -> str:
         return f"DenseGraph(n={self.n}, edges={self.edge_count()})"
-
-
-def common_neighbours(g: DenseGraph, u: int, v: int) -> int:
-    """|N(u) ∩ N(v)| by packed-row AND + popcount."""
-    if u == v:
-        raise SameVertex(f"u = v = {u}")
-    return int(np.bitwise_count(g._packed[u] & g._packed[v]).sum())
 
 
 def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
@@ -279,23 +225,28 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
 def is_linear_automorphism(g: DenseGraph, mapping: np.ndarray) -> bool:
     """Whether an additive bijection is an automorphism of g, in O(n).
 
-    Preconditions: g.moduli is set (ValueError otherwise), so the
-    translations are certified, and ``mapping`` is additive on
-    Z_m1 x ... x Z_mk, e.g. a linear map of GF(p)^d; on any other mapping
+    Preconditions: g.moduli is set (ValueError otherwise), so the matrix is
+    circulant over Z_m1 x ... x Z_mk, and ``mapping`` is additive on
+    that group, e.g. a linear map of GF(p)^d; on any other mapping
     the answer means nothing.  Then adj[x, y] = adj[0, y - x] and
     adj[mapping[x], mapping[y]] = adj[0, mapping[y - x]], so vertex 0's row
     decides: adj[0, mapping[z]] == adj[0, z] for every z."""
     if g.moduli is None:
-        raise ValueError("the row-0 test needs certified translation moduli")
+        raise ValueError("the row-0 test needs translation moduli")
     row = g.adj[0]
     return bool(np.array_equal(row[mapping], row))
 
 
 def complement(g: DenseGraph) -> DenseGraph:
-    """The complement graph; it keeps g's translation moduli."""
+    """The complement graph; it keeps g's translation moduli, as the
+    circulant of the complement of row 0."""
+    if g.moduli is not None:
+        row0 = ~g.adj[0]
+        row0[0] = False
+        return DenseGraph.from_row0(row0, g.moduli)
     adj = ~g.adj
     np.fill_diagonal(adj, False)
-    return DenseGraph(adj, g.moduli)
+    return DenseGraph(adj)
 
 
 def srg_params(g: DenseGraph) -> SrgParams:
@@ -303,7 +254,7 @@ def srg_params(g: DenseGraph) -> SrgParams:
 
     Raises Degenerate for complete/empty graphs (parameters undefined there)
     and NotStronglyRegular with a witness pair otherwise.  Cost is one packed
-    popcount sweep per checked row: vertex 0's alone when g.moduli certifies
+    popcount sweep per checked row: vertex 0's alone when g.moduli names
     a regular translation group, every vertex's otherwise.  The degree check
     reads the same rows: every row of a graph with moduli is a translate of
     row 0, so only row 0's degree is counted.
@@ -356,14 +307,7 @@ def srg_params(g: DenseGraph) -> SrgParams:
     return params
 
 
-# -- serialization ------------------------------------------------------------
-
-
-def _triangle_bits(g: DenseGraph) -> np.ndarray:
-    """Upper-triangle bits in graph6 order: column-major, i.e. pair (u,v), u<v,
-    sorted by v then u."""
-    rows, cols = np.tril_indices(g.n, -1)  # (v, u) pairs sorted by v then u
-    return g.adj[rows, cols]
+# -- graph6 output ------------------------------------------------------------
 
 
 def to_graph6(g: DenseGraph) -> str:
@@ -375,30 +319,11 @@ def to_graph6(g: DenseGraph) -> str:
         head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     else:
         raise ValueError(f"n = {n} too large for the 4-byte graph6 size field")
-    bits = _triangle_bits(g)
+    # the upper-triangle bits column by column: the pairs (u, v), u < v,
+    # sorted by v then u, i.e. the (v, u) pairs of the lower triangle
+    bits = g.adj[np.tril_indices(n, -1)]
     pad = (-bits.size) % 6
     if pad:
         bits = np.concatenate([bits, np.zeros(pad, dtype=bool)])
     groups = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1])
     return bytes(head + list(groups + 63)).decode("ascii")
-
-
-def from_graph6(s: str) -> DenseGraph:
-    data = np.frombuffer(s.strip().encode("ascii"), dtype=np.uint8).astype(int) - 63
-    if data.size and data[0] == 63:  # 0x7E marker
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        body = data[4:]
-    else:
-        n = int(data[0])
-        body = data[1:]
-    nbits = n * (n - 1) // 2
-    if body.size != -(-nbits // 6):
-        raise ValueError(f"graph6 body has {body.size} chars, expected {-(-nbits // 6)}")
-    if (body < 0).any() or (body > 63).any():
-        raise ValueError("graph6 characters out of range")
-    bits = np.unpackbits(body.astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()[:nbits]
-    adj = np.zeros((n, n), dtype=bool)
-    rows, cols = np.tril_indices(n, -1)
-    adj[rows, cols] = bits
-    adj |= adj.T
-    return DenseGraph(adj)

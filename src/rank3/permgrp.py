@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import DoesNotDivide, FiniteField, NotPrime, digits, isprime, primitive_root
+from .gf import _MAX_Q, DoesNotDivide, FiniteField, NotPrime, digits, isprime, primitive_root
 from .graphs import unit_translations
 
 
@@ -492,7 +492,9 @@ def _det_mod(mat, p: int) -> int:
 
 @dataclass(frozen=True)
 class MatrixGroupSpec:
-    """A subgroup of GL_d(p), p prime, given by invertible generator matrices."""
+    """A subgroup of GL_d(p), p prime, given by invertible generator matrices.
+    ValueError unless d >= 1 and p**d <= 2**16, the largest field the
+    package builds: the group acts on all p**d vectors."""
 
     p: int
     d: int
@@ -501,6 +503,11 @@ class MatrixGroupSpec:
     def __post_init__(self):
         if not isprime(self.p):
             raise NotPrime(f"p = {self.p} is not prime")
+        # p >= 2, so p**d <= 2**16 needs d <= 16, which keeps the power small
+        if not 1 <= self.d <= 16 or self.p**self.d > _MAX_Q:
+            raise ValueError(
+                f"a spec needs d >= 1 and p**d <= {_MAX_Q}, got p = {self.p}, d = {self.d}"
+            )
         mats = []
         for g in self.gens:
             m = np.asarray(g, dtype=np.int64) % self.p
@@ -532,12 +539,6 @@ def with_translations(stab: GeneratorSet, moduli: tuple[int, ...]) -> GeneratorS
     return GeneratorSet(n, [*unit_translations(moduli), *stab.gens])
 
 
-def affine_perms(spec: MatrixGroupSpec) -> GeneratorSet:
-    """Translations by the d basis vectors plus the linear generators: the
-    affine group V:<matrix gens> of order p^d * |<matrix gens>| on p^d points."""
-    return with_translations(linear_perms(spec), (spec.p,) * spec.d)
-
-
 def semilinear_stabilizer_perms(
     field: FiniteField, e: int, include_frobenius: bool, twist: int = 0
 ) -> GeneratorSet:
@@ -551,15 +552,6 @@ def semilinear_stabilizer_perms(
     if include_frobenius:
         images.append(field.mul(field.power(field.omega, twist), field.frobenius(x)))
     return GeneratorSet(q, images)
-
-
-def semilinear_perms(
-    field: FiniteField, e: int, include_frobenius: bool, twist: int = 0
-) -> GeneratorSet:
-    """Translations plus semilinear_stabilizer_perms: the one-dimensional
-    affine semilinear group F:<omega-hat^e[, phi-hat omega-hat^twist]>."""
-    stab = semilinear_stabilizer_perms(field, e, include_frobenius, twist)
-    return with_translations(stab, (field.p,) * field.d)
 
 
 def central_product_with_scalars(p: int, s: MatrixGroupSpec, scalar_order: int) -> MatrixGroupSpec:
@@ -606,8 +598,3 @@ def format_matrix_spec(spec: MatrixGroupSpec) -> str:
 def read_matrix_spec(path) -> MatrixGroupSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_matrix_spec(fh.read())
-
-
-def write_matrix_spec(spec: MatrixGroupSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix_spec(spec))

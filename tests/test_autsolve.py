@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import rank3
 from rank3.autsolve import (
     AutResult,
-    Coloring,
     NotIsomorphic,
     Timeout,
     TooLarge,
@@ -34,7 +33,6 @@ from rank3.autsolve import (
     automorphism_group,
     brute_force_aut,
     refine,
-    trivial_coloring,
 )
 from rank3.catalog import builtin_catalog
 from rank3.families import (
@@ -55,15 +53,22 @@ from rank3.permgrp import (
 )
 
 
+def from_edges(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return DenseGraph(adj)
+
+
 def path_graph(n):
-    return DenseGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n):
-    return DenseGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-PETERSEN = DenseGraph.from_edges(
+PETERSEN = from_edges(
     10,
     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
      (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
@@ -282,82 +287,79 @@ def assert_order_matches_oracle(g, known=()):
     """Run the search from the known image arrays; its order must equal the
     oracle's count over the same first path and generators."""
     solver = _Solver(g, 60.0, time.monotonic() + 60.0, list(known))
-    solver.run(trivial_coloring(g.n))
+    solver.run()
     imgs = list(known) + solver.gens
     assert solver.order == order_from_first_path(g.n, solver.first_vertices, imgs)
     return solver.order
 
 
+def num_classes(colors):
+    return int(colors.max()) + 1
+
+
 class TestColoring:
     def test_trivial(self):
-        c = trivial_coloring(5)
-        assert c.num_classes == 1
-        assert list(c.colors) == [0] * 5
+        # a search starts from the unit partition: on the empty graph the
+        # root keeps one cell of every vertex, in order, and the trace 0
+        solver = _Solver(DenseGraph(np.zeros((5, 5), dtype=bool)), 60.0, math.inf)
+        cells, trace = solver.root()
+        assert (cells.num_classes, trace) == (1, 0)
+        assert list(cells.colors) == [0] * 5 and list(cells.lab) == list(range(5))
 
     def test_contiguity_enforced(self):
-        with pytest.raises(ValueError):
-            Coloring(np.array([0, 2, 2]), 3)  # id 1 unused
-        with pytest.raises(ValueError):
-            Coloring(np.array([0, 1]), 1)  # id out of range
-        with pytest.raises(ValueError):
-            Coloring(np.array([-1, 0]), 1)
-
-    def test_helpers(self):
-        c = Coloring(np.array([1, 0, 1, 2]), 3)
-        assert list(c.class_members(1)) == [0, 2]
-        assert list(c.sizes()) == [1, 2, 1]
-        assert not c.is_discrete()
-        assert Coloring(np.array([1, 0]), 2).is_discrete()
+        g = path_graph(3)
+        for bad in ([0, 2, 2], [0, 1, 3], [-1, 0, 0], [0.0, 1.0, 1.0], [[0, 1, 1]]):
+            with pytest.raises(ValueError):
+                refine(g, np.array(bad))  # unused id, id >= n, negative, float, 2-d
 
 
 class TestRefine:
     def test_path_splits_by_degree(self):
-        c = refine(path_graph(3), trivial_coloring(3))
-        assert c.num_classes == 2
-        assert c.colors[0] == c.colors[2] != c.colors[1]
+        c = refine(path_graph(3), np.zeros(3, dtype=int))
+        assert num_classes(c) == 2
+        assert c[0] == c[2] != c[1]
 
     def test_regular_graph_stays_whole(self):
-        c = refine(paley(13), trivial_coloring(13))
-        assert c.num_classes == 1
+        c = refine(paley(13), np.zeros(13, dtype=int))
+        assert num_classes(c) == 1
 
     def test_idempotent(self):
         g = path_graph(6)
-        once = refine(g, trivial_coloring(6))
+        once = refine(g, np.zeros(6, dtype=int))
         twice = refine(g, once)
-        assert np.array_equal(once.colors, twice.colors)
-        assert once.num_classes == twice.num_classes
+        assert np.array_equal(once, twice)
 
     def test_individualized_vertex_in_srg(self):
         # fixing one vertex of a strongly regular graph splits it into the
         # vertex, its neighbours, and its non-neighbours -- and stops there
         init = np.zeros(13, dtype=np.int32)
         init[0] = 1
-        c = refine(paley(13), Coloring(init, 2))
-        assert c.num_classes == 3  # regression value
-        assert sorted(c.sizes()) == [1, 6, 6]
+        c = refine(paley(13), init)
+        assert num_classes(c) == 3  # regression value
+        assert sorted(np.bincount(c)) == [1, 6, 6]
 
     def test_path_refines_to_symmetric_classes(self):
-        c = refine(path_graph(5), trivial_coloring(5))
+        c = refine(path_graph(5), np.zeros(5, dtype=int))
         # ends pair up, their neighbours pair up, centre alone
-        assert c.colors[0] == c.colors[4]
-        assert c.colors[1] == c.colors[3]
-        assert c.num_classes == 3
+        assert c[0] == c[4]
+        assert c[1] == c[3]
+        assert num_classes(c) == 3
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            refine(path_graph(3), trivial_coloring(4))
+            refine(path_graph(3), np.zeros(4, dtype=int))
 
     def test_equitability(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_graph(rng, 12, 0.4)
-            c = refine(g, trivial_coloring(12))
+            c = refine(g, np.zeros(12, dtype=int))
             # every vertex of a class sees the same number of neighbours in
             # every class
-            for a in range(c.num_classes):
-                members = c.class_members(a)
-                for b in range(c.num_classes):
-                    counts = g.adj[np.ix_(members, c.class_members(b))].sum(axis=1)
+            for a in range(num_classes(c)):
+                members = np.flatnonzero(c == a)
+                for b in range(num_classes(c)):
+                    counts = g.adj[np.ix_(members, np.flatnonzero(c == b))].sum(axis=1)
                     assert len(set(counts.tolist())) == 1
 
     @pytest.mark.parametrize("case", range(12))
@@ -376,20 +378,19 @@ class TestRefine:
             g = random_graph(rng, int(rng.integers(40, 140)), rng.uniform(0.03, 0.5))
             colors = rng.integers(0, 3, g.n).astype(np.int32)
             colors = np.unique(colors, return_inverse=True)[1].astype(np.int32)
-        initial = Coloring(colors, int(colors.max()) + 1)
-        got = refine(g, initial)
-        assert same_partition(got.colors, naive_equitable(g, initial.colors))
-        assert got.num_classes == len(set(got.colors.tolist()))
+        got = refine(g, colors)
+        assert same_partition(got, naive_equitable(g, colors))
+        assert num_classes(got) == len(set(got.tolist()))
 
     def test_expired_deadline_stops_root_refinement(self):
         # a path needs about n/2 splitter passes to refine from one class
         g = path_graph(3000)
         solver = _Solver(g, budget=1.0, deadline=time.monotonic() - 1.0)
         with pytest.raises(Timeout):
-            solver.run(trivial_coloring(g.n))
+            solver.run()
         assert solver.refiner.refinements <= 1
         assert solver.nodes == 0
-        assert refine(g, trivial_coloring(g.n)).num_classes == 1500
+        assert num_classes(refine(g, np.zeros(g.n, dtype=int))) == 1500
 
 
 # the first splitter's size: one row, two rows, and the packed popcount
@@ -420,31 +421,30 @@ def refine_cases(draw, splitter):
     colors = rng.integers(1, 1 + draw(st.integers(1, 4)), n)
     colors[rng.permutation(n)[: SPLITTER_SIZES[splitter](n)]] = 0
     colors = np.unique(colors, return_inverse=True)[1].astype(np.int32)
-    num_classes = int(colors.max()) + 1
-    rest = rng.permutation(np.arange(1, num_classes))
+    rest = rng.permutation(np.arange(1, num_classes(colors)))
     queue = [0] + rest[: draw(st.integers(0, len(rest)))].tolist()
-    return g, Coloring(colors, num_classes), queue, draw(st.integers(0, (1 << 64) - 1))
+    return g, colors, queue, draw(st.integers(0, (1 << 64) - 1))
 
 
 def assert_refines_like_reference(g, initial, queue, trace):
     """Refine with both refiners, then individualize one vertex of a
     non-singleton cell and refine again; everything must agree."""
     ref, new = CountingReference(g), _Refiner(g)
-    colors, num_classes = initial.colors.copy(), initial.num_classes
+    colors, classes = initial.copy(), num_classes(initial)
     cells = _Cells.of(initial)
     for _ in range(2):
-        num_classes, want = ref.refine(colors, num_classes, queue, trace)
+        classes, want = ref.refine(colors, classes, queue, trace)
         got = new.refine(cells, queue, trace)
         assert np.array_equal(cells.colors, colors)
-        assert (cells.num_classes, got) == (num_classes, want)
+        assert (cells.num_classes, got) == (classes, want)
         assert (new.refinements, new.splits) == (ref.refinements, ref.splits)
         check_layout(cells)
-        if num_classes == g.n:
+        if classes == g.n:
             break
-        v = int(cells.members(int(np.argmax(cells.size[:num_classes])))[0])
+        v = int(cells.members(int(np.argmax(cells.size[:classes])))[0])
         assert cells.individualize(v) == colors[v]
-        colors[v] = num_classes
-        queue, trace, num_classes = [num_classes], got, num_classes + 1
+        colors[v] = classes
+        queue, trace, classes = [classes], got, classes + 1
     return ref.sizes
 
 
@@ -464,13 +464,13 @@ class TestReferenceRefiner:
 FIRST_TRACES = """
 import json, math
 import numpy as np
-from rank3.autsolve import _Solver, trivial_coloring
+from rank3.autsolve import _Solver
 from rank3.families import family_graph, parse_descriptor
 from rank3.graphs import DenseGraph
 g = family_graph(parse_descriptor("vls:64:3"))
 perm = np.random.default_rng(3).permutation(g.n)
 solver = _Solver(DenseGraph(g.adj[np.ix_(perm, perm)]), 60.0, math.inf)
-solver.run(trivial_coloring(g.n))
+solver.run()
 print(json.dumps(solver.first_traces))
 """
 
@@ -487,7 +487,7 @@ class TestTraceInvariance:
             n = int(rng.integers(12, 60))
             g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
             (gc, gt), (hc, ht) = (
-                _Solver(x, 60.0, math.inf).root(trivial_coloring(n))
+                _Solver(x, 60.0, math.inf).root()
                 for x in (g, relabelled(g, trial))
             )
             assert gt == ht, f"trial {trial}"
@@ -511,14 +511,14 @@ class TestTraceInvariance:
 
 class TestBruteForce:
     def test_triangle(self):
-        g = DenseGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        g = from_edges(3, [(0, 1), (1, 2), (0, 2)])
         assert len(brute_force_aut(g)) == 6
 
     def test_path3(self):
         assert len(brute_force_aut(path_graph(3))) == 2
 
     def test_cycle_plus_isolate(self):
-        g = DenseGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+        g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         assert len(brute_force_aut(g)) == 10
 
     def test_too_large(self):
@@ -548,7 +548,7 @@ class TestAutomorphismGroup:
         assert automorphism_group(g).order == order
 
     def test_two_triangles(self):
-        g = DenseGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        g = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert automorphism_group(g).order == 72  # (S3 x S3) : 2
 
     def test_paley9(self):
@@ -898,23 +898,23 @@ class TestIsomorphism:
 
     def test_refinement_signature_mismatch(self):
         # same degree multiset, different refinement behaviour
-        g = DenseGraph.from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
-        h = DenseGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        g = from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+        h = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)])
         with pytest.raises(NotIsomorphic):
             are_isomorphic(g, h)
 
     def test_cycle_vs_two_triangles(self):
         # both 2-regular; the component decomposition tells them apart
         g = cycle_graph(6)
-        h = DenseGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        h = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         with pytest.raises(NotIsomorphic) as exc:
             are_isomorphic(g, h)
         assert "component" in exc.value.invariant
 
     def test_k33_vs_prism(self):
         # both connected and 3-regular: only the search itself can tell
-        k33 = DenseGraph.from_edges(6, [(i, j + 3) for i in range(3) for j in range(3)])
-        prism = DenseGraph.from_edges(
+        k33 = from_edges(6, [(i, j + 3) for i in range(3) for j in range(3)])
+        prism = from_edges(
             6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
         )
         with pytest.raises(NotIsomorphic) as exc:
@@ -924,13 +924,13 @@ class TestIsomorphism:
     def test_disconnected_matching(self):
         # 2K3 against itself with scrambled labels (crosses the components)
         h_edges = [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)]
-        g = DenseGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        h = DenseGraph.from_edges(6, h_edges)
+        g = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        h = from_edges(6, h_edges)
         m = are_isomorphic(g, h)
         assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
 
     def test_isolated_vertex_plus_component(self):
-        g = DenseGraph.from_edges(5, [(0, 3), (0, 4), (2, 4), (3, 4)])
+        g = from_edges(5, [(0, 3), (0, 4), (2, 4), (3, 4)])
         sigma = np.array([4, 3, 2, 0, 1])
         h = DenseGraph(g.adj[np.ix_(sigma, sigma)])
         m = are_isomorphic(g, h)

@@ -5,13 +5,20 @@ import json
 import re
 from pathlib import Path
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from rank3.catalog import builtin_catalog, entry_to_dict
 from rank3.cli import main
 from rank3.families import family_graph, parse_descriptor, sl23_with_scalars_spec
-from rank3.graphs import from_graph6
-from rank3.permgrp import write_matrix_spec
+from rank3.permgrp import format_matrix_spec
+
+
+def adjacency_of_graph6(text: str) -> np.ndarray:
+    """Decoded by networkx, independently of the package's encoder."""
+    gx = nx.from_graph6_bytes(text.strip().encode())
+    return nx.to_numpy_array(gx, nodelist=range(len(gx)), dtype=bool)
 
 
 def run(capsys, *argv):
@@ -52,16 +59,16 @@ class TestConstruct:
     def test_prints_graph6(self, capsys):
         code, out, _ = run(capsys, "construct", "paley:13")
         assert code == 0
-        g = from_graph6(out.strip())
-        assert g == family_graph(parse_descriptor("paley:13"))
+        adj = adjacency_of_graph6(out)
+        assert np.array_equal(adj, family_graph(parse_descriptor("paley:13")).adj)
 
     def test_writes_graph6_file(self, capsys, tmp_path):
         path = tmp_path / "g.g6"
         code, out, _ = run(capsys, "construct", "vls:16:3", "--graph6", str(path))
         assert code == 0
         assert str(path) in out
-        g = from_graph6(path.read_text())
-        assert g.n == 16
+        adj = adjacency_of_graph6(path.read_text())
+        assert np.array_equal(adj, family_graph(parse_descriptor("vls:16:3")).adj)
 
     def test_bad_descriptor_usage_error(self, capsys):
         code, _, err = run(capsys, "construct", "nosuch:5")
@@ -111,7 +118,7 @@ class TestIso:
 class TestRank:
     def test_affine_rank_and_subdegrees(self, capsys, tmp_path):
         path = tmp_path / "spec.txt"
-        write_matrix_spec(sl23_with_scalars_spec(7), path)
+        path.write_text(format_matrix_spec(sl23_with_scalars_spec(7)))
         code, out, _ = run(capsys, "rank", str(path))
         assert code == 0
         assert out.strip() == "rank 3, subdegrees 24, 24"
@@ -136,6 +143,18 @@ class TestRank:
         assert code == 2
         assert out == ""
         assert "error" in err and "not prime" in err
+
+    # "2 30" would act on 2**30 vectors (an 8 GiB image array), "2 0" on none
+    @pytest.mark.parametrize("head", ["2 30", "2 0"], ids=["too-large", "zero-dimension"])
+    @pytest.mark.parametrize("command", ["rank", "params"])
+    def test_unbounded_spec_usage_error(self, capsys, tmp_path, head, command):
+        path = tmp_path / "spec.txt"
+        path.write_text(f"{head}\n")
+        arg = str(path) if command == "rank" else f"orbital:{path}"
+        code, out, err = run(capsys, command, arg)
+        assert code == 2
+        assert out == ""
+        assert "error" in err and "d >= 1 and p**d <= 65536" in err
 
 
 class TestVerify:

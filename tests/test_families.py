@@ -17,7 +17,6 @@ from rank3.families import (
     affine_polar,
     affine_polar_group,
     alternating_forms,
-    alternating_forms_group,
     bilinear_forms,
     bilinear_forms_group,
     cayley_graph,
@@ -48,13 +47,18 @@ def srg(g):
 from rank3.permgrp import (
     GeneratorSet,
     MatrixGroupSpec,
-    affine_perms,
+    format_matrix_spec,
     linear_perms,
     rank_and_subdegrees,
     schreier_sims,
     stabilizer_rank,
-    write_matrix_spec,
+    with_translations,
 )
+
+
+def affine(spec):
+    """V:<spec> on the p**d vectors: the translations and the linear maps."""
+    return with_translations(linear_perms(spec), (spec.p,) * spec.d)
 
 
 def digit_rows(n, p, dim):
@@ -82,7 +86,7 @@ def assert_translation_invariant(g, p, dim, seed=7):
 class TestCayleyGraph:
     def test_pentagon(self):
         g = cayley_graph(5, 1, [1, 4])
-        edges = {(u, v) for u in range(5) for v in range(u + 1, 5) if g.has_edge(u, v)}
+        edges = {(u, v) for u in range(5) for v in range(u + 1, 5) if g.adj[u, v]}
         assert edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
         assert g == paley(5)
 
@@ -270,15 +274,15 @@ class TestAffinePolar:
     def test_group_orders_and_ranks(self):
         spec = affine_polar_group(2, 2, -1)
         assert schreier_sims(linear_perms(spec)).order == 120
-        assert rank_and_subdegrees(affine_perms(spec)) == (3, [5, 10])
+        assert rank_and_subdegrees(affine(spec)) == (3, [5, 10])
         spec = affine_polar_group(2, 3, 1)
         assert schreier_sims(linear_perms(spec)).order == 2304
-        assert rank_and_subdegrees(affine_perms(spec)) == (3, [32, 48])
+        assert rank_and_subdegrees(affine(spec)) == (3, [32, 48])
 
     def test_group_minus_6_2(self):
         spec = affine_polar_group(3, 2, -1)
         assert schreier_sims(linear_perms(spec)).order == 51840
-        assert rank_and_subdegrees(affine_perms(spec)) == (3, [27, 36])
+        assert rank_and_subdegrees(affine(spec)) == (3, [27, 36])
 
     def test_group_plus_8_2_full_order(self):
         # stopped at a lower bound; the full Schreier-Sims is the oracle.
@@ -336,11 +340,11 @@ class TestBilinearForms:
             bilinear_forms(3, 4)  # 3**8 vertices exceed the cap
 
     def test_group_ranks(self):
-        assert rank_and_subdegrees(affine_perms(bilinear_forms_group(2, 3))) == (
+        assert rank_and_subdegrees(family_group(parse_descriptor("hq:2:3"))) == (
             3,
             [21, 42],
         )
-        assert rank_and_subdegrees(affine_perms(bilinear_forms_group(3, 3))) == (
+        assert rank_and_subdegrees(family_group(parse_descriptor("hq:3:3"))) == (
             3,
             [104, 624],
         )
@@ -375,7 +379,7 @@ class TestAlternatingForms:
             alternating_forms(5, 3)
 
     def test_group_rank(self):
-        assert rank_and_subdegrees(affine_perms(alternating_forms_group())) == (
+        assert rank_and_subdegrees(family_group(parse_descriptor("a52"))) == (
             3,
             [155, 868],
         )
@@ -415,7 +419,7 @@ class TestAffineOrbitalGraph:
         spec = quaternion_normalizer_spec(13)
         g = affine_orbital_graph(spec)
         assert srg(g) == ((169, 72, 31, 30))
-        assert rank_and_subdegrees(affine_perms(spec)) == (3, [72, 96])
+        assert rank_and_subdegrees(affine(spec)) == (3, [72, 96])
 
     def test_quaternion_normalizer_7_is_transitive(self):
         with pytest.raises(WrongOrbitCount) as exc:
@@ -462,19 +466,19 @@ class TestAffineOrbitalGraph:
         )
         g = affine_orbital_graph(spec)
         assert srg(g) == ((49, 24, 11, 12))
-        assert rank_and_subdegrees(affine_perms(spec)) == (3, [24, 24])
+        assert rank_and_subdegrees(affine(spec)) == (3, [24, 24])
 
     @pytest.mark.slow
     def test_sl25_41(self):
         spec = sl25_with_scalars_spec(41)
         g = affine_orbital_graph(spec)
         assert srg(g) == ((1681, 480, 149, 132))
-        assert rank_and_subdegrees(affine_perms(spec)) == (3, [480, 1200])
+        assert rank_and_subdegrees(affine(spec)) == (3, [480, 1200])
 
     def test_spec_file_round_trip(self, tmp_path):
         spec = MatrixGroupSpec(13, 1, (((4,),),))
         path = tmp_path / "squares13.txt"
-        write_matrix_spec(spec, path)
+        path.write_text(format_matrix_spec(spec))
         fid = parse_descriptor(f"orbital:{path}")
         assert fid.params[0] == "file"
         assert family_graph(fid) == paley(13)

@@ -1,5 +1,5 @@
 """Tests for rank3.graphs: SRG analytics against hand-checked graphs and
-graph6 round-trips cross-checked against networkx."""
+graph6 output decoded by networkx."""
 
 import math
 import tracemalloc
@@ -13,11 +13,8 @@ from rank3.graphs import (
     Degenerate,
     DenseGraph,
     NotStronglyRegular,
-    SameVertex,
     _circulant_blocks,
-    common_neighbours,
     complement,
-    from_graph6,
     is_isomorphism,
     is_linear_automorphism,
     srg_params,
@@ -34,13 +31,26 @@ from rank3.permgrp import (
 )
 
 
+def from_edges(n: int, edges) -> DenseGraph:
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return DenseGraph(adj)
+
+
+def from_graph6(text: str) -> DenseGraph:
+    """Decoded by networkx, independently of the package's encoder."""
+    gx = nx.from_graph6_bytes(text.strip().encode())
+    return DenseGraph(nx.to_numpy_array(gx, nodelist=range(len(gx)), dtype=bool))
+
+
 def cycle(n: int) -> DenseGraph:
-    return DenseGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def petersen() -> DenseGraph:
     g = nx.petersen_graph()
-    return DenseGraph.from_edges(10, g.edges())
+    return from_edges(10, g.edges())
 
 
 def test_pentagon_is_srg_5_2_0_1():
@@ -61,11 +71,11 @@ def test_hexagon_rejected_with_witness():
     # distance-2 and distance-3 nonadjacent pairs disagree (1 vs 0 common nbrs)
     assert kind == "nonadjacent"
     assert {observed, expected} == {0, 1}
-    assert not cycle(6).has_edge(u, v)
+    assert not cycle(6).adj[u, v]
 
 
 def test_irregular_graph_rejected():
-    g = DenseGraph.from_edges(4, [(0, 1), (1, 2)])
+    g = from_edges(4, [(0, 1), (1, 2)])
     with pytest.raises(NotStronglyRegular) as e:
         srg_params(g)
     assert e.value.witness[2] == "degree"
@@ -74,7 +84,7 @@ def test_irregular_graph_rejected():
 def test_irregular_graph_without_moduli_keeps_degree_witness(monkeypatch):
     # C5 plus the chord 1-3: vertex 0 looks regular, vertex 1 does not; only
     # the every-row degree check of a graph without moduli can see it
-    g = DenseGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
+    g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
     calls = []
     degrees = DenseGraph.degrees
     monkeypatch.setattr(DenseGraph, "degrees", lambda self: calls.append(1) or degrees(self))
@@ -92,26 +102,20 @@ def test_complete_and_empty_are_degenerate():
         srg_params(DenseGraph(complete))
 
 
-def test_common_neighbours_pentagon():
-    g = cycle(5)
-    assert common_neighbours(g, 0, 1) == 0  # adjacent: lambda = 0
-    assert common_neighbours(g, 0, 2) == 1  # nonadjacent: mu = 1
-    with pytest.raises(SameVertex):
-        common_neighbours(g, 3, 3)
-
-
-def test_common_neighbours_k4():
-    k4 = DenseGraph(~np.eye(4, dtype=bool))
-    assert common_neighbours(k4, 0, 1) == 2
-
-
 def test_complement_involution_and_params():
     g = petersen()
     assert complement(complement(g)) == g
     p = srg_params(g)
     pc = srg_params(complement(g))
-    assert pc == p.complement_params()
+    assert (pc.n, pc.k, pc.lam, pc.mu) == (10, 6, 3, 4)
+    assert pc == complement_params(p)
     assert pc.feasible()
+
+
+def complement_params(p):
+    """The parameters of the complement of an srg(n, k, lambda, mu)."""
+    n, k = p.n, p.k
+    return type(p)(n, n - k - 1, n - 2 * k + p.mu - 2, n - 2 * k + p.lam)
 
 
 def test_complement_of_empty_is_complete():
@@ -142,12 +146,12 @@ def test_graph6_against_networkx_petersen():
     ours = to_graph6(g)
     theirs = nx.to_graph6_bytes(nx.petersen_graph(), header=False).decode().strip()
     assert ours == theirs
-    assert from_graph6(theirs) == g
+    assert from_graph6(ours) == g
 
 
 def test_graph6_large_n_header():
     # n = 63 needs the 0x7E + 3-char size field
-    g = DenseGraph.from_edges(63, [(0, 1), (10, 62)])
+    g = from_edges(63, [(0, 1), (10, 62)])
     s = to_graph6(g)
     assert s[0] == chr(126)
     assert from_graph6(s) == g
@@ -166,9 +170,6 @@ def test_graph6_round_trip_random(n, seed):
     adj = adj | adj.T
     g = DenseGraph(adj)
     assert from_graph6(to_graph6(g)) == g
-    gx = nx.from_graph6_bytes(to_graph6(g).encode())
-    assert nx.number_of_nodes(gx) == n
-    assert nx.number_of_edges(gx) == g.edge_count()
 
 
 @settings(max_examples=40)
@@ -184,16 +185,15 @@ def test_complement_involution_random(n, seed):
 
 
 def test_common_neighbours_matches_naive_counting():
+    # srg_params and the refiner count common neighbours by AND + popcount
+    # over the packed rows; every pair against the boolean rows
     rng = np.random.default_rng(7)
-    adj = rng.random((20, 20)) < 0.3
-    adj = np.triu(adj, 1)
-    g = DenseGraph(adj | adj.T)
-    for u in range(0, 20, 3):
-        for v in range(1, 20, 4):
-            if u == v:
-                continue
-            naive = int(np.sum(g.adj[u] & g.adj[v]))
-            assert common_neighbours(g, u, v) == naive
+    for n in (20, 64, 65, 130):
+        adj = np.triu(rng.random((n, n)) < 0.3, 1)
+        g = DenseGraph(adj | adj.T)
+        packed = np.bitwise_count(g._packed[:, None, :] & g._packed[None, :, :]).sum(axis=2)
+        naive = g.adj.astype(np.int64) @ g.adj.astype(np.int64)
+        assert np.array_equal(packed, naive)
 
 
 def random_graph(n: int, rng) -> DenseGraph:
@@ -247,19 +247,25 @@ def test_unit_translations_are_mixed_radix_increments():
 
 
 def test_false_moduli_rejected():
-    # C_7 relabelled by swapping 1 and 2 is still a 7-cycle, but i -> i + 1
-    # is no longer an automorphism of the matrix
+    # moduli come only with from_row0, whose matrix is circulant by
+    # construction: a matrix cannot be handed moduli, and C_7 relabelled by
+    # swapping 1 and 2 (still a 7-cycle, but i -> i + 1 is no longer an
+    # automorphism of the matrix) has a row 0 that is no circulant's
     sigma = np.arange(7)
     sigma[[1, 2]] = [2, 1]
     c7 = relabelled(cycle(7), sigma)
-    with pytest.raises(ValueError, match="not an automorphism"):
+    with pytest.raises(TypeError):
         DenseGraph(c7.adj, (7,))
+    assert DenseGraph(c7.adj).moduli is None
+    with pytest.raises(ValueError, match="not symmetric"):
+        DenseGraph.from_row0(c7.adj[0], (7,))
     # the Petersen graph is vertex-transitive but not a Cayley graph
-    with pytest.raises(ValueError, match="not an automorphism"):
-        DenseGraph(petersen().adj, (10,))
+    with pytest.raises(ValueError, match="not symmetric"):
+        DenseGraph.from_row0(petersen().adj[0], (10,))
     with pytest.raises(ValueError, match="multiply"):
-        DenseGraph(cycle(6).adj, (2, 2))
-    assert DenseGraph(cycle(7).adj, (7,)).moduli == (7,)
+        DenseGraph.from_row0(cycle(6).adj[0], (2, 2))
+    g = DenseGraph.from_row0(cycle(7).adj[0], (7,))
+    assert g == cycle(7) and g.moduli == (7,)
 
 
 def circulant(row0: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
@@ -283,53 +289,47 @@ def negation(moduli: tuple[int, ...]) -> np.ndarray:
 CERTIFIED_MODULI = [(2, 3), (3, 2, 2), (4,), (2,) * 5, (5, 5), (6,)]
 
 
+def translation(x: int, moduli: tuple[int, ...]) -> np.ndarray:
+    """The image array of y -> y + x, digit by digit."""
+    n = int(np.prod(moduli))
+    return np.argsort(circulant(np.arange(n), moduli)[x])
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(CERTIFIED_MODULI), st.data())
 def test_certificate_agrees_with_unit_translations(moduli, data):
-    # the circulant certificate against the per-translation check it
-    # replaces: DenseGraph(adj, moduli) is accepted exactly when adj is
-    # symmetric, loop-free and every unit translation is an automorphism
+    # from_row0 accepts row 0 exactly when it is symmetric and loop-free,
+    # and then builds the pair-by-pair circulant: a matrix on which every
+    # unit translation is an automorphism by the n^2 check
     n = int(np.prod(moduli))
     row0 = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     if data.draw(st.booleans()):  # a valid row 0: symmetric, no loop
         row0 |= row0[negation(moduli)]
         row0[0] = False
-    adj = circulant(row0, moduli)
-    valid_row0 = not row0[0] and np.array_equal(row0[negation(moduli)], row0)
-    if valid_row0:
-        assert np.array_equal(DenseGraph.from_row0(row0, moduli).adj, adj)
-    else:
+    if row0[0] or not np.array_equal(row0[negation(moduli)], row0):
         with pytest.raises(ValueError):
             DenseGraph.from_row0(row0, moduli)
-    if data.draw(st.booleans()):  # break invariance at one symmetric pair
-        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        adj[a, b] = adj[b, a] = not adj[a, b]
-    expected = np.array_equal(adj, adj.T) and not adj.diagonal().any()
-    if expected:
-        bare = DenseGraph(adj)
-        expected = all(is_isomorphism(bare, bare, t) for t in unit_translations(moduli))
-    try:
-        g = DenseGraph(adj, moduli)
-    except ValueError:
-        assert not expected
-    else:
-        assert expected and g.moduli == moduli
+        return
+    g = DenseGraph.from_row0(row0, moduli)
+    assert np.array_equal(g.adj, circulant(row0, moduli)) and g.moduli == moduli
+    bare = DenseGraph(g.adj)
+    assert all(is_isomorphism(bare, bare, t) for t in unit_translations(moduli))
 
 
 @pytest.mark.parametrize("moduli", [(5, 5), (2,) * 6, (13,), (7, 2), (3, 4, 5), (50, 2), (2, 50)])
 def test_certificate_reaches_the_last_row(moduli):
-    # one entry off in the last row of the last band: the translation by
-    # vertex n - 1 maps (0, y - (n - 1)) to (n - 1, y) and is the witness
+    # the construction is the certificate: its bands reach the last row of
+    # the last band, which is row 0 translated by vertex n - 1, and that
+    # translation is an automorphism of the built matrix
     n = int(np.prod(moduli))
     rng = np.random.default_rng(n)
     row0 = rng.random(n) < 0.5
     row0 |= row0[negation(moduli)]
     row0[0] = False
-    adj = circulant(row0, moduli)
-    assert DenseGraph(adj, moduli).moduli == moduli
-    adj[n - 1, n - 2] = not adj[n - 1, n - 2]
-    with pytest.raises(ValueError, match=f"vertex {n - 1} of moduli .* not an automorphism"):
-        DenseGraph(adj, moduli)
+    g = DenseGraph.from_row0(row0, moduli)
+    assert np.array_equal(g.adj, circulant(row0, moduli))
+    assert np.array_equal(g.adj[n - 1][translation(n - 1, moduli)], row0)
+    assert is_isomorphism(g, g, translation(n - 1, moduli))
 
 
 @pytest.mark.parametrize("moduli", [(1000, 2), (2, 1000), (2000,), (10, 200), (2,) * 11])
@@ -354,13 +354,13 @@ def test_invariant_matrix_must_be_symmetric_and_loop_free():
     row0 = np.zeros(7, dtype=bool)
     row0[1] = True
     with pytest.raises(ValueError, match="not symmetric"):
-        DenseGraph(circulant(row0, (7,)), (7,))
+        DenseGraph(circulant(row0, (7,)))
     with pytest.raises(ValueError, match="not symmetric"):
         DenseGraph.from_row0(row0, (7,))
     # every vertex with a loop, and otherwise the undirected 7-cycle
     row0[[0, 6]] = True
     with pytest.raises(ValueError, match="loop"):
-        DenseGraph(circulant(row0, (7,)), (7,))
+        DenseGraph(circulant(row0, (7,)))
     with pytest.raises(ValueError, match="loop"):
         DenseGraph.from_row0(row0, (7,))
 
@@ -379,8 +379,9 @@ def test_complement_keeps_moduli():
     g = cayley_graph(3, 2, [1, 2, 3, 6])
     co = complement(g)
     assert co.moduli == (3, 3)
+    assert co == complement(DenseGraph(g.adj))
     assert srg_params(co) == srg_params(DenseGraph(co.adj))
-    assert srg_params(co) == srg_params(g).complement_params()
+    assert srg_params(co) == complement_params(srg_params(g))
 
 
 # -- the row-0 test for linear automorphisms ---------------------------------------

@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 from rank3.families import (
     BadCongruence,
     binary_icosahedral_spec,
+    family_group,
+    parse_descriptor,
     quaternion_normalizer_spec,
 )
 from rank3.gf import DoesNotDivide, make_field
@@ -38,7 +40,6 @@ from rank3.permgrp import (
     MatrixGroupSpec,
     NotTransitive,
     SingularGenerator,
-    affine_perms,
     central_product_with_scalars,
     format_matrix_spec,
     linear_perms,
@@ -50,11 +51,15 @@ from rank3.permgrp import (
     reaches_order,
     read_matrix_spec,
     schreier_sims,
-    semilinear_perms,
     semilinear_stabilizer_perms,
-    write_matrix_spec,
+    with_translations,
 )
 from rank3.permgrp import _invert_img, _Level, _extend_orbit, _transversal_img
+
+
+def affine(spec):
+    """V:<spec> on the p**d vectors: the translations and the linear maps."""
+    return with_translations(linear_perms(spec), (spec.p,) * spec.d)
 
 
 def perm(n, *cycles):
@@ -321,7 +326,7 @@ def test_proper_subgroup_never_reaches_the_group_order():
 
 
 def test_reaches_order_leaves_the_global_rng_alone():
-    gs = semilinear_perms(make_field(3, 2), 2, include_frobenius=True)
+    gs = family_group(parse_descriptor("paley:9"))
     answers = []
     for seed in (1, 2):
         np.random.seed(seed)
@@ -332,7 +337,6 @@ def test_reaches_order_leaves_the_global_rng_alone():
 
 
 def test_orders_match_brute_force_closure():
-    f9 = make_field(3, 2)
     corpus = {
         "cyclic6": GeneratorSet(6, (perm(6, (0, 1, 2, 3, 4, 5)),)),
         "square": GeneratorSet(
@@ -340,7 +344,7 @@ def test_orders_match_brute_force_closure():
         ),
         "alt4": GeneratorSet(4, (perm(4, (0, 1, 2)), perm(4, (1, 2, 3)))),
         "sym5": sym_gens(5),
-        "affine9": semilinear_perms(f9, 2, include_frobenius=True),
+        "affine9": family_group(parse_descriptor("paley:9")),
     }
     for name, gs in corpus.items():
         bsgs = schreier_sims(gs)
@@ -388,19 +392,18 @@ def test_rank_of_symmetric_group_is_two():
 
 def test_rank_of_regular_translation_group():
     spec = MatrixGroupSpec(2, 2, (np.eye(2, dtype=np.int64),))
-    gs = affine_perms(spec)
+    gs = affine(spec)
     assert schreier_sims(gs).order == 4
     assert rank_and_subdegrees(gs) == (4, [1, 1, 1])
 
 
 def test_rank_affine_semilinear_groups():
-    f13 = make_field(13, 1)
-    gs = semilinear_perms(f13, 2, include_frobenius=True)
+    # x -> omega^e x and the Frobenius map, with the translations
+    gs = family_group(parse_descriptor("paley:13"))
     assert schreier_sims(gs).order == 13 * 6
     assert rank_and_subdegrees(gs) == (3, [6, 6])
 
-    f16 = make_field(2, 4)
-    gs16 = semilinear_perms(f16, 3, include_frobenius=True)
+    gs16 = family_group(parse_descriptor("vls:16:3"))
     assert schreier_sims(gs16).order == 16 * 5 * 4
     assert rank_and_subdegrees(gs16) == (3, [5, 10])
 
@@ -408,8 +411,7 @@ def test_rank_affine_semilinear_groups():
 def test_rank_twisted_power_map_group():
     # x -> omega^4 x and x -> omega x^3 on GF(81): both vector orbits have
     # size 40 and the affine closure has order 81 * 80
-    f81 = make_field(3, 4)
-    gs = semilinear_perms(f81, 4, include_frobenius=True, twist=1)
+    gs = family_group(parse_descriptor("peisert:81"))
     assert schreier_sims(gs).order == 81 * 80
     assert rank_and_subdegrees(gs) == (3, [40, 40])
 
@@ -444,6 +446,18 @@ def test_matrix_spec_shape_checked():
         MatrixGroupSpec(3, 2, (np.eye(3, dtype=np.int64),))
 
 
+@pytest.mark.parametrize("p, d", [(2, 0), (2, -1), (2, 17), (257, 2), (3, 11), (2, 10**9)])
+def test_matrix_spec_size_bounded(p, d):
+    # the group acts on all p**d vectors, at most 2**16 of them as in gf
+    with pytest.raises(ValueError, match=r"d >= 1 and p\*\*d <= 65536"):
+        MatrixGroupSpec(p, d, ())
+
+
+def test_matrix_spec_size_bound_is_inclusive():
+    assert MatrixGroupSpec(2, 16, ()).d == 16
+    assert MatrixGroupSpec(251, 2, ()).p == 251
+
+
 def test_multiplication_by_generator_matches_companion_matrix():
     # multiplication by omega on GF(9) = GF(3)[x]/(x^2 + x + 2), written as a
     # 2x2 matrix over GF(3) in the power-basis coordinates
@@ -457,7 +471,7 @@ def test_multiplication_by_generator_matches_companion_matrix():
 def test_gl2_of_gf2_affine_action():
     spec = MatrixGroupSpec(2, 2, (np.array([[1, 1], [0, 1]]), np.array([[0, 1], [1, 0]])))
     assert schreier_sims(linear_perms(spec)).order == 6
-    gs = affine_perms(spec)
+    gs = affine(spec)
     assert schreier_sims(gs).order == 24
     assert rank_and_subdegrees(gs) == (2, [3])
 
@@ -466,7 +480,7 @@ def test_affine_gl2_3_order():
     spec = MatrixGroupSpec(
         3, 2, (np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]), np.diag([2, 1]))
     )
-    assert schreier_sims(affine_perms(spec)).order == 9 * 48
+    assert schreier_sims(affine(spec)).order == 9 * 48
 
 
 def order(spec):
@@ -478,7 +492,7 @@ def test_quaternion_normalizer_mod_7_is_transitive():
     # orbit on the 48 nonzero vectors, so its affine closure is 2-transitive
     spec = quaternion_normalizer_spec(7)
     assert order(spec) == 144
-    assert rank_and_subdegrees(affine_perms(spec)) == (2, [48])
+    assert rank_and_subdegrees(affine(spec)) == (2, [48])
 
 
 def test_quaternion_with_cycler_and_scalar_mod_7_splits_evenly():
@@ -491,13 +505,13 @@ def test_quaternion_with_cycler_and_scalar_mod_7_splits_evenly():
     gens = (x, y, s, 2 * np.eye(2, dtype=np.int64))
     spec = MatrixGroupSpec(7, 2, gens)
     assert order(spec) == 72
-    assert rank_and_subdegrees(affine_perms(spec)) == (3, [24, 24])
+    assert rank_and_subdegrees(affine(spec)) == (3, [24, 24])
 
 
 def test_quaternion_normalizer_mod_13_has_rank_3():
     spec = quaternion_normalizer_spec(13)
     assert order(spec) == 288
-    assert rank_and_subdegrees(affine_perms(spec)) == (3, [72, 96])
+    assert rank_and_subdegrees(affine(spec)) == (3, [72, 96])
 
 
 def test_quaternion_normalizer_mod_23_is_transitive():
@@ -505,14 +519,14 @@ def test_quaternion_normalizer_mod_23_is_transitive():
     # from the index-2 subgroup with a scalar of order 11
     spec = quaternion_normalizer_spec(23)
     assert order(spec) == 528
-    assert rank_and_subdegrees(affine_perms(spec)) == (2, [528])
+    assert rank_and_subdegrees(affine(spec)) == (2, [528])
     x = np.array([[0, 22], [1, 0]])
     y = np.array([[2, 8], [8, 21]])
     s = cube_cycler(23, 2, 8)
     gens = (x, y, s, 2 * np.eye(2, dtype=np.int64))  # 2 has order 11 mod 23
     spec264 = MatrixGroupSpec(23, 2, gens)
     assert order(spec264) == 264
-    assert rank_and_subdegrees(affine_perms(spec264)) == (3, [264, 264])
+    assert rank_and_subdegrees(affine(spec264)) == (3, [264, 264])
 
 
 def test_quaternion_normalizer_beyond_a_gl2_scan():
@@ -534,7 +548,7 @@ def test_sl25_orders(p):
 
 def test_sl25_search_mod_41():
     big = central_product_with_scalars(41, binary_icosahedral_spec(41), 40)
-    gs = affine_perms(big)
+    gs = affine(big)
     assert rank_and_subdegrees(gs) == (3, [480, 1200])
     assert schreier_sims(gs).order == 41**2 * 2400
 
@@ -542,7 +556,7 @@ def test_sl25_search_mod_41():
 def test_sl25_search_mod_31():
     big = central_product_with_scalars(31, binary_icosahedral_spec(31), 15)
     assert order(big) == 1800
-    assert rank_and_subdegrees(affine_perms(big)) == (3, [360, 600])
+    assert rank_and_subdegrees(affine(big)) == (3, [360, 600])
 
 
 def test_sl25_search_fails_cleanly():
@@ -576,7 +590,7 @@ def test_matrix_spec_text_roundtrip(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(again.gens, spec.gens))
 
     path = tmp_path / "group.txt"
-    write_matrix_spec(spec, path)
+    path.write_text(format_matrix_spec(spec))
     again2 = read_matrix_spec(path)
     assert all(np.array_equal(a, b) for a, b in zip(again2.gens, spec.gens))
 
