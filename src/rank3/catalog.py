@@ -544,7 +544,7 @@ def _check_subdegrees(
     """Rank and subdegrees from the orbits of the family's zero-stabilizer
     ``stab``, and the edge set as one of its orbitals: N(0) must be one of
     those orbits, not merely have the size of one."""
-    valency = int(g.adj[0].sum())
+    valency = int(g.row0.sum())
     if valency != entry.subdegrees[0]:
         return StageOutcome(
             "mismatch",
@@ -566,7 +566,7 @@ def _check_subdegrees(
         return StageOutcome(
             "mismatch", f"zero-stabilizer orbit sizes {sizes} != {claimed}"
         )
-    nbrs = np.flatnonzero(g.adj[0])
+    nbrs = np.flatnonzero(g.row0)
     if not any(np.array_equal(o, nbrs) for o in orbits):
         return StageOutcome(
             "mismatch", "N(0) is not an orbit of the zero-stabilizer"
@@ -661,9 +661,12 @@ def verify_entry(
     Construction errors propagate (a catalog row that cannot build is a
     malformed row, not a verification outcome); Timeout in the solver stages
     downgrades the verdict instead.  PARAMS_ONLY rows skip the aut and iso
-    stages.  The construct timing covers building the graph.  `budget`
-    (seconds) is one deadline for the whole row, started at the aut stage:
-    aut and then every iso claim gets the time left, floored at 0.
+    stages.  The construct timing covers building the graph and checking
+    its row 0; a family graph builds its matrix on first read, which on
+    FULL and SLOW rows is the aut stage's search, so that build is timed
+    under aut.  `budget` (seconds) is one deadline for the whole row,
+    started at the aut stage: aut and then every iso claim gets the time
+    left, floored at 0.
     ValueError unless budget >= 0.
     """
     return _run_pipeline(entry, budget, seed, absorb_errors=False)

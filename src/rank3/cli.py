@@ -39,7 +39,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.graph6:
         with open(args.graph6, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"wrote {args.graph6}: n={g.n}, valency={int(g.adj[0].sum())}")
+        print(f"wrote {args.graph6}: n={g.n}, valency={int(g.row0.sum())}")
     else:
         print(text)
     return 0

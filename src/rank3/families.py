@@ -9,9 +9,10 @@ module ``gf``, and for a coordinate space over GF(q), q = p**d,
 concatenating the coordinates' coefficient vectors agrees with indexing by
 sum(coord_index_j * q**j).  A connection set is passed to cayley_graph as
 the vector indices of its members, and its indicator is row 0 of the
-adjacency matrix: DenseGraph.from_row0 builds the rest band by band from
-adj[x, y] = row0[y - x].  Each graph carries its translation moduli, which
-srg_params, the seeded Aut search and the row-0 automorphism test use.  The
+adjacency matrix: DenseGraph.from_row0 keeps it, and builds the rest band by
+band from adj[x, y] = row0[y - x] when the matrix is first read.  Each graph
+carries its translation moduli, which srg_params, the seeded Aut search and
+the row-0 automorphism test use.  The
 families differ only in how that connection set is cut out:
 
 * ``paley`` / ``peisert`` / ``van_lint_schrijver`` -- power-residue cosets in

@@ -1,23 +1,27 @@
 """Dense undirected graphs with strongly-regular-graph analytics.
 
-DenseGraph keeps the full n x n boolean adjacency matrix plus a row-packed
-uint64 view, so common-neighbour counts are word-wise AND + popcount.
+DenseGraph is an n x n boolean adjacency matrix plus a row-packed uint64
+view, so common-neighbour counts are word-wise AND + popcount.
 
 A graph may also carry ``moduli`` (m_1, ..., m_k): vertex i is the vector of
 its mixed-radix digits in Z_m1 x ... x Z_mk, and every translation of that
 group is an automorphism.  The one way to get such a graph is
-``DenseGraph.from_row0``, which builds the matrix adj[x, y] = adj[0, y - x],
-the difference taken digit by digit, one band of about sqrt(n) rows at a
-time (``_circulant_blocks``): the matrix is circulant by construction, so
-the translations need no check, and only row 0's loop and symmetry
-conditions are checked.  Every family graph in this package is made so.
+``DenseGraph.from_row0``: row 0, the indicator of the connection set
+S = N(0), is the graph, as adj[x, y] = row0[y - x] with the difference taken
+digit by digit.  Only row 0's loop and symmetry conditions are checked.  The
+matrix and its packed rows are built together by their first reader, one
+band of about sqrt(n) rows at a time (``_circulant_blocks``): circulant by
+construction, so the translations need no check.  Every family graph in this
+package is made so, and a stage that reads only row 0 (degrees, srg
+parameters, subdegrees, the row-0 automorphism test, the complement) never
+builds the matrix.
+
 The translations act regularly, so the pair (u, v) maps to (0, v - u) and
-|N(u) & N(v)| = |N(0) & N(v - u)|: vertex 0's row of common-neighbour counts
-holds every count of the graph (Brouwer & Van Maldeghem, "Strongly Regular
-Graphs", 2022, ch. 11).  srg_params therefore checks that one row, its
-degree and its counts, when the moduli are known and every row otherwise, on
-the same loop; a Cayley graph on 5041 vertices takes one popcount sweep
-instead of 5041, and no n^2 degree sum.
+|N(u) & N(v)| = |N(0) & N(v - u)|: the autocorrelation of row 0 over the
+group holds every common-neighbour count of the graph (Brouwer & Van
+Maldeghem, "Strongly Regular Graphs", 2022, ch. 11).  srg_params reads it
+off one FFT of row 0 when the moduli are known, and sweeps every row's
+packed popcounts otherwise, on the same witness rules.
 
 Output: the de-facto standard graph6 format (header-less variant).
 """
@@ -133,8 +137,10 @@ class DenseGraph:
 
     ``DenseGraph(adjacency)`` checks the matrix and carries no translations
     (``moduli`` is None): ValueError if it is not square, has a loop or is
-    not symmetric.  ``from_row0`` builds a graph that carries its
-    translation moduli (see the module docstring)."""
+    not symmetric.  ``from_row0`` makes a graph that carries its
+    translation moduli and builds its matrix on the first read of ``adj``
+    (see the module docstring).  ``row0`` is vertex 0's row, read-only, on
+    every graph with a vertex."""
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency, dtype=bool)
@@ -144,7 +150,10 @@ class DenseGraph:
             raise ValueError("adjacency has a loop (nonzero diagonal)")
         if not _is_symmetric(adj):
             raise ValueError("adjacency is not symmetric")
-        self._adopt(adj.copy(), None)
+        self.n = adj.shape[0]
+        self.moduli = None
+        self._matrix = _with_packed_rows(adj.copy())
+        self.row0 = self._matrix[0][0] if self.n else None
 
     @classmethod
     def from_row0(cls, row0: np.ndarray, moduli: tuple[int, ...]) -> "DenseGraph":
@@ -155,7 +164,7 @@ class DenseGraph:
         adj[y, x] = row0[-(y - x)]: ValueError if row0[0] is set (a loop), if
         row0[-z] != row0[z] for some z (not symmetric), or if the moduli do
         not multiply to len(row0)."""
-        row0 = np.asarray(row0, dtype=bool)
+        row0 = np.array(row0, dtype=bool)
         if row0.ndim != 1:
             raise ValueError(f"row 0 must be one-dimensional, got shape {row0.shape}")
         moduli = tuple(int(m) for m in moduli)
@@ -166,33 +175,38 @@ class DenseGraph:
         d, m, place = _radix(moduli)
         if not np.array_equal(row0[(-d % m * place).sum(axis=0)], row0):
             raise ValueError("adjacency is not symmetric")
-        adj = np.empty((row0.size, row0.size), dtype=bool)
-        for lo, block in _circulant_blocks(row0, moduli):
-            adj[lo : lo + len(block)] = block
+        row0.setflags(write=False)
         g = cls.__new__(cls)
-        g._adopt(adj, moduli)
+        g.n, g.moduli, g.row0, g._matrix = row0.size, moduli, row0, None
         return g
 
-    def _adopt(self, adj: np.ndarray, moduli: tuple[int, ...] | None) -> None:
-        """Take ownership of a checked matrix and derive the packed rows."""
-        adj.setflags(write=False)
-        self.adj = adj
-        self.n = adj.shape[0]
-        # row-packed bits, padded to whole uint64 words
-        nbytes = -(-self.n // 8)
-        packed8 = np.packbits(adj, axis=1)
-        pad = -(-nbytes // 8) * 8 - nbytes
-        if pad:
-            packed8 = np.hstack([packed8, np.zeros((self.n, pad), dtype=np.uint8)])
-        self._packed = packed8.view(np.uint64)
-        self._packed.setflags(write=False)
-        self.moduli = moduli
+    def _built(self) -> tuple[np.ndarray, np.ndarray]:
+        """(adj, packed rows), built from row 0 on the first call when the
+        graph came from from_row0."""
+        if self._matrix is None:
+            adj = np.empty((self.n, self.n), dtype=bool)
+            for lo, block in _circulant_blocks(self.row0, self.moduli):
+                adj[lo : lo + len(block)] = block
+            self._matrix = _with_packed_rows(adj)
+        return self._matrix
+
+    @property
+    def adj(self) -> np.ndarray:
+        """The n x n boolean adjacency matrix, read-only."""
+        return self._built()[0]
+
+    @property
+    def _packed(self) -> np.ndarray:
+        """The rows packed into uint64 words, padded with zero bits."""
+        return self._built()[1]
 
     def degrees(self) -> np.ndarray:
+        if self.moduli is not None:  # every row is a translate of row 0
+            return np.full(self.n, np.count_nonzero(self.row0))
         return self.adj.sum(axis=1)
 
     def edge_count(self) -> int:
-        return int(self.adj.sum()) // 2
+        return int(self.degrees().sum()) // 2
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DenseGraph) and np.array_equal(self.adj, other.adj)
@@ -202,6 +216,21 @@ class DenseGraph:
 
     def __repr__(self) -> str:
         return f"DenseGraph(n={self.n}, edges={self.edge_count()})"
+
+
+def _with_packed_rows(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Take ownership of a checked matrix: (adj, its row-packed bits padded
+    to whole uint64 words), both read-only."""
+    n = adj.shape[0]
+    nbytes = -(-n // 8)
+    packed8 = np.packbits(adj, axis=1)
+    pad = -(-nbytes // 8) * 8 - nbytes
+    if pad:
+        packed8 = np.hstack([packed8, np.zeros((n, pad), dtype=np.uint8)])
+    packed = packed8.view(np.uint64)
+    adj.setflags(write=False)
+    packed.setflags(write=False)
+    return adj, packed
 
 
 def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
@@ -225,23 +254,22 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
 def is_linear_automorphism(g: DenseGraph, mapping: np.ndarray) -> bool:
     """Whether an additive bijection is an automorphism of g, in O(n).
 
-    Preconditions: g.moduli is set (ValueError otherwise), so the matrix is
-    circulant over Z_m1 x ... x Z_mk, and ``mapping`` is additive on
-    that group, e.g. a linear map of GF(p)^d; on any other mapping
-    the answer means nothing.  Then adj[x, y] = adj[0, y - x] and
+    Preconditions: g.moduli is set (ValueError otherwise), so the graph is
+    the circulant of row 0 over Z_m1 x ... x Z_mk, and ``mapping`` is
+    additive on that group, e.g. a linear map of GF(p)^d; on any other
+    mapping the answer means nothing.  Then adj[x, y] = adj[0, y - x] and
     adj[mapping[x], mapping[y]] = adj[0, mapping[y - x]], so vertex 0's row
     decides: adj[0, mapping[z]] == adj[0, z] for every z."""
     if g.moduli is None:
         raise ValueError("the row-0 test needs translation moduli")
-    row = g.adj[0]
-    return bool(np.array_equal(row[mapping], row))
+    return bool(np.array_equal(g.row0[mapping], g.row0))
 
 
 def complement(g: DenseGraph) -> DenseGraph:
     """The complement graph; it keeps g's translation moduli, as the
     circulant of the complement of row 0."""
     if g.moduli is not None:
-        row0 = ~g.adj[0]
+        row0 = ~g.row0
         row0[0] = False
         return DenseGraph.from_row0(row0, g.moduli)
     adj = ~g.adj
@@ -249,18 +277,47 @@ def complement(g: DenseGraph) -> DenseGraph:
     return DenseGraph(adj)
 
 
+def _autocorrelation(row0: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """counts[z] = |S & (S + z)| = sum_y row0[y] * row0[y - z] over
+    Z_m1 x ... x Z_mk, for S the support of row0: on a Cayley graph with
+    connection set S, the common neighbours of 0 and z.  One real FFT over
+    the shape moduli[::-1], since _radix makes the first modulus the least
+    significant digit.  The float64 result of 0/1 input is rounded;
+    ArithmeticError unless every value was within 0.25 of an integer."""
+    shape, axes = moduli[::-1], tuple(range(len(moduli)))
+    f = np.fft.rfftn(row0.reshape(shape).astype(np.float64))
+    exact = np.fft.irfftn(f * f.conj(), s=shape, axes=axes).ravel()
+    counts = np.rint(exact)
+    if np.abs(exact - counts).max(initial=0.0) > 0.25:
+        raise ArithmeticError("row 0's autocorrelation is not integral to within 0.25")
+    return counts.astype(np.int64)
+
+
+def _neighbour_counts(g: DenseGraph):
+    """Yield (u, row u, counts) with counts[v] = |N(u) & N(v)|, for the rows
+    that srg_params checks: row 0's autocorrelation alone when g.moduli
+    names a regular translation group, every row's packed popcounts
+    otherwise."""
+    if g.moduli is not None:
+        yield 0, g.row0, _autocorrelation(g.row0, g.moduli)
+        return
+    packed = g._packed
+    for u in range(g.n):
+        yield u, g.adj[u], np.bitwise_count(packed & packed[u]).sum(axis=1)
+
+
 def srg_params(g: DenseGraph) -> SrgParams:
     """Verify strong regularity and return (n, k, lambda, mu).
 
     Raises Degenerate for complete/empty graphs (parameters undefined there)
-    and NotStronglyRegular with a witness pair otherwise.  Cost is one packed
-    popcount sweep per checked row: vertex 0's alone when g.moduli names
-    a regular translation group, every vertex's otherwise.  The degree check
-    reads the same rows: every row of a graph with moduli is a translate of
-    row 0, so only row 0's degree is counted.
+    and NotStronglyRegular with a witness pair otherwise.  A graph with
+    moduli is checked on row 0 alone, its degree and its autocorrelation,
+    and never builds its matrix; a graph without is checked on every row's
+    degree and every row's packed popcount sweep.  The witness is the first
+    pair, in that row order, whose count differs from the first one seen.
     """
     n = g.n
-    degs = g.degrees() if g.moduli is None else g.adj[0].sum(keepdims=True)
+    degs = g.degrees() if g.moduli is None else g.row0.sum(keepdims=True)
     if n < 3 or not degs.any():
         raise Degenerate(f"empty graph on {n} vertices")
     if degs.min() == n - 1:
@@ -274,10 +331,7 @@ def srg_params(g: DenseGraph) -> SrgParams:
             witness=(0, v, "degree", int(degs[v]), k),
         )
     lam = mu = None
-    packed = g._packed
-    for u in (0,) if g.moduli is not None else range(n):
-        counts = np.bitwise_count(packed & packed[u]).sum(axis=1)
-        row = g.adj[u]
+    for u, row, counts in _neighbour_counts(g):
         adj_counts = counts[row]
         if adj_counts.size:
             if lam is None:

@@ -568,23 +568,36 @@ def central_product_with_scalars(p: int, s: MatrixGroupSpec, scalar_order: int) 
 # -- matrix-group spec files ----------------------------------------------------
 
 
-def parse_matrix_spec(text: str) -> MatrixGroupSpec:
+def parse_matrix_spec(text: str, source: str = "matrix-group spec") -> MatrixGroupSpec:
     """Text format: first line "p d", then one generator per line as d*d
-    row-major integers.  Blank lines and #-comments are allowed."""
+    row-major integers.  Blank lines and #-comments are allowed.  A
+    malformed line raises ValueError naming ``source``, the line number and
+    the expected form."""
     rows = []
-    for ln in text.splitlines():
+    for number, ln in enumerate(text.splitlines(), start=1):
         ln = ln.split("#", 1)[0].strip()
         if ln:
-            rows.append(ln)
+            rows.append((number, ln.split()))
     if not rows:
-        raise ValueError("empty matrix-group spec")
-    p, d = (int(t) for t in rows[0].split())
+        raise ValueError(f"{source}: empty, expected a 'p d' header line")
+    number, head = rows[0]
+    try:
+        p, d = (int(t) for t in head)
+    except ValueError:
+        raise ValueError(
+            f"{source}, line {number}: expected a 'p d' header of two integers, "
+            f"got {' '.join(head)!r}"
+        ) from None
+    MatrixGroupSpec(p, d, ())  # a bad p or d is the header's fault, not a generator's
     gens = []
-    for ln in rows[1:]:
-        vals = [int(t) for t in ln.split()]
-        if len(vals) != d * d:
-            raise ValueError(f"expected {d * d} entries per generator line, got {len(vals)}")
-        gens.append(np.array(vals, dtype=np.int64).reshape(d, d))
+    for number, vals in rows[1:]:
+        try:
+            gens.append(np.array([int(t) for t in vals], dtype=np.int64).reshape(d, d))
+        except ValueError:
+            raise ValueError(
+                f"{source}, line {number}: expected a generator of d*d = {d * d} "
+                f"integers, got {' '.join(vals)!r}"
+            ) from None
     return MatrixGroupSpec(p, d, tuple(gens))
 
 
@@ -597,4 +610,4 @@ def format_matrix_spec(spec: MatrixGroupSpec) -> str:
 
 def read_matrix_spec(path) -> MatrixGroupSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_spec(fh.read())
+        return parse_matrix_spec(fh.read(), str(path))

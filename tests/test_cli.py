@@ -157,6 +157,20 @@ class TestRank:
         assert "error" in err and "d >= 1 and p**d <= 65536" in err
 
 
+    @pytest.mark.parametrize(
+        "text, line, form",
+        [("2\n", 1, "'p d' header"), ("2 x\n", 1, "'p d' header"), ("3 2\n1 0 x 1\n", 2, "generator of d*d = 4")],
+        ids=["short-header", "non-integer-header", "non-integer-generator"],
+    )
+    def test_malformed_spec_usage_error(self, capsys, tmp_path, text, line, form):
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "rank", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"error: {path}, line {line}: expected a {form}" in err
+
+
 class TestVerify:
     def test_override_catalog_pass(self, capsys, tmp_path):
         entries = [entry_to_dict(e) for e in builtin_catalog() if e.id == "paley:13"]

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rank3 import graphs
+from rank3.autsolve import automorphism_group
+from rank3.catalog import builtin_catalog, verify_entry
 from rank3.graphs import (
     Degenerate,
     DenseGraph,
@@ -314,6 +317,16 @@ def test_certificate_agrees_with_unit_translations(moduli, data):
     assert np.array_equal(g.adj, circulant(row0, moduli)) and g.moduli == moduli
     bare = DenseGraph(g.adj)
     assert all(is_isomorphism(bare, bare, t) for t in unit_translations(moduli))
+    # row 0's autocorrelation gives what every row's popcount sweep gives
+    assert srg_outcome(g) == srg_outcome(bare)
+
+
+def srg_outcome(g: DenseGraph):
+    """srg_params(g), or the class and the witness of what it raised."""
+    try:
+        return srg_params(g)
+    except (NotStronglyRegular, Degenerate) as exc:
+        return type(exc), getattr(exc, "witness", None)
 
 
 @pytest.mark.parametrize("moduli", [(5, 5), (2,) * 6, (13,), (7, 2), (3, 4, 5), (50, 2), (2, 50)])
@@ -373,6 +386,25 @@ def test_seven_cycle_witness_at_vertex_zero():
     with pytest.raises(NotStronglyRegular) as e:
         srg_params(g)
     assert e.value.witness == (0, 3, "nonadjacent", 0, 1)
+
+
+def test_matrix_built_only_by_its_first_reader(monkeypatch):
+    # row 0 is the graph: construction, srg, subdegrees and the complement
+    # read only row 0, and the search builds the matrix once
+    builds = []
+    monkeypatch.setattr(
+        graphs, "_circulant_blocks", lambda *args: builds.append(args) or _circulant_blocks(*args)
+    )
+    a52 = next(e for e in builtin_catalog() if e.id == "a52")
+    assert a52.tier == "PARAMS_ONLY"
+    assert verify_entry(a52).verdict == "PASS"
+    g = cayley_graph(3, 2, [1, 2, 3, 6])
+    assert srg_params(complement(g)) == complement_params(srg_params(g))
+    assert builds == []
+    assert automorphism_group(g).order == 72
+    assert len(builds) == 1
+    assert np.array_equal(g.adj, circulant(g.row0, (3, 3))) and g._packed.shape == (9, 1)
+    assert len(builds) == 1
 
 
 def test_complement_keeps_moduli():

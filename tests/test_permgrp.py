@@ -18,6 +18,7 @@ Ground truth used here
 """
 
 import math
+import re
 import time
 
 import numpy as np
@@ -604,6 +605,27 @@ def test_matrix_spec_parse_errors():
         parse_matrix_spec("")
     with pytest.raises(ValueError):
         parse_matrix_spec("3 2\n1 0 0")
+
+
+# a header that is not two integers, and a generator line that is not d*d
+# integers, each named by its line number (comments and blank lines count)
+MALFORMED_SPECS = [
+    ("2\n", r"line 1: expected a 'p d' header of two integers, got '2'"),
+    ("# header\n2 x\n", r"line 2: expected a 'p d' header of two integers, got '2 x'"),
+    ("3 2\n\n1 0 0 1\n1 0 x 1\n", r"line 4: expected a generator of d\*d = 4 integers, got '1 0 x 1'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", MALFORMED_SPECS, ids=["short-header", "non-integer-header", "non-integer-generator"]
+)
+def test_matrix_spec_malformed_line_named(text, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        parse_matrix_spec(text)
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ", " + message):
+        read_matrix_spec(path)
 
 
 # -- randomized cross-checks --------------------------------------------------------
