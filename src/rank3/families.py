@@ -381,7 +381,7 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     random sample of nonsingular v, grown until the group order matches the
     closed-form target.  Every generator is checked to be a similitude, so
     the target bounds the order from above, and the sample is accepted as
-    soon as reaches_order's random Schreier-Sims lower bound reaches it.
+    soon as reaches_order's Schreier-Sims lower bound reaches it.
     """
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")

@@ -1,4 +1,4 @@
-"""Groups of permutations: orbits, deterministic Schreier-Sims, orbital
+"""Groups of permutations: orbits, Schreier-Sims, orbital
 analysis, and matrix-group plumbing for the affine graph constructions: a
 matrix group over GF(p) is given by its generators, which act on the p^d
 vectors as permutations; no group is enumerated element by element.
@@ -16,11 +16,11 @@ on V \\ {0}): the rank is one more than their number and the subdegrees are
 their sizes.  The flat pair-orbit closure over all n^2 pairs (n <= 4096)
 stays as an independent test oracle.
 
-schreier_sims is the deterministic textbook algorithm (Kreher & Stinson,
-"Combinatorial Algorithms").  reaches_order, the order certificate, first
-runs a seeded random Schreier-Sims (Seress 2003, ch. 4), whose orbit
-product is a proven lower bound, and falls back to the deterministic run
-only when the random phase stalls below its target.
+One chain builder, _chain, runs random then deterministic Schreier-Sims
+(Seress 2003, ch. 4-5).  schreier_sims reads its completed chain: the exact
+order and a membership oracle.  reaches_order, the order certificate, stops
+it once the orbit product, a proven lower bound, reaches the target, so
+False comes only from the completed chain.
 """
 
 from __future__ import annotations
@@ -159,14 +159,18 @@ class _Level:
 
 
 def _extend_orbit(lvl: _Level, n: int) -> None:
-    """Grow the fundamental orbit; existing Schreier-vector entries are never
-    rewritten, so previously computed transversal words stay valid."""
+    """Grow the fundamental orbit after lvl.append.  The old orbit is closed
+    under the earlier generators, so only the newest one and its inverse
+    rescan it; the points they add are then closed under all.  Existing
+    Schreier-vector entries are never rewritten, so previously computed
+    transversal words stay valid."""
     imgs = [f for pair in zip(lvl.gens, lvl.invs) for f in pair]
+    first = len(imgs) - 2
     frontier = np.array(lvl.orbit_order, dtype=np.int64)
     while frontier.size:
         parts = []
-        for code, img in enumerate(imgs):
-            y = img[frontier].astype(np.int64)
+        for code in range(first, len(imgs)):
+            y = imgs[code][frontier].astype(np.int64)
             mask = lvl.enc[y] == -1
             if mask.any():
                 ys = y[mask]
@@ -179,6 +183,7 @@ def _extend_orbit(lvl: _Level, n: int) -> None:
             break
         frontier = np.concatenate(parts)
         lvl.orbit_order.extend(frontier.tolist())
+        first = 0
 
 
 def _transversal_img(lvl: _Level, x: int) -> np.ndarray | None:
@@ -205,21 +210,18 @@ def _invert_img(u: np.ndarray) -> np.ndarray:
 
 
 def _sift_img(levels: list[_Level], g: np.ndarray, start: int, idarr: np.ndarray):
-    """Sift an image array through levels[start:].  Returns (residue, level):
-    residue None means g factors completely through the chain."""
+    """Sift an image array through levels[start:].  Returns the residue, or
+    None when g factors completely through the chain."""
     cur = g
-    for j in range(start, len(levels)):
-        lvl = levels[j]
+    for lvl in levels[start:]:
         x = int(cur[lvl.base])
         if x == lvl.base:
             continue
         if lvl.enc[x] == -1:
-            return cur, j
+            return cur
         u = _transversal_img(lvl, x)
         cur = _invert_img(u)[cur]
-    if np.array_equal(cur, idarr):
-        return None, len(levels)
-    return cur, len(levels)
+    return None if np.array_equal(cur, idarr) else cur
 
 
 class BSGS:
@@ -238,8 +240,7 @@ class BSGS:
         img = np.asarray(img)
         if img.shape != (self.degree,):
             return False
-        resid, _ = _sift_img(self._levels, img, 0, self._idarr)
-        return resid is None
+        return _sift_img(self._levels, img, 0, self._idarr) is None
 
     def stabilizer_generators(self, level: int) -> GeneratorSet:
         """Generators of the pointwise stabilizer of base[:level]: the strong
@@ -253,80 +254,8 @@ class BSGS:
         return f"BSGS(base={self.base}, order={self.order})"
 
 
-def schreier_sims(
-    gs: GeneratorSet, base_prefix: tuple[int, ...] = (), deadline: float = math.inf
-) -> BSGS:
-    """Deterministic Schreier-Sims: exact order and a membership oracle.
-
-    Level generator lists are cumulative: an element fixing the first j base
-    points is appended to the lists of every level lo..j, where lo is the
-    level it was derived at (below lo it is already a product of known
-    generators).  Without this a generator that fixes an intermediate base
-    point but moves other points of that level's orbit would be skipped and
-    the fundamental orbit would come out too small.
-
-    base_prefix forces the first base points (useful for extracting point
-    stabilizers); remaining base points are chosen as the first point moved
-    by the element that opens the level.  `deadline`, a time.monotonic()
-    value, is checked once per orbit point of the Schreier-generator loop:
-    DeadlineExceeded when it has passed.
-    """
-    n = gs.degree
-    idarr = np.arange(n, dtype=np.int32)
-    levels: list[_Level] = []
-    # (lo, img): an element certifiably generated by the cumulative lists of
-    # every level < lo, and fixing all base points of levels < lo
-    pending: list[tuple[int, np.ndarray]] = [
-        (0, img) for img in gs.gens[::-1] if not np.array_equal(img, idarr)
-    ]
-    while pending:
-        lo, gimg = pending.pop()
-        # walk to the first level at depth >= lo whose base point gimg moves,
-        # appending fresh levels (which may have forced, fixed bases) on the way
-        j = lo
-        while True:
-            if j == len(levels):
-                if j < len(base_prefix):
-                    b = int(base_prefix[j])
-                else:
-                    b = int(np.flatnonzero(gimg != idarr)[0])
-                levels.append(_Level(b, n))
-            if gimg[levels[j].base] != levels[j].base:
-                break
-            j += 1
-        for k in range(lo, j + 1):
-            lvl = levels[k]
-            if any(np.array_equal(gimg, h) for h in lvl.gens):
-                continue
-            lvl.append(gimg)
-            _extend_orbit(lvl, n)
-            # process Schreier generators for all (orbit point, generator)
-            # pairs not covered by the already-done rectangle
-            X, G = len(lvl.orbit_order), len(lvl.gens)
-            for pos in range(X):
-                if time.monotonic() > deadline:
-                    raise DeadlineExceeded(f"Schreier-Sims passed its deadline at level {k}")
-                x = lvl.orbit_order[pos]
-                ux = _transversal_img(lvl, x)
-                for gi in range(G):
-                    if pos < lvl.x_done and gi < lvl.g_done:
-                        continue
-                    s = lvl.gens[gi]
-                    sux = s if ux is None else s[ux]
-                    y = int(sux[lvl.base])
-                    uy = _transversal_img(lvl, y)
-                    h = sux if uy is None else _invert_img(uy)[sux]
-                    if np.array_equal(h, idarr):
-                        continue
-                    resid, _ = _sift_img(levels, h, k + 1, idarr)
-                    if resid is not None:
-                        pending.append((k + 1, resid))
-            lvl.x_done, lvl.g_done = X, G
-    return BSGS(n, levels)
-
-
-# consecutive random elements that must sift to the identity before
-# reaches_order gives up on its random phase
+# consecutive random elements that must sift to the identity before the
+# random phase of _chain ends
 _RANDOM_SIFT_STOP = 40
 # product-replacement state size and warm-up steps (Celler et al. 1995)
 _PR_SLOTS = 10
@@ -349,48 +278,110 @@ def _product_replacement(gens: list[np.ndarray]):
             yield acc
 
 
-def reaches_order(gs: GeneratorSet, target: int, deadline: float = math.inf) -> bool:
-    """Whether |<gs>| >= target.
+def _chain(
+    gs: GeneratorSet, base_prefix: tuple[int, ...], deadline: float, target: int | None
+) -> list[_Level]:
+    """The stabilizer chain of <gs> by random, then deterministic,
+    Schreier-Sims (Seress 2003, ch. 4-5): the one chain builder.
 
-    A seeded random Schreier-Sims runs first (Seress 2003, ch. 4.3).  The input generators, then product-replacement
-    elements of <gs>, are sifted through a growing stabilizer chain; a
-    residue that stops at level j is a product of the generators fixing the
-    base points of levels < j, and becomes a generator of level j (a residue
-    that fixes every base point opens a new level).  Each level's orbit is
-    therefore contained in the orbit of the true pointwise stabilizer of the
-    earlier base points, so the product of the orbit lengths is a proven
-    lower bound on |<gs>|: the answer is True as soon as it reaches target.
-    After _RANDOM_SIFT_STOP consecutive elements sift to the identity the
-    answer is schreier_sims(gs).order >= target, so False always comes from
-    the exact deterministic run.  The random stream is a local generator
-    with a fixed seed; the global numpy state is neither read nor moved.
-    `deadline`, a time.monotonic() value, is checked once per sifted element
-    and by the exact run: DeadlineExceeded when it has passed.
+    A residue r, known to lie in the group of level lo - 1 if lo > 0, is
+    appended to levels lo..j, j the first level at depth >= lo whose base
+    point r moves (a level opened on the way takes the next base_prefix
+    point, else the first point r moves).  So level lists are cumulative,
+    each level's orbit lies in that of the true stabilizer of the earlier
+    base points, and the orbit product is a proven lower bound on |<gs>| at
+    every step.  In order:
+
+    1. every input generator is sifted, its residue appended from level 0,
+       so that level 0 generates <gs> -- outside the stop rule of step 2,
+       which could otherwise end before the last input is read;
+    2. product-replacement elements of <gs> (a local generator with a fixed
+       seed; the global numpy state is neither read nor moved) are sifted,
+       residues appended from level 1, as level 0 already generates <gs>,
+       until _RANDOM_SIFT_STOP in a row sift to the identity;
+    3. deepest unfinished level first, every Schreier generator outside the
+       level's done rectangle (orbit positions < x_done times generators
+       < g_done) is sifted through the deeper levels, residues appended from
+       the next level.  Then the chain is complete: its orbit product is
+       |<gs>|.
+
+    With a target, the chain is returned as soon as its orbit product reaches
+    it.  `deadline`, a time.monotonic() value, is checked once per sift:
+    DeadlineExceeded when it has passed.
     """
-    if target <= 1:
-        return True
     n = gs.degree
     idarr = np.arange(n, dtype=np.int32)
-    gens = [img for img in gs.gens if not np.array_equal(img, idarr)]
-    if gens:
-        levels: list[_Level] = []
-        stream = itertools.chain(gens, _product_replacement(gens))
-        trivial = 0
-        while trivial < _RANDOM_SIFT_STOP:
-            if time.monotonic() > deadline:
-                raise DeadlineExceeded("random Schreier-Sims passed its deadline")
-            resid, j = _sift_img(levels, next(stream), 0, idarr)
-            if resid is None:
-                trivial += 1
-                continue
-            trivial = 0
+    levels: list[_Level] = []
+
+    def sift(g: np.ndarray, start: int) -> np.ndarray | None:
+        if time.monotonic() > deadline:
+            raise DeadlineExceeded(f"Schreier-Sims passed its deadline at level {start}")
+        return _sift_img(levels, g, start, idarr)
+
+    def add(r: np.ndarray, lo: int) -> bool:
+        """Append r to levels lo..j; whether the orbit product reaches target."""
+        j = lo
+        while True:
             if j == len(levels):
-                levels.append(_Level(int(np.flatnonzero(resid != idarr)[0]), n))
-            levels[j].append(resid)
-            _extend_orbit(levels[j], n)
-            if math.prod(len(lvl.orbit_order) for lvl in levels) >= target:
-                return True
-    return schreier_sims(gs, deadline=deadline).order >= target
+                b = base_prefix[j] if j < len(base_prefix) else np.flatnonzero(r != idarr)[0]
+                levels.append(_Level(int(b), n))
+            if r[levels[j].base] != levels[j].base:
+                break
+            j += 1
+        for lvl in levels[lo : j + 1]:
+            lvl.append(r)
+            _extend_orbit(lvl, n)
+        return target is not None and math.prod(len(l.orbit_order) for l in levels) >= target
+
+    gens = [img for img in gs.gens if not np.array_equal(img, idarr)]
+    for g in gens:
+        r = sift(g, 0)
+        if r is not None and add(r, 0):
+            return levels
+    stream, trivial = _product_replacement(gens), 0
+    while gens and trivial < _RANDOM_SIFT_STOP:
+        r = sift(next(stream), 0)
+        trivial = trivial + 1 if r is None else 0
+        if r is not None and add(r, 1):
+            return levels
+    k = len(levels) - 1
+    while k >= 0:
+        lvl = levels[k]
+        X, G = len(lvl.orbit_order), len(lvl.gens)
+        if (lvl.x_done, lvl.g_done) == (X, G):
+            k -= 1
+            continue
+        for pos in range(X):
+            ux = _transversal_img(lvl, lvl.orbit_order[pos])
+            for gi in range(lvl.g_done if pos < lvl.x_done else 0, G):
+                sux = lvl.gens[gi] if ux is None else lvl.gens[gi][ux]
+                uy = _transversal_img(lvl, int(sux[lvl.base]))
+                h = sux if uy is None else _invert_img(uy)[sux]
+                r = sift(h, k + 1)
+                if r is not None and add(r, k + 1):
+                    return levels
+        lvl.x_done, lvl.g_done = X, G
+        k = len(levels) - 1
+    return levels
+
+
+def schreier_sims(
+    gs: GeneratorSet, base_prefix: tuple[int, ...] = (), deadline: float = math.inf
+) -> BSGS:
+    """Exact order and a membership oracle: the chain _chain builds, run to
+    completion.  base_prefix forces the first base points (useful for
+    extracting point stabilizers).  `deadline`, a time.monotonic() value:
+    DeadlineExceeded when it has passed."""
+    return BSGS(gs.degree, _chain(gs, base_prefix, deadline, None))
+
+
+def reaches_order(gs: GeneratorSet, target: int, deadline: float = math.inf) -> bool:
+    """Whether |<gs>| >= target: _chain, stopped as soon as its orbit
+    product, a proven lower bound, reaches target.  True mostly comes from
+    the random phase; False only from the completed chain, whose orbit
+    product is exact.  `deadline`, a time.monotonic() value: DeadlineExceeded
+    when it has passed."""
+    return target <= 1 or BSGS(gs.degree, _chain(gs, (), deadline, target)).order >= target
 
 
 # -- rank and subdegrees -------------------------------------------------------

@@ -651,17 +651,15 @@ class TestAutomorphismGroup:
     @pytest.mark.parametrize("entry", SMALL_ROWS, ids=[e.id for e in SMALL_ROWS])
     def test_generators_generate_aut_on_relabelled_row(self, entry):
         # the generators are automorphisms, so they generate a subgroup of
-        # Aut; reaching the order proves it is all of Aut.  The exact
-        # Schreier-Sims run takes seconds to minutes beyond 10**6 elements,
-        # where the seeded lower bound of reaches_order stands in for it.
+        # Aut; reaching the order proves it is all of Aut, and the exact
+        # Schreier-Sims order shows they generate no more than was counted.
         h = relabelled(family_graph(entry.family), 7)
         r = automorphism_group(h)
         assert r.order == entry.expected_aut_order
         for s in r.generators.gens:
             assert np.array_equal(h.adj[np.ix_(s, s)], h.adj)
         assert reaches_order(r.generators, r.order)
-        if r.order <= 10**6:
-            assert schreier_sims(r.generators).order == r.order
+        assert schreier_sims(r.generators).order == r.order
 
 
 class TestSeededSearch:

@@ -285,7 +285,7 @@ class TestAffinePolar:
         assert rank_and_subdegrees(affine(spec)) == (3, [27, 36])
 
     def test_group_plus_8_2_full_order(self):
-        # stopped at a lower bound; the full Schreier-Sims is the oracle.
+        # the closed-form order is the oracle for the exact Schreier-Sims:
         # |GO+(8, 2)| = 2 * 2^12 * (2^4 - 1) * (2^2 - 1)(2^4 - 1)(2^6 - 1)
         spec = affine_polar_group(4, 2, 1)
         assert schreier_sims(linear_perms(spec)).order == 348364800

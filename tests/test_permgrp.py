@@ -346,11 +346,19 @@ def test_orders_match_brute_force_closure():
         "alt4": GeneratorSet(4, (perm(4, (0, 1, 2)), perm(4, (1, 2, 3)))),
         "sym5": sym_gens(5),
         "affine9": family_group(parse_descriptor("paley:9")),
+        # 41 copies of (0 1) are more trivial sifts in a row than the random
+        # phase's stop rule allows: the inputs must be read outside it, or
+        # the 5-cycle is never read and the order comes out as 2
+        "sym5_late_cycle": GeneratorSet(
+            5, [perm(5, (0, 1))] * 41 + [perm(5, (0, 1, 2, 3, 4))]
+        ),
     }
     for name, gs in corpus.items():
         bsgs = schreier_sims(gs)
         elements = brute_closure(list(gs.gens))
         assert bsgs.order == len(elements), name
+        assert reaches_order(gs, len(elements)), name
+        assert not reaches_order(gs, len(elements) + 1), name
         sample = sorted(elements)[:: max(1, len(elements) // 20)]
         for t in sample:
             assert bsgs.contains(t), name
