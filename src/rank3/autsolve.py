@@ -32,8 +32,10 @@ Pruning, in the standard shape:
   automorphism and is cut (hash equality never *accepts* anything by itself:
   leaves are always verified, so a collision costs work, not correctness);
 * orbit pruning — a node skips the children lying in the orbit of its
-  explored ones under the known automorphisms fixing its individualized
-  prefix; a first-path node also closes its orbits under every automorphism
+  explored ones, and of those the trace cut, under the known automorphisms
+  fixing its individualized prefix (refinement is label-invariant, so such
+  an automorphism maps a cut child to one with the same trace); a
+  first-path node also closes its orbits under every automorphism
   found beneath it, the deeper first-path nodes' included, as each child
   returns.  Those orbits are final when its loop ends, so the group order is
   the product of their lengths at the first path's vertices (McKay &
@@ -43,8 +45,8 @@ Pruning, in the standard shape:
 
 Known automorphisms are the unit translations of a graph's ``moduli``, which
 are automorphisms by construction (DenseGraph.from_row0 builds a circulant
-matrix), plus the caller's generators, each checked against the adjacency
-matrix.  The regular translations collapse the root to one
+matrix), plus the caller's generators, each checked by
+graphs.is_isomorphism.  The regular translations collapse the root to one
 branch, and a known zero-stabilizer transitive on N(0) and on the
 non-neighbours collapses depth 1.  They only prune: the search stays
 exhaustive, so no order rests on them generating the whole group.
@@ -58,10 +60,11 @@ first leaf; h's tree is then searched along g's first path: the same target
 cell ids, every child cut whose trace differs from g's at its depth, and at a
 leaf the map carrying g's first leaf onto it is a candidate, accepted only if
 it carries g onto h.  An isomorphism carries g's first path to such a path of
-h, so the search is complete, whether or not the graphs are connected.  The
-searched side is one with translation moduli if either has them, and its
-translations are the known automorphisms; only without moduli is its group
-searched first instead.
+h, so the search is complete, whether or not the graphs are connected.  Given
+automorphisms of g (the catalog passes its aut stage's), g's tree is searched
+under them along h's first path.  Otherwise the searched side is one with
+translation moduli if either has them, and its translations are the known
+automorphisms; only without moduli is its group searched first instead.
 """
 
 from __future__ import annotations
@@ -468,8 +471,8 @@ class _Solver:
             # Individualizing only in cells of two or more keeps every cell
             # nonempty, so n cells are a discrete coloring at the leaves.
             return
-        fixing = _fixing(self.known, prefix)
-        orbits = _OrbitSet(self.n, fixing) if on_first_path or fixing else None
+        fixing = self.known[(self.known[:, prefix] == prefix).all(axis=1)]
+        orbits = _OrbitSet(self.n, fixing) if on_first_path or len(fixing) else None
         for v in cells.members(cell_color).tolist():  # ascending: the layout keeps it so
             if orbits is not None and v in orbits:
                 continue
@@ -482,6 +485,8 @@ class _Solver:
                 self.first_traces.append(ctrace)
                 self.first_vertices.append(v)
             elif ctrace != self.first_traces[depth]:
+                if orbits is not None:  # its orbit-mates share its trace
+                    orbits.add_seed(v)
                 continue
             child_first = on_first_path and v == self.first_vertices[depth]
             before = len(self.gens)
@@ -523,6 +528,8 @@ class _Solver:
         limit = self.n + 1000
         if sys.getrecursionlimit() < limit:
             sys.setrecursionlimit(limit)
+        # one k x n array, so a node filters the known ones in one step
+        self.known = np.array(self.known, dtype=np.int32).reshape(len(self.known), self.n)
         self._dfs(cells, trace, 0, self.first_leaf is None, [])
 
     def run(self) -> None:
@@ -568,30 +575,37 @@ def check_budget(budget: float) -> None:
         raise ValueError(f"budget must be a number of seconds >= 0, got {budget!r}")
 
 
+def _known_automorphisms(g: DenseGraph, known: GeneratorSet | None) -> list[np.ndarray]:
+    """The unit translations of g.moduli, automorphisms by construction
+    (from_row0), then the generators of ``known``, each checked against g:
+    ValueError if one is not an automorphism or their degree is not g.n."""
+    if known is not None and known.degree != g.n:
+        raise ValueError(f"known generators have degree {known.degree}, graph has {g.n}")
+    seeds = [img.astype(np.int32) for img in unit_translations(g.moduli or ())]
+    for j, img in enumerate(() if known is None else known.gens):
+        if not is_isomorphism(g, g, img):
+            raise ValueError(f"known generator {j} is not an automorphism of the graph")
+        seeds.append(img)
+    return seeds
+
+
 def automorphism_group(
     g: DenseGraph, budget: float = 60.0, known: GeneratorSet | None = None
 ) -> AutResult:
     """Generators and order of the full automorphism group of g.
 
     The search starts from the unit translations of g.moduli and the
-    generators of ``known``, each of which is checked against the whole
-    adjacency matrix (ValueError if one is not an automorphism), as is every
-    generator the search finds.  Completeness comes from exhausting the
-    individualization tree modulo trace/orbit pruning, so ``known`` may
-    generate any subgroup.  Raises Timeout(budget) when the budget (seconds)
+    generators of ``known``, each of which is checked by is_isomorphism
+    (ValueError if one is not an automorphism), as is every generator the
+    search finds.  Completeness comes from exhausting the individualization
+    tree modulo trace/orbit pruning, so ``known`` may generate any
+    subgroup.  Raises Timeout(budget) when the budget (seconds)
     runs out, and ValueError unless budget >= 0 (NaN included).
     """
     check_budget(budget)
     start = time.monotonic()
     n = g.n
-    if known is not None and known.degree != n:
-        raise ValueError(f"known generators have degree {known.degree}, graph has {n}")
-    # the translations are automorphisms by construction (from_row0)
-    seeds = [img.astype(np.int32) for img in unit_translations(g.moduli or ())]
-    for j, img in enumerate(() if known is None else known.gens):
-        if not is_isomorphism(g, g, img):
-            raise ValueError(f"known generator {j} is not an automorphism of the graph")
-        seeds.append(img)
+    seeds = _known_automorphisms(g, known)
     if n == 0:
         return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0, 0.0, 0)
     solver = _Solver(g, budget, start + budget, seeds)
@@ -629,7 +643,9 @@ def _component_sizes(g: DenseGraph) -> list[int]:
     return sorted(out)
 
 
-def _iso_search(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
+def _iso_search(
+    g: DenseGraph, h: DenseGraph, deadline: float, known: list[np.ndarray] | None
+) -> np.ndarray:
     """An isomorphism g -> h of graphs of equal size, by a directed search.
 
     g's first path (the target cell, the trace after each individualization,
@@ -638,16 +654,13 @@ def _iso_search(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
     whose trace differs from g's at its depth; at a leaf, the map carrying
     g's first leaf onto it is a candidate, accepted only if it carries g onto
     h.  Complete: an isomorphism carries g's first path to a path of h with
-    the same cells and traces, whose leaf yields it.  h's known automorphisms
-    prune every node whose prefix they fix: its translations, when it has
-    moduli, collapse the root; without moduli on either side, Aut(h) is
-    searched first within 0.4 of the budget.  The side with moduli is the
-    one searched: when only g has them, the roles swap and the map is
-    inverted.  The two root refinements double as the cheapest test: their
-    traces and cell sizes must agree.
+    the same cells and traces, whose leaf yields it.  ``known`` holds
+    checked automorphisms of h, which prune every node whose prefix they
+    fix; when it is None, h's translations are used if it has moduli, and
+    otherwise Aut(h) is searched first within 0.4 of the budget.  The two
+    root refinements double as the cheapest test: their traces and cell
+    sizes must agree.
     """
-    if g.moduli is not None and h.moduli is None:
-        return np.argsort(_iso_search(h, g, deadline)).astype(np.int32)
     n = g.n
     budget = deadline - time.monotonic()
     path = _Solver(g, budget, deadline, first_only=True)
@@ -659,7 +672,9 @@ def _iso_search(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
         raise NotIsomorphic("equitable refinement signatures differ")
     if g == h:
         return np.arange(n, dtype=np.int32)
-    if h.moduli is not None:
+    if known is not None:
+        solver.known = known
+    elif h.moduli is not None:
         solver.known = unit_translations(h.moduli)
     else:
         try:
@@ -677,22 +692,24 @@ def _iso_search(g: DenseGraph, h: DenseGraph, deadline: float) -> np.ndarray:
 
 
 def are_isomorphic(
-    g: DenseGraph, h: DenseGraph, budget: float = 60.0
+    g: DenseGraph, h: DenseGraph, budget: float = 60.0, known: GeneratorSet | None = None
 ) -> np.ndarray:
     """An isomorphism g -> h as an array (vertex i of g maps to mapping[i] of
     h), verified edge-by-edge before returning.  Raises NotIsomorphic with the
     distinguishing invariant otherwise, or Timeout(budget).
 
     Cheap invariants come first: vertex counts, degree multisets and the
-    multisets of component sizes.  Then one directed search follows g's
-    first path through h's individualization tree, connected or not (see
-    _iso_search): a side with translation moduli is the one searched, and its
-    translations collapse the root; when neither side has moduli, h's own
-    automorphisms are computed first (within 0.4 of the budget) to prune it.
-    ValueError unless budget >= 0.
+    multisets of component sizes.  Then one directed search follows one
+    graph's first path through the other's tree, connected or not (see
+    _iso_search).  Given ``known``, automorphisms of g checked as
+    automorphism_group checks them, g's tree is searched under them and g's
+    translations.  Otherwise a side with translation moduli is searched
+    under its translations, or h under Aut(h), computed first within 0.4 of
+    the budget.  ValueError unless budget >= 0.
     """
     check_budget(budget)
     deadline = time.monotonic() + budget
+    seeds = None if known is None else _known_automorphisms(g, known)
     if g.n != h.n:
         raise NotIsomorphic(f"vertex counts differ: {g.n} vs {h.n}")
     n = g.n
@@ -702,7 +719,10 @@ def are_isomorphic(
         raise NotIsomorphic("degree multisets differ")
     if _component_sizes(g) != _component_sizes(h):
         raise NotIsomorphic("component size multisets differ")
-    mapping = _iso_search(g, h, deadline)
+    if seeds is not None or (g.moduli is not None and h.moduli is None):
+        mapping = np.argsort(_iso_search(h, g, deadline, seeds)).astype(np.int32)
+    else:
+        mapping = _iso_search(g, h, deadline, None)
     if sorted(mapping.tolist()) != list(range(n)):
         raise AssertionError("candidate isomorphism is not a bijection")
     if not is_isomorphism(g, h, mapping):

@@ -582,8 +582,9 @@ def _time_left(deadline: float) -> float:
 
 def _check_aut(
     entry: CatalogEntry, g: DenseGraph, deadline: float, known: GeneratorSet | None
-) -> StageOutcome:
-    """The solver's order, certified and then held against the expected one.
+) -> tuple[StageOutcome, GeneratorSet | None]:
+    """The solver's order, certified and then held against the expected one,
+    and the solver's generators (None if the search timed out).
 
     The search starts from g's translations and ``known`` (the
     zero-stabilizer), and the detail ends with its counters.  The certificate
@@ -594,37 +595,44 @@ def _check_aut(
     try:
         result = automorphism_group(g, budget=budget, known=known)
     except Timeout:
-        return StageOutcome("timeout", f"no order within {budget:g}s")
+        return StageOutcome("timeout", f"no order within {budget:g}s"), None
     counters = result.counters()
     try:
         certified = reaches_order(result.generators, result.order, deadline)
     except DeadlineExceeded:
-        return StageOutcome(
+        certified = None
+    if certified is None:
+        outcome = StageOutcome(
             "timeout",
             f"order {result.order} not certified within {budget:g}s ({counters})",
         )
-    if not certified:
-        return StageOutcome(
+    elif not certified:
+        outcome = StageOutcome(
             "mismatch",
             f"solver generators do not reach order {result.order} ({counters})",
         )
-    if entry.expected_aut_order is None:
-        return StageOutcome(
+    elif entry.expected_aut_order is None:
+        outcome = StageOutcome(
             "ok",
             f"computed order {result.order}, certified (no expected value on "
             f"file) ({counters})",
         )
-    if result.order != entry.expected_aut_order:
-        return StageOutcome(
+    elif result.order != entry.expected_aut_order:
+        outcome = StageOutcome(
             "mismatch",
             f"solver order {result.order} != expected "
             f"{entry.expected_aut_order} (solver value reported for "
             f"adjudication) ({counters})",
         )
-    return StageOutcome("ok", f"order {result.order}, certified ({counters})")
+    else:
+        outcome = StageOutcome("ok", f"order {result.order}, certified ({counters})")
+    return outcome, result.generators
 
 
-def _check_iso(entry: CatalogEntry, g: DenseGraph, deadline: float) -> StageOutcome:
+def _check_iso(
+    entry: CatalogEntry, g: DenseGraph, deadline: float, known: GeneratorSet | None
+) -> StageOutcome:
+    """Each claim by are_isomorphic, under ``known``: the aut stage's generators."""
     if not entry.iso_claims:
         return StageOutcome("ok", "no isomorphism claims")
     parts: list[str] = []
@@ -634,7 +642,7 @@ def _check_iso(entry: CatalogEntry, g: DenseGraph, deadline: float) -> StageOutc
         want = "iso" if claim.isomorphic else "non-iso"
         budget = _time_left(deadline)
         try:
-            are_isomorphic(g, other, budget=budget)
+            are_isomorphic(g, other, budget=budget, known=known)
             got_iso = True
             note = "isomorphic (mapping verified)"
         except NotIsomorphic as exc:
@@ -683,6 +691,7 @@ def _run_pipeline(
     timings: dict[str, float] = {}
     g: DenseGraph | None = None
     stab: GeneratorSet | None = None  # the zero-stabilizer, reused by aut
+    aut_gens: GeneratorSet | None = None  # the aut search's, reused by iso
     deadline = math.inf  # the row's solver deadline, started by the aut stage
 
     def construct_outcome() -> StageOutcome:
@@ -710,9 +719,10 @@ def _run_pipeline(
         return _check_subdegrees(entry, g, stab)
 
     def aut_outcome() -> StageOutcome:
-        nonlocal deadline
+        nonlocal deadline, aut_gens
         deadline = time.monotonic() + budget
-        return _check_aut(entry, g, deadline, stab)
+        outcome, aut_gens = _check_aut(entry, g, deadline, stab)
+        return outcome
 
     pipeline = [
         ("construct", construct_outcome),
@@ -722,7 +732,7 @@ def _run_pipeline(
     if entry.tier != "PARAMS_ONLY":
         pipeline += [
             ("aut", aut_outcome),
-            ("iso", lambda: _check_iso(entry, g, deadline)),
+            ("iso", lambda: _check_iso(entry, g, deadline, aut_gens)),
         ]
     for name, fn in pipeline:
         t0 = time.monotonic()

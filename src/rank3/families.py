@@ -51,7 +51,7 @@ from .gf import (
     primitive_root,
     sqrt_mod,
 )
-from .graphs import DenseGraph, is_linear_automorphism
+from .graphs import DenseGraph, is_isomorphism
 import importlib.resources
 
 from .permgrp import (
@@ -635,7 +635,7 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     (AsymmetricOrbit otherwise).  Orbit 0 is the smaller one.  The affine
     group acts as automorphisms of the result: the translations by
     construction (DenseGraph.from_row0), the linear generators as checked
-    here, by the row-0 test that the circulant matrix allows.
+    here by is_isomorphism, which decides a linear map on row 0 alone.
     """
     linear = linear_perms(spec)
     nonzero = stabilizer_orbits(linear)
@@ -651,7 +651,7 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
             f"the orbit of size {len(chosen)} is not closed under negation"
         ) from None
     for img in linear.gens:
-        if not is_linear_automorphism(g, img):  # pragma: no cover
+        if not is_isomorphism(g, g, img):  # pragma: no cover
             raise AssertionError("linear generator is not an automorphism")
     return g
 

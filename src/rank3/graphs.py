@@ -13,8 +13,10 @@ matrix and its packed rows are built together by their first reader, one
 band of about sqrt(n) rows at a time (``_circulant_blocks``): circulant by
 construction, so the translations need no check.  Every family graph in this
 package is made so, and a stage that reads only row 0 (degrees, srg
-parameters, subdegrees, the row-0 automorphism test, the complement) never
-builds the matrix.
+parameters, subdegrees, the complement) never builds the matrix.
+
+is_isomorphism decides a map x -> A x + b between graphs on one Z_m^k on
+row 0 alone, in O(k n), and any other map on the matrices, in O(n^2).
 
 The translations act regularly, so the pair (u, v) maps to (0, v - u) and
 |N(u) & N(v)| = |N(0) & N(v - u)|: the autocorrelation of row 0 over the
@@ -235,13 +237,35 @@ def _with_packed_rows(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
     """Whether the bijection i -> mapping[i] carries g onto h, i.e.
-    h.adj[mapping[i], mapping[j]] == g.adj[i, j] for all i, j.  Compares row
-    blocks of at most 64 KiB (one row, when a row is longer) and stops at the
-    first block that differs.  Blocks stay under glibc's 128 KiB mmap
-    threshold, so each is carved from the heap instead of being mapped and
-    page-faulted afresh.  The columns are gathered by np.take, which returns
-    a C-ordered block: the F-ordered block of ``[:, mapping]`` compares about
-    9x slower."""
+    h.adj[mapping[i], mapping[j]] == g.adj[i, j] for all i, j.  Precondition:
+    mapping is a permutation of range(n); on any other array the answer
+    means nothing.
+
+    When g and h carry the same moduli (m,) * k, a mapping that is affine on
+    Z_m^k, mapping[y] = A y + mapping[0], normalizes the translations, so as
+    adj[x, y] = row0[y - x] on both graphs it carries g onto h iff
+    h.row0[A z] == g.row0[z] for every z: O(k n), and no matrix is built.
+    Any other mapping is checked on row blocks of at most 64 KiB (one row,
+    when a row is longer), stopping at the first block that differs.  Blocks
+    stay under glibc's 128 KiB mmap threshold, so each is carved from the
+    heap instead of being mapped and page-faulted afresh.  The columns are
+    gathered by np.take, which returns a C-ordered block: the F-ordered
+    block of ``[:, mapping]`` compares about 9x slower."""
+    moduli = g.moduli
+    if g.n > 1 and moduli == h.moduli and len(set(moduli or ())) == 1:
+        # float64 digits, most significant first: BLAS products and no
+        # integer division, exact while k (m - 1)**2 < 2**53 (all n < 9e7)
+        k, m = len(moduli), moduli[0]
+        d = np.indices(moduli, dtype=np.float64).reshape(k, -1)
+        place = m ** np.arange(k - 1, -1, -1)
+        shift = np.take(d, mapping, axis=1)
+        shift -= shift[:, :1]
+        shift[shift < 0] += m  # the digits of mapping[y] - mapping[0]
+        off = shift[:, place] @ d  # A y, A's columns those of the unit vectors
+        off -= shift
+        off /= m  # integral iff the mapping is affine
+        if np.array_equal(np.rint(off), off):
+            return bool(np.array_equal(h.row0[(place @ shift).astype(np.intp)], g.row0))
     n = g.n
     rows = max(1, (1 << 16) // max(n, 1))
     for lo in range(0, n, rows):
@@ -249,20 +273,6 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
         if not np.array_equal(block, g.adj[lo : lo + rows]):
             return False
     return True
-
-
-def is_linear_automorphism(g: DenseGraph, mapping: np.ndarray) -> bool:
-    """Whether an additive bijection is an automorphism of g, in O(n).
-
-    Preconditions: g.moduli is set (ValueError otherwise), so the graph is
-    the circulant of row 0 over Z_m1 x ... x Z_mk, and ``mapping`` is
-    additive on that group, e.g. a linear map of GF(p)^d; on any other
-    mapping the answer means nothing.  Then adj[x, y] = adj[0, y - x] and
-    adj[mapping[x], mapping[y]] = adj[0, mapping[y - x]], so vertex 0's row
-    decides: adj[0, mapping[z]] == adj[0, z] for every z."""
-    if g.moduli is None:
-        raise ValueError("the row-0 test needs translation moduli")
-    return bool(np.array_equal(g.row0[mapping], g.row0))
 
 
 def complement(g: DenseGraph) -> DenseGraph:

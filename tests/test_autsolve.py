@@ -749,6 +749,47 @@ class TestSeededSearch:
             assert sorted(m.tolist()) == list(range(g.n))
             assert np.array_equal(b.adj[np.ix_(m, m)], a.adj)
 
+    CLAIMS = [(e.id, c.other, c.isomorphic) for e in ROWS for c in e.iso_claims]
+
+    @pytest.mark.parametrize(
+        "desc,other,isomorphic", CLAIMS, ids=[f"{a}~{b}" for a, b, _ in CLAIMS]
+    )
+    def test_iso_claim_searched_under_aut_g(self, desc, other, isomorphic, monkeypatch):
+        # each catalog claim as verify runs it, g's tree searched under Aut(g):
+        # the plain search's verdict, a verified mapping, and a non-isomorphic
+        # pair exhausted in at most a tenth of the plain search's passes
+        passes = []
+        one_pass = _Refiner._pass
+        monkeypatch.setattr(
+            _Refiner, "_pass", lambda self, *args: passes.append(1) or one_pass(self, *args)
+        )
+        fid = parse_descriptor(desc)
+        g, h = family_graph(fid), family_graph(parse_descriptor(other))
+        aut = automorphism_group(g, known=zero_stabilizer(fid)).generators
+        counts = []
+        for known in (None, aut):
+            passes.clear()
+            try:
+                m = are_isomorphic(g, h, known=known)
+            except NotIsomorphic as exc:
+                assert not isomorphic and "exhausted" in exc.invariant
+            else:
+                assert isomorphic
+                assert sorted(m.tolist()) == list(range(g.n))
+                assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
+            counts.append(len(passes))
+        if not isomorphic:
+            assert 10 * counts[1] <= counts[0]
+
+    def test_iso_rejects_a_known_non_automorphism(self):
+        g = paley(13)
+        swap = np.arange(13)
+        swap[[1, 2]] = [2, 1]  # a square and a non-square
+        with pytest.raises(ValueError, match="not an automorphism"):
+            are_isomorphic(g, g, known=GeneratorSet(13, (swap,)))
+        with pytest.raises(ValueError, match="degree"):
+            are_isomorphic(g, g, known=GeneratorSet(9, (np.arange(9),)))
+
     def test_paley49_not_relabelled_peisert49_either_way(self):
         g = paley(49)
         h = relabelled(peisert(49), 2)

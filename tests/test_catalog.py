@@ -237,10 +237,10 @@ class TestVerifyEntry:
             time.sleep(0.3)
             return automorphism_group(g, budget=budget, known=known)
 
-        def slow_iso(g, h, budget):
+        def slow_iso(g, h, budget, known=None):
             budgets.append(budget)
             time.sleep(0.1)
-            return are_isomorphic(g, h, budget=budget)
+            return are_isomorphic(g, h, budget=budget, known=known)
 
         monkeypatch.setattr(catalog, "automorphism_group", slow_aut)
         monkeypatch.setattr(catalog, "are_isomorphic", slow_iso)

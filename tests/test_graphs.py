@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rank3 import graphs
-from rank3.autsolve import automorphism_group
+from rank3.autsolve import are_isomorphic, automorphism_group
 from rank3.catalog import builtin_catalog, verify_entry
 from rank3.graphs import (
     Degenerate,
@@ -19,19 +19,12 @@ from rank3.graphs import (
     _circulant_blocks,
     complement,
     is_isomorphism,
-    is_linear_automorphism,
     srg_params,
     to_graph6,
     unit_translations,
 )
-from rank3.families import cayley_graph
-from rank3.permgrp import (
-    GeneratorSet,
-    MatrixGroupSpec,
-    SingularGenerator,
-    linear_perms,
-    orbit,
-)
+from rank3.families import cayley_graph, family_graph, parse_descriptor, zero_stabilizer
+from rank3.permgrp import GeneratorSet, orbit
 
 
 def from_edges(n: int, edges) -> DenseGraph:
@@ -416,39 +409,108 @@ def test_complement_keeps_moduli():
     assert srg_params(co) == complement_params(srg_params(g))
 
 
-# -- the row-0 test for linear automorphisms ---------------------------------------
+# -- the affine path of is_isomorphism ---------------------------------------------
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 1)]),
-    st.data(),
-)
-def test_linear_automorphism_agrees_with_full_check(shape, data):
-    # Cay(GF(p)^d, S) against a random invertible matrix M: S is either a
-    # union of <M, -I>-orbits (M an automorphism) or any symmetric set (M
-    # usually moves it); the row-0 test must agree with the n^2 check
-    p, d = shape
-    n = p**d
-    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d))
-    try:
-        spec = MatrixGroupSpec(p, d, (np.array(entries).reshape(d, d), -np.eye(d, dtype=int)))
-    except SingularGenerator:
-        assume(False)
-    mat, neg = linear_perms(spec).gens
+def affine_map(a: np.ndarray, b: int, m: int) -> np.ndarray:
+    """The image array of y -> a y + b over Z_m^k (a is k x k, b a vertex),
+    vertex i being the vector of its base-m digits, lowest first."""
+    shape = (m,) * len(a)
+    digits = np.array(np.unravel_index(np.arange(m ** len(a)), shape)[::-1])
+    return np.ravel_multi_index(tuple(((a @ digits + digits[:, [b]]) % m)[::-1]), shape)
+
+
+def affine_part(img: np.ndarray, m: int, k: int) -> np.ndarray | None:
+    """The affine map y -> a y + img[0] that agrees with img at 0 and the unit
+    vectors, if it agrees with img everywhere; None otherwise."""
+    digits = np.array(np.unravel_index(img[m ** np.arange(k)], (m,) * k)[::-1])
+    base = np.array(np.unravel_index(img[0], (m,) * k)[::-1]).reshape(k, 1)
+    affine = affine_map((digits - base) % m, int(img[0]), m)
+    return affine if np.array_equal(affine, img) else None
+
+
+def fresh(g: DenseGraph) -> DenseGraph:
+    """g rebuilt from row 0, its matrix not built yet."""
+    return DenseGraph.from_row0(g.row0, g.moduli)
+
+
+def matrix_free(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> tuple[bool, bool]:
+    """is_isomorphism on fresh copies, and whether it left their matrices
+    unbuilt, i.e. took the affine path: (answer, affine path taken)."""
+    g, h = fresh(g), fresh(h)
+    return is_isomorphism(g, h, mapping), g._matrix is None and h._matrix is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 1), (9, 2)]), st.data())
+def test_affine_path_agrees_with_full_check(shape, data):
+    # Cay(Z_m^k, S) against a random bijective affine map sigma = a y + b: S
+    # is a union of <a, -1>-orbits (sigma an automorphism) or any symmetric
+    # set, and h is g, sigma's image of g or another Cayley graph on Z_m^k.
+    # sigma, sigma with two images swapped and a random permutation must get
+    # the n^2 answer, and only sigma may leave the matrices unbuilt
+    m, k = shape
+    n = m**k
+    a = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=k * k, max_size=k * k)))
+    a = a.reshape(k, k)
+    sigma = affine_map(a, data.draw(st.integers(0, n - 1)), m)
+    assume(len(set(sigma.tolist())) == n)  # a is invertible mod m
+    lin, neg = affine_map(a, 0, m), affine_map(-np.eye(k, dtype=int), 0, m)
     seeds = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
     if data.draw(st.booleans()):
-        members = set().union(*(orbit(GeneratorSet(n, (mat, neg)), s) for s in seeds))
+        members = set().union(*(orbit(GeneratorSet(n, (lin, neg)), s) for s in seeds))
     else:
         members = set(seeds) | {int(neg[s]) for s in seeds}
-    g = cayley_graph(p, d, members)
-    fast = is_linear_automorphism(g, mat)
-    assert fast == is_isomorphism(g, g, mat)
-    assert fast == (members == {int(mat[s]) for s in members})
+    row0 = np.isin(np.arange(n), sorted(members))
+    kind = data.draw(st.sampled_from(["same", "image", "other"]))
+    if kind == "image":  # sigma carries g onto h: h.row0[a z] = g.row0[z]
+        h_row0 = np.empty(n, dtype=bool)
+        h_row0[lin] = row0
+    elif kind == "other":
+        others = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4))
+        h_row0 = np.isin(np.arange(n), sorted(set(others) | {int(neg[s]) for s in others}))
+    else:
+        h_row0 = row0
+    g = DenseGraph.from_row0(row0, (m,) * k)
+    h = DenseGraph.from_row0(h_row0, (m,) * k)
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    swapped = sigma.copy()
+    swapped[[i, j]] = sigma[[j, i]]
+    perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(n)
+    for mapping in (sigma, swapped, perm):
+        got, affine = matrix_free(g, h, mapping)
+        assert got == np.array_equal(h.adj[np.ix_(mapping, mapping)], g.adj)
+        assert affine == (affine_part(mapping, m, k) is not None)
+    assert matrix_free(g, h, sigma)[1] and not matrix_free(g, h, swapped)[1]
+    if kind == "image":
+        assert is_isomorphism(g, h, sigma)
 
 
-def test_linear_automorphism_needs_moduli():
-    g = cayley_graph(3, 2, [1, 2])
-    assert is_linear_automorphism(g, np.arange(9))
-    with pytest.raises(ValueError, match="moduli"):
-        is_linear_automorphism(DenseGraph(g.adj), np.arange(9))
+@pytest.mark.parametrize("a,b", [("vls:64:3", "hq:2:3"), ("vls:25:3", "hamming2:5")])
+def test_mappings_between_catalog_graphs(a, b):
+    # two catalog graphs on one group: the solver's mapping, its inverse and
+    # the mapping with two images swapped, each against the n^2 answer
+    g, h = (family_graph(parse_descriptor(desc)) for desc in (a, b))
+    assert g.moduli == h.moduli
+    mapping = are_isomorphic(g, h)
+    swapped = mapping.copy()
+    swapped[[0, 1]] = mapping[[1, 0]]
+    for src, dst, mp in ((g, h, mapping), (h, g, np.argsort(mapping)), (g, h, swapped)):
+        got, _ = matrix_free(src, dst, mp)
+        assert got == np.array_equal(dst.adj[np.ix_(mp, mp)], src.adj)
+    assert matrix_free(g, h, mapping)[0] and not matrix_free(g, h, swapped)[0]
+
+
+@pytest.mark.parametrize("desc", ["hamming2:5", "hamming2:9", "vls:25:3"])
+def test_rook_automorphisms_outside_the_normalizer_take_the_fallback(desc):
+    # Aut of the m x m rook's graph is S_m wr S_2, and most of it is not
+    # affine on Z_m^2: those generators must be checked on the matrix
+    fid = parse_descriptor(desc)
+    g = family_graph(fid)
+    m, k = g.moduli[0], len(g.moduli)
+    gens = automorphism_group(g, known=zero_stabilizer(fid)).generators.gens
+    outside = [img for img in gens if affine_part(img, m, k) is None]
+    assert outside
+    for img in gens:
+        got, affine = matrix_free(g, g, img)
+        assert got and affine == (affine_part(img, m, k) is not None)
