@@ -25,21 +25,29 @@ refined to its three cells {0}, N(0) and the non-neighbours:
   with its new cell as splitter.  It splits 26 cells of hq:2:5 and 68 of
   a52, so it times the per-cell end of a pass (the trace and the Hopcroft
   queue), which ``split``, with two split cells, barely reaches.
+
+On relabelled hq:2:5, one refinement of an off-path child at depth 5 (the
+least other member of the first path's target cell there, individualized):
+under the first path's record (``record``), which stops it after the
+record's 44 passes, against the same child refined to equitability
+(``equitable``), 215 passes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 
-from rank3.autsolve import _Cells, _Refiner, automorphism_group
+from rank3.autsolve import _Cells, _individualized, _Refiner, _Solver, automorphism_group
 from rank3.families import family_graph, parse_descriptor, zero_stabilizer
 from rank3.graphs import DenseGraph
 
 ROWS = ["orbital:sl25:41", "hq:3:3"]
 PASS_ROWS = ["hq:2:5", "a52"]
+OFF_PATH_DEPTH = 5
 ROUNDS = 3
 
 
@@ -123,3 +131,46 @@ def test_splitter_pass(benchmark, relabelled_rank3, kind):
         before = cells.colors.copy()
         refiner._pass(cells, s, *rest)
         assert len(np.unique(before[cells.colors != before])) >= 10  # split cells
+
+
+@pytest.fixture(scope="module")
+def off_path():
+    """Relabelled hq:2:5, its first path's node at depth OFF_PATH_DEPTH (the
+    cells and the trace), an off-path child vertex there, and the first
+    path's record and trace at that depth."""
+    g = family_graph(parse_descriptor("hq:2:5"))
+    perm = np.random.default_rng(0).permutation(g.n)
+    h = DenseGraph(g.adj[np.ix_(perm, perm)])
+    path = _Solver(h, 60.0, math.inf, first_only=True)
+    path.run()
+    cells, trace = path.root()
+    refiner = _Refiner(h)
+    for v in path.first_vertices[:OFF_PATH_DEPTH]:
+        cells, trace = _individualized(cells, trace, v)
+        trace = refiner.refine(cells, [cells.num_classes - 1], trace)
+    first = path.first_vertices[OFF_PATH_DEPTH]
+    target = cells.members(path.first_cells[OFF_PATH_DEPTH]).tolist()
+    w = min(v for v in target if v != first)
+    record = path.first_records[OFF_PATH_DEPTH]
+    return h, cells, trace, w, record, path.first_traces[OFF_PATH_DEPTH]
+
+
+@pytest.mark.parametrize("follow", [True, False], ids=["record", "equitable"])
+def test_off_path_refine(benchmark, off_path, follow):
+    h, cells, trace, w, record, first_trace = off_path
+    refiner = _Refiner(h)
+
+    def fresh():
+        child, start = _individualized(cells, trace, w)
+        return (child, [child.num_classes - 1], start, record if follow else None), {}
+
+    benchmark.pedantic(refiner.refine, setup=fresh, rounds=ROUNDS * 10)
+    (child, queue, start, rec), _ = fresh()
+    before = refiner.refinements
+    got = refiner.refine(child, queue, start, rec)
+    passes = refiner.refinements - before
+    if follow:
+        # the child's trace matches the record's after every pass
+        assert (passes, got) == (len(record), first_trace)
+    else:
+        assert passes > len(record) and got == first_trace

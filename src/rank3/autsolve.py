@@ -30,7 +30,16 @@ Pruning, in the standard shape:
   relabelled graph and another process get the same traces.  A branch whose
   trace differs from the first path's at the same depth cannot carry an
   automorphism and is cut (hash equality never *accepts* anything by itself:
-  leaves are always verified, so a collision costs work, not correctness);
+  leaves are always verified, so a collision costs work, not correctness).
+  Traces are compared as refinement proceeds (McKay & Piperno 2014, §3): the
+  first path records, per depth, its trace after each pass up to its last
+  splitting pass, and every other node of that depth stops after as many
+  passes, or returns at the first pass whose trace differs from the record.
+  An automorphism maps the first path's node to one with the same per-pass
+  traces, whose skipped passes split nothing, so its coloring is the first
+  path's image; a node that matches the record without being such an image
+  may be kept where refinement to equitability would cut it, and its leaves
+  are verified like all others;
 * orbit pruning — a node skips the children lying in the orbit of its
   explored ones, and of those the trace cut, under the known automorphisms
   fixing its individualized prefix (refinement is label-invariant, so such
@@ -57,10 +66,11 @@ keeps vertex-transitive inputs tractable.
 
 Isomorphism testing is a directed search.  The search of g stops at its
 first leaf; h's tree is then searched along g's first path: the same target
-cell ids, every child cut whose trace differs from g's at its depth, and at a
-leaf the map carrying g's first leaf onto it is a candidate, accepted only if
-it carries g onto h.  An isomorphism carries g's first path to such a path of
-h, so the search is complete, whether or not the graphs are connected.  Given
+cell ids, every child refined against g's record and cut if its trace
+differs from g's at its depth, and at a leaf the map carrying g's first leaf
+onto it is a candidate, accepted only if it carries g onto h.  An
+isomorphism carries g's first path to such a path of h, so the search is
+complete, whether or not the graphs are connected.  Given
 automorphisms of g (the catalog passes its aut stage's), g's tree is searched
 under them along h's first path.  Otherwise the searched side is one with
 translation moduli if either has them, and its translations are the known
@@ -181,6 +191,14 @@ class _Cells:
         return c
 
 
+def _individualized(cells: _Cells, trace: int, v: int) -> tuple[_Cells, int]:
+    """A copy of cells with v individualized, and the trace its refinement
+    starts from: trace with v's old cell id mixed in."""
+    child = cells.copy()
+    old = child.individualize(v)
+    return child, hash((trace, 0x1D1, old)) & _M64
+
+
 class _Refiner:
     """Cell-targeted equitable refinement of the colorings of one graph.
 
@@ -199,7 +217,10 @@ class _Refiner:
     those parts loops in Python, once per split cell.  `deadline`, a
     time.monotonic() value, is checked once per pass: Timeout(budget) when it
     has passed.  ``refinements`` counts passes and ``splits`` the passes that
-    split a cell.
+    split a cell.  The search's first path refines to equitability and
+    records its trace after each pass, up to its last split; the search's
+    other nodes refine against that record, stopping where it ends and
+    returning at the first pass whose trace differs (see refine).
     """
 
     def __init__(self, g: DenseGraph, deadline: float = math.inf, budget: float = 0.0):
@@ -236,18 +257,41 @@ class _Refiner:
         np.bitwise_count(self._anded, out=self._bits)
         return self._bits.sum(axis=1, dtype=np.int32)
 
-    def refine(self, cells: _Cells, queue, trace: int) -> int:
-        """Refine cells in place to the coarsest equitable refinement,
-        processing the given splitter queue (Hopcroft all-but-largest).
-        Returns the trace."""
+    def refine(
+        self, cells: _Cells, queue, trace: int, record: list | tuple | None = None
+    ) -> int:
+        """Refine cells in place, processing the given splitter queue
+        (Hopcroft all-but-largest), to the coarsest equitable refinement.
+        Returns the trace.
+
+        ``record`` is the search's first path at one depth: the trace after
+        each of its passes, up to its last splitting pass.  A list is filled
+        with it (refinement still runs to equitability); a tuple is followed:
+        refinement stops after len(record) passes, and returns at once when
+        its trace after a pass differs from the record's for that pass."""
         pending = deque(queue)
         queued = set(pending)
+        follow = isinstance(record, tuple)
+        passes = last_split = 0
         while pending and cells.num_classes < self.n:
+            if follow and passes == len(record):
+                break
             if time.monotonic() > self.deadline:
                 raise Timeout(self.budget)
             s = pending.popleft()
             queued.discard(s)
+            splits = self.splits
             trace = self._pass(cells, s, trace, pending, queued)
+            passes += 1
+            if follow:
+                if trace != record[passes - 1]:
+                    break
+            elif record is not None:
+                record.append(trace)
+                if self.splits > splits:
+                    last_split = passes
+        if record is not None and not follow:
+            del record[last_split:]
         return trace
 
     def _pass(self, cells: _Cells, s: int, trace: int, pending: deque, queued: set) -> int:
@@ -419,6 +463,7 @@ class _Solver:
         self.gens: list[np.ndarray] = []
         self.first_leaf: np.ndarray | None = None
         self.first_traces: list[int] = []
+        self.first_records: list[tuple[int, ...]] = []  # see _Refiner.refine
         self.first_cells: list[int] = []
         self.first_vertices: list[int] = []
         self.order = 1  # the product of the first path's orbit lengths
@@ -476,13 +521,15 @@ class _Solver:
         for v in cells.members(cell_color).tolist():  # ascending: the layout keeps it so
             if orbits is not None and v in orbits:
                 continue
-            child = cells.copy()
-            old = child.individualize(v)
-            ctrace = self.refiner.refine(
-                child, [child.num_classes - 1], hash((trace, 0x1D1, old)) & _M64
-            )
-            if on_first_path and len(self.first_traces) == depth:
+            child, ctrace = _individualized(cells, trace, v)
+            # the first path's child refines to equitability and fills the
+            # record its depth's other children follow
+            first_child = on_first_path and len(self.first_traces) == depth
+            record = [] if first_child else self.first_records[depth]
+            ctrace = self.refiner.refine(child, [child.num_classes - 1], ctrace, record)
+            if first_child:
                 self.first_traces.append(ctrace)
+                self.first_records.append(tuple(record))
                 self.first_vertices.append(v)
             elif ctrace != self.first_traces[depth]:
                 if orbits is not None:  # its orbit-mates share its trace
@@ -521,6 +568,7 @@ class _Solver:
         self.source = path.g
         self.first_leaf = path.first_leaf
         self.first_traces, self.first_cells = path.first_traces, path.first_cells
+        self.first_records = path.first_records
 
     def search(self, cells: _Cells, trace: int) -> None:
         """Search the tree below a root from ``root``; a directed search raises
@@ -578,15 +626,22 @@ def check_budget(budget: float) -> None:
 def _known_automorphisms(g: DenseGraph, known: GeneratorSet | None) -> list[np.ndarray]:
     """The unit translations of g.moduli, automorphisms by construction
     (from_row0), then the generators of ``known``, each checked against g:
-    ValueError if one is not an automorphism or their degree is not g.n."""
+    ValueError if one is not an automorphism or their degree is not g.n.
+    A repeated row is kept once, where it first occurs: an AutResult's
+    generators start with the very translations prepended here."""
     if known is not None and known.degree != g.n:
         raise ValueError(f"known generators have degree {known.degree}, graph has {g.n}")
-    seeds = [img.astype(np.int32) for img in unit_translations(g.moduli or ())]
-    for j, img in enumerate(() if known is None else known.gens):
+    seeds = {}  # keyed by the int32 image's bytes, in insertion order
+    for img in unit_translations(g.moduli or ()):
+        img = img.astype(np.int32)
+        seeds.setdefault(img.tobytes(), img)
+    for j, img in enumerate(() if known is None else known.gens):  # int32 rows
+        if img.tobytes() in seeds:
+            continue
         if not is_isomorphism(g, g, img):
             raise ValueError(f"known generator {j} is not an automorphism of the graph")
-        seeds.append(img)
-    return seeds
+        seeds[img.tobytes()] = img
+    return list(seeds.values())
 
 
 def automorphism_group(
@@ -649,12 +704,13 @@ def _iso_search(
     """An isomorphism g -> h of graphs of equal size, by a directed search.
 
     g's first path (the target cell, the trace after each individualization,
-    and the leaf) is taken by the search itself, stopping at its first leaf.
-    h's tree is then searched along the same cell ids, cutting every child
-    whose trace differs from g's at its depth; at a leaf, the map carrying
-    g's first leaf onto it is a candidate, accepted only if it carries g onto
-    h.  Complete: an isomorphism carries g's first path to a path of h with
-    the same cells and traces, whose leaf yields it.  ``known`` holds
+    its per-pass record, and the leaf) is taken by the search itself,
+    stopping at its first leaf.  h's tree is then searched along the same
+    cell ids, every child refined against g's record and cut if its trace
+    differs from g's at its depth; at a leaf, the map carrying g's first
+    leaf onto it is a candidate, accepted only if it carries g onto h.
+    Complete: an isomorphism carries g's first path to a path of h with
+    the same cells and per-pass traces, whose leaf yields it.  ``known`` holds
     checked automorphisms of h, which prune every node whose prefix they
     fix; when it is None, h's translations are used if it has moduli, and
     otherwise Aut(h) is searched first within 0.4 of the budget.  The two

@@ -293,6 +293,49 @@ def assert_order_matches_oracle(g, known=()):
     return solver.order
 
 
+# -- the equitable reference search ----------------------------------------------
+#
+# Off the first path, the solver refines a node only as far as the first path's
+# record at its depth.  The search below refines every node to equitability,
+# as the solver did before the record: same first path, orders, nodes and
+# generators, in more passes.
+
+
+class EquitableRefiner(_Refiner):
+    """The refiner filling the first path's record but following none."""
+
+    def refine(self, cells, queue, trace, record=None):
+        return super().refine(cells, queue, trace, None if isinstance(record, tuple) else record)
+
+
+class EquitableSolver(_Solver):
+    """The search with every node refined to equitability."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.refiner = EquitableRefiner(self.g, self.deadline, self.budget)
+
+
+def assert_searches_like_equitable(g):
+    """Search g as the solver does and as the equitable reference does: the
+    orders, node counts and generators must be equal.  Returns the order."""
+    new, ref = _Solver(g, 60.0, math.inf), EquitableSolver(g, 60.0, math.inf)
+    new.run()
+    ref.run()
+    assert (new.order, new.nodes) == (ref.order, ref.nodes)
+    assert [img.tolist() for img in new.gens] == [img.tolist() for img in ref.gens]
+    assert new.refiner.refinements <= ref.refiner.refinements
+    return new.order
+
+
+def small_random_graphs():
+    """200 random graphs on 1-7 vertices, for the brute-force cross-checks."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        yield random_graph(rng, n, float(rng.choice([0.2, 0.5, 0.8])))
+
+
 def num_classes(colors):
     return int(colors.max()) + 1
 
@@ -577,14 +620,30 @@ class TestAutomorphismGroup:
             assert np.array_equal(g.adj[np.ix_(s, s)], g.adj)
 
     def test_matches_brute_force(self):
-        rng = np.random.default_rng(11)
-        for trial in range(200):
-            n = int(rng.integers(1, 8))
-            g = random_graph(rng, n, float(rng.choice([0.2, 0.5, 0.8])))
+        for trial, g in enumerate(small_random_graphs()):
             assert automorphism_group(g).order == len(brute_force_aut(g)), (
                 f"trial {trial}: {g.adj.astype(int)}"
             )
             assert_order_matches_oracle(g)
+
+    def test_record_keeps_the_search(self):
+        for trial, g in enumerate(small_random_graphs()):
+            assert assert_searches_like_equitable(g) == len(brute_force_aut(g)), (
+                f"trial {trial}: {g.adj.astype(int)}"
+            )
+
+    # (descriptor, relabelling seed, |Aut|): two pinned searches, and hq:2:5,
+    # whose order is 1024 * |GL_2(2)| * |GL_5(2)| = 1024 * 6 * 9999360
+    RECORD_ROWS = [
+        ("vls:64:3", 1, 64512),
+        ("orbital:q8:13", 3, 48672),
+        ("hq:2:5", 0, 61436067840),
+    ]
+
+    @pytest.mark.parametrize("desc,seed,order", RECORD_ROWS)
+    def test_record_keeps_the_search_on_relabelled_row(self, desc, seed, order):
+        h = relabelled(family_graph(parse_descriptor(desc)), seed)
+        assert assert_searches_like_equitable(h) == order
 
     def test_complement_has_same_group(self):
         for g in [paley(13), PETERSEN, path_graph(5)]:
@@ -625,11 +684,12 @@ class TestAutomorphismGroup:
 
     # (descriptor, relabelling seed, |Aut|, nodes, refinements, generators),
     # recorded with every first-path node pruning by all the automorphisms
-    # found beneath it: a faster splitter pass must leave the search unchanged
+    # found beneath it and every other node refining only as far as the first
+    # path's record: a faster splitter pass must leave the search unchanged
     PINNED_SEARCHES = [
-        ("vls:64:3", 1, 64512, 22, 166, 6),
-        ("vo:+:8:2", 2, 89181388800, 55, 1440, 9),
-        ("orbital:q8:13", 3, 48672, 14, 328, 5),
+        ("vls:64:3", 1, 64512, 22, 105, 6),
+        ("vo:+:8:2", 2, 89181388800, 55, 261, 9),
+        ("orbital:q8:13", 3, 48672, 14, 179, 5),
     ]
 
     @pytest.mark.parametrize("desc,seed,order,nodes,refinements,gens", PINNED_SEARCHES)
@@ -676,21 +736,21 @@ class TestSeededSearch:
         "paley:49": (4, 31, 4),
         "paley:81": (6, 59, 7),
         "peisert:49": (5, 51, 5),
-        "vls:16:3": (9, 19, 8),
-        "vls:25:3": (20, 56, 8),
-        "vls:64:3": (10, 73, 11),
-        "hamming2:5": (20, 56, 11),
+        "vls:16:3": (9, 16, 8),
+        "vls:25:3": (20, 33, 8),
+        "vls:64:3": (10, 61, 11),
+        "hamming2:5": (20, 33, 11),
         "vo:-:4:2": (6, 13, 14),
         "vo:-:6:2": (8, 49, 24),
-        "vo:+:8:2": (14, 307, 34),
+        "vo:+:8:2": (14, 197, 34),
         "orbital:sl23:7": (5, 49, 7),
         "orbital:q8:13": (5, 76, 6),
-        "hamming2:9": (100, 586, 19),
-        "peisert:81": (9, 56, 9),
+        "hamming2:9": (100, 157, 19),
+        "peisert:81": (9, 51, 9),
         "vo:+:4:3": (7, 60, 19),
-        "vls:256:5": (16, 598, 14),
+        "vls:256:5": (16, 247, 14),
         "orbital:q8:17": (5, 117, 6),
-        "hq:3:3": (16, 960, 18),
+        "hq:3:3": (16, 760, 18),
         "orbital:sl25:41": (5, 397, 6),
     }
 
@@ -751,13 +811,19 @@ class TestSeededSearch:
 
     CLAIMS = [(e.id, c.other, c.isomorphic) for e in ROWS for c in e.iso_claims]
 
+    # (plain, under Aut(g)) refinement passes of each non-isomorphic claim
+    NONISO_PASSES = {
+        "peisert:49~paley:49": (86, 35),
+        "peisert:81~paley:81": (110, 56),
+    }
+
     @pytest.mark.parametrize(
         "desc,other,isomorphic", CLAIMS, ids=[f"{a}~{b}" for a, b, _ in CLAIMS]
     )
     def test_iso_claim_searched_under_aut_g(self, desc, other, isomorphic, monkeypatch):
         # each catalog claim as verify runs it, g's tree searched under Aut(g):
         # the plain search's verdict, a verified mapping, and a non-isomorphic
-        # pair exhausted in at most a tenth of the plain search's passes
+        # pair exhausted in its pinned passes, fewer under Aut(g) than plain
         passes = []
         one_pass = _Refiner._pass
         monkeypatch.setattr(
@@ -779,7 +845,43 @@ class TestSeededSearch:
                 assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
             counts.append(len(passes))
         if not isomorphic:
-            assert 10 * counts[1] <= counts[0]
+            assert tuple(counts) == self.NONISO_PASSES[f"{desc}~{other}"]
+            assert counts[1] < counts[0]
+
+    def test_known_generators_searched_once(self, monkeypatch):
+        # an AutResult's generators start with g's translations, which the
+        # known set already holds: each row is kept once, and the orders and
+        # verdicts are those of the search without known generators
+        import rank3.autsolve as autsolve
+
+        searched = []
+        iso_search = autsolve._iso_search
+
+        def recording(g, h, deadline, known):
+            searched.append(known)
+            return iso_search(g, h, deadline, known)
+
+        monkeypatch.setattr(autsolve, "_iso_search", recording)
+        fid = parse_descriptor("peisert:49")
+        g = family_graph(fid)
+        aut = automorphism_group(g, known=zero_stabilizer(fid))
+        gens = aut.generators.gens
+        assert len(np.unique(gens, axis=0)) == len(gens)
+        assert np.array_equal(gens[: len(g.moduli)], unit_translations(g.moduli))
+        again = automorphism_group(g, known=aut.generators)
+        assert (again.order, again.known) == (aut.order, len(gens))
+        for h, isomorphic in ((relabelled(g, 4), True), (paley(49), False)):
+            verdicts = []
+            for known in (None, aut.generators):
+                try:
+                    m = are_isomorphic(g, h, known=known)
+                    verdicts.append(np.array_equal(h.adj[np.ix_(m, m)], g.adj))
+                except NotIsomorphic:
+                    verdicts.append(False)
+            assert verdicts == [isomorphic] * 2
+            rows = np.array(searched[-1])
+            assert len(rows) == len(gens)
+            assert len(np.unique(rows, axis=0)) == len(rows)
 
     def test_iso_rejects_a_known_non_automorphism(self):
         g = paley(13)
