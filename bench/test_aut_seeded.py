@@ -141,7 +141,7 @@ def off_path():
     g = family_graph(parse_descriptor("hq:2:5"))
     perm = np.random.default_rng(0).permutation(g.n)
     h = DenseGraph(g.adj[np.ix_(perm, perm)])
-    path = _Solver(h, 60.0, math.inf, first_only=True)
+    path = _Solver(h, math.inf, first_only=True)
     path.run()
     cells, trace = path.root()
     refiner = _Refiner(h)

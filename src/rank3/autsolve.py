@@ -15,12 +15,10 @@ the splitter's rows when it is small, AND + popcount over the packed rows
 otherwise), and the count read in ``lab`` order differs between two
 positions of one cell exactly where that cell splits.  A pass that splits
 nothing therefore costs a gather, a shifted compare and a mask, and a pass
-that splits re-sorts only the split cells' segments.  Outside the layout a
-coloring is an int array of class ids 0..c-1 (``refine``), and a search
-starts from the unit partition.  Leaves of the search are discrete
-colorings; comparing a leaf against the first (leftmost) leaf yields a
-candidate automorphism, which is verified against the full adjacency matrix
-before it is accepted.
+that splits re-sorts only the split cells' segments.  A search starts from
+the unit partition.  Leaves of the search are discrete colorings; comparing
+a leaf against the first (leftmost) leaf yields a candidate automorphism,
+which is verified against the full adjacency matrix before it is accepted.
 
 Pruning, in the standard shape:
 * trace pruning — every branch carries a 64-bit trace of its refinement
@@ -64,17 +62,20 @@ Strongly regular graphs are equitably homogeneous, so plain refinement never
 splits them; all the work happens in the search, and orbit pruning is what
 keeps vertex-transitive inputs tractable.
 
-Isomorphism testing is a directed search.  The search of g stops at its
-first leaf; h's tree is then searched along g's first path: the same target
-cell ids, every child refined against g's record and cut if its trace
-differs from g's at its depth, and at a leaf the map carrying g's first leaf
-onto it is a candidate, accepted only if it carries g onto h.  An
-isomorphism carries g's first path to such a path of h, so the search is
-complete, whether or not the graphs are connected.  Given
-automorphisms of g (the catalog passes its aut stage's), g's tree is searched
-under them along h's first path.  Otherwise the searched side is one with
-translation moduli if either has them, and its translations are the known
-automorphisms; only without moduli is its group searched first instead.
+Isomorphism testing is a directed search.  The search of one graph stops at
+its first leaf; the other graph's tree is then searched along that first
+path: the same target cell ids, every child refined against the first
+path's record and cut if its trace differs from the first path's at its
+depth, and at a leaf the map carrying the first leaf onto it is a
+candidate, accepted only if it is an isomorphism.  An isomorphism carries
+the first path to such a path of the searched graph, so the search is
+complete, whether or not the graphs are connected, and needs no invariant
+checked beforehand.  The searched side is g when automorphisms of g are
+given (the catalog passes its aut stage's) or when only g has translation
+moduli, and h otherwise.  Its known automorphisms are those an
+automorphism search of it starts from: its translations and the given
+ones.  Only when it has none is its group searched first, under the same
+deadline.
 """
 
 from __future__ import annotations
@@ -90,10 +91,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DenseGraph, is_isomorphism, unit_translations
-from .permgrp import GeneratorSet, _point_mask, orbit_mask
+from .permgrp import GeneratorSet, Timeout, _point_mask, orbit_mask
 
 __all__ = [
-    "refine",
     "AutResult",
     "automorphism_group",
     "are_isomorphic",
@@ -105,14 +105,6 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
-
-
-class Timeout(RuntimeError):
-    """The solver exceeded its time budget (seconds)."""
-
-    def __init__(self, budget: float):
-        self.budget = budget
-        super().__init__(f"solver budget of {budget:g} s exhausted")
 
 
 class NotIsomorphic(ValueError):
@@ -215,15 +207,15 @@ class _Refiner:
     pass then mixes its parts' ids, counts and sizes into the trace with one
     hash() call and queues its new parts with one extend; only choosing
     those parts loops in Python, once per split cell.  `deadline`, a
-    time.monotonic() value, is checked once per pass: Timeout(budget) when it
-    has passed.  ``refinements`` counts passes and ``splits`` the passes that
+    time.monotonic() value, is checked once per pass: Timeout when it has
+    passed.  ``refinements`` counts passes and ``splits`` the passes that
     split a cell.  The search's first path refines to equitability and
     records its trace after each pass, up to its last split; the search's
     other nodes refine against that record, stopping where it ends and
     returning at the first pass whose trace differs (see refine).
     """
 
-    def __init__(self, g: DenseGraph, deadline: float = math.inf, budget: float = 0.0):
+    def __init__(self, g: DenseGraph, deadline: float = math.inf):
         self.n = g.n
         self.rows = g.adj.view(np.uint8)
         self.packed = g._packed
@@ -231,7 +223,6 @@ class _Refiner:
         self._anded = np.empty_like(self.packed)
         self._bits = np.empty(self.packed.shape, dtype=np.uint8)
         self.deadline = deadline
-        self.budget = budget
         self.refinements = 0
         self.splits = 0
         # a pass sorts (cell, count, vertex) packed into one int64 key, which
@@ -277,7 +268,7 @@ class _Refiner:
             if follow and passes == len(record):
                 break
             if time.monotonic() > self.deadline:
-                raise Timeout(self.budget)
+                raise Timeout("the solver passed its deadline")
             s = pending.popleft()
             queued.discard(s)
             splits = self.splits
@@ -371,29 +362,6 @@ class _Refiner:
         return trace
 
 
-def refine(g: DenseGraph, colors: np.ndarray) -> np.ndarray:
-    """The coarsest equitable coloring refining `colors`: within each class,
-    all vertices have the same number of neighbours in every class.  A
-    coloring is an int array of g.n class ids that uses each of 0..c-1;
-    ValueError otherwise.  Idempotent; class ids are assigned
-    deterministically (splits keep the old id on the lowest-count part, new
-    parts get fresh ids in ascending count order), so equal inputs give
-    identical outputs."""
-    colors = np.asarray(colors)
-    if colors.shape != (g.n,):
-        raise ValueError(f"coloring has shape {colors.shape}, graph has {g.n} vertices")
-    if g.n and (
-        colors.dtype.kind not in "iu"
-        or colors.min() < 0
-        or colors.max() >= g.n
-        or not np.bincount(colors).all()
-    ):
-        raise ValueError("color ids must be integers using each of 0..c-1")
-    cells = _Cells.of(colors)
-    _Refiner(g).refine(cells, range(cells.num_classes), 0)
-    return cells.colors
-
-
 # -- the IR search ----------------------------------------------------------------
 
 
@@ -446,7 +414,6 @@ class _Solver:
     def __init__(
         self,
         g: DenseGraph,
-        budget: float,
         deadline: float,
         known: Sequence[np.ndarray] = (),
         first_only: bool = False,
@@ -454,8 +421,7 @@ class _Solver:
         self.g = g
         self.source = g  # a leaf's candidate maps source's first leaf to it
         self.n = g.n
-        self.refiner = _Refiner(g, deadline, budget)
-        self.budget = budget
+        self.refiner = _Refiner(g, deadline)
         self.deadline = deadline
         self.known = known
         self.first_only = first_only  # stop at the first leaf
@@ -473,7 +439,7 @@ class _Solver:
     def _tick(self) -> None:
         self.nodes += 1
         if time.monotonic() > self.deadline:
-            raise Timeout(self.budget)
+            raise Timeout("the solver passed its deadline")
 
     def _pick_cell(self, cells: _Cells) -> int:
         """The smallest non-singleton cell, ties to the least first member."""
@@ -649,13 +615,13 @@ def automorphism_group(
 ) -> AutResult:
     """Generators and order of the full automorphism group of g.
 
-    The search starts from the unit translations of g.moduli and the
-    generators of ``known``, each of which is checked by is_isomorphism
-    (ValueError if one is not an automorphism), as is every generator the
-    search finds.  Completeness comes from exhausting the individualization
-    tree modulo trace/orbit pruning, so ``known`` may generate any
-    subgroup.  Raises Timeout(budget) when the budget (seconds)
-    runs out, and ValueError unless budget >= 0 (NaN included).
+    The search starts from _known_automorphisms: the unit translations of
+    g.moduli and the generators of ``known``, each of which is checked by
+    is_isomorphism (ValueError if one is not an automorphism), as is every
+    generator the search finds.  Completeness comes from exhausting the
+    individualization tree modulo trace/orbit pruning, so ``known`` may
+    generate any subgroup.  Raises Timeout when the budget (seconds) runs
+    out, and ValueError unless budget >= 0 (NaN included).
     """
     check_budget(budget)
     start = time.monotonic()
@@ -663,7 +629,7 @@ def automorphism_group(
     seeds = _known_automorphisms(g, known)
     if n == 0:
         return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0, 0.0, 0)
-    solver = _Solver(g, budget, start + budget, seeds)
+    solver = _Solver(g, start + budget, seeds)
     solver.run()
     return AutResult(
         GeneratorSet(n, seeds + solver.gens),
@@ -676,68 +642,35 @@ def automorphism_group(
     )
 
 
-def _degree_multiset(g: DenseGraph) -> list[int]:
-    return sorted(int(d) for d in g.degrees())
-
-
-def _component_sizes(g: DenseGraph) -> list[int]:
-    """The sizes of the connected components, ascending."""
-    seen = np.zeros(g.n, dtype=bool)
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = np.zeros(g.n, dtype=bool)
-        comp[s] = True
-        frontier = comp.copy()
-        while frontier.any():
-            frontier = g.adj[frontier].any(axis=0) & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(int(np.count_nonzero(comp)))
-    return sorted(out)
-
-
 def _iso_search(
-    g: DenseGraph, h: DenseGraph, deadline: float, known: list[np.ndarray] | None
+    g: DenseGraph, h: DenseGraph, deadline: float, known: list[np.ndarray]
 ) -> np.ndarray:
     """An isomorphism g -> h of graphs of equal size, by a directed search.
 
-    g's first path (the target cell, the trace after each individualization,
-    its per-pass record, and the leaf) is taken by the search itself,
-    stopping at its first leaf.  h's tree is then searched along the same
-    cell ids, every child refined against g's record and cut if its trace
+    The two root refinements come first: their traces and cell sizes must
+    agree, so graphs whose degrees differ are told apart there.  g's first
+    path (the target cell, the trace after each individualization, its
+    per-pass record, and the leaf) is then taken by the search itself,
+    stopping at its first leaf.  h's tree is searched along the same cell
+    ids, every child refined against g's record and cut if its trace
     differs from g's at its depth; at a leaf, the map carrying g's first
     leaf onto it is a candidate, accepted only if it carries g onto h.
     Complete: an isomorphism carries g's first path to a path of h with
-    the same cells and per-pass traces, whose leaf yields it.  ``known`` holds
-    checked automorphisms of h, which prune every node whose prefix they
-    fix; when it is None, h's translations are used if it has moduli, and
-    otherwise Aut(h) is searched first within 0.4 of the budget.  The two
-    root refinements double as the cheapest test: their traces and cell
-    sizes must agree.
+    the same cells and per-pass traces, whose leaf yields it.  ``known``
+    holds checked automorphisms of h, which prune every node whose prefix
+    they fix; when it is empty, Aut(h) is searched first, after the root
+    check and before the same deadline.
     """
-    n = g.n
-    budget = deadline - time.monotonic()
-    path = _Solver(g, budget, deadline, first_only=True)
-    solver = _Solver(h, budget, deadline)
+    path = _Solver(g, deadline, first_only=True)
+    solver = _Solver(h, deadline, known)
     (g_cells, g_trace), (h_cells, h_trace) = path.root(), solver.root()
     if g_trace != h_trace or not np.array_equal(
         g_cells.size[: g_cells.num_classes], h_cells.size[: h_cells.num_classes]
     ):
         raise NotIsomorphic("equitable refinement signatures differ")
-    if g == h:
-        return np.arange(n, dtype=np.int32)
-    if known is not None:
-        solver.known = known
-    elif h.moduli is not None:
-        solver.known = unit_translations(h.moduli)
-    else:
-        try:
-            hint = automorphism_group(h, budget=budget * 0.4)
-            solver.known = hint.generators.gens
-        except Timeout:
-            pass
+    if not known:
+        budget = max(deadline - time.monotonic(), 0.0)
+        solver.known = automorphism_group(h, budget=budget).generators.gens
     path.search(g_cells, g_trace)
     solver.follow(path)
     try:
@@ -751,34 +684,31 @@ def are_isomorphic(
     g: DenseGraph, h: DenseGraph, budget: float = 60.0, known: GeneratorSet | None = None
 ) -> np.ndarray:
     """An isomorphism g -> h as an array (vertex i of g maps to mapping[i] of
-    h), verified edge-by-edge before returning.  Raises NotIsomorphic with the
-    distinguishing invariant otherwise, or Timeout(budget).
+    h), verified edge-by-edge before returning.  Raises NotIsomorphic naming
+    the check that decided otherwise (vertex counts, the root refinements'
+    signatures or the exhausted search), Timeout when the budget (seconds)
+    runs out, and ValueError unless budget >= 0.
 
-    Cheap invariants come first: vertex counts, degree multisets and the
-    multisets of component sizes.  Then one directed search follows one
-    graph's first path through the other's tree, connected or not (see
-    _iso_search).  Given ``known``, automorphisms of g checked as
-    automorphism_group checks them, g's tree is searched under them and g's
-    translations.  Otherwise a side with translation moduli is searched
-    under its translations, or h under Aut(h), computed first within 0.4 of
-    the budget.  ValueError unless budget >= 0.
+    One directed search follows one graph's first path through the other's
+    tree, connected or not (see _iso_search).  The searched side is g when
+    ``known``, automorphisms of g, is given or when only g has translation
+    moduli, and h otherwise; it is searched under the automorphisms that
+    automorphism_group starts from (_known_automorphisms), or under its
+    whole group when there are none.
     """
     check_budget(budget)
     deadline = time.monotonic() + budget
-    seeds = None if known is None else _known_automorphisms(g, known)
+    g_searched = known is not None or (g.moduli is not None and h.moduli is None)
+    seeds = _known_automorphisms(g if g_searched else h, known)
     if g.n != h.n:
         raise NotIsomorphic(f"vertex counts differ: {g.n} vs {h.n}")
     n = g.n
     if n == 0:
         return np.empty(0, dtype=np.int32)
-    if _degree_multiset(g) != _degree_multiset(h):
-        raise NotIsomorphic("degree multisets differ")
-    if _component_sizes(g) != _component_sizes(h):
-        raise NotIsomorphic("component size multisets differ")
-    if seeds is not None or (g.moduli is not None and h.moduli is None):
+    if g_searched:
         mapping = np.argsort(_iso_search(h, g, deadline, seeds)).astype(np.int32)
     else:
-        mapping = _iso_search(g, h, deadline, None)
+        mapping = _iso_search(g, h, deadline, seeds)
     if sorted(mapping.tolist()) != list(range(n)):
         raise AssertionError("candidate isomorphism is not a bijection")
     if not is_isomorphism(g, h, mapping):

@@ -52,7 +52,7 @@ from .families import (
     zero_stabilizer,
 )
 from .graphs import Degenerate, DenseGraph, NotStronglyRegular, srg_params
-from .permgrp import DeadlineExceeded, GeneratorSet, reaches_order, stabilizer_orbits
+from .permgrp import GeneratorSet, reaches_order, stabilizer_orbits
 
 __all__ = [
     "TIERS",
@@ -599,7 +599,7 @@ def _check_aut(
     counters = result.counters()
     try:
         certified = reaches_order(result.generators, result.order, deadline)
-    except DeadlineExceeded:
+    except Timeout:
         certified = None
     if certified is None:
         outcome = StageOutcome(

@@ -51,6 +51,14 @@ class Degenerate(ValueError):
     """Complete or empty graph: lambda resp. mu is undefined."""
 
 
+class ZeroInSet(ValueError):
+    """A Cayley graph's connection set contains the zero vector (a loop)."""
+
+
+class AsymmetricConnectionSet(ValueError):
+    """A Cayley graph's connection set is not closed under negation."""
+
+
 @dataclass(frozen=True)
 class SrgParams:
     """Strongly regular graph parameters (n, k, lambda, mu)."""
@@ -163,9 +171,10 @@ class DenseGraph:
         i.e. the Cayley graph whose connection set is the support of row0,
         carrying ``moduli``.  The matrix is circulant by construction, so
         only row 0 is checked, for adj[x, x] = row0[0] and
-        adj[y, x] = row0[-(y - x)]: ValueError if row0[0] is set (a loop), if
-        row0[-z] != row0[z] for some z (not symmetric), or if the moduli do
-        not multiply to len(row0)."""
+        adj[y, x] = row0[-(y - x)]: ZeroInSet if row0[0] is set (a loop),
+        AsymmetricConnectionSet if row0[-z] != row0[z] for some z (not
+        symmetric), both ValueErrors, and ValueError if the moduli do not
+        multiply to len(row0)."""
         row0 = np.array(row0, dtype=bool)
         if row0.ndim != 1:
             raise ValueError(f"row 0 must be one-dimensional, got shape {row0.shape}")
@@ -173,10 +182,12 @@ class DenseGraph:
         if min(moduli, default=0) < 1 or math.prod(moduli) != row0.size:
             raise ValueError(f"moduli {moduli} do not multiply to n = {row0.size}")
         if row0[0]:
-            raise ValueError("adjacency has a loop (nonzero diagonal)")
+            raise ZeroInSet("connection set contains the zero vector: adjacency has a loop")
         d, m, place = _radix(moduli)
         if not np.array_equal(row0[(-d % m * place).sum(axis=0)], row0):
-            raise ValueError("adjacency is not symmetric")
+            raise AsymmetricConnectionSet(
+                "connection set is not closed under negation: adjacency is not symmetric"
+            )
         row0.setflags(write=False)
         g = cls.__new__(cls)
         g.n, g.moduli, g.row0, g._matrix = row0.size, moduli, row0, None

@@ -48,8 +48,8 @@ class BadOrder(ValueError):
     """Requested scalar order does not divide p - 1."""
 
 
-class DeadlineExceeded(RuntimeError):
-    """A stabilizer-chain run passed its deadline, a time.monotonic() value."""
+class Timeout(RuntimeError):
+    """A computation passed its deadline, a time.monotonic() value."""
 
 
 # -- generator sets -------------------------------------------------------------
@@ -307,7 +307,7 @@ def _chain(
 
     With a target, the chain is returned as soon as its orbit product reaches
     it.  `deadline`, a time.monotonic() value, is checked once per sift:
-    DeadlineExceeded when it has passed.
+    Timeout when it has passed.
     """
     n = gs.degree
     idarr = np.arange(n, dtype=np.int32)
@@ -315,7 +315,7 @@ def _chain(
 
     def sift(g: np.ndarray, start: int) -> np.ndarray | None:
         if time.monotonic() > deadline:
-            raise DeadlineExceeded(f"Schreier-Sims passed its deadline at level {start}")
+            raise Timeout(f"Schreier-Sims passed its deadline at level {start}")
         return _sift_img(levels, g, start, idarr)
 
     def add(r: np.ndarray, lo: int) -> bool:
@@ -371,7 +371,7 @@ def schreier_sims(
     """Exact order and a membership oracle: the chain _chain builds, run to
     completion.  base_prefix forces the first base points (useful for
     extracting point stabilizers).  `deadline`, a time.monotonic() value:
-    DeadlineExceeded when it has passed."""
+    Timeout when it has passed."""
     return BSGS(gs.degree, _chain(gs, base_prefix, deadline, None))
 
 
@@ -379,7 +379,7 @@ def reaches_order(gs: GeneratorSet, target: int, deadline: float = math.inf) -> 
     """Whether |<gs>| >= target: _chain, stopped as soon as its orbit
     product, a proven lower bound, reaches target.  True mostly comes from
     the random phase; False only from the completed chain, whose orbit
-    product is exact.  `deadline`, a time.monotonic() value: DeadlineExceeded
+    product is exact.  `deadline`, a time.monotonic() value: Timeout
     when it has passed."""
     return target <= 1 or BSGS(gs.degree, _chain(gs, (), deadline, target)).order >= target
 

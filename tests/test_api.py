@@ -23,13 +23,22 @@ def modules():
     return sorted(PACKAGE.glob("*.py"))
 
 
+def rooted_at_self(node: ast.AST) -> bool:
+    """Whether node is an attribute chain starting at ``self`` (self.x,
+    self.x.y, ...): a member of an object at hand, never the module-level
+    name it may share."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
 def used_names(tree: ast.AST) -> Counter:
-    """Names read as a bare name or an attribute; strings and docstrings,
-    __all__ included, do not count."""
+    """Names read as a bare name or an attribute not rooted at ``self``;
+    strings and docstrings, __all__ included, do not count."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and not rooted_at_self(node)
     )
 
 
