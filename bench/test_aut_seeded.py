@@ -26,11 +26,14 @@ refined to its three cells {0}, N(0) and the non-neighbours:
   a52, so it times the per-cell end of a pass (the trace and the Hopcroft
   queue), which ``split``, with two split cells, barely reaches.
 
-On relabelled hq:2:5, one refinement of an off-path child at depth 5 (the
-least other member of the first path's target cell there, individualized):
-under the first path's record (``record``), which stops it after the
-record's 44 passes, against the same child refined to equitability
-(``equitable``), 215 passes.
+On the same two relabelled graphs, ``automorphism_group`` unseeded: the
+heaviest calls of the solver benchmark's aut searches.
+
+On relabelled hq:2:5, one refinement of an off-path child at depth 2 of the
+first path's four (the least other member of the first path's target cell
+there, individualized): under the first path's record (``record``), which
+stops it after the record's 17 passes, against the same child refined to
+equitability (``equitable``), 56 passes; 6 of them split in both.
 """
 
 from __future__ import annotations
@@ -47,7 +50,10 @@ from rank3.graphs import DenseGraph
 
 ROWS = ["orbital:sl25:41", "hq:3:3"]
 PASS_ROWS = ["hq:2:5", "a52"]
-OFF_PATH_DEPTH = 5
+# |Aut|: 1024 * |GL_2(2)| * |GL_5(2)| and 1024 * |GL_5(2)|
+PASS_ROW_ORDERS = {"hq:2:5": 1024 * 6 * 9999360, "a52": 1024 * 9999360}
+OFF_PATH_DEPTH = 2
+OFF_PATH_PASSES = {True: 17, False: 56}  # (follow the record) -> passes
 ROUNDS = 3
 
 
@@ -108,12 +114,18 @@ def relabelled_rank3(request):
     for _ in range(2):
         deep.individualize(least_of_largest(deep))
         refiner.refine(deep, [deep.num_classes - 1], 0)
-    return h, cells, deep
+    return h, cells, deep, PASS_ROW_ORDERS[request.param]
+
+
+def test_relabelled_automorphism_group(benchmark, relabelled_rank3):
+    h, *_, order = relabelled_rank3
+    r = benchmark.pedantic(automorphism_group, (h,), rounds=ROUNDS)
+    assert (r.order, r.known) == (order, 0)
 
 
 @pytest.mark.parametrize("kind", ["nosplit", "split", "deep"])
 def test_splitter_pass(benchmark, relabelled_rank3, kind):
-    g, refined, deep = relabelled_rank3
+    g, refined, deep, _ = relabelled_rank3
     refiner = _Refiner(g)
     v = int(np.flatnonzero(g.adj[0])[0])
 
@@ -169,8 +181,6 @@ def test_off_path_refine(benchmark, off_path, follow):
     before = refiner.refinements
     got = refiner.refine(child, queue, start, rec)
     passes = refiner.refinements - before
-    if follow:
-        # the child's trace matches the record's after every pass
-        assert (passes, got) == (len(record), first_trace)
-    else:
-        assert passes > len(record) and got == first_trace
+    assert passes == OFF_PATH_PASSES[follow] and got == first_trace
+    # following, the child's trace matches the record's after every pass
+    assert len(record) == OFF_PATH_PASSES[True]

@@ -2,12 +2,16 @@
 
 The engine is individualization-refinement: colorings are driven to
 equitability by cell-targeted splitter passes, and a backtracking search
-individualizes vertices of a deterministically chosen target cell.  A
-coloring is kept in the cell layout of McKay & Piperno ("Practical graph
-isomorphism, II", JSC 60, 2014, §3): ``lab`` lists the vertices cell by cell,
-each cell a contiguous, ascending segment located by per-cell ``start`` and
-``size``, and a mask marks the positions whose successor lies in the same
-cell.  The layout travels with the coloring down the search: a child copies
+individualizes the vertices of a target cell: the first largest cell by id,
+a rule that reads no vertex label.  Any target cell keeps the search
+complete, since only the first path applies the rule: every other node
+branches on the first path's cell ids, and the group order is read off the
+orbits along the first path (McKay & Piperno 2014, §2-3).  The largest cell
+keeps the first path shallow.  A coloring is kept in the cell layout of
+McKay & Piperno ("Practical graph isomorphism, II", JSC 60, 2014, §3):
+``lab`` lists the vertices cell by cell, each cell a contiguous, ascending
+segment located by per-cell ``start`` and ``size``, and a mask marks the
+positions whose successor lies in the same cell.  The layout travels with the coloring down the search: a child copies
 it, and individualizing v splits v off the end of its cell's segment.  So a
 splitter's members are a slice of ``lab``; a pass counts every vertex's
 neighbours among them (one adjacency row for a singleton, two for a pair,
@@ -442,13 +446,18 @@ class _Solver:
             raise Timeout("the solver passed its deadline")
 
     def _pick_cell(self, cells: _Cells) -> int:
-        """The smallest non-singleton cell, ties to the least first member."""
-        sizes = cells.size[: cells.num_classes]
-        cands = np.flatnonzero(sizes > 1)
-        smallest = cands[sizes[cands] == sizes[cands].min()]
-        if len(smallest) == 1:
-            return int(smallest[0])
-        return int(smallest[np.argmin(cells.lab[cells.start[smallest]])])
+        """The target cell: the first largest cell by id.
+
+        A non-discrete coloring has a cell of two or more, so the largest is
+        never a singleton.  Cell ids and sizes are label-invariant, so the
+        rule reads no vertex label.  Only the first path applies it: every
+        other node, and a directed search's, branches on the first path's
+        cell ids, and the order is the product of the orbit lengths along
+        the first path, whichever cells it ran through, so any target cell
+        gives a complete search (McKay & Piperno 2014, §2-3).  The largest
+        cell gives a shallow first path: individualizing one of its vertices
+        splits the most vertices off the rest."""
+        return int(np.argmax(cells.size[: cells.num_classes]))
 
     # - leaves -
 

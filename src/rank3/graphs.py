@@ -246,6 +246,60 @@ def _with_packed_rows(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj, packed
 
 
+def _affine_verdict(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool | None:
+    """Whether the bijection mapping carries g onto h, decided on row 0
+    alone, when g and h carry the same moduli (m,) * k; None when mapping is
+    not affine on Z_m^k.
+
+    An affine mapping, mapping[y] = mapping[0] + A y, normalizes the
+    translations, so as adj[x, y] = row0[y - x] on both graphs it carries g
+    onto h iff h.row0[A y] == g.row0[y] for every y.  The digits of y, most
+    significant first, split into r's (the first j = ceil(k / 2)) and s's
+    (the rest), y = r * width + s; the digits of A y are then the digitwise
+    sum mod m of column r of one table and column s of another, each at most
+    k x m**j, with A's columns read off the images of 0 and of the unit
+    vectors.  A block of whole rows r, at most 8192 digits, is checked at a
+    time: its images' digits minus mapping[0]'s must equal A y's (else
+    None), and h.row0 at A y is compared with g.row0 at y.  So every
+    temporary stays under glibc's 128 KiB mmap threshold and is carved from
+    the heap instead of being mapped and page-faulted afresh.  Digits are
+    the narrowest unsigned ints that hold 2m - 1, and a digitwise sum x < 2m
+    is reduced mod m as min(x, x - m), where x - m wraps past the top when
+    x < m."""
+    moduli = g.moduli
+    k, m = len(moduli), moduli[0]
+    j = k - k // 2
+    width = m ** (k - j)
+    dtype = np.min_scalar_type(2 * m - 1)
+    high = np.indices(moduli[:j], dtype=dtype).reshape(j, -1)
+    low = np.indices(moduli[j:], dtype=dtype).reshape(k - j, width)
+    place = m ** np.arange(k - 1, -1, -1)  # the unit vectors
+    ends = mapping[np.append(0, place)] // place[:, None] % m  # of 0 and the e_i
+    a = ends[:, 1:] - ends[:, :1]  # A's columns, mod m
+    a %= m
+    lin_high = ((a[:, :j] @ high) % m).astype(dtype)
+    lin_low = ((a[:, j:] @ low) % m).astype(dtype)
+    back = (m - ends[:, :1]).astype(dtype)  # adding it subtracts mapping[0]
+    wrap = dtype.type(m)
+    fplace = place.astype(np.float64)  # for a BLAS product, exact below 2**53
+    rows = max(1, (1 << 13) // (k * width))
+    same = True
+    for r in range(0, lin_high.shape[1], rows):
+        lin = (lin_high[:, r : r + rows, None] + lin_low[:, None, :]).reshape(k, -1)
+        np.minimum(lin, lin - wrap, out=lin)  # the digits of A y
+        lo, hi = r * width, r * width + lin.shape[1]
+        row, col = np.divmod(mapping[lo:hi], width)  # of the images
+        shift = np.empty_like(lin)
+        np.take(high, row, axis=1, out=shift[:j])
+        np.take(low, col, axis=1, out=shift[j:])
+        shift += back
+        np.minimum(shift, shift - wrap, out=shift)  # of mapping[y] - mapping[0]
+        if not (shift == lin).all():
+            return None
+        same = same and np.array_equal(h.row0[(fplace @ lin).astype(np.intp)], g.row0[lo:hi])
+    return same
+
+
 def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
     """Whether the bijection i -> mapping[i] carries g onto h, i.e.
     h.adj[mapping[i], mapping[j]] == g.adj[i, j] for all i, j.  Precondition:
@@ -253,30 +307,18 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
     means nothing.
 
     When g and h carry the same moduli (m,) * k, a mapping that is affine on
-    Z_m^k, mapping[y] = A y + mapping[0], normalizes the translations, so as
-    adj[x, y] = row0[y - x] on both graphs it carries g onto h iff
-    h.row0[A z] == g.row0[z] for every z: O(k n), and no matrix is built.
-    Any other mapping is checked on row blocks of at most 64 KiB (one row,
-    when a row is longer), stopping at the first block that differs.  Blocks
-    stay under glibc's 128 KiB mmap threshold, so each is carved from the
-    heap instead of being mapped and page-faulted afresh.  The columns are
-    gathered by np.take, which returns a C-ordered block: the F-ordered
-    block of ``[:, mapping]`` compares about 9x slower."""
+    Z_m^k is decided on row 0 alone, in O(k n), and no matrix is built (see
+    _affine_verdict).  Any other mapping is checked on row blocks of at most
+    64 KiB (one row, when a row is longer), stopping at the first block that
+    differs.  Blocks stay under glibc's 128 KiB mmap threshold, so each is
+    carved from the heap instead of being mapped and page-faulted afresh.
+    The columns are gathered by np.take, which returns a C-ordered block:
+    the F-ordered block of ``[:, mapping]`` compares about 9x slower."""
     moduli = g.moduli
     if g.n > 1 and moduli == h.moduli and len(set(moduli or ())) == 1:
-        # float64 digits, most significant first: BLAS products and no
-        # integer division, exact while k (m - 1)**2 < 2**53 (all n < 9e7)
-        k, m = len(moduli), moduli[0]
-        d = np.indices(moduli, dtype=np.float64).reshape(k, -1)
-        place = m ** np.arange(k - 1, -1, -1)
-        shift = np.take(d, mapping, axis=1)
-        shift -= shift[:, :1]
-        shift[shift < 0] += m  # the digits of mapping[y] - mapping[0]
-        off = shift[:, place] @ d  # A y, A's columns those of the unit vectors
-        off -= shift
-        off /= m  # integral iff the mapping is affine
-        if np.array_equal(np.rint(off), off):
-            return bool(np.array_equal(h.row0[(place @ shift).astype(np.intp)], g.row0))
+        verdict = _affine_verdict(g, h, mapping)
+        if verdict is not None:
+            return verdict
     n = g.n
     rows = max(1, (1 << 16) // max(n, 1))
     for lo in range(0, n, rows):

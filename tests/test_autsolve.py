@@ -326,6 +326,29 @@ def assert_searches_like_equitable(g):
     return new.order
 
 
+def smallest_cell(self, cells):
+    """The solver's former target-cell rule, kept here as a second rule for
+    the search: the smallest non-singleton cell, ties to the least first
+    member (a vertex label, so not label-invariant)."""
+    sizes = cells.size[: cells.num_classes]
+    cands = np.flatnonzero(sizes > 1)
+    smallest = cands[sizes[cands] == sizes[cands].min()]
+    return int(smallest[np.argmin(cells.lab[cells.start[smallest]])])
+
+
+def orders_under_both_target_rules(g, monkeypatch):
+    """automorphism_group(g) with the solver's target cell and with
+    smallest_cell: the two orders, each checked against the exact
+    Schreier-Sims order of its own generators."""
+    results = [automorphism_group(g)]
+    with monkeypatch.context() as patch:
+        patch.setattr(_Solver, "_pick_cell", smallest_cell)
+        results.append(automorphism_group(g))
+    for r in results:
+        assert schreier_sims(r.generators).order == r.order
+    return [r.order for r in results]
+
+
 def small_random_graphs():
     """200 random graphs on 1-7 vertices, for the brute-force cross-checks."""
     rng = np.random.default_rng(11)
@@ -702,13 +725,14 @@ class TestAutomorphismGroup:
         assert r.order == 1
 
     # (descriptor, relabelling seed, |Aut|, nodes, refinements, generators),
-    # recorded with every first-path node pruning by all the automorphisms
-    # found beneath it and every other node refining only as far as the first
-    # path's record: a faster splitter pass must leave the search unchanged
+    # recorded with the first largest cell as target, every first-path node
+    # pruning by all the automorphisms found beneath it and every other node
+    # refining only as far as the first path's record: a faster splitter
+    # pass must leave the search unchanged
     PINNED_SEARCHES = [
-        ("vls:64:3", 1, 64512, 22, 105, 6),
-        ("vo:+:8:2", 2, 89181388800, 55, 261, 9),
-        ("orbital:q8:13", 3, 48672, 14, 179, 5),
+        ("vls:64:3", 1, 64512, 12, 140, 5),
+        ("vo:+:8:2", 2, 89181388800, 49, 321, 9),
+        ("orbital:q8:13", 3, 48672, 10, 264, 3),
     ]
 
     @pytest.mark.parametrize("desc,seed,order,nodes,refinements,gens", PINNED_SEARCHES)
@@ -726,6 +750,20 @@ class TestAutomorphismGroup:
         assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
 
     SMALL_ROWS = [e for e in builtin_catalog() if e.n <= 256]
+
+    # any target cell gives a complete search: the order is the product of
+    # the orbit lengths along whichever first path the rule makes
+    def test_target_cell_rule_keeps_the_order(self, monkeypatch):
+        for trial, g in enumerate(small_random_graphs()):
+            want = len(brute_force_aut(g))
+            assert orders_under_both_target_rules(g, monkeypatch) == [want] * 2, trial
+
+    @pytest.mark.parametrize("desc,seed,order,nodes,refinements,gens", PINNED_SEARCHES)
+    def test_target_cell_rule_keeps_the_order_on_relabelled_row(
+        self, desc, seed, order, nodes, refinements, gens, monkeypatch
+    ):
+        h = relabelled(family_graph(parse_descriptor(desc)), seed)
+        assert orders_under_both_target_rules(h, monkeypatch) == [order] * 2
 
     @pytest.mark.parametrize("entry", SMALL_ROWS, ids=[e.id for e in SMALL_ROWS])
     def test_generators_generate_aut_on_relabelled_row(self, entry):
@@ -749,28 +787,28 @@ class TestSeededSearch:
 
     # (nodes, refinements, generators) of the seeded search, per row
     SEEDED_COUNTERS = {
-        "paley:9": (4, 7, 4),
-        "paley:13": (3, 10, 3),
-        "paley:17": (3, 10, 3),
-        "paley:49": (4, 31, 4),
-        "paley:81": (6, 59, 7),
+        "paley:9": (5, 8, 5),
+        "paley:13": (3, 9, 3),
+        "paley:17": (3, 9, 3),
+        "paley:49": (5, 38, 5),
+        "paley:81": (5, 40, 7),
         "peisert:49": (5, 51, 5),
-        "vls:16:3": (9, 16, 8),
-        "vls:25:3": (20, 33, 8),
-        "vls:64:3": (10, 61, 11),
-        "hamming2:5": (20, 33, 11),
-        "vo:-:4:2": (6, 13, 14),
-        "vo:-:6:2": (8, 49, 24),
-        "vo:+:8:2": (14, 197, 34),
-        "orbital:sl23:7": (5, 49, 7),
-        "orbital:q8:13": (5, 76, 6),
-        "hamming2:9": (100, 157, 19),
-        "peisert:81": (9, 51, 9),
-        "vo:+:4:3": (7, 60, 19),
-        "vls:256:5": (16, 247, 14),
-        "orbital:q8:17": (5, 117, 6),
-        "hq:3:3": (16, 760, 18),
-        "orbital:sl25:41": (5, 397, 6),
+        "vls:16:3": (8, 17, 8),
+        "vls:25:3": (12, 34, 7),
+        "vls:64:3": (7, 93, 11),
+        "hamming2:5": (11, 30, 9),
+        "vo:-:4:2": (5, 13, 14),
+        "vo:-:6:2": (9, 52, 25),
+        "vo:+:8:2": (21, 229, 36),
+        "orbital:sl23:7": (5, 51, 7),
+        "orbital:q8:13": (5, 155, 6),
+        "hamming2:9": (37, 150, 13),
+        "peisert:81": (7, 58, 9),
+        "vo:+:4:3": (7, 62, 18),
+        "vls:256:5": (11, 369, 14),
+        "orbital:q8:17": (5, 171, 6),
+        "hq:3:3": (10, 644, 18),
+        "orbital:sl25:41": (5, 887, 6),
     }
 
     @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
@@ -832,8 +870,8 @@ class TestSeededSearch:
 
     # (plain, under Aut(g)) refinement passes of each non-isomorphic claim
     NONISO_PASSES = {
-        "peisert:49~paley:49": (86, 35),
-        "peisert:81~paley:81": (110, 56),
+        "peisert:49~paley:49": (86, 37),
+        "peisert:81~paley:81": (107, 36),
     }
 
     @pytest.mark.parametrize(

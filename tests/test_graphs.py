@@ -486,6 +486,43 @@ def test_affine_path_agrees_with_full_check(shape, data):
         assert is_isomorphism(g, h, sigma)
 
 
+@pytest.mark.parametrize("m,k", [(2, 10), (3, 7), (3, 8)])
+def test_affine_path_in_several_blocks(m, k):
+    # over 8192 digits, so the affine path checks two or more blocks of rows.
+    # sigma carries g onto its image h and not (in general) onto g; sigma with
+    # two images swapped in its last block is not affine.  Each must get the
+    # n^2 answer, sigma without building a matrix, and no traced allocation
+    # may pass glibc's 128 KiB mmap threshold while sigma is checked
+    n = m**k
+    assert k * n > 1 << 13
+    rng = np.random.default_rng(k)
+    sigma = np.zeros(n, dtype=np.int64)
+    while len(set(sigma.tolist())) < n:  # until a is invertible mod m
+        a = rng.integers(0, m, size=(k, k))
+        sigma = affine_map(a, int(rng.integers(n)), m)
+    neg = affine_map(-np.eye(k, dtype=int), 0, m)
+    row0 = rng.random(n) < 0.3
+    row0[0] = False
+    row0 |= row0[neg]
+    h_row0 = np.empty(n, dtype=bool)
+    h_row0[affine_map(a, 0, m)] = row0  # h.row0[a z] = g.row0[z]
+    g = DenseGraph.from_row0(row0, (m,) * k)
+    h = DenseGraph.from_row0(h_row0, (m,) * k)
+    tracemalloc.start()
+    try:
+        got = is_isomorphism(g, h, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got and g._matrix is None and h._matrix is None and peak < 1 << 17
+    swapped = sigma.copy()
+    swapped[[n - 2, n - 1]] = sigma[[n - 1, n - 2]]
+    for dst, mapping in ((g, sigma), (h, swapped)):
+        got, affine = matrix_free(g, dst, mapping)
+        assert got == np.array_equal(dst.adj[np.ix_(mapping, mapping)], g.adj)
+        assert affine == (mapping is sigma)
+
+
 @pytest.mark.parametrize("a,b", [("vls:64:3", "hq:2:3"), ("vls:25:3", "hamming2:5")])
 def test_mappings_between_catalog_graphs(a, b):
     # two catalog graphs on one group: the solver's mapping, its inverse and
