@@ -6,16 +6,19 @@ isomorphism claims against other families.  verify_entry runs the pipeline
 
     construct -> strong regularity -> rank/subdegrees -> aut order -> iso
 
-and emits a machine-readable Report; verify_all filters by tier and
-aggregates.  The rank/subdegree stage takes, at every degree, the orbits of
-the family's zero-stabilizer G0 on the nonzero vertices: rank = 1 + their
-number, subdegrees = their sizes, and N(0) must be one of them.  The aut
-stage hands the same G0 to the solver as known automorphisms, which prune its
-search but never stand in for it, and certifies the solver's order: its
-generators must reach it by a Schreier-Sims lower bound.  Tiers bound
-the cost: FULL rows (degree <= 256) run everything, SLOW rows run everything
-but may time out (downgrading, never failing, the verdict), PARAMS_ONLY rows
-stop after the subdegree check.
+as one straight sequence of stage functions and emits a machine-readable
+Report.  An exception in a stage becomes that stage's "error" outcome and
+ends the row, so every row yields a Report; verify_all selects rows by tier
+and calls verify_entry on each.  The rank/subdegree stage takes, at every
+degree, the orbits of the family's zero-stabilizer G0 on the nonzero
+vertices: rank = 1 + their number, subdegrees = their sizes, and N(0) must
+be one of them.  The aut stage hands the same G0 to the solver as known
+automorphisms, which prune its search but never stand in for it, and
+certifies the solver's order: its generators must reach it by a
+Schreier-Sims lower bound.  Tiers bound the cost: FULL rows (degree <= 256)
+run everything, SLOW rows run everything but may time out (downgrading,
+never failing, the verdict), PARAMS_ONLY rows stop after the subdegree
+check.
 
 Conventions baked into the table:
 
@@ -536,44 +539,71 @@ def reports_to_json(reports: list[Report]) -> str:
 
 
 # -- the pipeline --------------------------------------------------------------------
+#
+# Each stage is a function returning (StageOutcome, payload): construct gives
+# the graph, subdegrees the zero-stabilizer, aut the solver's generators, and
+# srg and iso nothing.  verify_entry runs them in order, timing each.
+
+
+def _construct(
+    entry: CatalogEntry, seed: int | None
+) -> tuple[StageOutcome, DenseGraph]:
+    g = family_graph(entry.family, seed)
+    if g.n != entry.n:
+        return StageOutcome(
+            "mismatch", f"built {g.n} vertices, entry says {entry.n}"
+        ), g
+    return StageOutcome("ok", f"{g.n} vertices"), g
+
+
+def _check_srg(g: DenseGraph) -> tuple[StageOutcome, None]:
+    try:
+        params = srg_params(g)
+    except (NotStronglyRegular, Degenerate) as exc:
+        return StageOutcome("mismatch", f"not strongly regular: {exc}"), None
+    return StageOutcome(
+        "ok", f"srg({params.n}, {params.k}, {params.lam}, {params.mu})"
+    ), None
 
 
 def _check_subdegrees(
-    entry: CatalogEntry, g: DenseGraph, stab: GeneratorSet | None
-) -> StageOutcome:
-    """Rank and subdegrees from the orbits of the family's zero-stabilizer
-    ``stab``, and the edge set as one of its orbitals: N(0) must be one of
-    those orbits, not merely have the size of one."""
+    entry: CatalogEntry, g: DenseGraph, seed: int | None
+) -> tuple[StageOutcome, GeneratorSet | None]:
+    """Rank and subdegrees from the orbits of the family's zero-stabilizer,
+    and the edge set as one of its orbitals: N(0) must be one of those
+    orbits, not merely have the size of one.  Returns the zero-stabilizer
+    (None if none ships) for the aut stage."""
+    stab = zero_stabilizer(entry.family, seed)
     valency = int(g.row0.sum())
     if valency != entry.subdegrees[0]:
         return StageOutcome(
             "mismatch",
             f"graph valency {valency} != claimed edge-orbital size "
             f"{entry.subdegrees[0]}",
-        )
+        ), stab
     if stab is None:
         return StageOutcome(
             "ok",
             f"valency {valency} matches; no zero-stabilizer ships for this "
             f"family, orbit check skipped",
-        )
+        ), stab
     claimed = sorted(entry.subdegrees)
     orbits = stabilizer_orbits(stab)
     if len(orbits) != 2:
-        return StageOutcome("mismatch", f"group rank {1 + len(orbits)} != 3")
+        return StageOutcome("mismatch", f"group rank {1 + len(orbits)} != 3"), stab
     sizes = [len(o) for o in orbits]
     if sizes != claimed:
         return StageOutcome(
             "mismatch", f"zero-stabilizer orbit sizes {sizes} != {claimed}"
-        )
+        ), stab
     nbrs = np.flatnonzero(g.row0)
     if not any(np.array_equal(o, nbrs) for o in orbits):
         return StageOutcome(
             "mismatch", "N(0) is not an orbit of the zero-stabilizer"
-        )
+        ), stab
     return StageOutcome(
         "ok", f"rank 3, subdegrees {claimed}, valency {valency}, N(0) an orbit"
-    )
+    ), stab
 
 
 def _time_left(deadline: float) -> float:
@@ -631,10 +661,10 @@ def _check_aut(
 
 def _check_iso(
     entry: CatalogEntry, g: DenseGraph, deadline: float, known: GeneratorSet | None
-) -> StageOutcome:
+) -> tuple[StageOutcome, None]:
     """Each claim by are_isomorphic, under ``known``: the aut stage's generators."""
     if not entry.iso_claims:
-        return StageOutcome("ok", "no isomorphism claims")
+        return StageOutcome("ok", "no isomorphism claims"), None
     parts: list[str] = []
     status = "ok"
     for claim in entry.iso_claims:
@@ -658,103 +688,61 @@ def _check_iso(
         else:
             parts.append(f"{claim.other}: {note}, but claim says {want}")
             status = "mismatch"
-    return StageOutcome(status, "; ".join(parts))
+    return StageOutcome(status, "; ".join(parts)), None
+
+
+class _StageError(Exception):
+    """A stage raised: its "error" outcome is recorded and the row ends."""
 
 
 def verify_entry(
     entry: CatalogEntry, budget: float = 60.0, seed: int | None = None
 ) -> Report:
-    """Run the pipeline on one entry.
+    """Run the pipeline on one entry and return its Report.
 
-    Construction errors propagate (a catalog row that cannot build is a
-    malformed row, not a verification outcome); Timeout in the solver stages
-    downgrades the verdict instead.  PARAMS_ONLY rows skip the aut and iso
-    stages.  The construct timing covers building the graph and checking
-    its row 0; a family graph builds its matrix on first read, which on
-    FULL and SLOW rows is the aut stage's search, so that build is timed
-    under aut.  `budget` (seconds) is one deadline for the whole row,
-    started at the aut stage: aut and then every iso claim gets the time
-    left, floored at 0.
-    ValueError unless budget >= 0.
+    An exception in a stage, construction included, becomes that stage's
+    "error" outcome and a FAIL verdict, and no later stage runs; a Timeout
+    in the solver stages downgrades the verdict instead.  PARAMS_ONLY rows
+    skip the aut and iso stages.  The construct timing covers building the
+    graph and checking its row 0; a family graph builds its matrix on first
+    read, which on FULL and SLOW rows is the aut stage's search, so that
+    build is timed under aut.  `budget` (seconds) is one deadline for the
+    whole row, started at the aut stage: aut and then every iso claim gets
+    the time left, floored at 0.
+    ValueError unless budget >= 0, before any stage runs.
     """
-    return _run_pipeline(entry, budget, seed, absorb_errors=False)
-
-
-def _run_pipeline(
-    entry: CatalogEntry, budget: float, seed: int | None, absorb_errors: bool
-) -> Report:
-    """verify_entry's stages in order.  With absorb_errors, an exception in a
-    stage becomes that stage's "error" outcome and ends the run; the stages
-    before it keep their outcomes and timings."""
     check_budget(budget)  # the floor at 0 would hide a bad one
     stages: dict[str, StageOutcome] = {}
     timings: dict[str, float] = {}
-    g: DenseGraph | None = None
-    stab: GeneratorSet | None = None  # the zero-stabilizer, reused by aut
-    aut_gens: GeneratorSet | None = None  # the aut search's, reused by iso
-    deadline = math.inf  # the row's solver deadline, started by the aut stage
 
-    def construct_outcome() -> StageOutcome:
-        nonlocal g
-        g = family_graph(entry.family, seed)
-        if g.n != entry.n:
-            return StageOutcome(
-                "mismatch", f"built {g.n} vertices, entry says {entry.n}"
-            )
-        return StageOutcome("ok", f"{g.n} vertices")
-
-    def srg_outcome() -> StageOutcome:
-        try:
-            params = srg_params(g)
-        except (NotStronglyRegular, Degenerate) as exc:
-            return StageOutcome("mismatch", f"not strongly regular: {exc}")
-        return StageOutcome(
-            "ok",
-            f"srg({params.n}, {params.k}, {params.lam}, {params.mu})",
-        )
-
-    def subdegrees_outcome() -> StageOutcome:
-        nonlocal stab
-        stab = zero_stabilizer(entry.family, seed)
-        return _check_subdegrees(entry, g, stab)
-
-    def aut_outcome() -> StageOutcome:
-        nonlocal deadline, aut_gens
-        deadline = time.monotonic() + budget
-        outcome, aut_gens = _check_aut(entry, g, deadline, stab)
-        return outcome
-
-    pipeline = [
-        ("construct", construct_outcome),
-        ("srg", srg_outcome),
-        ("subdegrees", subdegrees_outcome),
-    ]
-    if entry.tier != "PARAMS_ONLY":
-        pipeline += [
-            ("aut", aut_outcome),
-            ("iso", lambda: _check_iso(entry, g, deadline, aut_gens)),
-        ]
-    for name, fn in pipeline:
+    def run(name: str, stage, *args):
+        """Record stage(*args)'s outcome and its time in ms under ``name``,
+        and return its payload."""
         t0 = time.monotonic()
         try:
-            stages[name] = fn()
+            stages[name], payload = stage(*args)
         except Exception as exc:  # noqa: BLE001 -- recorded on its stage
-            if not absorb_errors:
-                raise
             stages[name] = StageOutcome("error", f"{type(exc).__name__}: {exc}")
-            break
+            raise _StageError from exc
         finally:
             timings[name] = round((time.monotonic() - t0) * 1000.0, 3)
-    else:
-        if entry.tier == "PARAMS_ONLY":
-            stages["aut"] = StageOutcome("skipped", "params-only tier")
-            stages["iso"] = StageOutcome("skipped", "params-only tier")
+        return payload
 
+    try:
+        g = run("construct", _construct, entry, seed)
+        run("srg", _check_srg, g)
+        stab = run("subdegrees", _check_subdegrees, entry, g, seed)
+        if entry.tier == "PARAMS_ONLY":
+            skipped = StageOutcome("skipped", "params-only tier")
+            stages["aut"] = stages["iso"] = skipped
+        else:
+            deadline = time.monotonic() + budget
+            gens = run("aut", _check_aut, entry, g, deadline, stab)
+            run("iso", _check_iso, entry, g, deadline, gens)
+    except _StageError:
+        pass
     return Report(
-        id=entry.id,
-        stages=stages,
-        timings_ms=timings,
-        verdict=_verdict(stages),
+        id=entry.id, stages=stages, timings_ms=timings, verdict=_verdict(stages)
     )
 
 
@@ -768,19 +756,14 @@ def verify_all(
     seed: int | None = None,
     entries: list[CatalogEntry] | None = None,
 ) -> tuple[list[Report], dict]:
-    """Verify every selected entry in catalog order; returns (reports, summary).
-
-    Unlike verify_entry, an exception in any stage, construction included,
-    becomes an "error" outcome on that stage and a FAIL report (the run must
-    always produce a complete summary).  A budget that is not
-    >= 0 raises ValueError.
-    """
+    """verify_entry on every selected entry, in catalog order; returns
+    (reports, summary).  ValueError on an unknown tier filter, and on a
+    budget that is not >= 0 once a row is selected."""
     if tier not in _TIER_FILTERS:
         raise ValueError(f"unknown tier filter {tier!r}, want full|slow|all")
     if entries is None:
         entries = builtin_catalog()
-    selected = [e for e in entries if e.tier in _TIER_FILTERS[tier]]
-    reports: list[Report] = []
-    for entry in selected:
-        reports.append(_run_pipeline(entry, budget, seed, absorb_errors=True))
+    reports = [
+        verify_entry(e, budget, seed) for e in entries if e.tier in _TIER_FILTERS[tier]
+    ]
     return reports, summarize(reports)

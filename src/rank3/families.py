@@ -11,9 +11,9 @@ sum(coord_index_j * q**j).  A connection set is passed to cayley_graph as
 the vector indices of its members, and its indicator is row 0 of the
 adjacency matrix: DenseGraph.from_row0 keeps it, and builds the rest band by
 band from adj[x, y] = row0[y - x] when the matrix is first read.  Each graph
-carries its translation moduli, which srg_params, the seeded Aut search and
-the row-0 automorphism test use.  The
-families differ only in how that connection set is cut out:
+carries its translation moduli, which srg_params, the seeded Aut search,
+the row-0 automorphism test and family_group use.  The families differ only
+in how that connection set is cut out:
 
 * ``paley`` / ``peisert`` / ``van_lint_schrijver`` -- power-residue cosets in
   a finite field (one-dimensional).
@@ -51,7 +51,7 @@ from .gf import (
     primitive_root,
     sqrt_mod,
 )
-from .graphs import AsymmetricConnectionSet, DenseGraph, ZeroInSet, is_isomorphism
+from .graphs import AsymmetricConnectionSet, DenseGraph, ZeroInSet
 import importlib.resources
 
 from .permgrp import (
@@ -622,8 +622,8 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     (WrongOrbitCount otherwise) and the chosen orbit is symmetric
     (AsymmetricOrbit otherwise).  Orbit 0 is the smaller one.  The affine
     group acts as automorphisms of the result: the translations by
-    construction (DenseGraph.from_row0), the linear generators as checked
-    here by is_isomorphism, which decides a linear map on row 0 alone.
+    construction (DenseGraph.from_row0), and G0 because a linear map that
+    keeps the connection set keeps x - y in it.
     """
     linear = linear_perms(spec)
     nonzero = stabilizer_orbits(linear)
@@ -633,15 +633,11 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
         raise ValueError(f"orbit_choice must be 0 or 1, got {orbit_choice}")
     chosen = nonzero[orbit_choice]
     try:
-        g = cayley_graph(spec.p, spec.d, chosen)
+        return cayley_graph(spec.p, spec.d, chosen)
     except AsymmetricConnectionSet:
         raise AsymmetricOrbit(
             f"the orbit of size {len(chosen)} is not closed under negation"
         ) from None
-    for img in linear.gens:
-        if not is_isomorphism(g, g, img):  # pragma: no cover
-            raise AssertionError("linear generator is not an automorphism")
-    return g
 
 
 def _quaternion_units(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -828,9 +824,7 @@ class _Family:
     The zero-stabilizer is the stabilizer of vertex 0 in the family's known
     group: ``stabilizer(*params)`` as permutations, or else the linear action
     of the matrix group ``spec(*params, seed)``.  ``seed`` reaches only the
-    sl25 spec, whose generators it conjugates.  ``moduli(*params)`` names the
-    translation group Z_m1 x ... x Z_mk on the vertices; by default GF(p)^k
-    on p^k vertices.
+    sl25 spec, whose generators it conjugates.
     ``graph`` is None for the orbital family, whose graph is built from its
     spec.  A spec or stabilizer of None means no group ships for the params.
     """
@@ -841,7 +835,6 @@ class _Family:
     graph: Callable[..., DenseGraph] | None
     stabilizer: Callable[..., GeneratorSet] | None = None
     spec: Callable[..., MatrixGroupSpec | None] | None = None
-    moduli: Callable[..., tuple[int, ...]] | None = None
 
 
 _FAMILIES = {
@@ -860,7 +853,6 @@ _FAMILIES = {
     "Hamming2": _Family(
         "hamming2", _ints(1), "hamming2:{}".format, hamming2,
         stabilizer=hamming2_stabilizer,
-        moduli=lambda m: (m, m),
     ),
     "AffinePolar": _Family(
         "vo", _parse_polar,
@@ -952,16 +944,10 @@ def zero_stabilizer(fid: FamilyId, seed: int | None = None) -> GeneratorSet | No
 
 def family_group(fid: FamilyId) -> GeneratorSet | None:
     """A transitive group of known automorphisms of family_graph(fid): the
-    translations plus zero_stabilizer(fid).  None when no group construction
-    ships for the parameters (affine_polar over a non-prime field, or the
-    (2, 2, +1) transvection exception)."""
+    translations by the graph's moduli plus zero_stabilizer(fid).  None when
+    no group construction ships for the parameters (affine_polar over a
+    non-prime field, or the (2, 2, +1) transvection exception)."""
     stab = zero_stabilizer(fid)
     if stab is None:
         return None
-    fam = _FAMILIES[fid.tag]
-    if fam.moduli is not None:
-        moduli = fam.moduli(*fid.params)
-    else:
-        p, k = _split_prime_power(stab.degree)
-        moduli = (p,) * k
-    return with_translations(stab, moduli)
+    return with_translations(stab, family_graph(fid).moduli)

@@ -27,6 +27,20 @@ from rank3.permgrp import GeneratorSet, schreier_sims
 CATALOG = builtin_catalog()
 BY_ID = {e.id: e for e in CATALOG}
 
+# van_lint_schrijver rejects e = 4 at q = 13 (order condition), so this row's
+# construct stage raises
+UNBUILDABLE = CatalogEntry(
+    id="vls:13:4",
+    family=parse_descriptor("vls:13:4"),
+    n=13,
+    subdegrees=(3, 9),
+    expected_aut_order=None,
+    group_name="none",
+    iso_claims=(),
+    tier="FULL",
+    source="fault injection",
+)
+
 
 def _replace(entry, **kw):
     fields = {
@@ -182,11 +196,11 @@ class TestVerifyEntry:
         perm = np.arange(13)
         perm[[1, 2]] = [2, 1]
         moved = DenseGraph(g.adj[np.ix_(perm, perm)])
-        outcome = _check_subdegrees(
-            BY_ID["paley:13"], moved, zero_stabilizer(parse_descriptor("paley:13"))
-        )
+        outcome, stab = _check_subdegrees(BY_ID["paley:13"], moved, None)
         assert outcome.status == "mismatch"
         assert "not an orbit" in outcome.detail
+        want = zero_stabilizer(parse_descriptor("paley:13"))
+        assert np.array_equal(stab.gens, want.gens)
 
     def test_seeded_sl25_row_passes(self):
         entry = BY_ID["orbital:sl25:31"]
@@ -195,9 +209,8 @@ class TestVerifyEntry:
         assert report.stages["subdegrees"].status == "ok"
         # the default-seed zero-stabilizer does not act on the seed-1 graph
         g = family_graph(entry.family, seed=1)
-        stab, stab1 = zero_stabilizer(entry.family), zero_stabilizer(entry.family, seed=1)
-        assert _check_subdegrees(entry, g, stab).status == "mismatch"
-        assert _check_subdegrees(entry, g, stab1).status == "ok"
+        assert _check_subdegrees(entry, g, None)[0].status == "mismatch"
+        assert _check_subdegrees(entry, g, 1)[0].status == "ok"
 
     def test_construct_timing_covers_build(self, monkeypatch):
         import rank3.catalog as catalog
@@ -346,20 +359,8 @@ class TestVerifyAll:
         assert [r.verdict for r in reports] == ["PASS", "FAIL"]
 
     def test_construction_error_becomes_fail_report(self):
-        # van_lint_schrijver rejects e = 4 at q = 13 (order condition);
         # the sweep must absorb the error, not crash
-        bad = CatalogEntry(
-            id="vls:13:4",
-            family=parse_descriptor("vls:13:4"),
-            n=13,
-            subdegrees=(3, 9),
-            expected_aut_order=None,
-            group_name="none",
-            iso_claims=(),
-            tier="FULL",
-            source="fault injection",
-        )
-        reports, summary = verify_all(tier="full", budget=1.0, entries=[bad])
+        reports, summary = verify_all(tier="full", budget=1.0, entries=[UNBUILDABLE])
         assert summary["fail"] == 1
         assert reports[0].stages["construct"].status == "error"
 
@@ -379,23 +380,26 @@ class TestVerifyAll:
         assert stages["construct"].status == "ok"
         assert stages["srg"] == StageOutcome("error", "RuntimeError: srg blew up")
         assert set(reports[0].timings_ms) == {"construct", "srg"}
-        with pytest.raises(RuntimeError):
-            verify_entry(BY_ID["paley:13"], budget=60.0)
+        assert verify_entry(BY_ID["paley:13"], budget=60.0).stages == stages
 
-    def test_verify_entry_propagates_construction_error(self):
-        bad = CatalogEntry(
-            id="vls:13:4",
-            family=parse_descriptor("vls:13:4"),
-            n=13,
-            subdegrees=(3, 9),
-            expected_aut_order=None,
-            group_name="none",
-            iso_claims=(),
-            tier="FULL",
-            source="fault injection",
-        )
-        with pytest.raises(Exception):
-            verify_entry(bad, budget=1.0)
+    def test_verify_entry_records_construction_error(self):
+        report = verify_entry(UNBUILDABLE, budget=1.0)
+        assert report.verdict == "FAIL"
+        assert list(report.stages) == ["construct"]
+        assert report.stages["construct"].status == "error"
+        assert list(report.timings_ms) == ["construct"]
+
+    def test_verify_all_is_verify_entry_per_row(self):
+        entries = [e for e in CATALOG if e.tier == "FULL"] + [UNBUILDABLE]
+
+        def outcomes(reports):
+            return [
+                (r.id, r.verdict, [(k, o.status, o.detail) for k, o in r.stages.items()])
+                for r in reports
+            ]
+
+        reports, _ = verify_all(tier="full", budget=60.0, entries=entries)
+        assert outcomes(reports) == outcomes([verify_entry(e) for e in entries])
 
 
 class TestReports:
