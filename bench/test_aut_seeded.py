@@ -153,18 +153,14 @@ def off_path():
     g = family_graph(parse_descriptor("hq:2:5"))
     perm = np.random.default_rng(0).permutation(g.n)
     h = DenseGraph(g.adj[np.ix_(perm, perm)])
-    path = _Solver(h, math.inf, first_only=True)
-    path.run()
-    cells, trace = path.root()
-    refiner = _Refiner(h)
-    for v in path.first_vertices[:OFF_PATH_DEPTH]:
-        cells, trace = _individualized(cells, trace, v)
-        trace = refiner.refine(cells, [cells.num_classes - 1], trace)
-    first = path.first_vertices[OFF_PATH_DEPTH]
-    target = cells.members(path.first_cells[OFF_PATH_DEPTH]).tolist()
+    solver = _Solver(h, math.inf)
+    path = solver.first_path(*solver.root())
+    cells, trace = path.nodes[OFF_PATH_DEPTH]
+    first = path.vertices[OFF_PATH_DEPTH]
+    target = cells.members(path.cells[OFF_PATH_DEPTH]).tolist()
     w = min(v for v in target if v != first)
-    record = path.first_records[OFF_PATH_DEPTH]
-    return h, cells, trace, w, record, path.first_traces[OFF_PATH_DEPTH]
+    record = path.records[OFF_PATH_DEPTH]
+    return h, cells, trace, w, record, path.nodes[OFF_PATH_DEPTH + 1][1]
 
 
 @pytest.mark.parametrize("follow", [True, False], ids=["record", "equitable"])
@@ -179,7 +175,7 @@ def test_off_path_refine(benchmark, off_path, follow):
     benchmark.pedantic(refiner.refine, setup=fresh, rounds=ROUNDS * 10)
     (child, queue, start, rec), _ = fresh()
     before = refiner.refinements
-    got = refiner.refine(child, queue, start, rec)
+    got, _ = refiner.refine(child, queue, start, rec)
     passes = refiner.refinements - before
     assert passes == OFF_PATH_PASSES[follow] and got == first_trace
     # following, the child's trace matches the record's after every pass

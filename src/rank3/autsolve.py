@@ -34,9 +34,9 @@ Pruning, in the standard shape:
   automorphism and is cut (hash equality never *accepts* anything by itself:
   leaves are always verified, so a collision costs work, not correctness).
   Traces are compared as refinement proceeds (McKay & Piperno 2014, §3): the
-  first path records, per depth, its trace after each pass up to its last
-  splitting pass, and every other node of that depth stops after as many
-  passes, or returns at the first pass whose trace differs from the record.
+  first path, built once before the search, records per depth its trace
+  after each pass up to its last splitting pass, and every other node of
+  that depth stops after as many passes, or at the first whose trace differs.
   An automorphism maps the first path's node to one with the same per-pass
   traces, whose skipped passes split nothing, so its coloring is the first
   path's image; a node that matches the record without being such an image
@@ -66,11 +66,11 @@ Strongly regular graphs are equitably homogeneous, so plain refinement never
 splits them; all the work happens in the search, and orbit pruning is what
 keeps vertex-transitive inputs tractable.
 
-Isomorphism testing is a directed search.  The search of one graph stops at
-its first leaf; the other graph's tree is then searched along that first
-path: the same target cell ids, every child refined against the first
-path's record and cut if its trace differs from the first path's at its
-depth, and at a leaf the map carrying the first leaf onto it is a
+Isomorphism testing is a directed search.  One graph's first path is built
+as an automorphism search builds its own, and the other graph's tree is
+searched along it: the same target cell ids, every child refined against
+the path's record and cut if its trace differs from the path's at its
+depth, and at a leaf the map carrying the path's leaf onto it is a
 candidate, accepted only if it is an isomorphism.  An isomorphism carries
 the first path to such a path of the searched graph, so the search is
 complete, whether or not the graphs are connected, and needs no invariant
@@ -214,9 +214,9 @@ class _Refiner:
     time.monotonic() value, is checked once per pass: Timeout when it has
     passed.  ``refinements`` counts passes and ``splits`` the passes that
     split a cell.  The search's first path refines to equitability and
-    records its trace after each pass, up to its last split; the search's
-    other nodes refine against that record, stopping where it ends and
-    returning at the first pass whose trace differs (see refine).
+    returns its record, the trace after each pass up to its last split; the
+    search's other nodes refine against that record, stopping where it ends
+    and returning at the first pass whose trace differs (see refine).
     """
 
     def __init__(self, g: DenseGraph, deadline: float = math.inf):
@@ -252,24 +252,20 @@ class _Refiner:
         np.bitwise_count(self._anded, out=self._bits)
         return self._bits.sum(axis=1, dtype=np.int32)
 
-    def refine(
-        self, cells: _Cells, queue, trace: int, record: list | tuple | None = None
-    ) -> int:
+    def refine(self, cells: _Cells, queue, trace: int, record: tuple | None = None) -> tuple:
         """Refine cells in place, processing the given splitter queue
-        (Hopcroft all-but-largest), to the coarsest equitable refinement.
-        Returns the trace.
+        (Hopcroft all-but-largest).  Returns the trace and the record.
 
-        ``record`` is the search's first path at one depth: the trace after
-        each of its passes, up to its last splitting pass.  A list is filled
-        with it (refinement still runs to equitability); a tuple is followed:
-        refinement stops after len(record) passes, and returns at once when
-        its trace after a pass differs from the record's for that pass."""
+        A record is the trace after each pass, up to the last splitting pass.
+        Without one, refinement runs to the coarsest equitable refinement and
+        returns its own.  Given one (the first path's at the node's depth),
+        it is returned and followed: refinement stops after len(record)
+        passes, or at the first whose trace differs from the record's."""
         pending = deque(queue)
         queued = set(pending)
-        follow = isinstance(record, tuple)
-        passes = last_split = 0
+        traces, last_split = [], 0
         while pending and cells.num_classes < self.n:
-            if follow and passes == len(record):
+            if record is not None and len(traces) == len(record):
                 break
             if time.monotonic() > self.deadline:
                 raise Timeout("the solver passed its deadline")
@@ -277,17 +273,12 @@ class _Refiner:
             queued.discard(s)
             splits = self.splits
             trace = self._pass(cells, s, trace, pending, queued)
-            passes += 1
-            if follow:
-                if trace != record[passes - 1]:
-                    break
-            elif record is not None:
-                record.append(trace)
-                if self.splits > splits:
-                    last_split = passes
-        if record is not None and not follow:
-            del record[last_split:]
-        return trace
+            if record is not None and trace != record[len(traces)]:
+                break
+            traces.append(trace)
+            if self.splits > splits:
+                last_split = len(traces)
+        return trace, tuple(traces[:last_split]) if record is None else record
 
     def _pass(self, cells: _Cells, s: int, trace: int, pending: deque, queued: set) -> int:
         """One splitter pass: split every cell by its members' neighbour
@@ -404,39 +395,46 @@ class _OrbitSet:
         return bool(self.mark[v])
 
 
+@dataclass
+class _Path:
+    """The first path of g's search, from the root to the first leaf.
+
+    ``nodes[d]`` is the (cells, trace) of its node at depth d, the root
+    first; ``cells[d]`` is that node's target cell id, ``vertices[d]`` the
+    vertex individualized in it and ``records[d]`` the record its child was
+    refined with (see _Refiner.refine); ``leaf`` is the first leaf's
+    coloring."""
+
+    g: DenseGraph
+    nodes: list[tuple[_Cells, int]]
+    cells: list[int]
+    vertices: list[int]
+    records: list[tuple[int, ...]]
+    leaf: np.ndarray
+
+
 class _Solver:
     """One search over the individualization tree of a fixed graph g.
 
     ``known`` holds image arrays of verified automorphisms of g; a node skips
     the children in the orbits of its explored ones under those that fix its
-    individualized prefix.  An automorphism search builds its own first path
-    and compares every later leaf with the first.  A directed search
-    (``follow``) takes the first path of another graph's solver instead, so
-    its leaves are candidate isomorphisms from that graph to g.
+    individualized prefix.  ``run`` searches automorphisms along g's own
+    first path; ``search`` walks another graph's, so its leaves are
+    candidate isomorphisms from that graph to g.
     """
 
-    def __init__(
-        self,
-        g: DenseGraph,
-        deadline: float,
-        known: Sequence[np.ndarray] = (),
-        first_only: bool = False,
-    ):
+    def __init__(self, g: DenseGraph, deadline: float, known: Sequence[np.ndarray] = ()):
         self.g = g
-        self.source = g  # a leaf's candidate maps source's first leaf to it
         self.n = g.n
         self.refiner = _Refiner(g, deadline)
         self.deadline = deadline
-        self.known = known
-        self.first_only = first_only  # stop at the first leaf
+        # one k x n array, so a node filters the known ones in one step
+        self.known = np.array(known, dtype=np.int32).reshape(len(known), self.n)
         self.nodes = 0
         self.gens: list[np.ndarray] = []
-        self.first_leaf: np.ndarray | None = None
-        self.first_traces: list[int] = []
-        self.first_records: list[tuple[int, ...]] = []  # see _Refiner.refine
-        self.first_cells: list[int] = []
-        self.first_vertices: list[int] = []
+        self.path: _Path | None = None  # the first path being walked
         self.order = 1  # the product of the first path's orbit lengths
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), self.n + 1000))
 
     # - plumbing -
 
@@ -464,12 +462,8 @@ class _Solver:
     def _leaf(self, colors: np.ndarray) -> None:
         inv = np.empty(self.n, dtype=np.int32)
         inv[colors] = np.arange(self.n, dtype=np.int32)
-        if self.first_leaf is None:
-            self.first_leaf = inv
-            return
-        sigma = np.empty(self.n, dtype=np.int32)
-        sigma[self.first_leaf] = inv
-        if is_isomorphism(self.source, self.g, sigma):
+        sigma = inv[self.path.leaf]
+        if is_isomorphism(self.path.g, self.g, sigma):
             raise _Found(sigma)
 
     # - the search -
@@ -478,14 +472,14 @@ class _Solver:
         self, cells: _Cells, trace: int, depth: int, on_first_path: bool, prefix: list[int]
     ) -> None:
         self._tick()
+        path = self.path
         if cells.num_classes == self.n:
-            self._leaf(cells.colors)
+            if not on_first_path:
+                self._leaf(cells.colors)
             return
-        if on_first_path and len(self.first_cells) == depth:
-            self.first_cells.append(self._pick_cell(cells))
-        if depth >= len(self.first_cells):
+        if depth >= len(path.cells):
             return  # deeper than the first path (trace hash collision): dead branch
-        cell_color = self.first_cells[depth]
+        cell_color = path.cells[depth]
         if cell_color >= cells.num_classes or cells.size[cell_color] < 2:
             # no such cell to branch on (trace hash collision): dead branch.
             # Individualizing only in cells of two or more keeps every cell
@@ -496,21 +490,18 @@ class _Solver:
         for v in cells.members(cell_color).tolist():  # ascending: the layout keeps it so
             if orbits is not None and v in orbits:
                 continue
-            child, ctrace = _individualized(cells, trace, v)
-            # the first path's child refines to equitability and fills the
-            # record its depth's other children follow
-            first_child = on_first_path and len(self.first_traces) == depth
-            record = [] if first_child else self.first_records[depth]
-            ctrace = self.refiner.refine(child, [child.num_classes - 1], ctrace, record)
-            if first_child:
-                self.first_traces.append(ctrace)
-                self.first_records.append(tuple(record))
-                self.first_vertices.append(v)
-            elif ctrace != self.first_traces[depth]:
-                if orbits is not None:  # its orbit-mates share its trace
-                    orbits.add_seed(v)
-                continue
-            child_first = on_first_path and v == self.first_vertices[depth]
+            # the first path's child, built already, comes first: its vertex is the least
+            child_first = on_first_path and v == path.vertices[depth]
+            if child_first:
+                child, ctrace = path.nodes[depth + 1]
+            else:
+                child, ctrace = _individualized(cells, trace, v)
+                queue = [child.num_classes - 1]
+                ctrace, _ = self.refiner.refine(child, queue, ctrace, path.records[depth])
+                if ctrace != path.nodes[depth + 1][1]:
+                    if orbits is not None:  # its orbit-mates share its trace
+                        orbits.add_seed(v)
+                    continue
             before = len(self.gens)
             try:
                 self._dfs(child, ctrace, depth + 1, child_first, prefix + [v])
@@ -520,8 +511,6 @@ class _Solver:
                 if not on_first_path or not _fixing([found.img], prefix):
                     raise
                 self.gens.append(found.img)
-            if self.first_only:
-                return
             if orbits is not None:
                 # every automorphism found beneath this node: the first-path
                 # child's were kept deeper down and fix a longer prefix
@@ -530,33 +519,40 @@ class _Solver:
         if on_first_path:
             # every automorphism fixing the prefix is known once the loop
             # ends: one found later moves a vertex of the prefix
-            first = _point_mask(self.n, self.first_vertices[depth])
+            first = _point_mask(self.n, path.vertices[depth])
             self.order *= int(orbit_mask(orbits.gens, first).sum())
 
     def root(self) -> tuple[_Cells, int]:
         """The refined unit partition and its trace."""
         cells = _Cells.of(np.zeros(self.n, dtype=np.int32))
-        return cells, self.refiner.refine(cells, range(cells.num_classes), 0)
+        return cells, self.refiner.refine(cells, range(cells.num_classes), 0)[0]
 
-    def follow(self, path: "_Solver") -> None:
-        """Search for isomorphisms path.g -> g along path's first path."""
-        self.source = path.g
-        self.first_leaf = path.first_leaf
-        self.first_traces, self.first_cells = path.first_traces, path.first_cells
-        self.first_records = path.first_records
-
-    def search(self, cells: _Cells, trace: int) -> None:
-        """Search the tree below a root from ``root``; a directed search raises
-        _Found with the first isomorphism it meets."""
-        limit = self.n + 1000
-        if sys.getrecursionlimit() < limit:
-            sys.setrecursionlimit(limit)
-        # one k x n array, so a node filters the known ones in one step
-        self.known = np.array(self.known, dtype=np.int32).reshape(len(self.known), self.n)
-        self._dfs(cells, trace, 0, self.first_leaf is None, [])
+    def first_path(self, cells: _Cells, trace: int) -> _Path:
+        """The first path below a root from ``root``: at each depth the least
+        vertex of the target cell individualized and the child refined to
+        equitability, down to the first leaf."""
+        nodes, targets, vertices, records = [(cells, trace)], [], [], []
+        while cells.num_classes < self.n:
+            target = self._pick_cell(cells)
+            v = int(cells.members(target)[0])
+            cells, trace = _individualized(cells, trace, v)
+            trace, record = self.refiner.refine(cells, [cells.num_classes - 1], trace)
+            nodes.append((cells, trace))
+            targets.append(target)
+            vertices.append(v)
+            records.append(record)
+        return _Path(self.g, nodes, targets, vertices, records, cells.colors)
 
     def run(self) -> None:
-        self.search(*self.root())
+        """Search the automorphisms of g along its own first path."""
+        self.path = self.first_path(*self.root())
+        self._dfs(*self.path.nodes[0], 0, True, [])
+
+    def search(self, path: _Path, cells: _Cells, trace: int) -> None:
+        """Search below a root from ``root`` along another graph's first path
+        for isomorphisms path.g -> g; raises _Found with the first it meets."""
+        self.path = path
+        self._dfs(cells, trace, 0, False, [])
 
 
 @dataclass
@@ -658,32 +654,29 @@ def _iso_search(
 
     The two root refinements come first: their traces and cell sizes must
     agree, so graphs whose degrees differ are told apart there.  g's first
-    path (the target cell, the trace after each individualization, its
-    per-pass record, and the leaf) is then taken by the search itself,
-    stopping at its first leaf.  h's tree is searched along the same cell
-    ids, every child refined against g's record and cut if its trace
-    differs from g's at its depth; at a leaf, the map carrying g's first
-    leaf onto it is a candidate, accepted only if it carries g onto h.
-    Complete: an isomorphism carries g's first path to a path of h with
+    path (_Solver.first_path: its nodes' target cells, traces and per-pass
+    records, and the leaf) is handed to h's solver, which searches h's tree
+    along the same cell ids, every child refined against g's record and cut
+    if its trace differs from g's at its depth; at a leaf, the map carrying
+    g's first leaf onto it is a candidate, accepted only if it carries g
+    onto h.  Complete: an isomorphism carries g's first path to a path of h with
     the same cells and per-pass traces, whose leaf yields it.  ``known``
     holds checked automorphisms of h, which prune every node whose prefix
     they fix; when it is empty, Aut(h) is searched first, after the root
     check and before the same deadline.
     """
-    path = _Solver(g, deadline, first_only=True)
-    solver = _Solver(h, deadline, known)
-    (g_cells, g_trace), (h_cells, h_trace) = path.root(), solver.root()
+    source, solver = _Solver(g, deadline), _Solver(h, deadline, known)
+    (g_cells, g_trace), (h_cells, h_trace) = source.root(), solver.root()
     if g_trace != h_trace or not np.array_equal(
         g_cells.size[: g_cells.num_classes], h_cells.size[: h_cells.num_classes]
     ):
         raise NotIsomorphic("equitable refinement signatures differ")
     if not known:
         budget = max(deadline - time.monotonic(), 0.0)
+        # a GeneratorSet's gens are already the k x n int32 array
         solver.known = automorphism_group(h, budget=budget).generators.gens
-    path.search(g_cells, g_trace)
-    solver.follow(path)
     try:
-        solver.search(h_cells, h_trace)
+        solver.search(source.first_path(g_cells, g_trace), h_cells, h_trace)
     except _Found as found:
         return found.img
     raise NotIsomorphic("individualization search exhausted")

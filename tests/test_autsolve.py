@@ -270,10 +270,10 @@ def check_layout(cells):
 # it.
 
 
-def order_from_first_path(n, first_vertices, imgs):
+def order_from_first_path(n, vertices, imgs):
     order = 1
-    for depth, v in enumerate(first_vertices):
-        pts = np.asarray(first_vertices[:depth], dtype=np.int64)
+    for depth, v in enumerate(vertices):
+        pts = np.asarray(vertices[:depth], dtype=np.int64)
         fixing = [img for img in imgs if np.array_equal(img[pts], pts)]
         seed = np.zeros(n, dtype=bool)
         seed[v] = True
@@ -287,7 +287,7 @@ def assert_order_matches_oracle(g, known=()):
     solver = _Solver(g, time.monotonic() + 60.0, list(known))
     solver.run()
     imgs = list(known) + solver.gens
-    assert solver.order == order_from_first_path(g.n, solver.first_vertices, imgs)
+    assert solver.order == order_from_first_path(g.n, solver.path.vertices, imgs)
     return solver.order
 
 
@@ -300,10 +300,10 @@ def assert_order_matches_oracle(g, known=()):
 
 
 class EquitableRefiner(_Refiner):
-    """The refiner filling the first path's record but following none."""
+    """The refiner following no record."""
 
     def refine(self, cells, queue, trace, record=None):
-        return super().refine(cells, queue, trace, None if isinstance(record, tuple) else record)
+        return super().refine(cells, queue, trace)
 
 
 class EquitableSolver(_Solver):
@@ -478,6 +478,17 @@ class TestRefine:
         assert solver.nodes == 0
         assert num_classes(refine(g, np.zeros(g.n, dtype=int))) == 1500
 
+    def test_deadline_past_the_root_stops_the_first_path(self):
+        # building the first path ticks no node: refine's per-pass check
+        # must stop it before the child at depth 0 makes its first pass
+        solver = _Solver(paley(13), math.inf)
+        cells, trace = solver.root()
+        assert (cells.num_classes, solver.refiner.refinements) == (1, 1)
+        solver.refiner.deadline = time.monotonic() - 1.0
+        with pytest.raises(Timeout):
+            solver.first_path(cells, trace)
+        assert (solver.refiner.refinements, solver.nodes) == (1, 0)
+
 
 # the first splitter's size: one row, two rows, and the packed popcount
 SPLITTER_SIZES = {
@@ -520,7 +531,7 @@ def assert_refines_like_reference(g, initial, queue, trace):
     cells = _Cells.of(initial)
     for _ in range(2):
         classes, want = ref.refine(colors, classes, queue, trace)
-        got = new.refine(cells, queue, trace)
+        got, _ = new.refine(cells, queue, trace)
         assert np.array_equal(cells.colors, colors)
         assert (cells.num_classes, got) == (classes, want)
         assert (new.refinements, new.splits) == (ref.refinements, ref.splits)
@@ -557,7 +568,7 @@ g = family_graph(parse_descriptor("vls:64:3"))
 perm = np.random.default_rng(3).permutation(g.n)
 solver = _Solver(DenseGraph(g.adj[np.ix_(perm, perm)]), math.inf)
 solver.run()
-print(json.dumps(solver.first_traces))
+print(json.dumps([trace for _, trace in solver.path.nodes[1:]]))
 """
 
 
@@ -581,7 +592,7 @@ class TestTraceInvariance:
             split += gc.num_classes > 1
         assert split >= 15  # most roots do split, so their traces hold words
 
-    def test_first_traces_ignore_the_hash_seed(self):
+    def test_first_path_traces_ignore_the_hash_seed(self):
         src = str(Path(rank3.__file__).resolve().parents[1])
         runs = []
         for seed in ("1", "2"):
