@@ -10,8 +10,9 @@ Subcommands:
     verify [--tier T] [--seed N] [--json OUT] [--budget S] [--catalog FILE]
     catalog list                            print the builtin verification table
 
-verify --seed N conjugates the sl25 zero-stabilizer by a seeded random matrix:
-that relabels the orbital:sl25:* rows only, and every other row ignores it.
+verify --seed N, an integer >= 0, conjugates the sl25 zero-stabilizer by an
+invertible matrix drawn from random.Random(N): that relabels the
+orbital:sl25:* rows only, and every other row ignores it.
 
 Exit codes: 0 success / all pass, 1 any failure (not isomorphic, not strongly
 regular, timeout, FAIL verdicts), 2 usage errors (bad descriptors, bad files).
@@ -138,6 +139,14 @@ def _budget(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rank3",
@@ -172,9 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the catalog verification pipeline")
     p.add_argument("--tier", choices=("full", "slow", "all"), default="full")
     p.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="conjugate the sl25 zero-stabilizer by a seeded random matrix; "
-        "relabels the orbital:sl25:* rows only, every other row ignores it",
+        "--seed", type=_seed, default=None, metavar="N",
+        help="an integer >= 0: conjugate the sl25 zero-stabilizer by a matrix "
+        "drawn from random.Random(N); relabels the orbital:sl25:* rows only, "
+        "every other row ignores it",
     )
     p.add_argument("--json", metavar="OUT", help="also write a JSON report")
     p.add_argument("--budget", type=_budget, default=60.0, metavar="S")

@@ -33,6 +33,7 @@ checks independently of the Aut solver.
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -365,8 +366,9 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     exactly 2 orbits on nonzero vectors: singular and nonsingular.
 
     Isometry generators are orthogonal transvections x |-> x + B(x, v) v
-    (q = 2) or reflections x |-> x - (B(x, v)/Q(v)) v (q odd) for a seeded
-    random sample of nonsingular v, grown until the group order matches the
+    (q = 2) or reflections x |-> x - (B(x, v)/Q(v)) v (q odd) for the first
+    nonsingular v in an order shuffled by random.Random(0), a local generator
+    with a fixed seed, taking more until the group order matches the
     closed-form target.  Every generator is checked to be a similitude, so
     the target bounds the order from above, and the sample is accepted as
     soon as reaches_order's Schreier-Sims lower bound reaches it.
@@ -399,8 +401,7 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
         v = coords[vi]
         if p == 2 or v[np.flatnonzero(v)[0]] == 1:
             reps.append(int(vi))
-    rng = np.random.default_rng(0)
-    rng.shuffle(reps)
+    random.Random(0).shuffle(reps)
 
     def isometry(vi: int) -> np.ndarray:
         v = coords[vi]
@@ -707,8 +708,12 @@ def binary_icosahedral_spec(p: int, seed: int | None = None) -> MatrixGroupSpec:
     s from _quaternion_units and t = (phi I + phi^-1 X + Y)/2, phi =
     (1 + sqrt 5)/2, the quaternion (phi + phi^-1 i + j)/2 of order 10.
     BadCongruence unless 5 is a nonzero square mod p (p = +-1 mod 5).  A seed
-    conjugates s and t by an invertible matrix drawn from
-    np.random.default_rng(seed), which relabels the orbits; None does not."""
+    >= 0 conjugates s and t by an invertible matrix drawn from
+    random.Random(seed), which relabels the orbits; None does not.  A
+    negative seed is a ValueError, as random.Random(-s) would silently run
+    the stream of s."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed = {seed} must be >= 0")
     if p == 2 or p % 5 not in (1, 4):
         raise BadCongruence(f"5 is not a nonzero square mod {p}: need p = +-1 mod 5")
     x, y, s = _quaternion_units(p)
@@ -716,13 +721,14 @@ def binary_icosahedral_spec(p: int, seed: int | None = None) -> MatrixGroupSpec:
     phi = (1 + sqrt_mod(5, p)) * h % p
     t = (phi * np.eye(2, dtype=np.int64) + (phi - 1) * x + y) * h % p
     if seed is not None:
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         det = 0
         while det == 0:
-            c = rng.integers(0, p, size=(2, 2))
-            det = int(c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) % p
-        c_inv = np.array([[c[1, 1], -c[0, 1]], [-c[1, 0], c[0, 0]]]) * pow(det, -1, p) % p
-        s, t = (c @ m @ c_inv % p for m in (s, t))
+            a, b, c, d = (rng.randrange(p) for _ in range(4))
+            det = (a * d - b * c) % p
+        conj = np.array([[a, b], [c, d]], dtype=np.int64)
+        conj_inv = np.array([[d, -b], [-c, a]], dtype=np.int64) * pow(det, -1, p) % p
+        s, t = (conj @ m @ conj_inv % p for m in (s, t))
     _check_binary_icosahedral(s, t, p)
     return MatrixGroupSpec(p, 2, (s, t))
 

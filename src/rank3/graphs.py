@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,6 +247,26 @@ def _with_packed_rows(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return adj, packed
 
 
+@lru_cache(maxsize=64)
+def _digit_tables(moduli: tuple[int, ...]):
+    """_affine_verdict's tables for moduli (m,) * k, read-only and built once
+    per moduli: the digit dtype, the digits of each of the m**j values of the
+    high j = ceil(k / 2) digits and of each of the m**(k - j) values of the
+    low ones (columns of a j x m**j and a (k - j) x m**(k - j) array), and
+    the place values of the k digits, most significant first, as ints and as
+    floats."""
+    k, m = len(moduli), moduli[0]
+    j = k - k // 2
+    dtype = np.min_scalar_type(2 * m - 1)
+    high = np.indices(moduli[:j], dtype=dtype).reshape(j, -1)
+    low = np.indices(moduli[j:], dtype=dtype).reshape(k - j, m ** (k - j))
+    place = m ** np.arange(k - 1, -1, -1)  # the unit vectors
+    fplace = place.astype(np.float64)  # for a BLAS product, exact below 2**53
+    for table in (high, low, place, fplace):
+        table.flags.writeable = False
+    return dtype, high, low, place, fplace
+
+
 def _affine_verdict(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool | None:
     """Whether the bijection mapping carries g onto h, decided on row 0
     alone, when g and h carry the same moduli (m,) * k; None when mapping is
@@ -265,15 +286,10 @@ def _affine_verdict(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool |
     the heap instead of being mapped and page-faulted afresh.  Digits are
     the narrowest unsigned ints that hold 2m - 1, and a digitwise sum x < 2m
     is reduced mod m as min(x, x - m), where x - m wraps past the top when
-    x < m."""
-    moduli = g.moduli
-    k, m = len(moduli), moduli[0]
-    j = k - k // 2
-    width = m ** (k - j)
-    dtype = np.min_scalar_type(2 * m - 1)
-    high = np.indices(moduli[:j], dtype=dtype).reshape(j, -1)
-    low = np.indices(moduli[j:], dtype=dtype).reshape(k - j, width)
-    place = m ** np.arange(k - 1, -1, -1)  # the unit vectors
+    x < m.  The digit tables depend on the moduli alone (_digit_tables)."""
+    dtype, high, low, place, fplace = _digit_tables(g.moduli)
+    k, m = len(g.moduli), g.moduli[0]
+    j, width = high.shape[0], low.shape[1]
     ends = mapping[np.append(0, place)] // place[:, None] % m  # of 0 and the e_i
     a = ends[:, 1:] - ends[:, :1]  # A's columns, mod m
     a %= m
@@ -281,7 +297,6 @@ def _affine_verdict(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool |
     lin_low = ((a[:, j:] @ low) % m).astype(dtype)
     back = (m - ends[:, :1]).astype(dtype)  # adding it subtracts mapping[0]
     wrap = dtype.type(m)
-    fplace = place.astype(np.float64)  # for a BLAS product, exact below 2**53
     rows = max(1, (1 << 13) // (k * width))
     same = True
     for r in range(0, lin_high.shape[1], rows):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 from dataclasses import dataclass
 
@@ -265,13 +266,14 @@ _PR_WARMUP = 50
 def _product_replacement(gens: list[np.ndarray]):
     """An endless stream of near-uniform random elements of <gens>, as image
     arrays, by the product-replacement algorithm with an accumulator (Celler
-    et al., 1995), from a local generator with a fixed seed."""
-    rng = np.random.default_rng(0)
+    et al., 1995), drawn from random.Random(0), a local generator with a
+    fixed seed."""
+    rng = random.Random(0)
     slots = [gens[i % len(gens)] for i in range(max(_PR_SLOTS, len(gens)))]
     acc = np.arange(gens[0].shape[0], dtype=np.int32)
     for step in itertools.count():
-        i, j = rng.choice(len(slots), size=2, replace=False)
-        other = slots[j] if rng.integers(2) else _invert_img(slots[j])
+        i, j = rng.sample(range(len(slots)), 2)
+        other = slots[j] if rng.getrandbits(1) else _invert_img(slots[j])
         slots[i] = slots[i][other]
         acc = acc[slots[i]]
         if step >= _PR_WARMUP:
@@ -295,10 +297,11 @@ def _chain(
     1. every input generator is sifted, its residue appended from level 0,
        so that level 0 generates <gs> -- outside the stop rule of step 2,
        which could otherwise end before the last input is read;
-    2. product-replacement elements of <gs> (a local generator with a fixed
-       seed; the global numpy state is neither read nor moved) are sifted,
-       residues appended from level 1, as level 0 already generates <gs>,
-       until _RANDOM_SIFT_STOP in a row sift to the identity;
+    2. product-replacement elements of <gs> (from a local random.Random
+       with a fixed seed; the global random and numpy states are neither
+       read nor moved) are sifted, residues appended from level 1, as level
+       0 already generates <gs>, until _RANDOM_SIFT_STOP in a row sift to
+       the identity;
     3. deepest unfinished level first, every Schreier generator outside the
        level's done rectangle (orbit positions < x_done times generators
        < g_done) is sifted through the deeper levels, residues appended from

@@ -809,7 +809,7 @@ class TestSeededSearch:
         "vls:64:3": (7, 93, 11),
         "hamming2:5": (11, 30, 9),
         "vo:-:4:2": (5, 13, 14),
-        "vo:-:6:2": (9, 52, 25),
+        "vo:-:6:2": (10, 53, 26),
         "vo:+:8:2": (21, 229, 36),
         "orbital:sl23:7": (5, 51, 7),
         "orbital:q8:13": (5, 155, 6),

@@ -1,11 +1,16 @@
 """Catalog table integrity, the verification pipeline, and report plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rank3
 from rank3.catalog import (
     CatalogEntry,
     IsoClaim,
@@ -473,3 +478,25 @@ def test_srg_degree_from_row_zero_on_every_row(monkeypatch):
         assert (p.n, p.k) == (entry.n, entry.subdegrees[0])
         assert (g.adj.sum(axis=1) == p.k).all()
         assert p.feasible()
+
+
+# whether a whole seeded catalog run imports numpy.random, on stdout
+CATALOG_RUN_IMPORTS = """
+import sys
+from rank3.catalog import verify_all
+reports, _ = verify_all(tier="all", seed=3)
+assert [r.verdict for r in reports] == ["PASS"] * 37
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_catalog_run_never_imports_numpy_random():
+    # the package's seeded draws come from random.Random, so a process that
+    # runs the whole catalog never pays numpy.random's import; a subprocess,
+    # since the tests themselves import numpy.random
+    env = dict(os.environ, PYTHONPATH=str(Path(rank3.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", CATALOG_RUN_IMPORTS],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert done.stdout.strip() == "False"

@@ -235,6 +235,17 @@ class TestBudget:
         assert "--budget" in capsys.readouterr().err
 
 
+class TestSeed:
+    # a seed must be an integer >= 0: random.Random(-1) would silently run
+    # seed 1's stream
+    @pytest.mark.parametrize("text", ["-1", "x"])
+    def test_bad_seed_usage_error(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", text])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
 class TestCatalogList:
     def test_lists_entries(self, capsys):
         code, out, _ = run(capsys, "catalog", "list")

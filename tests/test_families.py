@@ -1,9 +1,15 @@
 """Tests for rank3.families: constructions, parameters, groups, descriptors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rank3
 from rank3.families import (
     AsymmetricConnectionSet,
     AsymmetricOrbit,
@@ -39,6 +45,17 @@ from rank3.families import (
 )
 from rank3.autsolve import automorphism_group
 from rank3.graphs import DenseGraph, complement, srg_params
+
+
+# SHA-1 of the int64 generator matrices of sl25_with_scalars_spec(41, 5)
+SL25_41_SEED_5_SHA1 = "a83499f6257d65a0bb8e9195424aa087c741d793"
+SEEDED_SPEC_SHA1 = """
+import hashlib
+import numpy as np
+from rank3.families import sl25_with_scalars_spec
+spec = sl25_with_scalars_spec(41, 5)
+print(hashlib.sha1(np.array(spec.gens, dtype=np.int64).tobytes()).hexdigest())
+"""
 
 
 def srg(g):
@@ -451,6 +468,26 @@ class TestAffineOrbitalGraph:
         assert len(set(gens)) == 3
         for spec in specs:
             assert stabilizer_rank(linear_perms(spec)) == (3, [360, 600])
+
+    def test_negative_seed_is_rejected(self):
+        # random.Random(-1) would silently give seed 1's stream
+        for build in (binary_icosahedral_spec, sl25_with_scalars_spec):
+            with pytest.raises(ValueError, match="seed = -1"):
+                build(41, -1)
+
+    def test_seeded_generators_are_pinned_across_interpreters(self):
+        # the conjugator comes from random.Random(seed), so two fresh
+        # interpreters give the same generators; the pinned SHA-1 moves if
+        # Python's stream for the draws ever does
+        env = dict(os.environ, PYTHONPATH=str(Path(rank3.__file__).resolve().parents[1]))
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", SEEDED_SPEC_SHA1],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout.strip()
+            for _ in range(2)
+        ]
+        assert digests == [SL25_41_SEED_5_SHA1] * 2
 
     def test_index_two_subgroup_at_7(self):
         # <X, Y, (1 + X + Y + XY)/2, 2I>: order 72, orbits 24 + 24

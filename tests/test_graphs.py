@@ -523,6 +523,15 @@ def test_affine_path_in_several_blocks(m, k):
         assert affine == (mapping is sigma)
 
 
+def test_affine_digit_tables_are_shared_and_read_only():
+    # they depend on the moduli alone, so every map check on one group reads
+    # the same tables, and no check can write into them
+    first = graphs._digit_tables((3,) * 7)
+    assert graphs._digit_tables((3,) * 7) is first
+    for table in first[1:]:
+        assert not table.flags.writeable
+
+
 @pytest.mark.parametrize("a,b", [("vls:64:3", "hq:2:3"), ("vls:25:3", "hamming2:5")])
 def test_mappings_between_catalog_graphs(a, b):
     # two catalog graphs on one group: the solver's mapping, its inverse and

@@ -50,7 +50,7 @@ PINS = {
     ),
     "vo:-:4:2": (
         "c858d04f26dcb7ecbde6f8112b9fd29084c51c12",
-        "a828eb77bb649076997573a9a72bbfc8e5c2d457",
+        "c1f572b14c3651d2358cbc72ca903ac2c92c33dd",
     ),
     "vls:25:3": (
         "a966aa649f4130fb68a5a091e5f282f3399fdc97",
@@ -70,11 +70,11 @@ PINS = {
     ),
     "vo:-:6:2": (
         "5064520a812e4f1dccc7bf1193adb298d875cf32",
-        "492e0e82f56937047c9f016592628e984a7e0f7b",
+        "3cb26ff0e537d84fabba323b5c157e54b342ecfc",
     ),
     "vo:+:8:2": (
         "fc03b330d7fe7f80356db4b7b8995a78425e21ee",
-        "c3b8777fcba53502fd7447ec50ee379ceb450ae7",
+        "ba70d1934ba62f794787611b44501ffe5f4b25f1",
     ),
     "orbital:sl23:7": (
         "285a2aecf009cfc89b41d0640fbfde48bc8bf93c",
@@ -98,7 +98,7 @@ PINS = {
     ),
     "vo:+:4:3": (
         "b5a6a0d0d83a70e575f19b7849b84ca5e96c5ece",
-        "4a4b97fceec45f927b01c9f9581664295952227b",
+        "9176520ef814da1f79fef0d3889ca34919af7502",
     ),
     "vls:256:5": (
         "0277cb4e92848db57471c42d75e7f5d8530f3f54",

@@ -18,6 +18,7 @@ Ground truth used here
 """
 
 import math
+import random
 import re
 import time
 
@@ -331,9 +332,11 @@ def test_reaches_order_leaves_the_global_rng_alone():
     answers = []
     for seed in (1, 2):
         np.random.seed(seed)
-        before = np.random.get_state()[1].copy()
+        random.seed(seed)
+        before = np.random.get_state()[1].copy(), random.getstate()
         answers.append((reaches_order(gs, 72), reaches_order(gs, 73)))
-        assert np.array_equal(np.random.get_state()[1], before)
+        assert np.array_equal(np.random.get_state()[1], before[0])
+        assert random.getstate() == before[1]
     assert answers == [(True, False), (True, False)]
 
 
