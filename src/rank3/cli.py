@@ -26,7 +26,7 @@ import sys
 
 from . import catalog as _catalog
 from .autsolve import NotIsomorphic, Timeout, are_isomorphic, automorphism_group
-from .families import family_graph, parse_descriptor, zero_stabilizer
+from .families import family_graph, orbital_build, parse_descriptor, zero_stabilizer
 from .graphs import Degenerate, NotStronglyRegular, srg_params, to_graph6
 from .permgrp import linear_perms, read_matrix_spec, stabilizer_rank
 
@@ -62,9 +62,13 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 def _cmd_aut(args: argparse.Namespace) -> int:
     fid = parse_descriptor(args.descriptor)
-    g = family_graph(fid)
+    built = orbital_build(fid)
+    if built is None:
+        g, known = family_graph(fid), zero_stabilizer(fid)
+    else:
+        g, known = built.graph, built.stabilizer
     try:
-        r = automorphism_group(g, budget=args.budget, known=zero_stabilizer(fid))
+        r = automorphism_group(g, budget=args.budget, known=known)
     except Timeout:
         print(f"timeout: no order within {args.budget:g}s", file=sys.stderr)
         return 1
@@ -133,17 +137,25 @@ def _cmd_catalog_list(_args: argparse.Namespace) -> int:
 
 def _budget(text: str) -> float:
     """A --budget value: a finite number of seconds >= 0."""
-    value = float(text)
+    bad = argparse.ArgumentTypeError(f"want a finite number of seconds >= 0, got {text}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise bad from None
     if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"want a finite number of seconds >= 0, got {text}")
+        raise bad
     return value
 
 
 def _seed(text: str) -> int:
     """A --seed value: an integer >= 0."""
-    value = int(text)
+    bad = argparse.ArgumentTypeError(f"want an integer >= 0, got {text}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise bad from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text}")
+        raise bad
     return value
 
 

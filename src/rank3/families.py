@@ -101,6 +101,8 @@ __all__ = [
     "family_group",
     "family_matrix_spec",
     "zero_stabilizer",
+    "orbital_build",
+    "OrbitalBuild",
     "FAMILY_TAGS",
 ]
 
@@ -615,6 +617,34 @@ def alternating_forms_group(n: int = 5, q: int = 2) -> MatrixGroupSpec:
 # -- generic orbital construction -------------------------------------------------
 
 
+@dataclass(frozen=True)
+class OrbitalBuild:
+    """An orbital row built once: G0 = <spec> as permutations of the p**d
+    vectors, G0's orbits on the nonzero vectors (stabilizer_orbits: exactly
+    two, smaller first) and the orbital graph on the chosen one."""
+
+    stabilizer: GeneratorSet
+    orbits: list[np.ndarray]
+    graph: DenseGraph
+
+
+def _build_orbital(spec: MatrixGroupSpec, orbit_choice: int = 0) -> OrbitalBuild:
+    linear = linear_perms(spec)
+    nonzero = stabilizer_orbits(linear)
+    if len(nonzero) != 2:
+        raise WrongOrbitCount(len(nonzero))
+    if orbit_choice not in (0, 1):
+        raise ValueError(f"orbit_choice must be 0 or 1, got {orbit_choice}")
+    chosen = nonzero[orbit_choice]
+    try:
+        graph = cayley_graph(spec.p, spec.d, chosen)
+    except AsymmetricConnectionSet:
+        raise AsymmetricOrbit(
+            f"the orbit of size {len(chosen)} is not closed under negation"
+        ) from None
+    return OrbitalBuild(linear, nonzero, graph)
+
+
 def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseGraph:
     """The orbital graph of the affine group V:G0 for G0 = <spec>: edges
     {x, y} with x - y in the chosen G0-orbit on nonzero vectors.
@@ -626,19 +656,7 @@ def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseG
     construction (DenseGraph.from_row0), and G0 because a linear map that
     keeps the connection set keeps x - y in it.
     """
-    linear = linear_perms(spec)
-    nonzero = stabilizer_orbits(linear)
-    if len(nonzero) != 2:
-        raise WrongOrbitCount(len(nonzero))
-    if orbit_choice not in (0, 1):
-        raise ValueError(f"orbit_choice must be 0 or 1, got {orbit_choice}")
-    chosen = nonzero[orbit_choice]
-    try:
-        return cayley_graph(spec.p, spec.d, chosen)
-    except AsymmetricConnectionSet:
-        raise AsymmetricOrbit(
-            f"the orbit of size {len(chosen)} is not closed under negation"
-        ) from None
+    return _build_orbital(spec, orbit_choice).graph
 
 
 def _quaternion_units(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -928,13 +946,22 @@ def family_matrix_spec(fid: FamilyId, seed: int | None = None) -> MatrixGroupSpe
     return None if fam.spec is None else fam.spec(*fid.params, seed)
 
 
+def orbital_build(fid: FamilyId, seed: int | None = None) -> OrbitalBuild | None:
+    """The orbital family's spec, G0, G0's orbits and graph, each built once
+    (the graph is orbit 0 of G0, as affine_orbital_graph builds it); None
+    for every other family, without building anything."""
+    if _FAMILIES[fid.tag].graph is not None:
+        return None
+    return _build_orbital(family_matrix_spec(fid, seed))
+
+
 def family_graph(fid: FamilyId, seed: int | None = None) -> DenseGraph:
     """Construct the graph a FamilyId names; builds a group only for the
     orbital family, whose graph is an orbital of its spec."""
-    fam = _FAMILIES[fid.tag]
-    if fam.graph is None:
-        return affine_orbital_graph(family_matrix_spec(fid, seed))
-    return fam.graph(*fid.params)
+    built = orbital_build(fid, seed)
+    if built is not None:
+        return built.graph
+    return _FAMILIES[fid.tag].graph(*fid.params)
 
 
 def zero_stabilizer(fid: FamilyId, seed: int | None = None) -> GeneratorSet | None:
@@ -952,7 +979,11 @@ def family_group(fid: FamilyId) -> GeneratorSet | None:
     """A transitive group of known automorphisms of family_graph(fid): the
     translations by the graph's moduli plus zero_stabilizer(fid).  None when
     no group construction ships for the parameters (affine_polar over a
-    non-prime field, or the (2, 2, +1) transvection exception)."""
+    non-prime field, or the (2, 2, +1) transvection exception).  An orbital
+    row builds its spec and G0 once, through orbital_build."""
+    built = orbital_build(fid)
+    if built is not None:
+        return with_translations(built.stabilizer, built.graph.moduli)
     stab = zero_stabilizer(fid)
     if stab is None:
         return None

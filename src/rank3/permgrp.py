@@ -121,13 +121,12 @@ def orbit(gs: GeneratorSet, point: int) -> set[int]:
 def orbit_partition(gs: GeneratorSet) -> list[np.ndarray]:
     """All orbits on [0, n), each as a sorted array, ordered by smallest point."""
     n = gs.degree
-    assigned = np.zeros(n, dtype=bool)
+    left = np.ones(n, dtype=bool)
     out = []
-    for s in range(n):
-        if not assigned[s]:
-            mask = orbit_mask(gs.gens, _point_mask(n, s))
-            assigned |= mask
-            out.append(np.flatnonzero(mask))
+    while left.any():
+        mask = orbit_mask(gs.gens, _point_mask(n, int(left.argmax())))
+        left &= ~mask
+        out.append(np.flatnonzero(mask))
     return out
 
 

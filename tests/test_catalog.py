@@ -25,7 +25,13 @@ from rank3.catalog import (
     verify_entry,
     _check_subdegrees,
 )
-from rank3.families import family_graph, family_group, parse_descriptor, zero_stabilizer
+from rank3.families import (
+    family_graph,
+    family_group,
+    orbital_build,
+    parse_descriptor,
+    zero_stabilizer,
+)
 from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import GeneratorSet, schreier_sims
 
@@ -201,7 +207,7 @@ class TestVerifyEntry:
         perm = np.arange(13)
         perm[[1, 2]] = [2, 1]
         moved = DenseGraph(g.adj[np.ix_(perm, perm)])
-        outcome, stab = _check_subdegrees(BY_ID["paley:13"], moved, None)
+        outcome, stab = _check_subdegrees(BY_ID["paley:13"], moved, None, None)
         assert outcome.status == "mismatch"
         assert "not an orbit" in outcome.detail
         want = zero_stabilizer(parse_descriptor("paley:13"))
@@ -212,10 +218,64 @@ class TestVerifyEntry:
         report = verify_entry(entry, seed=1)
         assert report.verdict == "PASS"
         assert report.stages["subdegrees"].status == "ok"
-        # the default-seed zero-stabilizer does not act on the seed-1 graph
-        g = family_graph(entry.family, seed=1)
-        assert _check_subdegrees(entry, g, None)[0].status == "mismatch"
-        assert _check_subdegrees(entry, g, 1)[0].status == "ok"
+        # the default-seed zero-stabilizer does not act on the seed-1 graph:
+        # handed on with its orbits, as construct hands them on, N(0) of the
+        # seed-1 graph is no orbit of it
+        default, seeded = orbital_build(entry.family), orbital_build(entry.family, 1)
+        g = seeded.graph
+        outcome = _check_subdegrees(entry, g, None, default)[0]
+        assert outcome == StageOutcome(
+            "mismatch", "N(0) is not an orbit of the zero-stabilizer"
+        )
+        assert _check_subdegrees(entry, g, None, seeded)[0].status == "ok"
+
+    @pytest.mark.parametrize(
+        "entry_id, seed", [("orbital:q8:13", None), ("orbital:sl25:31", 1)]
+    )
+    def test_orbital_row_builds_g0_once(self, monkeypatch, entry_id, seed):
+        # construct builds G0 and its orbits, and the subdegree stage checks
+        # those: one verify_entry makes each once, wherever it is called from
+        calls = {"linear_perms": 0, "stabilizer_orbits": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            fn = getattr(rank3.permgrp, name)
+            for module in list(sys.modules.values()):
+                if (module is not None and module.__name__.startswith("rank3")
+                        and getattr(module, name, None) is fn):
+                    monkeypatch.setattr(module, name, counted(name, fn))
+        report = verify_entry(BY_ID[entry_id], seed=seed)
+        assert report.verdict == "PASS"
+        assert calls == {"linear_perms": 1, "stabilizer_orbits": 1}
+
+    def test_non_orbital_g0_error_lands_on_subdegrees(self, monkeypatch):
+        import rank3.catalog as catalog
+
+        def broken_stabilizer(fid, seed=None):
+            raise RuntimeError("no G0")
+
+        monkeypatch.setattr(catalog, "zero_stabilizer", broken_stabilizer)
+        report = verify_entry(BY_ID["paley:13"])
+        assert list(report.stages) == ["construct", "srg", "subdegrees"]
+        assert report.stages["construct"].status == "ok"
+        assert report.stages["subdegrees"] == StageOutcome("error", "RuntimeError: no G0")
+
+    def test_orbital_spec_error_lands_on_construct(self, monkeypatch):
+        import rank3.families as families
+
+        def broken_spec(p):
+            raise RuntimeError("no spec")
+
+        monkeypatch.setattr(families, "quaternion_normalizer_spec", broken_spec)
+        report = verify_entry(BY_ID["orbital:q8:13"])
+        assert report.verdict == "FAIL"
+        assert report.stages == {"construct": StageOutcome("error", "RuntimeError: no spec")}
 
     def test_construct_timing_covers_build(self, monkeypatch):
         import rank3.catalog as catalog

@@ -225,14 +225,17 @@ class TestBudget:
             ("aut", "paley:13", "--budget", "nan"),
             ("aut", "paley:13", "--budget", "-1"),
             ("verify", "--budget", "-5"),
+            ("aut", "paley:9", "--budget", "x"),
         ],
-        ids=["aut-nan", "aut-negative", "verify-negative"],
+        ids=["aut-nan", "aut-negative", "verify-negative", "aut-not-a-number"],
     )
     def test_bad_budget_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert "--budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--budget: want a finite number of seconds >= 0, got {argv[-1]}" in err
+        assert "_budget" not in err
 
 
 class TestSeed:
@@ -243,7 +246,9 @@ class TestSeed:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--seed", text])
         assert exc.value.code == 2
-        assert "--seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--seed: want an integer >= 0, got {text}" in err
+        assert "_seed" not in err
 
 
 class TestCatalogList:

@@ -45,6 +45,7 @@ from rank3.families import (
 )
 from rank3.autsolve import automorphism_group
 from rank3.graphs import DenseGraph, complement, srg_params
+from rank3.permgrp import linear_perms, with_translations
 
 
 # SHA-1 of the int64 generator matrices of sl25_with_scalars_spec(41, 5)
@@ -600,6 +601,23 @@ class TestFamilyGroups:
             g = family_graph(fid)
             for img in family_group(fid).gens:
                 assert np.array_equal(g.adj[np.ix_(img, img)], g.adj), desc
+
+    @pytest.mark.parametrize("desc", ["orbital:q8:13", "hq:2:3"])
+    def test_group_builds_g0_once(self, monkeypatch, desc):
+        # an orbital row's graph and G0 come from one orbital_build, and
+        # hq:2:3's graph needs no G0, so family_group makes G0 from the spec
+        # once on either
+        fid = parse_descriptor(desc)
+        want = with_translations(zero_stabilizer(fid), family_graph(fid).moduli)
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return linear_perms(spec)
+
+        monkeypatch.setattr(rank3.families, "linear_perms", counted)
+        assert np.array_equal(family_group(fid).gens, want.gens)
+        assert len(calls) == 1
 
     def test_unavailable_group_is_none(self):
         assert family_group(FamilyId("AffinePolar", (2, 4, -1))) is None
