@@ -3,16 +3,18 @@
     pytest bench --benchmark-only      # with rank3 installed, or PYTHONPATH=src
 
 * ``cayley_graph``: on the orbital:sl25 graphs for p = 41 (1681 vertices) and
-  p = 71 (5041), row 0 and then a read of ``adj``, which runs the banded
-  circulant build from row 0 (``DenseGraph.from_row0`` builds the matrix on
-  its first read), and needs no certificate.
+  p = 71 (5041), row 0 and then its packed rows, which runs the banded
+  circulant build from row 0 (``DenseGraph.from_row0`` packs each band as it
+  comes, on the rows' first read), and needs no certificate.
 * ``DenseGraph``: a family graph's matrix handed to the constructor, which
-  runs the tiled symmetry check (a graph with moduli comes only from
-  ``from_row0`` and needs no check of its matrix).  It runs on the two sl25
-  graphs, hq:2:5 (1024 vertices) and orbital:extraspecial:2401.
+  runs the tiled symmetry check and packs the rows (a graph with moduli
+  comes only from ``from_row0`` and needs no check of its matrix).  It runs
+  on the two sl25 graphs, hq:2:5 (1024 vertices) and
+  orbital:extraspecial:2401.
 * ``srg_params``: row 0's autocorrelation, one FFT over the translation
-  group, when the graph carries moduli, and every row's packed popcount
-  sweep on the bare matrix ``DenseGraph(g.adj)``, on the sl25 graphs.
+  group, when the graph carries moduli, and every row's neighbour counts in
+  its neighbourhood on the bare matrix ``DenseGraph(g.adj)``, on the sl25
+  graphs.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def family(request) -> DenseGraph:
 
 def built_cayley_graph(p: int, d: int, orbit: np.ndarray) -> DenseGraph:
     g = cayley_graph(p, d, orbit)
-    g.adj  # the first read builds the matrix
+    g._rows  # the first read packs the rows
     return g
 
 

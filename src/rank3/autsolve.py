@@ -14,15 +14,15 @@ segment located by per-cell ``start`` and ``size``, and a mask marks the
 positions whose successor lies in the same cell.  The layout travels with the coloring down the search: a child copies
 it, and individualizing v splits v off the end of its cell's segment.  So a
 splitter's members are a slice of ``lab``; a pass counts every vertex's
-neighbours among them (one adjacency row for a singleton, two for a pair,
-the splitter's rows when it is small, AND + popcount over the packed rows
-otherwise), and the count read in ``lab`` order differs between two
+neighbours among them (DenseGraph.neighbour_counts, the one kernel over the
+graph's packed rows), and the count read in ``lab`` order differs between two
 positions of one cell exactly where that cell splits.  A pass that splits
 nothing therefore costs a gather, a shifted compare and a mask, and a pass
 that splits re-sorts only the split cells' segments.  A search starts from
 the unit partition.  Leaves of the search are discrete colorings; comparing
 a leaf against the first (leftmost) leaf yields a candidate automorphism,
-which is verified against the full adjacency matrix before it is accepted.
+which is verified against the whole graph (graphs.is_isomorphism) before it
+is accepted.
 
 Pruning, in the standard shape:
 * trace pruning — every branch carries a 64-bit trace of its refinement
@@ -56,7 +56,7 @@ Pruning, in the standard shape:
 
 Known automorphisms are the unit translations of a graph's ``moduli``, which
 are automorphisms by construction (DenseGraph.from_row0 builds a circulant
-matrix), plus the caller's generators, each checked by
+graph), plus the caller's generators, each checked by
 graphs.is_isomorphism.  The regular translations collapse the root to one
 branch, and a known zero-stabilizer transitive on N(0) and on the
 non-neighbours collapses depth 1.  They only prune: the search stays
@@ -199,10 +199,9 @@ class _Refiner:
     """Cell-targeted equitable refinement of the colorings of one graph.
 
     A splitter pass reads the splitter's members as a slice of ``lab`` and
-    counts every vertex's neighbours among them: a singleton's counts are its
-    adjacency row (a view), a pair's the sum of two rows, a small splitter's
-    the sum of its rows, a large one's AND + popcount over the packed rows.
-    Read in ``lab`` order, a cell splits exactly where two neighbouring
+    counts every vertex's neighbours among them with the graph's one kernel,
+    DenseGraph.neighbour_counts, which reads the packed rows.  Read in
+    ``lab`` order, a cell splits exactly where two neighbouring
     positions of one cell hold different counts: one gather, one shifted
     compare and one AND with ``same``.  A pass with no such position ends
     there; otherwise the split cells are marked by id, their segments
@@ -221,11 +220,7 @@ class _Refiner:
 
     def __init__(self, g: DenseGraph, deadline: float = math.inf):
         self.n = g.n
-        self.rows = g.adj.view(np.uint8)
-        self.packed = g._packed
-        self.words = self.packed.shape[1] if g.n else 0
-        self._anded = np.empty_like(self.packed)
-        self._bits = np.empty(self.packed.shape, dtype=np.uint8)
+        self.counts = g.neighbour_counts
         self.deadline = deadline
         self.refinements = 0
         self.splits = 0
@@ -233,24 +228,6 @@ class _Refiner:
         # holds them for n < 2**20
         self.cbits = g.n.bit_length()  # a count is at most n
         self.vbits = max(g.n - 1, 1).bit_length()
-
-    def _counts(self, members: np.ndarray) -> np.ndarray:
-        """Neighbours of every vertex among `members`."""
-        k = len(members)
-        if k == 1:
-            return self.rows[members[0]]
-        if k == 2:
-            return self.rows[members[0]] + self.rows[members[1]]
-        # summing k byte rows touches k * n bytes; AND + popcount over the
-        # n * words packed words measures about as slow as n / 8 rows
-        if 8 * k < self.n:
-            return self.rows[members].sum(axis=0, dtype=np.int32)
-        b = np.zeros(self.words * 64, dtype=bool)
-        b[members] = True
-        mask = np.packbits(b).view(np.uint64)
-        np.bitwise_and(self.packed, mask, out=self._anded)
-        np.bitwise_count(self._anded, out=self._bits)
-        return self._bits.sum(axis=1, dtype=np.int32)
 
     def refine(self, cells: _Cells, queue, trace: int, record: tuple | None = None) -> tuple:
         """Refine cells in place, processing the given splitter queue
@@ -295,7 +272,7 @@ class _Refiner:
         )
         self.refinements += 1
         lo = int(start[s])
-        cnt = self._counts(lab[lo : lo + int(size[s])])[lab]
+        cnt = self.counts(lab[lo : lo + int(size[s])])[lab]
         edge = cnt[1:] != cnt[:-1]
         edge &= same
         if not np.count_nonzero(edge):

@@ -718,9 +718,9 @@ def verify_entry(
     "error" outcome and a FAIL verdict, and no later stage runs; a Timeout
     in the solver stages downgrades the verdict instead.  PARAMS_ONLY rows
     skip the aut and iso stages.  The construct timing covers building the
-    graph and checking its row 0; a family graph builds its matrix on first
-    read, which on FULL and SLOW rows is the aut stage's search, so that
-    build is timed under aut.  On an orbital row construct also builds G0
+    graph and checking its row 0; a family graph packs its adjacency rows on
+    first read, which on FULL and SLOW rows is the aut stage's search, so
+    that build is timed under aut.  On an orbital row construct also builds G0
     and its orbits, which the graph is cut from, and the subdegree stage
     checks those instead of building them again, so its time is the checks
     alone; every other row builds G0 in the subdegree stage.  `budget`

@@ -9,8 +9,8 @@ module ``gf``, and for a coordinate space over GF(q), q = p**d,
 concatenating the coordinates' coefficient vectors agrees with indexing by
 sum(coord_index_j * q**j).  A connection set is passed to cayley_graph as
 the vector indices of its members, and its indicator is row 0 of the
-adjacency matrix: DenseGraph.from_row0 keeps it, and builds the rest band by
-band from adj[x, y] = row0[y - x] when the matrix is first read.  Each graph
+adjacency matrix: DenseGraph.from_row0 keeps it, and packs the rows band by
+band from adj[x, y] = row0[y - x] when the rows are first read.  Each graph
 carries its translation moduli, which srg_params, the seeded Aut search,
 the row-0 automorphism test and family_group use.  The families differ only
 in how that connection set is cut out:
@@ -146,7 +146,7 @@ def cayley_graph(p: int, dim: int, members: Iterable[int]) -> DenseGraph:
     The vector (c_0, ..., c_{dim-1}) has index sum(c_i * p**i), which for a
     field GF(p**dim) is the element index of module ``gf``.  x ~ y iff
     x - y is in S; the output is |S|-regular and carries the translation
-    moduli (p,) * dim.  Its matrix is built from row 0, the indicator of S,
+    moduli (p,) * dim.  Its rows are packed from row 0, the indicator of S,
     by DenseGraph.from_row0, so it is circulant over GF(p)**dim by
     construction.  ValueError unless p is
     prime, dim >= 1 and S is non-empty with every index in [0, p**dim);

@@ -1,7 +1,11 @@
 """Dense undirected graphs with strongly-regular-graph analytics.
 
-DenseGraph is an n x n boolean adjacency matrix plus a row-packed uint64
-view, so common-neighbour counts are word-wise AND + popcount.
+A DenseGraph stores one adjacency array: its rows packed into bits, padded
+to whole uint64 words, n^2 / 8 bytes, the graph format of nauty (McKay & Piperno, "Practical graph
+isomorphism, II", JSC 60, 2014, §3).  The format stays inside this module.
+Readers outside it ask ``DenseGraph.neighbour_counts`` for the neighbours
+every vertex has in a vertex set, the one kernel over the rows, or read
+``adj``, a fresh unpacked n x n copy that no stage of the package reads.
 
 A graph may also carry ``moduli`` (m_1, ..., m_k): vertex i is the vector of
 its mixed-radix digits in Z_m1 x ... x Z_mk, and every translation of that
@@ -9,21 +13,21 @@ group is an automorphism.  The one way to get such a graph is
 ``DenseGraph.from_row0``: row 0, the indicator of the connection set
 S = N(0), is the graph, as adj[x, y] = row0[y - x] with the difference taken
 digit by digit.  Only row 0's loop and symmetry conditions are checked.  The
-matrix and its packed rows are built together by their first reader, one
-band of about sqrt(n) rows at a time (``_circulant_blocks``): circulant by
-construction, so the translations need no check.  Every family graph in this
-package is made so, and a stage that reads only row 0 (degrees, srg
-parameters, subdegrees, the complement) never builds the matrix.
+packed rows are built by their first reader, each band of about sqrt(n) rows
+packed as it comes (``_circulant_blocks``), so no n x n boolean matrix is
+formed: circulant by construction, so the translations need no check.  Every
+family graph in this package is made so, and a stage that reads only row 0
+(degrees, srg parameters, subdegrees, the complement) never packs the rows.
 
 is_isomorphism decides a map x -> A x + b between graphs on one Z_m^k on
-row 0 alone, in O(k n), and any other map on the matrices, in O(n^2).
+row 0 alone, in O(k n), and any other map on the rows, in O(n^2).
 
 The translations act regularly, so the pair (u, v) maps to (0, v - u) and
 |N(u) & N(v)| = |N(0) & N(v - u)|: the autocorrelation of row 0 over the
 group holds every common-neighbour count of the graph (Brouwer & Van
 Maldeghem, "Strongly Regular Graphs", 2022, ch. 11).  srg_params reads it
 off one FFT of row 0 when the moduli are known, and sweeps every row's
-packed popcounts otherwise, on the same witness rules.
+counts in its neighbourhood otherwise, on the same witness rules.
 
 Output: the de-facto standard graph6 format (header-less variant).
 """
@@ -143,15 +147,21 @@ def _is_symmetric(adj: np.ndarray) -> bool:
     return True
 
 
-class DenseGraph:
-    """Immutable undirected graph as a dense boolean adjacency matrix.
+_BLOCK = 1 << 18  # bytes of rows that neighbour_counts and to_graph6 unpack at a time
 
-    ``DenseGraph(adjacency)`` checks the matrix and carries no translations
-    (``moduli`` is None): ValueError if it is not square, has a loop or is
-    not symmetric.  ``from_row0`` makes a graph that carries its
-    translation moduli and builds its matrix on the first read of ``adj``
-    (see the module docstring).  ``row0`` is vertex 0's row, read-only, on
-    every graph with a vertex."""
+
+class DenseGraph:
+    """Immutable undirected graph, stored as its adjacency rows packed into
+    uint64 words padded with zero bits.
+
+    ``DenseGraph(adjacency)`` checks a matrix, packs it and keeps no copy of
+    it; the graph carries no translations (``moduli`` is None): ValueError
+    if the matrix is not square, has a loop or is not symmetric.
+    ``from_row0`` makes a graph that carries its translation moduli and packs
+    its rows on their first read (see the module docstring).  ``row0`` is
+    vertex 0's row, read-only, on every graph with a vertex.
+    ``neighbour_counts`` reads the rows; ``adj`` unpacks them into a fresh
+    n x n matrix on each read and caches nothing."""
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency, dtype=bool)
@@ -163,8 +173,8 @@ class DenseGraph:
             raise ValueError("adjacency is not symmetric")
         self.n = adj.shape[0]
         self.moduli = None
-        self._matrix = _with_packed_rows(adj.copy())
-        self.row0 = self._matrix[0][0] if self.n else None
+        self._bytes = _packed_rows(self.n, [(0, adj)])
+        self.row0 = self._unpack(0) if self.n else None
 
     @classmethod
     def from_row0(cls, row0: np.ndarray, moduli: tuple[int, ...]) -> "DenseGraph":
@@ -191,60 +201,94 @@ class DenseGraph:
             )
         row0.setflags(write=False)
         g = cls.__new__(cls)
-        g.n, g.moduli, g.row0, g._matrix = row0.size, moduli, row0, None
+        g.n, g.moduli, g.row0, g._bytes = row0.size, moduli, row0, None
         return g
 
-    def _built(self) -> tuple[np.ndarray, np.ndarray]:
-        """(adj, packed rows), built from row 0 on the first call when the
-        graph came from from_row0."""
-        if self._matrix is None:
-            adj = np.empty((self.n, self.n), dtype=bool)
-            for lo, block in _circulant_blocks(self.row0, self.moduli):
-                adj[lo : lo + len(block)] = block
-            self._matrix = _with_packed_rows(adj)
-        return self._matrix
+    @property
+    def _rows(self) -> np.ndarray:
+        """The rows packed into bytes, padded with zero bits to whole uint64
+        words, read-only: packed from row 0 on the first read when the graph
+        came from from_row0."""
+        if self._bytes is None:
+            self._bytes = _packed_rows(self.n, _circulant_blocks(self.row0, self.moduli))
+        return self._bytes
+
+    def _unpack(self, rows) -> np.ndarray:
+        """Rows ``rows`` (an int, a slice or an index array) of the adjacency
+        matrix, unpacked into a fresh read-only boolean array."""
+        unpacked = np.unpackbits(self._rows[rows], axis=-1, count=self.n).view(bool)
+        unpacked.setflags(write=False)
+        return unpacked
 
     @property
     def adj(self) -> np.ndarray:
-        """The n x n boolean adjacency matrix, read-only."""
-        return self._built()[0]
+        """The n x n boolean adjacency matrix: a fresh read-only copy,
+        unpacked on each read."""
+        return self._unpack(slice(None))
 
-    @property
-    def _packed(self) -> np.ndarray:
-        """The rows packed into uint64 words, padded with zero bits."""
-        return self._built()[1]
+    def neighbour_counts(self, members: np.ndarray) -> np.ndarray:
+        """counts[v] = |N(v) & members| for every vertex v, an integer array,
+        for an array of distinct vertices ``members``.
+
+        One or two members are counted by unpacking their rows.  Fewer than
+        n / 4 are counted by summing their unpacked rows as bytes, in blocks
+        of at most 255 rows, so that no byte overflows.  A larger set is
+        counted by AND + popcount of every packed row with the set's mask:
+        the sum touches k n bytes and the AND n * n / 8, and the two measure
+        about as fast at k = n / 4.  A block of rows, unpacked or ANDed,
+        stays under _BLOCK bytes."""
+        n, k, rows = self.n, len(members), self._rows
+        if k == 1:  # unpacking the padding too, and slicing it off, is cheaper
+            return np.unpackbits(rows[members[0]])[:n]
+        if k == 2:
+            counts = np.unpackbits(rows[members[0]])
+            counts += np.unpackbits(rows[members[1]])
+            return counts[:n]
+        if 4 * k < n:
+            step = max(1, min(255, _BLOCK // n))
+            sums = (
+                np.unpackbits(rows[members[lo : lo + step]], axis=1, count=n).sum(axis=0, dtype=np.uint8)
+                for lo in range(0, k, step)
+            )
+            return next(sums) if 0 < k <= step else sum(sums, np.zeros(n, dtype=np.int32))
+        mask = np.zeros(rows.shape[1] * 8, dtype=bool)
+        mask[members] = True
+        mask = np.packbits(mask).view(np.uint64)
+        words = rows.view(np.uint64)
+        step = max(1, _BLOCK // rows.shape[1])
+        counts = np.empty(n, dtype=np.int32)
+        for lo in range(0, n, step):
+            block = words[lo : lo + step] & mask
+            np.bitwise_count(block).sum(axis=1, dtype=np.int32, out=counts[lo : lo + step])
+        return counts
 
     def degrees(self) -> np.ndarray:
         if self.moduli is not None:  # every row is a translate of row 0
             return np.full(self.n, np.count_nonzero(self.row0))
-        return self.adj.sum(axis=1)
+        return np.bitwise_count(self._rows).sum(axis=1, dtype=np.int64)
 
     def edge_count(self) -> int:
         return int(self.degrees().sum()) // 2
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DenseGraph) and np.array_equal(self.adj, other.adj)
+        return isinstance(other, DenseGraph) and np.array_equal(self._rows, other._rows)
 
     def __hash__(self):
-        return hash((self.n, self.adj.tobytes()))
+        return hash((self.n, self._rows.tobytes()))
 
     def __repr__(self) -> str:
         return f"DenseGraph(n={self.n}, edges={self.edge_count()})"
 
 
-def _with_packed_rows(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Take ownership of a checked matrix: (adj, its row-packed bits padded
-    to whole uint64 words), both read-only."""
-    n = adj.shape[0]
-    nbytes = -(-n // 8)
-    packed8 = np.packbits(adj, axis=1)
-    pad = -(-nbytes // 8) * 8 - nbytes
-    if pad:
-        packed8 = np.hstack([packed8, np.zeros((n, pad), dtype=np.uint8)])
-    packed = packed8.view(np.uint64)
-    adj.setflags(write=False)
+def _packed_rows(n: int, bands) -> np.ndarray:
+    """The rows of an n x n boolean matrix given as bands (lo, block), block
+    being rows lo, lo + 1, ..., packed into read-only bytes padded with zero
+    bits to whole uint64 words; each band is packed as it comes."""
+    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    for lo, block in bands:
+        packed[lo : lo + len(block), : -(-n // 8)] = np.packbits(block, axis=1)
     packed.setflags(write=False)
-    return adj, packed
+    return packed
 
 
 @lru_cache(maxsize=64)
@@ -322,13 +366,15 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
     means nothing.
 
     When g and h carry the same moduli (m,) * k, a mapping that is affine on
-    Z_m^k is decided on row 0 alone, in O(k n), and no matrix is built (see
-    _affine_verdict).  Any other mapping is checked on row blocks of at most
-    64 KiB (one row, when a row is longer), stopping at the first block that
-    differs.  Blocks stay under glibc's 128 KiB mmap threshold, so each is
-    carved from the heap instead of being mapped and page-faulted afresh.
-    The columns are gathered by np.take, which returns a C-ordered block:
-    the F-ordered block of ``[:, mapping]`` compares about 9x slower."""
+    Z_m^k is decided on row 0 alone, in O(k n), and no rows are packed (see
+    _affine_verdict).  Any other mapping is checked on blocks of h's rows,
+    unpacked to at most 64 KiB (one row, when a row is longer), their columns
+    permuted and packed again to compare with g's packed rows, stopping at
+    the first block that differs.  Blocks stay under glibc's 128 KiB mmap
+    threshold, so each is carved from the heap instead of being mapped and
+    page-faulted afresh.  The columns are gathered by np.take, which returns
+    a C-ordered block: the F-ordered block of ``[:, mapping]`` compares
+    about 9x slower."""
     moduli = g.moduli
     if g.n > 1 and moduli == h.moduli and len(set(moduli or ())) == 1:
         verdict = _affine_verdict(g, h, mapping)
@@ -337,8 +383,8 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
     n = g.n
     rows = max(1, (1 << 16) // max(n, 1))
     for lo in range(0, n, rows):
-        block = np.take(h.adj[mapping[lo : lo + rows]], mapping, axis=1)
-        if not np.array_equal(block, g.adj[lo : lo + rows]):
+        block = np.packbits(np.take(h._unpack(mapping[lo : lo + rows]), mapping, axis=1), axis=1)
+        if not np.array_equal(block, g._rows[lo : lo + rows, : block.shape[1]]):
             return False
     return True
 
@@ -374,14 +420,14 @@ def _autocorrelation(row0: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
 def _neighbour_counts(g: DenseGraph):
     """Yield (u, row u, counts) with counts[v] = |N(u) & N(v)|, for the rows
     that srg_params checks: row 0's autocorrelation alone when g.moduli
-    names a regular translation group, every row's packed popcounts
+    names a regular translation group, every row's neighbour counts in N(u)
     otherwise."""
     if g.moduli is not None:
         yield 0, g.row0, _autocorrelation(g.row0, g.moduli)
         return
-    packed = g._packed
     for u in range(g.n):
-        yield u, g.adj[u], np.bitwise_count(packed & packed[u]).sum(axis=1)
+        row = g._unpack(u)
+        yield u, row, g.neighbour_counts(np.flatnonzero(row))
 
 
 def srg_params(g: DenseGraph) -> SrgParams:
@@ -390,9 +436,10 @@ def srg_params(g: DenseGraph) -> SrgParams:
     Raises Degenerate for complete/empty graphs (parameters undefined there)
     and NotStronglyRegular with a witness pair otherwise.  A graph with
     moduli is checked on row 0 alone, its degree and its autocorrelation,
-    and never builds its matrix; a graph without is checked on every row's
-    degree and every row's packed popcount sweep.  The witness is the first
-    pair, in that row order, whose count differs from the first one seen.
+    and never packs its rows; a graph without is checked on every row's
+    degree and on every row u's neighbour counts in N(u).  The witness is
+    the first pair, in that row order, whose count differs from the first
+    one seen.
     """
     n = g.n
     degs = g.degrees() if g.moduli is None else g.row0.sum(keepdims=True)
@@ -443,7 +490,13 @@ def srg_params(g: DenseGraph) -> SrgParams:
 
 
 def to_graph6(g: DenseGraph) -> str:
-    """Header-less graph6 string (printable ASCII, 6 bits per char + 63)."""
+    """Header-less graph6 string (printable ASCII, 6 bits per char + 63).
+
+    The bits are the upper triangle column by column: the pairs (u, v),
+    u < v, sorted by v then u.  By symmetry column v is the first v bits of
+    row v, so the rows are unpacked one band of at most _BLOCK bytes at a
+    time, and the bits a band leaves over a whole 6 are carried into the
+    next."""
     n = g.n
     if n <= 62:
         head = [n + 63]
@@ -451,11 +504,19 @@ def to_graph6(g: DenseGraph) -> str:
         head = [126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63]
     else:
         raise ValueError(f"n = {n} too large for the 4-byte graph6 size field")
-    # the upper-triangle bits column by column: the pairs (u, v), u < v,
-    # sorted by v then u, i.e. the (v, u) pairs of the lower triangle
-    bits = g.adj[np.tril_indices(n, -1)]
-    pad = (-bits.size) % 6
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=bool)])
-    groups = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1])
-    return bytes(head + list(groups + 63)).decode("ascii")
+    out = np.empty(len(head) + -(-(n * (n - 1) // 2) // 6), dtype=np.uint8)
+    out[: len(head)] = head
+    at, carry = len(head), np.zeros(0, dtype=bool)
+    step = max(1, _BLOCK // max(n, 1))
+    for lo in range(1, n, step):
+        hi = min(n, lo + step)
+        rows = g._unpack(slice(lo, hi))[:, :hi]
+        bits = np.concatenate([carry, rows[np.arange(hi) < np.arange(lo, hi)[:, None]]])
+        whole = bits.size - bits.size % 6
+        # six bits packed into the top of a byte, shifted down to the bottom
+        groups = np.packbits(bits[:whole].reshape(-1, 6), axis=1)[:, 0] >> 2
+        out[at : at + groups.size] = groups + 63
+        at, carry = at + groups.size, bits[whole:]
+    if carry.size:
+        out[at] = (np.packbits(carry)[0] >> 2) + 63
+    return str(out.data, "ascii")  # decoded from the buffer, with no bytes copy

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -146,7 +147,7 @@ class ReferenceRefiner:
     def __init__(self, g: DenseGraph, deadline: float = math.inf):
         self.n = g.n
         self.rows = g.adj.view(np.uint8)
-        self.packed = g._packed
+        self.packed = g._rows.view(np.uint64)
         self.words = self.packed.shape[1] if g.n else 0
         self._anded = np.empty_like(self.packed)
         self._bits = np.empty(self.packed.shape, dtype=np.uint8)
@@ -966,6 +967,23 @@ class TestSeededSearch:
         for a, b in ((g, h), (h, g)):
             with pytest.raises(NotIsomorphic):
                 are_isomorphic(a, b, budget=300)
+
+
+def test_seeded_search_on_4096_vertices_stays_small():
+    # hq:4:3's packed rows are 2 MiB, and every count the refiner reads is a
+    # few rows or a block of them; the n x n bool matrix alone is 16 MiB.
+    # |Aut| = 4096 * 180 * 181440 / 3 * 2: the translations, the central
+    # product GL_2(4) o GL_3(4) and the Frobenius of GF(4)
+    fid = parse_descriptor("hq:4:3")
+    g, stab = family_graph(fid), zero_stabilizer(fid)
+    tracemalloc.start()
+    try:
+        result = automorphism_group(g, known=stab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.order == 89181388800
+    assert peak < 8 << 20
 
 
 class TestMidSizeOrders:

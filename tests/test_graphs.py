@@ -157,6 +157,48 @@ def test_graph6_large_n_header():
     assert s == theirs
 
 
+@pytest.mark.parametrize(
+    "desc", ["paley:13", "vls:16:3", "hamming2:5", "hq:2:3", "vo:-:4:2", "paley:81", "vo:+:8:2"]
+)
+def test_graph6_matches_networkx_on_family_graphs(desc):
+    # the columns of the upper triangle are read off the packed rows a band
+    # at a time; networkx encodes the matrix itself
+    g = family_graph(parse_descriptor(desc))
+    theirs = nx.to_graph6_bytes(nx.from_numpy_array(g.adj.astype(int)), header=False)
+    assert to_graph6(g) == theirs.decode().strip()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 140), st.integers(0, 2**32 - 1))
+def test_graph6_matches_networkx_on_random_graphs(n, seed):
+    # n(n-1)/2 bits of every residue mod 6, so every padding of the last character
+    rng = np.random.default_rng(seed)
+    adj = np.triu(rng.random((n, n)) < 0.4, 1)
+    g = DenseGraph(adj | adj.T)
+    theirs = nx.to_graph6_bytes(nx.from_numpy_array(g.adj.astype(int)), header=False)
+    assert to_graph6(g) == theirs.decode().strip()
+
+
+def test_graph6_of_4096_vertices_stays_small():
+    # the string is n^2 / 12 bytes (1.4 MB) and the packed rows 2 MiB; the
+    # n x n matrix alone would be 16 MiB.  The rows are unpacked in 64 bands
+    # of 64 rows, most ending mid-character, and the string is checked
+    # against the upper triangle read off the matrix outside the trace
+    g = family_graph(parse_descriptor("hq:4:3"))
+    assert g.n == 4096
+    tracemalloc.start()
+    try:
+        text = to_graph6(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    bits = g.adj[np.tril_indices(g.n, -1)]
+    bits = np.concatenate([bits, np.zeros(-bits.size % 6, dtype=bool)])
+    body = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
+    assert text[4:].encode() == (body + 63).tobytes()
+
+
 @settings(max_examples=60)
 @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
 def test_graph6_round_trip_random(n, seed):
@@ -181,15 +223,72 @@ def test_complement_involution_random(n, seed):
 
 
 def test_common_neighbours_matches_naive_counting():
-    # srg_params and the refiner count common neighbours by AND + popcount
-    # over the packed rows; every pair against the boolean rows
+    # neighbour_counts counts a large set by AND + popcount over the packed
+    # rows; every pair of packed rows against the boolean rows
     rng = np.random.default_rng(7)
     for n in (20, 64, 65, 130):
         adj = np.triu(rng.random((n, n)) < 0.3, 1)
         g = DenseGraph(adj | adj.T)
-        packed = np.bitwise_count(g._packed[:, None, :] & g._packed[None, :, :]).sum(axis=2)
+        packed = np.bitwise_count(g._rows[:, None, :] & g._rows[None, :, :]).sum(axis=2)
         naive = g.adj.astype(np.int64) @ g.adj.astype(np.int64)
         assert np.array_equal(packed, naive)
+
+
+def members_and_graph(n: int, size: int, circulant_graph: bool, seed: int):
+    """A random graph on n vertices, bare or from row 0 over Z_n, and `size`
+    distinct random vertices."""
+    rng = np.random.default_rng(seed)
+    if circulant_graph:
+        row0 = rng.random(n) < rng.random()
+        row0[0] = False
+        row0 |= row0[-np.arange(n) % n]
+        g = DenseGraph.from_row0(row0, (n,))
+    else:
+        adj = np.triu(rng.random((n, n)) < rng.random(), 1)
+        g = DenseGraph(adj | adj.T)
+    return g, rng.choice(n, size=size, replace=False)
+
+
+def against_the_matrix(g: DenseGraph, members: np.ndarray) -> bool:
+    """neighbour_counts(members) against adj @ indicator(members)."""
+    indicator = np.zeros(g.n, dtype=np.int64)
+    indicator[members] = 1
+    return np.array_equal(g.neighbour_counts(members), g.adj.astype(np.int64) @ indicator)
+
+
+# every branch of neighbour_counts: no, one and two members, sets just below
+# and at n / 8 and n / 4 (where summing rows gives way to AND + popcount),
+# and the whole vertex set
+MEMBER_COUNTS = {
+    "none": lambda n: 0,
+    "one": lambda n: 1,
+    "two": lambda n: 2,
+    "below n/8": lambda n: (n - 1) // 8,
+    "n/8": lambda n: -(-n // 8),
+    "below n/4": lambda n: (n - 1) // 4,
+    "n/4": lambda n: -(-n // 4),
+    "all": lambda n: n,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.sampled_from(sorted(MEMBER_COUNTS)), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_neighbour_counts_match_the_matrix(n, kind, circulant_graph, seed):
+    # most n are not multiples of 64, so the padding bits are read too
+    size = MEMBER_COUNTS[kind](n)
+    assume(size <= n)
+    g, members = members_and_graph(n, size, circulant_graph, seed)
+    assert against_the_matrix(g, members)
+
+
+@pytest.mark.parametrize("size", [3, 200, 374, 375, 900])
+def test_neighbour_counts_over_several_blocks(size):
+    # n = 1500: a sum of fewer than n / 4 rows is unpacked in blocks of 174
+    # rows (one, two or three here), and a larger set is ANDed in two blocks
+    # of packed rows
+    g, members = members_and_graph(1500, size, False, size)
+    assert against_the_matrix(g, members)
 
 
 def random_graph(n: int, rng) -> DenseGraph:
@@ -383,7 +482,7 @@ def test_seven_cycle_witness_at_vertex_zero():
 
 def test_matrix_built_only_by_its_first_reader(monkeypatch):
     # row 0 is the graph: construction, srg, subdegrees and the complement
-    # read only row 0, and the search builds the matrix once
+    # read only row 0, and the search packs the rows once
     builds = []
     monkeypatch.setattr(
         graphs, "_circulant_blocks", lambda *args: builds.append(args) or _circulant_blocks(*args)
@@ -396,7 +495,7 @@ def test_matrix_built_only_by_its_first_reader(monkeypatch):
     assert builds == []
     assert automorphism_group(g).order == 72
     assert len(builds) == 1
-    assert np.array_equal(g.adj, circulant(g.row0, (3, 3))) and g._packed.shape == (9, 1)
+    assert np.array_equal(g.adj, circulant(g.row0, (3, 3))) and g._rows.shape == (9, 8)
     assert len(builds) == 1
 
 
@@ -430,15 +529,15 @@ def affine_part(img: np.ndarray, m: int, k: int) -> np.ndarray | None:
 
 
 def fresh(g: DenseGraph) -> DenseGraph:
-    """g rebuilt from row 0, its matrix not built yet."""
+    """g rebuilt from row 0, its rows not packed yet."""
     return DenseGraph.from_row0(g.row0, g.moduli)
 
 
-def matrix_free(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> tuple[bool, bool]:
-    """is_isomorphism on fresh copies, and whether it left their matrices
-    unbuilt, i.e. took the affine path: (answer, affine path taken)."""
+def packing_free(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> tuple[bool, bool]:
+    """is_isomorphism on fresh copies, and whether it left their rows
+    unpacked, i.e. took the affine path: (answer, affine path taken)."""
     g, h = fresh(g), fresh(h)
-    return is_isomorphism(g, h, mapping), g._matrix is None and h._matrix is None
+    return is_isomorphism(g, h, mapping), g._bytes is None and h._bytes is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -448,7 +547,7 @@ def test_affine_path_agrees_with_full_check(shape, data):
     # is a union of <a, -1>-orbits (sigma an automorphism) or any symmetric
     # set, and h is g, sigma's image of g or another Cayley graph on Z_m^k.
     # sigma, sigma with two images swapped and a random permutation must get
-    # the n^2 answer, and only sigma may leave the matrices unbuilt
+    # the n^2 answer, and only sigma may leave the rows unpacked
     m, k = shape
     n = m**k
     a = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=k * k, max_size=k * k)))
@@ -478,10 +577,10 @@ def test_affine_path_agrees_with_full_check(shape, data):
     swapped[[i, j]] = sigma[[j, i]]
     perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(n)
     for mapping in (sigma, swapped, perm):
-        got, affine = matrix_free(g, h, mapping)
+        got, affine = packing_free(g, h, mapping)
         assert got == np.array_equal(h.adj[np.ix_(mapping, mapping)], g.adj)
         assert affine == (affine_part(mapping, m, k) is not None)
-    assert matrix_free(g, h, sigma)[1] and not matrix_free(g, h, swapped)[1]
+    assert packing_free(g, h, sigma)[1] and not packing_free(g, h, swapped)[1]
     if kind == "image":
         assert is_isomorphism(g, h, sigma)
 
@@ -491,7 +590,7 @@ def test_affine_path_in_several_blocks(m, k):
     # over 8192 digits, so the affine path checks two or more blocks of rows.
     # sigma carries g onto its image h and not (in general) onto g; sigma with
     # two images swapped in its last block is not affine.  Each must get the
-    # n^2 answer, sigma without building a matrix, and no traced allocation
+    # n^2 answer, sigma without packing the rows, and no traced allocation
     # may pass glibc's 128 KiB mmap threshold while sigma is checked
     n = m**k
     assert k * n > 1 << 13
@@ -514,11 +613,11 @@ def test_affine_path_in_several_blocks(m, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got and g._matrix is None and h._matrix is None and peak < 1 << 17
+    assert got and g._bytes is None and h._bytes is None and peak < 1 << 17
     swapped = sigma.copy()
     swapped[[n - 2, n - 1]] = sigma[[n - 1, n - 2]]
     for dst, mapping in ((g, sigma), (h, swapped)):
-        got, affine = matrix_free(g, dst, mapping)
+        got, affine = packing_free(g, dst, mapping)
         assert got == np.array_equal(dst.adj[np.ix_(mapping, mapping)], g.adj)
         assert affine == (mapping is sigma)
 
@@ -542,15 +641,15 @@ def test_mappings_between_catalog_graphs(a, b):
     swapped = mapping.copy()
     swapped[[0, 1]] = mapping[[1, 0]]
     for src, dst, mp in ((g, h, mapping), (h, g, np.argsort(mapping)), (g, h, swapped)):
-        got, _ = matrix_free(src, dst, mp)
+        got, _ = packing_free(src, dst, mp)
         assert got == np.array_equal(dst.adj[np.ix_(mp, mp)], src.adj)
-    assert matrix_free(g, h, mapping)[0] and not matrix_free(g, h, swapped)[0]
+    assert packing_free(g, h, mapping)[0] and not packing_free(g, h, swapped)[0]
 
 
 @pytest.mark.parametrize("desc", ["hamming2:5", "hamming2:9", "vls:25:3"])
 def test_rook_automorphisms_outside_the_normalizer_take_the_fallback(desc):
     # Aut of the m x m rook's graph is S_m wr S_2, and most of it is not
-    # affine on Z_m^2: those generators must be checked on the matrix
+    # affine on Z_m^2: those generators must be checked on the packed rows
     fid = parse_descriptor(desc)
     g = family_graph(fid)
     m, k = g.moduli[0], len(g.moduli)
@@ -558,5 +657,5 @@ def test_rook_automorphisms_outside_the_normalizer_take_the_fallback(desc):
     outside = [img for img in gens if affine_part(img, m, k) is None]
     assert outside
     for img in gens:
-        got, affine = matrix_free(g, g, img)
+        got, affine = packing_free(g, g, img)
         assert got and affine == (affine_part(img, m, k) is not None)
