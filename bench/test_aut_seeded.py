@@ -131,10 +131,10 @@ def test_splitter_pass(benchmark, relabelled_rank3, kind):
 
     def fresh():
         if kind == "nosplit":
-            return (refined.copy(), int(refined.colors[0]), 0, deque(), set()), {}
+            return (refined.copy(), [int(refined.colors[0])], 0, deque(), set()), {}
         cells = deep.copy() if kind == "deep" else refined.copy()
         cells.individualize(least_of_largest(cells) if kind == "deep" else v)
-        return (cells, cells.num_classes - 1, 0, deque(), set()), {}
+        return (cells, [cells.num_classes - 1], 0, deque(), set()), {}
 
     benchmark.pedantic(refiner._pass, setup=fresh, rounds=ROUNDS * 100)
     assert refiner.splits == (0 if kind == "nosplit" else refiner.refinements)

@@ -11,12 +11,21 @@ keeps the first path shallow.  A coloring is kept in the cell layout of
 McKay & Piperno ("Practical graph isomorphism, II", JSC 60, 2014, §3):
 ``lab`` lists the vertices cell by cell, each cell a contiguous, ascending
 segment located by per-cell ``start`` and ``size``, and a mask marks the
-positions whose successor lies in the same cell.  The layout travels with the coloring down the search: a child copies
-it, and individualizing v splits v off the end of its cell's segment.  So a
-splitter's members are a slice of ``lab``; a pass counts every vertex's
-neighbours among them (DenseGraph.neighbour_counts, the one kernel over the
-graph's packed rows), and the count read in ``lab`` order differs between two
-positions of one cell exactly where that cell splits.  A pass that splits
+positions whose successor lies in the same cell.  The layout travels with
+the coloring down the search: a child copies it, and individualizing v
+splits v off the end of its cell's segment.  So a splitter's members are a
+slice of ``lab``; a pass counts every vertex's neighbours among them
+(DenseGraph.neighbour_counts), and the count read in ``lab`` order differs
+between two positions of one cell exactly where that cell splits.  A
+singleton splitter takes the run of singletons queued directly behind it,
+up to W of them, as one pass: every vertex's count is then its adjacency
+signature over them (DenseGraph.adjacency_bits), bit i for the i-th in queue
+order.  Splitting by a singleton does not read the coloring, so the batch
+splits as its members would one by one, and the batch is chosen from queue
+order and cell sizes alone, both label-invariant.  A pass sorts int64 keys
+(cell, count, vertex): the cell and the vertex take vbits each, the bit
+length of n - 1, and the count every bit left, W = 63 - 2 vbits, which holds
+any neighbour count for n < 2**20 (see _Refiner).  A pass that splits
 nothing therefore costs a gather, a shifted compare and a mask, and a pass
 that splits re-sorts only the split cells' segments.  A search starts from
 the unit partition.  Leaves of the search are discrete colorings; comparing
@@ -27,7 +36,7 @@ is accepted.
 Pruning, in the standard shape:
 * trace pruning — every branch carries a 64-bit trace of its refinement
   history: each individualization and each splitting pass mixes its words
-  (cell ids, neighbour counts and part sizes, never a vertex) into it with
+  (cell ids, counts and part sizes, never a vertex) into it with
   one hash() of a tuple of ints, which PYTHONHASHSEED leaves alone, so a
   relabelled graph and another process get the same traces.  A branch whose
   trace differs from the first path's at the same depth cannot carry an
@@ -198,36 +207,51 @@ def _individualized(cells: _Cells, trace: int, v: int) -> tuple[_Cells, int]:
 class _Refiner:
     """Cell-targeted equitable refinement of the colorings of one graph.
 
-    A splitter pass reads the splitter's members as a slice of ``lab`` and
-    counts every vertex's neighbours among them with the graph's one kernel,
-    DenseGraph.neighbour_counts, which reads the packed rows.  Read in
+    A splitter pass takes the cell at the head of the queue.  When that cell
+    is a singleton, the pass also takes every singleton queued directly
+    behind it, up to W in all, as one batch.  It counts every vertex with
+    one of the graph's kernels over its packed rows: for a batch,
+    DenseGraph.adjacency_bits gives its signature, bit i set when it is
+    adjacent to the batch's i-th vertex in queue order; for a larger cell,
+    DenseGraph.neighbour_counts gives its neighbours there, the cell's
+    members read as a slice of ``lab``.  Splitting by a singleton does not
+    read the coloring, so a batch splits each cell as its members would one
+    after another, and refinement still ends at the coarsest equitable
+    refinement; the batch is chosen from queue order and cell sizes alone,
+    both label-invariant, so the trace stays invariant too.  Read in
     ``lab`` order, a cell splits exactly where two neighbouring
     positions of one cell hold different counts: one gather, one shifted
     compare and one AND with ``same``.  A pass with no such position ends
     there; otherwise the split cells are marked by id, their segments
-    re-sorted in place by (count, vertex), so each part stays ascending, and
-    ``start``, ``size``, ``same`` and ``colors`` set for the new parts.  The
-    pass then mixes its parts' ids, counts and sizes into the trace with one
+    re-sorted in place by one sort of int64 keys (cell, count, vertex), so
+    each part stays ascending, and ``start``, ``size``, ``same`` and
+    ``colors`` set for the new parts.  A key gives the cell and the vertex
+    vbits each (vbits the bit length of n - 1) and the count every bit
+    left, W = 63 - 2 vbits: 43 at n = 1024, and at least n's bit length for
+    n < 2**20, so a neighbour count fits.  W stays within adjacency_bits'
+    53 vertices, since it exceeds 53 only for n <= 16.  The pass then mixes
+    the batch and its parts' ids, counts and sizes into the trace with one
     hash() call and queues its new parts with one extend; only choosing
     those parts loops in Python, once per split cell.  `deadline`, a
     time.monotonic() value, is checked once per pass: Timeout when it has
-    passed.  ``refinements`` counts passes and ``splits`` the passes that
-    split a cell.  The search's first path refines to equitability and
-    returns its record, the trace after each pass up to its last split; the
-    search's other nodes refine against that record, stopping where it ends
-    and returning at the first pass whose trace differs (see refine).
+    passed.  ``refinements`` counts passes, a batch as one, and ``splits``
+    the passes that split a cell.  The search's first path refines to
+    equitability and returns its record, the trace after each pass up to its
+    last split; the search's other nodes refine against that record,
+    stopping where it ends and returning at the first pass whose trace
+    differs (see refine).
     """
 
     def __init__(self, g: DenseGraph, deadline: float = math.inf):
         self.n = g.n
-        self.counts = g.neighbour_counts
+        self.counts, self.bits = g.neighbour_counts, g.adjacency_bits
         self.deadline = deadline
         self.refinements = 0
         self.splits = 0
-        # a pass sorts (cell, count, vertex) packed into one int64 key, which
-        # holds them for n < 2**20
-        self.cbits = g.n.bit_length()  # a count is at most n
+        # the key's fields (see above); cbits is W, the most singletons a
+        # batch takes
         self.vbits = max(g.n - 1, 1).bit_length()
+        self.cbits = 63 - 2 * self.vbits
 
     def refine(self, cells: _Cells, queue, trace: int, record: tuple | None = None) -> tuple:
         """Refine cells in place, processing the given splitter queue
@@ -246,10 +270,13 @@ class _Refiner:
                 break
             if time.monotonic() > self.deadline:
                 raise Timeout("the solver passed its deadline")
-            s = pending.popleft()
-            queued.discard(s)
+            batch = [pending.popleft()]
+            if cells.size[batch[0]] == 1:
+                while pending and len(batch) < self.cbits and cells.size[pending[0]] == 1:
+                    batch.append(pending.popleft())
+            queued.difference_update(batch)
             splits = self.splits
-            trace = self._pass(cells, s, trace, pending, queued)
+            trace = self._pass(cells, batch, trace, pending, queued)
             if record is not None and trace != record[len(traces)]:
                 break
             traces.append(trace)
@@ -257,22 +284,29 @@ class _Refiner:
                 last_split = len(traces)
         return trace, tuple(traces[:last_split]) if record is None else record
 
-    def _pass(self, cells: _Cells, s: int, trace: int, pending: deque, queued: set) -> int:
-        """One splitter pass: split every cell by its members' neighbour
-        counts in cell s, mix s and the parts into trace, and queue the new
-        parts on pending and queued.  Returns the trace.
+    def _pass(
+        self, cells: _Cells, batch: list[int], trace: int, pending: deque, queued: set
+    ) -> int:
+        """One splitter pass: split every cell by its members' counts in the
+        batch of splitters, mix the batch and the parts into trace, and queue
+        the new parts on pending and queued.  Returns the trace.
 
-        Split cells are handled in ascending id; each keeps its id on the
-        lowest-count part, and its other parts get fresh ids in ascending
-        count order.
+        A batch is one cell, whose count is a vertex's neighbours in it, or
+        a run of singletons, whose count is a vertex's adjacency signature
+        over them in batch order.  Split cells are handled in ascending id;
+        each keeps its id on the lowest-count part, and its other parts get
+        fresh ids in ascending count order.
         """
-        n = self.n
         colors, lab, start, size, same = (
             cells.colors, cells.lab, cells.start, cells.size, cells.same
         )
         self.refinements += 1
-        lo = int(start[s])
-        cnt = self.counts(lab[lo : lo + int(size[s])])[lab]
+        head = batch[0]
+        if size[head] == 1:
+            cnt = self.bits(lab[start[batch]])[lab]
+        else:
+            lo = int(start[head])
+            cnt = self.counts(lab[lo : lo + int(size[head])])[lab]
         edge = cnt[1:] != cnt[:-1]
         edge &= same
         if not np.count_nonzero(edge):
@@ -314,9 +348,9 @@ class _Refiner:
         cells.num_classes = num_classes + grown
         ids, pcnt, psize = ids.tolist(), pcnt.tolist(), psize.tolist()
         # the pass's trace words, mixed by one hash() of ints (which
-        # PYTHONHASHSEED leaves alone): s, then every part's id, count and
-        # size in order; a part whose id is below num_classes opens its cell
-        trace = hash((trace, s, tuple(ids), tuple(pcnt), tuple(psize))) & _M64
+        # PYTHONHASHSEED leaves alone): the batch, then every part's id, count
+        # and size in order; a part whose id is below num_classes opens its cell
+        trace = hash((trace, tuple(batch), tuple(ids), tuple(pcnt), tuple(psize))) & _M64
         # Hopcroft: a queued cell's new parts join it, otherwise all parts
         # but the (first) largest; one extend keeps the order of the cells
         grow = []

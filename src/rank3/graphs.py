@@ -3,9 +3,11 @@
 A DenseGraph stores one adjacency array: its rows packed into bits, padded
 to whole uint64 words, n^2 / 8 bytes, the graph format of nauty (McKay & Piperno, "Practical graph
 isomorphism, II", JSC 60, 2014, §3).  The format stays inside this module.
-Readers outside it ask ``DenseGraph.neighbour_counts`` for the neighbours
-every vertex has in a vertex set, the one kernel over the rows, or read
-``adj``, a fresh unpacked n x n copy that no stage of the package reads.
+Readers outside it ask one of two kernels over the rows:
+``DenseGraph.neighbour_counts`` for the neighbours every vertex has in a
+vertex set, and ``DenseGraph.adjacency_bits`` for every vertex's adjacency
+signature over a few vertices; or they read ``adj``, a fresh unpacked n x n
+copy that no stage of the package reads.
 
 A graph may also carry ``moduli`` (m_1, ..., m_k): vertex i is the vector of
 its mixed-radix digits in Z_m1 x ... x Z_mk, and every translation of that
@@ -160,8 +162,9 @@ class DenseGraph:
     ``from_row0`` makes a graph that carries its translation moduli and packs
     its rows on their first read (see the module docstring).  ``row0`` is
     vertex 0's row, read-only, on every graph with a vertex.
-    ``neighbour_counts`` reads the rows; ``adj`` unpacks them into a fresh
-    n x n matrix on each read and caches nothing."""
+    ``neighbour_counts`` and ``adjacency_bits`` read the rows; ``adj``
+    unpacks them into a fresh n x n matrix on each read and caches
+    nothing."""
 
     def __init__(self, adjacency: np.ndarray):
         adj = np.asarray(adjacency, dtype=bool)
@@ -230,16 +233,14 @@ class DenseGraph:
         """counts[v] = |N(v) & members| for every vertex v, an integer array,
         for an array of distinct vertices ``members``.
 
-        One or two members are counted by unpacking their rows.  Fewer than
-        n / 4 are counted by summing their unpacked rows as bytes, in blocks
-        of at most 255 rows, so that no byte overflows.  A larger set is
-        counted by AND + popcount of every packed row with the set's mask:
-        the sum touches k n bytes and the AND n * n / 8, and the two measure
-        about as fast at k = n / 4.  A block of rows, unpacked or ANDed,
-        stays under _BLOCK bytes."""
+        Two members are counted by unpacking their rows.  Fewer than n / 4
+        are counted by summing their unpacked rows as bytes, in blocks of at
+        most 255 rows, so that no byte overflows.  A larger set is counted by
+        AND + popcount of every packed row with the set's mask: the sum
+        touches k n bytes and the AND n * n / 8, and the two measure about as
+        fast at k = n / 4.  A block of rows, unpacked or ANDed, stays under
+        _BLOCK bytes."""
         n, k, rows = self.n, len(members), self._rows
-        if k == 1:  # unpacking the padding too, and slicing it off, is cheaper
-            return np.unpackbits(rows[members[0]])[:n]
         if k == 2:
             counts = np.unpackbits(rows[members[0]])
             counts += np.unpackbits(rows[members[1]])
@@ -261,6 +262,24 @@ class DenseGraph:
             block = words[lo : lo + step] & mask
             np.bitwise_count(block).sum(axis=1, dtype=np.int32, out=counts[lo : lo + step])
         return counts
+
+    def adjacency_bits(self, vertices: np.ndarray) -> np.ndarray:
+        """bits[v] = the sum of 2**i over the i with v adjacent to
+        vertices[i], for every vertex v: an integer array, for at most 53
+        distinct vertices.
+
+        One vertex's signature is its row, unpacked alone: about 0.6 us
+        against 3.5 us for the general path at n = 81.  More vertices' rows
+        are unpacked together and weighed by one float64 matrix product,
+        exact while every sum stays below 2**53: ValueError for more
+        vertices."""
+        k, n = len(vertices), self.n
+        if k > 53:
+            raise ValueError(f"at most 53 vertices, got {k}")
+        if k == 1:  # unpacking the padding too, and slicing it off, is cheaper
+            return np.unpackbits(self._rows[vertices[0]])[:n]
+        rows = np.unpackbits(self._rows[vertices], axis=1, count=n)
+        return (np.ldexp(1.0, np.arange(k)) @ rows).astype(np.int64)
 
     def degrees(self) -> np.ndarray:
         if self.moduli is not None:  # every row is a translate of row 0

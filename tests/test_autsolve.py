@@ -124,10 +124,13 @@ def same_partition(a, b):
 # The splitter pass as it was before the cell layout: it scans the colors for
 # the splitter's members, and finds and sorts split cells by scatter and
 # gather over every vertex.  Copied unchanged (class name aside) but for the
-# trace's mixing function: the same words, s and then each part's id, count
-# and size, go into one hash() per splitting pass, as in the refiner.  It is
-# the oracle for the layout-based refiner: same class ids, queue, trace and
-# number of passes.
+# trace's mixing function and the batch rule: a singleton splitter takes the
+# singletons queued directly behind it, up to `width` of them in all, and
+# their pass counts each vertex's adjacency signature over them (bit i for
+# the i-th, in queue order) from the boolean rows.  The same words, the
+# batch and then each part's id, count and size, go into one hash() per
+# splitting pass, as in the refiner.  It is the oracle for the layout-based
+# refiner: same class ids, queue, trace and number of passes.
 
 _M64 = (1 << 64) - 1
 
@@ -136,12 +139,14 @@ class ReferenceRefiner:
     """Cell-targeted equitable refinement of vertex colorings of one graph.
 
     A splitter pass counts every vertex's neighbours in the splitter cell,
-    finds the cells whose counts are not uniform (each of them meets the
-    splitter) by holding every count against one count of its own cell, and
-    sorts and splits only those cells: no step of a pass loops over every
-    cell in Python, and only members of split cells are sorted.  `deadline`,
-    a time.monotonic() value, is checked once per pass: Timeout when it has
-    passed.
+    or its adjacency signature over a batch of singletons, finds the cells
+    whose counts are not uniform (each of them meets the splitter) by
+    holding every count against one count of its own cell, and sorts and
+    splits only those cells: no step of a pass loops over every cell in
+    Python, and only members of split cells are sorted.  A batch holds at
+    most `width` singletons, the bits a count has in the refiner's key: 63
+    less two fields of vbits.  `deadline`, a time.monotonic() value, is
+    checked once per pass: Timeout when it has passed.
     """
 
     def __init__(self, g: DenseGraph, deadline: float = math.inf):
@@ -153,6 +158,7 @@ class ReferenceRefiner:
         self._bits = np.empty(self.packed.shape, dtype=np.uint8)
         self.deadline = deadline
         self.refinements = 0
+        self.width = 63 - 2 * max(g.n - 1, 1).bit_length()
 
     def _counts(self, members: np.ndarray) -> np.ndarray:
         """Neighbours of every vertex among `members`."""
@@ -166,6 +172,16 @@ class ReferenceRefiner:
         np.bitwise_and(self.packed, mask, out=self._anded)
         np.bitwise_count(self._anded, out=self._bits)
         return self._bits.sum(axis=1, dtype=np.int32)
+
+    def _batch_counts(self, colors: np.ndarray, batch: list[int]) -> np.ndarray:
+        """Every vertex's count for the batch: its neighbours in one cell, or
+        its adjacency signature over a batch of singletons."""
+        members = (colors == batch[0]).nonzero()[0]
+        if len(members) > 1:
+            return self._counts(members)
+        vertices = [int((colors == c).nonzero()[0][0]) for c in batch]
+        weights = np.left_shift(1, np.arange(len(batch), dtype=np.int64))
+        return (self.rows[vertices].astype(np.int64) * weights[:, None]).sum(axis=0)
 
     def refine(
         self, colors: np.ndarray, num_classes: int, queue, trace: int
@@ -184,10 +200,17 @@ class ReferenceRefiner:
         while pending and num_classes < n:
             if time.monotonic() > self.deadline:
                 raise Timeout("the reference refiner passed its deadline")
-            s = pending.popleft()
-            queued.discard(s)
+            batch = [pending.popleft()]
+            if np.count_nonzero(colors == batch[0]) == 1:
+                while (
+                    pending
+                    and len(batch) < self.width
+                    and np.count_nonzero(colors == pending[0]) == 1
+                ):
+                    batch.append(pending.popleft())
+            queued.difference_update(batch)
             self.refinements += 1
-            cnt = self._counts((colors == s).nonzero()[0])
+            cnt = self._batch_counts(colors, batch)
             some = np.empty(num_classes, dtype=cnt.dtype)
             some[colors] = cnt  # one count out of each cell
             odd = colors[cnt != some[colors]]  # cells holding another count
@@ -196,15 +219,16 @@ class ReferenceRefiner:
             split = np.zeros(num_classes, dtype=bool)
             split[odd] = True
             # sort the members of the split cells by (cell, count): each run
-            # of one key is a part, each cell's first part keeps its id
+            # of one pair is a part, each cell's first part keeps its id
             verts = split[colors].nonzero()[0]
-            key = colors[verts].astype(np.int64) * (n + 1) + cnt[verts]
-            order = np.argsort(key)
-            verts, key = verts[order], key[order]
-            bounds = np.concatenate(([True], key[1:] != key[:-1], [True])).nonzero()[0]
+            order = np.lexsort((cnt[verts], colors[verts]))
+            verts = verts[order]
+            vcell, vcnt = colors[verts], cnt[verts]
+            change = (vcell[1:] != vcell[:-1]) | (vcnt[1:] != vcnt[:-1])
+            bounds = np.concatenate(([True], change, [True])).nonzero()[0]
             starts = bounds[:-1]
             psize = bounds[1:] - starts
-            pcell, pcnt = np.divmod(key[starts], n + 1)
+            pcell, pcnt = vcell[starts], vcnt[starts]
             first = np.concatenate(([True], pcell[1:] != pcell[:-1]))
             fresh = np.cumsum(~first)
             ids = np.where(first, pcell, num_classes + fresh - 1)
@@ -212,7 +236,7 @@ class ReferenceRefiner:
             num_classes += int(fresh[-1])
             cell_starts = np.flatnonzero(first).tolist()
             ids, psize, pcnt = ids.tolist(), psize.tolist(), pcnt.tolist()
-            trace = hash((trace, s, tuple(ids), tuple(pcnt), tuple(psize))) & _M64
+            trace = hash((trace, tuple(batch), tuple(ids), tuple(pcnt), tuple(psize))) & _M64
             for a, b in zip(cell_starts, cell_starts[1:] + [len(ids)]):
                 c = ids[a]
                 if c in queued:
@@ -227,25 +251,33 @@ class ReferenceRefiner:
 
 
 class CountingReference(ReferenceRefiner):
-    """The reference refiner, also recording each splitter's size and
-    counting the passes that split a cell (those after which there are more
-    classes than before)."""
+    """The reference refiner, also recording the size of each pass's first
+    splitter and counting the passes that split a cell (those after which
+    there are more classes than before)."""
 
     def __init__(self, g):
         super().__init__(g)
         self.sizes, self.splits = [], 0
 
     def refine(self, colors, num_classes, queue, trace):
-        self._colors, self._classes = colors, []
+        self._classes = []
         num_classes, trace = super().refine(colors, num_classes, queue, trace)
         seen = self._classes + [num_classes]
         self.splits += sum(b > a for a, b in zip(seen, seen[1:]))
         return num_classes, trace
 
-    def _counts(self, members):
-        self.sizes.append(len(members))
-        self._classes.append(int(self._colors.max()) + 1)
-        return super()._counts(members)
+    def _batch_counts(self, colors, batch):
+        self.sizes.append(int(np.count_nonzero(colors == batch[0])))
+        self._classes.append(int(colors.max()) + 1)
+        return super()._batch_counts(colors, batch)
+
+
+class OneSplitterReference(ReferenceRefiner):
+    """The reference refiner with one splitter per pass, as before batching."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.width = 1
 
 
 def check_layout(cells):
@@ -558,6 +590,50 @@ class TestReferenceRefiner:
         assert sizes[0] == SPLITTER_SIZES[splitter](g.n)
 
 
+class TestBatchedSplitters:
+    """A pass takes a run of queued singletons as one batch: splitting by a
+    singleton does not read the coloring, so the batch splits as its
+    members would one by one, and refinement still ends at the coarsest
+    equitable refinement."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_partition_as_one_splitter_per_pass(self, data):
+        # to equitability from every class queued, then after each of a few
+        # individualizations from the new cell alone
+        splitter = data.draw(st.sampled_from(sorted(SPLITTER_SIZES)))
+        g, initial, _, _ = data.draw(refine_cases(splitter))
+        new, one = _Refiner(g), OneSplitterReference(g)
+        cells, colors = _Cells.of(initial), initial.copy()
+        classes = num_classes(initial)
+        queue = list(range(classes))
+        for depth in range(4):
+            new.refine(cells, queue, 0)
+            classes, _ = one.refine(colors, classes, queue, 0)
+            assert same_partition(cells.colors, colors)
+            if depth == 0:
+                assert same_partition(colors, naive_equitable(g, initial))
+            if classes == g.n:
+                break
+            v = int(cells.members(int(np.argmax(cells.size[: cells.num_classes])))[0])
+            cells.individualize(v)
+            colors[v] = classes
+            queue, classes = [classes], classes + 1
+
+    def test_a_batch_is_one_pass(self):
+        # three singletons {0}, {1}, {2} of the 6-cycle, queued one behind
+        # another: one batched pass makes the coloring discrete, where the
+        # one-splitter reference takes three
+        g = cycle_graph(6)
+        initial = np.array([1, 2, 3, 0, 0, 0], dtype=np.int32)
+        new, one = _Refiner(g), OneSplitterReference(g)
+        cells, colors = _Cells.of(initial), initial.copy()
+        new.refine(cells, [1, 2, 3], 0)
+        one.refine(colors, 4, [1, 2, 3], 0)
+        assert np.array_equal(cells.colors, colors) and cells.num_classes == 6
+        assert (new.refinements, new.splits, one.refinements) == (1, 1, 3)
+
+
 # the first path's traces of a relabelled vls:64:3 search, as JSON on stdout
 FIRST_TRACES = """
 import json, math
@@ -742,9 +818,9 @@ class TestAutomorphismGroup:
     # refining only as far as the first path's record: a faster splitter
     # pass must leave the search unchanged
     PINNED_SEARCHES = [
-        ("vls:64:3", 1, 64512, 12, 140, 5),
-        ("vo:+:8:2", 2, 89181388800, 49, 321, 9),
-        ("orbital:q8:13", 3, 48672, 10, 264, 3),
+        ("vls:64:3", 1, 64512, 12, 74, 5),
+        ("vo:+:8:2", 2, 89181388800, 49, 230, 9),
+        ("orbital:q8:13", 3, 48672, 10, 93, 3),
     ]
 
     @pytest.mark.parametrize("desc,seed,order,nodes,refinements,gens", PINNED_SEARCHES)
@@ -800,27 +876,27 @@ class TestSeededSearch:
     # (nodes, refinements, generators) of the seeded search, per row
     SEEDED_COUNTERS = {
         "paley:9": (5, 8, 5),
-        "paley:13": (3, 9, 3),
-        "paley:17": (3, 9, 3),
-        "paley:49": (5, 38, 5),
-        "paley:81": (5, 40, 7),
-        "peisert:49": (5, 51, 5),
-        "vls:16:3": (8, 17, 8),
-        "vls:25:3": (12, 34, 7),
-        "vls:64:3": (7, 93, 11),
-        "hamming2:5": (11, 30, 9),
-        "vo:-:4:2": (5, 13, 14),
-        "vo:-:6:2": (10, 53, 26),
-        "vo:+:8:2": (21, 229, 36),
-        "orbital:sl23:7": (5, 51, 7),
-        "orbital:q8:13": (5, 155, 6),
-        "hamming2:9": (37, 150, 13),
-        "peisert:81": (7, 58, 9),
-        "vo:+:4:3": (7, 62, 18),
-        "vls:256:5": (11, 369, 14),
-        "orbital:q8:17": (5, 171, 6),
-        "hq:3:3": (10, 644, 18),
-        "orbital:sl25:41": (5, 887, 6),
+        "paley:13": (3, 7, 3),
+        "paley:17": (3, 8, 3),
+        "paley:49": (5, 31, 5),
+        "paley:81": (5, 32, 7),
+        "peisert:49": (5, 26, 5),
+        "vls:16:3": (8, 14, 8),
+        "vls:25:3": (12, 26, 7),
+        "vls:64:3": (7, 49, 11),
+        "hamming2:5": (11, 24, 9),
+        "vo:-:4:2": (5, 10, 14),
+        "vo:-:6:2": (10, 35, 26),
+        "vo:+:8:2": (21, 138, 36),
+        "orbital:sl23:7": (5, 26, 7),
+        "orbital:q8:13": (5, 68, 6),
+        "hamming2:9": (37, 80, 13),
+        "peisert:81": (7, 42, 9),
+        "vo:+:4:3": (7, 51, 18),
+        "vls:256:5": (11, 132, 14),
+        "orbital:q8:17": (5, 154, 6),
+        "hq:3:3": (10, 105, 18),
+        "orbital:sl25:41": (5, 862, 6),
     }
 
     @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
@@ -882,8 +958,8 @@ class TestSeededSearch:
 
     # (plain, under Aut(g)) refinement passes of each non-isomorphic claim
     NONISO_PASSES = {
-        "peisert:49~paley:49": (86, 37),
-        "peisert:81~paley:81": (107, 36),
+        "peisert:49~paley:49": (73, 33),
+        "peisert:81~paley:81": (103, 32),
     }
 
     @pytest.mark.parametrize(

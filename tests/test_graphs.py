@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rank3 import graphs
-from rank3.autsolve import are_isomorphic, automorphism_group
+from rank3.autsolve import _Refiner, are_isomorphic, automorphism_group
 from rank3.catalog import builtin_catalog, verify_entry
 from rank3.graphs import (
     Degenerate,
@@ -256,9 +256,9 @@ def against_the_matrix(g: DenseGraph, members: np.ndarray) -> bool:
     return np.array_equal(g.neighbour_counts(members), g.adj.astype(np.int64) @ indicator)
 
 
-# every branch of neighbour_counts: no, one and two members, sets just below
-# and at n / 8 and n / 4 (where summing rows gives way to AND + popcount),
-# and the whole vertex set
+# every branch of neighbour_counts: no members, one (summed like a few),
+# two, sets just below and at n / 8 and n / 4 (where summing rows gives way
+# to AND + popcount), and the whole vertex set
 MEMBER_COUNTS = {
     "none": lambda n: 0,
     "one": lambda n: 1,
@@ -289,6 +289,48 @@ def test_neighbour_counts_over_several_blocks(size):
     # of packed rows
     g, members = members_and_graph(1500, size, False, size)
     assert against_the_matrix(g, members)
+
+
+def signature_by_the_matrix(g: DenseGraph, vertices: np.ndarray) -> np.ndarray:
+    """adj[vertices] weighted by 2**i for the i-th vertex, summed per column."""
+    weights = np.left_shift(1, np.arange(len(vertices), dtype=np.int64))
+    return (g.adj[vertices].astype(np.int64) * weights[:, None]).sum(axis=0)
+
+
+# the refiner's batches of singletons: one vertex (its own path), sizes
+# either side of 8 and 16, and the whole count field of the refiner's key
+# (W); n = 1024 -> 1025 is where vbits grows and W shrinks, 43 -> 41
+BATCH_SIZES = {
+    "1": lambda w: 1, "8": lambda w: 8, "9": lambda w: 9, "16": lambda w: 16,
+    "17": lambda w: 17, "W": lambda w: w,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1023, 1024, 1025]), st.sampled_from(sorted(BATCH_SIZES)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_adjacency_bits_match_the_matrix(n, kind, circulant_graph, seed):
+    g, _ = members_and_graph(n, 0, circulant_graph, seed)
+    width = _Refiner(g).cbits
+    assert width == (43 if n <= 1024 else 41)
+    vertices = np.random.default_rng(seed).choice(n, BATCH_SIZES[kind](width), replace=False)
+    assert np.array_equal(g.adjacency_bits(vertices), signature_by_the_matrix(g, vertices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 120), st.integers(0, 53), st.booleans(), st.integers(0, 2**32 - 1))
+def test_adjacency_bits_on_small_graphs(n, size, circulant_graph, seed):
+    # up to the kernel's 53 vertices, and every vertex of a small graph
+    g, vertices = members_and_graph(n, min(size, n), circulant_graph, seed)
+    bits = g.adjacency_bits(vertices)
+    assert bits.dtype.kind in "iu" and bits.shape == (n,)
+    assert np.array_equal(bits, signature_by_the_matrix(g, vertices))
+
+
+def test_adjacency_bits_refuse_more_than_53_vertices():
+    g, vertices = members_and_graph(60, 54, False, 0)
+    with pytest.raises(ValueError, match="at most 53"):
+        g.adjacency_bits(vertices)
 
 
 def random_graph(n: int, rng) -> DenseGraph:
