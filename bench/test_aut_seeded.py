@@ -45,7 +45,7 @@ import numpy as np
 import pytest
 
 from rank3.autsolve import _Cells, _individualized, _Refiner, _Solver, automorphism_group
-from rank3.families import family_graph, parse_descriptor, zero_stabilizer
+from rank3.families import Build, family_graph, parse_descriptor
 from rank3.graphs import DenseGraph
 
 ROWS = ["orbital:sl25:41", "hq:3:3"]
@@ -59,8 +59,8 @@ ROUNDS = 3
 
 @pytest.fixture(scope="module", params=ROWS)
 def row(request):
-    fid = parse_descriptor(request.param)
-    return family_graph(fid), zero_stabilizer(fid)
+    row = Build(parse_descriptor(request.param))
+    return row.graph, row.stabilizer
 
 
 @pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "plain"])

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from rank3.autsolve import NotIsomorphic, are_isomorphic, automorphism_group
-from rank3.families import family_graph, parse_descriptor, zero_stabilizer
+from rank3.families import Build, family_graph, parse_descriptor
 from rank3.graphs import DenseGraph
 
 PAIRS = [("hq:2:5", "hq:2:5"), ("paley:81", "peisert:81")]
@@ -65,6 +65,6 @@ def test_catalog_claim(benchmark, with_aut):
     g, h = family_graph(fid), family_graph(parse_descriptor("paley:81"))
     kwargs = {}
     if with_aut:
-        kwargs["known"] = automorphism_group(g, known=zero_stabilizer(fid)).generators
+        kwargs["known"] = automorphism_group(g, known=Build(fid).stabilizer).generators
     out = benchmark.pedantic(verdict, (g, h), kwargs, rounds=ROUNDS)
     assert "exhausted" in out.invariant

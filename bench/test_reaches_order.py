@@ -21,12 +21,7 @@ from __future__ import annotations
 import pytest
 
 from rank3.autsolve import automorphism_group
-from rank3.families import (
-    affine_polar_group,
-    family_graph,
-    parse_descriptor,
-    zero_stabilizer,
-)
+from rank3.families import Build, affine_polar_group, parse_descriptor
 from rank3.permgrp import linear_perms, reaches_order, schreier_sims
 
 # (group, its order): the closed-form similitude orders, |GO+(8, 2)| and
@@ -42,8 +37,8 @@ def group(request):
     if kind == "polar":
         m, q, eps = (int(x) for x in rest)
         return linear_perms(affine_polar_group(m, q, eps)), POLAR_ORDERS[m, q, eps]
-    fid = parse_descriptor(":".join(rest))
-    result = automorphism_group(family_graph(fid), known=zero_stabilizer(fid))
+    row = Build(parse_descriptor(":".join(rest)))
+    result = automorphism_group(row.graph, known=row.stabilizer)
     return result.generators, result.order
 
 

@@ -12,16 +12,16 @@ ends the row, so every row yields a Report; verify_all selects rows by tier
 and calls verify_entry on each.  The rank/subdegree stage takes, at every
 degree, the orbits of the family's zero-stabilizer G0 on the nonzero
 vertices: rank = 1 + their number, subdegrees = their sizes, and N(0) must
-be one of them.  An orbital row's graph is cut from those orbits, so its
-construct stage builds G0 and the orbits once and hands them on, and its
-subdegree stage only checks them; every other row builds G0 in the
-subdegree stage.  The aut stage hands the same G0 to the solver as known
-automorphisms, which prune its search but never stand in for it, and
-certifies the solver's order: its generators must reach it by a
-Schreier-Sims lower bound.  Tiers bound the cost: FULL rows (degree <= 256)
-run everything, SLOW rows run everything but may time out (downgrading,
-never failing, the verdict), PARAMS_ONLY rows stop after the subdegree
-check.
+be one of them.  Construct hands the row's families.Build on, and the later
+stages read the graph, G0 and its orbits from it, each made once.  An
+orbital row's graph is cut from those orbits, so its construct stage makes
+them; every other row makes them in the subdegree stage.  The aut stage
+hands the same G0 to the solver as known automorphisms, which prune its
+search but never stand in for it, and certifies the solver's order: its
+generators must reach it by a Schreier-Sims lower bound.  Tiers bound the
+cost: FULL rows (degree <= 256) run everything, SLOW rows run everything but
+may time out (downgrading, never failing, the verdict), PARAMS_ONLY rows
+stop after the subdegree check.
 
 Conventions baked into the table:
 
@@ -50,17 +50,9 @@ from .autsolve import (
     automorphism_group,
     check_budget,
 )
-from .families import (
-    FamilyId,
-    OrbitalBuild,
-    family_graph,
-    format_descriptor,
-    orbital_build,
-    parse_descriptor,
-    zero_stabilizer,
-)
+from .families import Build, FamilyId, family_graph, format_descriptor, parse_descriptor
 from .graphs import Degenerate, DenseGraph, NotStronglyRegular, srg_params
-from .permgrp import GeneratorSet, reaches_order, stabilizer_orbits
+from .permgrp import GeneratorSet, reaches_order
 
 __all__ = [
     "TIERS",
@@ -546,24 +538,20 @@ def reports_to_json(reports: list[Report]) -> str:
 # -- the pipeline --------------------------------------------------------------------
 #
 # Each stage is a function returning (StageOutcome, payload): construct gives
-# the graph and, on an orbital row, its OrbitalBuild; subdegrees the
-# zero-stabilizer, aut the solver's generators, and srg and iso nothing.
-# verify_entry runs them in order, timing each.
+# the row's Build, subdegrees its zero-stabilizer, aut the solver's
+# generators, and srg and iso nothing.  verify_entry runs them in order,
+# timing each.
 
 
-def _construct(
-    entry: CatalogEntry, seed: int | None
-) -> tuple[StageOutcome, tuple[DenseGraph, OrbitalBuild | None]]:
-    """The row's graph.  An orbital row's graph is an orbital of its G0, so
-    this stage builds G0 and its orbits too, once, and hands them on to the
-    subdegree stage (None on every other row)."""
-    built = orbital_build(entry.family, seed)
-    g = family_graph(entry.family, seed) if built is None else built.graph
+def _construct(entry: CatalogEntry, seed: int | None) -> tuple[StageOutcome, Build]:
+    """The row's Build, with its graph made.  An orbital row's graph is an
+    orbital of its G0, so reading it makes G0 and its orbits too, once, and
+    the subdegree stage reads them from the same Build."""
+    row = Build(entry.family, seed)
+    g = row.graph
     if g.n != entry.n:
-        return StageOutcome(
-            "mismatch", f"built {g.n} vertices, entry says {entry.n}"
-        ), (g, built)
-    return StageOutcome("ok", f"{g.n} vertices"), (g, built)
+        return StageOutcome("mismatch", f"built {g.n} vertices, entry says {entry.n}"), row
+    return StageOutcome("ok", f"{g.n} vertices"), row
 
 
 def _check_srg(g: DenseGraph) -> tuple[StageOutcome, None]:
@@ -577,17 +565,17 @@ def _check_srg(g: DenseGraph) -> tuple[StageOutcome, None]:
 
 
 def _check_subdegrees(
-    entry: CatalogEntry, g: DenseGraph, seed: int | None, built: OrbitalBuild | None
+    entry: CatalogEntry, row: Build
 ) -> tuple[StageOutcome, GeneratorSet | None]:
     """Rank and subdegrees from the orbits of the family's zero-stabilizer,
     and the edge set as one of its orbitals: N(0) must be one of those
     orbits, not merely have the size of one.  Returns the zero-stabilizer
     (None if none ships) for the aut stage.
 
-    On an orbital row ``built`` is construct's OrbitalBuild, and its G0 and
-    orbits are checked as they are; on every other row it is None and this
-    stage builds G0 from the family and ``seed``, and then its orbits."""
-    stab = zero_stabilizer(entry.family, seed) if built is None else built.stabilizer
+    ``row`` is construct's Build: an orbital row's G0 and orbits were made
+    with its graph and are checked as they are, and every other row makes
+    them here, on first read."""
+    g, stab = row.graph, row.stabilizer
     valency = int(g.row0.sum())
     if valency != entry.subdegrees[0]:
         return StageOutcome(
@@ -602,7 +590,7 @@ def _check_subdegrees(
             f"family, orbit check skipped",
         ), stab
     claimed = sorted(entry.subdegrees)
-    orbits = stabilizer_orbits(stab) if built is None else built.orbits
+    orbits = row.orbits
     if len(orbits) != 2:
         return StageOutcome("mismatch", f"group rank {1 + len(orbits)} != 3"), stab
     sizes = [len(o) for o in orbits]
@@ -720,12 +708,13 @@ def verify_entry(
     skip the aut and iso stages.  The construct timing covers building the
     graph and checking its row 0; a family graph packs its adjacency rows on
     first read, which on FULL and SLOW rows is the aut stage's search, so
-    that build is timed under aut.  On an orbital row construct also builds G0
-    and its orbits, which the graph is cut from, and the subdegree stage
-    checks those instead of building them again, so its time is the checks
-    alone; every other row builds G0 in the subdegree stage.  `budget`
-    (seconds) is one deadline for the whole row, started at the aut stage:
-    aut and then every iso claim gets the time left, floored at 0.
+    that build is timed under aut.  Both stages read one Build of the row,
+    which makes G0 and its orbits once: on an orbital row construct makes
+    them, since the graph is cut from them, and the subdegree stage's time
+    is the checks alone; every other row makes them in the subdegree
+    stage.  `budget` (seconds) is one deadline for the whole row, started
+    at the aut stage: aut and then every iso claim gets the time left,
+    floored at 0.
     ValueError unless budget >= 0, before any stage runs.
     """
     check_budget(budget)  # the floor at 0 would hide a bad one
@@ -746,9 +735,10 @@ def verify_entry(
         return payload
 
     try:
-        g, built = run("construct", _construct, entry, seed)
+        row = run("construct", _construct, entry, seed)
+        g = row.graph
         run("srg", _check_srg, g)
-        stab = run("subdegrees", _check_subdegrees, entry, g, seed, built)
+        stab = run("subdegrees", _check_subdegrees, entry, row)
         if entry.tier == "PARAMS_ONLY":
             skipped = StageOutcome("skipped", "params-only tier")
             stages["aut"] = stages["iso"] = skipped

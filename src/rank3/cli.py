@@ -26,7 +26,7 @@ import sys
 
 from . import catalog as _catalog
 from .autsolve import NotIsomorphic, Timeout, are_isomorphic, automorphism_group
-from .families import family_graph, orbital_build, parse_descriptor, zero_stabilizer
+from .families import Build, family_graph, parse_descriptor
 from .graphs import Degenerate, NotStronglyRegular, srg_params, to_graph6
 from .permgrp import linear_perms, read_matrix_spec, stabilizer_rank
 
@@ -61,14 +61,9 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_aut(args: argparse.Namespace) -> int:
-    fid = parse_descriptor(args.descriptor)
-    built = orbital_build(fid)
-    if built is None:
-        g, known = family_graph(fid), zero_stabilizer(fid)
-    else:
-        g, known = built.graph, built.stabilizer
+    row = Build(parse_descriptor(args.descriptor))
     try:
-        r = automorphism_group(g, budget=args.budget, known=known)
+        r = automorphism_group(row.graph, budget=args.budget, known=row.stabilizer)
     except Timeout:
         print(f"timeout: no order within {args.budget:g}s", file=sys.stderr)
         return 1

@@ -24,11 +24,13 @@ in how that connection set is cut out:
   exactly two orbits on nonzero vectors.
 
 Each family is declared once, in the table at the end of this module: its
-descriptor syntax, its graph constructor and its zero-stabilizer, the
+descriptor syntax, its graph constructor and its zero-stabilizer G0, the
 stabilizer of vertex 0 in a known group of automorphisms.  The known group
-itself is the translations plus the zero-stabilizer, and the zero-stabilizer's
-orbits on the other vertices are the graph's suborbits, which the catalog
-checks independently of the Aut solver.
+itself is the translations plus G0, and G0's orbits on the other vertices
+are the graph's suborbits, which the catalog checks independently of the Aut
+solver.  A row is read through one Build, which makes its graph, G0 and G0's
+orbits each on first read and at most once; only the orbital family's graph
+needs G0, so only there does reading the graph build a group.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -100,9 +102,7 @@ __all__ = [
     "family_graph",
     "family_group",
     "family_matrix_spec",
-    "zero_stabilizer",
-    "orbital_build",
-    "OrbitalBuild",
+    "Build",
     "FAMILY_TAGS",
 ]
 
@@ -617,46 +617,31 @@ def alternating_forms_group(n: int = 5, q: int = 2) -> MatrixGroupSpec:
 # -- generic orbital construction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitalBuild:
-    """An orbital row built once: G0 = <spec> as permutations of the p**d
-    vectors, G0's orbits on the nonzero vectors (stabilizer_orbits: exactly
-    two, smaller first) and the orbital graph on the chosen one."""
-
-    stabilizer: GeneratorSet
-    orbits: list[np.ndarray]
-    graph: DenseGraph
-
-
-def _build_orbital(spec: MatrixGroupSpec, orbit_choice: int = 0) -> OrbitalBuild:
-    linear = linear_perms(spec)
-    nonzero = stabilizer_orbits(linear)
-    if len(nonzero) != 2:
-        raise WrongOrbitCount(len(nonzero))
-    if orbit_choice not in (0, 1):
-        raise ValueError(f"orbit_choice must be 0 or 1, got {orbit_choice}")
-    chosen = nonzero[orbit_choice]
+def _orbital_graph(spec: MatrixGroupSpec, orbits: list[np.ndarray]) -> DenseGraph:
+    """The Cayley graph on orbit 0 of G0 = <spec>, given G0's orbits on the
+    nonzero vectors (stabilizer_orbits: smaller first)."""
+    if len(orbits) != 2:
+        raise WrongOrbitCount(len(orbits))
     try:
-        graph = cayley_graph(spec.p, spec.d, chosen)
+        return cayley_graph(spec.p, spec.d, orbits[0])
     except AsymmetricConnectionSet:
         raise AsymmetricOrbit(
-            f"the orbit of size {len(chosen)} is not closed under negation"
+            f"the orbit of size {len(orbits[0])} is not closed under negation"
         ) from None
-    return OrbitalBuild(linear, nonzero, graph)
 
 
-def affine_orbital_graph(spec: MatrixGroupSpec, orbit_choice: int = 0) -> DenseGraph:
+def affine_orbital_graph(spec: MatrixGroupSpec) -> DenseGraph:
     """The orbital graph of the affine group V:G0 for G0 = <spec>: edges
-    {x, y} with x - y in the chosen G0-orbit on nonzero vectors.
+    {x, y} with x - y in G0's first orbit on nonzero vectors, the smaller
+    one (on a tie, the one holding the least vector index).
 
     Preconditions: G0 has exactly 2 orbits on nonzero vectors
-    (WrongOrbitCount otherwise) and the chosen orbit is symmetric
-    (AsymmetricOrbit otherwise).  Orbit 0 is the smaller one.  The affine
-    group acts as automorphisms of the result: the translations by
-    construction (DenseGraph.from_row0), and G0 because a linear map that
-    keeps the connection set keeps x - y in it.
+    (WrongOrbitCount otherwise) and that orbit is symmetric (AsymmetricOrbit
+    otherwise).  The affine group acts as automorphisms of the result: the
+    translations by construction (DenseGraph.from_row0), and G0 because a
+    linear map that keeps the connection set keeps x - y in it.
     """
-    return _build_orbital(spec, orbit_choice).graph
+    return _orbital_graph(spec, stabilizer_orbits(linear_perms(spec)))
 
 
 def _quaternion_units(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -830,10 +815,6 @@ def _format_orbital(kind: str, arg) -> str:
     return f"orbital:{arg}" if kind == "file" else f"orbital:{kind}:{arg}"
 
 
-def _field_stabilizer(q: int, e: int, twist: int = 0) -> GeneratorSet:
-    return semilinear_stabilizer_perms(_field(q), e, True, twist)
-
-
 def _polar_spec(m: int, q: int, epsilon: int, seed: int | None) -> MatrixGroupSpec | None:
     try:
         return affine_polar_group(m, q, epsilon)
@@ -864,15 +845,15 @@ class _Family:
 _FAMILIES = {
     "Paley": _Family(
         "paley", _ints(1), "paley:{}".format, paley,
-        stabilizer=lambda q: _field_stabilizer(q, 2),
+        stabilizer=lambda q: semilinear_stabilizer_perms(_field(q), 2),
     ),
     "Peisert": _Family(
         "peisert", _ints(1), "peisert:{}".format, peisert,
-        stabilizer=lambda q: _field_stabilizer(q, 4, twist=1),
+        stabilizer=lambda q: semilinear_stabilizer_perms(_field(q), 4, twist=1),
     ),
     "VLS": _Family(
         "vls", _ints(2), "vls:{}:{}".format, van_lint_schrijver,
-        stabilizer=_field_stabilizer,
+        stabilizer=lambda q, e: semilinear_stabilizer_perms(_field(q), e),
     ),
     "Hamming2": _Family(
         "hamming2", _ints(1), "hamming2:{}".format, hamming2,
@@ -936,55 +917,66 @@ def format_descriptor(fid: FamilyId) -> str:
     return _FAMILIES[fid.tag].format(*fid.params)
 
 
-def family_matrix_spec(fid: FamilyId, seed: int | None = None) -> MatrixGroupSpec | None:
-    """The zero-stabilizer of an affine family as a matrix group over GF(p):
-    G0 in V:G0.  None for the one-dimensional semilinear and the
-    product-action families, and for affine_polar parameters whose group
-    construction does not ship.  ``seed`` conjugates the sl25 spec by a
-    seeded random matrix (see binary_icosahedral_spec); None does not."""
-    fam = _FAMILIES[fid.tag]
-    return None if fam.spec is None else fam.spec(*fid.params, seed)
+@dataclass(frozen=True)
+class Build:
+    """One family row: its ``spec``, ``stabilizer``, ``orbits`` and
+    ``graph``, each made on first read and at most once.
+
+    ``stabilizer`` is G0, the stabilizer of vertex 0 in the family's known
+    group, as permutations of the vertices, and ``orbits`` are its orbits on
+    the other vertices (stabilizer_orbits), which give the rank and
+    subdegrees.  ``spec`` is G0 as a matrix group over GF(p) when the family
+    has one, and G0 is then its linear action.  Each is None when no group
+    construction ships for the params.  An orbital row's graph is cut from
+    orbit 0 of its G0, so reading it makes the spec, G0 and the orbits
+    first; every other row's graph makes no group.  ``seed`` reaches only
+    the sl25 spec, whose generators it conjugates by a seeded random matrix
+    (see binary_icosahedral_spec); None does not.
+    """
+
+    fid: FamilyId
+    seed: int | None = None
+
+    @cached_property
+    def spec(self) -> MatrixGroupSpec | None:
+        fam = _FAMILIES[self.fid.tag]
+        return None if fam.spec is None else fam.spec(*self.fid.params, self.seed)
+
+    @cached_property
+    def stabilizer(self) -> GeneratorSet | None:
+        fam = _FAMILIES[self.fid.tag]
+        if fam.stabilizer is not None:
+            return fam.stabilizer(*self.fid.params)
+        return None if self.spec is None else linear_perms(self.spec)
+
+    @cached_property
+    def orbits(self) -> list[np.ndarray] | None:
+        return None if self.stabilizer is None else stabilizer_orbits(self.stabilizer)
+
+    @cached_property
+    def graph(self) -> DenseGraph:
+        fam = _FAMILIES[self.fid.tag]
+        if fam.graph is None:
+            return _orbital_graph(self.spec, self.orbits)
+        return fam.graph(*self.fid.params)
 
 
-def orbital_build(fid: FamilyId, seed: int | None = None) -> OrbitalBuild | None:
-    """The orbital family's spec, G0, G0's orbits and graph, each built once
-    (the graph is orbit 0 of G0, as affine_orbital_graph builds it); None
-    for every other family, without building anything."""
-    if _FAMILIES[fid.tag].graph is not None:
-        return None
-    return _build_orbital(family_matrix_spec(fid, seed))
+def family_matrix_spec(fid: FamilyId) -> MatrixGroupSpec | None:
+    """Build(fid).spec: G0 of an affine family as a matrix group over GF(p),
+    None for the one-dimensional semilinear and the product-action families
+    and where no group construction ships."""
+    return Build(fid).spec
 
 
-def family_graph(fid: FamilyId, seed: int | None = None) -> DenseGraph:
-    """Construct the graph a FamilyId names; builds a group only for the
-    orbital family, whose graph is an orbital of its spec."""
-    built = orbital_build(fid, seed)
-    if built is not None:
-        return built.graph
-    return _FAMILIES[fid.tag].graph(*fid.params)
-
-
-def zero_stabilizer(fid: FamilyId, seed: int | None = None) -> GeneratorSet | None:
-    """The stabilizer of vertex 0 in the family's known group, as permutations
-    of the vertices; None when no group construction ships for the params.
-    Its orbits on the other vertices give the rank and subdegrees."""
-    fam = _FAMILIES[fid.tag]
-    if fam.stabilizer is not None:
-        return fam.stabilizer(*fid.params)
-    spec = family_matrix_spec(fid, seed)
-    return None if spec is None else linear_perms(spec)
+def family_graph(fid: FamilyId) -> DenseGraph:
+    """Build(fid).graph: the graph a FamilyId names."""
+    return Build(fid).graph
 
 
 def family_group(fid: FamilyId) -> GeneratorSet | None:
     """A transitive group of known automorphisms of family_graph(fid): the
-    translations by the graph's moduli plus zero_stabilizer(fid).  None when
+    translations by the graph's moduli plus Build(fid).stabilizer.  None when
     no group construction ships for the parameters (affine_polar over a
-    non-prime field, or the (2, 2, +1) transvection exception).  An orbital
-    row builds its spec and G0 once, through orbital_build."""
-    built = orbital_build(fid)
-    if built is not None:
-        return with_translations(built.stabilizer, built.graph.moduli)
-    stab = zero_stabilizer(fid)
-    if stab is None:
-        return None
-    return with_translations(stab, family_graph(fid).moduli)
+    non-prime field, or the (2, 2, +1) transvection exception)."""
+    row = Build(fid)
+    return None if row.stabilizer is None else with_translations(row.stabilizer, row.graph.moduli)

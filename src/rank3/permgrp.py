@@ -532,19 +532,17 @@ def with_translations(stab: GeneratorSet, moduli: tuple[int, ...]) -> GeneratorS
     return GeneratorSet(n, [*unit_translations(moduli), *stab.gens])
 
 
-def semilinear_stabilizer_perms(
-    field: FiniteField, e: int, include_frobenius: bool, twist: int = 0
-) -> GeneratorSet:
-    """Zero-stabilizer generators on GF(q): x -> omega^e * x, and optionally
-    the twisted field automorphism x -> omega^twist * x^p."""
+def semilinear_stabilizer_perms(field: FiniteField, e: int, twist: int = 0) -> GeneratorSet:
+    """Zero-stabilizer generators on GF(q): x -> omega^e * x and the twisted
+    field automorphism x -> omega^twist * x^p."""
     q = field.q
     if e < 1 or (q - 1) % e:
         raise DoesNotDivide(f"e = {e} does not divide q - 1 = {q - 1}")
     x = np.arange(q)
-    images = [field.mul(field.power(field.omega, e), x)]
-    if include_frobenius:
-        images.append(field.mul(field.power(field.omega, twist), field.frobenius(x)))
-    return GeneratorSet(q, images)
+    return GeneratorSet(q, [
+        field.mul(field.power(field.omega, e), x),
+        field.mul(field.power(field.omega, twist), field.frobenius(x)),
+    ])
 
 
 def central_product_with_scalars(p: int, s: MatrixGroupSpec, scalar_order: int) -> MatrixGroupSpec:

@@ -36,13 +36,13 @@ from rank3.autsolve import (
 )
 from rank3.catalog import builtin_catalog
 from rank3.families import (
+    Build,
     family_graph,
     family_group,
     hamming2,
     paley,
     parse_descriptor,
     peisert,
-    zero_stabilizer,
 )
 from rank3.graphs import DenseGraph, complement, unit_translations
 from rank3.permgrp import (
@@ -902,7 +902,7 @@ class TestSeededSearch:
     @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
     def test_seeded_order_matches_plain_search(self, entry):
         g = family_graph(entry.family)
-        stab = zero_stabilizer(entry.family)
+        stab = Build(entry.family).stabilizer
         seeded = automorphism_group(g, known=stab)
         plain = automorphism_group(DenseGraph(g.adj))
         assert seeded.order == plain.order == entry.expected_aut_order
@@ -917,7 +917,7 @@ class TestSeededSearch:
     @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
     def test_order_matches_first_path_oracle(self, entry):
         g = family_graph(entry.family)
-        known = unit_translations(g.moduli) + list(zero_stabilizer(entry.family).gens)
+        known = unit_translations(g.moduli) + list(Build(entry.family).stabilizer.gens)
         assert assert_order_matches_oracle(g, known) == entry.expected_aut_order
 
     def test_non_automorphism_rejected(self):
@@ -932,7 +932,7 @@ class TestSeededSearch:
     def test_proper_subgroup_still_gives_full_order(self):
         # x -> 16x generates the order-3 subgroup of G0 = <x -> 4x> (order 6)
         g = paley(13)
-        four = zero_stabilizer(parse_descriptor("paley:13")).gens[0]
+        four = Build(parse_descriptor("paley:13")).stabilizer.gens[0]
         cube = GeneratorSet(13, (four[four],))
         for h in (g, DenseGraph(g.adj)):
             r = automorphism_group(h, known=cube)
@@ -976,7 +976,7 @@ class TestSeededSearch:
         )
         fid = parse_descriptor(desc)
         g, h = family_graph(fid), family_graph(parse_descriptor(other))
-        aut = automorphism_group(g, known=zero_stabilizer(fid)).generators
+        aut = automorphism_group(g, known=Build(fid).stabilizer).generators
         counts = []
         for known in (None, aut):
             passes.clear()
@@ -1009,7 +1009,7 @@ class TestSeededSearch:
         monkeypatch.setattr(autsolve, "_iso_search", recording)
         fid = parse_descriptor("peisert:49")
         g = family_graph(fid)
-        aut = automorphism_group(g, known=zero_stabilizer(fid))
+        aut = automorphism_group(g, known=Build(fid).stabilizer)
         gens = aut.generators.gens
         assert len(np.unique(gens, axis=0)) == len(gens)
         assert np.array_equal(gens[: len(g.moduli)], unit_translations(g.moduli))
@@ -1050,8 +1050,8 @@ def test_seeded_search_on_4096_vertices_stays_small():
     # few rows or a block of them; the n x n bool matrix alone is 16 MiB.
     # |Aut| = 4096 * 180 * 181440 / 3 * 2: the translations, the central
     # product GL_2(4) o GL_3(4) and the Frobenius of GF(4)
-    fid = parse_descriptor("hq:4:3")
-    g, stab = family_graph(fid), zero_stabilizer(fid)
+    row = Build(parse_descriptor("hq:4:3"))
+    g, stab = row.graph, row.stabilizer
     tracemalloc.start()
     try:
         result = automorphism_group(g, known=stab)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,13 +26,7 @@ from rank3.catalog import (
     verify_entry,
     _check_subdegrees,
 )
-from rank3.families import (
-    family_graph,
-    family_group,
-    orbital_build,
-    parse_descriptor,
-    zero_stabilizer,
-)
+from rank3.families import Build, family_graph, family_group, parse_descriptor
 from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import GeneratorSet, schreier_sims
 
@@ -67,6 +62,12 @@ def _replace(entry, **kw):
     }
     fields.update(kw)
     return CatalogEntry(**fields)
+
+
+# hq:2:3 is no catalog row, but its graph is vls:64:3's, whose answers it shares
+HQ_2_3 = _replace(
+    BY_ID["vls:64:3"], id="hq:2:3", family=parse_descriptor("hq:2:3"), iso_claims=()
+)
 
 
 class TestCatalogTable:
@@ -207,11 +208,12 @@ class TestVerifyEntry:
         perm = np.arange(13)
         perm[[1, 2]] = [2, 1]
         moved = DenseGraph(g.adj[np.ix_(perm, perm)])
-        outcome, stab = _check_subdegrees(BY_ID["paley:13"], moved, None, None)
+        want = Build(parse_descriptor("paley:13"))
+        row = SimpleNamespace(graph=moved, stabilizer=want.stabilizer, orbits=want.orbits)
+        outcome, stab = _check_subdegrees(BY_ID["paley:13"], row)
         assert outcome.status == "mismatch"
         assert "not an orbit" in outcome.detail
-        want = zero_stabilizer(parse_descriptor("paley:13"))
-        assert np.array_equal(stab.gens, want.gens)
+        assert np.array_equal(stab.gens, want.stabilizer.gens)
 
     def test_seeded_sl25_row_passes(self):
         entry = BY_ID["orbital:sl25:31"]
@@ -219,23 +221,28 @@ class TestVerifyEntry:
         assert report.verdict == "PASS"
         assert report.stages["subdegrees"].status == "ok"
         # the default-seed zero-stabilizer does not act on the seed-1 graph:
-        # handed on with its orbits, as construct hands them on, N(0) of the
-        # seed-1 graph is no orbit of it
-        default, seeded = orbital_build(entry.family), orbital_build(entry.family, 1)
-        g = seeded.graph
-        outcome = _check_subdegrees(entry, g, None, default)[0]
+        # read with its orbits against that graph, N(0) is no orbit of it
+        default, seeded = Build(entry.family), Build(entry.family, 1)
+        mixed = SimpleNamespace(
+            graph=seeded.graph, stabilizer=default.stabilizer, orbits=default.orbits
+        )
+        outcome = _check_subdegrees(entry, mixed)[0]
         assert outcome == StageOutcome(
             "mismatch", "N(0) is not an orbit of the zero-stabilizer"
         )
-        assert _check_subdegrees(entry, g, None, seeded)[0].status == "ok"
+        assert _check_subdegrees(entry, seeded)[0].status == "ok"
 
     @pytest.mark.parametrize(
-        "entry_id, seed", [("orbital:q8:13", None), ("orbital:sl25:31", 1)]
+        "entry_id, seed",
+        [("orbital:q8:13", None), ("orbital:sl25:31", 1), ("paley:13", None), ("hq:2:3", None)],
     )
     def test_orbital_row_builds_g0_once(self, monkeypatch, entry_id, seed):
-        # construct builds G0 and its orbits, and the subdegree stage checks
-        # those: one verify_entry makes each once, wherever it is called from
-        calls = {"linear_perms": 0, "stabilizer_orbits": 0}
+        # the stages read one Build of the row, whose graph (on an orbital
+        # row) or subdegree check (on any other) makes G0 and its orbits: one
+        # verify_entry makes each once, wherever it is called from.  G0 is
+        # the linear action of a matrix group, or on paley:13 semilinear maps
+        makers = ("linear_perms", "semilinear_stabilizer_perms")
+        calls = dict.fromkeys(makers + ("stabilizer_orbits",), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -250,9 +257,10 @@ class TestVerifyEntry:
                 if (module is not None and module.__name__.startswith("rank3")
                         and getattr(module, name, None) is fn):
                     monkeypatch.setattr(module, name, counted(name, fn))
-        report = verify_entry(BY_ID[entry_id], seed=seed)
+        report = verify_entry({**BY_ID, "hq:2:3": HQ_2_3}[entry_id], seed=seed)
         assert report.verdict == "PASS"
-        assert calls == {"linear_perms": 1, "stabilizer_orbits": 1}
+        assert sum(calls[name] for name in makers) == 1
+        assert calls["stabilizer_orbits"] == 1
 
     def test_non_orbital_g0_error_lands_on_subdegrees(self, monkeypatch):
         import rank3.catalog as catalog
@@ -260,7 +268,7 @@ class TestVerifyEntry:
         def broken_stabilizer(fid, seed=None):
             raise RuntimeError("no G0")
 
-        monkeypatch.setattr(catalog, "zero_stabilizer", broken_stabilizer)
+        monkeypatch.setattr(catalog.Build, "stabilizer", property(broken_stabilizer))
         report = verify_entry(BY_ID["paley:13"])
         assert list(report.stages) == ["construct", "srg", "subdegrees"]
         assert report.stages["construct"].status == "ok"
@@ -278,13 +286,15 @@ class TestVerifyEntry:
         assert report.stages == {"construct": StageOutcome("error", "RuntimeError: no spec")}
 
     def test_construct_timing_covers_build(self, monkeypatch):
-        import rank3.catalog as catalog
+        import rank3.families as families
 
-        def slow_build(fid, seed=None):
+        cayley_graph = families.cayley_graph
+
+        def slow_build(*args):
             time.sleep(0.2)
-            return family_graph(fid, seed)
+            return cayley_graph(*args)
 
-        monkeypatch.setattr(catalog, "family_graph", slow_build)
+        monkeypatch.setattr(families, "cayley_graph", slow_build)
         report = verify_entry(BY_ID["paley:13"], budget=60.0)
         assert report.stages["construct"].status == "ok"
         assert report.timings_ms["construct"] >= 200.0

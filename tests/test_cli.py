@@ -94,6 +94,12 @@ class TestAut:
         assert code == 0
         assert "order 136" in out
 
+    def test_orbital_order_reported(self, capsys):
+        # the graph is cut from G0's orbits, and the same G0 seeds the search
+        code, out, _ = run(capsys, "aut", "orbital:q8:13")
+        assert code == 0
+        assert out.startswith("order 48672 ")
+
     def test_budget_timeout_exits_1(self, capsys):
         code, _, err = run(capsys, "aut", "paley:17", "--budget", "0")
         assert code == 1

@@ -14,6 +14,7 @@ from rank3.families import (
     AsymmetricConnectionSet,
     AsymmetricOrbit,
     BadCongruence,
+    Build,
     FamilyId,
     OrderCondition,
     Unsupported,
@@ -37,14 +38,13 @@ from rank3.families import (
     binary_icosahedral_spec,
     sl25_with_scalars_spec,
     van_lint_schrijver,
-    zero_stabilizer,
     _check_binary_icosahedral,
     _check_normalizes_q8,
     _check_similitudes,
     _quaternion_units,
 )
 from rank3.autsolve import automorphism_group
-from rank3.graphs import DenseGraph, complement, srg_params
+from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import linear_perms, with_translations
 
 
@@ -317,7 +317,7 @@ class TestAffinePolar:
         fid = parse_descriptor(desc)
         m, q, eps = fid.params
         s = (q**m - eps) * (q ** (m - 1) + eps)
-        assert stabilizer_rank(zero_stabilizer(fid)) == (3, sorted([s, q ** (2 * m) - 1 - s]))
+        assert stabilizer_rank(Build(fid).stabilizer) == (3, sorted([s, q ** (2 * m) - 1 - s]))
         assert int(family_graph(fid).adj[0].sum()) == s
 
     def test_non_similitude_rejected(self):
@@ -428,10 +428,7 @@ class TestAffineOrbitalGraph:
 
     def test_square_orbit_recovers_paley(self):
         spec = MatrixGroupSpec(13, 1, (((4,),),))  # <4> = squares mod 13
-        assert affine_orbital_graph(spec, 0) == paley(13)
-        assert affine_orbital_graph(spec, 1) == complement(paley(13))
-        with pytest.raises(ValueError):
-            affine_orbital_graph(spec, 2)
+        assert affine_orbital_graph(spec) == paley(13)
 
     def test_quaternion_normalizer_13(self):
         spec = quaternion_normalizer_spec(13)
@@ -587,7 +584,7 @@ class TestFamilyGroups:
         fid = parse_descriptor(desc)
         assert rank_and_subdegrees(family_group(fid)) == expected
         # the zero-stabilizer path agrees with the pair-closure oracle
-        assert stabilizer_rank(zero_stabilizer(fid)) == expected
+        assert stabilizer_rank(Build(fid).stabilizer) == expected
 
     def test_vls_256_subdegrees(self):
         gs = family_group(parse_descriptor("vls:256:5"))
@@ -604,11 +601,11 @@ class TestFamilyGroups:
 
     @pytest.mark.parametrize("desc", ["orbital:q8:13", "hq:2:3"])
     def test_group_builds_g0_once(self, monkeypatch, desc):
-        # an orbital row's graph and G0 come from one orbital_build, and
-        # hq:2:3's graph needs no G0, so family_group makes G0 from the spec
-        # once on either
+        # an orbital row's graph and G0 come from one Build, and hq:2:3's
+        # graph needs no G0, so family_group makes G0 from the spec once on
+        # either
         fid = parse_descriptor(desc)
-        want = with_translations(zero_stabilizer(fid), family_graph(fid).moduli)
+        want = with_translations(Build(fid).stabilizer, family_graph(fid).moduli)
         calls = []
 
         def counted(spec):
@@ -618,6 +615,22 @@ class TestFamilyGroups:
         monkeypatch.setattr(rank3.families, "linear_perms", counted)
         assert np.array_equal(family_group(fid).gens, want.gens)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("desc", ["vo:+:8:2", "hq:2:3", "paley:13"])
+    def test_non_orbital_graph_makes_no_g0(self, monkeypatch, desc):
+        # only an orbital row's graph is cut from G0's orbits: every other
+        # graph, read through family_graph or a Build, makes no group
+        def no_group(*args, **kwargs):
+            raise AssertionError("G0 made for a non-orbital graph")
+
+        want = family_graph(parse_descriptor(desc))
+        for name in ("affine_polar_group", "bilinear_forms_group", "linear_perms",
+                     "semilinear_stabilizer_perms", "stabilizer_orbits"):
+            monkeypatch.setattr(rank3.families, name, no_group)
+        assert family_graph(parse_descriptor(desc)) == want
+        row = Build(parse_descriptor(desc))
+        assert row.graph == want
+        assert not {"spec", "stabilizer", "orbits"} & vars(row).keys()
 
     def test_unavailable_group_is_none(self):
         assert family_group(FamilyId("AffinePolar", (2, 4, -1))) is None

@@ -23,7 +23,7 @@ from rank3.graphs import (
     to_graph6,
     unit_translations,
 )
-from rank3.families import cayley_graph, family_graph, parse_descriptor, zero_stabilizer
+from rank3.families import Build, cayley_graph, family_graph, parse_descriptor
 from rank3.permgrp import GeneratorSet, orbit
 
 
@@ -695,7 +695,7 @@ def test_rook_automorphisms_outside_the_normalizer_take_the_fallback(desc):
     fid = parse_descriptor(desc)
     g = family_graph(fid)
     m, k = g.moduli[0], len(g.moduli)
-    gens = automorphism_group(g, known=zero_stabilizer(fid)).generators.gens
+    gens = automorphism_group(g, known=Build(fid).stabilizer).generators.gens
     outside = [img for img in gens if affine_part(img, m, k) is None]
     assert outside
     for img in gens:

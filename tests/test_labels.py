@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rank3.catalog import builtin_catalog
-from rank3.families import family_graph, parse_descriptor, zero_stabilizer
+from rank3.families import Build, family_graph, parse_descriptor
 
 # descriptor -> (SHA-1 of np.packbits(adjacency), SHA-1 of the concatenated
 # int32 image arrays of the zero-stabilizer generators)
@@ -193,5 +193,5 @@ def test_labels_are_pinned(descriptor):
     adj_sha, stab_sha = PINS[descriptor]
     g = family_graph(fid)
     assert hashlib.sha1(np.packbits(g.adj).tobytes()).hexdigest() == adj_sha
-    images = zero_stabilizer(fid).gens.tobytes()
+    images = Build(fid).stabilizer.gens.tobytes()
     assert hashlib.sha1(images).hexdigest() == stab_sha

@@ -190,7 +190,7 @@ def test_orbit_partition_field_square_classes():
     # multiplication by omega^2 and the p-power map on GF(9): 0 is fixed,
     # the nonzero squares and nonsquares form orbits of size 4 each
     f9 = make_field(3, 2)
-    gs = semilinear_stabilizer_perms(f9, 2, include_frobenius=True)
+    gs = semilinear_stabilizer_perms(f9, 2)
     parts = orbit_partition(gs)
     assert sorted(p.size for p in parts) == [1, 4, 4]
     assert list(parts[0]) == [0]
@@ -431,7 +431,7 @@ def test_rank_twisted_power_map_group():
 def test_rank_requires_transitive():
     f13 = make_field(13, 1)
     with pytest.raises(NotTransitive):
-        rank_and_subdegrees(semilinear_stabilizer_perms(f13, 2, False))
+        rank_and_subdegrees(semilinear_stabilizer_perms(f13, 2))
 
 
 def test_rank_degree_cap():
@@ -442,7 +442,7 @@ def test_rank_degree_cap():
 def test_semilinear_divisor_check():
     f13 = make_field(13, 1)
     with pytest.raises(DoesNotDivide):
-        semilinear_stabilizer_perms(f13, 5, False)
+        semilinear_stabilizer_perms(f13, 5)
 
 
 # -- matrix groups ----------------------------------------------------------------
@@ -476,7 +476,7 @@ def test_multiplication_by_generator_matches_companion_matrix():
     f9 = make_field(3, 2)
     spec = MatrixGroupSpec(3, 2, (np.array([[0, 1], [1, 2]]),))
     lin = linear_perms(spec).gens[0]
-    mult = semilinear_stabilizer_perms(f9, 1, include_frobenius=False).gens[0]
+    mult = semilinear_stabilizer_perms(f9, 1).gens[0]
     assert np.array_equal(lin, mult)
 
 
