@@ -386,21 +386,36 @@ def _fixing(imgs: Iterable[np.ndarray], prefix: Sequence[int]) -> list[np.ndarra
 
 
 class _OrbitSet:
-    """The closure of a growing seed set under a growing list of permutations
-    (image arrays), kept closed by permgrp.orbit_mask."""
+    """The closure of a growing seed set under a growing stack of
+    permutations, kept closed by permgrp.orbit_mask.
 
-    def __init__(self, n: int, gens: Iterable[np.ndarray] = ()):
+    ``gens`` is one (k, n) array of image arrays: a node starts it as the
+    rows of the known automorphisms that fix its prefix, and add_gens
+    concatenates the new ones, so each closure gathers under all of them at
+    once.  ``held`` is the orbit of the first seed closed, under the
+    generators known then; it lies in that seed's final orbit, so closing it
+    again under the final generators gives that orbit (see first_orbit)."""
+
+    def __init__(self, n: int, gens: np.ndarray):
         self.mark = np.zeros(n, dtype=bool)
-        self.gens = list(gens)
+        self.gens = gens
+        self.held: np.ndarray | None = None
 
     def add_seed(self, v: int) -> None:
         if not self.mark[v]:
-            self.mark |= orbit_mask(self.gens, _point_mask(len(self.mark), v))
+            orbit = orbit_mask(self.gens, _point_mask(len(self.mark), v))
+            if self.held is None:
+                self.held = orbit
+            self.mark |= orbit
 
     def add_gens(self, imgs: Sequence[np.ndarray]) -> None:
         if imgs:
-            self.gens.extend(imgs)
+            self.gens = np.concatenate((self.gens, imgs))
             self.mark = orbit_mask(self.gens, self.mark)
+
+    def first_orbit(self) -> np.ndarray:
+        """The orbit of the first seed under the generators held now."""
+        return orbit_mask(self.gens, self.held)
 
     def __contains__(self, v: int) -> bool:
         return bool(self.mark[v])
@@ -529,9 +544,10 @@ class _Solver:
                 orbits.add_seed(v)
         if on_first_path:
             # every automorphism fixing the prefix is known once the loop
-            # ends: one found later moves a vertex of the prefix
-            first = _point_mask(self.n, path.vertices[depth])
-            self.order *= int(orbit_mask(orbits.gens, first).sum())
+            # ends: one found later moves a vertex of the prefix.  The first
+            # seed closed was the first-path child's vertex, the least of
+            # the cell, so its held orbit grows into the final one
+            self.order *= int(orbits.first_orbit().sum())
 
     def root(self) -> tuple[_Cells, int]:
         """The refined unit partition and its trace."""

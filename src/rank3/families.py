@@ -12,7 +12,8 @@ the vector indices of its members, and its indicator is row 0 of the
 adjacency matrix: DenseGraph.from_row0 keeps it, and packs the rows band by
 band from adj[x, y] = row0[y - x] when the rows are first read.  Each graph
 carries its translation moduli, which srg_params, the seeded Aut search,
-the row-0 automorphism test and family_group use.  The families differ only
+the row-0 automorphism test and family_group use (family_group reads them
+as (p,) * d off a family's spec, when it has one).  The families differ only
 in how that connection set is cut out:
 
 * ``paley`` / ``peisert`` / ``van_lint_schrijver`` -- power-residue cosets in
@@ -977,6 +978,13 @@ def family_group(fid: FamilyId) -> GeneratorSet | None:
     """A transitive group of known automorphisms of family_graph(fid): the
     translations by the graph's moduli plus Build(fid).stabilizer.  None when
     no group construction ships for the parameters (affine_polar over a
-    non-prime field, or the (2, 2, +1) transvection exception)."""
+    non-prime field, or the (2, 2, +1) transvection exception).  A family
+    with a spec has the graph on GF(p)**d, whose moduli are (p,) * d as
+    cayley_graph makes them, so the graph (on an orbital row, G0's orbits
+    and the graph cut from them) is not built to read them."""
     row = Build(fid)
-    return None if row.stabilizer is None else with_translations(row.stabilizer, row.graph.moduli)
+    if row.stabilizer is None:
+        return None
+    spec = row.spec
+    moduli = row.graph.moduli if spec is None else (spec.p,) * spec.d
+    return with_translations(row.stabilizer, moduli)

@@ -22,7 +22,9 @@ family graph in this package is made so, and a stage that reads only row 0
 (degrees, srg parameters, subdegrees, the complement) never packs the rows.
 
 is_isomorphism decides a map x -> A x + b between graphs on one Z_m^k on
-row 0 alone, in O(k n), and any other map on the rows, in O(n^2).
+row 0 alone, in O(k n), and any other map on the upper triangle of the
+rows, in O(n^2): both graphs are symmetric, so a pair compared in one
+order need not be compared in the other.
 
 The translations act regularly, so the pair (u, v) maps to (0, v - u) and
 |N(u) & N(v)| = |N(0) & N(v - u)|: the autocorrelation of row 0 over the
@@ -386,14 +388,17 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
 
     When g and h carry the same moduli (m,) * k, a mapping that is affine on
     Z_m^k is decided on row 0 alone, in O(k n), and no rows are packed (see
-    _affine_verdict).  Any other mapping is checked on blocks of h's rows,
-    unpacked to at most 64 KiB (one row, when a row is longer), their columns
-    permuted and packed again to compare with g's packed rows, stopping at
-    the first block that differs.  Blocks stay under glibc's 128 KiB mmap
-    threshold, so each is carved from the heap instead of being mapped and
-    page-faulted afresh.  The columns are gathered by np.take, which returns
-    a C-ordered block: the F-ordered block of ``[:, mapping]`` compares
-    about 9x slower."""
+    _affine_verdict).  Any other mapping is checked on the upper triangle,
+    in blocks of h's rows, unpacked to at most 64 KiB (one row, when a row
+    is longer): block [lo, hi) has its columns from lo on permuted and
+    packed again to compare with g's packed rows, stopping at the first
+    block that differs.  Both graphs are symmetric (every constructor
+    checks it), so a pair (i, j) with j < lo was compared, as (j, i), in
+    j's block; lo is rounded down to a whole byte of the packed rows.
+    Blocks stay under glibc's 128 KiB mmap threshold, so each is carved
+    from the heap instead of being mapped and page-faulted afresh.  The
+    columns are gathered by np.take, which returns a C-ordered block: the
+    F-ordered block of ``[:, mapping]`` compares about 9x slower."""
     moduli = g.moduli
     if g.n > 1 and moduli == h.moduli and len(set(moduli or ())) == 1:
         verdict = _affine_verdict(g, h, mapping)
@@ -402,8 +407,10 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
     n = g.n
     rows = max(1, (1 << 16) // max(n, 1))
     for lo in range(0, n, rows):
-        block = np.packbits(np.take(h._unpack(mapping[lo : lo + rows]), mapping, axis=1), axis=1)
-        if not np.array_equal(block, g._rows[lo : lo + rows, : block.shape[1]]):
+        byte = lo // 8  # the first byte of g's rows holding a column >= lo
+        cols = mapping[8 * byte :]
+        block = np.packbits(np.take(h._unpack(mapping[lo : lo + rows]), cols, axis=1), axis=1)
+        if not np.array_equal(block, g._rows[lo : lo + rows, byte : byte + block.shape[1]]):
             return False
     return True
 

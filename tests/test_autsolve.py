@@ -28,6 +28,7 @@ from rank3.autsolve import (
     Timeout,
     TooLarge,
     _Cells,
+    _OrbitSet,
     _Refiner,
     _Solver,
     are_isomorphic,
@@ -308,6 +309,7 @@ def order_from_first_path(n, vertices, imgs):
     for depth, v in enumerate(vertices):
         pts = np.asarray(vertices[:depth], dtype=np.int64)
         fixing = [img for img in imgs if np.array_equal(img[pts], pts)]
+        fixing = np.array(fixing, dtype=np.int32).reshape(len(fixing), n)
         seed = np.zeros(n, dtype=bool)
         seed[v] = True
         order *= int(orbit_mask(fixing, seed).sum())
@@ -322,6 +324,45 @@ def assert_order_matches_oracle(g, known=()):
     imgs = list(known) + solver.gens
     assert solver.order == order_from_first_path(g.n, solver.path.vertices, imgs)
     return solver.order
+
+
+def closure(imgs, points, n):
+    """The points reached from ``points`` under the image arrays imgs, one
+    point at a time: the reference for _OrbitSet."""
+    seen, stack = set(points), list(points)
+    while stack:
+        x = stack.pop()
+        for img in imgs:
+            if int(img[x]) not in seen:
+                seen.add(int(img[x]))
+                stack.append(int(img[x]))
+    mask = np.zeros(n, dtype=bool)
+    mask[list(seen)] = True
+    return mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.data())
+def test_orbit_set_holds_the_first_seeds_orbit(n, data):
+    # seeds and generators arrive interleaved, as a first-path node adds
+    # them; the marks stay the closure of every seed, and first_orbit is the
+    # first seed's orbit under every generator added, whatever came after
+    perm = st.permutations(range(n)).map(lambda p: np.array(p, dtype=np.int32))
+    start = data.draw(st.lists(perm, max_size=2))
+    orbits = _OrbitSet(n, np.array(start, dtype=np.int32).reshape(len(start), n))
+    gens, seeds = list(start), []
+    steps = st.one_of(st.integers(0, n - 1), st.lists(perm, max_size=2))
+    for step in data.draw(st.lists(steps, min_size=1, max_size=8)):
+        if isinstance(step, int):
+            orbits.add_seed(step)
+            seeds.append(step)
+        else:
+            orbits.add_gens(step)
+            gens.extend(step)
+    assert np.array_equal(orbits.gens, np.array(gens, dtype=np.int32).reshape(len(gens), n))
+    assert np.array_equal(orbits.mark, closure(gens, seeds, n))
+    if seeds:
+        assert np.array_equal(orbits.first_orbit(), closure(gens, seeds[:1], n))
 
 
 # -- the equitable reference search ----------------------------------------------

@@ -44,6 +44,7 @@ from rank3.families import (
     _quaternion_units,
 )
 from rank3.autsolve import automorphism_group
+from rank3.catalog import builtin_catalog
 from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import linear_perms, with_translations
 
@@ -615,6 +616,27 @@ class TestFamilyGroups:
         monkeypatch.setattr(rank3.families, "linear_perms", counted)
         assert np.array_equal(family_group(fid).gens, want.gens)
         assert len(calls) == 1
+
+    def test_spec_moduli_are_the_graph_moduli(self):
+        # family_group reads a spec family's translations off (p,) * d
+        for entry in builtin_catalog():
+            row = Build(entry.family)
+            if row.spec is not None:
+                assert row.graph.moduli == (row.spec.p,) * row.spec.d, entry.id
+
+    @pytest.mark.parametrize("desc", ["orbital:q8:13", "orbital:sl25:41", "hq:2:3"])
+    def test_group_builds_no_graph(self, monkeypatch, desc):
+        # the translations come from the spec, so family_group builds neither
+        # the graph nor, on an orbital row, G0's orbits it is cut from
+        fid = parse_descriptor(desc)
+        want = with_translations(Build(fid).stabilizer, family_graph(fid).moduli)
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("family_group built the graph")
+
+        for name in ("_orbital_graph", "stabilizer_orbits", "cayley_graph"):
+            monkeypatch.setattr(rank3.families, name, no_graph)
+        assert np.array_equal(family_group(fid).gens, want.gens)
 
     @pytest.mark.parametrize("desc", ["vo:+:8:2", "hq:2:3", "paley:13"])
     def test_non_orbital_graph_makes_no_g0(self, monkeypatch, desc):

@@ -358,8 +358,8 @@ def test_is_isomorphism_matches_full_gather(n, seed, related):
 
 
 def test_is_isomorphism_checks_the_last_partial_block():
-    # 1500 rows are blocks of 699, 699 and 102: a difference in the last two
-    # rows only shows in the short last block
+    # 1500 rows are 34 blocks of 43 and one of 38: a difference in the last
+    # two rows only shows in the short last block
     n = 1500
     rng = np.random.default_rng(3)
     g = random_graph(n, rng)
@@ -371,6 +371,28 @@ def test_is_isomorphism_checks_the_last_partial_block():
     adj[a, b] = adj[b, a] = not adj[a, b]
     assert np.array_equal(adj[np.ix_(sigma, sigma)][: n - 2], g.adj[: n - 2])
     assert not is_isomorphism(g, DenseGraph(adj), sigma)
+
+
+@pytest.mark.parametrize("j,i", [(0, 699), (10, 400), (87, 93), (650, 651), (93, 94)])
+def test_is_isomorphism_checks_a_pair_in_its_column_block(j, i):
+    # the row path compares block [lo, hi) on the columns from lo on, rounded
+    # down to a whole byte.  The pair {j, i} is broken alone: in the first
+    # four, row i lies in a block that starts after column j, so only j's
+    # block compares the pair, as (j, i); in the last, both lie at the
+    # start of the block [93, 186), which starts mid-byte
+    n = 700
+    assert (1 << 16) // n == 93  # is_isomorphism's rows per block
+    rng = np.random.default_rng(j * n + i)
+    g = random_graph(n, rng)
+    sigma = rng.permutation(n)
+    adj = relabelled(g, sigma).adj.copy()
+    a, b = sigma[i], sigma[j]
+    adj[a, b] = adj[b, a] = not adj[a, b]
+    h = DenseGraph(adj)
+    diff = np.argwhere(h.adj[np.ix_(sigma, sigma)] != g.adj)
+    assert sorted(map(tuple, diff.tolist())) == [(j, i), (i, j)]
+    assert not is_isomorphism(g, h, sigma)
+    assert is_isomorphism(g, relabelled(g, sigma), sigma)
 
 
 # -- translation moduli and the one-row SRG check ---------------------------------

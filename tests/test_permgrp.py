@@ -209,13 +209,32 @@ def _scalar_closure(imgs, seeds) -> set[int]:
     return seen
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 30), st.data())
+def _per_generator_closure(imgs, seeds) -> np.ndarray:
+    """The closure of a seed mask under imgs, breadth-first with one gather
+    per generator and round: orbit_mask before it stacked the generators."""
+    seen = np.array(seeds, dtype=bool)
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        parts = []
+        for img in imgs:
+            y = img[frontier]
+            y = y[~seen[y]]
+            if y.size:
+                seen[y] = True
+                parts.append(y)
+        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.data())
 def test_orbit_mask_matches_scalar_closure(n, data):
     # generators are either uniform permutations or products of a few
-    # transpositions, which leave many orbits
+    # transpositions, which leave many orbits; one gather per round over
+    # their (k, n) stack closes exactly what one point at a time and one
+    # gather per generator and round do, the empty (0, n) stack included
     imgs = []
-    for _ in range(data.draw(st.integers(0, 3))):
+    for _ in range(data.draw(st.integers(0, 6))):
         if data.draw(st.booleans()):
             img = np.array(data.draw(st.permutations(range(n))))
         else:
@@ -223,7 +242,8 @@ def test_orbit_mask_matches_scalar_closure(n, data):
             swaps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
             for a, b in data.draw(st.lists(swaps, max_size=4)):
                 img[[a, b]] = img[[b, a]]
-        imgs.append(img.astype(np.int32))
+        imgs.append(img)
+    imgs = np.array(imgs, dtype=np.int32).reshape(len(imgs), n)
     seeds = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     before = seeds.copy()
     mask = orbit_mask(imgs, seeds)
@@ -231,6 +251,8 @@ def test_orbit_mask_matches_scalar_closure(n, data):
     assert set(np.flatnonzero(mask).tolist()) == _scalar_closure(
         imgs, np.flatnonzero(seeds).tolist()
     )
+    assert np.array_equal(mask, _per_generator_closure(imgs, seeds))
+    assert np.array_equal(orbit_mask(np.empty((0, n), dtype=np.int32), seeds), seeds)
     parts = orbit_partition(GeneratorSet(n, imgs))
     assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
     assert [int(p[0]) for p in parts] == sorted(int(p[0]) for p in parts)
