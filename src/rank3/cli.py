@@ -4,8 +4,10 @@ Subcommands:
     construct <descriptor> [--graph6 OUT]   build a family graph
     params <descriptor>                     strong-regularity parameters
     aut <descriptor> [--budget S]           full automorphism group order, search
-                                            seeded with the family's zero-stabilizer
-    iso <d1> <d2> [--budget S]              isomorphism test with mapping
+                                            seeded with the family's zero-stabilizer,
+                                            certified by its generators
+    iso <d1> <d2> [--budget S]              isomorphism test with mapping, search
+                                            seeded with d1's zero-stabilizer
     rank <spec-file>                        rank/subdegrees of an affine group
     verify [--tier T] [--seed N] [--json OUT] [--budget S] [--catalog FILE]
     catalog list                            print the builtin verification table
@@ -14,8 +16,13 @@ verify --seed N, an integer >= 0, conjugates the sl25 zero-stabilizer by an
 invertible matrix drawn from random.Random(N): that relabels the
 orbital:sl25:* rows only, and every other row ignores it.
 
+params and aut print the outcome of the verify pipeline's srg and aut
+stages (catalog._check_srg, catalog._check_aut with no expected order): an
+ok detail on stdout, any other outcome as "status: detail" on stderr.
+
 Exit codes: 0 success / all pass, 1 any failure (not isomorphic, not strongly
-regular, timeout, FAIL verdicts), 2 usage errors (bad descriptors, bad files).
+regular, timeout, an uncertified order, FAIL verdicts), 2 usage errors (bad
+descriptors, bad files).
 """
 
 from __future__ import annotations
@@ -23,22 +30,29 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 
 from . import catalog as _catalog
-from .autsolve import NotIsomorphic, Timeout, are_isomorphic, automorphism_group
-from .families import Build, family_graph, parse_descriptor
-from .graphs import Degenerate, NotStronglyRegular, srg_params, to_graph6
+from .autsolve import NotIsomorphic, Timeout, are_isomorphic
+from .families import Build, parse_descriptor
+from .graphs import to_graph6
 from .permgrp import linear_perms, read_matrix_spec, stabilizer_rank
 
 __all__ = ["main"]
 
 
-def _graph_for(descriptor: str):
-    return family_graph(parse_descriptor(descriptor))
+def _print_outcome(outcome: _catalog.StageOutcome) -> int:
+    """A pipeline stage's outcome: an ok detail on stdout (exit 0), anything
+    else as "status: detail" on stderr (exit 1)."""
+    if outcome.status == "ok":
+        print(outcome.detail)
+        return 0
+    print(f"{outcome.status}: {outcome.detail}", file=sys.stderr)
+    return 1
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    g = _graph_for(args.descriptor)
+    g = Build(parse_descriptor(args.descriptor)).graph
     text = to_graph6(g)
     if args.graph6:
         with open(args.graph6, "w", encoding="utf-8") as fh:
@@ -50,32 +64,23 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
-    g = _graph_for(args.descriptor)
-    try:
-        p = srg_params(g)
-    except (NotStronglyRegular, Degenerate) as exc:
-        print(f"not strongly regular: {exc}", file=sys.stderr)
-        return 1
-    print(f"srg({p.n}, {p.k}, {p.lam}, {p.mu})")
-    return 0
+    outcome, _ = _catalog._check_srg(Build(parse_descriptor(args.descriptor)).graph)
+    return _print_outcome(outcome)
 
 
 def _cmd_aut(args: argparse.Namespace) -> int:
     row = Build(parse_descriptor(args.descriptor))
-    try:
-        r = automorphism_group(row.graph, budget=args.budget, known=row.stabilizer)
-    except Timeout:
-        print(f"timeout: no order within {args.budget:g}s", file=sys.stderr)
-        return 1
-    print(f"order {r.order} ({r.counters()}, {r.seconds:.2f}s)")
-    return 0
+    g, known = row.graph, row.stabilizer  # made before the budget starts, as in verify
+    deadline = time.monotonic() + args.budget
+    outcome, _ = _catalog._check_aut(g, deadline, known, expected=None)
+    return _print_outcome(outcome)
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
-    g = _graph_for(args.first)
-    h = _graph_for(args.second)
+    row = Build(parse_descriptor(args.first))
+    h = Build(parse_descriptor(args.second)).graph
     try:
-        mapping = are_isomorphic(g, h, budget=args.budget)
+        mapping = are_isomorphic(row.graph, h, budget=args.budget, known=row.stabilizer)
     except NotIsomorphic as exc:
         print(f"not isomorphic: {exc.invariant}")
         return 1

@@ -569,16 +569,10 @@ def bilinear_forms_group(q: int, m: int) -> MatrixGroupSpec:
 _ALT_PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 
 
-def _check_alternating_shipped(n: int, q: int) -> None:
-    if (n, q) != (5, 2):
-        raise Unsupported(f"only (n, q) = (5, 2) is shipped, got ({n}, {q})")
-
-
-def alternating_forms(n: int = 5, q: int = 2) -> DenseGraph:
+def alternating_forms() -> DenseGraph:
     """Alternating forms graph A(5, 2): vertices = 5 x 5 alternating matrices
     over GF(2) (10 upper-triangle bits, row-major), A ~ B iff
-    rank(A - B) = 2.  Only (n, q) = (5, 2) ships."""
-    _check_alternating_shipped(n, q)
+    rank(A - B) = 2."""
     count = 1 << 10
     bits = digits(count, 2, 10)
     col = {pr: bits[:, t] for t, pr in enumerate(_ALT_PAIRS)}
@@ -599,12 +593,10 @@ def alternating_forms(n: int = 5, q: int = 2) -> DenseGraph:
     return cayley_graph(2, 10, np.flatnonzero(rank_le_2 & (np.arange(count) != 0)))
 
 
-def alternating_forms_group(n: int = 5, q: int = 2) -> MatrixGroupSpec:
+def alternating_forms_group() -> MatrixGroupSpec:
     """The congruence action A |-> P A P^T of GL_5(2) on the 10 upper-triangle
     coordinates of alternating 5 x 5 matrices, as 10 x 10 GF(2) matrices.
-    Exactly 2 orbits on nonzero forms: rank 2 and rank 4.  Only
-    (n, q) = (5, 2) ships."""
-    _check_alternating_shipped(n, q)
+    Exactly 2 orbits on nonzero forms: rank 2 and rank 4."""
     mats = []
     for pg in _gl_gens_idx(5, 2):
         big = np.zeros((10, 10), dtype=np.int64)
@@ -871,9 +863,8 @@ _FAMILIES = {
         spec=lambda q, m, seed: bilinear_forms_group(q, m),
     ),
     "AlternatingForms": _Family(
-        "a52", lambda fields: _ints(0)(fields) + (5, 2), lambda n, q: "a52",
-        alternating_forms,
-        spec=lambda n, q, seed: alternating_forms_group(n, q),
+        "a52", _ints(0), lambda: "a52", alternating_forms,
+        spec=lambda seed: alternating_forms_group(),
     ),
     "AffineOrbital": _Family(
         "orbital", _parse_orbital, _format_orbital, None,

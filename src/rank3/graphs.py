@@ -456,20 +456,40 @@ def _neighbour_counts(g: DenseGraph):
         yield u, row, g.neighbour_counts(np.flatnonzero(row))
 
 
+def _one_count(u: int, block: np.ndarray, counts: np.ndarray, want: int | None, kind: str):
+    """The common-neighbour count every v in ``block`` shares with u: ``want``,
+    or the first count in the block when ``want`` is None (and None for an
+    empty block).  NotStronglyRegular, with the pair as witness, at the first
+    v whose count differs."""
+    got = counts[block]
+    if not got.size:
+        return want
+    if want is None:
+        want = int(got[0])
+    spread = np.flatnonzero(got != want)
+    if spread.size:
+        v = int(np.flatnonzero(block)[spread[0]])
+        raise NotStronglyRegular(
+            f"{kind} pair ({u}, {v}) has {counts[v]} common neighbours, expected {want}",
+            witness=(u, v, kind, int(counts[v]), want),
+        )
+    return want
+
+
 def srg_params(g: DenseGraph) -> SrgParams:
     """Verify strong regularity and return (n, k, lambda, mu).
 
-    Raises Degenerate for complete/empty graphs (parameters undefined there)
-    and NotStronglyRegular with a witness pair otherwise.  A graph with
-    moduli is checked on row 0 alone, its degree and its autocorrelation,
-    and never packs its rows; a graph without is checked on every row's
-    degree and on every row u's neighbour counts in N(u).  The witness is
-    the first pair, in that row order, whose count differs from the first
-    one seen.
+    Raises Degenerate for complete/empty graphs (parameters undefined there;
+    every graph on fewer than 3 vertices is one or the other) and
+    NotStronglyRegular with a witness pair otherwise.  A graph with moduli
+    is checked on row 0 alone, its degree and its autocorrelation, and never
+    packs its rows; a graph without is checked on every row's degree and on
+    every row u's neighbour counts in N(u).  The witness is the first pair,
+    in that row order, whose count differs from the first one seen.
     """
     n = g.n
     degs = g.degrees() if g.moduli is None else g.row0.sum(keepdims=True)
-    if n < 3 or not degs.any():
+    if not degs.any():
         raise Degenerate(f"empty graph on {n} vertices")
     if degs.min() == n - 1:
         raise Degenerate(f"complete graph on {n} vertices")
@@ -483,30 +503,10 @@ def srg_params(g: DenseGraph) -> SrgParams:
         )
     lam = mu = None
     for u, row, counts in _neighbour_counts(g):
-        adj_counts = counts[row]
-        if adj_counts.size:
-            if lam is None:
-                lam = int(adj_counts[0])
-            spread = np.flatnonzero(adj_counts != lam)
-            if spread.size:
-                v = int(np.flatnonzero(row)[spread[0]])
-                raise NotStronglyRegular(
-                    f"adjacent pair ({u}, {v}) has {counts[v]} common neighbours, expected {lam}",
-                    witness=(u, int(v), "adjacent", int(counts[v]), lam),
-                )
         non = ~row
         non[u] = False
-        non_counts = counts[non]
-        if non_counts.size:
-            if mu is None:
-                mu = int(non_counts[0])
-            spread = np.flatnonzero(non_counts != mu)
-            if spread.size:
-                v = int(np.flatnonzero(non)[spread[0]])
-                raise NotStronglyRegular(
-                    f"nonadjacent pair ({u}, {v}) has {counts[v]} common neighbours, expected {mu}",
-                    witness=(u, int(v), "nonadjacent", int(counts[v]), mu),
-                )
+        lam = _one_count(u, row, counts, lam, "adjacent")
+        mu = _one_count(u, non, counts, mu, "nonadjacent")
     params = SrgParams(n, k, lam, mu)
     assert params.feasible(), f"SRG counting identity violated: {params}"
     return params

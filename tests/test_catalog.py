@@ -24,11 +24,13 @@ from rank3.catalog import (
     reports_to_json,
     verify_all,
     verify_entry,
+    _check_aut,
+    _check_srg,
     _check_subdegrees,
 )
 from rank3.families import Build, family_graph, family_group, parse_descriptor
 from rank3.graphs import DenseGraph, srg_params
-from rank3.permgrp import GeneratorSet, schreier_sims
+from rank3.permgrp import GeneratorSet, Timeout, schreier_sims
 
 CATALOG = builtin_catalog()
 BY_ID = {e.id: e for e in CATALOG}
@@ -397,6 +399,116 @@ class TestVerifyEntry:
             entry = BY_ID[eid]
             group_order = schreier_sims(family_group(entry.family)).order
             assert entry.expected_aut_order % group_order == 0
+
+
+class TestMismatchBranches:
+    """Negative controls: each row or input is built to reach one stage's
+    mismatch branch, or the branch that skips or downgrades it."""
+
+    def test_construct_size_mismatch(self):
+        wrong = _replace(
+            BY_ID["paley:13"], n=14, subdegrees=(6, 7), expected_aut_order=None
+        )
+        report = verify_entry(wrong)
+        assert report.verdict == "FAIL"
+        assert report.stages["construct"] == StageOutcome(
+            "mismatch", "built 13 vertices, entry says 14"
+        )
+
+    def test_srg_mismatch(self):
+        path = np.zeros((3, 3), dtype=bool)
+        path[[0, 1, 1, 2], [1, 0, 2, 1]] = True
+        assert _check_srg(DenseGraph(path)) == (
+            StageOutcome("mismatch", "not strongly regular: not regular: deg(1) = 2 != deg(0) = 1"),
+            None,
+        )
+
+    def test_subdegrees_rank_mismatch(self):
+        want = Build(parse_descriptor("paley:13"))
+        first, second = want.orbits
+        row = SimpleNamespace(
+            graph=want.graph, stabilizer=want.stabilizer, orbits=[first[:3], first[3:], second]
+        )
+        outcome, _ = _check_subdegrees(BY_ID["paley:13"], row)
+        assert outcome == StageOutcome("mismatch", "group rank 4 != 3")
+
+    def test_subdegrees_orbit_sizes_mismatch(self):
+        want = Build(parse_descriptor("paley:13"))
+        first, second = want.orbits
+        row = SimpleNamespace(
+            graph=want.graph,
+            stabilizer=want.stabilizer,
+            orbits=[np.append(first, second[0]), second[1:]],
+        )
+        outcome, _ = _check_subdegrees(BY_ID["paley:13"], row)
+        assert outcome == StageOutcome(
+            "mismatch", "zero-stabilizer orbit sizes [7, 5] != [6, 6]"
+        )
+
+    def test_no_zero_stabilizer_skips_the_orbit_check(self):
+        # the polar group construction ships for prime fields only
+        entry = CatalogEntry(
+            id="vo:-:4:4",
+            family=parse_descriptor("vo:-:4:4"),
+            n=256,
+            subdegrees=(51, 204),
+            expected_aut_order=None,
+            group_name="",
+            iso_claims=(),
+            tier="PARAMS_ONLY",
+            source="negative control",
+        )
+        report = verify_entry(entry)
+        assert report.verdict == "PASS"
+        assert report.stages["subdegrees"] == StageOutcome(
+            "ok",
+            "valency 51 matches; no zero-stabilizer ships for this family, "
+            "orbit check skipped",
+        )
+
+    def test_iso_claim_contradicted(self):
+        wrong = _replace(BY_ID["paley:49"], iso_claims=(IsoClaim("peisert:49", True),))
+        report = verify_entry(wrong)
+        assert report.verdict == "FAIL"
+        assert report.stages["iso"] == StageOutcome(
+            "mismatch",
+            "peisert:49: not isomorphic (individualization search exhausted), "
+            "but claim says iso",
+        )
+
+    def test_iso_claim_undecided_downgrades(self, monkeypatch):
+        import rank3.catalog as catalog
+
+        def no_time(g, h, budget, known=None):
+            raise Timeout("the solver passed its deadline")
+
+        monkeypatch.setattr(catalog, "are_isomorphic", no_time)
+        report = verify_entry(BY_ID["paley:9"])
+        assert report.verdict == "PASS_DOWNGRADED"
+        assert report.stages["iso"].status == "timeout"
+        assert report.stages["iso"].detail.startswith("peisert:9: undecided within ")
+
+
+# |Aut| by the group arithmetic, for the rows whose aut stage verify skips:
+# 2^10 translations times |GL_2(2) x GL_5(2)| = 6 * 9999360, times
+# |L_5(2)| = 9999360, and times |(GL_2(4) o GL_3(4)):2| = (180 * 181440 / 3) * 2
+PARAMS_ONLY_ORDERS = {
+    "hq:2:5": 1024 * 6 * 9999360,
+    "a52": 1024 * 9999360,
+    "hq:4:3": 4096 * (180 * 181440 // 3) * 2,
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(PARAMS_ONLY_ORDERS))
+def test_params_only_orders_are_certified(entry_id):
+    # the aut stage's call, seeded with the row's G0 and held against the arithmetic
+    row = Build(BY_ID[entry_id].family)
+    g, known = row.graph, row.stabilizer
+    outcome, _ = _check_aut(g, time.monotonic() + 60.0, known, PARAMS_ONLY_ORDERS[entry_id])
+    assert outcome.status == "ok"
+    assert outcome.detail.startswith(f"order {PARAMS_ONLY_ORDERS[entry_id]}, certified (")
+    catalogued = BY_ID[entry_id].expected_aut_order
+    assert catalogued in (None, PARAMS_ONLY_ORDERS[entry_id])
 
 
 class TestVerifyAll:

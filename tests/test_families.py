@@ -391,12 +391,6 @@ class TestAlternatingForms:
         assert (g.degrees() == 155).all()
         assert srg(g) == ((1024, 155, 42, 20))
 
-    def test_other_parameters_rejected(self):
-        with pytest.raises(Unsupported):
-            alternating_forms(4, 2)
-        with pytest.raises(Unsupported):
-            alternating_forms(5, 3)
-
     def test_group_rank(self):
         assert rank_and_subdegrees(family_group(parse_descriptor("a52"))) == (
             3,
@@ -531,7 +525,7 @@ DESCRIPTOR_CASES = [
     ("vo:-:4:2", FamilyId("AffinePolar", (2, 2, -1))),
     ("vo:+:8:2", FamilyId("AffinePolar", (4, 2, 1))),
     ("hq:2:3", FamilyId("BilinearForms", (2, 3))),
-    ("a52", FamilyId("AlternatingForms", (5, 2))),
+    ("a52", FamilyId("AlternatingForms", ())),
     ("orbital:q8:13", FamilyId("AffineOrbital", ("q8", 13))),
     ("orbital:sl25:41", FamilyId("AffineOrbital", ("sl25", 41))),
 ]

@@ -98,6 +98,15 @@ def test_complete_and_empty_are_degenerate():
         srg_params(DenseGraph(complete))
 
 
+def test_small_graphs_are_empty_or_complete():
+    # below 3 vertices a graph with an edge is complete: K_2 is no empty graph
+    with pytest.raises(Degenerate, match="complete graph on 2 vertices"):
+        srg_params(from_edges(2, [(0, 1)]))
+    for n in (1, 2):
+        with pytest.raises(Degenerate, match=f"empty graph on {n} vertices"):
+            srg_params(from_edges(n, []))
+
+
 def test_complement_involution_and_params():
     g = petersen()
     assert complement(complement(g)) == g
