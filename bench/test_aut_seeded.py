@@ -34,6 +34,13 @@ first path's four (the least other member of the first path's target cell
 there, individualized): under the first path's record (``record``), which
 stops it after the record's 17 passes, against the same child refined to
 equitability (``equitable``), 56 passes; 6 of them split in both.
+
+On orbital:sl25:41, the root and the first path (``_Solver.first_path``),
+refined with no record as the search refines them (``idle_stop``): each
+node stops after ``_Refiner.IDLE_STOP`` = 64 passes in a row that split
+nothing, 97 passes in all; against every node refined to equitability
+(``equitable``), 860 passes, 827 of them the idle tail of the node at depth
+1.  Both split the same 23 times and record the same passes.
 """
 
 from __future__ import annotations
@@ -54,7 +61,16 @@ PASS_ROWS = ["hq:2:5", "a52"]
 PASS_ROW_ORDERS = {"hq:2:5": 1024 * 6 * 9999360, "a52": 1024 * 9999360}
 OFF_PATH_DEPTH = 2
 OFF_PATH_PASSES = {True: 17, False: 56}  # (follow the record) -> passes
+FIRST_PATH_ROW = "orbital:sl25:41"
+FIRST_PATH_PASSES = {64: 97, math.inf: 860}  # IDLE_STOP -> passes
 ROUNDS = 3
+
+
+class EquitableRefiner(_Refiner):
+    """The refiner with no idle stop: a refinement with no record runs to
+    equitability."""
+
+    IDLE_STOP = math.inf
 
 
 @pytest.fixture(scope="module", params=ROWS)
@@ -166,7 +182,7 @@ def off_path():
 @pytest.mark.parametrize("follow", [True, False], ids=["record", "equitable"])
 def test_off_path_refine(benchmark, off_path, follow):
     h, cells, trace, w, record, first_trace = off_path
-    refiner = _Refiner(h)
+    refiner = _Refiner(h) if follow else EquitableRefiner(h)
 
     def fresh():
         child, start = _individualized(cells, trace, w)
@@ -180,3 +196,20 @@ def test_off_path_refine(benchmark, off_path, follow):
     assert passes == OFF_PATH_PASSES[follow] and got == first_trace
     # following, the child's trace matches the record's after every pass
     assert len(record) == OFF_PATH_PASSES[True]
+
+
+@pytest.mark.parametrize(
+    "refiner", [_Refiner, EquitableRefiner], ids=["idle_stop", "equitable"]
+)
+def test_first_path(benchmark, refiner):
+    g = family_graph(parse_descriptor(FIRST_PATH_ROW))
+
+    def first_path():
+        solver = _Solver(g, math.inf)
+        solver.refiner = refiner(g)
+        return solver, solver.first_path(*solver.root())
+
+    solver, path = benchmark.pedantic(first_path, rounds=ROUNDS)
+    assert solver.refiner.refinements == FIRST_PATH_PASSES[refiner.IDLE_STOP]
+    assert solver.refiner.splits == 23
+    assert [len(record) for record in path.records] == [1, 28, 2]

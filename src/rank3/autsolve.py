@@ -1,8 +1,8 @@
 """Graph automorphism and isomorphism solver.
 
-The engine is individualization-refinement: colorings are driven to
-equitability by cell-targeted splitter passes, and a backtracking search
-individualizes the vertices of a target cell: the first largest cell by id,
+The engine is individualization-refinement: colorings are refined by
+cell-targeted splitter passes, and a backtracking search individualizes
+the vertices of a target cell: the first largest cell by id,
 a rule that reads no vertex label.  Any target cell keeps the search
 complete, since only the first path applies the rule: every other node
 branches on the first path's cell ids, and the group order is read off the
@@ -32,6 +32,17 @@ the unit partition.  Leaves of the search are discrete colorings; comparing
 a leaf against the first (leftmost) leaf yields a candidate automorphism,
 which is verified against the whole graph (graphs.is_isomorphism) before it
 is accepted.
+
+Refinement need not reach equitability: the search needs a refinement that
+is label-invariant, not an equitable one (McKay & Piperno 2014, §2).  So a
+refinement that follows no record (the root's and those of the first path's
+nodes) stops after _Refiner.IDLE_STOP passes in a row that split nothing.
+Whether a pass splits, and the queue's order, depend on cell ids and sizes
+alone, so the stop reads no vertex label; a pass that splits nothing leaves
+the coloring and the trace unchanged, so each record is a prefix, ending at
+a split, of the one that refinement to equitability would make, and every
+other node follows it as before.  A coloring left short of discrete is
+individualized further, and leaves are verified as always.
 
 Pruning, in the standard shape:
 * trace pruning — every branch carries a 64-bit trace of its refinement
@@ -205,7 +216,7 @@ def _individualized(cells: _Cells, trace: int, v: int) -> tuple[_Cells, int]:
 
 
 class _Refiner:
-    """Cell-targeted equitable refinement of the colorings of one graph.
+    """Cell-targeted refinement of the colorings of one graph.
 
     A splitter pass takes the cell at the head of the queue.  When that cell
     is a singleton, the pass also takes every singleton queued directly
@@ -216,10 +227,10 @@ class _Refiner:
     DenseGraph.neighbour_counts gives its neighbours there, the cell's
     members read as a slice of ``lab``.  Splitting by a singleton does not
     read the coloring, so a batch splits each cell as its members would one
-    after another, and refinement still ends at the coarsest equitable
-    refinement; the batch is chosen from queue order and cell sizes alone,
-    both label-invariant, so the trace stays invariant too.  Read in
-    ``lab`` order, a cell splits exactly where two neighbouring
+    after another, and refinement run to its end still ends at the coarsest
+    equitable refinement; the batch is chosen from queue order and cell
+    sizes alone, both label-invariant, so the trace stays invariant too.
+    Read in ``lab`` order, a cell splits exactly where two neighbouring
     positions of one cell hold different counts: one gather, one shifted
     compare and one AND with ``same``.  A pass with no such position ends
     there; otherwise the split cells are marked by id, their segments
@@ -235,12 +246,21 @@ class _Refiner:
     those parts loops in Python, once per split cell.  `deadline`, a
     time.monotonic() value, is checked once per pass: Timeout when it has
     passed.  ``refinements`` counts passes, a batch as one, and ``splits``
-    the passes that split a cell.  The search's first path refines to
-    equitability and returns its record, the trace after each pass up to its
-    last split; the search's other nodes refine against that record,
-    stopping where it ends and returning at the first pass whose trace
-    differs (see refine).
+    the passes that split a cell.  The root and the search's first path
+    refine with no record: each stops at the coarsest equitable refinement
+    or after IDLE_STOP passes in a row that split nothing, whichever comes
+    first, and returns its record, the trace after each pass up to its last
+    split.  The search's other nodes refine against that record, stopping
+    where it ends and returning at the first pass whose trace differs (see
+    refine).
     """
+
+    # R, the passes in a row that split nothing after which a refinement
+    # with no record stops.  With every catalog row searched as the aut
+    # stage seeds it, R = 64 keeps each search's node count and cuts the
+    # passes from 10,837 to 4,132; R = 32 cuts 305 more but adds two nodes
+    # to orbital:sl25:89's search, and smaller R adds more.
+    IDLE_STOP = 64
 
     def __init__(self, g: DenseGraph, deadline: float = math.inf):
         self.n = g.n
@@ -258,15 +278,23 @@ class _Refiner:
         (Hopcroft all-but-largest).  Returns the trace and the record.
 
         A record is the trace after each pass, up to the last splitting pass.
-        Without one, refinement runs to the coarsest equitable refinement and
-        returns its own.  Given one (the first path's at the node's depth),
-        it is returned and followed: refinement stops after len(record)
-        passes, or at the first whose trace differs from the record's."""
+        Without one, refinement runs to the coarsest equitable refinement, or
+        stops after IDLE_STOP passes in a row that split nothing, and returns
+        its own.  The stop reads no vertex label: the queue's order and
+        whether a pass splits depend on cell ids and sizes alone, and a pass
+        that splits nothing leaves the coloring and the trace as they were,
+        so the stopped coloring and trace are those after the record's last
+        pass.  Given a record (the first path's at the node's depth), it is returned and
+        followed: refinement stops after len(record) passes, or at the first
+        whose trace differs from the record's."""
         pending = deque(queue)
         queued = set(pending)
         traces, last_split = [], 0
         while pending and cells.num_classes < self.n:
-            if record is not None and len(traces) == len(record):
+            if record is None:
+                if len(traces) - last_split == self.IDLE_STOP:
+                    break
+            elif len(traces) == len(record):
                 break
             if time.monotonic() > self.deadline:
                 raise Timeout("the solver passed its deadline")
@@ -550,14 +578,15 @@ class _Solver:
             self.order *= int(orbits.first_orbit().sum())
 
     def root(self) -> tuple[_Cells, int]:
-        """The refined unit partition and its trace."""
+        """The unit partition refined with no record, and its trace."""
         cells = _Cells.of(np.zeros(self.n, dtype=np.int32))
         return cells, self.refiner.refine(cells, range(cells.num_classes), 0)[0]
 
     def first_path(self, cells: _Cells, trace: int) -> _Path:
         """The first path below a root from ``root``: at each depth the least
-        vertex of the target cell individualized and the child refined to
-        equitability, down to the first leaf."""
+        vertex of the target cell individualized and the child refined with
+        no record, to equitability or until IDLE_STOP passes in a row split
+        nothing (see _Refiner.refine), down to the first leaf."""
         nodes, targets, vertices, records = [(cells, trace)], [], [], []
         while cells.num_classes < self.n:
             target = self._pick_cell(cells)
@@ -697,7 +726,7 @@ def _iso_search(
     if g_trace != h_trace or not np.array_equal(
         g_cells.size[: g_cells.num_classes], h_cells.size[: h_cells.num_classes]
     ):
-        raise NotIsomorphic("equitable refinement signatures differ")
+        raise NotIsomorphic("root refinement signatures differ")
     if not known:
         budget = max(deadline - time.monotonic(), 0.0)
         # a GeneratorSet's gens are already the k x n int32 array

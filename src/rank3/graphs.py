@@ -488,7 +488,7 @@ def srg_params(g: DenseGraph) -> SrgParams:
     in that row order, whose count differs from the first one seen.
     """
     n = g.n
-    degs = g.degrees() if g.moduli is None else g.row0.sum(keepdims=True)
+    degs = g.degrees()
     if not degs.any():
         raise Degenerate(f"empty graph on {n} vertices")
     if degs.min() == n - 1:

@@ -368,13 +368,17 @@ def test_orbit_set_holds_the_first_seeds_orbit(n, data):
 # -- the equitable reference search ----------------------------------------------
 #
 # Off the first path, the solver refines a node only as far as the first path's
-# record at its depth.  The search below refines every node to equitability,
-# as the solver did before the record: same first path, orders, nodes and
-# generators, in more passes.
+# record at its depth, and on it, a node stops after IDLE_STOP passes in a row
+# that split nothing.  The search below refines every node to equitability,
+# as the solver did before the record and the stop: same first path's cells,
+# orders, nodes and generators, in more passes.
 
 
 class EquitableRefiner(_Refiner):
-    """The refiner following no record."""
+    """The refiner following no record and never stopping short of
+    equitability."""
+
+    IDLE_STOP = math.inf
 
     def refine(self, cells, queue, trace, record=None):
         return super().refine(cells, queue, trace)
@@ -437,11 +441,11 @@ def num_classes(colors):
 
 def refine(g, colors):
     """The coarsest equitable coloring refining `colors`, by the solver's
-    refiner: within each class, all vertices have the same number of
-    neighbours in every class.  A coloring is an int array of g.n class ids
-    that uses each of 0..c-1; ValueError otherwise.  Class ids are assigned
-    deterministically (splits keep the old id on the lowest-count part, new
-    parts get fresh ids in ascending count order)."""
+    refiner with no idle stop: within each class, all vertices have the same
+    number of neighbours in every class.  A coloring is an int array of g.n
+    class ids that uses each of 0..c-1; ValueError otherwise.  Class ids are
+    assigned deterministically (splits keep the old id on the lowest-count
+    part, new parts get fresh ids in ascending count order)."""
     colors = np.asarray(colors)
     if colors.shape != (g.n,):
         raise ValueError(f"coloring has shape {colors.shape}, graph has {g.n} vertices")
@@ -453,7 +457,7 @@ def refine(g, colors):
     ):
         raise ValueError("color ids must be integers using each of 0..c-1")
     cells = _Cells.of(colors)
-    _Refiner(g).refine(cells, range(cells.num_classes), 0)
+    EquitableRefiner(g).refine(cells, range(cells.num_classes), 0)
     return cells.colors
 
 
@@ -673,6 +677,74 @@ class TestBatchedSplitters:
         one.refine(colors, 4, [1, 2, 3], 0)
         assert np.array_equal(cells.colors, colors) and cells.num_classes == 6
         assert (new.refinements, new.splits, one.refinements) == (1, 1, 3)
+
+
+def idle_stop_cases():
+    """Relabelled strongly regular graphs, each coloring the equitable one
+    with a random vertex u individualized, then a random v individualized
+    too, and a queue of every other cell, then v's old and new cells.  The
+    coloring was equitable against every cell but those two, so the queue
+    opens with passes that split nothing, and splitting ones follow."""
+    rng = np.random.default_rng(31)
+    for desc in ["paley:49", "peisert:49", "vls:64:3", "orbital:q8:13"]:
+        g = family_graph(parse_descriptor(desc))
+        for seed in range(5):
+            h = relabelled(g, seed)
+            cells = _Cells.of(np.zeros(h.n, dtype=np.int32))
+            u, v = rng.choice(h.n, 2, replace=False).tolist()
+            cells.individualize(u)
+            EquitableRefiner(h).refine(cells, [1], 0)
+            old = cells.individualize(v)
+            rest = [c for c in range(cells.num_classes - 1) if c != old]
+            yield h, cells, rest + [old, cells.num_classes - 1]
+
+
+class TestIdleStop:
+    """A refinement with no record stops after IDLE_STOP passes in a row
+    that split nothing; one following a record never stops before the
+    record's end."""
+
+    @pytest.mark.parametrize("stop", [1, 2, 4])
+    def test_no_record_stops_after_idle_passes(self, stop, monkeypatch):
+        monkeypatch.setattr(_Refiner, "IDLE_STOP", stop)
+        stopped = 0
+        for trial, (g, cells, queue) in enumerate(idle_stop_cases()):
+            full, short = cells.copy(), cells.copy()
+            ref, new = EquitableRefiner(g), _Refiner(g)
+            want, everything = ref.refine(full, queue, 0)
+            trace, record = new.refine(short, queue, 0)
+            # the passes made are the equitable run's first ones: the record
+            # is a prefix of its record, and the trace the one after it
+            assert record == everything[: len(record)], trial
+            assert trace == (record[-1] if record else 0), trial
+            assert new.refinements - len(record) <= stop, trial
+            if record == everything:
+                assert np.array_equal(short.colors, full.colors), trial
+                continue
+            stopped += 1
+            assert new.refinements == len(record) + stop, trial
+            # following the equitable run's record never stops early
+            follow, again = _Refiner(g), cells.copy()
+            assert follow.refine(again, queue, 0, everything) == (want, everything)
+            assert follow.refinements == len(everything), trial
+            assert np.array_equal(again.colors, full.colors), trial
+        assert stopped >= 4  # the stop does cut some of these refinements short
+
+    @pytest.mark.parametrize("stop", [1, 2])
+    def test_search_keeps_the_order_under_any_stop(self, stop, monkeypatch):
+        # the stop keeps the search complete however early it cuts: a
+        # coloring left short of equitable is individualized further
+        monkeypatch.setattr(_Refiner, "IDLE_STOP", stop)
+        for trial, g in enumerate(small_random_graphs()):
+            assert automorphism_group(g).order == len(brute_force_aut(g)), trial
+        for desc, seed, order, *_ in TestAutomorphismGroup.PINNED_SEARCHES:
+            g = family_graph(parse_descriptor(desc))
+            h = relabelled(g, seed)
+            assert automorphism_group(h).order == order
+            m = are_isomorphic(g, h)
+            assert np.array_equal(h.adj[np.ix_(m, m)], g.adj)
+        with pytest.raises(NotIsomorphic):
+            are_isomorphic(paley(49), relabelled(peisert(49), 2))
 
 
 # the first path's traces of a relabelled vls:64:3 search, as JSON on stdout
@@ -935,9 +1007,9 @@ class TestSeededSearch:
         "peisert:81": (7, 42, 9),
         "vo:+:4:3": (7, 51, 18),
         "vls:256:5": (11, 132, 14),
-        "orbital:q8:17": (5, 154, 6),
+        "orbital:q8:17": (5, 84, 6),
         "hq:3:3": (10, 105, 18),
-        "orbital:sl25:41": (5, 862, 6),
+        "orbital:sl25:41": (5, 99, 6),
     }
 
     @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])

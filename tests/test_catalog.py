@@ -1,5 +1,6 @@
 """Catalog table integrity, the verification pipeline, and report plumbing."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import rank3
+from rank3 import graphs
 from rank3.catalog import (
     CatalogEntry,
     IsoClaim,
@@ -646,20 +648,73 @@ def test_one_row_srg_matches_dense_oracle(entry_id):
 
 def test_srg_degree_from_row_zero_on_every_row(monkeypatch):
     # with translation moduli every row is a translate of row 0, so
-    # srg_params reads the degree there and never sums every row; the
-    # degree it reports is the catalog's first subdegree and every vertex's
-    def no_degrees(self):
-        raise AssertionError("srg_params summed every degree of a graph with moduli")
+    # srg_params reads the degree and the counts there and never packs the
+    # rows; the degree it reports is the catalog's first subdegree and every
+    # vertex's
+    def no_packing(*args):
+        raise AssertionError("srg_params packed the rows of a graph with moduli")
 
     for entry in CATALOG:
         g = family_graph(entry.family)
-        assert g.moduli is not None
+        assert g.moduli is not None and g._bytes is None
         with monkeypatch.context() as m:
-            m.setattr(DenseGraph, "degrees", no_degrees)
+            m.setattr(graphs, "_packed_rows", no_packing)
             p = srg_params(g)
+        assert g._bytes is None
         assert (p.n, p.k) == (entry.n, entry.subdegrees[0])
         assert (g.adj.sum(axis=1) == p.k).all()
         assert p.feasible()
+
+
+def undecided_pairs(entries):
+    """The pairs of graphs named by entries, rows and iso targets, with
+    equal SRG parameters that the claims leave undecided: in different
+    classes of the claimed isomorphisms closed under transitivity, with no
+    non-isomorphism claimed between those classes.  AssertionError when
+    claims contradict: an isomorphism between different parameters, or a
+    non-isomorphism inside one class."""
+    names = [e.id for e in entries] + [c.other for e in entries for c in e.iso_claims]
+    names = list(dict.fromkeys(names))
+    params = {d: srg_params(family_graph(parse_descriptor(d))) for d in names}
+    parent = {d: d for d in names}
+
+    def root(d):
+        while parent[d] != d:
+            d = parent[d]
+        return d
+
+    claims = [(e.id, c.other, c.isomorphic) for e in entries for c in e.iso_claims]
+    for a, b, isomorphic in claims:
+        if isomorphic:
+            assert params[a] == params[b], f"{a} claimed isomorphic to {b}"
+            parent[root(a)] = root(b)
+    apart = set()
+    for a, b, isomorphic in claims:
+        if not isomorphic:
+            assert root(a) != root(b), f"{a} claimed not isomorphic to {b}"
+            apart |= {(root(a), root(b)), (root(b), root(a))}
+    return [
+        (a, b)
+        for a, b in itertools.combinations(names, 2)
+        if params[a] == params[b] and root(a) != root(b) and (root(a), root(b)) not in apart
+    ]
+
+
+def test_iso_claims_decide_every_same_parameter_pair():
+    # the claims are the catalog's isomorphism partition: any two of its
+    # graphs with equal parameters are isomorphic or not by the claims'
+    # closure, which settles paley:49 against orbital:sl23:7 unclaimed
+    assert undecided_pairs(CATALOG) == []
+
+
+def test_a_dropped_claim_leaves_its_pairs_undecided():
+    entries = [
+        _replace(e, iso_claims=()) if e.id == "orbital:sl23:7" else e for e in CATALOG
+    ]
+    assert undecided_pairs(entries) == [
+        ("paley:49", "orbital:sl23:7"),
+        ("peisert:49", "orbital:sl23:7"),
+    ]
 
 
 # which of numpy.random and numpy.ma a whole seeded catalog run imports, on stdout
