@@ -542,13 +542,11 @@ def _check_srg(g: DenseGraph) -> tuple[StageOutcome, None]:
     ), None
 
 
-def _check_subdegrees(
-    entry: CatalogEntry, row: Build
-) -> tuple[StageOutcome, GeneratorSet | None]:
+def _check_subdegrees(entry: CatalogEntry, row: Build) -> tuple[StageOutcome, GeneratorSet]:
     """Rank and subdegrees from the orbits of the family's zero-stabilizer,
     and the edge set as one of its orbitals: N(0) must be one of those
     orbits, not merely have the size of one.  Returns the zero-stabilizer
-    (None if none ships) for the aut stage.
+    for the aut stage.
 
     ``row`` is construct's Build: an orbital row's G0 and orbits were made
     with its graph and are checked as they are, and every other row makes
@@ -560,12 +558,6 @@ def _check_subdegrees(
             "mismatch",
             f"graph valency {valency} != claimed edge-orbital size "
             f"{entry.subdegrees[0]}",
-        ), stab
-    if stab is None:
-        return StageOutcome(
-            "ok",
-            f"valency {valency} matches; no zero-stabilizer ships for this "
-            f"family, orbit check skipped",
         ), stab
     claimed = sorted(entry.subdegrees)
     orbits = row.orbits
@@ -591,7 +583,7 @@ def _time_left(deadline: float) -> float:
 
 
 def _check_aut(
-    g: DenseGraph, deadline: float, known: GeneratorSet | None, expected: int | None
+    g: DenseGraph, deadline: float, known: GeneratorSet, expected: int | None
 ) -> tuple[StageOutcome, GeneratorSet | None]:
     """The solver's order, certified and then held against ``expected`` (None:
     no order to hold it against), and the solver's generators (None if the

@@ -52,7 +52,6 @@ from .gf import (
     make_field,
     n_order,
     power_residue_classes,
-    primitive_root,
     sqrt_mod,
 )
 from .graphs import AsymmetricConnectionSet, DenseGraph, ZeroInSet
@@ -362,91 +361,87 @@ def _general_orthogonal_order(m: int, q: int, epsilon: int) -> int:
 
 @lru_cache(maxsize=None)
 def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
-    """Generators of the full similitude group of the affine_polar form as a
-    matrix group over GF(q) (prime q only): the isometry group GO for q = 2,
-    or GO extended by a similitude with primitive multiplier for odd q (order
-    |GO| * (q-1)), which fuses the nonsingular point classes.  The group has
-    exactly 2 orbits on nonzero vectors: singular and nonsingular.
+    """Generators of the similitude group of the affine_polar form as a
+    matrix group over GF(p), q = p**d: GO(2m, epsilon, q) extended by a
+    similitude with multiplier omega, of order |GO| * (q - 1), which fuses
+    the nonsingular vectors of different form values.  The group has exactly
+    2 orbits on nonzero vectors: singular and nonsingular.
 
-    Isometry generators are orthogonal transvections x |-> x + B(x, v) v
-    (q = 2) or reflections x |-> x - (B(x, v)/Q(v)) v (q odd) for the first
-    nonsingular v in an order shuffled by random.Random(0), a local generator
-    with a fixed seed, taking more until the group order matches the
-    closed-form target.  Every generator is checked to be a similitude, so
-    the target bounds the order from above, and the sample is accepted as
-    soon as reaches_order's Schreier-Sims lower bound reaches it.
+    The isometry generators are x |-> x - (B(x, v)/Q(v)) v, reflections for
+    odd q and orthogonal transvections for even q, for the first nonsingular
+    v (first nonzero coordinate 1) in an order shuffled by random.Random(0),
+    a local generator with a fixed seed, taking more until the group order
+    matches the closed-form target.  For q > 2 the similitude scales the
+    first coordinate of each hyperbolic pair by omega and, on the anisotropic
+    plane, is the first 2 x 2 block in index order with multiplier omega.
+    (m, q, epsilon) = (2, 2, +1) is the one form whose transvections
+    generate a proper subgroup; the swap of its two hyperbolic pairs makes up
+    the rest.  GF(q) entries are blown up to d x d blocks over GF(p).  Every
+    generator is checked to be a similitude, so the target bounds the order
+    from above, and the sample is accepted as soon as reaches_order's
+    Schreier-Sims lower bound reaches it.  ValueError unless m >= 2,
+    epsilon is +1 or -1 and q is a prime power.
     """
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     p, d = _split_prime_power(q)
-    if d != 1:
-        raise Unsupported("the polar group construction ships for prime q only")
-    if (m, q, epsilon) == (2, 2, 1):
-        # the one case where hyperplane transvections generate a proper subgroup
-        raise Unsupported("the isometry group of the (m, q, eps) = (2, 2, +1) form "
-                          "is not generated by its transvections")
+    field = _field(q)
     terms, dim = _polar_form_rows(m, q, epsilon)
-    n = q**dim
-    upper = np.zeros((dim, dim), dtype=np.int64)
-    for i, j, c in terms:
-        upper[i, j] = c
-    gram = (upper + upper.T) % p
-    coords = digits(n, p, dim)
-    vals = _form_values(upper, coords, p)
+    coords = digits(q**dim, q, dim)
+    vals = _evaluate_form(coords, terms, q)
     eye = np.eye(dim, dtype=np.int64)
 
     # projective representatives of nonsingular vectors (first nonzero
     # coordinate = 1), in a seeded random order so early picks span the space
-    reps = []
-    for vi in np.flatnonzero(vals != 0):
-        v = coords[vi]
-        if p == 2 or v[np.flatnonzero(v)[0]] == 1:
-            reps.append(int(vi))
+    first = coords[np.arange(len(coords)), np.argmax(coords != 0, axis=1)]
+    reps = np.flatnonzero((vals != 0) & (first == 1)).tolist()
     random.Random(0).shuffle(reps)
-
-    def isometry(vi: int) -> np.ndarray:
-        v = coords[vi]
-        coeff = 1 if p == 2 else (-pow(int(vals[vi]), -1, p)) % p
-        return (eye + coeff * np.outer(v, gram @ v)) % p
+    # B(e_b, v) = Q(v + e_b) - Q(e_b) - Q(v) for every rep v and basis vector e_b
+    v, qv = coords[reps], vals[reps]
+    shifted = field.add(v[:, None, :], eye).reshape(-1, dim)
+    bv = field.sub(
+        _evaluate_form(shifted, terms, q).reshape(len(reps), dim),
+        field.add(_evaluate_form(eye, terms, q), qv[:, None]),
+    )
+    coeff = field.neg(field.inv(qv))[:, None, None]
+    isometries = field.add(eye, field.mul(coeff, field.mul(v[:, :, None], bv[:, None, :])))
 
     extra: list[np.ndarray] = []
-    target = _general_orthogonal_order(m, q, epsilon)
-    if p > 2:
-        lam = primitive_root(p)
-        target *= p - 1
-        sim = np.eye(dim, dtype=np.int64)
-        pairs = m if epsilon == 1 else m - 1
-        for t in range(pairs):
-            sim[2 * t, 2 * t] = lam
+    target = _general_orthogonal_order(m, q, epsilon) * (q - 1)
+    if q > 2:
+        sim = eye.copy()
+        hyperbolic = np.arange(0, dim if epsilon == 1 else dim - 2, 2)
+        sim[hyperbolic, hyperbolic] = field.omega
         if epsilon == -1:
+            # blocks [[aa, bb], [cc, dd]] in index order; the columns must
+            # have form values omega and omega * b and polar value omega * a
             a, b = _anisotropic_pair(q)
-            blk = next(
-                (
-                    np.array([[aa, bb], [cc, dd]], dtype=np.int64)
-                    for aa in range(p)
-                    for bb in range(p)
-                    for cc in range(p)
-                    for dd in range(p)
-                    if (aa * aa + a * aa * cc + b * cc * cc) % p == lam
-                    and (2 * aa * bb + a * (aa * dd + bb * cc) + 2 * b * cc * dd) % p
-                    == (lam * a) % p
-                    and (bb * bb + a * bb * dd + b * dd * dd) % p == (lam * b) % p
-                ),
-                None,
-            )
-            if blk is None:  # pragma: no cover
-                raise AssertionError("no similitude block found")
-            sim[dim - 2 :, dim - 2 :] = blk
+            plane = [(0, 0, 1), (0, 1, a), (1, 1, b)]
+            blocks = digits(q**4, q, 4)[:, ::-1]
+            col1, col2 = blocks[:, [0, 2]], blocks[:, [1, 3]]
+            q1, q2 = _evaluate_form(col1, plane, q), _evaluate_form(col2, plane, q)
+            polar = field.sub(_evaluate_form(field.add(col1, col2), plane, q), field.add(q1, q2))
+            hit = np.flatnonzero(
+                (q1 == field.omega)
+                & (q2 == field.mul(field.omega, b))
+                & (polar == field.mul(field.omega, a))
+            )[0]
+            sim[dim - 2 :, dim - 2 :] = blocks[hit].reshape(2, 2)
         extra.append(sim)
+    if (m, q, epsilon) == (2, 2, 1):
+        extra.append(eye[[2, 3, 0, 1]])
 
     count = 3 * dim
     while True:
-        gens = [isometry(vi) for vi in reps[:count]] + extra
-        _check_similitudes(gens, upper, p)
-        spec = MatrixGroupSpec(p, dim, _as_gen_tuples(gens))
-        if reaches_order(linear_perms(spec), target):
+        gens = [*isometries[:count], *extra]
+        if d > 1:
+            gens = [_blow_up(g, q) for g in gens]
+        spec = MatrixGroupSpec(p, dim * d, _as_gen_tuples(gens))
+        perms = linear_perms(spec)
+        _check_similitudes(perms, vals, field)
+        if reaches_order(perms, target):
             return spec
         if count >= len(reps):
             raise AssertionError(
@@ -456,26 +451,19 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
         count = min(2 * count, len(reps))
 
 
-def _form_values(upper: np.ndarray, vecs: np.ndarray, p: int) -> np.ndarray:
-    """Q(x) = x^T upper x mod p for each row x of vecs."""
-    return np.einsum("ki,ij,kj->k", vecs, upper, vecs) % p
-
-
-def _check_similitudes(gens, upper: np.ndarray, p: int) -> None:
-    """Raise ValueError unless every matrix g is a similitude of the
-    quadratic form Q(x) = x^T upper x over GF(p): Q(g x) = lam * Q(x) for
-    every vector x, with one lam != 0 per matrix.  For p = 2 that makes g an
-    isometry.  The similitudes of a nondegenerate polar form make a group of
-    the closed-form order that affine_polar_group targets."""
-    dim = upper.shape[0]
-    coords = digits(p**dim, p, dim)
-    vals = _form_values(upper, coords, p)
+def _check_similitudes(perms: GeneratorSet, vals: np.ndarray, field: FiniteField) -> None:
+    """Raise ValueError unless every generator of perms, a linear action on
+    vectors whose quadratic form values over ``field`` are vals (by vector
+    index), is a similitude: Q(g x) = lam * Q(x) for every vector x, with one
+    lam per generator (nonzero, as g permutes the vectors).  For q = 2 that
+    makes g an isometry.  The similitudes of a nondegenerate polar form make
+    a group of the closed-form order that affine_polar_group targets."""
     anchor = int(np.flatnonzero(vals)[0])
-    for g in gens:
-        images = _form_values(upper, (coords @ np.asarray(g).T) % p, p)
-        lam = int(images[anchor]) * pow(int(vals[anchor]), -1, p) % p
-        if lam == 0 or not np.array_equal(images, (lam * vals) % p):
-            raise ValueError(f"generator {np.asarray(g).tolist()} is not a similitude")
+    images = vals[perms.gens]
+    lam = field.mul(images[:, anchor], field.inv(vals[anchor]))
+    bad = (images != field.mul(lam[:, None], vals)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"generator {int(np.argmax(bad))} is not a similitude")
 
 
 def _as_gen_tuples(gens: list[np.ndarray]) -> tuple:
@@ -808,13 +796,6 @@ def _format_orbital(kind: str, arg) -> str:
     return f"orbital:{arg}" if kind == "file" else f"orbital:{kind}:{arg}"
 
 
-def _polar_spec(m: int, q: int, epsilon: int, seed: int | None) -> MatrixGroupSpec | None:
-    try:
-        return affine_polar_group(m, q, epsilon)
-    except Unsupported:
-        return None
-
-
 @dataclass(frozen=True)
 class _Family:
     """One family: its descriptor syntax, its graph and its zero-stabilizer.
@@ -824,7 +805,7 @@ class _Family:
     of the matrix group ``spec(*params, seed)``.  ``seed`` reaches only the
     sl25 spec, whose generators it conjugates.
     ``graph`` is None for the orbital family, whose graph is built from its
-    spec.  A spec or stabilizer of None means no group ships for the params.
+    spec.
     """
 
     head: str
@@ -832,7 +813,7 @@ class _Family:
     format: Callable[..., str]
     graph: Callable[..., DenseGraph] | None
     stabilizer: Callable[..., GeneratorSet] | None = None
-    spec: Callable[..., MatrixGroupSpec | None] | None = None
+    spec: Callable[..., MatrixGroupSpec] | None = None
 
 
 _FAMILIES = {
@@ -856,7 +837,7 @@ _FAMILIES = {
         "vo", _parse_polar,
         lambda m, q, eps: f"vo:{'+' if eps == 1 else '-'}:{2 * m}:{q}",
         affine_polar,
-        spec=_polar_spec,
+        spec=lambda m, q, eps, seed: affine_polar_group(m, q, eps),
     ),
     "BilinearForms": _Family(
         "hq", _ints(2), "hq:{}:{}".format, bilinear_forms,
@@ -918,8 +899,8 @@ class Build:
     group, as permutations of the vertices, and ``orbits`` are its orbits on
     the other vertices (stabilizer_orbits), which give the rank and
     subdegrees.  ``spec`` is G0 as a matrix group over GF(p) when the family
-    has one, and G0 is then its linear action.  Each is None when no group
-    construction ships for the params.  An orbital row's graph is cut from
+    has one, and G0 is then its linear action; it is None for a family
+    declared by permutations.  An orbital row's graph is cut from
     orbit 0 of its G0, so reading it makes the spec, G0 and the orbits
     first; every other row's graph makes no group.  ``seed`` reaches only
     the sl25 spec, whose generators it conjugates by a seeded random matrix
@@ -935,15 +916,15 @@ class Build:
         return None if fam.spec is None else fam.spec(*self.fid.params, self.seed)
 
     @cached_property
-    def stabilizer(self) -> GeneratorSet | None:
+    def stabilizer(self) -> GeneratorSet:
         fam = _FAMILIES[self.fid.tag]
         if fam.stabilizer is not None:
             return fam.stabilizer(*self.fid.params)
-        return None if self.spec is None else linear_perms(self.spec)
+        return linear_perms(self.spec)
 
     @cached_property
-    def orbits(self) -> list[np.ndarray] | None:
-        return None if self.stabilizer is None else stabilizer_orbits(self.stabilizer)
+    def orbits(self) -> list[np.ndarray]:
+        return stabilizer_orbits(self.stabilizer)
 
     @cached_property
     def graph(self) -> DenseGraph:
@@ -955,8 +936,8 @@ class Build:
 
 def family_matrix_spec(fid: FamilyId) -> MatrixGroupSpec | None:
     """Build(fid).spec: G0 of an affine family as a matrix group over GF(p),
-    None for the one-dimensional semilinear and the product-action families
-    and where no group construction ships."""
+    None for a family declared by permutations (the one-dimensional
+    semilinear families and the product-action hamming2)."""
     return Build(fid).spec
 
 
@@ -965,17 +946,13 @@ def family_graph(fid: FamilyId) -> DenseGraph:
     return Build(fid).graph
 
 
-def family_group(fid: FamilyId) -> GeneratorSet | None:
+def family_group(fid: FamilyId) -> GeneratorSet:
     """A transitive group of known automorphisms of family_graph(fid): the
-    translations by the graph's moduli plus Build(fid).stabilizer.  None when
-    no group construction ships for the parameters (affine_polar over a
-    non-prime field, or the (2, 2, +1) transvection exception).  A family
+    translations by the graph's moduli plus Build(fid).stabilizer.  A family
     with a spec has the graph on GF(p)**d, whose moduli are (p,) * d as
     cayley_graph makes them, so the graph (on an orbital row, G0's orbits
     and the graph cut from them) is not built to read them."""
     row = Build(fid)
-    if row.stabilizer is None:
-        return None
     spec = row.spec
     moduli = row.graph.moduli if spec is None else (spec.p,) * spec.d
     return with_translations(row.stabilizer, moduli)

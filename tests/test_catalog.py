@@ -182,6 +182,33 @@ class TestVerifyEntry:
         assert report.verdict == "PASS"
         assert "not isomorphic" in report.stages["iso"].detail
 
+    def test_gf4_polar_row_checks_its_orbits(self):
+        # a polar graph over a non-prime field has its G0 like any other row;
+        # VO-(4, 4) and the quintic-residue graph on GF(256) are one graph
+        vls = BY_ID["vls:256:5"]
+        entry = CatalogEntry(
+            id="vo:-:4:4",
+            family=parse_descriptor("vo:-:4:4"),
+            n=256,
+            subdegrees=(51, 204),
+            expected_aut_order=vls.expected_aut_order,
+            group_name="",
+            iso_claims=(IsoClaim("vls:256:5", True),),
+            tier="FULL",
+            source="GF(4) polar row checked against vls:256:5",
+        )
+        report = verify_entry(entry)
+        assert report.verdict == "PASS"
+        assert report.stages["subdegrees"] == StageOutcome(
+            "ok", "rank 3, subdegrees [51, 204], valency 51, N(0) an orbit"
+        )
+        assert report.stages["aut"].detail.startswith(
+            f"order {vls.expected_aut_order}, certified "
+        )
+        assert report.stages["iso"].detail == (
+            "vls:256:5: isomorphic (mapping verified), as claimed"
+        )
+
     def test_params_only_skips_solver_stages(self):
         report = verify_entry(BY_ID["hq:2:5"], budget=60.0)
         assert report.verdict == "PASS"
@@ -445,27 +472,6 @@ class TestMismatchBranches:
         outcome, _ = _check_subdegrees(BY_ID["paley:13"], row)
         assert outcome == StageOutcome(
             "mismatch", "zero-stabilizer orbit sizes [7, 5] != [6, 6]"
-        )
-
-    def test_no_zero_stabilizer_skips_the_orbit_check(self):
-        # the polar group construction ships for prime fields only
-        entry = CatalogEntry(
-            id="vo:-:4:4",
-            family=parse_descriptor("vo:-:4:4"),
-            n=256,
-            subdegrees=(51, 204),
-            expected_aut_order=None,
-            group_name="",
-            iso_claims=(),
-            tier="PARAMS_ONLY",
-            source="negative control",
-        )
-        report = verify_entry(entry)
-        assert report.verdict == "PASS"
-        assert report.stages["subdegrees"] == StageOutcome(
-            "ok",
-            "valency 51 matches; no zero-stabilizer ships for this family, "
-            "orbit check skipped",
         )
 
     def test_iso_claim_contradicted(self):

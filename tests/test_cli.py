@@ -99,6 +99,15 @@ class TestAut:
         assert code == 0
         assert out.startswith("computed order 48672, certified ")
 
+    def test_gf4_polar_order_is_the_vls_order(self, capsys):
+        # the 8 translations of GF(2)**8 and the 13 generators of VO-(4, 4)'s
+        # G0 seed the search, which certifies vls:256:5's catalogued order
+        vls = next(e for e in builtin_catalog() if e.id == "vls:256:5")
+        code, out, _ = run(capsys, "aut", "vo:-:4:4")
+        assert code == 0
+        assert out.startswith(f"computed order {vls.expected_aut_order}, certified ")
+        assert "generators 21 known" in out
+
     def test_budget_timeout_exits_1(self, capsys):
         code, out, err = run(capsys, "aut", "paley:17", "--budget", "0")
         assert code == 1

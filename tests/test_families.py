@@ -41,10 +41,13 @@ from rank3.families import (
     _check_binary_icosahedral,
     _check_normalizes_q8,
     _check_similitudes,
+    _evaluate_form,
+    _general_orthogonal_order,
     _quaternion_units,
 )
 from rank3.autsolve import automorphism_group
 from rank3.catalog import builtin_catalog
+from rank3.gf import digits, make_field
 from rank3.graphs import DenseGraph, srg_params
 from rank3.permgrp import linear_perms, with_translations
 
@@ -68,6 +71,7 @@ from rank3.permgrp import (
     MatrixGroupSpec,
     format_matrix_spec,
     linear_perms,
+    orbit_partition,
     rank_and_subdegrees,
     schreier_sims,
     stabilizer_rank,
@@ -289,6 +293,10 @@ class TestAffinePolar:
             affine_polar(2, 3, 0)
         with pytest.raises(ValueError):
             affine_polar(3, 5, 1)  # 5**6 vertices exceed the cap
+        for bad in [(1, 3, 1), (2, 3, 0), (2, 6, 1)]:
+            with pytest.raises(ValueError) as exc:
+                affine_polar_group(*bad)
+            assert type(exc.value) is ValueError  # not Unsupported
 
     def test_group_orders_and_ranks(self):
         spec = affine_polar_group(2, 2, -1)
@@ -310,7 +318,12 @@ class TestAffinePolar:
         assert schreier_sims(linear_perms(spec)).order == 348364800
 
     @pytest.mark.parametrize(
-        "desc", ["vo:+:4:5", "vo:-:4:5", "vo:-:4:7", "vo:+:4:7", "vo:+:6:3", "vo:-:6:3"]
+        "desc",
+        [
+            "vo:+:4:5", "vo:-:4:5", "vo:-:4:7", "vo:+:4:7", "vo:+:6:3", "vo:-:6:3",
+            "vo:+:4:2", "vo:+:4:4", "vo:-:4:4", "vo:+:4:8", "vo:-:4:8", "vo:+:6:4",
+            "vo:-:6:4",
+        ],
     )
     def test_polar_groups_beyond_the_catalog(self, desc):
         # N(0) is the s = (q^m - eps)(q^(m-1) + eps) nonzero singular vectors;
@@ -323,19 +336,24 @@ class TestAffinePolar:
 
     def test_non_similitude_rejected(self):
         # Q = x0 x1 + x2 x3 over GF(3); swapping x0 and x2 is no similitude
-        upper = np.zeros((4, 4), dtype=np.int64)
-        upper[0, 1] = upper[2, 3] = 1
+        vals = _evaluate_form(digits(81, 3, 4), [(0, 1, 1), (2, 3, 1)], 3)
+        gf3 = make_field(3, 1)
         scale = np.diag([2, 1, 2, 1])  # Q -> 2Q: a similitude
         swap = np.eye(4, dtype=np.int64)[[2, 1, 0, 3]]
-        _check_similitudes([scale, np.eye(4, dtype=np.int64)], upper, 3)
+
+        def perms(*mats):
+            return linear_perms(MatrixGroupSpec(3, 4, mats))
+
+        _check_similitudes(perms(scale, np.eye(4, dtype=np.int64)), vals, gf3)
         with pytest.raises(ValueError, match="not a similitude"):
-            _check_similitudes([scale, swap], upper, 3)
+            _check_similitudes(perms(scale, swap), vals, gf3)
 
     def test_group_exceptions(self):
-        with pytest.raises(Unsupported):
-            affine_polar_group(2, 4, -1)  # non-prime field
-        with pytest.raises(Unsupported):
-            affine_polar_group(2, 2, 1)  # transvections fall short here
+        # the transvections of the (2, 2, +1) form fall short of GO without
+        # the hyperbolic pair swap, and GF(4) entries are blown up over GF(2)
+        for (m, q, eps), order in [((2, 2, 1), 72), ((2, 4, 1), 21600), ((2, 4, -1), 24480)]:
+            assert order == _general_orthogonal_order(m, q, eps) * (q - 1)
+            assert schreier_sims(linear_perms(affine_polar_group(m, q, eps))).order == order
 
 
 class TestBilinearForms:
@@ -648,6 +666,7 @@ class TestFamilyGroups:
         assert row.graph == want
         assert not {"spec", "stabilizer", "orbits"} & vars(row).keys()
 
-    def test_unavailable_group_is_none(self):
-        assert family_group(FamilyId("AffinePolar", (2, 4, -1))) is None
-        assert family_group(FamilyId("AffinePolar", (2, 2, 1))) is None
+    def test_polar_group_is_transitive_at_the_former_exceptions(self):
+        # GF(4), and the (2, 2, +1) form whose transvections fall short
+        for params in [(2, 4, -1), (2, 2, 1)]:
+            assert len(orbit_partition(family_group(FamilyId("AffinePolar", params)))) == 1
