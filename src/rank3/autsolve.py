@@ -623,6 +623,10 @@ class AutResult:
     over the first path of the orbit length of each individualized vertex
     under the generators fixing the vertices before it: the orbits that the
     vertex's first-path node prunes with, once its loop ends.
+
+    ``base`` is that path's individualized vertices (() when g has no
+    vertices), a base of Aut(g): the orbit product along it under the
+    generators (permgrp.reaches_order's first step) recounts the order.
     """
 
     generators: GeneratorSet
@@ -632,6 +636,7 @@ class AutResult:
     splits: int
     seconds: float
     known: int
+    base: tuple[int, ...]
 
     def counters(self) -> str:
         """The search counters as one line of text."""
@@ -689,7 +694,7 @@ def automorphism_group(
     n = g.n
     seeds = _known_automorphisms(g, known)
     if n == 0:
-        return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0, 0.0, 0)
+        return AutResult(GeneratorSet(0, ()), 1, 0, 0, 0, 0.0, 0, ())
     solver = _Solver(g, start + budget, seeds)
     solver.run()
     return AutResult(
@@ -700,6 +705,7 @@ def automorphism_group(
         solver.refiner.splits,
         time.monotonic() - start,
         len(seeds),
+        tuple(solver.path.vertices),
     )
 
 

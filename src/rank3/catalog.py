@@ -591,9 +591,11 @@ def _check_aut(
 
     The search starts from g's translations and ``known`` (the
     zero-stabilizer), and the detail ends with its counters.  The certificate
-    is reaches_order on the solver's generators: a Schreier-Sims lower bound
-    that meets the order, which the exhaustive search bounds from above.  The
-    search and the certificate share the row's deadline."""
+    is reaches_order on the solver's generators along the solver's base: a
+    proven lower bound (the orbit product along the first path, else a
+    Schreier-Sims chain) that meets the order, which the exhaustive search
+    bounds from above.  The search and the certificate share the row's
+    deadline."""
     budget = _time_left(deadline)
     try:
         result = automorphism_group(g, budget=budget, known=known)
@@ -601,7 +603,7 @@ def _check_aut(
         return StageOutcome("timeout", f"no order within {budget:g}s"), None
     counters = result.counters()
     try:
-        certified = reaches_order(result.generators, result.order, deadline)
+        certified = reaches_order(result.generators, result.order, deadline, result.base)
     except Timeout:
         certified = None
     if certified is None:

@@ -20,9 +20,11 @@ stays as an independent test oracle.
 
 One chain builder, _chain, runs random then deterministic Schreier-Sims
 (Seress 2003, ch. 4-5).  schreier_sims reads its completed chain: the exact
-order and a membership oracle.  reaches_order, the order certificate, stops
-it once the orbit product, a proven lower bound, reaches the target, so
-False comes only from the completed chain.
+order and a membership oracle.  reaches_order, the order certificate, first
+takes the orbit product along a given base (the solver's first path), and
+only if that falls short runs the chain, stopped once its orbit product, a
+proven lower bound, reaches the target, so False comes only from the
+completed chain.
 """
 
 from __future__ import annotations
@@ -381,13 +383,40 @@ def schreier_sims(
     return BSGS(gs.degree, _chain(gs, base_prefix, deadline, None))
 
 
-def reaches_order(gs: GeneratorSet, target: int, deadline: float = math.inf) -> bool:
-    """Whether |<gs>| >= target: _chain, stopped as soon as its orbit
-    product, a proven lower bound, reaches target.  True mostly comes from
-    the random phase; False only from the completed chain, whose orbit
-    product is exact.  `deadline`, a time.monotonic() value: Timeout
+def _base_product(
+    gs: GeneratorSet, base: tuple[int, ...], deadline: float, target: float = math.inf
+) -> int:
+    """The orbit product along the points of base, stopped once it reaches
+    target: step i closes base[i] under the generators of gs that fix
+    base[:i].  A proven lower bound on |K|, K = <gs>, for any point sequence:
+    with H_i the group those generators make, H_i <= K_(b<i), so
+    |K_(b<i)| >= |b_i^{H_i}| * |K_(b<=i)|.  `deadline`, a time.monotonic()
+    value, is checked once per point: Timeout when it has passed."""
+    gens, product = gs.gens, 1
+    for b in base:
+        if product >= target:
+            break
+        if time.monotonic() > deadline:
+            raise Timeout(f"the orbit product passed its deadline at point {b}")
+        product *= int(orbit_mask(gens, _point_mask(gs.degree, b)).sum())
+        gens = gens[gens[:, b] == b]
+    return product
+
+
+def reaches_order(
+    gs: GeneratorSet, target: int, deadline: float = math.inf, base: tuple[int, ...] = ()
+) -> bool:
+    """Whether |<gs>| >= target.  First the orbit product along base
+    (_base_product), one orbit_mask per point: a base the generators came
+    from, such as the solver's first path, mostly reaches the target there.
+    Otherwise _chain, with base as its base prefix, stopped as soon as its
+    orbit product, a proven lower bound, reaches target: True mostly comes
+    from its random phase, and False only from the completed chain, whose
+    orbit product is exact.  `deadline`, a time.monotonic() value: Timeout
     when it has passed."""
-    return target <= 1 or BSGS(gs.degree, _chain(gs, (), deadline, target)).order >= target
+    if target <= 1 or _base_product(gs, base, deadline, target) >= target:
+        return True
+    return BSGS(gs.degree, _chain(gs, tuple(base), deadline, target)).order >= target
 
 
 # -- rank and subdegrees -------------------------------------------------------

@@ -48,10 +48,15 @@ from rank3.families import (
 from rank3.graphs import DenseGraph, complement, unit_translations
 from rank3.permgrp import (
     GeneratorSet,
+    _base_product,
     orbit_mask,
     reaches_order,
     schreier_sims,
 )
+
+
+def no_chain(*args, **kwargs):
+    raise AssertionError("stabilizer chain built")
 
 
 def from_edges(n, edges):
@@ -924,6 +929,7 @@ class TestAutomorphismGroup:
     def test_empty_graph(self):
         r = automorphism_group(DenseGraph(np.zeros((0, 0), dtype=bool)))
         assert r.order == 1
+        assert r.base == ()
 
     # (descriptor, relabelling seed, |Aut|, nodes, refinements, generators),
     # recorded with the first largest cell as target, every first-path node
@@ -967,16 +973,22 @@ class TestAutomorphismGroup:
         assert orders_under_both_target_rules(h, monkeypatch) == [order] * 2
 
     @pytest.mark.parametrize("entry", SMALL_ROWS, ids=[e.id for e in SMALL_ROWS])
-    def test_generators_generate_aut_on_relabelled_row(self, entry):
+    def test_generators_generate_aut_on_relabelled_row(self, entry, monkeypatch):
         # the generators are automorphisms, so they generate a subgroup of
         # Aut; reaching the order proves it is all of Aut, and the exact
         # Schreier-Sims order shows they generate no more than was counted.
+        # Along the solver's base the orbit product alone reaches it.
+        import rank3.permgrp as permgrp
+
         h = relabelled(family_graph(entry.family), 7)
         r = automorphism_group(h)
         assert r.order == entry.expected_aut_order
         for s in r.generators.gens:
             assert np.array_equal(h.adj[np.ix_(s, s)], h.adj)
         assert reaches_order(r.generators, r.order)
+        with monkeypatch.context() as m:
+            m.setattr(permgrp, "_chain", no_chain)
+            assert reaches_order(r.generators, r.order, base=r.base)
         assert schreier_sims(r.generators).order == r.order
 
 
@@ -1026,6 +1038,17 @@ class TestSeededSearch:
         assert counters == self.SEEDED_COUNTERS[entry.id]
         for s in seeded.generators.gens:
             assert np.array_equal(g.adj[np.ix_(s, s)], g.adj)
+
+    @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
+    def test_base_product_is_the_order(self, entry):
+        # seeded as the aut stage seeds it, the search's base is its first
+        # path, and the orbit product along it under the returned
+        # generators, recomputed from scratch, is the order it counted
+        g = family_graph(entry.family)
+        r = automorphism_group(g, known=Build(entry.family).stabilizer)
+        solver = _Solver(g, math.inf)
+        assert r.base == tuple(solver.first_path(*solver.root()).vertices)
+        assert _base_product(r.generators, r.base, math.inf) == r.order
 
     @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
     def test_order_matches_first_path_oracle(self, entry):

@@ -392,6 +392,35 @@ class TestVerifyEntry:
         assert report.stages["aut"].status == "mismatch"
         assert "solver generators do not reach order 78" in report.stages["aut"].detail
 
+    def test_overstated_order_fails_through_the_chain(self, monkeypatch):
+        # a solver that doubles its order and keeps its generators and base:
+        # the orbit product along the base stops at 78, so the completed
+        # stabilizer chain answers, and 78 < 156 is a mismatch
+        import dataclasses
+
+        import rank3.catalog as catalog
+        import rank3.permgrp as permgrp
+        from rank3.autsolve import automorphism_group
+
+        def doubling_aut(g, budget, known=None):
+            r = automorphism_group(g, budget=budget, known=known)
+            return dataclasses.replace(r, order=2 * r.order)
+
+        chains = []
+        chain = permgrp._chain
+
+        def counted_chain(*args):
+            chains.append(args[1])
+            return chain(*args)
+
+        monkeypatch.setattr(catalog, "automorphism_group", doubling_aut)
+        monkeypatch.setattr(permgrp, "_chain", counted_chain)
+        report = verify_entry(BY_ID["paley:13"], budget=60.0)
+        assert report.verdict == "FAIL"
+        assert report.stages["aut"].status == "mismatch"
+        assert "solver generators do not reach order 156" in report.stages["aut"].detail
+        assert len(chains) == 1 and len(chains[0]) == 2  # paley:13's base
+
     def test_order_certificate_keeps_the_row_deadline(self, monkeypatch):
         # the lossy solver of the test above, returning after the row's
         # deadline: the certificate must stop there and report a timeout

@@ -56,7 +56,7 @@ from rank3.permgrp import (
     semilinear_stabilizer_perms,
     with_translations,
 )
-from rank3.permgrp import _invert_img, _Level, _extend_orbit, _transversal_img
+from rank3.permgrp import _base_product, _invert_img, _Level, _extend_orbit, _transversal_img
 
 
 def affine(spec):
@@ -329,6 +329,36 @@ def test_reaches_order_is_exact_on_random_groups(n, imprimitive, data):
     sub = _gens_on(n, images[:1])
     if schreier_sims(sub).order < o:
         assert not reaches_order(sub, o)
+    # along any distinct points, a base of the group or not, the orbit
+    # product is a lower bound, and the answers are the same
+    b = tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+    assert _base_product(gs, b, math.inf) <= o
+    assert reaches_order(gs, o, base=b)
+    assert not reaches_order(gs, o + 1, base=b)
+
+
+def test_base_product_certifies_without_a_chain(monkeypatch):
+    # the adjacent transpositions (i i+1) fixing 0..i-1 generate their
+    # stabilizer in S_7, so along the base 0..6 the orbit product is
+    # 7 * 6 * ... * 1 = 5040 and the certificate never builds a chain; a
+    # target above it still does.  Under sym_gens no generator fixes 0
+    import rank3.permgrp as permgrp
+
+    gs, base = GeneratorSet(7, tuple(perm(7, (i, i + 1)) for i in range(6))), tuple(range(7))
+    assert _base_product(gs, base, math.inf) == 5040
+    assert _base_product(sym_gens(7), base, math.inf) == 7
+
+    def no_chain(*args, **kwargs):
+        raise AssertionError("stabilizer chain built")
+
+    monkeypatch.setattr(permgrp, "_chain", no_chain)
+    assert reaches_order(gs, 5040, base=base)
+    assert reaches_order(gs, 5040, base=base, deadline=time.monotonic() + 60.0)
+    with pytest.raises(AssertionError, match="chain built"):
+        reaches_order(gs, 5041, base=base)
+    # a passed deadline stops the orbit product too
+    with pytest.raises(Timeout):
+        reaches_order(gs, 5040, base=base, deadline=time.monotonic() - 1.0)
 
 
 def test_proper_subgroup_never_reaches_the_group_order():
