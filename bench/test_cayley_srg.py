@@ -11,10 +11,14 @@
   comes only from ``from_row0`` and needs no check of its matrix).  It runs
   on the two sl25 graphs, hq:2:5 (1024 vertices) and
   orbital:extraspecial:2401.
-* ``srg_params``: row 0's autocorrelation, one FFT over the translation
-  group, when the graph carries moduli, and every row's neighbour counts in
-  its neighbourhood on the bare matrix ``DenseGraph(g.adj)``, on the sl25
-  graphs.
+* ``srg_params``: row 0's autocorrelation over the translation group when
+  the graph carries moduli (integer Walsh-Hadamard butterflies on the
+  radix-2 digits, one FFT on the others), and every row's neighbour counts
+  in its neighbourhood on the bare matrix ``DenseGraph(g.adj)``, on the sl25
+  graphs (moduli (p, p), all FFT).
+* ``srg_params`` with moduli on the GF(2)^d rows hq:2:5 and a52 (1024
+  vertices) and hq:4:3 (4096), all butterflies, and on
+  orbital:extraspecial:2401 (moduli (7,) * 4, all FFT) as the control.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from rank3.permgrp import linear_perms, stabilizer_orbits
 
 PRIMES = [41, 71]
 FAMILIES = ["orbital:sl25:41", "orbital:sl25:71", "hq:2:5", "orbital:extraspecial:2401"]
+SRG_FAMILIES = ["hq:2:5", "a52", "hq:4:3", "orbital:extraspecial:2401"]
 ROUNDS = 3
 
 
@@ -71,3 +76,10 @@ def test_srg_params(benchmark, graph, with_moduli):
     g = graph if with_moduli else DenseGraph(graph.adj)
     params = benchmark.pedantic(srg_params, (g,), rounds=ROUNDS)
     assert params.k == int(graph.adj[0].sum())
+
+
+@pytest.mark.parametrize("descriptor", SRG_FAMILIES)
+def test_srg_params_on_moduli(benchmark, descriptor):
+    g = family_graph(parse_descriptor(descriptor))
+    params = benchmark.pedantic(srg_params, (g,), rounds=ROUNDS)
+    assert g.moduli is not None and params.k == int(g.row0.sum())

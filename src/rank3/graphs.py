@@ -30,8 +30,10 @@ The translations act regularly, so the pair (u, v) maps to (0, v - u) and
 |N(u) & N(v)| = |N(0) & N(v - u)|: the autocorrelation of row 0 over the
 group holds every common-neighbour count of the graph (Brouwer & Van
 Maldeghem, "Strongly Regular Graphs", 2022, ch. 11).  srg_params reads it
-off one FFT of row 0 when the moduli are known, and sweeps every row's
-counts in its neighbourhood otherwise, on the same witness rules.
+off row 0's transform over the group when the moduli are known (integer
+Walsh-Hadamard butterflies on the radix-2 digits, one FFT on the others),
+and sweeps every row's counts in its neighbourhood otherwise, on the same
+witness rules.
 
 Output: the de-facto standard graph6 format (header-less variant).
 """
@@ -430,17 +432,42 @@ def complement(g: DenseGraph) -> DenseGraph:
 def _autocorrelation(row0: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     """counts[z] = |S & (S + z)| = sum_y row0[y] * row0[y - z] over
     Z_m1 x ... x Z_mk, for S the support of row0: on a Cayley graph with
-    connection set S, the common neighbours of 0 and z.  One real FFT over
-    the shape moduli[::-1], since _radix makes the first modulus the least
-    significant digit.  The float64 result of 0/1 input is rounded;
-    ArithmeticError unless every value was within 0.25 of an integer."""
-    shape, axes = moduli[::-1], tuple(range(len(moduli)))
-    f = np.fft.rfftn(row0.reshape(shape).astype(np.float64))
-    exact = np.fft.irfftn(f * f.conj(), s=shape, axes=axes).ravel()
-    counts = np.rint(exact)
-    if np.abs(exact - counts).max(initial=0.0) > 0.25:
-        raise ArithmeticError("row 0's autocorrelation is not integral to within 0.25")
-    return counts.astype(np.int64)
+    connection set S, the common neighbours of 0 and z.
+
+    Each radix-2 digit goes through an integer Walsh-Hadamard butterfly, one
+    add/subtract pair on the flat index (digit j has stride
+    m_1 ... m_(j-1), as _radix numbers the points); H, these a butterflies,
+    is its own inverse up to 2^a.  The other digits go through one real FFT
+    over their axes of the shape moduli[::-1] (_radix makes the first
+    modulus the least significant digit), which gives the autocorrelation
+    of the integer vector H(row0) on each character of the radix-2 part: its
+    float64 result is rounded, and ArithmeticError unless every value was
+    within 0.25 of an integer.  With no other digit that autocorrelation is
+    H(row0)^2.  H of it is 2^a * counts.  No value on the way exceeds
+    n |S| <= n^2 in absolute value, so int64 holds each exactly, and a group
+    of radix-2 digits only, such as GF(2)^d, needs no float and never
+    imports numpy.fft."""
+    shape = moduli[::-1]
+    twos = [math.prod(moduli[:j]) for j, m in enumerate(moduli) if m == 2]
+    rest = tuple(i for i, m in enumerate(shape) if m != 2)
+
+    def hadamard(x: np.ndarray) -> np.ndarray:
+        for p in twos:
+            a, b = x.reshape(-1, 2, p).swapaxes(0, 1)
+            x = np.stack((a + b, a - b), axis=1).ravel()
+        return x
+
+    x = hadamard(row0.astype(np.int64))
+    if rest:
+        f = np.fft.rfftn(x.reshape(shape).astype(np.float64), axes=rest)
+        exact = np.fft.irfftn(f * f.conj(), s=[shape[i] for i in rest], axes=rest).ravel()
+        x = np.rint(exact)
+        if np.abs(exact - x).max(initial=0.0) > 0.25:
+            raise ArithmeticError("row 0's autocorrelation is not integral to within 0.25")
+        x = x.astype(np.int64)
+    else:
+        x = x * x
+    return hadamard(x) >> len(twos)
 
 
 def _neighbour_counts(g: DenseGraph):
@@ -482,9 +509,10 @@ def srg_params(g: DenseGraph) -> SrgParams:
     Raises Degenerate for complete/empty graphs (parameters undefined there;
     every graph on fewer than 3 vertices is one or the other) and
     NotStronglyRegular with a witness pair otherwise.  A graph with moduli
-    is checked on row 0 alone, its degree and its autocorrelation, and never
-    packs its rows; a graph without is checked on every row's degree and on
-    every row u's neighbour counts in N(u).  The witness is the first pair,
+    is checked on row 0 alone, its degree and its autocorrelation (exact in
+    int64, see ``_autocorrelation``; on GF(2)^d it loads no numpy.fft), and
+    never packs its rows; a graph without is checked on every row's degree
+    and on every row u's neighbour counts in N(u).  The witness is the first pair,
     in that row order, whose count differs from the first one seen.
     """
     n = g.n

@@ -2,13 +2,18 @@
 graph6 output decoded by networkx."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import rank3
 from rank3 import graphs
 from rank3.autsolve import _Refiner, are_isomorphic, automorphism_group
 from rank3.catalog import builtin_catalog, verify_entry
@@ -454,7 +459,7 @@ def negation(moduli: tuple[int, ...]) -> np.ndarray:
     return circulant(np.arange(n), moduli)[:, 0]
 
 
-CERTIFIED_MODULI = [(2, 3), (3, 2, 2), (4,), (2,) * 5, (5, 5), (6,)]
+CERTIFIED_MODULI = [(2, 3), (3, 2, 2), (4,), (2,) * 5, (2,) * 8, (2, 7), (5, 5), (6,)]
 
 
 def translation(x: int, moduli: tuple[int, ...]) -> np.ndarray:
@@ -492,6 +497,55 @@ def srg_outcome(g: DenseGraph):
         return srg_params(g)
     except (NotStronglyRegular, Degenerate) as exc:
         return type(exc), getattr(exc, "witness", None)
+
+
+AUTOCORRELATION_MODULI = [(2,) * k for k in range(1, 9)] + [
+    (2, 3), (3, 2, 2), (7, 2), (2, 2, 5), (13,), (3, 3),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(AUTOCORRELATION_MODULI), st.data())
+def test_autocorrelation_is_the_digitwise_sum(moduli, data):
+    # the butterflies on the radix-2 digits and the FFT on the others give
+    # exactly sum_y row0[y] * row0[y - z], the difference taken digit by digit
+    d, m, place = graphs._radix(moduli)
+    n = d.shape[1]
+    row0 = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    row0 |= row0[((-d) % m * place).sum(axis=0)]
+    row0[0] = False
+    diff = ((d[:, :, None] - d[:, None, :]) % m[:, :, None] * place[:, :, None]).sum(axis=0)
+    want = (row0[:, None] & row0[diff]).sum(axis=0)  # diff[y, z] is y - z
+    got = graphs._autocorrelation(row0, moduli)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+# whether numpy.fft is loaded before and after one srg_params, on stdout
+SRG_FFT_IMPORT = """
+import sys
+from rank3.families import family_graph, parse_descriptor
+from rank3.graphs import srg_params
+g = family_graph(parse_descriptor(sys.argv[1]))
+before = "numpy.fft" in sys.modules
+srg_params(g)
+print(before, "numpy.fft" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "descriptor, imported",
+    [("hq:2:5", False), ("a52", False), ("vo:+:8:2", False), ("paley:13", True)],
+)
+def test_srg_on_gf2_needs_no_numpy_fft(descriptor, imported):
+    # on GF(2)^d the autocorrelation is all integer butterflies, so a fresh
+    # process never pays numpy.fft's first use (about 1.3 ms); paley:13, on
+    # Z_13, is the control that the check sees the import
+    env = dict(os.environ, PYTHONPATH=str(Path(rank3.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", SRG_FFT_IMPORT, descriptor],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert done.stdout.split() == ["False", str(imported)]
 
 
 @pytest.mark.parametrize("moduli", [(5, 5), (2,) * 6, (13,), (7, 2), (3, 4, 5), (50, 2), (2, 50)])
