@@ -43,7 +43,7 @@ from rank3.graphs import srg_params  # noqa: E402
 from rank3.permgrp import (  # noqa: E402
     GeneratorSet,
     MatrixGroupSpec,
-    _det_mod,
+    _dets_mod,
     format_matrix_spec,
     linear_perms,
     schreier_sims,
@@ -198,7 +198,8 @@ def lift_outer(rep: TwoGroupRep, alpha: np.ndarray, scalars: list[int]) -> np.nd
     words = [rep.word(alpha[:, i] % 2) for i in range(k)]
     cand_lists = []
     for g, w in zip(rep.gens, words):
-        need = _det_mod(g, p) * pow(_det_mod(w, p), -1, p) % p
+        det_g, det_w = _dets_mod(np.stack([g, w]), p).tolist()
+        need = det_g * pow(det_w, -1, p) % p
         cands = [c for c in scalars if pow(c, d, p) == need]
         if not cands:
             raise AssertionError("no scalar candidate survives the determinant test")
@@ -212,7 +213,7 @@ def lift_outer(rep: TwoGroupRep, alpha: np.ndarray, scalars: list[int]) -> np.nd
         basis = nullspace_mod(np.concatenate(rows, axis=0), p)
         for vec in basis:
             m = vec.reshape(d, d)
-            if _det_mod(m, p) != 0:
+            if _dets_mod(m[None], p)[0] != 0:
                 for g, w, c in zip(rep.gens, words, pattern):
                     lhs = (m @ g) % p
                     rhs = (c * (w @ m)) % p

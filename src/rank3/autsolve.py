@@ -114,7 +114,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DenseGraph, is_isomorphism, unit_translations
+from .graphs import DenseGraph, is_isomorphism, isomorphism_mask, unit_translations
 from .permgrp import GeneratorSet, Timeout, _point_mask, orbit_mask
 
 __all__ = [
@@ -657,22 +657,28 @@ def check_budget(budget: float) -> None:
 
 def _known_automorphisms(g: DenseGraph, known: GeneratorSet | None) -> list[np.ndarray]:
     """The unit translations of g.moduli, automorphisms by construction
-    (from_row0), then the generators of ``known``, each checked against g:
-    ValueError if one is not an automorphism or their degree is not g.n.
-    A repeated row is kept once, where it first occurs: an AutResult's
+    (from_row0), then the generators of ``known``, checked against g in one
+    call (isomorphism_mask: the affine ones as one stack, any other on the
+    rows one at a time): ValueError naming the first one that is not an
+    automorphism, or if their degree is not g.n.  A repeated row is kept
+    once, where it first occurs, and checked once: an AutResult's
     generators start with the very translations prepended here."""
     if known is not None and known.degree != g.n:
         raise ValueError(f"known generators have degree {known.degree}, graph has {g.n}")
     seeds = {}  # keyed by the int32 image's bytes, in insertion order
-    for img in unit_translations(g.moduli or ()):
-        img = img.astype(np.int32)
+    for img in np.array(unit_translations(g.moduli or ()), dtype=np.int32):
         seeds.setdefault(img.tobytes(), img)
+    fresh = {}  # the known generators not seen before, by key: (j, img)
     for j, img in enumerate(() if known is None else known.gens):  # int32 rows
-        if img.tobytes() in seeds:
-            continue
-        if not is_isomorphism(g, g, img):
+        key = img.tobytes()
+        if key not in seeds and key not in fresh:
+            fresh[key] = (j, img)
+    if fresh:
+        ok = isomorphism_mask(g, g, np.array([img for _, img in fresh.values()]))
+        if not ok.all():
+            j = list(fresh.values())[int(np.argmin(ok))][0]
             raise ValueError(f"known generator {j} is not an automorphism of the graph")
-        seeds[img.tobytes()] = img
+        seeds.update((key, img) for key, (_, img) in fresh.items())
     return list(seeds.values())
 
 

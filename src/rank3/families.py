@@ -332,6 +332,21 @@ def _evaluate_form(coords: np.ndarray, terms, q: int) -> np.ndarray:
     return vals
 
 
+@lru_cache(maxsize=None)
+def _polar_form(m: int, q: int, epsilon: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """(terms, coords, vals) for the affine_polar form of type epsilon on
+    GF(q)**(2m), made once per process: the form's terms
+    (_polar_form_rows), the coordinates of every vector (digits; row x holds
+    vector x's GF(q) indices) and the form's value at every vector, both
+    read-only.  The graph and its zero-stabilizer both read them."""
+    terms, dim = _polar_form_rows(m, q, epsilon)
+    coords = digits(q**dim, q, dim)
+    vals = _evaluate_form(coords, terms, q)
+    for table in (coords, vals):
+        table.setflags(write=False)
+    return terms, coords, vals
+
+
 def affine_polar(m: int, q: int, epsilon: int) -> DenseGraph:
     """Affine polar graph VO(2m, epsilon, q): vertices = GF(q)**(2m),
     x ~ y iff Q(x - y) = 0 (x != y), for the standard quadratic form of type
@@ -345,9 +360,7 @@ def affine_polar(m: int, q: int, epsilon: int) -> DenseGraph:
     n = q**dim
     if n > 4096:
         raise ValueError(f"q**(2m) = {n} exceeds the 4096-vertex construction cap")
-    terms, _ = _polar_form_rows(m, q, epsilon)
-    coords = digits(n, q, dim)
-    vals = _evaluate_form(coords, terms, q)
+    vals = _polar_form(m, q, epsilon)[2]
     return cayley_graph(p, d * dim, np.flatnonzero((vals == 0) & (np.arange(n) != 0)))
 
 
@@ -359,7 +372,6 @@ def _general_orthogonal_order(m: int, q: int, epsilon: int) -> int:
     return o
 
 
-@lru_cache(maxsize=None)
 def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     """Generators of the similitude group of the affine_polar form as a
     matrix group over GF(p), q = p**d: GO(2m, epsilon, q) extended by a
@@ -381,16 +393,27 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     from above, and the sample is accepted as soon as reaches_order's
     Schreier-Sims lower bound reaches it.  ValueError unless m >= 2,
     epsilon is +1 or -1 and q is a prime power.
+
+    The group is built once per process (_polar_zero_stabilizer), on the
+    form values the graph reads too (_polar_form), and the generators go to
+    MatrixGroupSpec as one (K, 2md, 2md) array.
     """
+    return _polar_zero_stabilizer(m, q, epsilon)[0]
+
+
+@lru_cache(maxsize=None)
+def _polar_zero_stabilizer(m: int, q: int, epsilon: int) -> tuple[MatrixGroupSpec, GeneratorSet]:
+    """affine_polar_group's spec and its linear action on the vectors, the
+    permutations that the similitude check and the order certificate read:
+    the polar family's G0, so no row makes them twice."""
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     p, d = _split_prime_power(q)
     field = _field(q)
-    terms, dim = _polar_form_rows(m, q, epsilon)
-    coords = digits(q**dim, q, dim)
-    vals = _evaluate_form(coords, terms, q)
+    terms, coords, vals = _polar_form(m, q, epsilon)
+    dim = coords.shape[1]
     eye = np.eye(dim, dtype=np.int64)
 
     # projective representatives of nonsingular vectors (first nonzero
@@ -408,7 +431,7 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     coeff = field.neg(field.inv(qv))[:, None, None]
     isometries = field.add(eye, field.mul(coeff, field.mul(v[:, :, None], bv[:, None, :])))
 
-    extra: list[np.ndarray] = []
+    extra = np.zeros((0, dim, dim), dtype=np.int64)
     target = _general_orthogonal_order(m, q, epsilon) * (q - 1)
     if q > 2:
         sim = eye.copy()
@@ -429,20 +452,20 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
                 & (polar == field.mul(field.omega, a))
             )[0]
             sim[dim - 2 :, dim - 2 :] = blocks[hit].reshape(2, 2)
-        extra.append(sim)
+        extra = sim[None]
     if (m, q, epsilon) == (2, 2, 1):
-        extra.append(eye[[2, 3, 0, 1]])
+        extra = eye[None, [2, 3, 0, 1]]
 
     count = 3 * dim
     while True:
-        gens = [*isometries[:count], *extra]
+        gens = np.concatenate([isometries[:count], extra])
         if d > 1:
-            gens = [_blow_up(g, q) for g in gens]
-        spec = MatrixGroupSpec(p, dim * d, _as_gen_tuples(gens))
+            gens = _blow_up(gens, q)
+        spec = MatrixGroupSpec(p, dim * d, gens)
         perms = linear_perms(spec)
         _check_similitudes(perms, vals, field)
         if reaches_order(perms, target):
-            return spec
+            return spec, perms
         if count >= len(reps):
             raise AssertionError(
                 f"hyperplane isometries did not reach order {target} "
@@ -464,10 +487,6 @@ def _check_similitudes(perms: GeneratorSet, vals: np.ndarray, field: FiniteField
     bad = (images != field.mul(lam[:, None], vals)).any(axis=1)
     if bad.any():
         raise ValueError(f"generator {int(np.argmax(bad))} is not a similitude")
-
-
-def _as_gen_tuples(gens: list[np.ndarray]) -> tuple:
-    return tuple(tuple(tuple(int(x) for x in row) for row in g) for g in gens)
 
 
 # -- bilinear and alternating forms graphs ----------------------------------------
@@ -505,17 +524,13 @@ def _regular_representation(q: int) -> np.ndarray:
     return field.coeffs[field.mul(np.arange(q)[:, None], basis)].transpose(0, 2, 1)
 
 
-def _blow_up(mat_idx: np.ndarray, q: int) -> np.ndarray:
-    """Replace each GF(q)-index entry of a k x k matrix by its d x d
-    multiplication block over GF(p)."""
-    p, d = _split_prime_power(q)
+def _blow_up(mats_idx: np.ndarray, q: int) -> np.ndarray:
+    """Replace each GF(q)-index entry of a (K, k, k) stack of matrices by its
+    d x d multiplication block over GF(p): a (K, kd, kd) stack."""
     reg = _regular_representation(q)
-    k = mat_idx.shape[0]
-    out = np.zeros((k * d, k * d), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = reg[mat_idx[i, j]]
-    return out
+    count, k = mats_idx.shape[:2]
+    d = reg.shape[1]
+    return reg[mats_idx].transpose(0, 1, 3, 2, 4).reshape(count, k * d, k * d)
 
 
 def _gl_gens_idx(k: int, q: int) -> list[np.ndarray]:
@@ -550,8 +565,8 @@ def bilinear_forms_group(q: int, m: int) -> MatrixGroupSpec:
     for qg in _gl_gens_idx(m, q):
         mats.append(np.kron(eye2, qg))
     if d > 1:
-        mats = [_blow_up(mt, q) for mt in mats]
-    return MatrixGroupSpec(p, 2 * m * d, _as_gen_tuples(mats))
+        mats = _blow_up(np.array(mats), q)
+    return MatrixGroupSpec(p, 2 * m * d, mats)
 
 
 _ALT_PAIRS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -592,7 +607,7 @@ def alternating_forms_group() -> MatrixGroupSpec:
             for ridx, (ii, kk) in enumerate(_ALT_PAIRS):
                 big[ridx, cidx] = (pg[ii, jj] * pg[kk, ll] + pg[ii, ll] * pg[kk, jj]) % 2
         mats.append(big)
-    return MatrixGroupSpec(2, 10, _as_gen_tuples(mats))
+    return MatrixGroupSpec(2, 10, mats)
 
 
 # -- generic orbital construction -------------------------------------------------
@@ -802,7 +817,9 @@ class _Family:
 
     The zero-stabilizer is the stabilizer of vertex 0 in the family's known
     group: ``stabilizer(*params)`` as permutations, or else the linear action
-    of the matrix group ``spec(*params, seed)``.  ``seed`` reaches only the
+    of the matrix group ``spec(*params, seed)``.  The polar family declares
+    both: its G0 builder certifies the linear action of its spec, and
+    ``stabilizer`` hands on those permutations.  ``seed`` reaches only the
     sl25 spec, whose generators it conjugates.
     ``graph`` is None for the orbital family, whose graph is built from its
     spec.
@@ -837,6 +854,7 @@ _FAMILIES = {
         "vo", _parse_polar,
         lambda m, q, eps: f"vo:{'+' if eps == 1 else '-'}:{2 * m}:{q}",
         affine_polar,
+        stabilizer=lambda m, q, eps: _polar_zero_stabilizer(m, q, eps)[1],
         spec=lambda m, q, eps, seed: affine_polar_group(m, q, eps),
     ),
     "BilinearForms": _Family(
@@ -899,7 +917,8 @@ class Build:
     group, as permutations of the vertices, and ``orbits`` are its orbits on
     the other vertices (stabilizer_orbits), which give the rank and
     subdegrees.  ``spec`` is G0 as a matrix group over GF(p) when the family
-    has one, and G0 is then its linear action; it is None for a family
+    has one, and G0 is then its linear action (made once, by the polar
+    family's builder or else here); it is None for a family
     declared by permutations.  An orbital row's graph is cut from
     orbit 0 of its G0, so reading it makes the spec, G0 and the orbits
     first; every other row's graph makes no group.  ``seed`` reaches only

@@ -18,7 +18,6 @@ past the order of any dense graph built here.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 import numpy as np
@@ -159,6 +158,12 @@ class FiniteField:
     Elements are their indices in [0, q); omega is an index too.  Immutable
     after construction, so a field is safely shareable across threads.  Use
     make_field(): it canonicalizes and caches instances.
+
+    The exp table is filled by doubling, in log2(q) int64 products over
+    GF(p): with the coefficients of omega**0 .. omega**(h-1) made,
+    multiplication by omega**h, a d x d matrix, gives the next h, and the
+    matrix is squared.  The d rows of the first matrix, omega times each
+    power of x, are the only polynomial products.
     """
 
     def __init__(self, p: int, d: int, modulus: tuple[int, ...], omega_coeffs: tuple[int, ...]):
@@ -168,10 +173,21 @@ class FiniteField:
         self.modulus = modulus  # little-endian, length d+1, monic
         self._place = p ** np.arange(d, dtype=np.int64)
         self.coeffs = digits(self.q, p, d)
-        powers = [(1,) + (0,) * (d - 1)]
-        for _ in range(self.q - 2):
-            powers.append(_polymulmod(powers[-1], omega_coeffs, modulus, p))
-        self.exp = np.array(powers, dtype=np.int64) @ self._place
+        # powers[k]: the coefficients of omega**k; row i of step: those of
+        # x**i * omega**h
+        powers = np.zeros((self.q - 1, d), dtype=np.int64)
+        powers[0, 0] = 1
+        step = np.array(
+            [_polymulmod(row, omega_coeffs, modulus, p) for row in np.eye(d, dtype=int).tolist()],
+            dtype=np.int64,
+        )
+        h = 1
+        while h < self.q - 1:
+            top = min(2 * h, self.q - 1)
+            powers[h:top] = powers[: top - h] @ step % p
+            step = step @ step % p
+            h = top
+        self.exp = powers @ self._place
         self.log = np.full(self.q, -1, dtype=np.int64)
         self.log[self.exp] = np.arange(self.q - 1)
         for table in (self._place, self.coeffs, self.exp, self.log):
@@ -239,28 +255,32 @@ def _polymulmod(a, b, modulus, p: int) -> tuple[int, ...]:
     return tuple(prod[:d])
 
 
-def _x_has_full_order(modulus: tuple[int, ...], p: int, q: int, prime_factors: list[int]) -> bool:
-    """True iff the residue x has multiplicative order exactly q - 1 mod modulus.
+def _x_has_full_order(moduli: np.ndarray, p: int, q: int, prime_factors: list[int]) -> np.ndarray:
+    """For each row of the (K, d) array moduli, the low coefficients f_0 ..
+    f_(d-1) of a monic f of degree d: whether the residue x has
+    multiplicative order exactly q - 1 mod f, as a (K,) bool array.
 
-    An element of order q - 1 exists in GF(p)[x]/(f) only when f is irreducible,
-    so this single test certifies both primitivity and irreducibility.
+    An element of order q - 1 exists in GF(p)[x]/(f) only when f is
+    irreducible, so this single test certifies both primitivity and
+    irreducibility.  x**e is column 0 of M**e, M the matrix of
+    multiplication by x mod f, taken for e = q - 1 and every (q - 1) / r at
+    once and for all K moduli as one stack: one squaring of M per bit of
+    q - 1, and per bit one product, kept by the exponents that have the
+    bit.  Entries are residues, so a product sums d terms below p**2.
     """
-    d = len(modulus) - 1
-    x = tuple([0, 1] + [0] * (d - 2)) if d >= 2 else (0,)
-    one = tuple([1] + [0] * (d - 1))
-
-    def polypow(base, k):
-        result = one
-        while k:
-            if k & 1:
-                result = _polymulmod(result, base, modulus, p)
-            base = _polymulmod(base, base, modulus, p)
-            k >>= 1
-        return result
-
-    if polypow(x, q - 1) != one:
-        return False
-    return all(polypow(x, (q - 1) // r) != one for r in prime_factors)
+    k, d = moduli.shape
+    exponents = np.array([q - 1] + [(q - 1) // r for r in prime_factors])
+    step = np.zeros((k, d, d), dtype=np.int64)  # M: x * x**j = x**(j + 1), x * x**(d-1) = -f
+    step[:, np.arange(1, d), np.arange(d - 1)] = 1
+    step[:, :, d - 1] = -moduli % p
+    powers = np.zeros((k, d, len(exponents)), dtype=np.int64)  # x**(the bits of e so far)
+    powers[:, 0] = 1
+    for b in range((q - 1).bit_length()):
+        if b:
+            step = step @ step % p
+        powers = np.where((exponents >> b) & 1 == 1, step @ powers % p, powers)
+    is_one = (powers[:, 0] == 1) & (powers[:, 1:] == 0).all(axis=1)  # (K, exponents)
+    return is_one[:, 0] & ~is_one[:, 1:].any(axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +289,8 @@ def make_field(p: int, d: int) -> FiniteField:
 
     The modulus is the lexicographically smallest (coefficients compared
     high-degree-first) monic primitive polynomial of degree d over GF(p), found
-    by exhaustive search; the residue x is then itself primitive and is taken
+    by exhaustive search, 16 candidates in order at a time
+    (_x_has_full_order); the residue x is then itself primitive and is taken
     as omega.  For d = 1 the modulus is x - g with g the smallest primitive
     root mod p, and omega = g.
     """
@@ -285,11 +306,15 @@ def make_field(p: int, d: int) -> FiniteField:
         modulus = ((-g) % p, 1)  # x - g
         return FiniteField(p, d, modulus, (g % p,))
     prime_factors = list(factorint(q - 1))
-    for high_first in product(range(p), repeat=d):
-        if high_first[-1] == 0:
-            continue  # constant term 0: x divides f, never primitive
-        modulus = tuple(reversed(high_first)) + (1,)
-        if _x_has_full_order(modulus, p, q, prime_factors):
+    # row c of digits(q, p, d) holds the low coefficients of the candidate
+    # whose high-degree-first coefficients are c's digits, so the rows run
+    # in the search order; constant term 0: x divides f, never primitive
+    candidates = digits(q, p, d)
+    candidates = candidates[candidates[:, 0] != 0]
+    for chunk in np.split(candidates, range(16, len(candidates), 16)):
+        hit = np.flatnonzero(_x_has_full_order(chunk, p, q, prime_factors))
+        if hit.size:
+            modulus = tuple(chunk[hit[0]].tolist()) + (1,)
             omega = tuple([0, 1] + [0] * (d - 2))
             return FiniteField(p, d, modulus, omega)
     raise AssertionError(f"no primitive polynomial of degree {d} over GF({p})")

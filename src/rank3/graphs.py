@@ -24,7 +24,8 @@ family graph in this package is made so, and a stage that reads only row 0
 is_isomorphism decides a map x -> A x + b between graphs on one Z_m^k on
 row 0 alone, in O(k n), and any other map on the upper triangle of the
 rows, in O(n^2): both graphs are symmetric, so a pair compared in one
-order need not be compared in the other.
+order need not be compared in the other.  isomorphism_mask decides a stack
+of maps, the affine ones in one pass over row 0.
 
 The translations act regularly, so the pair (u, v) maps to (0, v - u) and
 |N(u) & N(v)| = |N(0) & N(v - u)|: the autocorrelation of row 0 over the
@@ -96,9 +97,17 @@ def _radix(moduli: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def unit_translations(moduli: tuple[int, ...]) -> list[np.ndarray]:
     """Image arrays of the unit translations of Z_m1 x ... x Z_mk, where
     point i is the vector of its mixed-radix digits c_j
-    (i = sum c_j * m_1 ... m_(j-1)); translation j adds 1 to digit j."""
+    (i = sum c_j * m_1 ... m_(j-1)); translation j adds 1 to digit j.  A
+    fresh list of read-only int64 rows of one table, made once per moduli."""
+    return list(_translation_table(tuple(moduli)))
+
+
+@lru_cache(maxsize=64)
+def _translation_table(moduli: tuple[int, ...]) -> np.ndarray:
     d, m, place = _radix(moduli)
-    return list(np.arange(d.shape[1]) + ((d + 1) % m - d) * place)
+    table = np.arange(d.shape[1]) + ((d + 1) % m - d) * place
+    table.setflags(write=False)
+    return table
 
 
 def _circulant_blocks(row0: np.ndarray, moduli: tuple[int, ...]):
@@ -317,95 +326,99 @@ def _packed_rows(n: int, bands) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _digit_tables(moduli: tuple[int, ...]):
     """_affine_verdict's tables for moduli (m,) * k, read-only and built once
-    per moduli: the digit dtype, the digits of each of the m**j values of the
-    high j = ceil(k / 2) digits and of each of the m**(k - j) values of the
-    low ones (columns of a j x m**j and a (k - j) x m**(k - j) array), and
-    the place values of the k digits, most significant first, as ints and as
-    floats."""
+    per moduli: m as a digit, the narrowest unsigned int that holds 2m - 1;
+    the digits of each of the m**j values of the high j = ceil(k / 2) digits
+    and of each of the m**(k - j) values of the low ones, as the diagonal
+    blocks of one (k + 1) x (m**j + m**(k - j)) int64 array whose last row
+    is 1 under the high block, so that one product gives, for a map's A and
+    b, the high and low parts of A y and of b + A y; the place values of the
+    k digits, most significant first, as ints (a k x 1 x 1 column) and as
+    float32s; and the points 0, e_1, ..., e_k whose images fix an affine
+    map."""
     k, m = len(moduli), moduli[0]
     j = k - k // 2
-    dtype = np.min_scalar_type(2 * m - 1)
-    high = np.indices(moduli[:j], dtype=dtype).reshape(j, -1)
-    low = np.indices(moduli[j:], dtype=dtype).reshape(k - j, m ** (k - j))
+    high = np.indices(moduli[:j]).reshape(j, -1)
+    low = np.indices(moduli[j:]).reshape(k - j, m ** (k - j))
+    tables = np.zeros((k + 1, high.shape[1] + low.shape[1]), dtype=np.int64)
+    tables[:j, : high.shape[1]], tables[j:k, high.shape[1] :] = high, low
+    tables[k, : high.shape[1]] = 1
     place = m ** np.arange(k - 1, -1, -1)  # the unit vectors
-    fplace = place.astype(np.float64)  # for a BLAS product, exact below 2**53
-    for table in (high, low, place, fplace):
+    # for a BLAS product whose every partial sum is an index: exact below 2**24
+    fplace = place.astype(np.float32)
+    ends_at = np.append(0, place)
+    place = place.reshape(k, 1, 1)
+    for table in (tables, place, fplace, ends_at):
         table.flags.writeable = False
-    return dtype, high, low, place, fplace
+    return np.min_scalar_type(2 * m - 1).type(m), tables, place, fplace, ends_at
 
 
-def _affine_verdict(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool | None:
-    """Whether the bijection mapping carries g onto h, decided on row 0
-    alone, when g and h carry the same moduli (m,) * k; None when mapping is
-    not affine on Z_m^k.
+def _affine_verdict(g: DenseGraph, h: DenseGraph, mappings: np.ndarray) -> np.ndarray:
+    """A 2 x K boolean array for the K bijections in the rows of the (K, n)
+    array mappings, when g and h carry the same moduli (m,) * k: row 0 says
+    whether each map is affine on Z_m^k, and row 1, where it is, whether the
+    map carries g onto h, decided on row 0 alone (row 1 means nothing where
+    row 0 is False).
 
-    An affine mapping, mapping[y] = mapping[0] + A y, normalizes the
-    translations, so as adj[x, y] = row0[y - x] on both graphs it carries g
-    onto h iff h.row0[A y] == g.row0[y] for every y.  The digits of y, most
-    significant first, split into r's (the first j = ceil(k / 2)) and s's
-    (the rest), y = r * width + s; the digits of A y are then the digitwise
-    sum mod m of column r of one table and column s of another, each at most
-    k x m**j, with A's columns read off the images of 0 and of the unit
-    vectors.  A block of whole rows r, at most 8192 digits, is checked at a
-    time: its images' digits minus mapping[0]'s must equal A y's (else
-    None), and h.row0 at A y is compared with g.row0 at y.  So every
-    temporary stays under glibc's 128 KiB mmap threshold and is carved from
-    the heap instead of being mapped and page-faulted afresh.  Digits are
+    An affine mapping, mapping[y] = b + A y with b = mapping[0], normalizes
+    the translations, so as adj[x, y] = row0[y - x] on both graphs it
+    carries g onto h iff h.row0[A y] == g.row0[y] for every y.  The digits
+    of y, most significant first, split into r's (the first j = ceil(k / 2))
+    and s's (the rest), y = r * width + s; the digits of A y and of b + A y
+    are then the digitwise sums mod m of column r of one table and column s
+    of another, each at most k x m**j per map, made by one int64 product of
+    each map's A and b, read off the images of 0 and of the unit vectors,
+    with _digit_tables.  The stack is checked in blocks of whole rows r of a
+    run of maps, each digit array at most 8192 digits (one map's row r when
+    that is more), whose indices come from one float32 vector-matrix
+    product, exact as n <= 2**24: the images must equal b + A y (else the
+    map is not affine), and h.row0 at A y is compared with g.row0 at y.  So
+    every temporary stays under glibc's 128 KiB mmap threshold and is carved
+    from the heap instead of being mapped and page-faulted afresh.  Digits are
     the narrowest unsigned ints that hold 2m - 1, and a digitwise sum x < 2m
     is reduced mod m as min(x, x - m), where x - m wraps past the top when
-    x < m.  The digit tables depend on the moduli alone (_digit_tables)."""
-    dtype, high, low, place, fplace = _digit_tables(g.moduli)
+    x < m."""
+    wrap, tables, place, fplace, ends_at = _digit_tables(g.moduli)
     k, m = len(g.moduli), g.moduli[0]
-    j, width = high.shape[0], low.shape[1]
-    ends = mapping[np.append(0, place)] // place[:, None] % m  # of 0 and the e_i
-    a = ends[:, 1:] - ends[:, :1]  # A's columns, mod m
-    a %= m
-    lin_high = ((a[:, :j] @ high) % m).astype(dtype)
-    lin_low = ((a[:, j:] @ low) % m).astype(dtype)
-    back = (m - ends[:, :1]).astype(dtype)  # adding it subtracts mapping[0]
-    wrap = dtype.type(m)
-    rows = max(1, (1 << 13) // (k * width))
-    same = True
-    for r in range(0, lin_high.shape[1], rows):
-        lin = (lin_high[:, r : r + rows, None] + lin_low[:, None, :]).reshape(k, -1)
-        np.minimum(lin, lin - wrap, out=lin)  # the digits of A y
-        lo, hi = r * width, r * width + lin.shape[1]
-        row, col = np.divmod(mapping[lo:hi], width)  # of the images
-        shift = np.empty_like(lin)
-        np.take(high, row, axis=1, out=shift[:j])
-        np.take(low, col, axis=1, out=shift[j:])
-        shift += back
-        np.minimum(shift, shift - wrap, out=shift)  # of mapping[y] - mapping[0]
-        if not (shift == lin).all():
-            return None
-        same = same and np.array_equal(h.row0[(fplace @ lin).astype(np.intp)], g.row0[lo:hi])
-    return same
+    width = m ** (k // 2)  # the values of the low digits
+    count = len(mappings)
+    # ends[i, t, c]: digit i of map t's image of 0 (c = 0) and of e_c (c >= 1)
+    ends = mappings[:, ends_at] // place % m
+    ab = np.zeros((2, k, count, k + 1), dtype=np.int64)  # [A | 0] and [A | b], row by row
+    ab[:, :, :, :k] = ends[:, :, 1:] - ends[:, :, :1]
+    ab[1, :, :, k] = ends[:, :, 0]
+    parts = (ab.reshape(-1, k + 1) @ tables % m).astype(wrap.dtype).reshape(2, k, count, -1)
+    high, low = parts[:, :, :, :-width], parts[0, :, :, -width:]
+    maps = max(1, min(count, (1 << 13) // (k * width)))
+    rows = max(1, (1 << 13) // (maps * k * width))
+    verdict = np.ones((2, count), dtype=bool)
+    for t in range(0, count, maps):
+        run = slice(t, t + maps)
+        for r in range(0, high.shape[3], rows):
+            y = high[:, :, run, r : r + rows, None] + low[:, run, None, :]
+            c = y.shape[2]
+            y = y.reshape(2, k, -1)
+            np.minimum(y, y - wrap, out=y)  # the digits of A y and of b + A y
+            at = (fplace @ y).astype(np.intp)
+            lo, hi = r * width, r * width + at.shape[1] // c
+            affine = verdict[0, run]
+            affine &= (at[1].reshape(c, -1) == mappings[run, lo:hi]).all(axis=1)
+            if not affine.any():
+                break
+            image = h.row0[at[0]].reshape(c, -1)
+            verdict[1, run] &= (image == g.row0[lo:hi]).all(axis=1)
+    return verdict
 
 
-def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
-    """Whether the bijection i -> mapping[i] carries g onto h, i.e.
-    h.adj[mapping[i], mapping[j]] == g.adj[i, j] for all i, j.  Precondition:
-    mapping is a permutation of range(n); on any other array the answer
-    means nothing.
+def _affine_applies(g: DenseGraph, h: DenseGraph) -> bool:
+    """Whether _affine_verdict can judge maps g -> h: both carry the same
+    moduli (m,) * k, on more than one vertex and at most 2**24, below which
+    its float32 indices are exact."""
+    return 1 < g.n <= 1 << 24 and g.moduli == h.moduli and len(set(g.moduli or ())) == 1
 
-    When g and h carry the same moduli (m,) * k, a mapping that is affine on
-    Z_m^k is decided on row 0 alone, in O(k n), and no rows are packed (see
-    _affine_verdict).  Any other mapping is checked on the upper triangle,
-    in blocks of h's rows, unpacked to at most 64 KiB (one row, when a row
-    is longer): block [lo, hi) has its columns from lo on permuted and
-    packed again to compare with g's packed rows, stopping at the first
-    block that differs.  Both graphs are symmetric (every constructor
-    checks it), so a pair (i, j) with j < lo was compared, as (j, i), in
-    j's block; lo is rounded down to a whole byte of the packed rows.
-    Blocks stay under glibc's 128 KiB mmap threshold, so each is carved
-    from the heap instead of being mapped and page-faulted afresh.  The
-    columns are gathered by np.take, which returns a C-ordered block: the
-    F-ordered block of ``[:, mapping]`` compares about 9x slower."""
-    moduli = g.moduli
-    if g.n > 1 and moduli == h.moduli and len(set(moduli or ())) == 1:
-        verdict = _affine_verdict(g, h, mapping)
-        if verdict is not None:
-            return verdict
+
+def _rows_carry(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
+    """is_isomorphism's check of any bijection, on the upper triangle of
+    the packed rows (see there)."""
     n = g.n
     rows = max(1, (1 << 16) // max(n, 1))
     for lo in range(0, n, rows):
@@ -415,6 +428,46 @@ def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
         if not np.array_equal(block, g._rows[lo : lo + rows, byte : byte + block.shape[1]]):
             return False
     return True
+
+
+def is_isomorphism(g: DenseGraph, h: DenseGraph, mapping: np.ndarray) -> bool:
+    """Whether the bijection i -> mapping[i] carries g onto h, i.e.
+    h.adj[mapping[i], mapping[j]] == g.adj[i, j] for all i, j.  Precondition:
+    mapping is a permutation of range(n); on any other array the answer
+    means nothing.
+
+    When g and h carry the same moduli (m,) * k, a mapping that is affine on
+    Z_m^k is decided on row 0 alone, in O(k n), and no rows are packed: the
+    stacked _affine_verdict, called with this one row.  Any other mapping is
+    checked on the upper triangle, in blocks of h's rows, unpacked to at
+    most 64 KiB (one row, when a row is longer): block [lo, hi) has its
+    columns from lo on permuted and packed again to compare with g's packed
+    rows, stopping at the first block that differs.  Both graphs are
+    symmetric (every constructor checks it), so a pair (i, j) with j < lo
+    was compared, as (j, i), in j's block; lo is rounded down to a whole
+    byte of the packed rows.  Blocks stay under glibc's 128 KiB mmap
+    threshold, so each is carved from the heap instead of being mapped and
+    page-faulted afresh.  The columns are gathered by np.take, which
+    returns a C-ordered block: the F-ordered block of ``[:, mapping]``
+    compares about 9x slower."""
+    if _affine_applies(g, h):
+        verdict = _affine_verdict(g, h, mapping[None])
+        if verdict[0, 0]:
+            return bool(verdict[1, 0])
+    return _rows_carry(g, h, mapping)
+
+
+def isomorphism_mask(g: DenseGraph, h: DenseGraph, mappings: np.ndarray) -> np.ndarray:
+    """is_isomorphism for each row of the (K, n) array of bijections
+    mappings, as a boolean array: the affine rows in one stacked
+    _affine_verdict, the others on the rows one at a time."""
+    mappings = np.asarray(mappings)
+    affine, carries = np.zeros((2, len(mappings)), dtype=bool)
+    if _affine_applies(g, h) and len(mappings):
+        affine, carries = _affine_verdict(g, h, mappings)
+    for i in np.flatnonzero(~affine):
+        carries[i] = _rows_carry(g, h, mappings[i])
+    return carries
 
 
 def complement(g: DenseGraph) -> DenseGraph:

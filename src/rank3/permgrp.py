@@ -29,6 +29,7 @@ completed chain.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -159,9 +160,11 @@ class _Level:
         self.x_done = 0
         self.g_done = 0
 
-    def append(self, img: np.ndarray) -> None:
+    def append(self, img: np.ndarray, inv: np.ndarray | None = None) -> None:
+        """Add the generator img with its inverse: inv, when the caller has
+        it (a residue joins several levels, inverted once), else made here."""
         self.gens.append(img)
-        self.invs.append(_invert_img(img))
+        self.invs.append(_invert_img(img) if inv is None else inv)
 
 
 def _extend_orbit(lvl: _Level, n: int) -> None:
@@ -336,8 +339,9 @@ def _chain(
             if r[levels[j].base] != levels[j].base:
                 break
             j += 1
+        inv = _invert_img(r)
         for lvl in levels[lo : j + 1]:
-            lvl.append(r)
+            lvl.append(r, inv)
             _extend_orbit(lvl, n)
         return target is not None and math.prod(len(l.orbit_order) for l in levels) >= target
 
@@ -495,32 +499,63 @@ def rank_and_subdegrees(gs: GeneratorSet) -> tuple[int, list[int]]:
 # -- matrix groups over GF(p) --------------------------------------------------
 
 
-def _det_mod(mat, p: int) -> int:
-    """Determinant mod p by fraction-free Gaussian elimination."""
-    m = [[int(x) % p for x in row] for row in np.asarray(mat)]
-    d = len(m)
-    det = 1
+@functools.lru_cache(maxsize=None)
+def _inverses(p: int) -> np.ndarray:
+    """inv[a] = a**(p - 2) mod the prime p, the inverse of every nonzero
+    residue a (inv[0] = 0 for p > 2), read-only: square and multiply on all
+    p residues at once."""
+    base = np.arange(p, dtype=np.int64)
+    inv = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    inv.setflags(write=False)
+    return inv
+
+
+def _dets_mod(mats: np.ndarray, p: int) -> np.ndarray:
+    """The determinants mod the prime p of a (K, d, d) stack of integer
+    matrices, as a (K,) int64 array, by one Gaussian elimination run over the
+    whole stack: column by column, each matrix swaps up its first row with a
+    nonzero entry at or below the diagonal (its determinant changing sign)
+    and clears the entries below the pivot.  A matrix with no such row is
+    singular: its pivot, and so its determinant, is 0, and it has nothing to
+    clear.  Every product of two residues stays below p**2 < 2**32."""
+    m = np.array(mats, dtype=np.int64) % p
+    k, d = m.shape[0], m.shape[-1]
+    inverses = _inverses(p)
+    rows = np.arange(k)
+    det = np.ones(k, dtype=np.int64)
     for col in range(d):
-        piv = next((r for r in range(col, d) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, d):
-            f = m[r][col] * inv % p
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[col])]
-    return det % p
+        piv = col + (m[:, col:, col] != 0).argmax(axis=1)
+        swap = piv != col
+        if swap.any():
+            top = m[rows, col].copy()
+            m[rows, col] = m[rows, piv]
+            m[rows, piv] = top
+            det[swap] *= -1
+        pivot = m[:, col, col]
+        det = det * pivot % p
+        if col + 1 < d:
+            f = m[:, col + 1 :, col] * inverses[pivot][:, None] % p
+            m[:, col + 1 :, col + 1 :] -= f[:, :, None] * m[:, None, col, col + 1 :]
+            m[:, col + 1 :, col + 1 :] %= p
+    return det
 
 
 @dataclass(frozen=True)
 class MatrixGroupSpec:
-    """A subgroup of GL_d(p), p prime, given by invertible generator matrices.
-    ValueError unless d >= 1 and p**d <= 2**16, the largest field the
-    package builds: the group acts on all p**d vectors."""
+    """A subgroup of GL_d(p), p prime, given by invertible generator matrices:
+    any sequence of d x d integer matrices, a (K, d, d) array among them.
+    ``gens`` is then a tuple of read-only d x d int64 views of one stack,
+    reduced mod p.  Every generator's determinant comes from one stacked
+    elimination (_dets_mod); SingularGenerator shows the first matrix whose
+    determinant is 0.  ValueError for a generator that is not d x d, and
+    unless d >= 1 and p**d <= 2**16, the largest field the package builds:
+    the group acts on all p**d vectors."""
 
     p: int
     d: int
@@ -534,16 +569,16 @@ class MatrixGroupSpec:
             raise ValueError(
                 f"a spec needs d >= 1 and p**d <= {_MAX_Q}, got p = {self.p}, d = {self.d}"
             )
-        mats = []
-        for g in self.gens:
-            m = np.asarray(g, dtype=np.int64) % self.p
+        mats = [np.asarray(g, dtype=np.int64) for g in self.gens]
+        for m in mats:
             if m.shape != (self.d, self.d):
                 raise ValueError(f"generator shape {m.shape} != ({self.d}, {self.d})")
-            if _det_mod(m, self.p) == 0:
-                raise SingularGenerator(f"generator is singular mod {self.p}:\n{m}")
-            m.setflags(write=False)
-            mats.append(m)
-        object.__setattr__(self, "gens", tuple(mats))
+        stack = np.stack(mats) % self.p if mats else np.zeros((0, self.d, self.d), np.int64)
+        singular = np.flatnonzero(_dets_mod(stack, self.p) == 0)
+        if singular.size:
+            raise SingularGenerator(f"generator is singular mod {self.p}:\n{stack[singular[0]]}")
+        stack.setflags(write=False)
+        object.__setattr__(self, "gens", tuple(stack))
 
 
 def linear_perms(spec: MatrixGroupSpec) -> GeneratorSet:

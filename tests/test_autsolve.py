@@ -48,7 +48,9 @@ from rank3.families import (
 from rank3.graphs import DenseGraph, complement, unit_translations
 from rank3.permgrp import (
     GeneratorSet,
+    MatrixGroupSpec,
     _base_product,
+    linear_perms,
     orbit_mask,
     reaches_order,
     schreier_sims,
@@ -1064,6 +1066,28 @@ class TestSeededSearch:
             automorphism_group(g, known=GeneratorSet(13, (swap,)))
         with pytest.raises(ValueError, match="degree"):
             automorphism_group(g, known=GeneratorSet(9, (np.arange(9),)))
+
+    def test_first_bad_known_generator_is_named(self):
+        # the known generators are checked as one stack, the affine ones
+        # together and the others on the rows; the message still names the
+        # first bad one by its index in known, wherever it sits
+        fid = parse_descriptor("vo:-:6:2")
+        g, good = family_graph(fid), list(Build(fid).stabilizer.gens)
+        swap = np.eye(6, dtype=np.int64)[[2, 1, 0, 3, 4, 5]]
+        [affine] = linear_perms(MatrixGroupSpec(2, 6, (swap,))).gens
+        moved = np.arange(64)
+        moved[[1, 2]] = [2, 1]  # not affine
+        for bad in (affine, moved):
+            assert not np.array_equal(g.adj[np.ix_(bad, bad)], g.adj)
+        for gens, first in (
+            ([good[0], unit_translations(g.moduli)[0], good[1], affine, good[0], moved], 3),
+            ([good[0], moved, good[1], affine, good[2]], 1),
+            ([*good, good[0], affine], len(good) + 1),
+        ):
+            with pytest.raises(ValueError, match=f"known generator {first} is not"):
+                automorphism_group(g, known=GeneratorSet(64, gens))
+        r = automorphism_group(g, known=GeneratorSet(64, [good[1], good[0], good[1], *good]))
+        assert r.known == len(g.moduli) + len(good)
 
     def test_proper_subgroup_still_gives_full_order(self):
         # x -> 16x generates the order-3 subgroup of G0 = <x -> 4x> (order 6)

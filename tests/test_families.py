@@ -334,6 +334,18 @@ class TestAffinePolar:
         assert stabilizer_rank(Build(fid).stabilizer) == (3, sorted([s, q ** (2 * m) - 1 - s]))
         assert int(family_graph(fid).adj[0].sum()) == s
 
+    @pytest.mark.parametrize(
+        "desc",
+        [e.id for e in builtin_catalog() if e.family.tag == "AffinePolar"]
+        + ["vo:+:4:2", "vo:-:4:8", "vo:+:6:3"],
+    )
+    def test_stabilizer_is_the_spec_linear_action(self, desc):
+        # the builder hands on the permutations it certified: each polar
+        # row's G0 is its spec's linear action, byte for byte, made once
+        row = Build(parse_descriptor(desc))
+        assert row.stabilizer.gens.tobytes() == linear_perms(row.spec).gens.tobytes()
+        assert Build(parse_descriptor(desc)).stabilizer is row.stabilizer
+
     def test_non_similitude_rejected(self):
         # Q = x0 x1 + x2 x3 over GF(3); swapping x0 and x2 is no similitude
         vals = _evaluate_form(digits(81, 3, 4), [(0, 1, 1), (2, 3, 1)], 3)

@@ -137,6 +137,57 @@ def test_omega_has_full_multiplicative_order(p, d):
     assert F.log[seen].tolist() == list(range(F.q - 1))
 
 
+EXTENSIONS = [(p, d) for p in sympy.primerange(2, 65) for d in range(2, 13) if p**d <= 4096]
+
+
+@pytest.mark.parametrize("p,d", EXTENSIONS)
+def test_exp_table_matches_stepwise_powers(p, d):
+    # the doubling fill of exp gives the power sequence of omega that one
+    # polynomial product per step gives, on every extension field up to 4096
+    F = make_field(p, d)
+    omega = tuple(F.coeffs[F.omega].tolist())
+    powers = [(1,) + (0,) * (d - 1)]
+    for _ in range(F.q - 2):
+        powers.append(gf._polymulmod(powers[-1], omega, F.modulus, p))
+    assert F.exp.tolist() == [F.index(c) for c in powers]
+
+
+def x_has_full_order(modulus: tuple[int, ...], p: int) -> bool:
+    """Whether x has multiplicative order p**d - 1 mod the monic modulus of
+    degree d, one candidate at a time: x**(q - 1) = 1 and x**((q - 1) / r)
+    != 1 for every prime r | q - 1, by square and multiply on coefficient
+    tuples."""
+    d = len(modulus) - 1
+    q, one, x = p**d, (1,) + (0,) * (d - 1), (0, 1) + (0,) * (d - 2)
+
+    def power(k):
+        result, base = one, x
+        while k:
+            if k & 1:
+                result = gf._polymulmod(result, base, modulus, p)
+            base = gf._polymulmod(base, base, modulus, p)
+            k >>= 1
+        return result
+
+    cofactors = [(q - 1) // r for r in sympy.primefactors(q - 1)]
+    return power(q - 1) == one and all(power(k) != one for k in cofactors)
+
+
+@pytest.mark.parametrize("p,d", EXTENSIONS)
+def test_modulus_is_the_first_primitive_candidate(p, d):
+    # the stacked order test, 16 candidates at a time, keeps the modulus the
+    # one-at-a-time search picks: every candidate before it in
+    # high-degree-first order fails the reference test, and it passes
+    F = make_field(p, d)
+    assert x_has_full_order(F.modulus, p)
+    c = sum(a * p**j for j, a in enumerate(F.modulus[:-1]))  # its place in that order
+    earlier = [tuple(row) + (1,) for row in gf.digits(c, p, d).tolist() if row[0]]
+    assert not any(x_has_full_order(m, p) for m in earlier)
+    stack = np.array([m[:-1] for m in earlier + [F.modulus]])
+    got = gf._x_has_full_order(stack, p, p**d, sympy.primefactors(p**d - 1))
+    assert got.tolist() == [False] * len(earlier) + [True]
+
+
 def _indices(F, data, size=None):
     """One drawn index, or an array of `size` drawn indices."""
     idx = st.integers(min_value=0, max_value=F.q - 1)

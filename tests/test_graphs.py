@@ -1,6 +1,7 @@
 """Tests for rank3.graphs: SRG analytics against hand-checked graphs and
 graph6 output decoded by networkx."""
 
+import functools
 import math
 import os
 import subprocess
@@ -441,17 +442,24 @@ def test_false_moduli_rejected():
     assert g == cycle(7) and g.moduli == (7,)
 
 
-def circulant(row0: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
-    """adj[x, y] = row0[y - x], the difference taken digit by digit, built
-    pair by pair from the mixed-radix digits."""
-    n = row0.size
+@functools.cache
+def difference_index(moduli: tuple[int, ...]) -> np.ndarray:
+    """diff[x, y] = the index of y - x, the difference taken digit by digit,
+    built pair by pair from the mixed-radix digits, once per moduli."""
+    n = math.prod(moduli)
     digits = [np.unravel_index(i, moduli[::-1])[::-1] for i in range(n)]
     index = {d: i for i, d in enumerate(digits)}
-    diff = [
+    diff = np.array([
         [index[tuple((b - a) % m for a, b, m in zip(dx, dy, moduli))] for dy in digits]
         for dx in digits
-    ]
-    return row0[np.array(diff)]
+    ])
+    diff.setflags(write=False)
+    return diff
+
+
+def circulant(row0: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
+    """adj[x, y] = row0[y - x], read through difference_index."""
+    return row0[difference_index(moduli)]
 
 
 def negation(moduli: tuple[int, ...]) -> np.ndarray:
@@ -756,6 +764,76 @@ def test_affine_digit_tables_are_shared_and_read_only():
     assert graphs._digit_tables((3,) * 7) is first
     for table in first[1:]:
         assert not table.flags.writeable
+
+
+def mixed_stack(m: int, k: int, rng: np.random.Generator, count: int):
+    """A Cayley graph on Z_m^k whose connection set is a union of <a0, -1>
+    orbits for a random invertible a0, and a stack of `count` bijections,
+    each drawn as one of: an automorphism y -> a0^i y + b; a random
+    bijective affine map, an automorphism or not; an automorphism with two
+    images swapped, or a random permutation (neither affine)."""
+    n = m**k
+
+    def invertible():
+        while True:
+            a = rng.integers(0, m, size=(k, k))
+            if len(set(affine_map(a, 0, m).tolist())) == n:
+                return a
+
+    a0 = invertible()
+    neg = affine_map(-np.eye(k, dtype=int), 0, m)
+    seeds = rng.integers(1, n, size=3)
+    group = GeneratorSet(n, (affine_map(a0, 0, m), neg))
+    members = set().union(*(orbit(group, int(s)) for s in seeds))
+    g = DenseGraph.from_row0(np.isin(np.arange(n), sorted(members)), (m,) * k)
+    maps = []
+    for kind in rng.integers(0, 4, size=count):
+        b = int(rng.integers(n))
+        if kind == 0:
+            maps.append(affine_map(np.linalg.matrix_power(a0, int(rng.integers(1, 5))) % m, b, m))
+        elif kind == 1:
+            maps.append(affine_map(invertible(), b, m))
+        elif kind == 2:
+            sigma = affine_map(a0, b, m)
+            i, j = rng.choice(n, size=2, replace=False)
+            sigma[[i, j]] = sigma[[j, i]]
+            maps.append(sigma)
+        else:
+            maps.append(rng.permutation(n))
+    return g, np.array(maps)
+
+
+def check_stack(g: DenseGraph, maps: np.ndarray) -> None:
+    """The stacked verdict against the row check, the n^2 answer and the
+    affine-part oracle, map by map."""
+    m, k = g.moduli[0], len(g.moduli)
+    affine, carries = graphs._affine_verdict(g, g, maps)
+    mask = graphs.isomorphism_mask(g, g, maps)
+    for i, mapping in enumerate(maps):
+        assert affine[i] == (affine_part(mapping, m, k) is not None)
+        want = np.array_equal(g.adj[np.ix_(mapping, mapping)], g.adj)
+        assert mask[i] == graphs._rows_carry(g, g, mapping) == want
+        if affine[i]:
+            assert carries[i] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 2), (2, 6), (5, 2), (7, 2), (3, 4)]), st.data())
+def test_stacked_affine_verdict_agrees_with_row_check(shape, data):
+    # a stack of automorphisms, affine maps that may not be, and maps that
+    # are not affine: each row's verdict must be the row check's
+    m, k = shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g, maps = mixed_stack(m, k, rng, data.draw(st.integers(1, 12)))
+    check_stack(g, maps)
+
+
+def test_stacked_affine_verdict_in_several_runs():
+    # on (3,)^6 at most 50 maps fit one block of 8192 digits, so a stack of
+    # 120 is checked in three runs of maps, each in 27 blocks of one row r
+    g, maps = mixed_stack(3, 6, np.random.default_rng(6), 120)
+    assert (1 << 13) // (6 * 27) == 50
+    check_stack(g, maps)
 
 
 @pytest.mark.parametrize("a,b", [("vls:64:3", "hq:2:3"), ("vls:25:3", "hamming2:5")])

@@ -56,7 +56,14 @@ from rank3.permgrp import (
     semilinear_stabilizer_perms,
     with_translations,
 )
-from rank3.permgrp import _base_product, _invert_img, _Level, _extend_orbit, _transversal_img
+from rank3.permgrp import (
+    _base_product,
+    _dets_mod,
+    _extend_orbit,
+    _invert_img,
+    _Level,
+    _transversal_img,
+)
 
 
 def affine(spec):
@@ -503,6 +510,61 @@ def test_semilinear_divisor_check():
 def test_singular_generator_rejected():
     with pytest.raises(SingularGenerator):
         MatrixGroupSpec(3, 2, (np.array([[1, 1], [2, 2]]),))
+
+
+def cofactor_det(mat: list[list[int]], p: int) -> int:
+    """det(mat) mod p by cofactor expansion along the first row, the minors
+    on the remaining rows memoized by their column sets."""
+    d = len(mat)
+    memo = {}
+
+    def minor(row: int, cols: tuple[int, ...]) -> int:
+        if row == d:
+            return 1
+        if (row, cols) not in memo:
+            memo[row, cols] = sum(
+                (-1) ** i * mat[row][c] * minor(row + 1, cols[:i] + cols[i + 1 :])
+                for i, c in enumerate(cols)
+            )
+        return memo[row, cols]
+
+    return minor(0, tuple(range(d))) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_stacked_determinants_match_cofactor_expansion(p):
+    # random stacks of every size d <= 8, a quarter of the matrices made
+    # singular by a repeated or a scaled row; the one stacked elimination
+    # must give each matrix's cofactor determinant
+    rng = random.Random(p)
+    for d in range(1, 9):
+        mats = [[[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(24)]
+        for mat in mats[::4]:
+            if d > 1:
+                mat[rng.randrange(1, d)] = [x * rng.randrange(p) % p for x in mat[0]]
+            else:
+                mat[0][0] = 0
+        got = _dets_mod(np.array(mats), p).tolist()
+        assert got == [cofactor_det(mat, p) for mat in mats]
+
+
+def test_singular_generator_shows_the_first_singular_matrix():
+    # two singular generators after an invertible one: the message shows the
+    # first of them, reduced mod p
+    gens = (np.eye(2, dtype=int), np.array([[4, 1], [2, 2]]), np.zeros((2, 2), dtype=int))
+    with pytest.raises(SingularGenerator, match=re.escape("singular mod 3:\n[[1 1]\n [2 2]]")):
+        MatrixGroupSpec(3, 2, gens)
+
+
+def test_matrix_spec_takes_a_stack_as_read_only_views():
+    stack = np.array([[[1, 1], [0, 1]], [[0, 1], [1, 0]]])
+    spec = MatrixGroupSpec(2, 2, stack)
+    assert isinstance(spec.gens, tuple) and len(spec.gens) == 2
+    for g, want in zip(spec.gens, stack):
+        assert g.dtype == np.int64 and not g.flags.writeable
+        assert np.array_equal(g, want)
+    listed = MatrixGroupSpec(2, 2, list(stack))
+    assert np.array_equal(linear_perms(spec).gens, linear_perms(listed).gens)
 
 
 def test_matrix_spec_shape_checked():
