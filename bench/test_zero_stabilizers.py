@@ -3,12 +3,15 @@ pytest-benchmark.
 
     pytest bench/test_zero_stabilizers.py --benchmark-only   # PYTHONPATH=src
 
-* the polar G0 builder (``families._polar_zero_stabilizer``, past its
+* the polar G0 builder (``families.affine_polar_group``, past its
   per-process cache) on the four polar rows of ``rank3 verify --tier slow``:
-  the isometries and the similitude, one stacked determinant check, the
-  linear action, the similitude check and the order certificate.  The form
-  values and the fields it reads are made once per process, so they are
-  warm here;
+  the isometries and the similitude, the spec with its linear action, the
+  similitude check and the order certificate.  The form values and the
+  fields it reads are made once per process, so they are warm here;
+* ``families.family_matrix_spec`` on the spec rows of the params_large
+  workload, hq:2:5, a52, orbital:extraspecial:2401 and orbital:sl25:71:
+  each row's one MatrixGroupSpec, its generators' action on the p^d vectors
+  and the invertibility read off it;
 * ``autsolve._known_automorphisms`` on the 22 FULL and SLOW rows, each
   row's G0 checked as one stack against its graph, as the aut and iso
   stages start;
@@ -23,23 +26,33 @@ get ``ROUNDS`` rounds.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from rank3.autsolve import _known_automorphisms
 from rank3.catalog import builtin_catalog
-from rank3.families import Build, _polar_zero_stabilizer, parse_descriptor
+from rank3.families import Build, affine_polar_group, family_matrix_spec, parse_descriptor
 from rank3.graphs import is_isomorphism
-from rank3.permgrp import linear_perms
+from rank3.permgrp import stabilizer_orbits
 
 POLAR = [(4, 2, 1), (3, 2, -1), (2, 3, 1), (2, 2, -1)]  # vo:+:8:2 vo:-:6:2 vo:+:4:3 vo:-:4:2
+SPEC_ROWS = ["hq:2:5", "a52", "orbital:extraspecial:2401", "orbital:sl25:71"]
 SINGLE_MAP_ROWS = ["paley:13", "vo:+:8:2", "orbital:sl25:41"]
 ROUNDS = 20
 
 
 @pytest.mark.parametrize("params", POLAR, ids=[":".join(map(str, p)) for p in POLAR])
 def test_polar_zero_stabilizer_build(benchmark, params):
-    spec, perms = benchmark.pedantic(_polar_zero_stabilizer.__wrapped__, params, rounds=ROUNDS)
-    assert perms.gens.tobytes() == linear_perms(spec).gens.tobytes()
+    spec = benchmark.pedantic(affine_polar_group.__wrapped__, params, rounds=ROUNDS)
+    assert np.array_equal(np.stack(spec.gens), np.stack(affine_polar_group(*params).gens))
+
+
+@pytest.mark.parametrize("desc", SPEC_ROWS)
+def test_spec_construction(benchmark, desc):
+    fid = parse_descriptor(desc)
+    spec = benchmark.pedantic(family_matrix_spec, (fid,), rounds=ROUNDS)
+    assert spec.perms.degree == spec.p**spec.d
+    assert len(stabilizer_orbits(spec.perms)) == 2
 
 
 def test_known_automorphisms_on_verify_rows(benchmark):

@@ -43,7 +43,6 @@ from rank3.graphs import srg_params  # noqa: E402
 from rank3.permgrp import (  # noqa: E402
     GeneratorSet,
     MatrixGroupSpec,
-    _dets_mod,
     format_matrix_spec,
     linear_perms,
     schreier_sims,
@@ -77,6 +76,28 @@ def rref_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return a, pivots
+
+
+def det_mod(m: np.ndarray, p: int) -> int:
+    """det(m) mod the prime p, by Gaussian elimination over Python ints: each
+    column's first nonzero entry at or below the diagonal is swapped up (the
+    determinant changing sign) and clears the entries below it.  A column
+    with no such entry makes m singular."""
+    a = [[int(x) % p for x in row] for row in m]
+    det = 1
+    for c in range(len(a)):
+        r = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for r in range(c + 1, len(a)):
+            f = a[r][c] * inv % p
+            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
+    return det
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
@@ -198,7 +219,7 @@ def lift_outer(rep: TwoGroupRep, alpha: np.ndarray, scalars: list[int]) -> np.nd
     words = [rep.word(alpha[:, i] % 2) for i in range(k)]
     cand_lists = []
     for g, w in zip(rep.gens, words):
-        det_g, det_w = _dets_mod(np.stack([g, w]), p).tolist()
+        det_g, det_w = det_mod(g, p), det_mod(w, p)
         need = det_g * pow(det_w, -1, p) % p
         cands = [c for c in scalars if pow(c, d, p) == need]
         if not cands:
@@ -213,7 +234,7 @@ def lift_outer(rep: TwoGroupRep, alpha: np.ndarray, scalars: list[int]) -> np.nd
         basis = nullspace_mod(np.concatenate(rows, axis=0), p)
         for vec in basis:
             m = vec.reshape(d, d)
-            if _dets_mod(m[None], p)[0] != 0:
+            if det_mod(m, p) != 0:
                 for g, w, c in zip(rep.gens, words, pattern):
                     lhs = (m @ g) % p
                     rhs = (c * (w @ m)) % p

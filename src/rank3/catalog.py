@@ -88,6 +88,19 @@ class IsoClaim:
         parse_descriptor(self.other)  # fail fast on malformed targets
 
 
+def _divides_factorial(m: int, n: int) -> bool:
+    """Whether m divides n!, without making n!: r = m is divided by
+    gcd(r, i) for i = 2, 3, ..., n, stopping once r is 1.  That removes
+    min(v_p(m), v_p(n!)) factors of each prime p, so r reaches 1 exactly
+    when m divides n!."""
+    r = m
+    for i in range(2, n + 1):
+        if r == 1:
+            break
+        r //= math.gcd(r, i)
+    return r == 1
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One verification target; invariants are checked on construction."""
@@ -117,7 +130,7 @@ class CatalogEntry:
                     f"{self.id}: expected order {order} is not a positive "
                     f"multiple of n = {self.n} (vertex-transitivity)"
                 )
-            if math.factorial(self.n) % order:
+            if not _divides_factorial(order, self.n):
                 raise ValueError(
                     f"{self.id}: expected order {order} does not divide n!"
                 )

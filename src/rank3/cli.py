@@ -36,7 +36,7 @@ from . import catalog as _catalog
 from .autsolve import NotIsomorphic, Timeout, are_isomorphic
 from .families import Build, parse_descriptor
 from .graphs import to_graph6
-from .permgrp import linear_perms, read_matrix_spec, stabilizer_rank
+from .permgrp import read_matrix_spec, stabilizer_rank
 
 __all__ = ["main"]
 
@@ -94,7 +94,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     spec = read_matrix_spec(args.spec_file)
-    rank, sizes = stabilizer_rank(linear_perms(spec))
+    rank, sizes = stabilizer_rank(spec.perms)
     print(f"rank {rank}, subdegrees {', '.join(str(s) for s in sizes)}")
     return 0
 

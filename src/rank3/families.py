@@ -61,7 +61,6 @@ from .permgrp import (
     GeneratorSet,
     MatrixGroupSpec,
     central_product_with_scalars,
-    linear_perms,
     parse_matrix_spec,
     reaches_order,
     read_matrix_spec,
@@ -93,7 +92,6 @@ __all__ = [
     "alternating_forms_group",
     "hamming2_stabilizer",
     "quaternion_normalizer_spec",
-    "binary_icosahedral_spec",
     "sl25_with_scalars_spec",
     "sl23_with_scalars_spec",
     "extraspecial_normalizer_spec",
@@ -372,6 +370,7 @@ def _general_orthogonal_order(m: int, q: int, epsilon: int) -> int:
     return o
 
 
+@lru_cache(maxsize=None)
 def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     """Generators of the similitude group of the affine_polar form as a
     matrix group over GF(p), q = p**d: GO(2m, epsilon, q) extended by a
@@ -394,18 +393,11 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     Schreier-Sims lower bound reaches it.  ValueError unless m >= 2,
     epsilon is +1 or -1 and q is a prime power.
 
-    The group is built once per process (_polar_zero_stabilizer), on the
-    form values the graph reads too (_polar_form), and the generators go to
-    MatrixGroupSpec as one (K, 2md, 2md) array.
+    The group is built once per process, on the form values the graph
+    reads too (_polar_form).  The generators go to MatrixGroupSpec as one
+    (K, 2md, 2md) array, and the similitude check and the order certificate
+    read the spec's action, spec.perms, which is the polar family's G0.
     """
-    return _polar_zero_stabilizer(m, q, epsilon)[0]
-
-
-@lru_cache(maxsize=None)
-def _polar_zero_stabilizer(m: int, q: int, epsilon: int) -> tuple[MatrixGroupSpec, GeneratorSet]:
-    """affine_polar_group's spec and its linear action on the vectors, the
-    permutations that the similitude check and the order certificate read:
-    the polar family's G0, so no row makes them twice."""
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
     if epsilon not in (1, -1):
@@ -462,10 +454,9 @@ def _polar_zero_stabilizer(m: int, q: int, epsilon: int) -> tuple[MatrixGroupSpe
         if d > 1:
             gens = _blow_up(gens, q)
         spec = MatrixGroupSpec(p, dim * d, gens)
-        perms = linear_perms(spec)
-        _check_similitudes(perms, vals, field)
-        if reaches_order(perms, target):
-            return spec, perms
+        _check_similitudes(spec.perms, vals, field)
+        if reaches_order(spec.perms, target):
+            return spec
         if count >= len(reps):
             raise AssertionError(
                 f"hyperplane isometries did not reach order {target} "
@@ -637,7 +628,7 @@ def affine_orbital_graph(spec: MatrixGroupSpec) -> DenseGraph:
     translations by construction (DenseGraph.from_row0), and G0 because a
     linear map that keeps the connection set keeps x - y in it.
     """
-    return _orbital_graph(spec, stabilizer_orbits(linear_perms(spec)))
+    return _orbital_graph(spec, stabilizer_orbits(spec.perms))
 
 
 def _quaternion_units(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -676,14 +667,13 @@ def _check_normalizes_q8(gens, x: np.ndarray, y: np.ndarray, p: int) -> None:
 def quaternion_normalizer_spec(p: int) -> MatrixGroupSpec:
     """The normalizer in GL_2(p), p an odd prime, of Q8 = <X, Y> from
     _quaternion_units: <s, I + X> plus the primitive scalar, of order
-    24(p - 1).  Conjugation by s cycles X -> Y -> XY and conjugation by I + X
-    fixes X and maps Y to XY, so modulo the scalars (the centralizer) the two
-    give Aut(Q8) = S_4.  Every generator is checked to normalize Q8."""
+    24(p - 1), made as one spec by central_product_with_scalars.
+    Conjugation by s cycles X -> Y -> XY and conjugation by I + X fixes X
+    and maps Y to XY, so modulo the scalars (the centralizer) the two give
+    Aut(Q8) = S_4.  Every generator is checked to normalize Q8."""
     x, y, s = _quaternion_units(p)
     eye = np.eye(2, dtype=np.int64)
-    spec = central_product_with_scalars(
-        p, MatrixGroupSpec(p, 2, (s, (eye + x) % p)), p - 1
-    )
+    spec = central_product_with_scalars(p, (s, (eye + x) % p), p - 1)
     _check_normalizes_q8(spec.gens, x, y, p)
     return spec
 
@@ -702,15 +692,15 @@ def _check_binary_icosahedral(s: np.ndarray, t: np.ndarray, p: int) -> None:
             raise ValueError(f"{m.tolist()}^{k} != -I mod {p}: not SL_2(5)")
 
 
-def binary_icosahedral_spec(p: int, seed: int | None = None) -> MatrixGroupSpec:
-    """SL_2(5) inside SL_2(p) as <s, t>, checked by _check_binary_icosahedral:
-    s from _quaternion_units and t = (phi I + phi^-1 X + Y)/2, phi =
-    (1 + sqrt 5)/2, the quaternion (phi + phi^-1 i + j)/2 of order 10.
-    BadCongruence unless 5 is a nonzero square mod p (p = +-1 mod 5).  A seed
-    >= 0 conjugates s and t by an invertible matrix drawn from
-    random.Random(seed), which relabels the orbits; None does not.  A
-    negative seed is a ValueError, as random.Random(-s) would silently run
-    the stream of s."""
+def _binary_icosahedral(p: int, seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices (s, t) that generate SL_2(5) inside SL_2(p), checked by
+    _check_binary_icosahedral: s from _quaternion_units and
+    t = (phi I + phi^-1 X + Y)/2, phi = (1 + sqrt 5)/2, the quaternion
+    (phi + phi^-1 i + j)/2 of order 10.  BadCongruence unless 5 is a nonzero
+    square mod p (p = +-1 mod 5).  A seed >= 0 conjugates s and t by an
+    invertible matrix drawn from random.Random(seed), which relabels the
+    orbits; None does not.  A negative seed is a ValueError, as
+    random.Random(-s) would silently run the stream of s."""
     if seed is not None and seed < 0:
         raise ValueError(f"seed = {seed} must be >= 0")
     if p == 2 or p % 5 not in (1, 4):
@@ -729,26 +719,27 @@ def binary_icosahedral_spec(p: int, seed: int | None = None) -> MatrixGroupSpec:
         conj_inv = np.array([[d, -b], [-c, a]], dtype=np.int64) * pow(det, -1, p) % p
         s, t = (conj @ m @ conj_inv % p for m in (s, t))
     _check_binary_icosahedral(s, t, p)
-    return MatrixGroupSpec(p, 2, (s, t))
+    return s, t
 
 
 def sl25_with_scalars_spec(p: int, seed: int | None = None) -> MatrixGroupSpec:
-    """binary_icosahedral_spec(p, seed) extended by the full scalar group of
-    order p - 1 (the central product; for p = 3 mod 4 this equals the direct
-    product with the odd part of the scalars)."""
-    return central_product_with_scalars(p, binary_icosahedral_spec(p, seed), p - 1)
+    """SL_2(5) = <s, t> from _binary_icosahedral(p, seed) with the full
+    scalar group of order p - 1 adjoined, as one spec
+    (central_product_with_scalars; for p = 3 mod 4 this equals the direct
+    product with the odd part of the scalars).  The seed and the errors are
+    _binary_icosahedral's."""
+    return central_product_with_scalars(p, _binary_icosahedral(p, seed), p - 1)
 
 
 def sl23_with_scalars_spec(p: int) -> MatrixGroupSpec:
-    """SL_2(3) = <X, Y, s> over GF(p), from _quaternion_units, adjoined with
-    the odd-order part of the scalar group: an index-2 subgroup of
+    """SL_2(3) = <X, Y, s> over GF(p), from _quaternion_units, with the
+    odd-order part of the scalar group adjoined, as one spec
+    (central_product_with_scalars): an index-2 subgroup of
     quaternion_normalizer_spec(p).  For p = 7 and p = 23 its affine group has
     exactly two equal orbits on nonzero vectors."""
     x, y, s = _quaternion_units(p)
     odd_part = (p - 1) // ((p - 1) & -(p - 1))
-    return central_product_with_scalars(
-        p, MatrixGroupSpec(p, 2, (x, y, s)), odd_part
-    )
+    return central_product_with_scalars(p, (x, y, s), odd_part)
 
 
 def extraspecial_normalizer_spec(n: int) -> MatrixGroupSpec:
@@ -816,11 +807,10 @@ class _Family:
     """One family: its descriptor syntax, its graph and its zero-stabilizer.
 
     The zero-stabilizer is the stabilizer of vertex 0 in the family's known
-    group: ``stabilizer(*params)`` as permutations, or else the linear action
-    of the matrix group ``spec(*params, seed)``.  The polar family declares
-    both: its G0 builder certifies the linear action of its spec, and
-    ``stabilizer`` hands on those permutations.  ``seed`` reaches only the
-    sl25 spec, whose generators it conjugates.
+    group, declared once: ``stabilizer(*params)`` as permutations, or else
+    the matrix group ``spec(*params, seed)``, whose action on the vectors
+    (spec.perms) is G0.  ``seed`` reaches only the sl25 spec, whose
+    generators it conjugates.
     ``graph`` is None for the orbital family, whose graph is built from its
     spec.
     """
@@ -854,7 +844,6 @@ _FAMILIES = {
         "vo", _parse_polar,
         lambda m, q, eps: f"vo:{'+' if eps == 1 else '-'}:{2 * m}:{q}",
         affine_polar,
-        stabilizer=lambda m, q, eps: _polar_zero_stabilizer(m, q, eps)[1],
         spec=lambda m, q, eps, seed: affine_polar_group(m, q, eps),
     ),
     "BilinearForms": _Family(
@@ -917,13 +906,13 @@ class Build:
     group, as permutations of the vertices, and ``orbits`` are its orbits on
     the other vertices (stabilizer_orbits), which give the rank and
     subdegrees.  ``spec`` is G0 as a matrix group over GF(p) when the family
-    has one, and G0 is then its linear action (made once, by the polar
-    family's builder or else here); it is None for a family
-    declared by permutations.  An orbital row's graph is cut from
-    orbit 0 of its G0, so reading it makes the spec, G0 and the orbits
-    first; every other row's graph makes no group.  ``seed`` reaches only
-    the sl25 spec, whose generators it conjugates by a seeded random matrix
-    (see binary_icosahedral_spec); None does not.
+    has one, and G0 is then the action the spec made when it was built,
+    spec.perms itself; ``spec`` is None for a family declared by
+    permutations.  An orbital row's graph is cut from orbit 0 of its G0, so
+    reading it makes the spec and the orbits first; every other row's graph
+    makes no group.  ``seed`` reaches only the sl25 spec, whose generators
+    it conjugates by a seeded random matrix (see _binary_icosahedral); None
+    does not.
     """
 
     fid: FamilyId
@@ -936,10 +925,9 @@ class Build:
 
     @cached_property
     def stabilizer(self) -> GeneratorSet:
-        fam = _FAMILIES[self.fid.tag]
-        if fam.stabilizer is not None:
-            return fam.stabilizer(*self.fid.params)
-        return linear_perms(self.spec)
+        if self.spec is not None:
+            return self.spec.perms
+        return _FAMILIES[self.fid.tag].stabilizer(*self.fid.params)
 
     @cached_property
     def orbits(self) -> list[np.ndarray]:

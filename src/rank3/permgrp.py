@@ -1,7 +1,10 @@
 """Groups of permutations: orbits, Schreier-Sims, orbital
 analysis, and matrix-group plumbing for the affine graph constructions: a
 matrix group over GF(p) is given by its generators, which act on the p^d
-vectors as permutations; no group is enumerated element by element.
+vectors as permutations; no group is enumerated element by element.  A
+MatrixGroupSpec makes that action once, as it is built, and reads each
+generator's invertibility off it: every reader of the group reads the one
+action, spec.perms.
 
 Design notes.  A permutation is its int32 image array, x -> img[x], and a
 generator set is one read-only (k, n) array of them, so composition is a
@@ -29,12 +32,11 @@ completed chain.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -499,95 +501,54 @@ def rank_and_subdegrees(gs: GeneratorSet) -> tuple[int, list[int]]:
 # -- matrix groups over GF(p) --------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _inverses(p: int) -> np.ndarray:
-    """inv[a] = a**(p - 2) mod the prime p, the inverse of every nonzero
-    residue a (inv[0] = 0 for p > 2), read-only: square and multiply on all
-    p residues at once."""
-    base = np.arange(p, dtype=np.int64)
-    inv = np.ones(p, dtype=np.int64)
-    e = p - 2
-    while e:
-        if e & 1:
-            inv = inv * base % p
-        base = base * base % p
-        e >>= 1
-    inv.setflags(write=False)
-    return inv
-
-
-def _dets_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    """The determinants mod the prime p of a (K, d, d) stack of integer
-    matrices, as a (K,) int64 array, by one Gaussian elimination run over the
-    whole stack: column by column, each matrix swaps up its first row with a
-    nonzero entry at or below the diagonal (its determinant changing sign)
-    and clears the entries below the pivot.  A matrix with no such row is
-    singular: its pivot, and so its determinant, is 0, and it has nothing to
-    clear.  Every product of two residues stays below p**2 < 2**32."""
-    m = np.array(mats, dtype=np.int64) % p
-    k, d = m.shape[0], m.shape[-1]
-    inverses = _inverses(p)
-    rows = np.arange(k)
-    det = np.ones(k, dtype=np.int64)
-    for col in range(d):
-        piv = col + (m[:, col:, col] != 0).argmax(axis=1)
-        swap = piv != col
-        if swap.any():
-            top = m[rows, col].copy()
-            m[rows, col] = m[rows, piv]
-            m[rows, piv] = top
-            det[swap] *= -1
-        pivot = m[:, col, col]
-        det = det * pivot % p
-        if col + 1 < d:
-            f = m[:, col + 1 :, col] * inverses[pivot][:, None] % p
-            m[:, col + 1 :, col + 1 :] -= f[:, :, None] * m[:, None, col, col + 1 :]
-            m[:, col + 1 :, col + 1 :] %= p
-    return det
-
-
 @dataclass(frozen=True)
 class MatrixGroupSpec:
     """A subgroup of GL_d(p), p prime, given by invertible generator matrices:
     any sequence of d x d integer matrices, a (K, d, d) array among them.
     ``gens`` is then a tuple of read-only d x d int64 views of one stack,
-    reduced mod p.  Every generator's determinant comes from one stacked
-    elimination (_dets_mod); SingularGenerator shows the first matrix whose
-    determinant is 0.  ValueError for a generator that is not d x d, and
-    unless d >= 1 and p**d <= 2**16, the largest field the package builds:
-    the group acts on all p**d vectors."""
+    reduced mod p, and ``perms`` is their action on all p**d vectors, made
+    here once: the GeneratorSet whose row i maps vector x (index
+    sum(x_j * p**j)) to gens[i] @ x.  A linear map is invertible exactly
+    when only the zero vector maps to 0, so a generator whose image row
+    holds 0 more than once is singular: SingularGenerator shows the first
+    such matrix.  ValueError for a generator that is not d x d, and unless
+    d >= 1 and p**d <= 2**16, the largest field the package builds."""
 
     p: int
     d: int
     gens: tuple
+    perms: GeneratorSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isprime(self.p):
-            raise NotPrime(f"p = {self.p} is not prime")
+        p, d = self.p, self.d
+        if not isprime(p):
+            raise NotPrime(f"p = {p} is not prime")
         # p >= 2, so p**d <= 2**16 needs d <= 16, which keeps the power small
-        if not 1 <= self.d <= 16 or self.p**self.d > _MAX_Q:
-            raise ValueError(
-                f"a spec needs d >= 1 and p**d <= {_MAX_Q}, got p = {self.p}, d = {self.d}"
-            )
+        if not 1 <= d <= 16 or p**d > _MAX_Q:
+            raise ValueError(f"a spec needs d >= 1 and p**d <= {_MAX_Q}, got p = {p}, d = {d}")
         mats = [np.asarray(g, dtype=np.int64) for g in self.gens]
         for m in mats:
-            if m.shape != (self.d, self.d):
-                raise ValueError(f"generator shape {m.shape} != ({self.d}, {self.d})")
-        stack = np.stack(mats) % self.p if mats else np.zeros((0, self.d, self.d), np.int64)
-        singular = np.flatnonzero(_dets_mod(stack, self.p) == 0)
+            if m.shape != (d, d):
+                raise ValueError(f"generator shape {m.shape} != ({d}, {d})")
+        q = p**d
+        stack, imgs = np.zeros((0, d, d), np.int64), np.zeros((0, q), np.int64)
+        if mats:  # a spec with no generators makes no digits table
+            stack = np.stack(mats) % p
+            vecs = digits(q, p, d)
+            pv = p ** np.arange(d, dtype=np.int64)
+            imgs = np.stack([(vecs @ m.T % p) @ pv for m in stack])
+        singular = np.flatnonzero(np.count_nonzero(imgs == 0, axis=1) > 1)
         if singular.size:
-            raise SingularGenerator(f"generator is singular mod {self.p}:\n{stack[singular[0]]}")
+            raise SingularGenerator(f"generator is singular mod {p}:\n{stack[singular[0]]}")
         stack.setflags(write=False)
         object.__setattr__(self, "gens", tuple(stack))
+        object.__setattr__(self, "perms", GeneratorSet(q, imgs))
 
 
 def linear_perms(spec: MatrixGroupSpec) -> GeneratorSet:
-    """The matrix generators acting on all p^d vectors (0 is fixed)."""
-    p, d = spec.p, spec.d
-    q = p**d
-    vecs = digits(q, p, d)
-    pv = p ** np.arange(d, dtype=np.int64)
-    return GeneratorSet(q, [(vecs @ m.T % p) @ pv for m in spec.gens])
+    """The matrix generators acting on all p^d vectors (0 is fixed):
+    spec.perms, made once when the spec was built."""
+    return spec.perms
 
 
 def with_translations(stab: GeneratorSet, moduli: tuple[int, ...]) -> GeneratorSet:
@@ -613,15 +574,18 @@ def semilinear_stabilizer_perms(field: FiniteField, e: int, twist: int = 0) -> G
     ])
 
 
-def central_product_with_scalars(p: int, s: MatrixGroupSpec, scalar_order: int) -> MatrixGroupSpec:
-    """Adjoin the scalar matrix of multiplicative order scalar_order mod p."""
+def central_product_with_scalars(p: int, gens, scalar_order: int) -> MatrixGroupSpec:
+    """The matrix group over GF(p) generated by gens, a non-empty sequence
+    of d x d integer matrices, and the scalar matrix of multiplicative order
+    scalar_order mod p, which is central: one MatrixGroupSpec.  A scalar of
+    order 1 is the identity and adds no generator."""
     if scalar_order < 1 or (p - 1) % scalar_order:
         raise BadOrder(f"scalar order {scalar_order} does not divide p - 1 = {p - 1}")
-    if scalar_order == 1:
-        return s
-    lam = pow(primitive_root(p), (p - 1) // scalar_order, p)
-    scalar = np.eye(s.d, dtype=np.int64) * lam
-    return MatrixGroupSpec(p, s.d, s.gens + (scalar,))
+    mats = [np.asarray(g, dtype=np.int64) for g in gens]
+    if scalar_order > 1:
+        lam = pow(primitive_root(p), (p - 1) // scalar_order, p)
+        mats.append(np.eye(len(mats[0]), dtype=np.int64) * lam)
+    return MatrixGroupSpec(p, len(mats[0]), mats)
 
 
 # -- matrix-group spec files ----------------------------------------------------

@@ -18,7 +18,7 @@ from rank3.catalog import verify_all
 from rank3.families import (
     affine_polar,
     bilinear_forms,
-    binary_icosahedral_spec,
+    _binary_icosahedral,
     family_graph,
     family_group,
     hamming2,
@@ -180,7 +180,7 @@ def test_criterion_09_icosahedral_stabilizer_orbits():
         )
 
     assert nonzero_orbit_sizes(sl25_with_scalars_spec(41)) == [480, 1200]
-    spec31 = central_product_with_scalars(31, binary_icosahedral_spec(31), 15)
+    spec31 = central_product_with_scalars(31, _binary_icosahedral(31), 15)
     assert nonzero_orbit_sizes(spec31) == [360, 600]
     clock.check()
 

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -29,6 +31,7 @@ from rank3.catalog import (
     _check_aut,
     _check_srg,
     _check_subdegrees,
+    _divides_factorial,
 )
 from rank3.families import Build, family_graph, family_group, parse_descriptor
 from rank3.graphs import DenseGraph, srg_params
@@ -119,6 +122,18 @@ class TestCatalogTable:
         # 13^2 is a multiple of 13 but 13! contains only one factor of 13
         with pytest.raises(ValueError, match="divide n!"):
             _replace(BY_ID["paley:13"], expected_aut_order=13 * 13)
+
+    def test_divides_factorial_agrees_with_the_factorial(self):
+        # the early-stop gcd walk against n! itself on seeded random pairs;
+        # m is a product of a few numbers up to 2n + 1, so both answers occur
+        rng = random.Random(0)
+        answers = []
+        for _ in range(400):
+            n = rng.randrange(1, 80)
+            m = math.prod(rng.randrange(1, 2 * n + 2) for _ in range(rng.randrange(1, 8)))
+            answers.append(_divides_factorial(m, n))
+            assert answers[-1] == (math.factorial(n) % m == 0), (m, n)
+        assert 50 < sum(answers) < 350
 
     def test_bad_tier_rejected(self):
         with pytest.raises(ValueError, match="tier"):
@@ -271,8 +286,12 @@ class TestVerifyEntry:
         # the stages read one Build of the row, whose graph (on an orbital
         # row) or subdegree check (on any other) makes G0 and its orbits: one
         # verify_entry makes each once, wherever it is called from.  G0 is
-        # the linear action of a matrix group, or on paley:13 semilinear maps
-        makers = ("linear_perms", "semilinear_stabilizer_perms")
+        # the action of one matrix group spec, made as the spec is built, or
+        # on paley:13 semilinear maps
+        entry = {**BY_ID, "hq:2:3": HQ_2_3}[entry_id]
+        row = Build(entry.family, seed)
+        assert row.spec is None or row.stabilizer is row.spec.perms
+        makers = ("MatrixGroupSpec", "semilinear_stabilizer_perms")
         calls = dict.fromkeys(makers + ("stabilizer_orbits",), 0)
 
         def counted(name, fn):
@@ -282,13 +301,17 @@ class TestVerifyEntry:
 
             return wrapper
 
-        for name in calls:
+        for name in ("semilinear_stabilizer_perms", "stabilizer_orbits"):
             fn = getattr(rank3.permgrp, name)
             for module in list(sys.modules.values()):
                 if (module is not None and module.__name__.startswith("rank3")
                         and getattr(module, name, None) is fn):
                     monkeypatch.setattr(module, name, counted(name, fn))
-        report = verify_entry({**BY_ID, "hq:2:3": HQ_2_3}[entry_id], seed=seed)
+        post_init = rank3.permgrp.MatrixGroupSpec.__post_init__
+        monkeypatch.setattr(
+            rank3.permgrp.MatrixGroupSpec, "__post_init__", counted("MatrixGroupSpec", post_init)
+        )
+        report = verify_entry(entry, seed=seed)
         assert report.verdict == "PASS"
         assert sum(calls[name] for name in makers) == 1
         assert calls["stabilizer_orbits"] == 1

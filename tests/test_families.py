@@ -35,9 +35,9 @@ from rank3.families import (
     parse_descriptor,
     peisert,
     quaternion_normalizer_spec,
-    binary_icosahedral_spec,
     sl25_with_scalars_spec,
     van_lint_schrijver,
+    _binary_icosahedral,
     _check_binary_icosahedral,
     _check_normalizes_q8,
     _check_similitudes,
@@ -477,7 +477,7 @@ class TestAffineOrbitalGraph:
             _check_normalizes_q8([np.array([[1, 1], [0, 1]])], x, y, 13)
 
     def test_sl25_certificate_rejects_a_corrupted_t(self):
-        s, t = binary_icosahedral_spec(31).gens
+        s, t = _binary_icosahedral(31)
         _check_binary_icosahedral(s, t, 31)
         bad = t.copy()
         bad[0, 0] = (bad[0, 0] + 1) % 31  # a new trace: t^5 != -I
@@ -494,7 +494,7 @@ class TestAffineOrbitalGraph:
 
     def test_negative_seed_is_rejected(self):
         # random.Random(-1) would silently give seed 1's stream
-        for build in (binary_icosahedral_spec, sl25_with_scalars_spec):
+        for build in (_binary_icosahedral, sl25_with_scalars_spec):
             with pytest.raises(ValueError, match="seed = -1"):
                 build(41, -1)
 
@@ -627,17 +627,20 @@ class TestFamilyGroups:
     @pytest.mark.parametrize("desc", ["orbital:q8:13", "hq:2:3"])
     def test_group_builds_g0_once(self, monkeypatch, desc):
         # an orbital row's graph and G0 come from one Build, and hq:2:3's
-        # graph needs no G0, so family_group makes G0 from the spec once on
-        # either
+        # graph needs no G0, so family_group builds one spec on either, and
+        # G0 is the action that spec made
         fid = parse_descriptor(desc)
         want = with_translations(Build(fid).stabilizer, family_graph(fid).moduli)
+        row = Build(fid)
+        assert row.stabilizer is row.spec.perms
         calls = []
+        post_init = MatrixGroupSpec.__post_init__
 
         def counted(spec):
             calls.append(spec)
-            return linear_perms(spec)
+            post_init(spec)
 
-        monkeypatch.setattr(rank3.families, "linear_perms", counted)
+        monkeypatch.setattr(MatrixGroupSpec, "__post_init__", counted)
         assert np.array_equal(family_group(fid).gens, want.gens)
         assert len(calls) == 1
 
@@ -670,7 +673,7 @@ class TestFamilyGroups:
             raise AssertionError("G0 made for a non-orbital graph")
 
         want = family_graph(parse_descriptor(desc))
-        for name in ("affine_polar_group", "bilinear_forms_group", "linear_perms",
+        for name in ("affine_polar_group", "bilinear_forms_group", "MatrixGroupSpec",
                      "semilinear_stabilizer_perms", "stabilizer_orbits"):
             monkeypatch.setattr(rank3.families, name, no_group)
         assert family_graph(parse_descriptor(desc)) == want

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from rank3.families import (
     BadCongruence,
-    binary_icosahedral_spec,
+    _binary_icosahedral,
     family_group,
     parse_descriptor,
     quaternion_normalizer_spec,
@@ -58,7 +58,6 @@ from rank3.permgrp import (
 )
 from rank3.permgrp import (
     _base_product,
-    _dets_mod,
     _extend_orbit,
     _invert_img,
     _Level,
@@ -533,9 +532,10 @@ def cofactor_det(mat: list[list[int]], p: int) -> int:
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_stacked_determinants_match_cofactor_expansion(p):
-    # random stacks of every size d <= 8, a quarter of the matrices made
-    # singular by a repeated or a scaled row; the one stacked elimination
-    # must give each matrix's cofactor determinant
+    # random stacks of every size d <= 8 with p**d <= 2**16, a quarter of the
+    # matrices made singular by a repeated or a scaled row: MatrixGroupSpec
+    # accepts a matrix exactly when its cofactor determinant is nonzero mod
+    # p, and a whole stack shows its first singular matrix
     rng = random.Random(p)
     for d in range(1, 9):
         mats = [[[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(24)]
@@ -544,8 +544,37 @@ def test_stacked_determinants_match_cofactor_expansion(p):
                 mat[rng.randrange(1, d)] = [x * rng.randrange(p) % p for x in mat[0]]
             else:
                 mat[0][0] = 0
-        got = _dets_mod(np.array(mats), p).tolist()
-        assert got == [cofactor_det(mat, p) for mat in mats]
+        if p**d > 2**16:
+            continue
+        dets = [cofactor_det(mat, p) for mat in mats]
+        for mat, det in zip(mats, dets):
+            if det:
+                MatrixGroupSpec(p, d, (mat,))
+            else:
+                with pytest.raises(SingularGenerator):
+                    MatrixGroupSpec(p, d, (mat,))
+        first = mats[dets.index(0)]
+        with pytest.raises(SingularGenerator, match=re.escape(str(np.array(first)))):
+            MatrixGroupSpec(p, d, mats)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_singular_generator_inside_a_stack_of_8x8(p):
+    # invertible unitriangular 8 x 8 matrices around one singular matrix,
+    # whose repeated row gives it a nonzero kernel: the message shows that
+    # matrix, reduced mod p, and the stack without it is accepted
+    rng = random.Random(p)
+    mats = []
+    for _ in range(7):
+        m = np.triu(np.array([[rng.randrange(p) for _ in range(8)] for _ in range(8)]), 1)
+        mats.append(m + np.eye(8, dtype=np.int64))
+    bad = mats[3].copy()
+    bad[5] = bad[2] + p  # a repeated row, off by p before the reduction
+    mats[3] = bad
+    with pytest.raises(SingularGenerator, match=re.escape(f"singular mod {p}:\n{bad % p}")):
+        MatrixGroupSpec(p, 8, mats)
+    del mats[3]
+    assert len(MatrixGroupSpec(p, 8, mats).gens) == 6
 
 
 def test_singular_generator_shows_the_first_singular_matrix():
@@ -667,20 +696,20 @@ def test_quaternion_normalizer_beyond_a_gl2_scan():
     "p", [31, 41, pytest.param(71, marks=pytest.mark.slow), pytest.param(89, marks=pytest.mark.slow)]
 )
 def test_sl25_orders(p):
-    spec = binary_icosahedral_spec(p)
-    assert order(spec) == 120
-    assert order(central_product_with_scalars(p, spec, p - 1)) == 60 * (p - 1)
+    pair = _binary_icosahedral(p)
+    assert order(MatrixGroupSpec(p, 2, pair)) == 120
+    assert order(central_product_with_scalars(p, pair, p - 1)) == 60 * (p - 1)
 
 
 def test_sl25_search_mod_41():
-    big = central_product_with_scalars(41, binary_icosahedral_spec(41), 40)
+    big = central_product_with_scalars(41, _binary_icosahedral(41), 40)
     gs = affine(big)
     assert rank_and_subdegrees(gs) == (3, [480, 1200])
     assert schreier_sims(gs).order == 41**2 * 2400
 
 
 def test_sl25_search_mod_31():
-    big = central_product_with_scalars(31, binary_icosahedral_spec(31), 15)
+    big = central_product_with_scalars(31, _binary_icosahedral(31), 15)
     assert order(big) == 1800
     assert rank_and_subdegrees(affine(big)) == (3, [360, 600])
 
@@ -688,17 +717,20 @@ def test_sl25_search_mod_31():
 def test_sl25_search_fails_cleanly():
     # sqrt(5) exists mod p only for p = +-1 mod 5
     with pytest.raises(BadCongruence):
-        binary_icosahedral_spec(7)
+        _binary_icosahedral(7)
     with pytest.raises(BadCongruence):
-        binary_icosahedral_spec(2)
+        _binary_icosahedral(2)
 
 
 def test_scalar_adjunction_validation():
-    spec = MatrixGroupSpec(13, 2, (np.eye(2, dtype=np.int64),))
+    gens = (np.eye(2, dtype=np.int64),)
     with pytest.raises(BadOrder):
-        central_product_with_scalars(13, spec, 5)
-    assert central_product_with_scalars(13, spec, 1) is spec
-    bigger = central_product_with_scalars(13, spec, 3)
+        central_product_with_scalars(13, gens, 5)
+    # a scalar of order 1 adds no generator
+    same = central_product_with_scalars(13, gens, 1)
+    assert (same.p, same.d) == (13, 2)
+    assert np.array_equal(np.stack(same.gens), np.stack(MatrixGroupSpec(13, 2, gens).gens))
+    bigger = central_product_with_scalars(13, gens, 3)
     assert len(bigger.gens) == 2
     lam = int(bigger.gens[1][0, 0])
     assert pow(lam, 3, 13) == 1 and lam != 1
