@@ -21,7 +21,9 @@ median and quartiles (inclusive method), the number of pairs, in how many the
 change read lower, the median's relative change and the parent's
 interquartile range.  The claim holds when the change read lower in at least
 nine pairs in ten and its median is lower than the parent's by more than the
-parent's interquartile range.  Every perfbench metric is better lower.
+parent's interquartile range.  Every perfbench metric is better lower.  The
+file also holds ``src_lines``, each side's ``wc -l`` total of
+``src/rank3/*.py``, so a change's net line count is on record.
 """
 
 from __future__ import annotations
@@ -57,6 +59,11 @@ def parse_seeds(text: str) -> list[int]:
         lo, hi = (int(x) for x in text.split("-"))
         return list(range(lo, hi + 1))
     return [int(x) for x in text.split(",")]
+
+
+def src_lines(tree: Path) -> int:
+    """The ``wc -l`` total of tree's src/rank3/*.py: its newline count."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "rank3").glob("*.py"))
 
 
 def side_stats(runs: list[float]) -> dict:
@@ -155,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         archive = subprocess.run(["git", "archive", parent], cwd=ROOT, capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         trees = {"parent": Path(tmp), "change": ROOT}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         end_to_end = {w: run_pairs(trees, w, s, args.seconds, 0) for w, s in parse_workloads(args.workload)}
         traced = {w: run_pairs(trees, w, s, TRACED_SECONDS, 1) for w, s in parse_workloads(args.traced)}
     end_to_end = {w: summarize(r["parent"], r["change"], r["seeds"]) for w, r in end_to_end.items()}
@@ -175,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             "versions": {"python": platform.python_version(), "numpy": version("numpy")},
             "note": "shared host; both sides measured in the same interleaved session",
         },
+        "src_lines": lines,
         "end_to_end": end_to_end,
         "per_layer_traced": traced,
         "notes": args.note,

@@ -244,7 +244,7 @@ def builtin_catalog() -> list[CatalogEntry]:
         ),
         e(
             "vo:+:8:2", 256, (135, 120), 89181388800,
-            "2^8:SO_8^+(2)", "FULL",
+            "2^8:GO_8^+(2)", "FULL",
             "plus-type quadric graph on GF(2)^8, valency 135 (the edge "
             "orbital is the larger subdegree): 256*348364800; "
             "solver-confirmed",
@@ -321,7 +321,7 @@ def builtin_catalog() -> list[CatalogEntry]:
         ),
         e(
             "hq:4:3", 4096, (315, 3780), 89181388800,
-            "(GL_2(4) o GL_3(4)):2", "PARAMS_ONLY",
+            "2^12:((GL_2(4) o GL_3(4)):2)", "PARAMS_ONLY",
             "2x3 matrix graph over GF(4) on 4096 = 2^12 points (one source "
             "prints the degree as 4098, an evident typo): "
             "4096*(180*181440/3)*2 = 89181388800; (P, Q) acts as "

@@ -299,28 +299,6 @@ def hamming2_stabilizer(m: int) -> GeneratorSet:
 # -- affine polar graphs VO(2m, eps, q) -------------------------------------------
 
 
-def _polar_form_rows(m: int, q: int, epsilon: int) -> tuple[list[tuple[int, int, int]], int]:
-    """The quadratic form as sparse upper-triangular (i, j, coeff-index) terms.
-
-    Plus type: x0*x1 + x2*x3 + ... ; minus type replaces the last hyperbolic
-    pair with the anisotropic u**2 + a*u*v + b*v**2.
-    Returns (terms, dim)."""
-    dim = 2 * m
-    one = 1  # index of the field element 1
-    terms = []
-    pairs = m if epsilon == 1 else m - 1
-    for t in range(pairs):
-        terms.append((2 * t, 2 * t + 1, one))
-    if epsilon == -1:
-        a, b = _anisotropic_pair(q)
-        u, v = dim - 2, dim - 1
-        terms.append((u, u, one))
-        if a:
-            terms.append((u, v, a))
-        terms.append((v, v, b))
-    return terms, dim
-
-
 def _evaluate_form(coords: np.ndarray, terms, q: int) -> np.ndarray:
     """Form values (as GF(q) indices) for each row of coordinate indices."""
     field = _field(q)
@@ -331,34 +309,42 @@ def _evaluate_form(coords: np.ndarray, terms, q: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _polar_form(m: int, q: int, epsilon: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """(terms, coords, vals) for the affine_polar form of type epsilon on
-    GF(q)**(2m), made once per process: the form's terms
-    (_polar_form_rows), the coordinates of every vector (digits; row x holds
-    vector x's GF(q) indices) and the form's value at every vector, both
-    read-only.  The graph and its zero-stabilizer both read them."""
-    terms, dim = _polar_form_rows(m, q, epsilon)
+def _polar_form(m: int, q: int, epsilon: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, vals) for the affine_polar form Q of type epsilon on
+    GF(q)**(2m), made once per process: the coordinates of every vector
+    (digits; row x holds vector x's GF(q) indices) and Q's value table,
+    vals[x] = Q(vector x), both read-only.  Q at coordinates c is
+    vals[c @ q**arange(2m)].  The graph and its zero-stabilizer both read
+    them, and no other code evaluates the form.  ValueError unless m >= 2
+    and epsilon is +1 or -1."""
+    if m < 2:
+        raise ValueError(f"m = {m} must be >= 2")
+    if epsilon not in (1, -1):
+        raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
+    # (i, j, coefficient) terms: x0*x1 + x2*x3 + ..., the minus type with the
+    # anisotropic u**2 + a*u*v + b*v**2 on the last pair (u, v) instead
+    dim = 2 * m
+    terms = [(i, i + 1, 1) for i in range(0, dim if epsilon == 1 else dim - 2, 2)]
+    if epsilon == -1:
+        a, b = _anisotropic_pair(q)
+        terms += [(dim - 2, dim - 2, 1), (dim - 2, dim - 1, a), (dim - 1, dim - 1, b)]
     coords = digits(q**dim, q, dim)
     vals = _evaluate_form(coords, terms, q)
     for table in (coords, vals):
         table.setflags(write=False)
-    return terms, coords, vals
+    return coords, vals
 
 
 def affine_polar(m: int, q: int, epsilon: int) -> DenseGraph:
     """Affine polar graph VO(2m, epsilon, q): vertices = GF(q)**(2m),
     x ~ y iff Q(x - y) = 0 (x != y), for the standard quadratic form of type
     epsilon (+1 hyperbolic, -1 with an anisotropic norm-form plane)."""
-    if m < 2:
-        raise ValueError(f"m = {m} must be >= 2")
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     p, d = _split_prime_power(q)
     dim = 2 * m
     n = q**dim
     if n > 4096:
         raise ValueError(f"q**(2m) = {n} exceeds the 4096-vertex construction cap")
-    vals = _polar_form(m, q, epsilon)[2]
+    vals = _polar_form(m, q, epsilon)[1]
     return cayley_graph(p, d * dim, np.flatnonzero((vals == 0) & (np.arange(n) != 0)))
 
 
@@ -393,33 +379,34 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     Schreier-Sims lower bound reaches it.  ValueError unless m >= 2,
     epsilon is +1 or -1 and q is a prime power.
 
-    The group is built once per process, on the form values the graph
-    reads too (_polar_form).  The generators go to MatrixGroupSpec as one
-    (K, 2md, 2md) array, and the similitude check and the order certificate
-    read the spec's action, spec.perms, which is the polar family's G0.
+    The group is built once per process, on the value table of Q that the
+    graph reads too (_polar_form, which checks m and epsilon): the polar
+    form B(x, y) = Q(x + y) - Q(x) - Q(y) and the plane's similitude are
+    read off it, and the form is evaluated nowhere else.  The generators go
+    to MatrixGroupSpec as one (K, 2md, 2md) array, and the similitude check
+    and the order certificate read the spec's action, spec.perms, which is
+    the polar family's G0.
     """
-    if m < 2:
-        raise ValueError(f"m = {m} must be >= 2")
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     p, d = _split_prime_power(q)
     field = _field(q)
-    terms, coords, vals = _polar_form(m, q, epsilon)
+    coords, vals = _polar_form(m, q, epsilon)
     dim = coords.shape[1]
     eye = np.eye(dim, dtype=np.int64)
+    place = q ** np.arange(dim)
+
+    def polar(x, y, w=place):
+        """B(x, y) = Q(x + y) - Q(x) - Q(y) for coordinate rows x and y on
+        the coordinates of place values w, read off the value table."""
+        return field.sub(vals[field.add(x, y) @ w], field.add(vals[x @ w], vals[y @ w]))
 
     # projective representatives of nonsingular vectors (first nonzero
     # coordinate = 1), in a seeded random order so early picks span the space
     first = coords[np.arange(len(coords)), np.argmax(coords != 0, axis=1)]
     reps = np.flatnonzero((vals != 0) & (first == 1)).tolist()
     random.Random(0).shuffle(reps)
-    # B(e_b, v) = Q(v + e_b) - Q(e_b) - Q(v) for every rep v and basis vector e_b
+    # B(e_b, v) for every rep v and basis vector e_b
     v, qv = coords[reps], vals[reps]
-    shifted = field.add(v[:, None, :], eye).reshape(-1, dim)
-    bv = field.sub(
-        _evaluate_form(shifted, terms, q).reshape(len(reps), dim),
-        field.add(_evaluate_form(eye, terms, q), qv[:, None]),
-    )
+    bv = polar(v[:, None, :], eye)
     coeff = field.neg(field.inv(qv))[:, None, None]
     isometries = field.add(eye, field.mul(coeff, field.mul(v[:, :, None], bv[:, None, :])))
 
@@ -430,18 +417,17 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
         hyperbolic = np.arange(0, dim if epsilon == 1 else dim - 2, 2)
         sim[hyperbolic, hyperbolic] = field.omega
         if epsilon == -1:
-            # blocks [[aa, bb], [cc, dd]] in index order; the columns must
-            # have form values omega and omega * b and polar value omega * a
-            a, b = _anisotropic_pair(q)
-            plane = [(0, 0, 1), (0, 1, a), (1, 1, b)]
+            # on the anisotropic plane (e_u, e_v), the last two coordinates,
+            # the first block [[aa, bb], [cc, dd]] in index order whose
+            # columns, the images of e_u and e_v, scale Q(e_u), Q(e_v) and
+            # B(e_u, e_v) by omega
+            plane = place[dim - 2 :]
             blocks = digits(q**4, q, 4)[:, ::-1]
             col1, col2 = blocks[:, [0, 2]], blocks[:, [1, 3]]
-            q1, q2 = _evaluate_form(col1, plane, q), _evaluate_form(col2, plane, q)
-            polar = field.sub(_evaluate_form(field.add(col1, col2), plane, q), field.add(q1, q2))
             hit = np.flatnonzero(
-                (q1 == field.omega)
-                & (q2 == field.mul(field.omega, b))
-                & (polar == field.mul(field.omega, a))
+                (vals[col1 @ plane] == field.mul(field.omega, vals[plane[0]]))
+                & (vals[col2 @ plane] == field.mul(field.omega, vals[plane[1]]))
+                & (polar(col1, col2, plane) == field.mul(field.omega, polar(eye[-2], eye[-1])))
             )[0]
             sim[dim - 2 :, dim - 2 :] = blocks[hit].reshape(2, 2)
         extra = sim[None]

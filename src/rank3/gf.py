@@ -1,12 +1,13 @@
 """Finite field GF(p^d) arithmetic on element indices.
 
-Every field carries a distinguished primitive element omega (a generator of
-the multiplicative group).  The modulus is the lexicographically smallest
-monic primitive polynomial of degree d over GF(p), coefficients compared
-high-degree-first, so element numbering is reproducible across runs and
-platforms.  An element is its index sum(coeffs[i] * p**i) in [0, q): index 0
-is zero and index 1 is one.  This indexing fixes the vertex order for every
-graph construction downstream.
+A field is its modulus: the lexicographically smallest monic primitive
+polynomial of degree d over GF(p), coefficients compared high-degree-first,
+so element numbering is reproducible across runs and platforms.  Its
+distinguished primitive element omega (a generator of the multiplicative
+group) is the residue x of the modulus, which is g when d = 1 and the
+modulus is x - g.  An element is its index sum(coeffs[i] * p**i) in [0, q):
+index 0 is zero and index 1 is one.  This indexing fixes the vertex order
+for every graph construction downstream.
 
 A field keeps three read-only numpy tables: ``coeffs`` (row i holds the d
 coefficients of element i), ``exp`` (exp[k] = omega**k) and ``log`` (its
@@ -153,7 +154,8 @@ def _out(x):
 
 
 class FiniteField:
-    """GF(p^d) with a fixed primitive modulus and primitive element omega.
+    """GF(p^d) = GF(p)[x]/(modulus) for a primitive modulus, whose residue x
+    is the primitive element omega.
 
     Elements are their indices in [0, q); omega is an index too.  Immutable
     after construction, so a field is safely shareable across threads.  Use
@@ -162,11 +164,11 @@ class FiniteField:
     The exp table is filled by doubling, in log2(q) int64 products over
     GF(p): with the coefficients of omega**0 .. omega**(h-1) made,
     multiplication by omega**h, a d x d matrix, gives the next h, and the
-    matrix is squared.  The d rows of the first matrix, omega times each
-    power of x, are the only polynomial products.
+    matrix is squared.  The first matrix is the companion matrix of the
+    modulus (_companion), transposed to act on coefficient rows.
     """
 
-    def __init__(self, p: int, d: int, modulus: tuple[int, ...], omega_coeffs: tuple[int, ...]):
+    def __init__(self, p: int, d: int, modulus: tuple[int, ...]):
         self.p = p
         self.d = d
         self.q = p**d
@@ -177,10 +179,8 @@ class FiniteField:
         # x**i * omega**h
         powers = np.zeros((self.q - 1, d), dtype=np.int64)
         powers[0, 0] = 1
-        step = np.array(
-            [_polymulmod(row, omega_coeffs, modulus, p) for row in np.eye(d, dtype=int).tolist()],
-            dtype=np.int64,
-        )
+        step = _companion(np.array([modulus[:-1]], dtype=np.int64), p)[0].T
+        self.omega = self.index(step[0])  # the residue x
         h = 1
         while h < self.q - 1:
             top = min(2 * h, self.q - 1)
@@ -192,7 +192,6 @@ class FiniteField:
         self.log[self.exp] = np.arange(self.q - 1)
         for table in (self._place, self.coeffs, self.exp, self.log):
             table.setflags(write=False)
-        self.omega = self.index(omega_coeffs)
 
     def index(self, coeffs):
         """The element with these coefficients (last axis, little-endian,
@@ -234,25 +233,19 @@ class FiniteField:
         return f"FiniteField(p={self.p}, d={self.d}, modulus={self.modulus})"
 
 
-# -- polynomial helpers (little-endian coefficient tuples over GF(p)) --------
+# -- companion matrices and the search for a primitive modulus -----------------
 
 
-def _polymulmod(a, b, modulus, p: int) -> tuple[int, ...]:
-    """(a * b) mod modulus, all little-endian over GF(p); modulus monic."""
-    d = len(modulus) - 1
-    prod = [0] * (2 * d - 1) if d > 1 else [0]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, d - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(d):
-                prod[i - d + j] = (prod[i - d + j] - c * modulus[j]) % p
-    return tuple(prod[:d])
+def _companion(moduli: np.ndarray, p: int) -> np.ndarray:
+    """For each row of the (K, d) array moduli, the low coefficients f_0 ..
+    f_(d-1) of a monic f of degree d, the matrix M of multiplication by x mod
+    f on coefficient columns, as a (K, d, d) int64 stack: x * x**j =
+    x**(j + 1) for j < d - 1, and x * x**(d-1) = -f."""
+    k, d = moduli.shape
+    step = np.zeros((k, d, d), dtype=np.int64)
+    step[:, np.arange(1, d), np.arange(d - 1)] = 1
+    step[:, :, d - 1] = -moduli % p
+    return step
 
 
 def _x_has_full_order(moduli: np.ndarray, p: int, q: int, prime_factors: list[int]) -> np.ndarray:
@@ -262,17 +255,15 @@ def _x_has_full_order(moduli: np.ndarray, p: int, q: int, prime_factors: list[in
 
     An element of order q - 1 exists in GF(p)[x]/(f) only when f is
     irreducible, so this single test certifies both primitivity and
-    irreducibility.  x**e is column 0 of M**e, M the matrix of
-    multiplication by x mod f, taken for e = q - 1 and every (q - 1) / r at
-    once and for all K moduli as one stack: one squaring of M per bit of
-    q - 1, and per bit one product, kept by the exponents that have the
-    bit.  Entries are residues, so a product sums d terms below p**2.
+    irreducibility.  x**e is column 0 of M**e, M the companion matrix of f
+    (_companion), taken for e = q - 1 and every (q - 1) / r at once and for
+    all K moduli as one stack: one squaring of M per bit of q - 1, and per
+    bit one product, kept by the exponents that have the bit.  Entries are
+    residues, so a product sums d terms below p**2.
     """
     k, d = moduli.shape
     exponents = np.array([q - 1] + [(q - 1) // r for r in prime_factors])
-    step = np.zeros((k, d, d), dtype=np.int64)  # M: x * x**j = x**(j + 1), x * x**(d-1) = -f
-    step[:, np.arange(1, d), np.arange(d - 1)] = 1
-    step[:, :, d - 1] = -moduli % p
+    step = _companion(moduli, p)
     powers = np.zeros((k, d, len(exponents)), dtype=np.int64)  # x**(the bits of e so far)
     powers[:, 0] = 1
     for b in range((q - 1).bit_length()):
@@ -290,9 +281,9 @@ def make_field(p: int, d: int) -> FiniteField:
     The modulus is the lexicographically smallest (coefficients compared
     high-degree-first) monic primitive polynomial of degree d over GF(p), found
     by exhaustive search, 16 candidates in order at a time
-    (_x_has_full_order); the residue x is then itself primitive and is taken
-    as omega.  For d = 1 the modulus is x - g with g the smallest primitive
-    root mod p, and omega = g.
+    (_x_has_full_order).  For d = 1 the modulus is x - g with g the
+    smallest primitive root mod p.  The field takes the residue x as omega
+    (FiniteField), so the modulus is all it is given.
     """
     if d < 1:
         raise ValueError(f"extension degree must be >= 1, got {d}")
@@ -303,8 +294,7 @@ def make_field(p: int, d: int) -> FiniteField:
     q = p**d
     if d == 1:
         g = primitive_root(p)
-        modulus = ((-g) % p, 1)  # x - g
-        return FiniteField(p, d, modulus, (g % p,))
+        return FiniteField(p, d, ((-g) % p, 1))  # x - g
     prime_factors = list(factorint(q - 1))
     # row c of digits(q, p, d) holds the low coefficients of the candidate
     # whose high-degree-first coefficients are c's digits, so the rows run
@@ -314,9 +304,7 @@ def make_field(p: int, d: int) -> FiniteField:
     for chunk in np.split(candidates, range(16, len(candidates), 16)):
         hit = np.flatnonzero(_x_has_full_order(chunk, p, q, prime_factors))
         if hit.size:
-            modulus = tuple(chunk[hit[0]].tolist()) + (1,)
-            omega = tuple([0, 1] + [0] * (d - 2))
-            return FiniteField(p, d, modulus, omega)
+            return FiniteField(p, d, tuple(chunk[hit[0]].tolist()) + (1,))
     raise AssertionError(f"no primitive polynomial of degree {d} over GF({p})")
 
 

@@ -369,9 +369,7 @@ def _chain(
             ux = _transversal_img(lvl, lvl.orbit_order[pos])
             for gi in range(lvl.g_done if pos < lvl.x_done else 0, G):
                 sux = lvl.gens[gi] if ux is None else lvl.gens[gi][ux]
-                uy = _transversal_img(lvl, int(sux[lvl.base]))
-                h = sux if uy is None else _invert_img(uy)[sux]
-                r = sift(h, k + 1)
+                r = sift(sux, k)  # level k's step is uy**-1 * sux, uy(base) = sux(base)
                 if r is not None and add(r, k + 1):
                     return levels
         lvl.x_done, lvl.g_done = X, G

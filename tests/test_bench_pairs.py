@@ -1,5 +1,5 @@
-"""Tests for scripts/bench_pairs.py's summary, on canned perfbench results:
-no subprocess runs."""
+"""Tests for scripts/bench_pairs.py's summary, on canned perfbench results,
+and its line count, on a temporary tree: no subprocess runs."""
 
 import importlib.util
 from pathlib import Path
@@ -79,3 +79,13 @@ def test_summary_keeps_a_wrong_run_and_refuses_unpaired_runs():
     assert s["failed"] == {"parent": 0, "change": 1}
     with pytest.raises(ValueError):
         bench_pairs.summarize(PARENT[:2], CHANGE[:1], [1, 2])
+
+
+def test_src_lines_counts_newlines_of_the_package_sources(tmp_path):
+    pkg = tmp_path / "src" / "rank3"
+    (pkg / "data").mkdir(parents=True)
+    (pkg / "a.py").write_text("one\ntwo\n")
+    (pkg / "b.py").write_text("three\nno final newline")  # wc -l counts 1
+    (pkg / "notes.txt").write_text("x\n" * 5)
+    (pkg / "data" / "c.py").write_text("x\n" * 7)
+    assert bench_pairs.src_lines(tmp_path) == 3

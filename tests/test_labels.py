@@ -1,8 +1,9 @@
 """Vertex labels are pinned: the packed adjacency matrix and the
-zero-stabilizer generator images of every catalog row and every iso target
-hash to the values recorded here.  A change to the field indexing, a
-modulus, omega or a family's coordinate order moves these hashes even when
-every graph invariant still holds.
+zero-stabilizer generator images of every catalog row, every iso target and
+every affine polar form on at most 4096 vertices hash to the values recorded
+here.  A change to the field indexing, a modulus, omega or a family's
+coordinate order moves these hashes even when every graph invariant still
+holds.
 """
 
 import hashlib
@@ -187,10 +188,108 @@ def test_pins_cover_the_catalog():
     assert wanted == set(PINS)
 
 
-@pytest.mark.parametrize("descriptor", list(PINS))
+# the same two hashes for every affine polar form on at most 4096 vertices
+# that the catalog does not list: q**(2m) <= 4096 allows q = 2, 3, 4, 5, 7, 8
+POLAR_PINS = {
+    "vo:+:4:2": (
+        "db9e204c3e2fb28638cf16701e8267b2d8d9d27f",
+        "e5ebbc5f5c48a276af03fc318ad173ff9ad35e38",
+    ),
+    "vo:+:6:2": (
+        "fada1f9f9c7465216db42021e2411a7a236359a9",
+        "747a54fe8d3fcd8a655b60e4f4bf9d965591fbe3",
+    ),
+    "vo:-:8:2": (
+        "d185c355a46cb38b24d8b5b8c2c7b73234bcf4bd",
+        "6461e802a0b2809fb87e1e194bdb02970d747cde",
+    ),
+    "vo:+:10:2": (
+        "1b0a8410dcca80628eff03d379687f650c057cca",
+        "1dc5d51bd475aaba7b54b86721d8642bfc2468d3",
+    ),
+    "vo:-:10:2": (
+        "fbb59d656cc23b730c46adbf02c797eb05bd7435",
+        "ab10972ce7e80988295119c012d01742b706cb30",
+    ),
+    "vo:+:12:2": (
+        "cd115335a3cedc2aab22e44a85e305267418a73f",
+        "9f188c3636aa68dd3e94fdb3741190028c98cebf",
+    ),
+    "vo:-:12:2": (
+        "698e647218a82ae3c1c4aebe8137630e210198a7",
+        "6857aeb419406751975953736c31e8297ace19a4",
+    ),
+    "vo:-:4:3": (
+        "7a479ac14d43069917882f65dadfe1eec03106fc",
+        "d06e841a6f2bb91526f13e51809c9f6f4c38a98b",
+    ),
+    "vo:+:6:3": (
+        "f552162c7b3a3f58c0129b3ac2261ba201f02873",
+        "14d04fe724798bd297280adc526d08cb186b6def",
+    ),
+    "vo:-:6:3": (
+        "71262d67029282b5c873c207d49e9c4081e7b26c",
+        "c9bb27af84a34d8ef09aa6f8a89f4290e2657817",
+    ),
+    "vo:+:4:4": (
+        "5cfbbc17c29753173e1dff9dcecd9cb980a6c077",
+        "6a72ded86ae503444df90866f8c4884ff155608f",
+    ),
+    "vo:-:4:4": (
+        "ca0318a60cf98fcdb34c5aaa4213e547cb1562f9",
+        "a13785cf003c1ebd55644678a32c965fb9302fbc",
+    ),
+    "vo:+:6:4": (
+        "ac8d7cbdc6580a47991f7d78dbb73ed374acec83",
+        "be1d98e6254f2d1de33291ed882f20412a0ae6cf",
+    ),
+    "vo:-:6:4": (
+        "15e83061f04e4879862e758fd2c473327b352621",
+        "324e9ca14c8373fe82f2f44e823aef50e325594e",
+    ),
+    "vo:+:4:5": (
+        "1534ffa6cb987e0040c3891769ba1d12dcc0d08d",
+        "903eb9bdae96eff086d0706bf10837683ee3325f",
+    ),
+    "vo:-:4:5": (
+        "89b821276b3626dc9ca2f47e4cf0db99c46cc7da",
+        "18d6b8228a208aea44f3b824f072d42c41f6df16",
+    ),
+    "vo:+:4:7": (
+        "5fc1116d7f154c586c1bff0dbff1709e975a83b4",
+        "3c5c099aa3993aaf4bbc1879f9a993ee8d0f7630",
+    ),
+    "vo:-:4:7": (
+        "405163f15e3e6ac25008b1257fd7fb49c9d6528c",
+        "c218218fa67de16b9b9957a5460e3d5cbf2f8f8a",
+    ),
+    "vo:+:4:8": (
+        "2d2dbc324f230881bcba3d1f5aa891dd83ad3e3e",
+        "879a65afbc3d76339dcf8decc33fab031703052c",
+    ),
+    "vo:-:4:8": (
+        "12e79278a42b419929e5c28c55d3e197908d925a",
+        "160a65947eeab350eb8c6750823d8479fd7be1a1",
+    ),
+}
+POLAR_FORMS = [
+    f"vo:{sign}:{2 * m}:{q}"
+    for q in (2, 3, 4, 5, 7, 8)
+    for m in range(2, 7)
+    if q ** (2 * m) <= 4096
+    for sign in "+-"
+]
+
+
+def test_polar_pins_cover_every_form_up_to_4096_vertices():
+    assert len(POLAR_FORMS) == 24
+    assert set(POLAR_FORMS) == set(POLAR_PINS) | {d for d in PINS if d.startswith("vo:")}
+
+
+@pytest.mark.parametrize("descriptor", list(PINS) + list(POLAR_PINS))
 def test_labels_are_pinned(descriptor):
     fid = parse_descriptor(descriptor)
-    adj_sha, stab_sha = PINS[descriptor]
+    adj_sha, stab_sha = {**PINS, **POLAR_PINS}[descriptor]
     g = family_graph(fid)
     assert hashlib.sha1(np.packbits(g.adj).tobytes()).hexdigest() == adj_sha
     images = Build(fid).stabilizer.gens.tobytes()
