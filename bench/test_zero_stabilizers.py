@@ -4,7 +4,7 @@ pytest-benchmark.
     pytest bench/test_zero_stabilizers.py --benchmark-only   # PYTHONPATH=src
 
 * the polar G0 builder (``families.affine_polar_group``, past its
-  per-process cache) on the four polar rows of ``rank3 verify --tier slow``:
+  per-process cache) on the catalog's four polar rows:
   the isometries and the similitude, the spec with its linear action, the
   similitude check and the order certificate.  The form values and the
   fields it reads are made once per process, so they are warm here;

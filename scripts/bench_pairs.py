@@ -6,9 +6,13 @@ into BENCH_<label>.json.
         --workload verify_slow:3301-3310 --workload params_large:3401-3410 \\
         --seconds 8 --claim verify_slow:wall_s --change "..." --layer "..."
 
-The parent is a ``git archive`` of --parent unpacked in a temporary
-directory; the change is this checkout's working tree.  Each side runs its
-own, unedited ``perfbench/run.py`` from its own root, so each imports its own
+Both sides are exported the same way, as ``git archive`` of a tree
+unpacked into sibling directories of one temporary directory: the parent is
+--parent's tree; the change is this checkout's working tree as ``git add
+-A`` would stage it (tracked files with their uncommitted edits, untracked
+files that are not ignored, no deleted files), written through a scratch
+index so the checkout's own index is left alone.  Each side runs its own,
+unedited ``perfbench/run.py`` from its own root, so each imports its own
 ``src/``.  For every seed of a workload the two sides run back to back, the
 parent first on the 1st, 3rd, ... seed and the change first on the others,
 so a drift in the host's load falls on both sides alike.  Only the last line
@@ -22,8 +26,9 @@ change read lower, the median's relative change and the parent's
 interquartile range.  The claim holds when the change read lower in at least
 nine pairs in ten and its median is lower than the parent's by more than the
 parent's interquartile range.  Every perfbench metric is better lower.  The
-file also holds ``src_lines``, each side's ``wc -l`` total of
-``src/rank3/*.py``, so a change's net line count is on record.
+file also holds ``src_lines``, each exported side's ``wc -l`` total of
+``src/rank3/*.py``, so a change's net line count is on record.  Without
+--claim no claim is made and the file's ``claim`` is null.
 """
 
 from __future__ import annotations
@@ -64,6 +69,26 @@ def parse_seeds(text: str) -> list[int]:
 def src_lines(tree: Path) -> int:
     """The ``wc -l`` total of tree's src/rank3/*.py: its newline count."""
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "rank3").glob("*.py"))
+
+
+def git(root: Path, *args: str, **kw) -> subprocess.CompletedProcess:
+    """``git args`` run in root, its output captured; raises on failure."""
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, check=True, **kw)
+
+
+def working_tree(root: Path, scratch: Path) -> str:
+    """The id of a git tree of root's working tree as ``git add -A`` stages
+    it, written through an index file in scratch."""
+    env = dict(os.environ, GIT_INDEX_FILE=str(scratch / "index"))
+    git(root, "add", "-A", env=env)
+    return git(root, "write-tree", env=env, text=True).stdout.strip()
+
+
+def export(root: Path, tree: str, dest: Path) -> Path:
+    """``git archive`` of root's tree-ish unpacked into a new directory dest."""
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", dest], input=git(root, "archive", tree).stdout, check=True)
+    return dest
 
 
 def side_stats(runs: list[float]) -> dict:
@@ -150,31 +175,29 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", action="append", default=[], help="NAME:SEEDS, end-to-end pairs")
     ap.add_argument("--traced", action="append", default=[], help="NAME:SEEDS, traced pairs")
     ap.add_argument("--seconds", type=int, default=8)
-    ap.add_argument("--claim", required=True, help="WORKLOAD:METRIC, an end-to-end metric")
+    ap.add_argument("--claim", help="WORKLOAD:METRIC, an end-to-end metric; none if left out")
     ap.add_argument("--change", required=True, help="what the change does")
     ap.add_argument("--layer", required=True, help="the layer it moves")
     ap.add_argument("--note", action="append", default=[])
     args = ap.parse_args(argv)
 
-    parent = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True,
-                            text=True, check=True).stdout.strip()
+    parent = git(ROOT, "rev-parse", args.parent, text=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        archive = subprocess.run(["git", "archive", parent], cwd=ROOT, capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        trees = {"parent": Path(tmp), "change": ROOT}
+        tmp = Path(tmp)
+        sources = {"parent": parent, "change": working_tree(ROOT, tmp)}
+        trees = {side: export(ROOT, tree, tmp / side) for side, tree in sources.items()}
         lines = {side: src_lines(tree) for side, tree in trees.items()}
         end_to_end = {w: run_pairs(trees, w, s, args.seconds, 0) for w, s in parse_workloads(args.workload)}
         traced = {w: run_pairs(trees, w, s, TRACED_SECONDS, 1) for w, s in parse_workloads(args.traced)}
     end_to_end = {w: summarize(r["parent"], r["change"], r["seeds"]) for w, r in end_to_end.items()}
     traced = {w: summarize(r["parent"], r["change"], r["seeds"]) for w, r in traced.items()}
 
-    workload, _, metric = args.claim.partition(":")
     out = {
         "change": args.change,
         "layer": args.layer,
         "parent": parent,
         "harness": f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds} --trace 0 "
-        f"(traced: --seconds {TRACED_SECONDS} --trace 1), each side from its own source tree, "
+        f"(traced: --seconds {TRACED_SECONDS} --trace 1), each side from its own exported tree, "
         "unedited perfbench/; written by scripts/bench_pairs.py",
         "pairing": "alternating pairs: parent first on the 1st, 3rd, ... seed, change first on the "
         "others; medians and quartiles (inclusive method) over the runs of each side",
@@ -187,11 +210,11 @@ def main(argv: list[str] | None = None) -> int:
         "end_to_end": end_to_end,
         "per_layer_traced": traced,
         "notes": args.note,
-        "claim": claim(end_to_end, workload, metric),
+        "claim": claim(end_to_end, *args.claim.split(":", 1)) if args.claim else None,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {path.name}: {out['claim']['result']}, held {out['claim']['held']}")
+    print(f"wrote {path.name}: claim {out['claim']}")
     return 0
 
 

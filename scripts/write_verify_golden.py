@@ -5,11 +5,12 @@ Two files, each the JSON of catalog.reports_to_json for every builtin row
 with every row's ``timings_ms`` dropped, so only the stage outcomes, the
 verdicts and the summary remain:
 
-* tests/data/verify_all.json:       verify_all(tier="all")
-* tests/data/verify_all_seed3.json: verify_all(tier="all", seed=3)
+* tests/data/verify_all.json:       verify_all()
+* tests/data/verify_all_seed3.json: verify_all(seed=3)
 
 A change that moves an outcome (an order, a verdict, a search counter)
-rewrites these files, and the diff shows which rows moved.
+rewrites these files, and the diff shows which rows moved.  tests/test_golden.py
+loads this script and compares golden(seed) with the files.
 
 Run from the repository root:  python3 scripts/write_verify_golden.py
 """
@@ -30,8 +31,8 @@ GOLDEN = {"verify_all.json": None, "verify_all_seed3.json": 3}  # file -> seed
 
 
 def golden(seed: int | None) -> list[dict]:
-    """verify_all(tier="all", seed=seed) as JSON objects, timings dropped."""
-    items = json.loads(reports_to_json(verify_all("all", seed=seed)[0]))
+    """verify_all(seed=seed) as JSON objects, timings dropped."""
+    items = json.loads(reports_to_json(verify_all(seed=seed)[0]))
     for item in items:
         item.pop("timings_ms", None)
     return items

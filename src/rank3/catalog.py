@@ -8,20 +8,21 @@ isomorphism claims against other families.  verify_entry runs the pipeline
 
 as one straight sequence of stage functions and emits a machine-readable
 Report.  An exception in a stage becomes that stage's "error" outcome and
-ends the row, so every row yields a Report; verify_all selects rows by tier
-and calls verify_entry on each.  The rank/subdegree stage takes, at every
-degree, the orbits of the family's zero-stabilizer G0 on the nonzero
-vertices: rank = 1 + their number, subdegrees = their sizes, and N(0) must
-be one of them.  Construct hands the row's families.Build on, and the later
-stages read the graph, G0 and its orbits from it, each made once.  An
-orbital row's graph is cut from those orbits, so its construct stage makes
-them; every other row makes them in the subdegree stage.  The aut stage
-hands the same G0 to the solver as known automorphisms, which prune its
-search but never stand in for it, and certifies the solver's order: its
-generators must reach it by a Schreier-Sims lower bound.  Tiers bound the
-cost: FULL rows (degree <= 256) run everything, SLOW rows run everything but
-may time out (downgrading, never failing, the verdict), PARAMS_ONLY rows
-stop after the subdegree check.
+ends the row, so every row yields a Report; verify_all calls verify_entry
+on every entry it is given, the builtin catalog by default.  The
+rank/subdegree stage takes, at every degree, the orbits of the family's
+zero-stabilizer G0 on the nonzero vertices: rank = 1 + their number,
+subdegrees = their sizes, and N(0) must be one of them.  Construct hands
+the row's families.Build on, and the later stages read the graph, G0 and
+its orbits from it, each made once.  An orbital row's graph is cut from
+those orbits, so its construct stage makes them; every other row makes them
+in the subdegree stage.  The aut stage hands the same G0 to the solver as
+known automorphisms, which prune its search but never stand in for it, and
+certifies the solver's order: its generators must reach it by a
+Schreier-Sims lower bound.  A row's tier says what it runs: FULL rows
+(degree <= 256) run everything, SLOW rows run everything but may time out
+(downgrading, never failing, the verdict), PARAMS_ONLY rows stop after
+the subdegree check.
 
 Conventions baked into the table:
 
@@ -734,24 +735,15 @@ def verify_entry(
     )
 
 
-# the catalog tiers that each verify_all tier filter selects
-_TIER_FILTERS = {"full": ("FULL",), "slow": ("FULL", "SLOW"), "all": TIERS}
-
-
 def verify_all(
-    tier: str = "full",
     budget: float = 60.0,
     seed: int | None = None,
     entries: list[CatalogEntry] | None = None,
 ) -> tuple[list[Report], dict]:
-    """verify_entry on every selected entry, in catalog order; returns
-    (reports, summary).  ValueError on an unknown tier filter, and on a
-    budget that is not >= 0 once a row is selected."""
-    if tier not in _TIER_FILTERS:
-        raise ValueError(f"unknown tier filter {tier!r}, want full|slow|all")
+    """verify_entry on every entry, in order, the builtin catalog when
+    entries is None; returns (reports, summary).  ValueError on a budget
+    that is not >= 0, from the first row."""
     if entries is None:
         entries = builtin_catalog()
-    reports = [
-        verify_entry(e, budget, seed) for e in entries if e.tier in _TIER_FILTERS[tier]
-    ]
+    reports = [verify_entry(e, budget, seed) for e in entries]
     return reports, summarize(reports)

@@ -9,7 +9,8 @@ Subcommands:
     iso <d1> <d2> [--budget S]              isomorphism test with mapping, search
                                             seeded with d1's zero-stabilizer
     rank <spec-file>                        rank/subdegrees of an affine group
-    verify [--tier T] [--seed N] [--json OUT] [--budget S] [--catalog FILE]
+    verify [--seed N] [--json OUT] [--budget S] [--catalog FILE]
+                                            every row of the builtin table, or of FILE
     catalog list                            print the builtin verification table
 
 verify --seed N, an integer >= 0, conjugates the sl25 zero-stabilizer by an
@@ -101,9 +102,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     entries = _catalog.load_catalog(args.catalog) if args.catalog else None
-    reports, summary = _catalog.verify_all(
-        tier=args.tier, budget=args.budget, seed=args.seed, entries=entries
-    )
+    reports, summary = _catalog.verify_all(args.budget, args.seed, entries)
     for r in reports:
         attempted = [
             f"{name}={o.status}"
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("verify", help="run the catalog verification pipeline")
-    p.add_argument("--tier", choices=("full", "slow", "all"), default="full")
     p.add_argument(
         "--seed", type=_seed, default=None, metavar="N",
         help="an integer >= 0: conjugate the sl25 zero-stabilizer by a matrix "

@@ -159,7 +159,7 @@ class FiniteField:
 
     Elements are their indices in [0, q); omega is an index too.  Immutable
     after construction, so a field is safely shareable across threads.  Use
-    make_field(): it canonicalizes and caches instances.
+    make_field(): it canonicalizes instances and caches the 64 last used.
 
     The exp table is filled by doubling, in log2(q) int64 products over
     GF(p): with the coefficients of omega**0 .. omega**(h-1) made,
@@ -274,7 +274,7 @@ def _x_has_full_order(moduli: np.ndarray, p: int, q: int, prime_factors: list[in
     return is_one[:, 0] & ~is_one[:, 1:].any(axis=1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def make_field(p: int, d: int) -> FiniteField:
     """Build GF(p^d) with the canonical primitive modulus.
 

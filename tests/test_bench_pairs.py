@@ -1,7 +1,9 @@
 """Tests for scripts/bench_pairs.py's summary, on canned perfbench results,
-and its line count, on a temporary tree: no subprocess runs."""
+its line count, on a temporary tree, and its export of both sides, on a
+temporary git repository: no perfbench runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -89,3 +91,32 @@ def test_src_lines_counts_newlines_of_the_package_sources(tmp_path):
     (pkg / "notes.txt").write_text("x\n" * 5)
     (pkg / "data" / "c.py").write_text("x\n" * 7)
     assert bench_pairs.src_lines(tmp_path) == 3
+
+
+def test_export_holds_the_working_tree_on_the_change_side_only(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True, check=True).stdout
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("built/\n")
+    (repo / "kept.py").write_text("committed\n")
+    (repo / "gone.py").write_text("deleted in the working tree\n")
+    git("add", "-A")
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "parent")
+    (repo / "kept.py").write_text("edited, not committed\n")
+    (repo / "new.py").write_text("untracked\n")
+    (repo / "gone.py").unlink()
+    (repo / "built").mkdir()
+    (repo / "built" / "out.txt").write_text("ignored\n")
+
+    parent = bench_pairs.export(repo, "HEAD", tmp_path / "parent")
+    change = bench_pairs.export(repo, bench_pairs.working_tree(repo, tmp_path), tmp_path / "change")
+    files = {side: sorted(p.name for p in tree.rglob("*") if p.is_file())
+             for side, tree in (("parent", parent), ("change", change))}
+    assert files == {"parent": [".gitignore", "gone.py", "kept.py"], "change": [".gitignore", "kept.py", "new.py"]}
+    assert (parent / "kept.py").read_text() == "committed\n"
+    assert (change / "kept.py").read_text() == "edited, not committed\n"
+    assert git("diff", "--cached", "--name-only") == ""  # the checkout's own index is untouched

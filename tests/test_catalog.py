@@ -364,7 +364,7 @@ class TestVerifyEntry:
         with pytest.raises(ValueError, match="budget"):
             verify_entry(BY_ID["paley:13"], budget=budget)
         with pytest.raises(ValueError, match="budget"):
-            verify_all(tier="full", budget=budget, entries=[BY_ID["paley:13"]])
+            verify_all(budget=budget, entries=[BY_ID["paley:13"]])
 
     def test_row_shares_one_budget(self, monkeypatch):
         # aut takes at least 0.3 s and each iso claim at least 0.1 s, so the
@@ -574,40 +574,31 @@ def test_params_only_orders_are_certified(entry_id):
 class TestVerifyAll:
     def test_tiny_full_sweep_passes(self):
         entries = [BY_ID["paley:13"], BY_ID["paley:17"], BY_ID["vls:16:3"]]
-        reports, summary = verify_all(tier="full", budget=60.0, entries=entries)
+        reports, summary = verify_all(budget=60.0, entries=entries)
         assert [r.id for r in reports] == ["paley:13", "paley:17", "vls:16:3"]
         assert summary == {"pass": 3, "pass_downgraded": 0, "fail": 0}
 
-    def test_tier_filtering(self):
-        entries = [BY_ID["paley:13"], BY_ID["peisert:81"], BY_ID["hq:2:5"]]
-        full, _ = verify_all(tier="full", budget=0.1, entries=entries)
-        assert [r.id for r in full] == ["paley:13"]
-        slow, _ = verify_all(tier="slow", budget=0.1, entries=entries)
-        assert [r.id for r in slow] == ["paley:13", "peisert:81"]
-
-    def test_empty_filter_match(self):
-        reports, summary = verify_all(
-            tier="full", budget=1.0, entries=[BY_ID["hq:2:5"]]
-        )
-        assert reports == []
-        assert summary == {"pass": 0, "pass_downgraded": 0, "fail": 0}
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="tier filter"):
-            verify_all(tier="everything", entries=[])
+    def test_runs_exactly_the_entries_given_in_order(self):
+        # a PARAMS_ONLY, a SLOW and a FULL row, out of catalog order: a row's
+        # tier decides which stages it runs, never whether it runs
+        entries = [BY_ID["hq:2:5"], BY_ID["peisert:81"], BY_ID["paley:13"]]
+        reports, summary = verify_all(entries=entries)
+        assert [r.id for r in reports] == ["hq:2:5", "peisert:81", "paley:13"]
+        assert summary == {"pass": 3, "pass_downgraded": 0, "fail": 0}
+        assert verify_all(entries=[]) == ([], {"pass": 0, "pass_downgraded": 0, "fail": 0})
 
     def test_fault_injection_exactly_one_fail(self):
         entries = [
             BY_ID["paley:13"],
             _replace(BY_ID["paley:17"], expected_aut_order=17 * 4),
         ]
-        reports, summary = verify_all(tier="full", budget=60.0, entries=entries)
+        reports, summary = verify_all(budget=60.0, entries=entries)
         assert summary["fail"] == 1
         assert [r.verdict for r in reports] == ["PASS", "FAIL"]
 
     def test_construction_error_becomes_fail_report(self):
         # the sweep must absorb the error, not crash
-        reports, summary = verify_all(tier="full", budget=1.0, entries=[UNBUILDABLE])
+        reports, summary = verify_all(budget=1.0, entries=[UNBUILDABLE])
         assert summary["fail"] == 1
         assert reports[0].stages["construct"].status == "error"
 
@@ -618,9 +609,7 @@ class TestVerifyAll:
             raise RuntimeError("srg blew up")
 
         monkeypatch.setattr(catalog, "srg_params", broken_srg)
-        reports, summary = verify_all(
-            tier="full", budget=60.0, entries=[BY_ID["paley:13"]]
-        )
+        reports, summary = verify_all(budget=60.0, entries=[BY_ID["paley:13"]])
         assert summary["fail"] == 1
         stages = reports[0].stages
         assert list(stages) == ["construct", "srg"]
@@ -645,16 +634,14 @@ class TestVerifyAll:
                 for r in reports
             ]
 
-        reports, _ = verify_all(tier="full", budget=60.0, entries=entries)
+        reports, _ = verify_all(budget=60.0, entries=entries)
         assert outcomes(reports) == outcomes([verify_entry(e) for e in entries])
 
 
 class TestReports:
     def test_json_roundtrip_lossless(self):
         reports, summary = verify_all(
-            tier="full",
-            budget=60.0,
-            entries=[BY_ID["paley:13"], BY_ID["vls:16:3"]],
+            budget=60.0, entries=[BY_ID["paley:13"], BY_ID["vls:16:3"]]
         )
         *rows, last = json.loads(reports_to_json(reports))
         assert last == {"summary": summary}
@@ -664,9 +651,7 @@ class TestReports:
             assert {k: StageOutcome(**o) for k, o in row["stages"].items()} == r.stages
 
     def test_json_shape(self):
-        reports, _ = verify_all(
-            tier="full", budget=60.0, entries=[BY_ID["paley:13"]]
-        )
+        reports, _ = verify_all(budget=60.0, entries=[BY_ID["paley:13"]])
         items = json.loads(reports_to_json(reports))
         assert items[0]["id"] == "paley:13"
         assert set(items[0]) == {"id", "stages", "timings_ms", "verdict"}
@@ -675,21 +660,29 @@ class TestReports:
     def test_verdict_rules(self):
         ok = StageOutcome("ok", "")
         assert Report("x", {"a": ok}, {}, "PASS").verdict == "PASS"
-        reports, _ = verify_all(
-            tier="full", budget=0.0, entries=[BY_ID["paley:13"]]
-        )
+        reports, _ = verify_all(budget=0.0, entries=[BY_ID["paley:13"]])
         assert reports[0].verdict == "PASS_DOWNGRADED"
 
 
 @pytest.mark.slow
 class TestBuiltinSweeps:
+    def test_whole_catalog_passes(self):
+        reports, summary = verify_all(budget=120.0)
+        assert len(reports) == len(CATALOG) == 37
+        assert summary == {"pass": 37, "pass_downgraded": 0, "fail": 0}
+
+    # a sweep of one tier's rows is chosen by the entries it is given
     def test_full_tier_zero_fail(self):
-        reports, summary = verify_all(tier="full", budget=120.0)
+        entries = [e for e in CATALOG if e.tier == "FULL"]
+        reports, summary = verify_all(budget=120.0, entries=entries)
+        assert [r.id for r in reports] == [e.id for e in entries]
         assert summary["fail"] == 0
         assert summary["pass"] == len(reports)
 
     def test_slow_tier_no_fail(self):
-        _, summary = verify_all(tier="slow", budget=120.0)
+        entries = [e for e in CATALOG if e.tier in ("FULL", "SLOW")]
+        reports, summary = verify_all(budget=120.0, entries=entries)
+        assert [r.id for r in reports] == [e.id for e in entries]
         assert summary["fail"] == 0
 
 
@@ -779,7 +772,7 @@ def test_a_dropped_claim_leaves_its_pairs_undecided():
 CATALOG_RUN_IMPORTS = """
 import sys
 from rank3.catalog import verify_all
-reports, _ = verify_all(tier="all", seed=3)
+reports, _ = verify_all(seed=3)
 assert [r.verdict for r in reports] == ["PASS"] * 37
 print([name for name in ("numpy.random", "numpy.ma") if name in sys.modules])
 """

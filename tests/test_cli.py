@@ -218,6 +218,24 @@ class TestVerify:
         items = json.loads(out_json.read_text())
         assert items[-1]["summary"]["pass"] == 1
 
+    def test_no_options_checks_every_builtin_row(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        *rows, summary = out.splitlines()
+        assert [row.split()[:2] for row in rows] == [
+            ["PASS", e.id] for e in builtin_catalog()
+        ]
+        assert len(rows) == 37
+        assert summary == "summary: 37 pass, 0 downgraded, 0 fail"
+
+    def test_row_filter_option_is_a_usage_error(self, capsys):
+        # rows are chosen only by --catalog; the old tier filter is unknown
+        argv = ["verify", f"--{'tier'}", "all"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]} all" in capsys.readouterr().err
+
     def test_fail_exit_code(self, capsys, tmp_path):
         entry = entry_to_dict(
             next(e for e in builtin_catalog() if e.id == "paley:13")

@@ -117,6 +117,19 @@ def test_make_field_is_cached():
     assert make_field(9 - 2, 1) is make_field(7, 1)
 
 
+def test_make_field_cache_is_bounded():
+    # a cached field keeps its tables alive, so only the last 64 stay; one
+    # rebuilt after eviction is the same field
+    first = make_field(2, 2)
+    for p in sympy.primerange(3, sympy.prime(70)):  # 68 more fields
+        make_field(p, 1)
+    assert make_field.cache_info().currsize <= 64
+    again = make_field(2, 2)
+    assert again is not first  # evicted and rebuilt
+    assert again.modulus == first.modulus
+    assert np.array_equal(again.exp, first.exp) and np.array_equal(again.log, first.log)
+
+
 def test_power_residue_classes_gf13_squares():
     F = make_field(13, 1)
     classes = power_residue_classes(F, 2)
