@@ -32,15 +32,15 @@ heaviest calls of the solver benchmark's aut searches.
 On relabelled hq:2:5, one refinement of an off-path child at depth 2 of the
 first path's four (the least other member of the first path's target cell
 there, individualized): under the first path's record (``record``), which
-stops it after the record's 17 passes, against the same child refined to
-equitability (``equitable``), 56 passes; 6 of them split in both.
+stops it after the record's 5 passes, against the same child refined to
+equitability (``equitable``), 16 passes; 5 of them split in both.
 
 On orbital:sl25:41, the root and the first path (``_Solver.first_path``),
 refined with no record as the search refines them (``idle_stop``): each
-node stops after ``_Refiner.IDLE_STOP`` = 64 passes in a row that split
-nothing, 97 passes in all; against every node refined to equitability
-(``equitable``), 860 passes, 827 of them the idle tail of the node at depth
-1.  Both split the same 23 times and record the same passes.
+node stops after ``_Refiner.IDLE_STOP`` = 16 passes in a row that split
+nothing, 26 passes in all; against every node refined to equitability
+(``equitable``), 51 passes, 41 of them the idle tail of the node at depth
+1.  Both split the same 8 times and record the same passes.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ PASS_ROWS = ["hq:2:5", "a52"]
 # |Aut|: 1024 * |GL_2(2)| * |GL_5(2)| and 1024 * |GL_5(2)|
 PASS_ROW_ORDERS = {"hq:2:5": 1024 * 6 * 9999360, "a52": 1024 * 9999360}
 OFF_PATH_DEPTH = 2
-OFF_PATH_PASSES = {True: 17, False: 56}  # (follow the record) -> passes
+OFF_PATH_PASSES = {True: 5, False: 16}  # (follow the record) -> passes
 FIRST_PATH_ROW = "orbital:sl25:41"
-FIRST_PATH_PASSES = {64: 97, math.inf: 860}  # IDLE_STOP -> passes
+FIRST_PATH_PASSES = {16: 26, math.inf: 51}  # IDLE_STOP -> passes
 ROUNDS = 3
 
 
@@ -147,10 +147,10 @@ def test_splitter_pass(benchmark, relabelled_rank3, kind):
 
     def fresh():
         if kind == "nosplit":
-            return (refined.copy(), [int(refined.colors[0])], 0, deque(), set()), {}
+            return (refined.copy(), [int(refined.colors[0])], 1, 0, deque(), set()), {}
         cells = deep.copy() if kind == "deep" else refined.copy()
         cells.individualize(least_of_largest(cells) if kind == "deep" else v)
-        return (cells, [cells.num_classes - 1], 0, deque(), set()), {}
+        return (cells, [cells.num_classes - 1], 1, 0, deque(), set()), {}
 
     benchmark.pedantic(refiner._pass, setup=fresh, rounds=ROUNDS * 100)
     assert refiner.splits == (0 if kind == "nosplit" else refiner.refinements)
@@ -211,5 +211,5 @@ def test_first_path(benchmark, refiner):
 
     solver, path = benchmark.pedantic(first_path, rounds=ROUNDS)
     assert solver.refiner.refinements == FIRST_PATH_PASSES[refiner.IDLE_STOP]
-    assert solver.refiner.splits == 23
-    assert [len(record) for record in path.records] == [1, 28, 2]
+    assert solver.refiner.splits == 8
+    assert [len(record) for record in path.records] == [1, 5, 2]

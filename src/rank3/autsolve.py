@@ -16,16 +16,22 @@ the coloring down the search: a child copies it, and individualizing v
 splits v off the end of its cell's segment.  So a splitter's members are a
 slice of ``lab``; a pass counts every vertex's neighbours among them
 (DenseGraph.neighbour_counts), and the count read in ``lab`` order differs
-between two positions of one cell exactly where that cell splits.  A
-singleton splitter takes the run of singletons queued directly behind it,
-up to W of them, as one pass: every vertex's count is then its adjacency
-signature over them (DenseGraph.adjacency_bits), bit i for the i-th in queue
-order.  Splitting by a singleton does not read the coloring, so the batch
-splits as its members would one by one, and the batch is chosen from queue
-order and cell sizes alone, both label-invariant.  A pass sorts int64 keys
-(cell, count, vertex): the cell and the vertex take vbits each, the bit
-length of n - 1, and the count every bit left, W = 63 - 2 vbits, which holds
-any neighbour count for n < 2**20 (see _Refiner).  A pass that splits
+between two positions of one cell exactly where that cell splits.  A pass
+takes the run of cells at the head of the queue while their members total
+at most 53 and their counts fit side by side in W bits, a cell of s members
+taking s.bit_length() of them: every vertex's count is then the sum of its
+neighbours in each cell shifted to that cell's offset, one
+DenseGraph.adjacency_bits call with each member's row weighted by its
+cell's offset.  Each cell of the batch is counted whole, as it stood when
+the pass began, so the batch splits as its cells would one after another,
+and a cell that its own pass splits was used whole as a splitter, so
+Hopcroft's rule of queueing all its parts but the largest stays sound
+(Paige & Tarjan, SIAM J. Comput. 16, 1987); the batch is chosen from queue
+order and cell sizes alone, both label-invariant.  A cell of more than 53
+members is a pass of its own.  A pass sorts int64 keys (cell, count,
+vertex): the cell and the vertex take vbits each, the bit length of n - 1,
+and the count every bit left, W = 63 - 2 vbits, which holds any neighbour
+count for n < 2**20 (see _Refiner).  A pass that splits
 nothing therefore costs a gather, a shifted compare and a mask, and a pass
 that splits re-sorts only the split cells' segments.  A search starts from
 the unit partition.  Leaves of the search are discrete colorings; comparing
@@ -218,18 +224,23 @@ def _individualized(cells: _Cells, trace: int, v: int) -> tuple[_Cells, int]:
 class _Refiner:
     """Cell-targeted refinement of the colorings of one graph.
 
-    A splitter pass takes the cell at the head of the queue.  When that cell
-    is a singleton, the pass also takes every singleton queued directly
-    behind it, up to W in all, as one batch.  It counts every vertex with
-    one of the graph's kernels over its packed rows: for a batch,
-    DenseGraph.adjacency_bits gives its signature, bit i set when it is
-    adjacent to the batch's i-th vertex in queue order; for a larger cell,
+    A splitter pass takes the cell at the head of the queue, and the cells
+    queued directly behind it while the batch's members total at most BATCH
+    and its counts' widths at most W (a cell of s members needs
+    s.bit_length() bits).  It counts every vertex with one of the graph's
+    kernels over its packed rows: for a batch of several cells,
+    DenseGraph.adjacency_bits gives the sum over its cells of the vertex's
+    neighbours there shifted left by the widths of the cells before it, so
+    a batch of singletons gives bit i for the i-th; for one cell,
     DenseGraph.neighbour_counts gives its neighbours there, the cell's
-    members read as a slice of ``lab``.  Splitting by a singleton does not
-    read the coloring, so a batch splits each cell as its members would one
-    after another, and refinement run to its end still ends at the coarsest
-    equitable refinement; the batch is chosen from queue order and cell
-    sizes alone, both label-invariant, so the trace stays invariant too.
+    members read as a slice of ``lab``.  A cell of more than BATCH members
+    is always a pass of its own.  Each cell of a batch is counted whole, so
+    a batch splits each cell as its cells would one after another, and a
+    batch cell split by its own pass was already used whole as a splitter:
+    queueing all its parts but the largest stays sound, and refinement run
+    to its end still ends at the coarsest equitable refinement.  The batch
+    is chosen from queue order and cell sizes alone, both label-invariant,
+    so the trace stays invariant too.
     Read in ``lab`` order, a cell splits exactly where two neighbouring
     positions of one cell hold different counts: one gather, one shifted
     compare and one AND with ``same``.  A pass with no such position ends
@@ -239,8 +250,9 @@ class _Refiner:
     ``colors`` set for the new parts.  A key gives the cell and the vertex
     vbits each (vbits the bit length of n - 1) and the count every bit
     left, W = 63 - 2 vbits: 43 at n = 1024, and at least n's bit length for
-    n < 2**20, so a neighbour count fits.  W stays within adjacency_bits'
-    53 vertices, since it exceeds 53 only for n <= 16.  The pass then mixes
+    n < 2**20, so a neighbour count fits; a batch's widths sum to at most
+    its members, so its counts stay below 2**53, where adjacency_bits'
+    float64 product is exact.  The pass then mixes
     the batch and its parts' ids, counts and sizes into the trace with one
     hash() call and queues its new parts with one extend; only choosing
     those parts loops in Python, once per split cell.  `deadline`, a
@@ -256,11 +268,14 @@ class _Refiner:
     """
 
     # R, the passes in a row that split nothing after which a refinement
-    # with no record stops.  With every catalog row searched as the aut
-    # stage seeds it, R = 64 keeps each search's node count and cuts the
-    # passes from 10,837 to 4,132; R = 32 cuts 305 more but adds two nodes
-    # to orbital:sl25:89's search, and smaller R adds more.
-    IDLE_STOP = 64
+    # with no record stops.  A batched idle pass covers more rows than a
+    # single splitter did, so each costs more.  With every catalog row
+    # searched as the aut stage seeds it (312 nodes), refinement to
+    # equitability makes 1,492 passes, R = 64 1,345, R = 16 1,187 and
+    # R = 8 1,133, each keeping every search's node count; R = 4 adds four
+    # nodes, and smaller R more.  R = 16 leaves one doubling of room.
+    IDLE_STOP = 16
+    BATCH = 53  # the most members a batch holds: adjacency_bits' rows
 
     def __init__(self, g: DenseGraph, deadline: float = math.inf):
         self.n = g.n
@@ -268,8 +283,8 @@ class _Refiner:
         self.deadline = deadline
         self.refinements = 0
         self.splits = 0
-        # the key's fields (see above); cbits is W, the most singletons a
-        # batch takes
+        # the key's fields (see above); cbits is W, the most bits a batch's
+        # counts take side by side
         self.vbits = max(g.n - 1, 1).bit_length()
         self.cbits = 63 - 2 * self.vbits
 
@@ -299,12 +314,18 @@ class _Refiner:
             if time.monotonic() > self.deadline:
                 raise Timeout("the solver passed its deadline")
             batch = [pending.popleft()]
-            if cells.size[batch[0]] == 1:
-                while pending and len(batch) < self.cbits and cells.size[pending[0]] == 1:
-                    batch.append(pending.popleft())
+            members = int(cells.size[batch[0]])
+            width = members.bit_length()
+            while pending:
+                size = int(cells.size[pending[0]])
+                if members + size > self.BATCH or width + size.bit_length() > self.cbits:
+                    break
+                members += size
+                width += size.bit_length()
+                batch.append(pending.popleft())
             queued.difference_update(batch)
             splits = self.splits
-            trace = self._pass(cells, batch, trace, pending, queued)
+            trace = self._pass(cells, batch, members, trace, pending, queued)
             if record is not None and trace != record[len(traces)]:
                 break
             traces.append(trace)
@@ -313,15 +334,17 @@ class _Refiner:
         return trace, tuple(traces[:last_split]) if record is None else record
 
     def _pass(
-        self, cells: _Cells, batch: list[int], trace: int, pending: deque, queued: set
+        self, cells: _Cells, batch: list[int], members: int, trace: int, pending: deque, queued: set
     ) -> int:
         """One splitter pass: split every cell by its members' counts in the
         batch of splitters, mix the batch and the parts into trace, and queue
         the new parts on pending and queued.  Returns the trace.
 
-        A batch is one cell, whose count is a vertex's neighbours in it, or
-        a run of singletons, whose count is a vertex's adjacency signature
-        over them in batch order.  Split cells are handled in ascending id;
+        ``members`` is the batch's member total.  A batch of one cell
+        counts a vertex's neighbours in it; a longer one packs its
+        neighbours in each cell side by side, the i-th cell's count shifted
+        left by the bit lengths of the sizes before it (a run of singletons:
+        bit i for the i-th).  Split cells are handled in ascending id;
         each keeps its id on the lowest-count part, and its other parts get
         fresh ids in ascending count order.
         """
@@ -329,12 +352,17 @@ class _Refiner:
             cells.colors, cells.lab, cells.start, cells.size, cells.same
         )
         self.refinements += 1
-        head = batch[0]
-        if size[head] == 1:
+        if members == len(batch):  # singletons: bit i for the i-th
             cnt = self.bits(lab[start[batch]])[lab]
-        else:
-            lo = int(start[head])
-            cnt = self.counts(lab[lo : lo + int(size[head])])[lab]
+        elif len(batch) == 1:  # one cell: the neighbours there
+            lo = int(start[batch[0]])
+            cnt = self.counts(lab[lo : lo + members])[lab]
+        else:  # each cell's count at its offset, the sum of the widths before it
+            sizes = size[batch]
+            widths = np.frexp(sizes)[1]  # bit lengths
+            heads = sizes.cumsum() - sizes
+            at = (start[batch] - heads).repeat(sizes) + np.arange(members)
+            cnt = self.bits(lab[at], (widths.cumsum() - widths).repeat(sizes))[lab]
         edge = cnt[1:] != cnt[:-1]
         edge &= same
         if not np.count_nonzero(edge):

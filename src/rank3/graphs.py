@@ -276,23 +276,31 @@ class DenseGraph:
             np.bitwise_count(block).sum(axis=1, dtype=np.int32, out=counts[lo : lo + step])
         return counts
 
-    def adjacency_bits(self, vertices: np.ndarray) -> np.ndarray:
-        """bits[v] = the sum of 2**i over the i with v adjacent to
+    def adjacency_bits(self, vertices: np.ndarray, offsets=None) -> np.ndarray:
+        """bits[v] = the sum of 2**offsets[i] over the i with v adjacent to
         vertices[i], for every vertex v: an integer array, for at most 53
-        distinct vertices.
+        distinct vertices.  offsets default to 0, 1, ..., so that bit i
+        marks vertices[i]; equal offsets add up, so a run of vertices that
+        shares one offset counts its neighbours there.
 
         One vertex's signature is its row, unpacked alone: about 0.6 us
         against 3.5 us for the general path at n = 81.  More vertices' rows
         are unpacked together and weighed by one float64 matrix product,
         exact while every sum stays below 2**53: ValueError for more
-        vertices."""
+        vertices, or for offsets whose powers of two sum to 2**53 or more."""
         k, n = len(vertices), self.n
         if k > 53:
             raise ValueError(f"at most 53 vertices, got {k}")
-        if k == 1:  # unpacking the padding too, and slicing it off, is cheaper
+        if offsets is not None:
+            weights = np.ldexp(1.0, offsets)
+            if weights.sum() >= 2.0**53:
+                raise ValueError("the weights sum to 2**53 or more")
+        elif k == 1:  # unpacking the padding too, and slicing it off, is cheaper
             return np.unpackbits(self._rows[vertices[0]])[:n]
+        else:
+            weights = np.ldexp(1.0, np.arange(k))
         rows = np.unpackbits(self._rows[vertices], axis=1, count=n)
-        return (np.ldexp(1.0, np.arange(k)) @ rows).astype(np.int64)
+        return (weights @ rows).astype(np.int64)
 
     def degrees(self) -> np.ndarray:
         if self.moduli is not None:  # every row is a translate of row 0
@@ -330,11 +338,11 @@ def _digit_tables(moduli: tuple[int, ...]):
     the digits of each of the m**j values of the high j = ceil(k / 2) digits
     and of each of the m**(k - j) values of the low ones, as the diagonal
     blocks of one (k + 1) x (m**j + m**(k - j)) int64 array whose last row
-    is 1 under the high block, so that one product gives, for a map's A and
-    b, the high and low parts of A y and of b + A y; the place values of the
-    k digits, most significant first, as ints (a k x 1 x 1 column) and as
-    float32s; and the points 0, e_1, ..., e_k whose images fix an affine
-    map."""
+    is 1 under the high block, so that a product with a block of its
+    columns gives, for a map's A and b, those high or low parts of A y and
+    of b + A y; the place values of the k digits, most significant first,
+    as ints (a k x 1 x 1 column) and as float32s; and the points 0, e_1,
+    ..., e_k whose images fix an affine map."""
     k, m = len(moduli), moduli[0]
     j = k - k // 2
     high = np.indices(moduli[:j]).reshape(j, -1)
@@ -365,38 +373,41 @@ def _affine_verdict(g: DenseGraph, h: DenseGraph, mappings: np.ndarray) -> np.nd
     of y, most significant first, split into r's (the first j = ceil(k / 2))
     and s's (the rest), y = r * width + s; the digits of A y and of b + A y
     are then the digitwise sums mod m of column r of one table and column s
-    of another, each at most k x m**j per map, made by one int64 product of
-    each map's A and b, read off the images of 0 and of the unit vectors,
-    with _digit_tables.  The stack is checked in blocks of whole rows r of a
-    run of maps, each digit array at most 8192 digits (one map's row r when
-    that is more), whose indices come from one float32 vector-matrix
-    product, exact as n <= 2**24: the images must equal b + A y (else the
-    map is not affine), and h.row0 at A y is compared with g.row0 at y.  So
-    every temporary stays under glibc's 128 KiB mmap threshold and is carved
-    from the heap instead of being mapped and page-faulted afresh.  Digits are
-    the narrowest unsigned ints that hold 2m - 1, and a digitwise sum x < 2m
-    is reduced mod m as min(x, x - m), where x - m wraps past the top when
-    x < m."""
+    of another, made by int64 products of each map's A and b, read off the
+    images of 0 and of the unit vectors, with _digit_tables.  The stack is
+    checked in blocks of whole rows r of a run of maps, each digit array at
+    most 8192 digits (one map's row r when that is more; 4096 rows r on one
+    cyclic digit, whose block of indices is as long as its digits), whose
+    indices come from one float32 vector-matrix product, exact as
+    n <= 2**24: the images must equal b + A y (else the map is not affine),
+    and h.row0 at A y is compared with g.row0 at y.  A run's low parts, and
+    a block's high parts, are made with the block, never the whole table's
+    at once.  So every temporary stays under glibc's 128 KiB mmap threshold
+    and is carved from the heap instead of being mapped and page-faulted
+    afresh.  Digits are the narrowest unsigned ints that hold 2m - 1, and a
+    digitwise sum x < 2m is reduced mod m as min(x, x - m), where x - m
+    wraps past the top when x < m."""
     wrap, tables, place, fplace, ends_at = _digit_tables(g.moduli)
     k, m = len(g.moduli), g.moduli[0]
     width = m ** (k // 2)  # the values of the low digits
+    high_table, low_table = tables[:, :-width], tables[:, -width:]
     count = len(mappings)
     # ends[i, t, c]: digit i of map t's image of 0 (c = 0) and of e_c (c >= 1)
     ends = mappings[:, ends_at] // place % m
     ab = np.zeros((2, k, count, k + 1), dtype=np.int64)  # [A | 0] and [A | b], row by row
     ab[:, :, :, :k] = ends[:, :, 1:] - ends[:, :, :1]
     ab[1, :, :, k] = ends[:, :, 0]
-    parts = (ab.reshape(-1, k + 1) @ tables % m).astype(wrap.dtype).reshape(2, k, count, -1)
-    high, low = parts[:, :, :, :-width], parts[0, :, :, -width:]
-    maps = max(1, min(count, (1 << 13) // (k * width)))
-    rows = max(1, (1 << 13) // (maps * k * width))
+    block = max(k * width, 2)  # a map's digits per row r; 2 halves one cyclic digit's blocks
+    maps = max(1, min(count, (1 << 13) // block))
+    rows = max(1, (1 << 13) // (maps * block))
     verdict = np.ones((2, count), dtype=bool)
     for t in range(0, count, maps):
         run = slice(t, t + maps)
-        for r in range(0, high.shape[3], rows):
-            y = high[:, :, run, r : r + rows, None] + low[:, run, None, :]
-            c = y.shape[2]
-            y = y.reshape(2, k, -1)
+        c = min(maps, count - t)
+        low = (ab[0, :, run] @ low_table % m).astype(wrap.dtype)
+        for r in range(0, high_table.shape[1], rows):
+            high = (ab[:, :, run] @ high_table[:, r : r + rows] % m).astype(wrap.dtype)
+            y = (high[:, :, :, :, None] + low[:, :, None, :]).reshape(2, k, -1)
             np.minimum(y, y - wrap, out=y)  # the digits of A y and of b + A y
             at = (fplace @ y).astype(np.intp)
             lo, hi = r * width, r * width + at.shape[1] // c

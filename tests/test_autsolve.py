@@ -132,13 +132,15 @@ def same_partition(a, b):
 # The splitter pass as it was before the cell layout: it scans the colors for
 # the splitter's members, and finds and sorts split cells by scatter and
 # gather over every vertex.  Copied unchanged (class name aside) but for the
-# trace's mixing function and the batch rule: a singleton splitter takes the
-# singletons queued directly behind it, up to `width` of them in all, and
-# their pass counts each vertex's adjacency signature over them (bit i for
-# the i-th, in queue order) from the boolean rows.  The same words, the
-# batch and then each part's id, count and size, go into one hash() per
-# splitting pass, as in the refiner.  It is the oracle for the layout-based
-# refiner: same class ids, queue, trace and number of passes.
+# trace's mixing function and the batch rule: the cell at the queue's head
+# takes the cells queued directly behind it while their members total at
+# most 53 and their widths (a cell of s members has s.bit_length()) at most
+# `width`, and a batch of more than one cell counts each vertex's neighbours
+# in each cell from the boolean rows, shifted left by the widths of the
+# cells before it and summed.  The same words, the batch and then each
+# part's id, count and size, go into one hash() per splitting pass, as in
+# the refiner.  It is the oracle for the layout-based refiner: same class
+# ids, queue, trace and number of passes.
 
 _M64 = (1 << 64) - 1
 
@@ -147,12 +149,12 @@ class ReferenceRefiner:
     """Cell-targeted equitable refinement of vertex colorings of one graph.
 
     A splitter pass counts every vertex's neighbours in the splitter cell,
-    or its adjacency signature over a batch of singletons, finds the cells
-    whose counts are not uniform (each of them meets the splitter) by
+    or in each cell of a batch, those counts packed side by side, finds the
+    cells whose counts are not uniform (each of them meets the splitter) by
     holding every count against one count of its own cell, and sorts and
     splits only those cells: no step of a pass loops over every cell in
-    Python, and only members of split cells are sorted.  A batch holds at
-    most `width` singletons, the bits a count has in the refiner's key: 63
+    Python, and only members of split cells are sorted.  A batch's widths
+    total at most `width`, the bits a count has in the refiner's key: 63
     less two fields of vbits.  `deadline`, a time.monotonic() value, is
     checked once per pass: Timeout when it has passed.
     """
@@ -183,13 +185,16 @@ class ReferenceRefiner:
 
     def _batch_counts(self, colors: np.ndarray, batch: list[int]) -> np.ndarray:
         """Every vertex's count for the batch: its neighbours in one cell, or
-        its adjacency signature over a batch of singletons."""
-        members = (colors == batch[0]).nonzero()[0]
-        if len(members) > 1:
-            return self._counts(members)
-        vertices = [int((colors == c).nonzero()[0][0]) for c in batch]
-        weights = np.left_shift(1, np.arange(len(batch), dtype=np.int64))
-        return (self.rows[vertices].astype(np.int64) * weights[:, None]).sum(axis=0)
+        its neighbours in each cell of the batch, each shifted left by the
+        widths of the cells before it, summed."""
+        cells = [(colors == c).nonzero()[0] for c in batch]
+        if len(cells) == 1:
+            return self._counts(cells[0])
+        cnt, shift = np.zeros(self.n, dtype=np.int64), 0
+        for members in cells:
+            cnt += self.rows[members].sum(axis=0, dtype=np.int64) << shift
+            shift += len(members).bit_length()
+        return cnt
 
     def refine(
         self, colors: np.ndarray, num_classes: int, queue, trace: int
@@ -209,13 +214,14 @@ class ReferenceRefiner:
             if time.monotonic() > self.deadline:
                 raise Timeout("the reference refiner passed its deadline")
             batch = [pending.popleft()]
-            if np.count_nonzero(colors == batch[0]) == 1:
-                while (
-                    pending
-                    and len(batch) < self.width
-                    and np.count_nonzero(colors == pending[0]) == 1
-                ):
-                    batch.append(pending.popleft())
+            members = int(np.count_nonzero(colors == batch[0]))
+            widths = members.bit_length()
+            while pending:
+                size = int(np.count_nonzero(colors == pending[0]))
+                if members + size > 53 or widths + size.bit_length() > self.width:
+                    break
+                batch.append(pending.popleft())
+                members, widths = members + size, widths + size.bit_length()
             queued.difference_update(batch)
             self.refinements += 1
             cnt = self._batch_counts(colors, batch)
@@ -611,7 +617,7 @@ def refine_cases(draw, splitter):
 def assert_refines_like_reference(g, initial, queue, trace):
     """Refine with both refiners, then individualize one vertex of a
     non-singleton cell and refine again; everything must agree."""
-    ref, new = CountingReference(g), _Refiner(g)
+    ref, new = CountingReference(g), EquitableRefiner(g)
     colors, classes = initial.copy(), num_classes(initial)
     cells = _Cells.of(initial)
     for _ in range(2):
@@ -642,11 +648,25 @@ class TestReferenceRefiner:
         assert sizes[0] == SPLITTER_SIZES[splitter](g.n)
 
 
+class BatchRecorder(EquitableRefiner):
+    """The refiner run to equitability, recording each pass's cell sizes."""
+
+    def __init__(self, g):
+        super().__init__(g)
+        self.batches = []
+
+    def _pass(self, cells, batch, members, *rest):
+        self.batches.append(cells.size[batch].tolist())
+        return super()._pass(cells, batch, members, *rest)
+
+
 class TestBatchedSplitters:
-    """A pass takes a run of queued singletons as one batch: splitting by a
-    singleton does not read the coloring, so the batch splits as its
-    members would one by one, and refinement still ends at the coarsest
-    equitable refinement."""
+    """A pass takes the run of queued cells at the queue's head while their
+    members total at most 53 and their counts fit side by side in the key's
+    count field.  Each cell of a batch is counted whole, so the batch splits
+    as its cells would one by one, a cell that its own pass splits was
+    already used as a splitter (Hopcroft's rule stays sound), and
+    refinement still ends at the coarsest equitable refinement."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -655,7 +675,7 @@ class TestBatchedSplitters:
         # individualizations from the new cell alone
         splitter = data.draw(st.sampled_from(sorted(SPLITTER_SIZES)))
         g, initial, _, _ = data.draw(refine_cases(splitter))
-        new, one = _Refiner(g), OneSplitterReference(g)
+        new, one = EquitableRefiner(g), OneSplitterReference(g)
         cells, colors = _Cells.of(initial), initial.copy()
         classes = num_classes(initial)
         queue = list(range(classes))
@@ -671,6 +691,53 @@ class TestBatchedSplitters:
             cells.individualize(v)
             colors[v] = classes
             queue, classes = [classes], classes + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mixed_batches_end_at_the_equitable_partition(self, data):
+        # many small classes, all queued: class 0 has two to five members
+        # and class 1 one, so the first pass is a batch of cells of several
+        # sizes; run to the end, it gives the reference's ids, trace and
+        # passes, naive_equitable's partition and the one-splitter one's
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(16, 64))
+        g = random_graph(rng, n, data.draw(st.floats(0.05, 0.95)))
+        head = data.draw(st.integers(2, 5))
+        others = rng.integers(2, 2 + data.draw(st.integers(1, 16)), n - head - 1)
+        colors = rng.permutation(np.concatenate([[0] * head, [1], others]))
+        initial = np.unique(colors, return_inverse=True)[1].astype(np.int32)
+        queue = list(range(num_classes(initial)))
+        assert_refines_like_reference(g, initial, queue, data.draw(st.integers(0, _M64)))
+        recorder, one = BatchRecorder(g), OneSplitterReference(g)
+        cells, colors = _Cells.of(initial), initial.copy()
+        recorder.refine(cells, queue, 0)
+        one.refine(colors, len(queue), queue, 0)
+        assert recorder.batches[0][:2] == [head, 1]
+        assert same_partition(cells.colors, colors)
+        assert same_partition(colors, naive_equitable(g, initial))
+
+    def test_a_cell_split_by_its_own_batch(self):
+        # A = {0, 1, 2} and B = {3}, with edges 0-1, 0-3 and 1-3: one pass
+        # over the batch [A, B] counts 0 and 1 at 1 + (1 << 2) (a neighbour
+        # in A, and 3) and 2 at 0, so A splits by its own count.  A was
+        # counted whole, so only its smaller part {2} is queued, and the run
+        # ends at the equitable partition all the same
+        g = from_edges(4, [(0, 1), (0, 3), (1, 3)])
+        initial = np.array([0, 0, 0, 1], dtype=np.int32)
+        cells, pending, queued = _Cells.of(initial), deque(), set()
+        refiner = EquitableRefiner(g)
+        refiner._pass(cells, [0, 1], 4, 0, pending, queued)
+        assert cells.colors.tolist() == [2, 2, 0, 1]
+        assert list(pending) == [0] and queued == {0}
+        cells, refiner = _Cells.of(initial), EquitableRefiner(g)
+        refiner.refine(cells, [0, 1], 0)
+        one, colors = OneSplitterReference(g), initial.copy()
+        one.refine(colors, 2, [0, 1], 0)
+        assert cells.colors.tolist() == [2, 2, 0, 1]
+        assert same_partition(colors, cells.colors)
+        assert same_partition(colors, naive_equitable(g, initial))
+        assert (refiner.refinements, refiner.splits, one.refinements) == (2, 1, 3)
+        assert_refines_like_reference(g, initial, [0, 1], 0)
 
     def test_a_batch_is_one_pass(self):
         # three singletons {0}, {1}, {2} of the 6-cycle, queued one behind
@@ -688,20 +755,22 @@ class TestBatchedSplitters:
 
 def idle_stop_cases():
     """Relabelled strongly regular graphs, each coloring the equitable one
-    with a random vertex u individualized, then a random v individualized
-    too, and a queue of every other cell, then v's old and new cells.  The
-    coloring was equitable against every cell but those two, so the queue
-    opens with passes that split nothing, and splitting ones follow."""
+    with two random vertices individualized in turn, then a random v of a
+    cell of two or more individualized too, and a queue of every other cell,
+    then v's old and new cells.  The coloring was equitable against every
+    cell but those two, so the queue opens with passes that split nothing
+    (small cells batched, each larger one alone), and splitting ones
+    follow."""
     rng = np.random.default_rng(31)
-    for desc in ["paley:49", "peisert:49", "vls:64:3", "orbital:q8:13"]:
+    for desc in ["paley:49", "peisert:49", "vls:64:3", "orbital:q8:13", "vo:+:8:2", "orbital:q8:17"]:
         g = family_graph(parse_descriptor(desc))
         for seed in range(5):
             h = relabelled(g, seed)
             cells = _Cells.of(np.zeros(h.n, dtype=np.int32))
-            u, v = rng.choice(h.n, 2, replace=False).tolist()
-            cells.individualize(u)
-            EquitableRefiner(h).refine(cells, [1], 0)
-            old = cells.individualize(v)
+            for _ in range(2):
+                cells.individualize(int(rng.choice(np.flatnonzero(cells.size[cells.colors] > 1))))
+                EquitableRefiner(h).refine(cells, [cells.num_classes - 1], 0)
+            old = cells.individualize(int(rng.choice(np.flatnonzero(cells.size[cells.colors] > 1))))
             rest = [c for c in range(cells.num_classes - 1) if c != old]
             yield h, cells, rest + [old, cells.num_classes - 1]
 
@@ -754,18 +823,30 @@ class TestIdleStop:
             are_isomorphic(paley(49), relabelled(peisert(49), 2))
 
 
-# the first path's traces of a relabelled vls:64:3 search, as JSON on stdout
+# the first path of vls:64:3 relabelled by the seed in argv[1], as JSON on
+# stdout: its nodes' traces, its records, and per refinement (the root's,
+# then each node's below it) the passes whose batch held a cell of two or
+# more beside another cell
 FIRST_TRACES = """
-import json, math
+import json, math, sys
 import numpy as np
-from rank3.autsolve import _Solver
+from rank3.autsolve import _Refiner, _Solver
 from rank3.families import family_graph, parse_descriptor
 from rank3.graphs import DenseGraph
+mixed = []
+class Counting(_Refiner):
+    def refine(self, *args):
+        mixed.append(0)
+        return super().refine(*args)
+    def _pass(self, cells, batch, members, *rest):
+        mixed[-1] += 1 < len(batch) < members
+        return super()._pass(cells, batch, members, *rest)
 g = family_graph(parse_descriptor("vls:64:3"))
-perm = np.random.default_rng(3).permutation(g.n)
+perm = np.random.default_rng(int(sys.argv[1])).permutation(g.n)
 solver = _Solver(DenseGraph(g.adj[np.ix_(perm, perm)]), math.inf)
-solver.run()
-print(json.dumps([trace for _, trace in solver.path.nodes[1:]]))
+solver.refiner = Counting(solver.g)
+path = solver.first_path(*solver.root())
+print(json.dumps({"traces": [t for _, t in path.nodes], "records": path.records, "mixed": mixed}))
 """
 
 
@@ -790,17 +871,26 @@ class TestTraceInvariance:
         assert split >= 15  # most roots do split, so their traces hold words
 
     def test_first_path_traces_ignore_the_hash_seed(self):
+        # two hash seeds on one relabelling give the same first path; two
+        # relabellings give the same root and the same first two nodes,
+        # whose vertices are interchangeable (vls:64:3 is a rank-3 graph,
+        # so the stabilizer of the first is transitive on each cell the
+        # second can come from), and batches of mixed cells refine them
         src = str(Path(rank3.__file__).resolve().parents[1])
         runs = []
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for hash_seed, relabelling in (("1", 3), ("2", 3), ("1", 4)):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
             done = subprocess.run(
-                [sys.executable, "-c", FIRST_TRACES],
+                [sys.executable, "-c", FIRST_TRACES, str(relabelling)],
                 env=env, capture_output=True, text=True, check=True, timeout=300,
             )
             runs.append(json.loads(done.stdout))
-        assert len(runs[0]) >= 2
+        assert len(runs[0]["traces"]) >= 3
         assert runs[0] == runs[1]
+        assert runs[0]["traces"][:3] == runs[2]["traces"][:3]
+        assert runs[0]["records"][:2] == runs[2]["records"][:2]
+        assert runs[0]["mixed"][:3] == runs[2]["mixed"][:3]
+        assert sum(runs[0]["mixed"][:3]) >= 1
 
 
 class TestBruteForce:
@@ -939,9 +1029,9 @@ class TestAutomorphismGroup:
     # refining only as far as the first path's record: a faster splitter
     # pass must leave the search unchanged
     PINNED_SEARCHES = [
-        ("vls:64:3", 1, 64512, 12, 74, 5),
-        ("vo:+:8:2", 2, 89181388800, 49, 230, 9),
-        ("orbital:q8:13", 3, 48672, 10, 93, 3),
+        ("vls:64:3", 1, 64512, 12, 29, 5),
+        ("vo:+:8:2", 2, 89181388800, 51, 110, 10),
+        ("orbital:q8:13", 3, 48672, 10, 30, 3),
     ]
 
     @pytest.mark.parametrize("desc,seed,order,nodes,refinements,gens", PINNED_SEARCHES)
@@ -1002,28 +1092,28 @@ class TestSeededSearch:
 
     # (nodes, refinements, generators) of the seeded search, per row
     SEEDED_COUNTERS = {
-        "paley:9": (5, 8, 5),
+        "paley:9": (5, 7, 5),
         "paley:13": (3, 7, 3),
-        "paley:17": (3, 8, 3),
-        "paley:49": (5, 31, 5),
-        "paley:81": (5, 32, 7),
-        "peisert:49": (5, 26, 5),
-        "vls:16:3": (8, 14, 8),
-        "vls:25:3": (12, 26, 7),
-        "vls:64:3": (7, 49, 11),
-        "hamming2:5": (11, 24, 9),
-        "vo:-:4:2": (5, 10, 14),
-        "vo:-:6:2": (10, 35, 26),
-        "vo:+:8:2": (21, 138, 36),
-        "orbital:sl23:7": (5, 26, 7),
-        "orbital:q8:13": (5, 68, 6),
-        "hamming2:9": (37, 80, 13),
-        "peisert:81": (7, 42, 9),
-        "vo:+:4:3": (7, 51, 18),
-        "vls:256:5": (11, 132, 14),
-        "orbital:q8:17": (5, 84, 6),
-        "hq:3:3": (10, 105, 18),
-        "orbital:sl25:41": (5, 99, 6),
+        "paley:17": (3, 6, 3),
+        "paley:49": (5, 12, 5),
+        "paley:81": (5, 13, 7),
+        "peisert:49": (5, 14, 5),
+        "vls:16:3": (8, 13, 8),
+        "vls:25:3": (12, 20, 7),
+        "vls:64:3": (7, 18, 11),
+        "hamming2:5": (11, 18, 9),
+        "vo:-:4:2": (5, 9, 14),
+        "vo:-:6:2": (10, 19, 26),
+        "vo:+:8:2": (20, 51, 36),
+        "orbital:sl23:7": (5, 14, 7),
+        "orbital:q8:13": (5, 15, 6),
+        "hamming2:9": (37, 52, 13),
+        "peisert:81": (7, 19, 9),
+        "vo:+:4:3": (6, 18, 17),
+        "vls:256:5": (11, 48, 14),
+        "orbital:q8:17": (5, 17, 6),
+        "hq:3:3": (10, 50, 18),
+        "orbital:sl25:41": (5, 28, 6),
     }
 
     @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
@@ -1118,8 +1208,8 @@ class TestSeededSearch:
 
     # (plain, under Aut(g)) refinement passes of each non-isomorphic claim
     NONISO_PASSES = {
-        "peisert:49~paley:49": (73, 33),
-        "peisert:81~paley:81": (103, 32),
+        "peisert:49~paley:49": (61, 14),
+        "peisert:81~paley:81": (92, 14),
     }
 
     @pytest.mark.parametrize(

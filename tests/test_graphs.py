@@ -348,6 +348,42 @@ def test_adjacency_bits_refuse_more_than_53_vertices():
         g.adjacency_bits(vertices)
 
 
+def weighted_by_the_matrix(g: DenseGraph, vertices: np.ndarray, offsets) -> np.ndarray:
+    """adj[vertices] weighted by 2**offsets[i] for the i-th vertex, summed
+    per column, in Python ints."""
+    rows = g.adj[vertices].tolist()
+    return np.array([sum(row[v] << o for row, o in zip(rows, offsets)) for v in range(g.n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.lists(st.integers(1, 8), min_size=1, max_size=12),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_adjacency_bits_with_offsets_match_the_matrix(n, cells, circulant_graph, seed):
+    # the refiner's batches: runs of vertices, each run a cell sharing the
+    # offset of the widths before it, so each vertex's value packs its
+    # neighbour count in each cell side by side
+    assume(sum(cells) <= min(n, 53))
+    g, vertices = members_and_graph(n, sum(cells), circulant_graph, seed)
+    widths = [s.bit_length() for s in cells]
+    offsets = np.repeat(np.cumsum(widths) - widths, cells)
+    bits = g.adjacency_bits(vertices, offsets)
+    assert np.array_equal(bits, weighted_by_the_matrix(g, vertices, offsets.tolist()))
+    shift = 0
+    for size, width in zip(cells, widths):  # each field is that cell's count
+        cell, vertices = vertices[:size], vertices[size:]
+        want = g.adj[cell].sum(axis=0)
+        assert np.array_equal((bits >> shift) & ((1 << width) - 1), want)
+        shift += width
+
+
+def test_adjacency_bits_refuse_offsets_past_53_bits():
+    g, vertices = members_and_graph(60, 2, False, 0)
+    assert np.array_equal(g.adjacency_bits(vertices[:1], [52]), g.adj[vertices[0]] * (1 << 52))
+    for offsets in ([53, 0], [52, 52]):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            g.adjacency_bits(vertices, offsets)
+
+
 def random_graph(n: int, rng) -> DenseGraph:
     adj = np.triu(rng.random((n, n)) < 0.5, 1)
     return DenseGraph(adj | adj.T)
@@ -755,6 +791,30 @@ def test_affine_path_in_several_blocks(m, k):
         got, affine = packing_free(g, dst, mapping)
         assert got == np.array_equal(dst.adj[np.ix_(mapping, mapping)], g.adj)
         assert affine == (mapping is sigma)
+
+
+@pytest.mark.parametrize("moduli", [(65521,), (251, 251)])
+def test_affine_path_on_large_digits_stays_in_blocks(moduli):
+    # one cyclic digit of 65521 values, and two of 251: the parts of A y are
+    # made block by block, not for the whole high table at once (2.1 MB on
+    # Z_65521 when they were), so no temporary passes 128 KiB and the peak
+    # holds at most this block's and the last one's
+    n = math.prod(moduli)
+    rng = np.random.default_rng(n)
+    neg = np.ravel_multi_index(tuple(-np.array(np.unravel_index(np.arange(n), moduli)) % np.array(moduli)[:, None]), moduli)
+    row0 = rng.random(n) < 0.3
+    row0[0] = False
+    row0 |= row0[neg]
+    g = DenseGraph.from_row0(row0, moduli)
+    for mapping in (neg, np.arange(n)):  # the first call builds the shared digit tables
+        tracemalloc.start()
+        try:
+            got = is_isomorphism(g, g, mapping)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got and g._bytes is None
+    assert peak < 1 << 19
 
 
 def test_affine_digit_tables_are_shared_and_read_only():
