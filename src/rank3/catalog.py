@@ -20,13 +20,13 @@ in the subdegree stage.  The aut stage hands the same G0 to the solver as
 known automorphisms, which prune its search but never stand in for it, and
 certifies the solver's order: its generators must reach it by a
 Schreier-Sims lower bound.  A row's tier says what it runs: FULL rows
-(degree <= 256) run everything, SLOW rows run everything but may time out
-(downgrading, never failing, the verdict), PARAMS_ONLY rows stop after
-the subdegree check.
+(degree <= 256) and SLOW rows run every stage, and a timeout in either
+downgrades the verdict, never fails it; PARAMS_ONLY rows stop after the
+subdegree check.
 
 Conventions baked into the table:
 
-* entry ids are exactly the family descriptors accepted by parse_descriptor;
+* an entry's id is its family descriptor, and its family is that id parsed;
 * subdegree pairs are stored with the constructed graph's edge orbital FIRST
   (for every shipped row but vo:+:8:2 that is also the smaller one), so the
   valency cross-check is ``valency == subdegrees[0]``;
@@ -51,14 +51,12 @@ from .autsolve import (
     automorphism_group,
     check_budget,
 )
-from .families import Build, FamilyId, family_graph, format_descriptor, parse_descriptor
+from .families import Build, FamilyId, family_graph, parse_descriptor
 from .graphs import Degenerate, DenseGraph, NotStronglyRegular, srg_params
 from .permgrp import GeneratorSet, reaches_order
 
 __all__ = [
     "TIERS",
-    "STAGES",
-    "VERDICTS",
     "IsoClaim",
     "CatalogEntry",
     "StageOutcome",
@@ -73,8 +71,6 @@ __all__ = [
 ]
 
 TIERS = ("FULL", "SLOW", "PARAMS_ONLY")
-STAGES = ("construct", "srg", "subdegrees", "aut", "iso")
-VERDICTS = ("PASS", "PASS_DOWNGRADED", "FAIL")
 
 
 @dataclass(frozen=True)
@@ -406,7 +402,8 @@ def builtin_catalog() -> list[CatalogEntry]:
 
 
 def entry_to_dict(entry: CatalogEntry) -> dict:
-    return {**asdict(entry), "family": format_descriptor(entry.family)}
+    """The entry as a JSON object, without its family: the id names it."""
+    return {key: value for key, value in asdict(entry).items() if key != "family"}
 
 
 _REQUIRED = object()  # entry_from_dict: the field has no default
@@ -430,7 +427,9 @@ _int, _str, _bool = _of_type(int), _of_type(str), _of_type(bool)
 def entry_from_dict(data: dict) -> CatalogEntry:
     """The inverse of entry_to_dict.  A missing or malformed field raises
     ValueError naming the entry and the field: every number must be a JSON
-    integer, every flag true or false, and the id the family's descriptor."""
+    integer, every flag true or false, and the id a family descriptor, which
+    names the entry's family.  A family field, as older files carry, must
+    name the same family."""
     if not isinstance(data, dict):
         raise ValueError(f"catalog entry {data!r} is not a JSON object")
     where = f"catalog entry {data.get('id', '<no id>')!r}"
@@ -445,16 +444,15 @@ def entry_from_dict(data: dict) -> CatalogEntry:
         except (TypeError, ValueError, KeyError, IndexError) as exc:
             raise ValueError(f"{where}: bad field {key!r}: {exc}") from None
 
-    family = field("family", parse_descriptor)
+    family = field("id", lambda v: parse_descriptor(_str(v)))
 
-    def descriptor(value):
-        want = format_descriptor(family)
-        if value != want:
-            raise ValueError(f"{value!r} is not the family's descriptor {want!r}")
-        return value
+    def same_family(value):
+        if parse_descriptor(_str(value)) != family:
+            raise ValueError(f"{value!r} is not the family of the id")
 
+    field("family", same_family, default=None)
     return CatalogEntry(
-        id=field("id", descriptor),
+        id=data["id"],
         family=family,
         n=field("n", _int),
         subdegrees=field("subdegrees", lambda v: tuple(_int(x) for x in v)),

@@ -45,7 +45,9 @@ from typing import Callable
 import numpy as np
 
 from .gf import (
+    _MAX_Q,
     FiniteField,
+    TooLarge,
     digits,
     factorint,
     isprime,
@@ -96,7 +98,6 @@ __all__ = [
     "sl23_with_scalars_spec",
     "extraspecial_normalizer_spec",
     "parse_descriptor",
-    "format_descriptor",
     "family_graph",
     "family_group",
     "family_matrix_spec",
@@ -170,9 +171,11 @@ def cayley_graph(p: int, dim: int, members: Iterable[int]) -> DenseGraph:
 
 
 def _split_prime_power(q: int) -> tuple[int, int]:
-    """q = p**d with p prime, else ValueError."""
+    """q = p**d with p prime, else ValueError (TooLarge, before factoring, if q > _MAX_Q)."""
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
+    if q > _MAX_Q:
+        raise TooLarge(f"q = {q} exceeds {_MAX_Q}")
     fac = factorint(q)
     if len(fac) != 1:
         raise ValueError(f"q = {q} is not a prime power")
@@ -242,13 +245,14 @@ def van_lint_schrijver(q: int, e: int) -> DenseGraph:
     if e < 2 or not isprime(e):
         raise ValueError(f"e = {e} must be prime")
     p, d = _split_prime_power(q)
-    if p % e == 0 or n_order(p, e) != e - 1:
-        raise OrderCondition(
-            f"p = {p} must have multiplicative order {e - 1} modulo e = {e}"
-        )
+    # the exponent first: it bounds e - 1 <= d, so n_order factors a small e
     if d % (e - 1) != 0:
         raise OrderCondition(
             f"q = {q} = {p}**{d}: the exponent must be a multiple of e - 1 = {e - 1}"
+        )
+    if p % e == 0 or n_order(p, e) != e - 1:
+        raise OrderCondition(
+            f"p = {p} must have multiplicative order {e - 1} modulo e = {e}"
         )
     if p != 2 and ((q - 1) // e) % 2 != 0:
         raise AsymmetricConnectionSet(
@@ -264,9 +268,12 @@ def hamming2(m: int) -> DenseGraph:
     """Hamming graph H(2, m) = m x m rook's graph: vertices are ordered pairs
     (i, j) in [m]**2 (index i*m + j), adjacent iff they agree in exactly one
     coordinate.  SRG(m**2, 2(m-1), m-2, 2).  It is the Cayley graph of
-    Z_m x Z_m with the nonzero vectors on the axes, hence moduli (m, m)."""
+    Z_m x Z_m with the nonzero vectors on the axes, hence moduli (m, m).
+    ValueError unless m >= 2 and m**2 <= _MAX_Q."""
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
+    if m * m > _MAX_Q:
+        raise ValueError(f"m**2 = {m * m} exceeds {_MAX_Q}")
     row0 = np.zeros(m * m, dtype=bool)
     row0[1:m] = row0[m::m] = True  # (0, j) and (i, 0) for i, j != 0
     return DenseGraph.from_row0(row0, (m, m))
@@ -279,6 +286,8 @@ def hamming2_stabilizer(m: int) -> GeneratorSet:
     on the other vertices have sizes 2(m-1) and (m-1)**2."""
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
+    if m * m > _MAX_Q:
+        raise ValueError(f"m**2 = {m * m} exceeds {_MAX_Q}")
     n = m * m
     i = np.arange(n) // m
     j = np.arange(n) % m
@@ -625,9 +634,12 @@ def _quaternion_units(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     1, i, j, k, and det(aI + bX + cY + dXY) is the norm a^2 + b^2 + c^2 + d^2:
     unit quaternions are words in X and Y of determinant 1 (Conway & Smith,
     "On Quaternions and Octonions", 2003).  s is (1 + i + j + k)/2, of order
-    6; conjugation by s cycles X -> Y -> XY."""
+    6; conjugation by s cycles X -> Y -> XY.  ValueError unless p**2 <=
+    _MAX_Q, checked before the search for (a, b)."""
     if p == 2 or not isprime(p):
         raise ValueError(f"p = {p} must be an odd prime")
+    if p * p > _MAX_Q:
+        raise ValueError(f"p**2 = {p * p} exceeds {_MAX_Q}")
     a, b = next(
         (a, b)
         for a in range(p)
@@ -784,13 +796,10 @@ def _parse_orbital(fields: list[str]) -> tuple:
     return "file", ":".join(fields)
 
 
-def _format_orbital(kind: str, arg) -> str:
-    return f"orbital:{arg}" if kind == "file" else f"orbital:{kind}:{arg}"
-
-
 @dataclass(frozen=True)
 class _Family:
-    """One family: its descriptor syntax, its graph and its zero-stabilizer.
+    """One family: its descriptor head and the parser of the fields after
+    it, its graph and its zero-stabilizer.
 
     The zero-stabilizer is the stabilizer of vertex 0 in the family's known
     group, declared once: ``stabilizer(*params)`` as permutations, or else
@@ -803,7 +812,6 @@ class _Family:
 
     head: str
     parse: Callable[[list[str]], tuple]
-    format: Callable[..., str]
     graph: Callable[..., DenseGraph] | None
     stabilizer: Callable[..., GeneratorSet] | None = None
     spec: Callable[..., MatrixGroupSpec] | None = None
@@ -811,37 +819,35 @@ class _Family:
 
 _FAMILIES = {
     "Paley": _Family(
-        "paley", _ints(1), "paley:{}".format, paley,
+        "paley", _ints(1), paley,
         stabilizer=lambda q: semilinear_stabilizer_perms(_field(q), 2),
     ),
     "Peisert": _Family(
-        "peisert", _ints(1), "peisert:{}".format, peisert,
+        "peisert", _ints(1), peisert,
         stabilizer=lambda q: semilinear_stabilizer_perms(_field(q), 4, twist=1),
     ),
     "VLS": _Family(
-        "vls", _ints(2), "vls:{}:{}".format, van_lint_schrijver,
+        "vls", _ints(2), van_lint_schrijver,
         stabilizer=lambda q, e: semilinear_stabilizer_perms(_field(q), e),
     ),
     "Hamming2": _Family(
-        "hamming2", _ints(1), "hamming2:{}".format, hamming2,
+        "hamming2", _ints(1), hamming2,
         stabilizer=hamming2_stabilizer,
     ),
     "AffinePolar": _Family(
-        "vo", _parse_polar,
-        lambda m, q, eps: f"vo:{'+' if eps == 1 else '-'}:{2 * m}:{q}",
-        affine_polar,
+        "vo", _parse_polar, affine_polar,
         spec=lambda m, q, eps, seed: affine_polar_group(m, q, eps),
     ),
     "BilinearForms": _Family(
-        "hq", _ints(2), "hq:{}:{}".format, bilinear_forms,
+        "hq", _ints(2), bilinear_forms,
         spec=lambda q, m, seed: bilinear_forms_group(q, m),
     ),
     "AlternatingForms": _Family(
-        "a52", _ints(0), lambda: "a52", alternating_forms,
+        "a52", _ints(0), alternating_forms,
         spec=lambda seed: alternating_forms_group(),
     ),
     "AffineOrbital": _Family(
-        "orbital", _parse_orbital, _format_orbital, None,
+        "orbital", _parse_orbital, None,
         spec=lambda kind, arg, seed: (
             read_matrix_spec(arg) if kind == "file" else _ORBITAL_KINDS[kind](arg, seed)
         ),
@@ -854,8 +860,8 @@ _TAG_BY_HEAD = {fam.head: tag for tag, fam in _FAMILIES.items()}
 
 @dataclass(frozen=True)
 class FamilyId:
-    """A family tag plus its parameters; parse_descriptor/family_graph give the
-    string form and the construction."""
+    """A family tag plus its parameters: parse_descriptor reads one off its
+    descriptor, and family_graph builds its graph."""
 
     tag: str
     params: tuple
@@ -877,10 +883,6 @@ def parse_descriptor(text: str) -> FamilyId:
         return FamilyId(tag, _FAMILIES[tag].parse(fields))
     except ValueError as exc:
         raise ValueError(f"bad family descriptor {text!r}: {exc}") from None
-
-
-def format_descriptor(fid: FamilyId) -> str:
-    return _FAMILIES[fid.tag].format(*fid.params)
 
 
 @dataclass(frozen=True)

@@ -246,18 +246,13 @@ class DenseGraph:
         """counts[v] = |N(v) & members| for every vertex v, an integer array,
         for an array of distinct vertices ``members``.
 
-        Two members are counted by unpacking their rows.  Fewer than n / 4
-        are counted by summing their unpacked rows as bytes, in blocks of at
-        most 255 rows, so that no byte overflows.  A larger set is counted by
-        AND + popcount of every packed row with the set's mask: the sum
-        touches k n bytes and the AND n * n / 8, and the two measure about as
-        fast at k = n / 4.  A block of rows, unpacked or ANDed, stays under
-        _BLOCK bytes."""
+        Fewer than n / 4 members are counted by summing their unpacked rows
+        as bytes, in blocks of at most 255 rows, so that no byte overflows.
+        A larger set is counted by AND + popcount of every packed row with
+        the set's mask: the sum touches k n bytes and the AND n * n / 8, and
+        the two measure about as fast at k = n / 4.  A block of rows,
+        unpacked or ANDed, stays under _BLOCK bytes."""
         n, k, rows = self.n, len(members), self._rows
-        if k == 2:
-            counts = np.unpackbits(rows[members[0]])
-            counts += np.unpackbits(rows[members[1]])
-            return counts[:n]
         if 4 * k < n:
             step = max(1, min(255, _BLOCK // n))
             sums = (

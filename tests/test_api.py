@@ -1,6 +1,7 @@
 """The package's public surface: every exported name exists, and every public
-module-level function or class has a caller in the package, its scripts or
-its benchmark, apart from a short list of kept reference oracles."""
+module-level name, a function, a class or an assigned value, has a caller in
+the package, its scripts or its benchmark, apart from a short list of kept
+reference oracles."""
 
 import ast
 import importlib
@@ -42,6 +43,15 @@ def used_names(tree: ast.AST) -> Counter:
     )
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or a class's
+    name, or every name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
 def test_every_exported_name_exists():
     exported = 0
     for path in modules():
@@ -61,9 +71,10 @@ def test_every_public_definition_has_a_caller():
     uncalled = set()
     for path in modules():
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                # a definition's own body (recursion, a classmethod) is no caller
-                if uses[node.name] - used_names(node)[node.name] <= 0:
-                    uncalled.add(node.name)
+            for name in defined_names(node):
+                # a definition's own body (recursion, a classmethod) or an
+                # assignment's own target is no caller
+                if not name.startswith("_") and uses[name] - used_names(node)[name] <= 0:
+                    uncalled.add(name)
     assert uncalled - KEPT.keys() == set(), "public definitions only the tests call"
     assert KEPT.keys() - uncalled == set(), "kept names that have a caller now"

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import json
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -85,6 +86,27 @@ class TestParams:
         code, _, err = run(capsys, "params", "hamming2:1")
         assert code == 2
         assert "m = 1" in err
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "paley:1000000000000000003",
+            "hq:1000000000000000003:2",
+            "vo:+:4:1000000000000000003",
+            "vls:16:1000000000000000003",
+            "orbital:q8:1000000000000000003",
+            "hamming2:100000",
+        ],
+    )
+    def test_oversized_descriptor_refused_at_once(self, capsys, descriptor):
+        # refused before any arithmetic that grows with the parameter: trial
+        # division of a prime near 10**18, a search over its residues, or a
+        # 10**10-vertex adjacency row
+        t0 = time.monotonic()
+        code, _, err = run(capsys, "params", descriptor)
+        assert time.monotonic() - t0 < 2.0
+        assert code == 2
+        assert err.startswith("error: ")
 
 
 class TestAut:
@@ -255,11 +277,17 @@ class TestVerify:
         assert "error" in err
         good = entry_to_dict(next(e for e in builtin_catalog() if e.id == "paley:13"))
         missing = {k: v for k, v in good.items() if k != "subdegrees"}
-        for entry in (missing, dict(good, subdegrees=4)):
+        bad = [
+            (missing, "subdegrees"),
+            (dict(good, subdegrees=4), "subdegrees"),
+            (dict(good, family=5), "family"),
+            (dict(good, family=None), "family"),
+        ]
+        for entry, key in bad:
             path.write_text(json.dumps([entry]))
             code, _, err = run(capsys, "verify", "--catalog", str(path))
             assert code == 2
-            assert "error" in err and "'paley:13'" in err and "'subdegrees'" in err
+            assert "error" in err and "'paley:13'" in err and f"'{key}'" in err
 
 
 class TestBudget:

@@ -271,8 +271,8 @@ def against_the_matrix(g: DenseGraph, members: np.ndarray) -> bool:
     return np.array_equal(g.neighbour_counts(members), g.adj.astype(np.int64) @ indicator)
 
 
-# every branch of neighbour_counts: no members, one (summed like a few),
-# two, sets just below and at n / 8 and n / 4 (where summing rows gives way
+# every branch of neighbour_counts: no members, one and two (summed like a
+# few), sets just below and at n / 8 and n / 4 (where summing rows gives way
 # to AND + popcount), and the whole vertex set
 MEMBER_COUNTS = {
     "none": lambda n: 0,
