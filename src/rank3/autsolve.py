@@ -131,7 +131,6 @@ __all__ = [
     "check_budget",
     "Timeout",
     "NotIsomorphic",
-    "TooLarge",
 ]
 
 _M64 = (1 << 64) - 1
@@ -143,10 +142,6 @@ class NotIsomorphic(ValueError):
     def __init__(self, invariant: str):
         self.invariant = invariant
         super().__init__(f"not isomorphic: {invariant}")
-
-
-class TooLarge(ValueError):
-    """brute_force_aut is restricted to n <= 8."""
 
 
 class _Cells:
@@ -818,7 +813,7 @@ def brute_force_aut(g: DenseGraph) -> list[np.ndarray]:
     """The image arrays of all automorphisms of g, by scanning every
     permutation (n <= 8)."""
     if g.n > 8:
-        raise TooLarge(f"brute force is capped at 8 vertices, got {g.n}")
+        raise ValueError(f"brute force is capped at 8 vertices, got {g.n}")
     adj = g.adj
     out = []
     for p in itertools.permutations(range(g.n)):

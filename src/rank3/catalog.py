@@ -100,7 +100,8 @@ def _divides_factorial(m: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One verification target; invariants are checked on construction."""
+    """One verification target; invariants are checked on construction,
+    among them that ``family`` is the family its ``id`` names."""
 
     id: str
     family: FamilyId
@@ -113,6 +114,8 @@ class CatalogEntry:
     source: str
 
     def __post_init__(self) -> None:
+        if parse_descriptor(self.id) != self.family:
+            raise ValueError(f"{self.id}: family {self.family} is not the one the id names")
         if self.tier not in TIERS:
             raise ValueError(f"unknown tier {self.tier!r}, want one of {TIERS}")
         if len(self.subdegrees) != 2 or sum(self.subdegrees) != self.n - 1:

@@ -47,7 +47,6 @@ import numpy as np
 from .gf import (
     _MAX_Q,
     FiniteField,
-    TooLarge,
     digits,
     factorint,
     isprime,
@@ -56,7 +55,7 @@ from .gf import (
     power_residue_classes,
     sqrt_mod,
 )
-from .graphs import AsymmetricConnectionSet, DenseGraph, ZeroInSet
+from .graphs import DenseGraph
 import importlib.resources
 
 from .permgrp import (
@@ -72,13 +71,6 @@ from .permgrp import (
 )
 
 __all__ = [
-    "AsymmetricConnectionSet",
-    "ZeroInSet",
-    "BadCongruence",
-    "OrderCondition",
-    "Unsupported",
-    "WrongOrbitCount",
-    "AsymmetricOrbit",
     "FamilyId",
     "cayley_graph",
     "paley",
@@ -106,35 +98,6 @@ __all__ = [
 ]
 
 
-# -- errors --------------------------------------------------------------------
-
-
-class BadCongruence(ValueError):
-    """The field order fails the congruence the family needs."""
-
-
-class OrderCondition(ValueError):
-    """The multiplicative-order precondition on (p, e) fails."""
-
-
-class Unsupported(ValueError):
-    """The requested parameters are outside what this artifact ships."""
-
-
-class WrongOrbitCount(ValueError):
-    """The supplied matrix group does not have exactly 2 orbits on V \\ {0}."""
-
-    def __init__(self, count: int):
-        self.count = count
-        super().__init__(
-            f"group has {count} orbits on nonzero vectors, need exactly 2"
-        )
-
-
-class AsymmetricOrbit(ValueError):
-    """The selected orbit is not closed under v -> -v."""
-
-
 # -- the generic Cayley construction ---------------------------------------------
 
 
@@ -148,9 +111,8 @@ def cayley_graph(p: int, dim: int, members: Iterable[int]) -> DenseGraph:
     moduli (p,) * dim.  Its rows are packed from row 0, the indicator of S,
     by DenseGraph.from_row0, so it is circulant over GF(p)**dim by
     construction.  ValueError unless p is
-    prime, dim >= 1 and S is non-empty with every index in [0, p**dim);
-    from_row0 raises ZeroInSet if S holds 0 and AsymmetricConnectionSet
-    unless S = -S.
+    prime, dim >= 1 and S is non-empty with every index in [0, p**dim), and
+    from_row0's ValueError if S holds 0 or S != -S.
     """
     if not isprime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -171,11 +133,11 @@ def cayley_graph(p: int, dim: int, members: Iterable[int]) -> DenseGraph:
 
 
 def _split_prime_power(q: int) -> tuple[int, int]:
-    """q = p**d with p prime, else ValueError (TooLarge, before factoring, if q > _MAX_Q)."""
+    """q = p**d with p prime, else ValueError (before factoring, if q > _MAX_Q)."""
     if q < 2:
         raise ValueError(f"q = {q} is not a prime power")
     if q > _MAX_Q:
-        raise TooLarge(f"q = {q} exceeds {_MAX_Q}")
+        raise ValueError(f"q = {q} exceeds {_MAX_Q}")
     fac = factorint(q)
     if len(fac) != 1:
         raise ValueError(f"q = {q} is not a prime power")
@@ -214,7 +176,7 @@ def paley(q: int) -> DenseGraph:
     """
     p, d = _split_prime_power(q)
     if q % 4 != 1:
-        raise BadCongruence(f"q = {q} is not 1 mod 4; the squares are not symmetric")
+        raise ValueError(f"q = {q} is not 1 mod 4; the squares are not symmetric")
     return cayley_graph(p, d, power_residue_classes(make_field(p, d), 2)[0])
 
 
@@ -226,7 +188,7 @@ def peisert(q: int) -> DenseGraph:
     """
     p, d = _split_prime_power(q)
     if p % 4 != 3 or d % 2 != 0:
-        raise BadCongruence(
+        raise ValueError(
             f"q = {q} = {p}**{d} needs p = 3 mod 4 and even exponent"
         )
     classes = power_residue_classes(make_field(p, d), 4)
@@ -238,24 +200,25 @@ def van_lint_schrijver(q: int, e: int) -> DenseGraph:
 
     Preconditions: p and e prime, e > 2, p has multiplicative order e - 1
     modulo e, and q = p**(k(e-1)); additionally (q-1)/e must be even (or
-    p = 2) so that C = -C.
+    p = 2) so that C = -C.  ValueError if any of them fails, and for e = 2,
+    the Paley construction.
     """
     if e == 2:
-        raise Unsupported("e = 2 is the Paley construction; call paley(q)")
+        raise ValueError("e = 2 is the Paley construction; call paley(q)")
     if e < 2 or not isprime(e):
         raise ValueError(f"e = {e} must be prime")
     p, d = _split_prime_power(q)
     # the exponent first: it bounds e - 1 <= d, so n_order factors a small e
     if d % (e - 1) != 0:
-        raise OrderCondition(
+        raise ValueError(
             f"q = {q} = {p}**{d}: the exponent must be a multiple of e - 1 = {e - 1}"
         )
     if p % e == 0 or n_order(p, e) != e - 1:
-        raise OrderCondition(
+        raise ValueError(
             f"p = {p} must have multiplicative order {e - 1} modulo e = {e}"
         )
     if p != 2 and ((q - 1) // e) % 2 != 0:
-        raise AsymmetricConnectionSet(
+        raise ValueError(
             f"(q-1)/e = {(q - 1) // e} is odd and p is odd: C is not symmetric"
         )
     return cayley_graph(p, d, power_residue_classes(make_field(p, d), e)[0])
@@ -308,6 +271,15 @@ def hamming2_stabilizer(m: int) -> GeneratorSet:
 # -- affine polar graphs VO(2m, eps, q) -------------------------------------------
 
 
+def _vertex_count(q: int, dim: int) -> int:
+    """q**dim, the vertices of a graph on GF(q)**dim, q >= 2; ValueError past
+    the 4096-vertex construction cap, refused on dim > 12 (past it for any
+    q) before the power is taken."""
+    if dim > 12 or q**dim > 4096:
+        raise ValueError(f"q**dim = {q}**{dim} exceeds the 4096-vertex construction cap")
+    return q**dim
+
+
 def _evaluate_form(coords: np.ndarray, terms, q: int) -> np.ndarray:
     """Form values (as GF(q) indices) for each row of coordinate indices."""
     field = _field(q)
@@ -324,20 +296,21 @@ def _polar_form(m: int, q: int, epsilon: int) -> tuple[np.ndarray, np.ndarray]:
     (digits; row x holds vector x's GF(q) indices) and Q's value table,
     vals[x] = Q(vector x), both read-only.  Q at coordinates c is
     vals[c @ q**arange(2m)].  The graph and its zero-stabilizer both read
-    them, and no other code evaluates the form.  ValueError unless m >= 2
-    and epsilon is +1 or -1."""
+    them, and no other code evaluates the form.  ValueError unless m >= 2,
+    epsilon is +1 or -1 and q**(2m) is within the construction cap."""
+    dim = 2 * m
+    n = _vertex_count(q, dim)
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
     # (i, j, coefficient) terms: x0*x1 + x2*x3 + ..., the minus type with the
     # anisotropic u**2 + a*u*v + b*v**2 on the last pair (u, v) instead
-    dim = 2 * m
     terms = [(i, i + 1, 1) for i in range(0, dim if epsilon == 1 else dim - 2, 2)]
     if epsilon == -1:
         a, b = _anisotropic_pair(q)
         terms += [(dim - 2, dim - 2, 1), (dim - 2, dim - 1, a), (dim - 1, dim - 1, b)]
-    coords = digits(q**dim, q, dim)
+    coords = digits(n, q, dim)
     vals = _evaluate_form(coords, terms, q)
     for table in (coords, vals):
         table.setflags(write=False)
@@ -349,12 +322,8 @@ def affine_polar(m: int, q: int, epsilon: int) -> DenseGraph:
     x ~ y iff Q(x - y) = 0 (x != y), for the standard quadratic form of type
     epsilon (+1 hyperbolic, -1 with an anisotropic norm-form plane)."""
     p, d = _split_prime_power(q)
-    dim = 2 * m
-    n = q**dim
-    if n > 4096:
-        raise ValueError(f"q**(2m) = {n} exceeds the 4096-vertex construction cap")
     vals = _polar_form(m, q, epsilon)[1]
-    return cayley_graph(p, d * dim, np.flatnonzero((vals == 0) & (np.arange(n) != 0)))
+    return cayley_graph(p, d * 2 * m, np.flatnonzero((vals == 0) & (np.arange(vals.size) != 0)))
 
 
 def _general_orthogonal_order(m: int, q: int, epsilon: int) -> int:
@@ -389,16 +358,17 @@ def affine_polar_group(m: int, q: int, epsilon: int) -> MatrixGroupSpec:
     epsilon is +1 or -1 and q is a prime power.
 
     The group is built once per process, on the value table of Q that the
-    graph reads too (_polar_form, which checks m and epsilon): the polar
-    form B(x, y) = Q(x + y) - Q(x) - Q(y) and the plane's similitude are
-    read off it, and the form is evaluated nowhere else.  The generators go
+    graph reads too (_polar_form, which checks m, epsilon and the vertex
+    cap before any field is built): the polar form
+    B(x, y) = Q(x + y) - Q(x) - Q(y) and the plane's similitude are read
+    off it, and the form is evaluated nowhere else.  The generators go
     to MatrixGroupSpec as one (K, 2md, 2md) array, and the similitude check
     and the order certificate read the spec's action, spec.perms, which is
     the polar family's G0.
     """
     p, d = _split_prime_power(q)
-    field = _field(q)
     coords, vals = _polar_form(m, q, epsilon)
+    field = _field(q)
     dim = coords.shape[1]
     eye = np.eye(dim, dtype=np.int64)
     place = q ** np.arange(dim)
@@ -485,9 +455,7 @@ def bilinear_forms(q: int, m: int) -> DenseGraph:
         raise ValueError(f"m = {m} must be >= 2")
     p, d = _split_prime_power(q)
     dim = 2 * m
-    n = q**dim
-    if n > 4096:
-        raise ValueError(f"q**(2m) = {n} exceeds the 4096-vertex construction cap")
+    n = _vertex_count(q, dim)
     field = _field(q)
     coords = digits(n, q, dim)
     row0, row1 = coords[:, :m], coords[:, m:]
@@ -539,10 +507,12 @@ def bilinear_forms_group(q: int, m: int) -> MatrixGroupSpec:
     """The row/column action A |-> P A Q^T of GL_2(q) x GL_m(q) on row-major
     matrix coordinates, as GF(p) matrices: generators kron(P, I_m) and
     kron(I_2, Q), entries blown up to multiplication blocks when q = p**d > p.
-    Exactly 2 orbits on nonzero matrices: rank 1 and rank 2."""
+    Exactly 2 orbits on nonzero matrices: rank 1 and rank 2.  ValueError
+    past the graph's construction cap."""
     if m < 2:
         raise ValueError(f"m = {m} must be >= 2")
     p, d = _split_prime_power(q)
+    _vertex_count(q, 2 * m)
     mats = []
     eye2 = np.eye(2, dtype=np.int64)
     eyem = np.eye(m, dtype=np.int64)
@@ -603,13 +573,8 @@ def _orbital_graph(spec: MatrixGroupSpec, orbits: list[np.ndarray]) -> DenseGrap
     """The Cayley graph on orbit 0 of G0 = <spec>, given G0's orbits on the
     nonzero vectors (stabilizer_orbits: smaller first)."""
     if len(orbits) != 2:
-        raise WrongOrbitCount(len(orbits))
-    try:
-        return cayley_graph(spec.p, spec.d, orbits[0])
-    except AsymmetricConnectionSet:
-        raise AsymmetricOrbit(
-            f"the orbit of size {len(orbits[0])} is not closed under negation"
-        ) from None
+        raise ValueError(f"group has {len(orbits)} orbits on nonzero vectors, need exactly 2")
+    return cayley_graph(spec.p, spec.d, orbits[0])
 
 
 def affine_orbital_graph(spec: MatrixGroupSpec) -> DenseGraph:
@@ -617,11 +582,11 @@ def affine_orbital_graph(spec: MatrixGroupSpec) -> DenseGraph:
     {x, y} with x - y in G0's first orbit on nonzero vectors, the smaller
     one (on a tie, the one holding the least vector index).
 
-    Preconditions: G0 has exactly 2 orbits on nonzero vectors
-    (WrongOrbitCount otherwise) and that orbit is symmetric (AsymmetricOrbit
-    otherwise).  The affine group acts as automorphisms of the result: the
-    translations by construction (DenseGraph.from_row0), and G0 because a
-    linear map that keeps the connection set keeps x - y in it.
+    Preconditions, each a ValueError otherwise: G0 has exactly 2 orbits on
+    nonzero vectors, and that orbit is symmetric (cayley_graph's check).
+    The affine group acts as automorphisms of the result: the translations
+    by construction (DenseGraph.from_row0), and G0 because a linear map
+    that keeps the connection set keeps x - y in it.
     """
     return _orbital_graph(spec, stabilizer_orbits(spec.perms))
 
@@ -694,7 +659,7 @@ def _binary_icosahedral(p: int, seed: int | None = None) -> tuple[np.ndarray, np
     """The matrices (s, t) that generate SL_2(5) inside SL_2(p), checked by
     _check_binary_icosahedral: s from _quaternion_units and
     t = (phi I + phi^-1 X + Y)/2, phi = (1 + sqrt 5)/2, the quaternion
-    (phi + phi^-1 i + j)/2 of order 10.  BadCongruence unless 5 is a nonzero
+    (phi + phi^-1 i + j)/2 of order 10.  ValueError unless 5 is a nonzero
     square mod p (p = +-1 mod 5).  A seed >= 0 conjugates s and t by an
     invertible matrix drawn from random.Random(seed), which relabels the
     orbits; None does not.  A negative seed is a ValueError, as
@@ -702,7 +667,7 @@ def _binary_icosahedral(p: int, seed: int | None = None) -> tuple[np.ndarray, np
     if seed is not None and seed < 0:
         raise ValueError(f"seed = {seed} must be >= 0")
     if p == 2 or p % 5 not in (1, 4):
-        raise BadCongruence(f"5 is not a nonzero square mod {p}: need p = +-1 mod 5")
+        raise ValueError(f"5 is not a nonzero square mod {p}: need p = +-1 mod 5")
     x, y, s = _quaternion_units(p)
     h = pow(2, -1, p)
     phi = (1 + sqrt_mod(5, p)) * h % p
@@ -744,9 +709,10 @@ def extraspecial_normalizer_spec(n: int) -> MatrixGroupSpec:
     """Shipped generator sets for the normalizers of extraspecial-type 2-group
     representations: on GF(5)^4 (n = 625, order 46080), GF(7)^4 (n = 2401,
     order 11520), and GF(3)^8 (n = 6561, order 6635520).  The files are
-    derived and verified by scripts/derive_extraspecial_rows.py."""
+    derived and verified by scripts/derive_extraspecial_rows.py.
+    ValueError for any other n."""
     if n not in (625, 2401, 6561):
-        raise Unsupported(f"no extraspecial normalizer data for n = {n}")
+        raise ValueError(f"no extraspecial normalizer data for n = {n}")
     res = importlib.resources.files("rank3").joinpath(f"data/extraspecial_{n}.txt")
     return parse_matrix_spec(res.read_text(encoding="utf-8"))
 

@@ -24,22 +24,6 @@ from math import gcd
 import numpy as np
 
 
-class NotPrime(ValueError):
-    """p is not a prime number."""
-
-
-class TooLarge(ValueError):
-    """p**d exceeds the supported field size (2**16)."""
-
-
-class DivisionByZero(ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
-class DoesNotDivide(ValueError):
-    """e does not divide q - 1."""
-
-
 _MAX_Q = 2**16
 
 
@@ -111,7 +95,7 @@ def n_order(a: int, n: int) -> int:
 def primitive_root(p: int) -> int:
     """The smallest primitive root modulo the prime p (1 for p = 2)."""
     if not isprime(p):
-        raise NotPrime(f"p = {p} is not prime")
+        raise ValueError(f"p = {p} is not prime")
     if p == 2:
         return 1
     cofactors = [(p - 1) // r for r in factorint(p - 1)]
@@ -213,11 +197,11 @@ class FiniteField:
         return _out(np.where((a == 0) | (b == 0), 0, prod))
 
     def power(self, a, k):
-        """a**k for integer k; 0**0 = 1, and DivisionByZero for 0**k, k < 0."""
+        """a**k for integer k; 0**0 = 1, and ZeroDivisionError for 0**k, k < 0."""
         a, k = np.asarray(a), np.asarray(k)
         zero = a == 0
         if np.any(zero & (k < 0)):
-            raise DivisionByZero("zero has no multiplicative inverse")
+            raise ZeroDivisionError("zero has no multiplicative inverse")
         nonzero = self.exp[self.log[a] * k % (self.q - 1)]
         return _out(np.where(zero, (k == 0).astype(np.int64), nonzero))
 
@@ -288,9 +272,9 @@ def make_field(p: int, d: int) -> FiniteField:
     if d < 1:
         raise ValueError(f"extension degree must be >= 1, got {d}")
     if not isprime(p):
-        raise NotPrime(f"p = {p} is not prime")
+        raise ValueError(f"p = {p} is not prime")
     if p**d > _MAX_Q:
-        raise TooLarge(f"p**d = {p}**{d} exceeds {_MAX_Q}")
+        raise ValueError(f"p**d = {p}**{d} exceeds {_MAX_Q}")
     q = p**d
     if d == 1:
         g = primitive_root(p)
@@ -317,5 +301,5 @@ def power_residue_classes(field: FiniteField, e: int) -> list[np.ndarray]:
     """
     q = field.q
     if e < 1 or (q - 1) % e != 0:
-        raise DoesNotDivide(f"e = {e} does not divide q - 1 = {q - 1}")
+        raise ValueError(f"e = {e} does not divide q - 1 = {q - 1}")
     return [np.sort(field.exp[j::e]) for j in range(e)]

@@ -40,20 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import _MAX_Q, DoesNotDivide, FiniteField, NotPrime, digits, isprime, primitive_root
+from .gf import _MAX_Q, FiniteField, digits, isprime, primitive_root
 from .graphs import unit_translations
-
-
-class SingularGenerator(ValueError):
-    """A matrix generator is not invertible mod p."""
-
-
-class NotTransitive(ValueError):
-    """Operation requires a transitive group."""
-
-
-class BadOrder(ValueError):
-    """Requested scalar order does not divide p - 1."""
 
 
 class Timeout(RuntimeError):
@@ -460,7 +448,7 @@ def rank_and_subdegrees(gs: GeneratorSet) -> tuple[int, list[int]]:
         raise ValueError(f"pair-orbit closure needs n <= 4096, got {n}")
     size = len(orbit(gs, 0))
     if size != n:
-        raise NotTransitive(f"orbit of 0 has size {size} < {n}")
+        raise ValueError(f"orbit of 0 has size {size} < {n}")
     labels = np.full(n * n, -1, dtype=np.int16)
     imgs = gs.gens.astype(np.int64)
     label = 0
@@ -508,7 +496,7 @@ class MatrixGroupSpec:
     here once: the GeneratorSet whose row i maps vector x (index
     sum(x_j * p**j)) to gens[i] @ x.  A linear map is invertible exactly
     when only the zero vector maps to 0, so a generator whose image row
-    holds 0 more than once is singular: SingularGenerator shows the first
+    holds 0 more than once is singular: the ValueError shows the first
     such matrix.  ValueError for a generator that is not d x d, and unless
     d >= 1 and p**d <= 2**16, the largest field the package builds."""
 
@@ -520,7 +508,7 @@ class MatrixGroupSpec:
     def __post_init__(self):
         p, d = self.p, self.d
         if not isprime(p):
-            raise NotPrime(f"p = {p} is not prime")
+            raise ValueError(f"p = {p} is not prime")
         # p >= 2, so p**d <= 2**16 needs d <= 16, which keeps the power small
         if not 1 <= d <= 16 or p**d > _MAX_Q:
             raise ValueError(f"a spec needs d >= 1 and p**d <= {_MAX_Q}, got p = {p}, d = {d}")
@@ -537,7 +525,7 @@ class MatrixGroupSpec:
             imgs = np.stack([(vecs @ m.T % p) @ pv for m in stack])
         singular = np.flatnonzero(np.count_nonzero(imgs == 0, axis=1) > 1)
         if singular.size:
-            raise SingularGenerator(f"generator is singular mod {p}:\n{stack[singular[0]]}")
+            raise ValueError(f"generator is singular mod {p}:\n{stack[singular[0]]}")
         stack.setflags(write=False)
         object.__setattr__(self, "gens", tuple(stack))
         object.__setattr__(self, "perms", GeneratorSet(q, imgs))
@@ -564,7 +552,7 @@ def semilinear_stabilizer_perms(field: FiniteField, e: int, twist: int = 0) -> G
     field automorphism x -> omega^twist * x^p."""
     q = field.q
     if e < 1 or (q - 1) % e:
-        raise DoesNotDivide(f"e = {e} does not divide q - 1 = {q - 1}")
+        raise ValueError(f"e = {e} does not divide q - 1 = {q - 1}")
     x = np.arange(q)
     return GeneratorSet(q, [
         field.mul(field.power(field.omega, e), x),
@@ -578,7 +566,7 @@ def central_product_with_scalars(p: int, gens, scalar_order: int) -> MatrixGroup
     scalar_order mod p, which is central: one MatrixGroupSpec.  A scalar of
     order 1 is the identity and adds no generator."""
     if scalar_order < 1 or (p - 1) % scalar_order:
-        raise BadOrder(f"scalar order {scalar_order} does not divide p - 1 = {p - 1}")
+        raise ValueError(f"scalar order {scalar_order} does not divide p - 1 = {p - 1}")
     mats = [np.asarray(g, dtype=np.int64) for g in gens]
     if scalar_order > 1:
         lam = pow(primitive_root(p), (p - 1) // scalar_order, p)

@@ -1,7 +1,7 @@
-"""The package's public surface: every exported name exists, and every public
+"""The package's public surface: every exported name exists, every public
 module-level name, a function, a class or an assigned value, has a caller in
 the package, its scripts or its benchmark, apart from a short list of kept
-reference oracles."""
+reference oracles, and every public exception class is caught there by name."""
 
 import ast
 import importlib
@@ -78,3 +78,35 @@ def test_every_public_definition_has_a_caller():
                     uncalled.add(name)
     assert uncalled - KEPT.keys() == set(), "public definitions only the tests call"
     assert KEPT.keys() - uncalled == set(), "kept names that have a caller now"
+
+
+def caught_names(tree: ast.AST) -> set[str]:
+    """The names, bare or as attributes, that some except clause catches."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        for node in ast.walk(handler.type)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_exception_class_is_caught():
+    # a failure no caller tells apart is a ValueError (or another builtin)
+    # with a message, not a class of its own
+    caught = set()
+    for folder in CALLERS:
+        for path in folder.rglob("*.py"):
+            caught |= caught_names(ast.parse(path.read_text(encoding="utf-8")))
+    uncaught, classes = set(), 0
+    for path in modules():
+        module = importlib.import_module(f"rank3.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            if issubclass(getattr(module, node.name), BaseException):
+                classes += 1
+                if node.name not in caught:
+                    uncaught.add(f"rank3.{path.stem}.{node.name}")
+    assert classes
+    assert uncaught == set(), "public exception classes no except clause names"

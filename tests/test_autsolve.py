@@ -26,7 +26,6 @@ from rank3.autsolve import (
     AutResult,
     NotIsomorphic,
     Timeout,
-    TooLarge,
     _Cells,
     _OrbitSet,
     _Refiner,
@@ -906,7 +905,7 @@ class TestBruteForce:
         assert len(brute_force_aut(g)) == 10
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
+        with pytest.raises(ValueError, match=r"^brute force is capped at 8 vertices, got 9$"):
             brute_force_aut(path_graph(9))
 
     def test_all_are_automorphisms(self):
@@ -1090,32 +1089,6 @@ class TestSeededSearch:
 
     ROWS = [e for e in builtin_catalog() if e.tier in ("FULL", "SLOW")]
 
-    # (nodes, refinements, generators) of the seeded search, per row
-    SEEDED_COUNTERS = {
-        "paley:9": (5, 7, 5),
-        "paley:13": (3, 7, 3),
-        "paley:17": (3, 6, 3),
-        "paley:49": (5, 12, 5),
-        "paley:81": (5, 13, 7),
-        "peisert:49": (5, 14, 5),
-        "vls:16:3": (8, 13, 8),
-        "vls:25:3": (12, 20, 7),
-        "vls:64:3": (7, 18, 11),
-        "hamming2:5": (11, 18, 9),
-        "vo:-:4:2": (5, 9, 14),
-        "vo:-:6:2": (10, 19, 26),
-        "vo:+:8:2": (20, 51, 36),
-        "orbital:sl23:7": (5, 14, 7),
-        "orbital:q8:13": (5, 15, 6),
-        "hamming2:9": (37, 52, 13),
-        "peisert:81": (7, 19, 9),
-        "vo:+:4:3": (6, 18, 17),
-        "vls:256:5": (11, 48, 14),
-        "orbital:q8:17": (5, 17, 6),
-        "hq:3:3": (10, 50, 18),
-        "orbital:sl25:41": (5, 28, 6),
-    }
-
     @pytest.mark.parametrize("entry", ROWS, ids=[e.id for e in ROWS])
     def test_seeded_order_matches_plain_search(self, entry):
         g = family_graph(entry.family)
@@ -1126,8 +1099,6 @@ class TestSeededSearch:
         assert seeded.refinements < plain.refinements
         assert plain.known == 0
         assert seeded.known == len(g.moduli) + len(stab.gens)
-        counters = (seeded.nodes, seeded.refinements, len(seeded.generators.gens))
-        assert counters == self.SEEDED_COUNTERS[entry.id]
         for s in seeded.generators.gens:
             assert np.array_equal(g.adj[np.ix_(s, s)], g.adj)
 

@@ -40,7 +40,7 @@ from rank3.permgrp import GeneratorSet, Timeout, schreier_sims
 CATALOG = builtin_catalog()
 BY_ID = {e.id: e for e in CATALOG}
 
-# van_lint_schrijver rejects e = 4 at q = 13 (order condition), so this row's
+# van_lint_schrijver rejects e = 4 at q = 13 (e must be prime), so this row's
 # construct stage raises
 UNBUILDABLE = CatalogEntry(
     id="vls:13:4",
@@ -109,6 +109,22 @@ class TestCatalogTable:
         for e in CATALOG:
             for claim in e.iso_claims:
                 parse_descriptor(claim.other)
+
+    def test_family_must_be_the_one_the_id_names(self):
+        # else a row reports under one descriptor while checking another: the
+        # Clebsch graph's answers under paley:9's id would pass
+        mismatch = "^paley:9: family .* is not the one the id names$"
+        with pytest.raises(ValueError, match=mismatch):
+            _replace(
+                BY_ID["paley:9"],
+                family=parse_descriptor("vls:16:3"),
+                n=16,
+                subdegrees=(5, 10),
+                expected_aut_order=1920,
+                iso_claims=(),
+            )
+        with pytest.raises(ValueError, match=mismatch):
+            _replace(BY_ID["paley:9"], family=parse_descriptor("peisert:9"))
 
     def test_invalid_subdegrees_rejected(self):
         with pytest.raises(ValueError, match="sum to"):

@@ -108,6 +108,16 @@ class TestParams:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("descriptor", ["vo:+:20000000:3", "hq:3:10000000"])
+    def test_descriptor_past_the_vertex_cap_refused_at_once(self, capsys, descriptor):
+        # refused on the exponent, before q**(2m), a number of millions of
+        # digits, is taken
+        t0 = time.monotonic()
+        code, _, err = run(capsys, "params", descriptor)
+        assert time.monotonic() - t0 < 2.0
+        assert code == 2
+        assert err.startswith("error: ") and "exceeds the 4096-vertex construction cap" in err
+
 
 class TestAut:
     def test_order_reported(self, capsys):

@@ -1,6 +1,7 @@
 """Tests for rank3.families: constructions, parameters, groups, descriptors."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import rank3
 from rank3.families import (
-    AsymmetricConnectionSet,
-    AsymmetricOrbit,
-    BadCongruence,
     Build,
     FamilyId,
-    OrderCondition,
-    Unsupported,
-    WrongOrbitCount,
-    ZeroInSet,
     affine_orbital_graph,
     affine_polar,
     affine_polar_group,
@@ -104,6 +98,9 @@ def assert_translation_invariant(g, p, dim, seed=7):
 
 # -- cayley_graph ---------------------------------------------------------------
 
+# DenseGraph.from_row0's message for a connection set S != -S
+ASYMMETRIC = "connection set is not closed under negation: adjacency is not symmetric"
+
 
 class TestCayleyGraph:
     def test_pentagon(self):
@@ -114,11 +111,13 @@ class TestCayleyGraph:
 
     def test_asymmetric_rejected(self):
         # squares mod 7 = {1,2,4}; -1 is a nonresidue so the set is not symmetric
-        with pytest.raises(AsymmetricConnectionSet):
+        with pytest.raises(ValueError, match=f"^{re.escape(ASYMMETRIC)}$"):
             cayley_graph(7, 1, [1, 2, 4])
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroInSet):
+        with pytest.raises(
+            ValueError, match="^connection set contains the zero vector: adjacency has a loop$"
+        ):
             cayley_graph(5, 1, [0, 1, 4])
 
     def test_full_set_gives_complete_graph(self):
@@ -189,7 +188,9 @@ class TestPaley:
 
     @pytest.mark.parametrize("q", [2, 3, 7, 8, 11, 23, 27])
     def test_bad_congruence(self, q):
-        with pytest.raises(BadCongruence):
+        with pytest.raises(
+            ValueError, match=f"^q = {q} is not 1 mod 4; the squares are not symmetric$"
+        ):
             paley(q)
 
     def test_not_prime_power(self):
@@ -207,7 +208,9 @@ class TestPeisert:
     @pytest.mark.parametrize("q", [5, 13, 25, 27, 343, 7])
     def test_bad_congruence(self, q):
         # p = 1 mod 4, or odd exponent
-        with pytest.raises(BadCongruence):
+        with pytest.raises(
+            ValueError, match=rf"^q = {q} = \d+\*\*\d+ needs p = 3 mod 4 and even exponent$"
+        ):
             peisert(q)
 
 
@@ -230,21 +233,21 @@ class TestVanLintSchrijver:
         assert (van_lint_schrijver(256, 5).degrees() == 51).all()
 
     def test_e2_rejected(self):
-        with pytest.raises(Unsupported):
+        with pytest.raises(ValueError, match=r"^e = 2 is the Paley construction; call paley\(q\)$"):
             van_lint_schrijver(25, 2)
 
-    @pytest.mark.parametrize(
-        "q,e",
-        [
-            (13, 3),  # ord_3(13) = 1
-            (243, 11),  # ord_11(3) = 5, not 10
-            (25, 5),  # p = e
-            (8, 3),  # exponent 3 is not a multiple of e - 1 = 2
-            (64, 7),  # ord_7(2) = 3, not 6
-        ],
-    )
+    # the exponent is checked first, then the order of p modulo e
+    ORDER_CONDITIONS = {
+        (13, 3): "q = 13 = 13**1: the exponent must be a multiple of e - 1 = 2",  # ord_3(13) = 1
+        (243, 11): "q = 243 = 3**5: the exponent must be a multiple of e - 1 = 10",  # ord_11(3) = 5
+        (25, 5): "q = 25 = 5**2: the exponent must be a multiple of e - 1 = 4",  # p = e
+        (8, 3): "q = 8 = 2**3: the exponent must be a multiple of e - 1 = 2",
+        (64, 7): "p = 2 must have multiplicative order 6 modulo e = 7",  # ord_7(2) = 3, not 6
+    }
+
+    @pytest.mark.parametrize("q,e", ORDER_CONDITIONS)
     def test_order_condition(self, q, e):
-        with pytest.raises(OrderCondition):
+        with pytest.raises(ValueError, match=f"^{re.escape(self.ORDER_CONDITIONS[q, e])}$"):
             van_lint_schrijver(q, e)
 
     def test_nonprime_e(self):
@@ -286,16 +289,24 @@ class TestAffinePolar:
         assert srg(affine_polar(2, 2, 1)) == ((16, 9, 4, 6))
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^m = 1 must be >= 2$"):
             affine_polar(1, 3, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^epsilon must be \+1 or -1, got 0$"):
             affine_polar(2, 3, 0)
-        with pytest.raises(ValueError):
-            affine_polar(3, 5, 1)  # 5**6 vertices exceed the cap
-        for bad in [(1, 3, 1), (2, 3, 0), (2, 6, 1)]:
-            with pytest.raises(ValueError) as exc:
+        with pytest.raises(
+            ValueError, match=r"^q\*\*dim = 5\*\*6 exceeds the 4096-vertex construction cap$"
+        ):
+            affine_polar(3, 5, 1)
+        for bad, message in [
+            ((1, 3, 1), "m = 1 must be >= 2"),
+            ((2, 3, 0), "epsilon must be +1 or -1, got 0"),
+            ((2, 6, 1), "q = 6 is not a prime power"),
+            # past the cap: refused before 2**32 or 16**6 vectors are listed
+            ((2, 256, 1), "q**dim = 256**4 exceeds the 4096-vertex construction cap"),
+            ((3, 16, 1), "q**dim = 16**6 exceeds the 4096-vertex construction cap"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 affine_polar_group(*bad)
-            assert type(exc.value) is ValueError  # not Unsupported
 
     def test_group_orders_and_ranks(self):
         spec = affine_polar_group(2, 2, -1)
@@ -430,24 +441,27 @@ class TestAlternatingForms:
 # -- generic orbital construction ---------------------------------------------------
 
 
+def orbit_count(count: int) -> str:
+    """affine_orbital_graph's message for a G0 with count orbits on nonzero vectors."""
+    return f"group has {count} orbits on nonzero vectors, need exactly 2"
+
+
 class TestAffineOrbitalGraph:
     def test_gl_is_transitive(self):
         spec = MatrixGroupSpec(
             3, 2, (((1, 1), (0, 1)), ((0, 1), (1, 0)), ((2, 0), (0, 1)))
         )
-        with pytest.raises(WrongOrbitCount) as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(orbit_count(1))}$"):
             affine_orbital_graph(spec)
-        assert exc.value.count == 1
 
     def test_too_many_orbits(self):
         spec = MatrixGroupSpec(13, 1, (((3,),),))  # <3> has 4 orbits on F13*
-        with pytest.raises(WrongOrbitCount) as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(orbit_count(4))}$"):
             affine_orbital_graph(spec)
-        assert exc.value.count == 4
 
     def test_asymmetric_orbit(self):
         spec = MatrixGroupSpec(7, 1, (((2,),),))  # squares mod 7, -1 nonresidue
-        with pytest.raises(AsymmetricOrbit):
+        with pytest.raises(ValueError, match=f"^{re.escape(ASYMMETRIC)}$"):
             affine_orbital_graph(spec)
 
     def test_square_orbit_recovers_paley(self):
@@ -461,9 +475,8 @@ class TestAffineOrbitalGraph:
         assert rank_and_subdegrees(affine(spec)) == (3, [72, 96])
 
     def test_quaternion_normalizer_7_is_transitive(self):
-        with pytest.raises(WrongOrbitCount) as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(orbit_count(1))}$"):
             affine_orbital_graph(quaternion_normalizer_spec(7))
-        assert exc.value.count == 1
 
     def test_quaternion_spec_validation(self):
         with pytest.raises(ValueError):

@@ -14,14 +14,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from rank3 import gf
-from rank3.gf import (
-    DivisionByZero,
-    DoesNotDivide,
-    NotPrime,
-    TooLarge,
-    make_field,
-    power_residue_classes,
-)
+from rank3.gf import make_field, power_residue_classes
 
 
 def _polymulmod(a, b, modulus, p: int) -> tuple[int, ...]:
@@ -92,24 +85,24 @@ def test_arithmetic_small_prime_field():
 
 def test_division_by_zero():
     F = make_field(11, 1)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(ZeroDivisionError, match="zero has no multiplicative inverse"):
         F.inv(0)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(ZeroDivisionError, match="zero has no multiplicative inverse"):
         F.power(0, -1)
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(ZeroDivisionError, match="zero has no multiplicative inverse"):
         F.inv(np.arange(3))
     assert F.power(0, 0) == 1
     assert F.power(0, 3) == 0
 
 
 def test_make_field_rejects_bad_input():
-    with pytest.raises(NotPrime):
+    with pytest.raises(ValueError, match=r"^p = 6 is not prime$"):
         make_field(6, 1)
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match=r"^p\*\*d = 2\*\*40 exceeds 65536$"):
         make_field(2, 40)
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match=r"^p\*\*d = 2\*\*17 exceeds 65536$"):
         make_field(2, 17)  # 2**17 > 2**16
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match=r"^p\*\*d = 257\*\*2 exceeds 65536$"):
         make_field(257, 2)
 
 
@@ -147,7 +140,7 @@ def test_power_residue_classes_gf16_cubes():
 
 def test_power_residue_classes_bad_e():
     F = make_field(13, 1)
-    with pytest.raises(DoesNotDivide):
+    with pytest.raises(ValueError, match=r"^e = 5 does not divide q - 1 = 12$"):
         power_residue_classes(F, 5)
 
 
@@ -320,7 +313,7 @@ def test_isprime_beyond_trial_bases():
 
 
 def test_helpers_reject_bad_arguments():
-    with pytest.raises(NotPrime):
+    with pytest.raises(ValueError, match=r"^p = 15 is not prime$"):
         gf.primitive_root(15)
     with pytest.raises(ValueError):
         gf.n_order(6, 9)

@@ -28,19 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rank3.families import (
-    BadCongruence,
     _binary_icosahedral,
     family_group,
     parse_descriptor,
     quaternion_normalizer_spec,
 )
-from rank3.gf import DoesNotDivide, make_field
+from rank3.gf import make_field
 from rank3.permgrp import (
-    BadOrder,
     GeneratorSet,
     MatrixGroupSpec,
-    NotTransitive,
-    SingularGenerator,
     Timeout,
     central_product_with_scalars,
     format_matrix_spec,
@@ -488,7 +484,7 @@ def test_rank_twisted_power_map_group():
 
 def test_rank_requires_transitive():
     f13 = make_field(13, 1)
-    with pytest.raises(NotTransitive):
+    with pytest.raises(ValueError, match=r"^orbit of 0 has size 1 < 13$"):
         rank_and_subdegrees(semilinear_stabilizer_perms(f13, 2))
 
 
@@ -499,7 +495,7 @@ def test_rank_degree_cap():
 
 def test_semilinear_divisor_check():
     f13 = make_field(13, 1)
-    with pytest.raises(DoesNotDivide):
+    with pytest.raises(ValueError, match=r"^e = 5 does not divide q - 1 = 12$"):
         semilinear_stabilizer_perms(f13, 5)
 
 
@@ -507,7 +503,7 @@ def test_semilinear_divisor_check():
 
 
 def test_singular_generator_rejected():
-    with pytest.raises(SingularGenerator):
+    with pytest.raises(ValueError, match=re.escape("singular mod 3:\n[[1 1]\n [2 2]]")):
         MatrixGroupSpec(3, 2, (np.array([[1, 1], [2, 2]]),))
 
 
@@ -551,10 +547,10 @@ def test_stacked_determinants_match_cofactor_expansion(p):
             if det:
                 MatrixGroupSpec(p, d, (mat,))
             else:
-                with pytest.raises(SingularGenerator):
+                with pytest.raises(ValueError, match=f"^generator is singular mod {p}:\n"):
                     MatrixGroupSpec(p, d, (mat,))
         first = mats[dets.index(0)]
-        with pytest.raises(SingularGenerator, match=re.escape(str(np.array(first)))):
+        with pytest.raises(ValueError, match=re.escape(f"singular mod {p}:\n{np.array(first)}")):
             MatrixGroupSpec(p, d, mats)
 
 
@@ -571,7 +567,7 @@ def test_singular_generator_inside_a_stack_of_8x8(p):
     bad = mats[3].copy()
     bad[5] = bad[2] + p  # a repeated row, off by p before the reduction
     mats[3] = bad
-    with pytest.raises(SingularGenerator, match=re.escape(f"singular mod {p}:\n{bad % p}")):
+    with pytest.raises(ValueError, match=re.escape(f"singular mod {p}:\n{bad % p}")):
         MatrixGroupSpec(p, 8, mats)
     del mats[3]
     assert len(MatrixGroupSpec(p, 8, mats).gens) == 6
@@ -581,7 +577,7 @@ def test_singular_generator_shows_the_first_singular_matrix():
     # two singular generators after an invertible one: the message shows the
     # first of them, reduced mod p
     gens = (np.eye(2, dtype=int), np.array([[4, 1], [2, 2]]), np.zeros((2, 2), dtype=int))
-    with pytest.raises(SingularGenerator, match=re.escape("singular mod 3:\n[[1 1]\n [2 2]]")):
+    with pytest.raises(ValueError, match=re.escape("singular mod 3:\n[[1 1]\n [2 2]]")):
         MatrixGroupSpec(3, 2, gens)
 
 
@@ -716,15 +712,15 @@ def test_sl25_search_mod_31():
 
 def test_sl25_search_fails_cleanly():
     # sqrt(5) exists mod p only for p = +-1 mod 5
-    with pytest.raises(BadCongruence):
+    with pytest.raises(ValueError, match=r"^5 is not a nonzero square mod 7: need p = \+-1 mod 5$"):
         _binary_icosahedral(7)
-    with pytest.raises(BadCongruence):
+    with pytest.raises(ValueError, match=r"^5 is not a nonzero square mod 2: need p = \+-1 mod 5$"):
         _binary_icosahedral(2)
 
 
 def test_scalar_adjunction_validation():
     gens = (np.eye(2, dtype=np.int64),)
-    with pytest.raises(BadOrder):
+    with pytest.raises(ValueError, match=r"^scalar order 5 does not divide p - 1 = 12$"):
         central_product_with_scalars(13, gens, 5)
     # a scalar of order 1 adds no generator
     same = central_product_with_scalars(13, gens, 1)
